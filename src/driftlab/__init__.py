@@ -15,8 +15,7 @@ from .bounds import (BoundReport, DiameterBoundDerivation, GapVerdict, LingCase,
                      prop8_bound, prop9_bound, soliton_diameter_lower)
 from .estimates import (BarrierFamily, LevelSetMaxima,
                         NormalizedEigenfunction, barrier, barrier_dominance_check,
-                        barrier_z, barrier_z_case_b2b2, case_b2b2_barrier,
-                        compute_Z, eta, gradient_estimate_margin,
+                        case_b2b2_barrier, compute_Z, eta, gradient_estimate_margin,
                         length_integral_check, normalize, test_estimate_residual,
                         xi)
 from .geometry import (CIRCLE, INTERVAL_SPHERE, CurvatureProfile, Grid,

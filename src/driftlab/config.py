@@ -54,17 +54,19 @@ def _require_keys(obj: dict, where: str, required: tuple, optional: tuple):
 
 
 def _as_list(value, name: str, kind):
+    """Finite floats or exact ints from a value or list; ``[value]`` admits one scalar."""
     items = value if isinstance(value, list) else [value]
     if not items:
         raise ConfigError(f"{name} must be a non-empty value or list")
     out = []
     for item in items:
-        if kind is float and isinstance(item, (int, float)) and not isinstance(item, bool):
+        number = isinstance(item, (int, float)) and not isinstance(item, bool)
+        if kind is float and number and math.isfinite(item):
             out.append(float(item))
-        elif kind is int and isinstance(item, int) and not isinstance(item, bool):
+        elif kind is int and number and isinstance(item, int):
             out.append(int(item))
         else:
-            raise ConfigError(f"{name} entries must be {kind.__name__}, got {item!r}")
+            raise ConfigError(f"{name} entries must be finite {kind.__name__}, got {item!r}")
     return tuple(out)
 
 
@@ -192,12 +194,14 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
             raise ConfigError("stretched-sphere models need 'length'")
         if "radius" in fam:
             raise ConfigError("stretched-sphere models take 'length', not 'radius'")
-    radius = float(fam.get("radius", 1.0))
+    (radius,) = _as_list([fam.get("radius", 1.0)], "family.radius", float)
     if radius <= 0:
         raise ConfigError("radius must be positive")
     length = fam.get("length")
-    if length is not None and float(length) <= 0:
-        raise ConfigError("length must be positive")
+    if length is not None:
+        (length,) = _as_list([length], "family.length", float)
+        if length <= 0:
+            raise ConfigError("length must be positive")
     density = _parse_density(fam.get("density"), name)
 
     checks = tuple(data["checks"])
@@ -218,9 +222,10 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
     for key, value in (data.get("tolerances") or {}).items():
         if key not in tolerances:
             raise ConfigError(f"unknown tolerance {key!r}; known: {sorted(tolerances)}")
-        if not (isinstance(value, (int, float)) and value > 0):
+        (value,) = _as_list([value], f"tolerance {key!r}", float)
+        if value <= 0:
             raise ConfigError(f"tolerance {key!r} must be a positive number")
-        tolerances[key] = float(value)
+        tolerances[key] = value
 
     soliton = None
     if data.get("soliton") is not None:
@@ -231,10 +236,12 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
         if fobj["name"] not in ("zero", "cosine"):
             raise ConfigError("soliton potentials support families 'zero' and 'cosine'")
         gamma = sob["gamma"]
-        if gamma != "einstein" and not (isinstance(gamma, (int, float)) and gamma > 0):
-            raise ConfigError("soliton gamma must be positive or the string 'einstein'")
-        soliton = SolitonSpec(f_name=fobj["name"], f_eps=float(fobj.get("eps", 0.0)),
-                              gamma=gamma if gamma == "einstein" else float(gamma))
+        if gamma != "einstein":
+            (gamma,) = _as_list([gamma], "soliton.gamma", float)
+            if gamma <= 0:
+                raise ConfigError("soliton gamma must be positive or the string 'einstein'")
+        (f_eps,) = _as_list([fobj.get("eps", 0.0)], "soliton.f.eps", float)
+        soliton = SolitonSpec(f_name=fobj["name"], f_eps=f_eps, gamma=gamma)
     if "soliton" in checks and soliton is None:
         raise ConfigError("the 'soliton' check needs a 'soliton' section")
 
@@ -245,24 +252,25 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
         if f not in FORMATS:
             raise ConfigError(f"unknown output format {f!r}; known: {FORMATS}")
 
-    b = float(data.get("b", 1.01))
+    (b,) = _as_list([data.get("b", 1.01)], "b", float)
     if b <= 1.0:
         raise ConfigError("b must exceed 1")
-    bins = int(data.get("bins", 200))
+    (bins,) = _as_list([data.get("bins", 200)], "bins", int)
     if bins < 2:
         raise ConfigError("bins must be at least 2")
-    l_max = int(data.get("l_max", 2))
+    (l_max,) = _as_list([data.get("l_max", 2)], "l_max", int)
     if l_max < 0:
         raise ConfigError("l_max must be nonnegative")
-    workers = int(data.get("workers", 1))
+    (workers,) = _as_list([data.get("workers", 1)], "workers", int)
     if workers < 1:
         raise ConfigError("workers must be at least 1")
+    (sigma,) = _as_list([data.get("sigma", 1.0)], "sigma", float)
 
     return ExperimentConfig(
         family=name, n=n, radius=radius,
-        length=float(length) if length is not None else None,
+        length=length,
         density=density, grids=grids, b=b, bins=bins, l_max=l_max,
-        sigma=float(data.get("sigma", 1.0)), workers=workers, checks=checks,
+        sigma=sigma, workers=workers, checks=checks,
         tolerances=tolerances, soliton=soliton,
         out_dir=out.get("dir"), formats=formats,
     )

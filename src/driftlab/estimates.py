@@ -74,6 +74,9 @@ _ETA_SERIES = np.array([
 ])
 _SERIES_WINDOW = 1e-3
 _DOMAIN_SLACK = 1e-12
+# Fiber latitudes of the manifold sampling, and the radial rows per sample block.
+_LATITUDES = np.linspace(0.0, math.pi, 241)
+_SAMPLE_BLOCK = 512
 
 
 def _series_eval(coeffs: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
@@ -187,9 +190,9 @@ class NormalizedEigenfunction:
     eigenvalue, k and a the asymmetry constants, b > 1 the gradient-estimate
     parameter, c = a/b, alpha = (n-1)K/2 and delta = alpha/lam.  For angular
     modes l >= 1, v is the affine image (scaled radial factor) x (zonal fiber
-    harmonic over latitudes ``psi``) minus the constant ``shift``; the shift
-    is zero whenever the fiber harmonic attains -1 (odd degrees, or any degree
-    on 2-dimensional models), and equals a otherwise.
+    harmonic over the sampled latitudes) minus the constant ``shift``; the
+    shift is zero whenever the fiber harmonic attains -1 (odd degrees, or any
+    degree on 2-dimensional models), and equals a otherwise.
     """
 
     model: WarpedManifold
@@ -203,7 +206,6 @@ class NormalizedEigenfunction:
     v_rad: np.ndarray
     dv_rad: np.ndarray
     fiber: FiberHarmonic | None
-    psi: np.ndarray | None
     shift: float
     residual_inf: float
 
@@ -219,32 +221,38 @@ class NormalizedEigenfunction:
     def delta(self) -> float:
         return self.alpha / self.lam
 
-    def manifold_values(self) -> np.ndarray:
-        """Flattened samples of v over the manifold sampling."""
-        if self.fiber is None:
-            return self.v_rad
-        return (np.outer(self.v_rad, self.fiber.value_at(self.psi)) - self.shift).ravel()
+    def samples(self):
+        """Yield flattened (v, |grad v|^2) over the manifold, one block of
+        ``_SAMPLE_BLOCK`` radial rows at a time.
 
-    def manifold_grad_sq(self) -> np.ndarray:
-        """Flattened |grad v|^2 at the same sample points (shifts drop out)."""
-        if self.fiber is None:
-            return self.dv_rad**2
-        g = self.fiber.value_at(self.psi)
-        gp = self.fiber.dpsi_at(self.psi)
-        wv = np.asarray(self.model.w.value(self.grid.nodes), dtype=float)
-        radial = np.outer(self.dv_rad, g) ** 2
-        angular = np.outer(self.v_rad / wv, gp) ** 2
-        return (radial + angular).ravel()
+        The sampling is the radial grid for zonal modes and circles, and the
+        (radial x latitude) product over ``_LATITUDES`` for angular modes, in
+        row-major order, so the blocks concatenate to one fixed sample order.
+        Memory stays O(_SAMPLE_BLOCK x latitudes + N).
+        """
+        if self.fiber is not None:
+            g = self.fiber.value_at(_LATITUDES)
+            gp = self.fiber.dpsi_at(_LATITUDES)
+            v_over_w = self.v_rad / np.asarray(self.model.w.value(self.grid.nodes), dtype=float)
+        for lo in range(0, self.v_rad.size, _SAMPLE_BLOCK):
+            rows = slice(lo, lo + _SAMPLE_BLOCK)
+            if self.fiber is None:
+                yield self.v_rad[rows], self.dv_rad[rows] ** 2
+            else:  # the shift drops out of the gradient
+                yield ((np.outer(self.v_rad[rows], g) - self.shift).ravel(),
+                       (np.outer(self.dv_rad[rows], g) ** 2
+                        + np.outer(v_over_w[rows], gp) ** 2).ravel())
 
 
-def normalize(mode: EigenMode, K: float | None = None, b: float = 1.01,
-              psi_points: int = 241) -> NormalizedEigenfunction:
+def normalize(mode: EigenMode, K: float | None = None,
+              b: float = 1.01) -> NormalizedEigenfunction:
     """Fix sign and scale of an eigenfunction, returning v with its constants.
 
     The sign is chosen so that max u >= -min u over the manifold, then u is
     rescaled to max u = 1, min u = -k, and mapped to
-    v = (u - (1-k)/2) / ((1+k)/2).  For angular modes the extremes are taken
-    over the (radial x latitude) product samples: odd fiber harmonics reach -1
+    v = (u - (1-k)/2) / ((1+k)/2).  For angular modes the extremes are those
+    of the (radial x latitude) product samples, attained at the corners
+    {min u, max u} x {min G, max G}: odd fiber harmonics reach -1
     and give the symmetric case k = 1, a = 0, while even degrees >= 2 on
     fibers of dimension >= 2 bottom out above -1 and produce a genuine
     asymmetry constant.  The eigen-relation Delta_phi v = -lam (v + a) is
@@ -266,9 +274,10 @@ def normalize(mode: EigenMode, K: float | None = None, b: float = 1.01,
     periodic = model.topology == CIRCLE
     if mode.l >= 1 and not periodic:
         fiber = FiberHarmonic(n=model.n, l=mode.l)
-        psi = np.linspace(0.0, math.pi, psi_points)
-        product = np.outer(u, fiber.value_at(psi))
-        pmax, pmin = float(product.max()), float(product.min())
+        g = fiber.value_at(_LATITUDES)
+        # rounding is monotone, so the corners match the full product bitwise
+        corners = np.outer([umin, umax], [g.min(), g.max()])
+        pmax, pmin = float(corners.max()), float(corners.min())
         if -pmin > pmax:
             u, pmax, pmin = -u, -pmin, -pmax
         k = -pmin / pmax
@@ -284,7 +293,6 @@ def normalize(mode: EigenMode, K: float | None = None, b: float = 1.01,
         a = (1.0 - k) / (1.0 + k)
         v_rad = (u - (1.0 - k) / 2.0) / ((1.0 + k) / 2.0)
         fiber = None
-        psi = None
         shift = 0.0
 
     if K is None:
@@ -303,7 +311,7 @@ def normalize(mode: EigenMode, K: float | None = None, b: float = 1.01,
     return NormalizedEigenfunction(
         model=model, grid=grid, l=mode.l, lam=lam, k=k, a=a, b=float(b), K=float(K),
         v_rad=v_rad, dv_rad=_sample_derivative(v_rad, grid.spacing, periodic),
-        fiber=fiber, psi=psi, shift=shift, residual_inf=residual_inf,
+        fiber=fiber, shift=shift, residual_inf=residual_inf,
     )
 
 
@@ -316,14 +324,9 @@ class GradientMargin:
     bound: float
 
 
-def gradient_estimate_margin(nef: NormalizedEigenfunction,
-                             b: float | None = None) -> GradientMargin:
-    b = nef.b if b is None else float(b)
-    if b <= 1.0:
-        raise ValueError("b must exceed 1")
-    v = nef.manifold_values()
-    ratio = nef.manifold_grad_sq() / (b * b - v * v)
-    sup = float(ratio.max())
+def gradient_estimate_margin(nef: NormalizedEigenfunction) -> GradientMargin:
+    b2 = nef.b * nef.b
+    sup = max(float((grad_sq / (b2 - v * v)).max()) for v, grad_sq in nef.samples())
     bound = nef.lam * (1.0 + nef.a)
     return GradientMargin(margin=bound - sup, sup_ratio=sup, bound=bound)
 
@@ -349,31 +352,35 @@ class LevelSetMaxima:
         return self.counts > 0
 
 
-def compute_Z(nef: NormalizedEigenfunction, t_bins=200) -> LevelSetMaxima:
-    """Per-bin maxima of the normalized gradient quantity over t-level sets."""
+def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima:
+    """Per-bin maxima of the normalized gradient quantity over t-level sets.
+
+    Each bin's ``arg_t`` is the t of its first maximizing sample in the order
+    of ``nef.samples()``.
+    """
     tb = math.asin(1.0 / nef.b)
-    if np.isscalar(t_bins):
-        edges = np.linspace(-tb, tb, int(t_bins) + 1)
-    else:
-        edges = np.asarray(t_bins, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
-            raise ValueError("bin edges must be a 1-d increasing array")
-    nb = edges.size - 1
-    v = nef.manifold_values()
-    t = np.arcsin(v / nef.b)
-    val = nef.manifold_grad_sq() / (nef.lam * (nef.b**2 - v * v))
-    inside = (t >= edges[0]) & (t <= edges[-1])
-    if not np.any(inside):
+    edges = np.linspace(-tb, tb, t_bins + 1)
+    values = np.full(t_bins, -np.inf)
+    arg_t = np.full(t_bins, np.nan)
+    counts = np.zeros(t_bins, dtype=np.int64)
+    for v, grad_sq in nef.samples():
+        t = np.arcsin(v / nef.b)
+        val = grad_sq / (nef.lam * (nef.b**2 - v * v))
+        inside = (t >= edges[0]) & (t <= edges[-1])
+        t, val = t[inside], val[inside]
+        idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, t_bins - 1)
+        counts += np.bincount(idx, minlength=t_bins)
+        block_max = np.full(t_bins, -np.inf)
+        np.maximum.at(block_max, idx, val)
+        hit = np.flatnonzero(val >= block_max[idx])
+        first = np.full(t_bins, val.size)
+        np.minimum.at(first, idx[hit], hit)
+        # strictly larger only, so an earlier block keeps its tied maximum
+        better = block_max > values
+        values[better] = block_max[better]
+        arg_t[better] = t[first[better]]
+    if not counts.any():
         raise ValueError("all level-set bins are empty; the bins do not cover the data")
-    t, val = t[inside], val[inside]
-    idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, nb - 1)
-    values = np.full(nb, -np.inf)
-    np.maximum.at(values, idx, val)
-    arg_t = np.full(nb, np.nan)
-    hit = np.flatnonzero(val >= values[idx])
-    for s in hit[::-1]:  # reversed so the first maximizing sample wins
-        arg_t[idx[s]] = t[s]
-    counts = np.bincount(idx, minlength=nb)
     values[counts == 0] = np.nan
     return LevelSetMaxima(edges=edges, values=values, arg_t=arg_t,
                           counts=counts, b=nef.b, lam=nef.lam)
@@ -458,16 +465,6 @@ def case_b2b2_barrier(a: float, b: float, delta: float, sigma: float) -> Barrier
             f"delta - sigma c^2 = {z.xi_coeff:.3e} lost the sign required for validity")
     _validate_barrier(z)
     return z
-
-
-def barrier_z(t, a: float, b: float, delta: float, mu: float):
-    """Evaluate the standard barrier at t."""
-    return barrier(a, b, delta, mu).value(t)
-
-
-def barrier_z_case_b2b2(t, a: float, b: float, delta: float, sigma: float):
-    """Evaluate the variant barrier at t; sigma = 0 degenerates to mu = 1."""
-    return case_b2b2_barrier(a, b, delta, sigma).value(t)
 
 
 @dataclass(frozen=True)
@@ -577,7 +574,8 @@ def length_integral_check(nef: NormalizedEigenfunction, z: BarrierFamily,
         raise BarrierHypothesisError("barrier is not positive on [-pi/2, pi/2]")
     transit, _ = quad(lambda t: 1.0 / math.sqrt(z.value(t)), -HALF_PI, HALF_PI,
                       limit=200, epsabs=1e-12, epsrel=1e-12)
-    z_int, _ = quad(z.value, -HALF_PI, HALF_PI, limit=200, epsabs=1e-12, epsrel=1e-12)
+    # int 1 = pi, int eta = 0 and int xi = -pi over [-pi/2, pi/2]
+    z_int = math.pi * (1.0 - z.xi_coeff)
     holder = math.sqrt(math.pi**3 / z_int)
     lhs = math.sqrt(nef.lam) * d
     return LengthIntegralLedger(

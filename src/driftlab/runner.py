@@ -175,13 +175,13 @@ def run(config: ExperimentConfig) -> RunReport:
 
     verdict_keys = [f"verdict_{c}" for c in config.checks]
     failed = errors = solver_failures = 0
-    for row in rows:
+    for row in rows:  # each row counts once: error, else failed, else passed
         err = row.get("error", "")
         if err:
             errors += 1
             if err.startswith("solver-failure"):
                 solver_failures += 1
-        if any(row.get(k) is False for k in verdict_keys):
+        elif any(row.get(k) is False for k in verdict_keys):
             failed += 1
     summary = {"instances": len(rows), "failed": failed, "errors": errors,
                "solver_failures": solver_failures,

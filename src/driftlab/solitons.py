@@ -209,9 +209,7 @@ def eigenfunction_identity(cand: SolitonCandidate, grid: Grid,
     drift_lap = lap_f - f1**2
     residual = float(np.max(np.abs(drift_lap + 2.0 * cand.gamma * fv)))
 
-    drift_model = WarpedManifold(topology=cand.model.topology, n=cand.model.n,
-                                 L=cand.model.L, w=cand.model.w, phi=f,
-                                 name=f"{cand.model.label}+potential")
+    drift_model = cand.drift_model()
     drift_grid = Grid.uniform(drift_model, grid.size)
     membership = spectrum_contains(drift_model, drift_grid, -2.0 * cand.gamma, tol)
 

@@ -61,7 +61,6 @@ class SpectralProblem:
     off_diag: np.ndarray
     corner: float
     sqrt_rho: np.ndarray
-    bc: tuple[str, str]
 
     @property
     def periodic(self) -> bool:
@@ -153,9 +152,6 @@ def assemble(model: WarpedManifold, grid: Grid, l: int) -> SpectralProblem:
                 raise AssemblyError(
                     "angular potential overflows at the poles; grid nodes must stay interior")
             diag -= potential
-            bc = ("dirichlet", "dirichlet")
-        else:
-            bc = ("regular", "regular")
         off = coupling / np.sqrt(rho_c[:-1] * rho_c[1:])
         corner = 0.0
     else:
@@ -168,10 +164,9 @@ def assemble(model: WarpedManifold, grid: Grid, l: int) -> SpectralProblem:
         diag[nxt] -= coupling / rho_c[nxt]
         off = coupling[:-1] / np.sqrt(rho_c[:-1] * rho_c[1:])
         corner = float(coupling[-1] / math.sqrt(rho_c[-1] * rho_c[0]))
-        bc = ("periodic", "periodic")
 
     return SpectralProblem(model=model, grid=grid, l=l, diag=diag, off_diag=off,
-                           corner=corner, sqrt_rho=np.sqrt(rho_c), bc=bc)
+                           corner=corner, sqrt_rho=np.sqrt(rho_c))
 
 
 @dataclass(frozen=True)
@@ -187,16 +182,6 @@ class EigenMode:
     def lam(self) -> float:
         """lambda = -mu, positive for non-constant modes."""
         return -self.mu
-
-    def manifold_samples(self, psi_points: int = 181) -> np.ndarray:
-        """The eigenfunction over the manifold sampling: the radial profile for
-        l = 0 (and circles), or the (radial x latitude) tensor with the zonal
-        fiber harmonic for l >= 1."""
-        if self.l == 0 or self.problem.periodic:
-            return self.u
-        psi = np.linspace(0.0, math.pi, psi_points)
-        fiber = FiberHarmonic(n=self.problem.model.n, l=self.l)
-        return np.outer(self.u, fiber.value_at(psi))
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,29 @@ def test_parse_rejects_bad_values():
             family={"name": "circle", "length": 6.0, "radius": 1.0}))
 
 
+@pytest.mark.parametrize("overrides", [
+    {"b": math.inf},
+    {"b": math.nan},
+    {"sigma": math.nan},
+    {"bins": 2.7},
+    {"l_max": 1.9},
+    {"workers": 1.5},
+    {"tolerances": {"gradient": math.inf}},
+    {"family": {"name": "sphere", "n": [2], "radius": math.inf}},
+    {"family": {"name": "sphere", "n": [2],
+                "density": {"name": "cosine", "eps": [math.nan]}}},
+])
+def test_parse_rejects_non_finite_and_non_integral(overrides, tmp_path, capsys):
+    # json reads NaN and Infinity; neither may reach a check, nor may a
+    # fractional count be truncated
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(_base_config(**overrides))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config(**overrides)))
+    assert cli.main(["spectrum", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_tolerance_profiles():
     strict = parse_config(_base_config(), tolerance_profile="strict")
     assert strict.tolerances["bound_margin"] == 1e-9
@@ -169,6 +192,22 @@ def test_run_isolates_instance_failures(monkeypatch):
     assert report.summary["errors"] == 1
     good = [r for r in report.rows if not r.get("error")]
     assert len(good) == 1 and good[0]["n"] == 2
+
+
+def test_run_counts_each_row_once(monkeypatch):
+    config = parse_config(_base_config(
+        family={"name": "sphere", "n": [2, 3],
+                "density": {"name": "cosine", "eps": [0.1]}}))
+
+    def error_and_failed_on_n3(cfg, inst):
+        if inst.n == 3:
+            return {"instance": inst.key, "error": "boom", "verdict_spectrum": False}
+        return {"instance": inst.key, "verdict_spectrum": True}
+
+    monkeypatch.setattr(runner, "run_instance", error_and_failed_on_n3)
+    summary = runner.run(config).summary
+    assert summary["passed"] + summary["failed"] + summary["errors"] == summary["instances"]
+    assert (summary["passed"], summary["failed"], summary["errors"]) == (1, 0, 1)
 
 
 def test_run_concurrent_matches_serial():

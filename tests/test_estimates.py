@@ -11,8 +11,8 @@ from scipy.integrate import quad
 import driftlab as dl
 from driftlab.errors import (BarrierDomainError, BarrierHypothesisError,
                              DegenerateEigenfunctionError)
-from driftlab.estimates import (LevelSetMaxima, eta, eta_d1, eta_d2, xi,
-                                xi_d1, xi_d2)
+from driftlab.estimates import (_SAMPLE_BLOCK, LevelSetMaxima, eta, eta_d1,
+                                eta_d2, xi, xi_d1, xi_d2)
 from driftlab.spectral import FiberHarmonic, assemble
 
 HALF_PI = math.pi / 2.0
@@ -97,7 +97,7 @@ def test_exact_ode_identities():
 
 def test_barrier_values():
     # z(0) = 1 + mu*delta*(1 - pi^2/4) for a = 0
-    assert abs(dl.barrier_z(0.0, 0.0, 1.01, 0.2, 0.5) -
+    assert abs(dl.barrier(0.0, 1.01, 0.2, 0.5).value(0.0) -
                (1.0 + 0.1 * (1.0 - math.pi**2 / 4.0))) < 1e-12
     z = dl.barrier(0.4, 1.01, 0.25, 1.0)
     assert abs(z.value(HALF_PI) - (1.0 + 0.4 / 1.01)) < 1e-12
@@ -108,10 +108,10 @@ def test_barrier_values():
 def test_barrier_b2b2():
     # sigma = 0 degenerates to the standard barrier with mu = 1
     t = np.linspace(-1.3, 1.3, 101)
-    std = dl.barrier_z(t, 0.2, 1.01, 0.25, 1.0)
-    var = dl.barrier_z_case_b2b2(t, 0.2, 1.01, 0.25, 0.0)
+    std = dl.barrier(0.2, 1.01, 0.25, 1.0).value(t)
+    var = dl.case_b2b2_barrier(0.2, 1.01, 0.25, 0.0).value(t)
     assert np.max(np.abs(std - var)) < 1e-14
-    value = dl.barrier_z_case_b2b2(0.0, 0.1 * 1.01, 1.01, 0.05, 1.0)
+    value = dl.case_b2b2_barrier(0.1 * 1.01, 1.01, 0.05, 1.0).value(0.0)
     assert abs(value - (1.0 + 0.04 * (1.0 - math.pi**2 / 4.0))) < 1e-12
     z = dl.case_b2b2_barrier(0.1, 1.01, 0.05, 1.0)
     assert abs(z.value(HALF_PI) - (1.0 + 0.1 / 1.01)) < 1e-12
@@ -338,17 +338,67 @@ def test_fiber_harmonics():
             assert FiberHarmonic(n=n, l=l).value_at(0.0) == pytest.approx(1.0)
 
 
-def test_normalize_l1_mode_symmetric():
+@lru_cache(maxsize=None)
+def _l1_mode(N=900):
     model = dl.sphere(3, density=dl.cosine_density(0.4))
-    grid = dl.Grid.uniform(model, 900)
-    fe = dl.first_nonzero_eigenvalue(model, grid)
+    fe = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, N))
     assert fe.mode.l == 1
-    nef = dl.normalize(fe.mode, b=1.01)
+    return fe.mode
+
+
+@lru_cache(maxsize=None)
+def _l2_mode():
+    model = dl.sphere(3)
+    grid = dl.Grid.uniform(model, 900)
+    return dl.solve_eigen(assemble(model, grid, 2), 1).modes[0]
+
+
+def _streamed(nef):
+    """The sampler's blocks, concatenated to flat (v, |grad v|^2) arrays."""
+    blocks = list(nef.samples())
+    return (np.concatenate([v for v, _ in blocks]),
+            np.concatenate([g for _, g in blocks]))
+
+
+def _full_samples(nef):
+    """Brute-force (radial x latitude) product over the 241 latitudes."""
+    psi = np.linspace(0.0, math.pi, 241)
+    g, gp = nef.fiber.value_at(psi), nef.fiber.dpsi_at(psi)
+    wv = np.asarray(nef.model.w.value(nef.grid.nodes), dtype=float)
+    v = (np.outer(nef.v_rad, g) - nef.shift).ravel()
+    grad_sq = (np.outer(nef.dv_rad, g) ** 2 + np.outer(nef.v_rad / wv, gp) ** 2).ravel()
+    return v, grad_sq
+
+
+def _reference_Z(v, grad_sq, b, lam, bins):
+    """Per-bin maxima over full sample arrays; ties go to the first sample."""
+    tb = math.asin(1.0 / b)
+    edges = np.linspace(-tb, tb, bins + 1)
+    t = np.arcsin(v / b)
+    val = grad_sq / (lam * (b**2 - v * v))
+    keep = (t >= edges[0]) & (t <= edges[-1])
+    t, val = t[keep], val[keep]
+    idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, bins - 1)
+    counts = np.bincount(idx, minlength=bins)
+    values = np.full(bins, np.nan)
+    arg_t = np.full(bins, np.nan)
+    for j in np.flatnonzero(counts):
+        members = np.flatnonzero(idx == j)
+        first = members[np.argmax(val[members])]
+        values[j], arg_t[j] = val[first], t[first]
+    return values, arg_t, counts
+
+
+def test_normalize_l1_mode_symmetric():
+    nef = dl.normalize(_l1_mode(), b=1.01)
     assert nef.a == 0.0
     assert nef.fiber is not None
-    values = nef.manifold_values()
-    assert abs(values.max() - 1.0) < 1e-12
-    assert abs(values.min() + 1.0) < 1e-12
+    v = _streamed(nef)[0].reshape(nef.v_rad.size, -1)
+    assert abs(v.max() - 1.0) < 1e-12
+    assert abs(v.min() + 1.0) < 1e-12
+    # the degree-1 fiber harmonic is cos(psi): the fiber poles carry +-v_rad
+    assert np.array_equal(v[:, 0], nef.v_rad)
+    assert np.array_equal(v[:, -1], -nef.v_rad)
     gm = dl.gradient_estimate_margin(nef)
     assert gm.sup_ratio <= gm.bound * 1.01
 
@@ -356,18 +406,85 @@ def test_normalize_l1_mode_symmetric():
 def test_normalize_l2_mode_asymmetric():
     # even zonal fiber harmonics on fibers of dimension >= 2 bottom out above
     # -1 (Legendre P_2 reaches -1/2), so an l = 2 mode has k = 1/2, a = 1/3
-    model = dl.sphere(3)
-    grid = dl.Grid.uniform(model, 900)
-    spectrum = dl.solve_eigen(assemble(model, grid, 2), 1)
-    mode = spectrum.modes[0]
+    mode = _l2_mode()
     assert abs(mode.lam - 8.0) < 1e-3  # second spherical-harmonic level of S^3
     nef = dl.normalize(mode, K=1.0, b=1.01)
     assert nef.k == pytest.approx(0.5, abs=1e-6)
     assert nef.a == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert nef.shift == nef.a
-    values = nef.manifold_values()
-    assert abs(values.max() - 1.0) < 1e-10
-    assert abs(values.min() + 1.0) < 1e-10
+    v = _streamed(nef)[0].reshape(nef.v_rad.size, -1)
+    assert abs(v.max() - 1.0) < 1e-10
+    assert abs(v.min() + 1.0) < 1e-10
+    # P_2 is 1 at both fiber poles, which carry v_rad - a
+    assert np.array_equal(v[:, 0], nef.v_rad - nef.shift)
+    assert np.array_equal(v[:, -1], nef.v_rad - nef.shift)
     assert nef.residual_inf < 1e-6 * nef.lam
     gm = dl.gradient_estimate_margin(nef)
     assert gm.sup_ratio <= gm.bound * (1.0 + 1e-2)
+
+
+@pytest.mark.parametrize("mode", [_l1_mode, _l2_mode])
+def test_normalize_corner_extremes_match_full_product(mode):
+    mode = mode()
+    g = FiberHarmonic(n=mode.problem.model.n, l=mode.l).value_at(
+        np.linspace(0.0, math.pi, 241))
+    u = mode.u
+    product = np.outer(u, g)
+    pmax, pmin = product.max(), product.min()
+    if -pmin > pmax:
+        u, pmax, pmin = -u, -pmin, -pmax
+    k = -pmin / pmax
+    nef = dl.normalize(mode, K=1.0)
+    assert nef.k == k
+    assert np.array_equal(nef.v_rad, u * (2.0 / ((1.0 + k) * pmax)))
+
+
+def test_streamed_sampler_matches_full_arrays():
+    nef = dl.normalize(_l1_mode(3 * _SAMPLE_BLOCK + 100), b=1.01)
+    v, grad_sq = _full_samples(nef)
+    streamed_v, streamed_grad_sq = _streamed(nef)
+    assert np.array_equal(streamed_v, v)
+    assert np.array_equal(streamed_grad_sq, grad_sq)
+
+    gm = dl.gradient_estimate_margin(nef)
+    assert gm.sup_ratio == float((grad_sq / (nef.b * nef.b - v * v)).max())
+
+    levelset = dl.compute_Z(nef, 200)
+    values, arg_t, counts = _reference_Z(v, grad_sq, nef.b, nef.lam, 200)
+    assert np.array_equal(levelset.values, values, equal_nan=True)
+    assert np.array_equal(levelset.arg_t, arg_t, equal_nan=True)
+    assert np.array_equal(levelset.counts, counts)
+
+
+class _Blocks:
+    """Stand-in eigenfunction whose samples() yields the given blocks."""
+
+    def __init__(self, blocks, b):
+        self.blocks, self.b, self.lam = blocks, b, 1.0
+
+    def samples(self):
+        yield from self.blocks
+
+
+def test_compute_Z_ties_keep_the_first_maximizer():
+    # grad_sq = val (b^2 - v^2) with val a power of two gives val back exactly,
+    # so the maximum 2 is tied within the first block and across blocks
+    b = 1.01
+
+    def block(v, val):
+        v = np.array(v)
+        return v, np.array(val) * (b**2 - v * v)
+
+    blocks = [block([0.5, 0.30, 0.31], [1.0, 2.0, 2.0]),
+              block([0.305, 0.32], [2.0, 1.0]),
+              block([-0.9, -0.95], [1.0, 4.0])]
+    levelset = dl.compute_Z(_Blocks(blocks, b), 4)
+    v = np.concatenate([v for v, _ in blocks])
+    grad_sq = np.concatenate([g for _, g in blocks])
+    values, arg_t, counts = _reference_Z(v, grad_sq, b, 1.0, 4)
+    assert np.array_equal(levelset.values, values, equal_nan=True)
+    assert np.array_equal(levelset.arg_t, arg_t, equal_nan=True)
+    assert np.array_equal(levelset.counts, counts)
+    assert levelset.values[2] == 2.0
+    assert levelset.arg_t[2] == np.arcsin(0.30 / b)
+    assert levelset.values[0] == 4.0

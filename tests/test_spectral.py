@@ -94,8 +94,6 @@ def test_l1_potential_and_tags():
     model, grid = _sphere_grid(2, 300)
     p0 = assemble(model, grid, 0)
     p1 = assemble(model, grid, 1)
-    assert p0.bc == ("regular", "regular")
-    assert p1.bc == ("dirichlet", "dirichlet")
     # the l >= 1 operator subtracts exactly l(l+n-2)/w^2 on the diagonal
     w = np.sin(grid.nodes)
     diff = p1.dense_operator() - p0.dense_operator()
@@ -166,13 +164,15 @@ def test_manifold_samples_shapes():
     model, grid = _sphere_grid(3, 400, eps=0.4)
     fe = dl.first_nonzero_eigenvalue(model, grid)
     assert fe.mode.l == 1
-    full = fe.mode.manifold_samples(psi_points=91)
-    assert full.shape == (grid.size, 91)
-    # the latitude factor of the first mode is cos(psi): poles carry +-u
-    assert np.allclose(full[:, 0], fe.mode.u)
-    assert np.allclose(full[:, -1], -fe.mode.u)
+    nef = dl.normalize(fe.mode)
+    v = np.concatenate([v for v, _ in nef.samples()]).reshape(grid.size, -1)
+    assert abs(v.max() - 1.0) < 1e-12 and abs(v.min() + 1.0) < 1e-12
+    # the latitude factor of the first mode is cos(psi): poles carry +-v_rad
+    assert np.array_equal(v[:, 0], nef.v_rad)
+    assert np.array_equal(v[:, -1], -nef.v_rad)
     zonal = dl.solve_eigen(assemble(model, grid, 0), 2).modes[1]
-    assert zonal.manifold_samples().shape == (grid.size,)
+    samples = list(dl.normalize(zonal).samples())
+    assert np.concatenate([v for v, _ in samples]).shape == (grid.size,)
 
 
 def test_assemble_rejects_bad_modes():
