@@ -31,7 +31,7 @@ from .solitons import (EigenIdentityReport, HamiltonIdentityLedger,
                        soliton_residual)
 from .spectral import (EigenMode, FiberHarmonic, FirstEigenvalue, MembershipVerdict,
                        SpectralProblem, Spectrum, assemble,
-                       first_nonzero_eigenvalue, merge_spectra, solve_eigen,
+                       first_nonzero_eigenvalue, solve_eigen,
                        solve_low_spectrum, spectrum_contains)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .acceptance import verify_paper
-from .config import load_config
+from .config import parse_config, read_config
 from .errors import ConfigError, DriftLabError, SolverError
 from .reports import (BARRIER_COLUMNS, SWEEP_COLUMNS, barrier_table,
                       emit_csv, emit_json, environment_stamp, json_payload)
@@ -80,15 +80,15 @@ def _emit(rows, columns, payload, out_dir: Path | None, formats, basename: str):
 
 
 def _run_sweep(args, checks_override) -> int:
-    config = load_config(args.config, tolerance_profile=args.tolerance_profile)
+    raw = read_config(args.config)
+    overrides = {"grids": args.grid, "workers": args.workers}
+    if isinstance(raw, dict):  # overrides pass the same checks as the file's own values
+        raw.update({key: value for key, value in overrides.items() if value is not None})
+    config = parse_config(raw, tolerance_profile=args.tolerance_profile)
     if checks_override is not None:
         if checks_override == ("soliton",) and config.soliton is None:
             raise ConfigError("soliton-check needs a 'soliton' section in the config")
         config = replace(config, checks=checks_override)
-    if args.grid is not None:
-        config = replace(config, grids=(args.grid,))
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
     report = run(config)
 
     out_dir = args.out if args.out is not None else \

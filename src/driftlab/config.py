@@ -276,14 +276,14 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
     )
 
 
-def load_config(path: str | Path, tolerance_profile: str | None = None) -> ExperimentConfig:
+def read_config(path: str | Path):
+    """The raw JSON of a configuration file, for ``parse_config``."""
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
-    return parse_config(raw, tolerance_profile=tolerance_profile)
 
 
 def build_model(config: ExperimentConfig, inst: InstanceSpec) -> geometry.WarpedManifold:

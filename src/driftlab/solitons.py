@@ -125,6 +125,16 @@ def normalize_f(cand: SolitonCandidate, grid: Grid) -> NormalizedPotential:
     return NormalizedPotential(f=cand.f.shifted(shift), shift=shift)
 
 
+def _radial_laplacian(model: WarpedManifold, f: RadialProfile,
+                      r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f' and Delta f = f'' + (n-1) w'/w f' of a radial function at interior nodes."""
+    f1 = np.asarray(f.d1(r), dtype=float)
+    f2 = np.asarray(f.d2(r), dtype=float)
+    wv = np.asarray(model.w.value(r), dtype=float)
+    wd1 = np.asarray(model.w.d1(r), dtype=float)
+    return f1, f2 + (model.n - 1) * wd1 / wv * f1
+
+
 @dataclass(frozen=True)
 class HamiltonIdentityLedger:
     """Residuals of the three derived soliton identities.
@@ -143,11 +153,8 @@ def hamilton_identities(cand: SolitonCandidate, grid: Grid) -> HamiltonIdentityL
     n = model.n
     r = grid.nodes
     prof = curvature(model, grid)
-    f1 = np.asarray(f.d1(r), dtype=float)
-    f2 = np.asarray(f.d2(r), dtype=float)
+    f1, lap_f = _radial_laplacian(model, f, r)
     fv = np.asarray(f.value(r), dtype=float)
-    wv = np.asarray(model.w.value(r), dtype=float)
-    wd1 = np.asarray(model.w.d1(r), dtype=float)
 
     # exact pole limits: curvature is isotropic, grad f vanishes, Delta f -> n f''
     poles = np.array([0.0, model.L])
@@ -164,7 +171,6 @@ def hamilton_identities(cand: SolitonCandidate, grid: Grid) -> HamiltonIdentityL
         scalar_poles - 2.0 * cand.gamma * f_poles,
     ])
 
-    lap_f = f2 + (n - 1) * wd1 / wv * f1
     trace = np.concatenate([
         prof.scalar - n * cand.gamma + lap_f,
         scalar_poles - n * cand.gamma + n * f2_poles,
@@ -201,11 +207,7 @@ def eigenfunction_identity(cand: SolitonCandidate, grid: Grid,
     f = norm.f
     r = grid.nodes
     fv = np.asarray(f.value(r), dtype=float)
-    f1 = np.asarray(f.d1(r), dtype=float)
-    f2 = np.asarray(f.d2(r), dtype=float)
-    wv = np.asarray(cand.model.w.value(r), dtype=float)
-    wd1 = np.asarray(cand.model.w.d1(r), dtype=float)
-    lap_f = f2 + (cand.model.n - 1) * wd1 / wv * f1
+    f1, lap_f = _radial_laplacian(cand.model, f, r)
     drift_lap = lap_f - f1**2
     residual = float(np.max(np.abs(drift_lap + 2.0 * cand.gamma * fv)))
 

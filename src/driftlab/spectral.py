@@ -22,8 +22,9 @@ Dirichlet decay of the eigenfunctions.
 
 Eigenpairs come from the symmetric tridiagonal similarity transform
 S = D A D^{-1}, D = diag(sqrt(rho_i)), solved by bisection plus inverse
-iteration (LAPACK stebz/stein via scipy), which is deterministic.  The
-periodic circle matrix has wrap-around corners and is solved densely.
+iteration (LAPACK stebz/stein via scipy).  The periodic circle matrix has
+wrap-around corners and is solved by sparse shift-invert Lanczos (ARPACK).
+Both solves cost linear time in N and are deterministic.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.sparse import diags
+from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.special import eval_gegenbauer
 
 from .errors import AssemblyError, SolverError
@@ -80,17 +83,6 @@ class SpectralProblem:
             out[0] += self.corner * y[-1]
             out[-1] += self.corner * y[0]
         return out / self.sqrt_rho
-
-    def dense_operator(self) -> np.ndarray:
-        """Dense matrix of the operator acting on radial samples (small grids)."""
-        s = np.diag(self.diag)
-        idx = np.arange(self.size - 1)
-        s[idx, idx + 1] = self.off_diag
-        s[idx + 1, idx] = self.off_diag
-        if self.periodic and self.corner != 0.0:
-            s[0, -1] = self.corner
-            s[-1, 0] = self.corner
-        return s * self.sqrt_rho[None, :] / self.sqrt_rho[:, None]
 
 
 def angular_eigenvalue(n: int, l: int) -> float:
@@ -216,71 +208,56 @@ def _postprocess(problem: SpectralProblem, vals: np.ndarray, vecs: np.ndarray) -
     return modes
 
 
+def _solver_error(problem: SpectralProblem, exc: Exception) -> SolverError:
+    n = problem.size
+    return SolverError(
+        f"eigensolver failed for l={problem.l}, N={n}: {exc}",
+        report={"l": problem.l, "size": n,
+                "diag_range": (float(problem.diag.min()), float(problem.diag.max())),
+                "off_max": float(np.max(np.abs(problem.off_diag))) if n > 1 else 0.0})
+
+
 def solve_eigen(problem: SpectralProblem, count: int) -> Spectrum:
     """The ``count`` eigenvalues of smallest magnitude, with eigenfunctions.
 
     The spectrum is nonpositive, so smallest magnitude means algebraically
-    largest; those are computed by bisection and inverse iteration on the
-    symmetrized tridiagonal matrix (dense solve for the periodic circle).
-    Deterministic for fixed inputs.
+    largest.  Interval models use bisection and inverse iteration on the
+    symmetrized tridiagonal matrix.  The circle uses shift-invert Lanczos
+    with a small positive shift, whose nearest eigenvalues are then the
+    largest, and a fixed start vector; it returns at most N - 1 eigenpairs.
     """
     n = problem.size
     if count < 1:
         raise ValueError("count must be >= 1")
-    count = min(count, n)
-    lo, hi = n - count, n - 1
+    count = min(count, n - 1 if problem.periodic else n)
     try:
         if problem.periodic:
-            s = np.diag(problem.diag)
-            idx = np.arange(n - 1)
-            s[idx, idx + 1] = problem.off_diag
-            s[idx + 1, idx] = problem.off_diag
-            s[0, -1] += problem.corner
-            s[-1, 0] += problem.corner
-            vals, vecs = eigh(s, subset_by_index=[lo, hi])
+            off, corner = problem.off_diag, [problem.corner]
+            matrix = diags([corner, off, problem.diag, off, corner],
+                           [1 - n, -1, 0, 1, n - 1], format="csc")
+            sigma = 1e-6 * float(np.max(np.abs(problem.diag)))
+            vals, vecs = eigsh(matrix, k=count, sigma=sigma, v0=np.ones(n))
         else:
             vals, vecs = eigh_tridiagonal(problem.diag, problem.off_diag,
-                                          select="i", select_range=(lo, hi))
-    except LinAlgError as exc:
-        raise SolverError(
-            f"eigensolver failed for l={problem.l}, N={n}: {exc}",
-            report={"l": problem.l, "size": n,
-                    "diag_range": (float(problem.diag.min()), float(problem.diag.max())),
-                    "off_max": float(np.max(np.abs(problem.off_diag))) if n > 1 else 0.0},
-        ) from exc
-    modes = _postprocess(problem, vals[::-1].copy(), vecs[:, ::-1].copy())
+                                          select="i", select_range=(n - count, n - 1))
+    except (LinAlgError, ArpackError) as exc:
+        raise _solver_error(problem, exc) from exc
+    modes = _postprocess(problem, vals, vecs)
     return Spectrum(modes=tuple(modes), model=problem.model, grid=problem.grid)
 
 
-def merge_spectra(spectra: list[Spectrum]) -> Spectrum:
-    """Merge per-mode spectra into one list sorted by |mu| (ties by l)."""
-    if not spectra:
-        raise ValueError("nothing to merge")
-    modes = [m for s in spectra for m in s.modes]
-    modes.sort(key=lambda m: (abs(m.mu), m.l))
-    return Spectrum(modes=tuple(modes), model=spectra[0].model, grid=spectra[0].grid)
+def _sectors(model: WarpedManifold, l_max: int) -> range:
+    """Angular modes 0..l_max; a circle has the single periodic sector."""
+    return range(1 if model.topology == CIRCLE else l_max + 1)
 
 
 def solve_low_spectrum(model: WarpedManifold, grid: Grid, count: int = 6,
                        l_max: int = 2) -> Spectrum:
-    """Low spectrum across angular modes 0..l_max (single periodic solve for circles)."""
-    if model.topology == CIRCLE:
-        return solve_eigen(assemble(model, grid, 0), count)
-    spectra = [solve_eigen(assemble(model, grid, l), count) for l in range(l_max + 1)]
-    return merge_spectra(spectra)
-
-
-def _nonzero_candidates(spectrum: Spectrum) -> list[EigenMode]:
-    """Drop the constant mode: the single largest eigenvalue of the l=0 (or
-    periodic) sector, whose kernel is exactly the constants."""
-    zero_sectors = {}
-    for m in spectrum.modes:
-        if m.l == 0 or m.problem.periodic:
-            key = id(m.problem)
-            if key not in zero_sectors or m.mu > zero_sectors[key].mu:
-                zero_sectors[key] = m
-    dropped = {id(m) for m in zero_sectors.values()}
-    return [m for m in spectrum.modes if id(m) not in dropped]
+    """Low spectrum across angular modes 0..l_max, sorted by |mu| (ties by l)."""
+    modes = [m for l in _sectors(model, l_max)
+             for m in solve_eigen(assemble(model, grid, l), count).modes]
+    modes.sort(key=lambda m: (abs(m.mu), m.l))
+    return Spectrum(modes=tuple(modes), model=model, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -296,11 +273,16 @@ class FirstEigenvalue:
 
 def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid, l_max: int = 2,
                              count: int = 4, richardson: bool = True) -> FirstEigenvalue:
-    """Smallest lambda > 0 with Delta_phi u = -lambda u, searched over l <= l_max.
+    """Smallest lambda > 0 with Delta_phi u = -lambda u, searched over l <= min(l_max, 1).
 
-    A coarsened solve at half resolution provides a Richardson error estimate
-    (second-order scheme: |lam_N - lam_{N/2}| / 3).  If the spectral gap above
-    lambda is smaller than that estimate, a SpectralGapWarning is emitted.
+    No sector l >= 2 can hold lambda_1: in symmetrized form
+    S_l = S_1 - (c_l - c_1) diag(1/w^2), c_l = l(l+n-2), e.g. S_2 = S_1 - (n+1) diag(1/w^2),
+    so by Weyl's inequality every l >= 2 eigenvalue lies strictly below its
+    l = 1 counterpart.  The constant mode (top of the l = 0 or periodic
+    sector) is dropped.  The winning sector is re-solved at half resolution
+    for a Richardson error estimate (second-order scheme:
+    |lam_N - lam_{N/2}| / 3).  If the gap to the next eigenvalue of the
+    searched sectors is below that estimate, a SpectralGapWarning is emitted.
     The drift-Ricci lower bound is checked and a warning is emitted when it is
     not positive, since the downstream eigenvalue bounds assume K > 0.
     """
@@ -312,19 +294,22 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid, l_max: int = 2,
                 f"at r={bound.radius:.3f}); eigenvalue bounds assuming K > 0 do not apply",
                 UserWarning, stacklevel=2)
 
-    def _lam(g: Grid) -> tuple[float, EigenMode, list[EigenMode]]:
-        cands = _nonzero_candidates(solve_low_spectrum(model, g, count=count, l_max=l_max))
+    def _nonconstant(g: Grid, sectors) -> list[EigenMode]:
+        cands = []
+        for l in sectors:
+            modes = solve_eigen(assemble(model, g, l), count).modes
+            cands += modes[1:] if l == 0 else modes
         if not cands:
             raise SolverError("no non-constant eigenvalues computed; increase count")
-        best = min(cands, key=lambda m: (-m.mu, m.l))
-        return -best.mu, best, cands
+        return cands
 
-    lam, mode, cands = _lam(grid)
+    cands = _nonconstant(grid, _sectors(model, min(l_max, 1)))
+    mode = min(cands, key=lambda m: (-m.mu, m.l))
+    lam = -mode.mu
     err = math.nan
     if richardson and grid.size >= 8:
-        coarse = Grid.uniform(model, grid.size // 2)
-        lam_c, _, _ = _lam(coarse)
-        err = abs(lam - lam_c) / 3.0
+        coarse = _nonconstant(Grid.uniform(model, grid.size // 2), [mode.l])
+        err = abs(lam + max(m.mu for m in coarse)) / 3.0
     cluster = max(20.0 * (0.0 if math.isnan(err) else err), 1e-7 * max(1.0, lam))
     above = [-m.mu for m in cands if (-m.mu) > lam + cluster]
     gap = (min(above) - lam) if above else math.inf
@@ -351,28 +336,37 @@ class MembershipVerdict:
 
 def spectrum_contains(model: WarpedManifold, grid: Grid, target: float, tol: float,
                       l_max: int = 2) -> MembershipVerdict:
-    """True iff some computed eigenvalue lies within tol * max(1, |target|) of target.
+    """True iff some eigenvalue lies within tol * max(1, |target|) of target.
 
-    The solve depth grows until the computed window reaches below the target
-    (or the full matrix spectrum is exhausted), so a negative verdict is
-    meaningful.
+    Interval-sphere models only.  Each sector l <= l_max contributes every
+    eigenvalue above target - window (Sturm bisection) and the next one below,
+    so ``contained`` and ``nearest`` are exact and a negative verdict is
+    meaningful.  ``count_used`` is the number of eigenvalues computed.
     """
+    if model.topology == CIRCLE:
+        raise ValueError("spectrum_contains needs an interval-sphere model")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     window = tol * max(1.0, abs(target))
-    count = 8
-    while True:
-        spectrum = solve_low_spectrum(model, grid, count=count, l_max=l_max)
-        mus = spectrum.eigenvalues()
-        covered = float(mus.min()) <= target - window or count >= grid.size
-        if covered:
-            break
-        count = min(2 * count, grid.size)
-    i = int(np.argmin(np.abs(mus - target)))
-    nearest = float(mus[i])
+    mus = []
+    for l in range(l_max + 1):
+        problem = assemble(model, grid, l)
+        d, e = problem.diag, problem.off_diag
+        try:
+            upper = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                     select_range=(target - window, math.inf))
+            below = problem.size - 1 - upper.size
+            if below >= 0:
+                mus.extend(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                            select_range=(below, below)))
+        except LinAlgError as exc:
+            raise _solver_error(problem, exc) from exc
+        mus.extend(upper)
+    mus = np.array(mus)
+    nearest = float(mus[np.argmin(np.abs(mus - target))])
     gap = abs(nearest - target)
     return MembershipVerdict(contained=gap <= window, nearest=nearest, gap=gap,
-                             tolerance=window, count_used=count)
+                             tolerance=window, count_used=mus.size)
 
 
 def weighted_symmetry_defect(problem: SpectralProblem, vectors: int = 6) -> float:

@@ -325,6 +325,9 @@ def test_cli_grid_override(tmp_path, capsys):
     code = cli.main(["spectrum", "--config", str(good), "--grid", "200"])
     assert code == 0
     assert "N=200" in capsys.readouterr().out
+    # overrides obey the same bounds as the file: grids >= 8, workers >= 1
+    for flag, value in (("--grid", "3"), ("--workers", "0"), ("--workers", "-5")):
+        assert cli.main(["spectrum", "--config", str(good), flag, value]) == 2
 
 
 def test_cli_emit_barriers(tmp_path, capsys):

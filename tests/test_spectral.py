@@ -6,8 +6,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
 
 import driftlab as dl
+import driftlab.spectral as spectral
 from driftlab.errors import AssemblyError
 from driftlab.spectral import assemble, weighted_symmetry_defect
 
@@ -16,6 +19,18 @@ from driftlab.spectral import assemble, weighted_symmetry_defect
 def _sphere_grid(n, N, eps=0.0):
     model = dl.sphere(n, density=dl.cosine_density(eps) if eps else None)
     return model, dl.Grid.uniform(model, N)
+
+
+@lru_cache(maxsize=None)
+def _circle_grid(N, eps):
+    length = 2.0 * math.pi
+    model = dl.circle(length, density=dl.circle_cosine_density(eps, length))
+    return model, dl.Grid.uniform(model, N)
+
+
+def _matrix(problem):
+    """The operator on radial samples, column by column from ``apply``."""
+    return np.column_stack([problem.apply(e) for e in np.eye(problem.size)])
 
 
 def test_s2_merged_spectrum_is_classical():
@@ -74,6 +89,19 @@ def test_spectrum_contains_examples():
     assert dl.spectrum_contains(model, grid, 0.0, 1e-6).contained
 
 
+def test_spectrum_contains_finds_deep_zonal_eigenvalues():
+    # the 9th zonal eigenvalue is an eigenvalue of the assembled operator,
+    # although the low l = 1 and l = 2 sectors reach below it much earlier
+    model, grid = _sphere_grid(2, 400, eps=0.5)
+    target = dl.solve_eigen(assemble(model, grid, 0), 9).modes[8].mu
+    assert abs(target + 72.00475) < 1e-4
+    verdict = dl.spectrum_contains(model, grid, target, 1e-6)
+    assert verdict.contained
+    assert verdict.gap < 1e-10
+    with pytest.raises(ValueError):
+        dl.spectrum_contains(*_circle_grid(400, 0.5), -1.0, 1e-3)
+
+
 def test_zero_mode_is_constant():
     model, grid = _sphere_grid(2, 500)
     spectrum = dl.solve_eigen(assemble(model, grid, 0), 3)
@@ -96,7 +124,7 @@ def test_l1_potential_and_tags():
     p1 = assemble(model, grid, 1)
     # the l >= 1 operator subtracts exactly l(l+n-2)/w^2 on the diagonal
     w = np.sin(grid.nodes)
-    diff = p1.dense_operator() - p0.dense_operator()
+    diff = _matrix(p1) - _matrix(p0)
     assert np.allclose(np.diag(diff), -1.0 / w**2, rtol=1e-12, atol=1e-9)
     assert np.max(np.abs(diff - np.diag(np.diag(diff)))) < 1e-9
 
@@ -141,12 +169,52 @@ def test_convergence_order_s2():
 
 
 def test_solver_determinism():
-    model, grid = _sphere_grid(2, 700, eps=0.2)
-    a = dl.solve_eigen(assemble(model, grid, 1), 4)
-    b = dl.solve_eigen(assemble(model, grid, 1), 4)
-    assert a.eigenvalues().tolist() == b.eigenvalues().tolist()
-    for ma, mb in zip(a.modes, b.modes):
-        assert np.array_equal(ma.u, mb.u)
+    for problem in (assemble(*_sphere_grid(2, 700, eps=0.2), 1),
+                    assemble(*_circle_grid(400, 0.5), 0)):
+        a = dl.solve_eigen(problem, 4)
+        b = dl.solve_eigen(problem, 4)
+        assert a.eigenvalues().tolist() == b.eigenvalues().tolist()
+        for ma, mb in zip(a.modes, b.modes):
+            assert np.array_equal(ma.u, mb.u)
+
+
+def test_circle_solve_matches_dense_reference():
+    problem = assemble(*_circle_grid(300, 0.5), 0)
+    spectrum = dl.solve_eigen(problem, 6)
+    reference = eigh(_matrix(problem) * problem.sqrt_rho[:, None] / problem.sqrt_rho[None, :],
+                     eigvals_only=True)[::-1][:6]
+    assert np.max(np.abs(spectrum.eigenvalues() - reference)) < 1e-10
+    q = problem.grid.weights
+    for mode in spectrum.modes:
+        residual = problem.apply(mode.u) - mode.mu * mode.u
+        assert math.sqrt(float(np.dot(q, residual**2))) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), eps=st.floats(-0.9, 0.9), N=st.integers(8, 400))
+def test_sector_two_lies_below_sector_one(n, eps, N):
+    # S_2 = S_1 - (n+1) diag(1/w^2): by Weyl's inequality no l = 2 mode can be lambda_1
+    model = dl.sphere(n, density=dl.cosine_density(eps))
+    grid = dl.Grid.uniform(model, N)
+    top = [dl.solve_eigen(assemble(model, grid, l), 1).modes[0].mu for l in (1, 2)]
+    assert top[1] < top[0]
+
+
+def test_first_eigenvalue_solve_count(monkeypatch):
+    # sectors l = 0, 1 at N, then the winning sector at N/2; circles: N and N/2
+    calls = []
+    solve = spectral.solve_eigen
+
+    def counting_solve(problem, count):
+        calls.append(problem.size)
+        return solve(problem, count)
+
+    monkeypatch.setattr(spectral, "solve_eigen", counting_solve)
+    dl.first_nonzero_eigenvalue(*_sphere_grid(3, 400, eps=0.4), l_max=2)
+    assert calls == [400, 400, 200]
+    calls.clear()
+    dl.first_nonzero_eigenvalue(*_circle_grid(400, 0.5), l_max=2)
+    assert calls == [400, 200]
 
 
 def test_angular_mode_search_matters():
