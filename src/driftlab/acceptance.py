@@ -8,6 +8,7 @@ enters the report, so two runs of the suite produce byte-identical files.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -50,10 +51,31 @@ def _row(cid: int, instance: str, quantity: str, value, expected, tolerance,
             "status": "pass" if ok else "fail"}
 
 
-def _sweep_instances():
+@dataclass(frozen=True)
+class CosineFamily:
+    """The cosine-density family that criteria 2-4 check, evaluated once per suite pass.
+
+    ``members`` holds (n, eps, model, fe, kb, nef, gm) for each instance: the
+    first eigenvalue, K_eff, the normalized eigenfunction (b = 1.01) and its
+    gradient margin at N = SWEEP_N.  ``runtime_s`` is the evaluation's time.
+    """
+
+    members: tuple[tuple, ...]
+    runtime_s: float
+
+
+def evaluate_cosine_family() -> CosineFamily:
+    t0 = time.perf_counter()
+    members = []
     for n in SWEEP_DIMS:
         for eps in EPS_VALUES:
-            yield n, eps, sphere(n, density=cosine_density(eps))
+            model = sphere(n, density=cosine_density(eps))
+            grid = Grid.uniform(model, SWEEP_N)
+            fe = first_nonzero_eigenvalue(model, grid)
+            kb = be_ricci_lower_bound(model, grid)
+            nef = est.normalize(fe.mode, K=kb.K, b=1.01)
+            members.append((n, eps, model, fe, kb, nef, est.gradient_estimate_margin(nef)))
+    return CosineFamily(tuple(members), time.perf_counter() - t0)
 
 
 def criterion_spectral_accuracy() -> CriterionResult:
@@ -85,14 +107,11 @@ def criterion_spectral_accuracy() -> CriterionResult:
     return res
 
 
-def criterion_lichnerowicz_suite() -> CriterionResult:
+def criterion_lichnerowicz_suite(family: CosineFamily) -> CriterionResult:
     """lambda_1 >= (n-1) K_eff - 1e-6 on the cosine-density family."""
     t0 = time.perf_counter()
     res = CriterionResult(2, "Lichnerowicz-type bound on the cosine-density family", True)
-    for n, eps, model in _sweep_instances():
-        grid = Grid.uniform(model, SWEEP_N)
-        fe = first_nonzero_eigenvalue(model, grid)
-        kb = be_ricci_lower_bound(model, grid)
+    for n, eps, model, fe, kb, nef, gm in family.members:
         bound = (n - 1) * kb.K
         margin = fe.lam - bound
         ok = margin >= -1e-6
@@ -106,14 +125,11 @@ def criterion_lichnerowicz_suite() -> CriterionResult:
     return res
 
 
-def criterion_ling_suite() -> CriterionResult:
+def criterion_ling_suite(family: CosineFamily) -> CriterionResult:
     """lambda_1 >= pi^2/d^2 + (31/100)(n-1) K_eff - 1e-6 on the same 15 instances."""
     t0 = time.perf_counter()
     res = CriterionResult(3, "Ling-type bound on the cosine-density family", True)
-    for n, eps, model in _sweep_instances():
-        grid = Grid.uniform(model, SWEEP_N)
-        fe = first_nonzero_eigenvalue(model, grid)
-        kb = be_ricci_lower_bound(model, grid)
+    for n, eps, model, fe, kb, nef, gm in family.members:
         bound = bounds_mod.ling_be_bound(n, kb.K, diameter(model))
         margin = fe.lam - bound
         ok = margin >= -1e-6
@@ -121,23 +137,18 @@ def criterion_ling_suite() -> CriterionResult:
         res.rows.append(_row(3, f"S^{n}:eps={eps:g}", "ling_margin", margin, 0.0, 1e-6, ok))
         res.details.append(
             f"n={n} eps={eps:g}: lambda1={fe.lam:.6f} >= {bound:.6f} (margin {margin:+.4f})")
-    res.runtime_s = time.perf_counter() - t0
+    res.runtime_s = family.runtime_s + (time.perf_counter() - t0)  # the budget covers both
     within = res.runtime_s < 120.0
     res.passed &= within
     res.rows.append(_row(3, "suite", "runtime_within_120s", within, True, None, within))
     return res
 
 
-def criterion_gradient_estimate() -> CriterionResult:
+def criterion_gradient_estimate(family: CosineFamily) -> CriterionResult:
     """sup |grad v|^2/(b^2 - v^2) <= lam (1+a) (1 + 1e-2) with b = 1.01."""
     t0 = time.perf_counter()
     res = CriterionResult(4, "gradient estimate on the cosine-density family", True)
-    for n, eps, model in _sweep_instances():
-        grid = Grid.uniform(model, SWEEP_N)
-        fe = first_nonzero_eigenvalue(model, grid)
-        kb = be_ricci_lower_bound(model, grid)
-        nef = est.normalize(fe.mode, K=kb.K, b=1.01)
-        gm = est.gradient_estimate_margin(nef)
+    for n, eps, model, fe, kb, nef, gm in family.members:
         ok = gm.sup_ratio <= gm.bound * (1.0 + 1e-2)
         res.passed &= ok
         res.rows.append(_row(4, f"S^{n}:eps={eps:g}", "gradient_sup_ratio",
@@ -335,7 +346,9 @@ CRITERIA = (
 
 
 def run_criteria() -> list[CriterionResult]:
-    return [fn() for fn in CRITERIA]
+    """One suite pass; criteria 2-4 read one evaluation of the cosine family."""
+    family = evaluate_cosine_family()
+    return [fn(family) if inspect.signature(fn).parameters else fn() for fn in CRITERIA]
 
 
 def suite_rows(results: list[CriterionResult]) -> list[dict]:

@@ -232,9 +232,6 @@ class BoundReport:
     case: LingCase | None = None
     notes: list[str] = field(default_factory=list)
 
-    def margin(self, name: str) -> float | None:
-        return self.margins.get(name)
-
 
 def build_bound_report(n: int, K: float, d: float, measured_lambda: float | None = None,
                        a: float | None = None, delta: float | None = None,

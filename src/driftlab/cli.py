@@ -10,8 +10,10 @@ sweep          all checks requested in the configuration
 verify-paper   the full acceptance suite, with a determinism self-check
 emit-barriers  (t, xi(t), eta(t), z(t)) table for plotting
 
-Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
-3 solver failure.
+Each check on each instance is pass, fail, inapplicable (with its reason) or
+error.  Exit codes: 3 on a solver failure, else 1 if a check failed or erred,
+else 0 (an inapplicable check does not fail the run); 2 on a usage or config
+error.
 """
 
 from __future__ import annotations
@@ -97,29 +99,15 @@ def _run_sweep(args, checks_override) -> int:
     payload = json_payload(report.rows, report.summary, report.environment)
     written = _emit(report.rows, SWEEP_COLUMNS, payload, out_dir, formats, "report")
 
-    for row in report.rows:
-        verdicts = ", ".join(f"{c}={_verdict(row.get('verdict_' + c))}"
-                             for c in config.checks)
-        lam = row.get("lambda1")
-        lam_text = f" lambda1={lam:.9g}" if lam is not None else ""
-        err = f"  [{row['error']}]" if row.get("error") else ""
-        print(f"{row['instance']}{lam_text}  {verdicts}{err}")
-    print(f"summary: {report.summary['passed']}/{report.summary['instances']} passed, "
-          f"{report.summary['failed']} failed, {report.summary['errors']} errors")
+    for result in report.results:
+        print(result.line())
+    summary = report.summary
+    print(f"summary: {summary['passed']}/{summary['instances']} passed, "
+          f"{summary['failed']} failed, {summary['errors']} errors, "
+          f"{summary['inapplicable']} inapplicable")
     for path in written:
         print(f"wrote {path}")
-
-    if report.had_solver_failure:
-        return 3
-    if not report.all_passed:
-        return 1
-    return 0
-
-
-def _verdict(value) -> str:
-    if value is None:
-        return "n/a"
-    return "pass" if value else "FAIL"
+    return report.exit_code
 
 
 def _run_verify(args) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +46,8 @@ TOLERANCE_PROFILES = {
 
 
 def _require_keys(obj: dict, where: str, required: tuple, optional: tuple):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
@@ -61,7 +64,8 @@ def _as_list(value, name: str, kind):
     out = []
     for item in items:
         number = isinstance(item, (int, float)) and not isinstance(item, bool)
-        if kind is float and number and math.isfinite(item):
+        # finite, compared as is: math.isfinite overflows on ints beyond float range
+        if kind is float and number and abs(item) <= sys.float_info.max:
             out.append(float(item))
         elif kind is int and number and isinstance(item, int):
             out.append(int(item))
@@ -159,12 +163,10 @@ def _parse_density(obj, family: str) -> DensitySpec:
 
 def parse_config(data: dict, tolerance_profile: str | None = None) -> ExperimentConfig:
     """Validate a raw configuration dictionary into an ExperimentConfig."""
-    if not isinstance(data, dict):
-        raise ConfigError("configuration must be a JSON object")
     _require_keys(data, "config", ("schema_version", "family", "checks"),
                   ("grids", "b", "bins", "l_max", "sigma", "workers",
                    "tolerance_profile", "tolerances", "soliton", "output"))
-    if data["schema_version"] != SCHEMA_VERSION:
+    if type(data["schema_version"]) is not int or data["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data['schema_version']!r}; "
                           f"this build reads version {SCHEMA_VERSION}")
 
@@ -204,9 +206,10 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
             raise ConfigError("length must be positive")
     density = _parse_density(fam.get("density"), name)
 
-    checks = tuple(data["checks"])
-    if not checks:
+    checks = data["checks"]
+    if not isinstance(checks, list) or not checks:
         raise ConfigError("checks must be a non-empty list")
+    checks = tuple(checks)
     for c in checks:
         if c not in CHECK_NAMES:
             raise ConfigError(f"unknown check {c!r}; known: {CHECK_NAMES}")
@@ -216,10 +219,13 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
         raise ConfigError("grid sizes must be at least 8")
 
     profile = tolerance_profile or data.get("tolerance_profile", "default")
-    if profile not in TOLERANCE_PROFILES:
+    if not isinstance(profile, str) or profile not in TOLERANCE_PROFILES:
         raise ConfigError(f"unknown tolerance profile {profile!r}")
     tolerances = dict(TOLERANCE_PROFILES[profile])
-    for key, value in (data.get("tolerances") or {}).items():
+    overrides = data.get("tolerances")
+    if not isinstance(overrides, (dict, type(None))):
+        raise ConfigError(f"tolerances must be a JSON object, got {overrides!r}")
+    for key, value in (overrides or {}).items():
         if key not in tolerances:
             raise ConfigError(f"unknown tolerance {key!r}; known: {sorted(tolerances)}")
         (value,) = _as_list([value], f"tolerance {key!r}", float)
@@ -231,7 +237,8 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
     if data.get("soliton") is not None:
         sob = data["soliton"]
         _require_keys(sob, "soliton", ("gamma",), ("f",))
-        fobj = sob.get("f") or {"name": "zero"}
+        fobj = sob.get("f")
+        fobj = {"name": "zero"} if fobj is None else fobj
         _require_keys(fobj, "soliton.f", ("name",), ("eps",))
         if fobj["name"] not in ("zero", "cosine"):
             raise ConfigError("soliton potentials support families 'zero' and 'cosine'")
@@ -245,9 +252,15 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
     if "soliton" in checks and soliton is None:
         raise ConfigError("the 'soliton' check needs a 'soliton' section")
 
-    out = data.get("output") or {}
+    out = data.get("output")
+    out = {} if out is None else out
     _require_keys(out, "output", (), ("dir", "formats"))
-    formats = tuple(out.get("formats", ["csv"]))
+    formats = out.get("formats", ["csv"])
+    if not isinstance(formats, list):
+        raise ConfigError(f"output.formats must be a list, got {formats!r}")
+    if not isinstance(out.get("dir", ""), str):
+        raise ConfigError(f"output.dir must be a string, got {out['dir']!r}")
+    formats = tuple(formats)
     for f in formats:
         if f not in FORMATS:
             raise ConfigError(f"unknown output format {f!r}; known: {FORMATS}")

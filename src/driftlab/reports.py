@@ -3,6 +3,10 @@
 Floats are rendered with 17 significant digits (round-trip exact), line
 endings are pinned to "\\n", and no wall-clock data enters the files, so
 identical runs produce byte-identical reports.
+
+A sweep reports each instance as typed records: an ``InstanceRecord`` and one
+``Check`` per requested check.  This module alone turns them into report rows,
+the sweep columns and the summary tallies.
 """
 
 from __future__ import annotations
@@ -11,29 +15,173 @@ import csv
 import io
 import json
 import math
+from collections import Counter
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .config import CHECK_NAMES
 from .estimates import BarrierFamily, eta, xi
 
 REPORT_SCHEMA_VERSION = 1
 
+PASS, FAIL, INAPPLICABLE, ERROR = "pass", "fail", "inapplicable", "error"
+
+
+@dataclass(frozen=True)
+class InstanceRecord:
+    """What an instance is, and the eigen data its checks share; None is absent."""
+
+    instance: str
+    family: str
+    topology: str | None = None
+    n: int | None = None
+    L: float | None = None
+    density: str | None = None
+    N: int | None = None
+    b: float | None = None
+    bins: int | None = None
+    lambda1: float | None = None
+    lambda1_mode: int | None = None
+    lambda1_err_est: float | None = None
+    K_eff: float | None = None
+    K_min_radius: float | None = None
+    d: float | None = None
+    k_ratio: float | None = None
+    a: float | None = None
+    delta: float | None = None
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check on one instance: its status and, for INAPPLICABLE or ERROR, why.
+
+    ``reason`` is a single line.  Subclasses add the check's quantities as
+    fields; None is absent.
+    """
+
+    status: str
+    reason: str = ""
+
+
+@dataclass(frozen=True)
+class BoundsCheck(Check):
+    case: str | None = None
+    case_mu: float | None = None
+    bound_lichnerowicz: float | None = None
+    bound_ling: float | None = None
+    bound_case: float | None = None
+    margin_lichnerowicz: float | None = None
+    margin_ling: float | None = None
+    margin_case: float | None = None
+
+
+@dataclass(frozen=True)
+class EstimatesCheck(Check):
+    case: str | None = None
+    gradient_margin: float | None = None
+    dominance_min: float | None = None
+    transit_margin: float | None = None
+    holder_margin: float | None = None
+
+
+@dataclass(frozen=True)
+class SolitonCheck(Check):
+    soliton_gamma: float | None = None
+    soliton_resid_rr: float | None = None
+    soliton_resid_tan: float | None = None
+    bianchi_resid: float | None = None
+    constancy_std: float | None = None
+    trace_resid: float | None = None
+    eigenid_resid: float | None = None
+    eigenid_member: bool | None = None
+    potential_shift: float | None = None
+
+
+def _quantities(record) -> dict:
+    return {name: value for name, value in asdict(record).items()
+            if value is not None and name not in ("status", "reason")}
+
+
+@dataclass(frozen=True)
+class InstanceResult:
+    """One sweep instance: its record and the check records, in request order."""
+
+    record: InstanceRecord
+    checks: dict[str, Check]
+    solver_failure: bool = False
+
+    @property
+    def status(self) -> str:
+        """The instance's one status: error, else fail, else inapplicable, else pass."""
+        statuses = {check.status for check in self.checks.values()}
+        return next((s for s in (ERROR, FAIL, INAPPLICABLE) if s in statuses), PASS)
+
+    def row(self) -> dict:
+        """The report row: quantities, a verdict per check (True pass, False fail,
+        None otherwise), the distinct error reasons (an instance-wide failure
+        shows once) and each inapplicable check with its own reason."""
+        row = _quantities(self.record)
+        for name, check in self.checks.items():
+            row.update(_quantities(check))
+            row[f"verdict_{name}"] = {PASS: True, FAIL: False}.get(check.status)
+        errors = dict.fromkeys(c.reason for c in self.checks.values() if c.status == ERROR)
+        inapplicable = [f"{name}: {c.reason}" for name, c in self.checks.items()
+                        if c.status == INAPPLICABLE]
+        for key, texts in (("error", errors), ("reason", inapplicable)):
+            if texts:
+                row[key] = "; ".join(texts)
+        return row
+
+    def line(self) -> str:
+        """The console line: lambda1, each check's status, the reasons."""
+        row = self.row()
+        lam = f" lambda1={row['lambda1']:.9g}" if "lambda1" in row else ""
+        statuses = ", ".join(f"{name}={check.status}" for name, check in self.checks.items())
+        notes = "".join(f"  [{row[key]}]" for key in ("error", "reason") if key in row)
+        return f"{row['instance']}{lam}  {statuses}{notes}"
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """One sweep: its instances in instance order, their rows and tallies."""
+
+    results: tuple[InstanceResult, ...]
+    environment: dict
+
+    @cached_property
+    def rows(self) -> list[dict]:
+        return [result.row() for result in self.results]
+
+    @cached_property
+    def summary(self) -> dict:
+        """Each instance counts once, under its status; a solver failure is an error."""
+        counts = Counter(result.status for result in self.results)
+        return {"instances": len(self.results), "passed": counts[PASS],
+                "failed": counts[FAIL], "errors": counts[ERROR],
+                "inapplicable": counts[INAPPLICABLE],
+                "solver_failures": sum(r.solver_failure for r in self.results)}
+
+    @property
+    def all_passed(self) -> bool:
+        return self.summary["failed"] == 0 and self.summary["errors"] == 0
+
+    @property
+    def exit_code(self) -> int:
+        """3 on a solver failure, else 1 on a failed or errored check, else 0."""
+        if self.summary["solver_failures"]:
+            return 3
+        return 0 if self.all_passed else 1
+
+
 # One row per sweep instance; absent quantities stay empty.
-SWEEP_COLUMNS = [
-    "instance", "family", "topology", "n", "L", "density", "N", "b", "bins",
-    "lambda1", "lambda1_mode", "lambda1_err_est", "K_eff", "K_min_radius", "d",
-    "k_ratio", "a", "delta", "case", "case_mu",
-    "bound_lichnerowicz", "bound_ling", "bound_case",
-    "margin_lichnerowicz", "margin_ling", "margin_case",
-    "gradient_margin", "dominance_min", "transit_margin", "holder_margin",
-    "soliton_gamma", "soliton_resid_rr", "soliton_resid_tan",
-    "bianchi_resid", "constancy_std", "trace_resid",
-    "eigenid_resid", "eigenid_member", "potential_shift",
-    "verdict_spectrum", "verdict_bounds", "verdict_estimates", "verdict_soliton",
-    "error",
-]
+SWEEP_COLUMNS = list(dict.fromkeys(
+    [f.name for record in (InstanceRecord, BoundsCheck, EstimatesCheck, SolitonCheck)
+     for f in fields(record) if f.name not in ("status", "reason")]
+    + [f"verdict_{name}" for name in CHECK_NAMES] + ["error", "reason"]))
 
 SUITE_COLUMNS = ["criterion", "instance", "quantity", "value", "expected",
                  "tolerance", "status"]

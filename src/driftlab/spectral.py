@@ -40,8 +40,7 @@ from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.special import eval_gegenbauer
 
 from .errors import AssemblyError, SolverError
-from .geometry import (CIRCLE, INTERVAL_SPHERE, Grid, WarpedManifold,
-                       be_ricci_lower_bound, measure_density)
+from .geometry import CIRCLE, INTERVAL_SPHERE, Grid, WarpedManifold, measure_density
 
 
 class SpectralGapWarning(UserWarning):
@@ -283,17 +282,7 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid, l_max: int = 2,
     for a Richardson error estimate (second-order scheme:
     |lam_N - lam_{N/2}| / 3).  If the gap to the next eigenvalue of the
     searched sectors is below that estimate, a SpectralGapWarning is emitted.
-    The drift-Ricci lower bound is checked and a warning is emitted when it is
-    not positive, since the downstream eigenvalue bounds assume K > 0.
     """
-    if model.topology == INTERVAL_SPHERE:
-        bound = be_ricci_lower_bound(model, grid)
-        if not bound.positive:
-            warnings.warn(
-                f"Bakry-Emery Ricci lower bound is not positive (K_eff={bound.K:.3e} "
-                f"at r={bound.radius:.3f}); eigenvalue bounds assuming K > 0 do not apply",
-                UserWarning, stacklevel=2)
-
     def _nonconstant(g: Grid, sectors) -> list[EigenMode]:
         cands = []
         for l in sectors:

@@ -1,7 +1,8 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Criteria 1-9 run in-process through the acceptance module (which is also what
-the ``verify-paper`` subcommand executes); criterion 10 invokes the CLI twice
+the ``verify-paper`` subcommand executes), criteria 2-4 on one shared
+evaluation of the cosine-density family; criterion 10 invokes the CLI twice
 in separate processes and compares the emitted CSV reports byte for byte.
 Each test prints one PASS/FAIL line for its criterion.
 """
@@ -9,11 +10,13 @@ Each test prints one PASS/FAIL line for its criterion.
 import subprocess
 import sys
 
+import pytest
+
 from driftlab import acceptance
 
 
-def _run(fn):
-    result = fn()
+def _run(fn, *args):
+    result = fn(*args)
     print()
     print(result.line())
     for detail in result.details:
@@ -29,17 +32,22 @@ def test_criterion_01_spectral_accuracy():
     assert result.runtime_s < 60.0
 
 
-def test_criterion_02_lichnerowicz_suite():
-    _run(acceptance.criterion_lichnerowicz_suite)
+@pytest.fixture(scope="module")
+def cosine_family():
+    return acceptance.evaluate_cosine_family()
 
 
-def test_criterion_03_ling_suite():
-    result = _run(acceptance.criterion_ling_suite)
-    assert result.runtime_s < 120.0
+def test_criterion_02_lichnerowicz_suite(cosine_family):
+    _run(acceptance.criterion_lichnerowicz_suite, cosine_family)
 
 
-def test_criterion_04_gradient_estimate():
-    _run(acceptance.criterion_gradient_estimate)
+def test_criterion_03_ling_suite(cosine_family):
+    result = _run(acceptance.criterion_ling_suite, cosine_family)
+    assert cosine_family.runtime_s <= result.runtime_s < 120.0
+
+
+def test_criterion_04_gradient_estimate(cosine_family):
+    _run(acceptance.criterion_gradient_estimate, cosine_family)
 
 
 def test_criterion_05_barrier_dominance():

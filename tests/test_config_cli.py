@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import driftlab.cli as cli
 import driftlab.runner as runner
 from driftlab.config import build_model, parse_config, soliton_gamma
-from driftlab.errors import ConfigError
-from driftlab.reports import (BARRIER_COLUMNS, SWEEP_COLUMNS, barrier_table,
-                              emit_csv, format_value, render_csv, render_json)
+from driftlab.errors import ConfigError, InapplicableBoundError, SolverError
+from driftlab.reports import (BARRIER_COLUMNS, ERROR, FAIL, INAPPLICABLE, PASS,
+                              SWEEP_COLUMNS, Check, InstanceRecord, InstanceResult,
+                              barrier_table, emit_csv, format_value, render_csv,
+                              render_json)
 
 
 def _base_config(**overrides):
@@ -90,6 +93,7 @@ def test_parse_rejects_bad_values():
     {"family": {"name": "sphere", "n": [2], "radius": math.inf}},
     {"family": {"name": "sphere", "n": [2],
                 "density": {"name": "cosine", "eps": [math.nan]}}},
+    {"b": 10**400},  # beyond float range
 ])
 def test_parse_rejects_non_finite_and_non_integral(overrides, tmp_path, capsys):
     # json reads NaN and Infinity; neither may reach a check, nor may a
@@ -100,6 +104,66 @@ def test_parse_rejects_non_finite_and_non_integral(overrides, tmp_path, capsys):
     path.write_text(json.dumps(_base_config(**overrides)))
     assert cli.main(["spectrum", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"checks": 3},
+    {"checks": "spectrum"},
+    {"family": 0},
+    {"family": {"name": "sphere", "n": [2], "density": 3.5}},
+    {"output": True},
+    {"output": False},
+    {"output": {"formats": None}},
+    {"output": {"dir": 3}},
+    {"tolerance_profile": []},
+    {"tolerances": [1]},
+    {"tolerances": 0},
+    {"soliton": 3},
+    {"soliton": {"gamma": 1.0, "f": []}},
+    {"schema_version": True},
+])
+def test_parse_rejects_wrongly_typed_values(overrides, tmp_path, capsys):
+    # a wrongly typed value is a config error (exit 2), neither a crash nor a default
+    with pytest.raises(ConfigError):
+        parse_config(_base_config(**overrides))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config(**overrides)))
+    assert cli.main(["spectrum", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+_CONFIG_KEYS = (
+    [(key,) for key in ("schema_version", "family", "checks", "grids", "b", "bins",
+                        "l_max", "sigma", "workers", "tolerance_profile",
+                        "tolerances", "soliton", "output")]
+    + [("family", key) for key in ("name", "n", "radius", "length", "density")]
+    + [("family", "density", key) for key in ("name", "eps", "coeffs")]
+    + [("tolerances", "gradient"), ("soliton", "gamma"), ("soliton", "f"),
+       ("soliton", "f", "name"), ("soliton", "f", "eps"),
+       ("output", "dir"), ("output", "formats")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(_CONFIG_KEYS), value=_JSON)
+def test_parse_config_fails_only_with_config_error(path, value):
+    # any JSON value at any key either parses or is a config error (exit 2)
+    data = _base_config(tolerances={"gradient": 0.05},
+                        soliton={"gamma": 1.0, "f": {"name": "cosine", "eps": 0.1}},
+                        output={"dir": "out", "formats": ["csv"]})
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        parse_config(data)
+    except ConfigError:
+        pass
 
 
 def test_tolerance_profiles():
@@ -196,18 +260,74 @@ def test_run_isolates_instance_failures(monkeypatch):
 
 def test_run_counts_each_row_once(monkeypatch):
     config = parse_config(_base_config(
-        family={"name": "sphere", "n": [2, 3],
+        family={"name": "sphere", "n": [2, 3, 4],
                 "density": {"name": "cosine", "eps": [0.1]}}))
 
-    def error_and_failed_on_n3(cfg, inst):
-        if inst.n == 3:
-            return {"instance": inst.key, "error": "boom", "verdict_spectrum": False}
-        return {"instance": inst.key, "verdict_spectrum": True}
+    def error_failed_and_inapplicable(cfg, inst):
+        record = InstanceRecord(instance=inst.key, family=inst.family, n=inst.n)
+        checks = {2: {"spectrum": Check(PASS)},
+                  3: {"spectrum": Check(FAIL), "bounds": Check(ERROR, "boom")},
+                  4: {"spectrum": Check(PASS), "bounds": Check(INAPPLICABLE, "why")}}
+        return InstanceResult(record, checks[inst.n])
 
-    monkeypatch.setattr(runner, "run_instance", error_and_failed_on_n3)
-    summary = runner.run(config).summary
-    assert summary["passed"] + summary["failed"] + summary["errors"] == summary["instances"]
-    assert (summary["passed"], summary["failed"], summary["errors"]) == (1, 0, 1)
+    monkeypatch.setattr(runner, "run_instance", error_failed_and_inapplicable)
+    report = runner.run(config)
+    summary = report.summary
+    assert summary["passed"] + summary["failed"] + summary["errors"] + \
+        summary["inapplicable"] == summary["instances"]
+    assert (summary["passed"], summary["failed"], summary["errors"],
+            summary["inapplicable"]) == (1, 0, 1, 1)
+    assert report.exit_code == 1
+    assert [row.get("error") for row in report.rows] == [None, "boom", None]
+    assert report.rows[2]["reason"] == "bounds: why"
+
+    def solver_failure_on_n4(cfg, inst):
+        if inst.n == 4:
+            raise SolverError("no convergence\nafter 300 iterations")
+        return error_failed_and_inapplicable(cfg, inst)
+
+    monkeypatch.setattr(runner, "run_instance", solver_failure_on_n4)
+    report = runner.run(config)
+    assert (report.summary["errors"], report.summary["solver_failures"]) == (2, 1)
+    assert report.exit_code == 3
+    assert report.rows[2]["error"] == "solver-failure: no convergence after 300 iterations"
+
+
+@pytest.mark.parametrize("family,checks", [
+    ({"name": "circle", "length": 2.0 * math.pi,
+      "density": {"name": "cosine", "eps": [0.5]}}, ["spectrum", "bounds", "estimates"]),
+    # Ric_phi = 1 + 1.5 cos r < 0 near r = pi, so K_eff <= 0
+    ({"name": "sphere", "n": [2], "density": {"name": "cosine", "eps": [-1.5]}},
+     ["spectrum", "bounds"]),
+], ids=["circle", "nonpositive-K_eff"])
+def test_inapplicable_checks_are_not_errors(family, checks, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config(family=family, checks=checks, grids=[400])))
+    code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path),
+                     "--format", "json"])
+    assert code == 0, capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text())
+    summary = report["summary"]
+    assert (summary["errors"], summary["inapplicable"], summary["passed"]) == (0, 1, 0)
+    (row,) = report["rows"]
+    assert "error" not in row and row["verdict_spectrum"] is True
+    assert all(row[f"verdict_{c}"] is None for c in checks[1:])
+    # every inapplicable check keeps its own one-line reason
+    reasons = row["reason"].split("; ")
+    assert [r.split(":")[0] for r in reasons] == checks[1:]
+    assert "interval-sphere" in row["reason"] if family["name"] == "circle" \
+        else "K_eff > 0" in row["reason"]
+
+
+def test_estimates_without_a_case_are_inapplicable(monkeypatch):
+    def no_case(a, delta):
+        raise InapplicableBoundError(f"delta={delta!r} must lie in (0, 1/2]")
+
+    monkeypatch.setattr(runner.bounds_mod, "ling_case", no_case)
+    report = runner.run(parse_config(_base_config(checks=["estimates"])))
+    assert report.summary["inapplicable"] == 1 and report.exit_code == 0
+    assert report.rows[0]["reason"].startswith("estimates: no barrier for the case analysis")
+    assert "error" not in report.rows[0]
 
 
 def test_run_concurrent_matches_serial():

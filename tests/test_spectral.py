@@ -1,7 +1,6 @@
 """Spectral engine checks against classical spectra and structural invariants."""
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -249,12 +248,3 @@ def test_assemble_rejects_bad_modes():
         assemble(model, grid, -1)
     with pytest.raises(AssemblyError):
         assemble(model, grid, 1.5)
-
-
-def test_nonpositive_ricci_warns():
-    model = dl.sphere(2, density=dl.cosine_density(-1.5))  # 1 + 1.5 cos r < 0 near r = pi
-    grid = dl.Grid.uniform(model, 400)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dl.first_nonzero_eigenvalue(model, grid)
-    assert any("not positive" in str(w.message) for w in caught)
