@@ -42,7 +42,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (BarrierDomainError, BarrierHypothesisError,
                      DegenerateEigenfunctionError)
@@ -77,6 +76,8 @@ _DOMAIN_SLACK = 1e-12
 # Fiber latitudes of the manifold sampling, and the radial rows per sample block.
 _LATITUDES = np.linspace(0.0, math.pi, 241)
 _SAMPLE_BLOCK = 512
+# Gauss-Legendre rule on [-pi/2, pi/2] for the smooth integrands of the barriers.
+_GL_NODES, _GL_WEIGHTS = (HALF_PI * x for x in np.polynomial.legendre.leggauss(64))
 
 
 def _series_eval(coeffs: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
@@ -170,6 +171,12 @@ def eta_d1(t):
 
 def eta_d2(t):
     return _eval_pair(t, 2, "eta")
+
+
+def gauss_legendre_integral(f) -> float:
+    """int f dt over [-pi/2, pi/2] by the fixed 64-node Gauss-Legendre rule;
+    ``f`` takes an array of nodes."""
+    return float(_GL_WEIGHTS @ f(_GL_NODES))
 
 
 def _sample_derivative(y: np.ndarray, h: float, periodic: bool) -> np.ndarray:
@@ -323,18 +330,29 @@ class GradientMargin:
     sup_ratio: float
     bound: float
 
+    @classmethod
+    def of(cls, nef: NormalizedEigenfunction, sup_ratio: float) -> GradientMargin:
+        bound = nef.lam * (1.0 + nef.a)
+        return cls(margin=bound - sup_ratio, sup_ratio=sup_ratio, bound=bound)
+
 
 def gradient_estimate_margin(nef: NormalizedEigenfunction) -> GradientMargin:
+    """The gradient estimate alone: one walk over the samples, no level sets."""
     b2 = nef.b * nef.b
-    sup = max(float((grad_sq / (b2 - v * v)).max()) for v, grad_sq in nef.samples())
-    bound = nef.lam * (1.0 + nef.a)
-    return GradientMargin(margin=bound - sup, sup_ratio=sup, bound=bound)
+    return GradientMargin.of(nef, max(float((grad_sq / (b2 - v * v)).max())
+                                      for v, grad_sq in nef.samples()))
 
 
 @dataclass(frozen=True)
 class LevelSetMaxima:
     """Binned maxima of |grad v|^2 / (lam (b^2 - v^2)) over level sets of
-    t = arcsin(v/b); empty bins are marked NaN, never interpolated."""
+    t = arcsin(v/b); empty bins are marked NaN, never interpolated.
+
+    ``sup_ratio`` is sup |grad v|^2 / (b^2 - v^2) over every sample of the
+    walk that filled the bins, those outside the bins included, so the same
+    walk gives the gradient margin (``GradientMargin.of``); None when the
+    maxima do not come from a walk over samples.
+    """
 
     edges: np.ndarray
     values: np.ndarray
@@ -342,6 +360,7 @@ class LevelSetMaxima:
     counts: np.ndarray
     b: float
     lam: float
+    sup_ratio: float | None = None
 
     @property
     def centers(self) -> np.ndarray:
@@ -352,8 +371,25 @@ class LevelSetMaxima:
         return self.counts > 0
 
 
+def _bin_index(t: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each t in [edges[0], edges[-1]] on the uniform ``edges``, the
+    last bin closed on the right: bitwise equal to
+    clip(searchsorted(edges, t, "right") - 1, 0, bins - 1).
+
+    Rounding can put the arithmetic guess one bin off next to an edge; one
+    comparison with each of the guessed bin's own edges corrects it.
+    """
+    bins = edges.size - 1
+    idx = ((t - edges[0]) * (bins / (edges[-1] - edges[0]))).astype(np.intp)
+    np.minimum(idx, bins - 1, out=idx)
+    idx -= t < edges.take(idx)
+    idx += t >= edges[1:].take(idx)
+    return np.minimum(idx, bins - 1, out=idx)
+
+
 def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima:
-    """Per-bin maxima of the normalized gradient quantity over t-level sets.
+    """Per-bin maxima of the normalized gradient quantity over t-level sets,
+    with the gradient-estimate sup of the same walk (``sup_ratio``).
 
     Each bin's ``arg_t`` is the t of its first maximizing sample in the order
     of ``nef.samples()``.
@@ -363,12 +399,17 @@ def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima
     values = np.full(t_bins, -np.inf)
     arg_t = np.full(t_bins, np.nan)
     counts = np.zeros(t_bins, dtype=np.int64)
+    b2 = nef.b * nef.b
+    sup = -math.inf
     for v, grad_sq in nef.samples():
+        den = b2 - v * v
+        sup = max(sup, float((grad_sq / den).max()))
         t = np.arcsin(v / nef.b)
-        val = grad_sq / (nef.lam * (nef.b**2 - v * v))
+        val = grad_sq / (nef.lam * den)
         inside = (t >= edges[0]) & (t <= edges[-1])
-        t, val = t[inside], val[inside]
-        idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, t_bins - 1)
+        if not inside.all():
+            t, val = t[inside], val[inside]
+        idx = _bin_index(t, edges)
         counts += np.bincount(idx, minlength=t_bins)
         block_max = np.full(t_bins, -np.inf)
         np.maximum.at(block_max, idx, val)
@@ -382,8 +423,8 @@ def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima
     if not counts.any():
         raise ValueError("all level-set bins are empty; the bins do not cover the data")
     values[counts == 0] = np.nan
-    return LevelSetMaxima(edges=edges, values=values, arg_t=arg_t,
-                          counts=counts, b=nef.b, lam=nef.lam)
+    return LevelSetMaxima(edges=edges, values=values, arg_t=arg_t, counts=counts,
+                          b=nef.b, lam=nef.lam, sup_ratio=sup)
 
 
 @dataclass(frozen=True)
@@ -572,8 +613,7 @@ def length_integral_check(nef: NormalizedEigenfunction, z: BarrierFamily,
     sweep = z.value(np.linspace(-HALF_PI, HALF_PI, 2001))
     if np.any(sweep <= 0.0):
         raise BarrierHypothesisError("barrier is not positive on [-pi/2, pi/2]")
-    transit, _ = quad(lambda t: 1.0 / math.sqrt(z.value(t)), -HALF_PI, HALF_PI,
-                      limit=200, epsabs=1e-12, epsrel=1e-12)
+    transit = gauss_legendre_integral(lambda t: 1.0 / np.sqrt(z.value(t)))
     # int 1 = pi, int eta = 0 and int xi = -pi over [-pi/2, pi/2]
     z_int = math.pi * (1.0 - z.xi_coeff)
     holder = math.sqrt(math.pi**3 / z_int)

@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import PoleRegularityError
 
@@ -173,6 +172,8 @@ def circle_cosine_density(amplitude: float, circumference: float,
 
 def profile_from_samples(r, values, name: str = "sampled") -> RadialProfile:
     """Cubic-spline profile through sampled values; derivatives from the spline."""
+    from scipy.interpolate import CubicSpline  # its only user; kept off the import path
+
     sp = CubicSpline(np.asarray(r, dtype=float), np.asarray(values, dtype=float))
     return RadialProfile(
         value=sp, d1=sp.derivative(1), d2=sp.derivative(2), d3=sp.derivative(3),

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -474,3 +476,14 @@ def test_cli_help_paths():
     with pytest.raises(SystemExit) as info:
         cli.main([])  # a subcommand is required
     assert info.value.code == 2
+
+
+def test_cli_import_leaves_integrate_interpolate_and_optimize_unloaded():
+    # the quadrature is a fixed Gauss-Legendre rule and the spline import is
+    # local to its one user, so these scipy subpackages stay out of a cold start
+    code = ("import sys, driftlab.cli; print(sorted(m for m in ('scipy.integrate', "
+            "'scipy.interpolate', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

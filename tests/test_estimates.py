@@ -6,13 +6,14 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import driftlab as dl
 from driftlab.errors import (BarrierDomainError, BarrierHypothesisError,
                              DegenerateEigenfunctionError)
-from driftlab.estimates import (_SAMPLE_BLOCK, LevelSetMaxima, eta, eta_d1,
-                                eta_d2, xi, xi_d1, xi_d2)
+from driftlab.estimates import (_SAMPLE_BLOCK, LevelSetMaxima, _bin_index, eta,
+                                eta_d1, eta_d2, xi, xi_d1, xi_d2)
 from driftlab.spectral import FiberHarmonic, assemble
 
 HALF_PI = math.pi / 2.0
@@ -312,6 +313,27 @@ def test_length_integrals_quarter_delta():
     assert nef.lam >= implied
 
 
+_TRANSIT_BARRIERS = [
+    *(dl.barrier(a, b, delta, mu) for a in (0.0, 0.3, 0.9) for b in (1.01, 2.0)
+      for delta in (0.1, 0.5) for mu in (0.25, 1.0)),
+    *(dl.case_b2b2_barrier(a, 1.01, delta, sigma) for a in (0.05, 0.3)
+      for delta in (0.1, 0.5) for sigma in (0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("z", _TRANSIT_BARRIERS,
+                         ids=lambda z: f"{z.label}:a={z.a:g}:b={z.b:g}:delta={z.delta:g}")
+def test_transit_integral_matches_quad(z):
+    _, _, mode = _zonal_s2()
+    nef = dl.normalize(mode, K=1.0, b=z.b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # z.a need not match nef.a here
+        ledger = dl.length_integral_check(nef, z, math.pi)
+    oracle = quad(lambda t: 1.0 / math.sqrt(z.value(t)), -HALF_PI, HALF_PI,
+                  limit=200, epsabs=1e-12, epsrel=1e-12)[0]
+    assert abs(ledger.transit_integral - oracle) <= 1e-11
+
+
 def test_length_integrals_rejects_degenerate_diameter():
     _, _, mode = _zonal_s2()
     nef = dl.normalize(mode, K=1.0)
@@ -361,7 +383,10 @@ def _streamed(nef):
 
 
 def _full_samples(nef):
-    """Brute-force (radial x latitude) product over the 241 latitudes."""
+    """Brute-force (radial x latitude) product over the 241 latitudes; the
+    radial grid alone for zonal modes."""
+    if nef.fiber is None:
+        return nef.v_rad, nef.dv_rad ** 2
     psi = np.linspace(0.0, math.pi, 241)
     g, gp = nef.fiber.value_at(psi), nef.fiber.dpsi_at(psi)
     wv = np.asarray(nef.model.w.value(nef.grid.nodes), dtype=float)
@@ -439,21 +464,47 @@ def test_normalize_corner_extremes_match_full_product(mode):
     assert np.array_equal(nef.v_rad, u * (2.0 / ((1.0 + k) * pmax)))
 
 
+def _zonal_mode(N):
+    model = dl.sphere(3, density=dl.cosine_density(0.4))
+    return dl.solve_eigen(assemble(model, dl.Grid.uniform(model, N), 0), 2).modes[1]
+
+
 def test_streamed_sampler_matches_full_arrays():
-    nef = dl.normalize(_l1_mode(3 * _SAMPLE_BLOCK + 100), b=1.01)
-    v, grad_sq = _full_samples(nef)
-    streamed_v, streamed_grad_sq = _streamed(nef)
-    assert np.array_equal(streamed_v, v)
-    assert np.array_equal(streamed_grad_sq, grad_sq)
+    cases = {"l1": _l1_mode(3 * _SAMPLE_BLOCK + 100),
+             "l2, shift a != 0": _l2_mode(),
+             "zonal": _zonal_mode(2 * _SAMPLE_BLOCK + 7),
+             "N on a block boundary": _l1_mode(2 * _SAMPLE_BLOCK),
+             "one-row last block": _l1_mode(2 * _SAMPLE_BLOCK + 1)}
+    for case, mode in cases.items():
+        nef = dl.normalize(mode, K=1.0, b=1.01)
+        v, grad_sq = _full_samples(nef)
+        streamed_v, streamed_grad_sq = _streamed(nef)
+        assert np.array_equal(streamed_v, v), case
+        assert np.array_equal(streamed_grad_sq, grad_sq), case
 
-    gm = dl.gradient_estimate_margin(nef)
-    assert gm.sup_ratio == float((grad_sq / (nef.b * nef.b - v * v)).max())
+        sup = float((grad_sq / (nef.b * nef.b - v * v)).max())
+        assert dl.gradient_estimate_margin(nef).sup_ratio == sup, case
 
-    levelset = dl.compute_Z(nef, 200)
-    values, arg_t, counts = _reference_Z(v, grad_sq, nef.b, nef.lam, 200)
-    assert np.array_equal(levelset.values, values, equal_nan=True)
-    assert np.array_equal(levelset.arg_t, arg_t, equal_nan=True)
-    assert np.array_equal(levelset.counts, counts)
+        # the one walk behind the estimates check: Z(t) and the gradient sup
+        levelset = dl.compute_Z(nef, 200)
+        assert levelset.sup_ratio == sup, case
+        values, arg_t, counts = _reference_Z(v, grad_sq, nef.b, nef.lam, 200)
+        assert np.array_equal(levelset.values, values, equal_nan=True), case
+        assert np.array_equal(levelset.arg_t, arg_t, equal_nan=True), case
+        assert np.array_equal(levelset.counts, counts), case
+
+
+@settings(max_examples=200, deadline=None)
+@given(bins=st.integers(1, 400), b=st.floats(1.0, 3.0, exclude_min=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_bin_index_matches_searchsorted(bins, b, seed):
+    tb = math.asin(1.0 / b)
+    edges = np.linspace(-tb, tb, bins + 1)
+    t = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        np.random.default_rng(seed).uniform(edges[0], edges[-1], 1000)])
+    t = t[(t >= edges[0]) & (t <= edges[-1])]
+    expected = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, bins - 1)
+    assert np.array_equal(_bin_index(t, edges), expected)
 
 
 class _Blocks:
