@@ -29,7 +29,7 @@ from .solitons import (EigenIdentityReport, HamiltonIdentityLedger,
                        NormalizedPotential, SolitonCandidate, SolitonResidual,
                        eigenfunction_identity, hamilton_identities, normalize_f,
                        soliton_residual)
-from .spectral import (EigenMode, FiberHarmonic, FirstEigenvalue, MembershipVerdict,
+from .spectral import (EigenMode, FirstEigenvalue, MembershipVerdict,
                        SpectralProblem, Spectrum, assemble,
                        first_nonzero_eigenvalue, solve_eigen,
                        solve_low_spectrum, spectrum_contains)

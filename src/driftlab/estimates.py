@@ -46,7 +46,7 @@ import numpy as np
 from .errors import (BarrierDomainError, BarrierHypothesisError,
                      DegenerateEigenfunctionError)
 from .geometry import CIRCLE, Grid, WarpedManifold, be_ricci_lower_bound
-from .spectral import EigenMode, FiberHarmonic
+from .spectral import EigenMode
 
 HALF_PI = math.pi / 2.0
 
@@ -73,9 +73,8 @@ _ETA_SERIES = np.array([
 ])
 _SERIES_WINDOW = 1e-3
 _DOMAIN_SLACK = 1e-12
-# Fiber latitudes of the manifold sampling, and the radial rows per sample block.
-_LATITUDES = np.linspace(0.0, math.pi, 241)
-_SAMPLE_BLOCK = 512
+# Eigen-relation residuals beyond this multiple of the operator norm are flagged.
+_RESIDUAL_TOL = 1e-10
 # Gauss-Legendre rule on [-pi/2, pi/2] for the smooth integrands of the barriers.
 _GL_NODES, _GL_WEIGHTS = (HALF_PI * x for x in np.polynomial.legendre.leggauss(64))
 
@@ -193,13 +192,12 @@ def _sample_derivative(y: np.ndarray, h: float, periodic: bool) -> np.ndarray:
 class NormalizedEigenfunction:
     """The normalized first eigenfunction v with its estimate constants.
 
-    max v = 1 and min v = -1 over the manifold samples; lam > 0 is the
-    eigenvalue, k and a the asymmetry constants, b > 1 the gradient-estimate
-    parameter, c = a/b, alpha = (n-1)K/2 and delta = alpha/lam.  For angular
-    modes l >= 1, v is the affine image (scaled radial factor) x (zonal fiber
-    harmonic over the sampled latitudes) minus the constant ``shift``; the
-    shift is zero whenever the fiber harmonic attains -1 (odd degrees, or any
-    degree on 2-dimensional models), and equals a otherwise.
+    max v = 1 and min v = -1 over the manifold; lam > 0 is the eigenvalue, k
+    and a the asymmetry constants, b > 1 the gradient-estimate parameter,
+    c = a/b, alpha = (n-1)K/2 and delta = alpha/lam.  For a zonal mode (or on
+    a circle) v is the radial factor ``v_rad``; an l = 1 mode is
+    v = R(r) x with R = ``v_rad`` and x = cos(psi) on the fiber, the degree-1
+    zonal harmonic for every n.
     """
 
     model: WarpedManifold
@@ -212,8 +210,6 @@ class NormalizedEigenfunction:
     K: float
     v_rad: np.ndarray
     dv_rad: np.ndarray
-    fiber: FiberHarmonic | None
-    shift: float
     residual_inf: float
 
     @property
@@ -228,27 +224,28 @@ class NormalizedEigenfunction:
     def delta(self) -> float:
         return self.alpha / self.lam
 
-    def samples(self):
-        """Yield flattened (v, |grad v|^2) over the manifold, one block of
-        ``_SAMPLE_BLOCK`` radial rows at a time.
+    @property
+    def equator_grad_sq(self) -> np.ndarray:
+        """A = (R/w)^2: |grad v|^2 on the fiber equator x = 0 of an l = 1 mode."""
+        return (self.v_rad / np.asarray(self.model.w.value(self.grid.nodes), dtype=float)) ** 2
 
-        The sampling is the radial grid for zonal modes and circles, and the
-        (radial x latitude) product over ``_LATITUDES`` for angular modes, in
-        row-major order, so the blocks concatenate to one fixed sample order.
-        Memory stays O(_SAMPLE_BLOCK x latitudes + N).
+    def samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (v, |grad v|^2) at the points of the manifold where, row by
+        row, the estimate quantities take their extremes.
+
+        Zonal modes and circles: the radial grid.  On the row at r of an
+        l = 1 mode, |grad v|^2 = R'^2 x^2 + A (1 - x^2) and b^2 - v^2 =
+        b^2 - R^2 x^2, so |grad v|^2 / (b^2 - v^2) is a Moebius function of
+        x^2 and monotone in it: its sup over the row is at a fiber pole
+        x = +-1 or at the equator x = 0.  The points are the poles (R, R'^2),
+        then the antipodal poles (-R, R'^2), then one point (0, max A) for the
+        equators, which all lie on the level v = 0: 2N + 1 points in all.
         """
-        if self.fiber is not None:
-            g = self.fiber.value_at(_LATITUDES)
-            gp = self.fiber.dpsi_at(_LATITUDES)
-            v_over_w = self.v_rad / np.asarray(self.model.w.value(self.grid.nodes), dtype=float)
-        for lo in range(0, self.v_rad.size, _SAMPLE_BLOCK):
-            rows = slice(lo, lo + _SAMPLE_BLOCK)
-            if self.fiber is None:
-                yield self.v_rad[rows], self.dv_rad[rows] ** 2
-            else:  # the shift drops out of the gradient
-                yield ((np.outer(self.v_rad[rows], g) - self.shift).ravel(),
-                       (np.outer(self.dv_rad[rows], g) ** 2
-                        + np.outer(v_over_w[rows], gp) ** 2).ravel())
+        grad_sq = self.dv_rad ** 2
+        if self.l == 0:
+            return self.v_rad, grad_sq
+        return (np.concatenate([self.v_rad, -self.v_rad, [0.0]]),
+                np.concatenate([grad_sq, grad_sq, [self.equator_grad_sq.max()]]))
 
 
 def normalize(mode: EigenMode, K: float | None = None,
@@ -257,14 +254,14 @@ def normalize(mode: EigenMode, K: float | None = None,
 
     The sign is chosen so that max u >= -min u over the manifold, then u is
     rescaled to max u = 1, min u = -k, and mapped to
-    v = (u - (1-k)/2) / ((1+k)/2).  For angular modes the extremes are those
-    of the (radial x latitude) product samples, attained at the corners
-    {min u, max u} x {min G, max G}: odd fiber harmonics reach -1
-    and give the symmetric case k = 1, a = 0, while even degrees >= 2 on
-    fibers of dimension >= 2 bottom out above -1 and produce a genuine
-    asymmetry constant.  The eigen-relation Delta_phi v = -lam (v + a) is
-    re-checked on the grid through the assembled operator; the residual
-    sup-norm is stored.
+    v = (u - (1-k)/2) / ((1+k)/2).  An l = 1 mode R(r) cos(psi) takes both
+    signs on every fiber, so it has k = 1, a = 0 and v = u / max |u|.  A mode
+    of a higher sector is not a first eigenfunction (lambda_1 lies in l <= 1,
+    see ``first_nonzero_eigenvalue``) and raises.  The eigen-relation
+    Delta_phi v = -lam (v + a) is re-checked on the grid through the assembled
+    operator; the residual sup-norm is stored, and a warning is raised when
+    it exceeds what rounding in the operator (whose norm grows like N^2)
+    explains.
     """
     if b <= 1.0:
         raise ValueError("the gradient-estimate constant b must exceed 1")
@@ -272,26 +269,21 @@ def normalize(mode: EigenMode, K: float | None = None,
     if lam <= 0.0:
         raise DegenerateEigenfunctionError(
             f"eigenvalue mu={mode.mu:.3e} does not define a first non-zero mode")
+    problem = mode.problem
+    model, grid = problem.model, problem.grid
+    periodic = model.topology == CIRCLE
+    if mode.l > (0 if periodic else 1):
+        raise DegenerateEigenfunctionError(
+            f"an l = {mode.l} mode is not a first eigenfunction (lambda_1 lies in l <= 1)")
     u = np.array(mode.u, dtype=float)
     umax, umin = float(u.max()), float(u.min())
     if umax - umin <= 1e-12 * max(1.0, abs(umax)):
         raise DegenerateEigenfunctionError("eigenfunction is constant up to rounding")
 
-    model, grid = mode.problem.model, mode.problem.grid
-    periodic = model.topology == CIRCLE
-    if mode.l >= 1 and not periodic:
-        fiber = FiberHarmonic(n=model.n, l=mode.l)
-        g = fiber.value_at(_LATITUDES)
-        # rounding is monotone, so the corners match the full product bitwise
-        corners = np.outer([umin, umax], [g.min(), g.max()])
-        pmax, pmin = float(corners.max()), float(corners.min())
-        if -pmin > pmax:
-            u, pmax, pmin = -u, -pmin, -pmax
-        k = -pmin / pmax
-        a = (1.0 - k) / (1.0 + k)
-        # v = (u G / pmax - (1-k)/2) / ((1+k)/2) = (scaled u) G - a
+    if mode.l == 1:
+        # the extremes of R(r) cos(psi) are +-max|R|
+        k, a, pmax = 1.0, 0.0, max(-umin, umax)
         v_rad = u * (2.0 / ((1.0 + k) * pmax))
-        shift = a
     else:
         if -umin > umax:
             u = -u
@@ -299,26 +291,24 @@ def normalize(mode: EigenMode, K: float | None = None,
         k = -float(u.min())
         a = (1.0 - k) / (1.0 + k)
         v_rad = (u - (1.0 - k) / 2.0) / ((1.0 + k) / 2.0)
-        fiber = None
-        shift = 0.0
 
     if K is None:
         K = be_ricci_lower_bound(model, grid).K if not periodic else 0.0
 
-    # for separated modes v + a = (scaled u) G, so the radial relation is the
-    # same in both branches: apply(v_rad) + lam * (v_rad + radial constant)
-    res = mode.problem.apply(v_rad) + lam * (v_rad + (a - shift))
+    res = problem.apply(v_rad) + lam * (v_rad + a)
     residual_inf = float(np.max(np.abs(res)))
-    if residual_inf > 1e-6 * lam:
+    # bound on the operator's infinity norm, which rounding in the residual scales with
+    op_norm = float(np.abs(problem.diag).max() + 2.0 * np.abs(problem.off_diag).max())
+    if residual_inf > _RESIDUAL_TOL * op_norm:
         warnings.warn(
-            f"normalized eigen-relation residual {residual_inf:.3e} is large; "
-            "the input may not be an eigenfunction of this discretization",
-            UserWarning, stacklevel=2)
+            f"normalized eigen-relation residual {residual_inf:.3e} is large "
+            f"(operator norm {op_norm:.3e}); the input may not be an "
+            "eigenfunction of this discretization", UserWarning, stacklevel=2)
 
     return NormalizedEigenfunction(
         model=model, grid=grid, l=mode.l, lam=lam, k=k, a=a, b=float(b), K=float(K),
         v_rad=v_rad, dv_rad=_sample_derivative(v_rad, grid.spacing, periodic),
-        fiber=fiber, shift=shift, residual_inf=residual_inf,
+        residual_inf=residual_inf,
     )
 
 
@@ -330,29 +320,20 @@ class GradientMargin:
     sup_ratio: float
     bound: float
 
-    @classmethod
-    def of(cls, nef: NormalizedEigenfunction, sup_ratio: float) -> GradientMargin:
-        bound = nef.lam * (1.0 + nef.a)
-        return cls(margin=bound - sup_ratio, sup_ratio=sup_ratio, bound=bound)
-
 
 def gradient_estimate_margin(nef: NormalizedEigenfunction) -> GradientMargin:
-    """The gradient estimate alone: one walk over the samples, no level sets."""
-    b2 = nef.b * nef.b
-    return GradientMargin.of(nef, max(float((grad_sq / (b2 - v * v)).max())
-                                      for v, grad_sq in nef.samples()))
+    """The gradient estimate's sup over ``nef.samples()``: for an l = 1 mode,
+    by monotonicity on each fiber, the exact sup over every radial row."""
+    v, grad_sq = nef.samples()
+    sup = float((grad_sq / (nef.b * nef.b - v * v)).max())
+    bound = nef.lam * (1.0 + nef.a)
+    return GradientMargin(margin=bound - sup, sup_ratio=sup, bound=bound)
 
 
 @dataclass(frozen=True)
 class LevelSetMaxima:
     """Binned maxima of |grad v|^2 / (lam (b^2 - v^2)) over level sets of
-    t = arcsin(v/b); empty bins are marked NaN, never interpolated.
-
-    ``sup_ratio`` is sup |grad v|^2 / (b^2 - v^2) over every sample of the
-    walk that filled the bins, those outside the bins included, so the same
-    walk gives the gradient margin (``GradientMargin.of``); None when the
-    maxima do not come from a walk over samples.
-    """
+    t = arcsin(v/b); empty bins are marked NaN, never interpolated."""
 
     edges: np.ndarray
     values: np.ndarray
@@ -360,7 +341,6 @@ class LevelSetMaxima:
     counts: np.ndarray
     b: float
     lam: float
-    sup_ratio: float | None = None
 
     @property
     def centers(self) -> np.ndarray:
@@ -371,60 +351,57 @@ class LevelSetMaxima:
         return self.counts > 0
 
 
-def _bin_index(t: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin of each t in [edges[0], edges[-1]] on the uniform ``edges``, the
-    last bin closed on the right: bitwise equal to
-    clip(searchsorted(edges, t, "right") - 1, 0, bins - 1).
-
-    Rounding can put the arithmetic guess one bin off next to an edge; one
-    comparison with each of the guessed bin's own edges corrects it.
-    """
-    bins = edges.size - 1
-    idx = ((t - edges[0]) * (bins / (edges[-1] - edges[0]))).astype(np.intp)
-    np.minimum(idx, bins - 1, out=idx)
-    idx -= t < edges.take(idx)
-    idx += t >= edges[1:].take(idx)
-    return np.minimum(idx, bins - 1, out=idx)
-
-
 def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima:
-    """Per-bin maxima of the normalized gradient quantity over t-level sets,
-    with the gradient-estimate sup of the same walk (``sup_ratio``).
+    """Per-bin maxima of the normalized gradient quantity over t-level sets.
 
-    Each bin's ``arg_t`` is the t of its first maximizing sample in the order
-    of ``nef.samples()``.
+    ``nef.samples()`` are binned by t = arcsin(v/b) on uniform edges (the last
+    bin closed); a bin's ``arg_t`` is the t of its first maximizing sample.
+    The fiber of an l = 1 mode's row is continuous: on a level v_e that the
+    row reaches (R^2 >= v_e^2) it has x^2 = v_e^2/R^2, so the quantity is
+    (A + C v_e^2) / (lam (b^2 - v_e^2)) with C = (R'^2 - A)/R^2.  Monotone in
+    x^2, it peaks over a closed bin at a pole or equator inside it or at one
+    of the bin's two edge levels, so every bin also takes the maximum over
+    the rows at each of its edges (``arg_t`` the edge when that is larger)
+    and holds the exact maximum of the continuous fibers over the closed
+    bin.  ``counts`` tallies the samples and the reached edges of each bin.
     """
-    tb = math.asin(1.0 / nef.b)
+    b, lam = nef.b, nef.lam
+    tb = math.asin(1.0 / b)
     edges = np.linspace(-tb, tb, t_bins + 1)
+    v, grad_sq = nef.samples()
+    t = np.arcsin(v / b)
+    val = grad_sq / (lam * (b * b - v * v))
+    inside = (t >= edges[0]) & (t <= edges[-1])
+    if not inside.all():
+        t, val = t[inside], val[inside]
+    idx = np.minimum(np.searchsorted(edges, t, side="right") - 1, t_bins - 1)
+    counts = np.bincount(idx, minlength=t_bins)
     values = np.full(t_bins, -np.inf)
-    arg_t = np.full(t_bins, np.nan)
-    counts = np.zeros(t_bins, dtype=np.int64)
-    b2 = nef.b * nef.b
-    sup = -math.inf
-    for v, grad_sq in nef.samples():
-        den = b2 - v * v
-        sup = max(sup, float((grad_sq / den).max()))
-        t = np.arcsin(v / nef.b)
-        val = grad_sq / (nef.lam * den)
-        inside = (t >= edges[0]) & (t <= edges[-1])
-        if not inside.all():
-            t, val = t[inside], val[inside]
-        idx = _bin_index(t, edges)
-        counts += np.bincount(idx, minlength=t_bins)
-        block_max = np.full(t_bins, -np.inf)
-        np.maximum.at(block_max, idx, val)
-        hit = np.flatnonzero(val >= block_max[idx])
-        first = np.full(t_bins, val.size)
-        np.minimum.at(first, idx[hit], hit)
-        # strictly larger only, so an earlier block keeps its tied maximum
-        better = block_max > values
-        values[better] = block_max[better]
-        arg_t[better] = t[first[better]]
+    np.maximum.at(values, idx, val)
+    first = np.full(t_bins, val.size)  # an empty bin points past the end, at NaN
+    hit = np.flatnonzero(val == values[idx])
+    np.minimum.at(first, idx[hit], hit)
+    arg_t = np.append(t, np.nan)[first]
+    if nef.l == 1:
+        r2 = nef.v_rad ** 2
+        a_eq = nef.equator_grad_sq
+        # a row with R = 0 lies on the level v = 0, where its poles are samples
+        c = np.divide(nef.dv_rad ** 2 - a_eq, r2, out=np.zeros_like(r2), where=r2 > 0.0)
+        # symmetric edges share a level; the loop is over levels, each O(N)
+        levels, at_edge = np.unique((b * np.sin(edges)) ** 2, return_inverse=True)
+        top = np.array([np.max(a_eq + c * s, where=r2 >= s, initial=-np.inf)
+                        for s in levels])
+        edge_val = (top / (lam * (b * b - levels)))[at_edge]
+        for side in (slice(None, -1), slice(1, None)):  # lower edges, then upper
+            counts += edge_val[side] > -np.inf
+            better = edge_val[side] > values
+            values[better] = edge_val[side][better]
+            arg_t[better] = edges[side][better]
     if not counts.any():
         raise ValueError("all level-set bins are empty; the bins do not cover the data")
     values[counts == 0] = np.nan
     return LevelSetMaxima(edges=edges, values=values, arg_t=arg_t, counts=counts,
-                          b=nef.b, lam=nef.lam, sup_ratio=sup)
+                          b=b, lam=lam)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,14 @@ import csv
 import io
 import json
 import math
+import platform
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import CHECK_NAMES
@@ -252,7 +254,9 @@ def emit_json(payload: dict, path: str | Path) -> Path:
 
 def environment_stamp(grids) -> dict:
     return {"package": "driftlab", "version": __version__,
-            "report_schema": REPORT_SCHEMA_VERSION, "grids": sorted(set(grids))}
+            "report_schema": REPORT_SCHEMA_VERSION, "grids": sorted(set(grids)),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
 
 
 def barrier_table(a: float, b: float, delta: float, mu: float,

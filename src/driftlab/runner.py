@@ -72,10 +72,9 @@ def _estimates_check(config: ExperimentConfig, nef: est.NormalizedEigenfunction 
     except InapplicableBoundError as exc:
         return EstimatesCheck(INAPPLICABLE, f"no barrier for the case analysis ({exc.reason})")
     tol = config.tolerances
-    levelset = est.compute_Z(nef, config.bins)  # one walk: Z(t) and the gradient sup
-    gm = est.GradientMargin.of(nef, levelset.sup_ratio)
+    gm = est.gradient_estimate_margin(nef)
     barrier = _select_case_barrier(config, nef, case)
-    dom = est.barrier_dominance_check(levelset, barrier)
+    dom = est.barrier_dominance_check(est.compute_Z(nef, config.bins), barrier)
     ledger = est.length_integral_check(nef, barrier, d)
     ok = (gm.margin >= -tol["gradient"] * gm.bound
           and dom.min_margin >= -tol["dominance"]

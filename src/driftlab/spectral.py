@@ -37,7 +37,6 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackError, eigsh
-from scipy.special import eval_gegenbauer
 
 from .errors import AssemblyError, SolverError
 from .geometry import CIRCLE, INTERVAL_SPHERE, Grid, WarpedManifold, measure_density
@@ -87,35 +86,6 @@ class SpectralProblem:
 def angular_eigenvalue(n: int, l: int) -> float:
     """Eigenvalue l (l + n - 2) of degree-l spherical harmonics on the fiber."""
     return float(l * (l + n - 2))
-
-
-@dataclass(frozen=True)
-class FiberHarmonic:
-    """Zonal spherical harmonic of degree l on the fiber S^{n-1}, normalized to 1
-    at the fiber pole; for n = 2 this is cos(l psi), otherwise a Gegenbauer
-    polynomial in cos(psi)."""
-
-    n: int
-    l: int
-
-    def value_at(self, psi: np.ndarray) -> np.ndarray:
-        psi = np.asarray(psi, dtype=float)
-        if self.n == 2:
-            return np.cos(self.l * psi)
-        alpha = (self.n - 2) / 2.0
-        norm = eval_gegenbauer(self.l, alpha, 1.0)
-        return eval_gegenbauer(self.l, alpha, np.cos(psi)) / norm
-
-    def dpsi_at(self, psi: np.ndarray) -> np.ndarray:
-        psi = np.asarray(psi, dtype=float)
-        if self.l == 0:
-            return np.zeros_like(psi)
-        if self.n == 2:
-            return -self.l * np.sin(self.l * psi)
-        alpha = (self.n - 2) / 2.0
-        norm = eval_gegenbauer(self.l, alpha, 1.0)
-        dpoly = 2.0 * alpha * eval_gegenbauer(self.l - 1, alpha + 1.0, np.cos(psi)) / norm
-        return -np.sin(psi) * dpoly
 
 
 def assemble(model: WarpedManifold, grid: Grid, l: int) -> SpectralProblem:

@@ -2,21 +2,26 @@
 
 import json
 import math
+import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 import driftlab.cli as cli
 import driftlab.runner as runner
-from driftlab.config import build_model, parse_config, soliton_gamma
+from driftlab.config import build_model, parse_config, read_config, soliton_gamma
 from driftlab.errors import ConfigError, InapplicableBoundError, SolverError
 from driftlab.reports import (BARRIER_COLUMNS, ERROR, FAIL, INAPPLICABLE, PASS,
                               SWEEP_COLUMNS, Check, InstanceRecord, InstanceResult,
-                              barrier_table, emit_csv, format_value, render_csv,
-                              render_json)
+                              barrier_table, emit_csv, environment_stamp,
+                              format_value, render_csv, render_json)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _base_config(**overrides):
@@ -479,11 +484,36 @@ def test_cli_help_paths():
 
 
 def test_cli_import_leaves_integrate_interpolate_and_optimize_unloaded():
-    # the quadrature is a fixed Gauss-Legendre rule and the spline import is
-    # local to its one user, so these scipy subpackages stay out of a cold start
+    # the quadrature is a fixed Gauss-Legendre rule, the spline import is
+    # local to its one user and the fiber reduction is closed-form, so these
+    # scipy subpackages stay out of a cold start
     code = ("import sys, driftlab.cli; print(sorted(m for m in ('scipy.integrate', "
-            "'scipy.interpolate', 'scipy.optimize') if m in sys.modules))")
+            "'scipy.interpolate', 'scipy.optimize', 'scipy.special') "
+            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_environment_stamp_names_the_interpreter_and_libraries():
+    stamp = environment_stamp([400, 200, 400])
+    assert stamp["grids"] == [200, 400]
+    assert stamp["python"] == platform.python_version()
+    assert stamp["numpy"] == np.__version__
+    assert stamp["scipy"] == scipy.__version__
+
+
+def test_ling_cases_config_reaches_each_barrier_case():
+    # zonal first eigenfunctions with a != 0: one instance per asymmetric case
+    raw = read_config(CONFIGS / "ling_cases.json")
+    raw["grids"] = [400]
+    report = runner.run(parse_config(raw))
+    rows = report.rows
+    assert [row["lambda1_mode"] for row in rows] == [0, 0, 0]
+    assert [row["case"] for row in rows] == ["B-1", "B-2-b1", "B-2-b2"]
+    assert all(row["a"] > 0.0 for row in rows)
+    for row in rows:
+        assert all(row[f"verdict_{name}"] is True
+                   for name in ("spectrum", "bounds", "estimates")), row
+    assert report.summary["passed"] == 3 and report.exit_code == 0

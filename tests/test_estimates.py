@@ -6,15 +6,13 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import driftlab as dl
 from driftlab.errors import (BarrierDomainError, BarrierHypothesisError,
                              DegenerateEigenfunctionError)
-from driftlab.estimates import (_SAMPLE_BLOCK, LevelSetMaxima, _bin_index, eta,
-                                eta_d1, eta_d2, xi, xi_d1, xi_d2)
-from driftlab.spectral import FiberHarmonic, assemble
+from driftlab.estimates import LevelSetMaxima, eta, eta_d1, eta_d2, xi, xi_d1, xi_d2
+from driftlab.spectral import assemble
 
 HALF_PI = math.pi / 2.0
 
@@ -341,31 +339,16 @@ def test_length_integrals_rejects_degenerate_diameter():
         dl.length_integral_check(nef, dl.barrier(0.0, 1.01, 0.25, 1.0), 0.0)
 
 
-def test_fiber_harmonics():
-    psi = np.linspace(0.0, math.pi, 501)
-    # n = 3: degree-1 zonal harmonic is cos(psi) itself
-    f31 = FiberHarmonic(n=3, l=1)
-    assert np.max(np.abs(f31.value_at(psi) - np.cos(psi))) < 1e-12
-    assert np.max(np.abs(f31.dpsi_at(psi) + np.sin(psi))) < 1e-12
-    # n = 2: cos(l psi); derivative matches differences
-    f22 = FiberHarmonic(n=2, l=2)
-    assert np.max(np.abs(f22.value_at(psi) - np.cos(2 * psi))) < 1e-12
-    h = 1e-5
-    mid = psi[1:-1]
-    fd = (f22.value_at(mid + h) - f22.value_at(mid - h)) / (2 * h)
-    assert np.max(np.abs(f22.dpsi_at(mid) - fd)) < 1e-8
-    # normalization at the fiber pole
-    for n in (3, 4, 6):
-        for l in (1, 2):
-            assert FiberHarmonic(n=n, l=l).value_at(0.0) == pytest.approx(1.0)
-
-
 @lru_cache(maxsize=None)
-def _l1_mode(N=900):
-    model = dl.sphere(3, density=dl.cosine_density(0.4))
+def _l1_mode(N=900, n=3):
+    model = dl.sphere(n, density=dl.cosine_density(0.4))
     fe = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, N))
     assert fe.mode.l == 1
     return fe.mode
+
+
+def _l1_mode_s2():
+    return _l1_mode(600, n=2)
 
 
 @lru_cache(maxsize=None)
@@ -375,28 +358,22 @@ def _l2_mode():
     return dl.solve_eigen(assemble(model, grid, 2), 1).modes[0]
 
 
-def _streamed(nef):
-    """The sampler's blocks, concatenated to flat (v, |grad v|^2) arrays."""
-    blocks = list(nef.samples())
-    return (np.concatenate([v for v, _ in blocks]),
-            np.concatenate([g for _, g in blocks]))
-
-
 def _full_samples(nef):
-    """Brute-force (radial x latitude) product over the 241 latitudes; the
-    radial grid alone for zonal modes."""
-    if nef.fiber is None:
+    """Brute-force (radial x latitude) product of an l = 1 mode R(r) cos(psi)
+    over 241 fiber latitudes, as (rows, latitudes) arrays; the radial grid
+    alone for zonal modes."""
+    if nef.l == 0:
         return nef.v_rad, nef.dv_rad ** 2
     psi = np.linspace(0.0, math.pi, 241)
-    g, gp = nef.fiber.value_at(psi), nef.fiber.dpsi_at(psi)
     wv = np.asarray(nef.model.w.value(nef.grid.nodes), dtype=float)
-    v = (np.outer(nef.v_rad, g) - nef.shift).ravel()
-    grad_sq = (np.outer(nef.dv_rad, g) ** 2 + np.outer(nef.v_rad / wv, gp) ** 2).ravel()
+    v = np.outer(nef.v_rad, np.cos(psi))
+    grad_sq = np.outer(nef.dv_rad, np.cos(psi)) ** 2 + np.outer(nef.v_rad / wv, np.sin(psi)) ** 2
     return v, grad_sq
 
 
 def _reference_Z(v, grad_sq, b, lam, bins):
     """Per-bin maxima over full sample arrays; ties go to the first sample."""
+    v, grad_sq = np.ravel(v), np.ravel(grad_sq)
     tb = math.asin(1.0 / b)
     edges = np.linspace(-tb, tb, bins + 1)
     t = np.arcsin(v / b)
@@ -414,54 +391,73 @@ def _reference_Z(v, grad_sq, b, lam, bins):
     return values, arg_t, counts
 
 
+def _brute_fiber_Z(nef, bins, dense=2001):
+    """Per closed bin, the maximum over every row of the l = 1 fiber
+    quantity at ``dense`` values of x = cos(psi) (poles and equator
+    included), plus at the x where the row meets each bin edge level, which
+    counts for both bins next to that edge."""
+    b, lam = nef.b, nef.lam
+    tb = math.asin(1.0 / b)
+    edges = np.linspace(-tb, tb, bins + 1)
+    wv = np.asarray(nef.model.w.value(nef.grid.nodes), dtype=float)
+    R, dR2, A = nef.v_rad, nef.dv_rad ** 2, (nef.v_rad / wv) ** 2
+
+    def quantity(row, x):
+        v = R[row] * x
+        return v, (dR2[row] * x * x + A[row] * (1.0 - x * x)) / (lam * (b * b - v * v))
+
+    values = np.full(bins, -np.inf)
+    x_dense = np.concatenate([np.linspace(-1.0, 1.0, dense), [0.0]])
+    levels = b * np.sin(edges)
+    for row in range(R.size):
+        v, val = quantity(row, x_dense)
+        t = np.arcsin(v / b)
+        keep = (t >= edges[0]) & (t <= edges[-1])
+        idx = np.minimum(np.searchsorted(edges, t[keep], side="right") - 1, bins - 1)
+        np.maximum.at(values, idx, val[keep])
+        reached = np.flatnonzero(np.abs(levels) <= abs(R[row]))
+        if reached.size and R[row] != 0.0:
+            _, val = quantity(row, np.clip(levels[reached] / R[row], -1.0, 1.0))
+            for e, value in zip(reached, val):
+                for j in (e - 1, e):
+                    if 0 <= j < bins:
+                        values[j] = max(values[j], value)
+    return values
+
+
 def test_normalize_l1_mode_symmetric():
     nef = dl.normalize(_l1_mode(), b=1.01)
-    assert nef.a == 0.0
-    assert nef.fiber is not None
-    v = _streamed(nef)[0].reshape(nef.v_rad.size, -1)
+    assert nef.a == 0.0 and nef.k == 1.0
+    v, _ = nef.samples()
+    N = nef.v_rad.size
     assert abs(v.max() - 1.0) < 1e-12
     assert abs(v.min() + 1.0) < 1e-12
-    # the degree-1 fiber harmonic is cos(psi): the fiber poles carry +-v_rad
-    assert np.array_equal(v[:, 0], nef.v_rad)
-    assert np.array_equal(v[:, -1], -nef.v_rad)
+    # the fiber poles carry +-v_rad, the equators the level v = 0
+    assert np.array_equal(v[:N], nef.v_rad)
+    assert np.array_equal(v[N:2 * N], -nef.v_rad)
+    assert np.array_equal(v[2 * N:], [0.0])
     gm = dl.gradient_estimate_margin(nef)
     assert gm.sup_ratio <= gm.bound * 1.01
 
 
 def test_normalize_l2_mode_asymmetric():
-    # even zonal fiber harmonics on fibers of dimension >= 2 bottom out above
-    # -1 (Legendre P_2 reaches -1/2), so an l = 2 mode has k = 1/2, a = 1/3
+    # lambda_1 lies in a sector l <= 1, so a mode of sector 2 is refused,
+    # even though it is a genuine eigenfunction of its sector
     mode = _l2_mode()
     assert abs(mode.lam - 8.0) < 1e-3  # second spherical-harmonic level of S^3
-    nef = dl.normalize(mode, K=1.0, b=1.01)
-    assert nef.k == pytest.approx(0.5, abs=1e-6)
-    assert nef.a == pytest.approx(1.0 / 3.0, abs=1e-6)
-    assert nef.shift == nef.a
-    v = _streamed(nef)[0].reshape(nef.v_rad.size, -1)
-    assert abs(v.max() - 1.0) < 1e-10
-    assert abs(v.min() + 1.0) < 1e-10
-    # P_2 is 1 at both fiber poles, which carry v_rad - a
-    assert np.array_equal(v[:, 0], nef.v_rad - nef.shift)
-    assert np.array_equal(v[:, -1], nef.v_rad - nef.shift)
-    assert nef.residual_inf < 1e-6 * nef.lam
-    gm = dl.gradient_estimate_margin(nef)
-    assert gm.sup_ratio <= gm.bound * (1.0 + 1e-2)
+    with pytest.raises(DegenerateEigenfunctionError, match="not a first eigenfunction"):
+        dl.normalize(mode, K=1.0, b=1.01)
 
 
-@pytest.mark.parametrize("mode", [_l1_mode, _l2_mode])
+@pytest.mark.parametrize("mode", [_l1_mode, _l1_mode_s2])
 def test_normalize_corner_extremes_match_full_product(mode):
     mode = mode()
-    g = FiberHarmonic(n=mode.problem.model.n, l=mode.l).value_at(
-        np.linspace(0.0, math.pi, 241))
-    u = mode.u
-    product = np.outer(u, g)
+    product = np.outer(mode.u, np.cos(np.linspace(0.0, math.pi, 241)))
     pmax, pmin = product.max(), product.min()
-    if -pmin > pmax:
-        u, pmax, pmin = -u, -pmin, -pmax
-    k = -pmin / pmax
+    assert pmax == -pmin  # cos(psi) reaches +-1, so k = 1 and no sign flip
     nef = dl.normalize(mode, K=1.0)
-    assert nef.k == k
-    assert np.array_equal(nef.v_rad, u * (2.0 / ((1.0 + k) * pmax)))
+    assert nef.k == -pmin / pmax == 1.0
+    assert np.array_equal(nef.v_rad, mode.u * (2.0 / ((1.0 + nef.k) * pmax)))
 
 
 def _zonal_mode(N):
@@ -470,68 +466,87 @@ def _zonal_mode(N):
 
 
 def test_streamed_sampler_matches_full_arrays():
-    cases = {"l1": _l1_mode(3 * _SAMPLE_BLOCK + 100),
-             "l2, shift a != 0": _l2_mode(),
-             "zonal": _zonal_mode(2 * _SAMPLE_BLOCK + 7),
-             "N on a block boundary": _l1_mode(2 * _SAMPLE_BLOCK),
-             "one-row last block": _l1_mode(2 * _SAMPLE_BLOCK + 1)}
-    for case, mode in cases.items():
-        nef = dl.normalize(mode, K=1.0, b=1.01)
-        v, grad_sq = _full_samples(nef)
-        streamed_v, streamed_grad_sq = _streamed(nef)
-        assert np.array_equal(streamed_v, v), case
-        assert np.array_equal(streamed_grad_sq, grad_sq), case
-
-        sup = float((grad_sq / (nef.b * nef.b - v * v)).max())
-        assert dl.gradient_estimate_margin(nef).sup_ratio == sup, case
-
-        # the one walk behind the estimates check: Z(t) and the gradient sup
-        levelset = dl.compute_Z(nef, 200)
-        assert levelset.sup_ratio == sup, case
-        values, arg_t, counts = _reference_Z(v, grad_sq, nef.b, nef.lam, 200)
-        assert np.array_equal(levelset.values, values, equal_nan=True), case
-        assert np.array_equal(levelset.arg_t, arg_t, equal_nan=True), case
-        assert np.array_equal(levelset.counts, counts), case
+    # zonal: the samples are the radial grid, binned exactly as by brute force
+    nef = dl.normalize(_zonal_mode(1031), K=1.0, b=1.01)
+    v, grad_sq = _full_samples(nef)
+    samples = nef.samples()
+    assert np.array_equal(samples[0], v) and np.array_equal(samples[1], grad_sq)
+    sup = float((grad_sq / (nef.b * nef.b - v * v)).max())
+    assert dl.gradient_estimate_margin(nef).sup_ratio == sup
+    levelset = dl.compute_Z(nef, 200)
+    values, arg_t, counts = _reference_Z(v, grad_sq, nef.b, nef.lam, 200)
+    assert np.array_equal(levelset.values, values, equal_nan=True)
+    assert np.array_equal(levelset.arg_t, arg_t, equal_nan=True)
+    assert np.array_equal(levelset.counts, counts)
+    # l = 1: the first latitude column (psi = 0) is the pole samples bitwise
+    nef = dl.normalize(_l1_mode(), K=1.0, b=1.01)
+    v, grad_sq = _full_samples(nef)
+    N = nef.v_rad.size
+    samples = nef.samples()
+    assert np.array_equal(samples[0][:N], v[:, 0])
+    assert np.array_equal(samples[1][:N], grad_sq[:, 0])
+    assert np.array_equal(samples[0][N:2 * N], v[:, -1])
 
 
-@settings(max_examples=200, deadline=None)
-@given(bins=st.integers(1, 400), b=st.floats(1.0, 3.0, exclude_min=True),
-       seed=st.integers(0, 2**32 - 1))
-def test_bin_index_matches_searchsorted(bins, b, seed):
-    tb = math.asin(1.0 / b)
-    edges = np.linspace(-tb, tb, bins + 1)
-    t = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-                        np.random.default_rng(seed).uniform(edges[0], edges[-1], 1000)])
-    t = t[(t >= edges[0]) & (t <= edges[-1])]
-    expected = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, bins - 1)
-    assert np.array_equal(_bin_index(t, edges), expected)
+@pytest.mark.parametrize("n", [2, 3])
+def test_compute_Z_is_the_exact_maximum_over_each_closed_bin(n):
+    bins = 50
+    nef = dl.normalize(_l1_mode(200, n=n), K=1.0, b=1.01)
+    levelset = dl.compute_Z(nef, bins)
+    brute = _brute_fiber_Z(nef, bins)
+    assert levelset.occupied.all() and np.isfinite(brute).all()
+    assert np.max(np.abs(levelset.values - brute) / brute) <= 1e-12
+    # the gradient ratio is monotone in cos(psi)^2, so the 241-latitude sup
+    # sits at a pole or an equator, which the closed-form points hold exactly
+    v, grad_sq = _full_samples(nef)
+    sup = float((grad_sq / (nef.b * nef.b - v * v)).max())
+    assert dl.gradient_estimate_margin(nef).sup_ratio == sup
+    # latitude sampling can only under-read the maximum of a closed bin
+    sampled = _reference_Z(v, grad_sq, nef.b, nef.lam, bins)[0]
+    seen = np.isfinite(sampled)
+    assert seen.sum() > bins // 2
+    assert np.all(levelset.values[seen] >= sampled[seen] * (1.0 - 1e-14))
+    assert np.any(levelset.values[seen] > sampled[seen] * (1.0 + 1e-6))
+    # an arg_t is a sample's t or one of the bin's edges
+    inside = ((levelset.arg_t >= levelset.edges[:-1])
+              & (levelset.arg_t <= levelset.edges[1:]))
+    assert inside.all()
 
 
-class _Blocks:
-    """Stand-in eigenfunction whose samples() yields the given blocks."""
+def test_normalize_residual_is_scaled_by_the_operator_norm():
+    # at N = 2e4 rounding alone puts the residual far above 1e-6 lam, but it
+    # stays at the rounding level of the operator, whose norm grows like N^2
+    model = dl.sphere(3, density=dl.cosine_density(0.5))
+    mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 20000)).mode
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nef = dl.normalize(mode, K=1.0)
+    assert nef.residual_inf > 1e-6 * nef.lam
+    noise = np.random.default_rng(0).standard_normal(mode.u.size)
+    perturbed = dl.EigenMode(mu=mode.mu, l=mode.l, u=mode.u * (1.0 + 1e-6 * noise),
+                             problem=mode.problem)
+    with pytest.warns(UserWarning, match="residual"):
+        dl.normalize(perturbed, K=1.0)
 
-    def __init__(self, blocks, b):
-        self.blocks, self.b, self.lam = blocks, b, 1.0
+
+class _Samples:
+    """Stand-in zonal eigenfunction whose samples() returns the given arrays."""
+
+    def __init__(self, v, grad_sq, b):
+        self.v, self.grad_sq, self.b, self.lam, self.l = v, grad_sq, b, 1.0, 0
 
     def samples(self):
-        yield from self.blocks
+        return self.v, self.grad_sq
 
 
 def test_compute_Z_ties_keep_the_first_maximizer():
     # grad_sq = val (b^2 - v^2) with val a power of two gives val back exactly,
-    # so the maximum 2 is tied within the first block and across blocks
+    # so the maximum 2 is tied three times in one bin
     b = 1.01
-
-    def block(v, val):
-        v = np.array(v)
-        return v, np.array(val) * (b**2 - v * v)
-
-    blocks = [block([0.5, 0.30, 0.31], [1.0, 2.0, 2.0]),
-              block([0.305, 0.32], [2.0, 1.0]),
-              block([-0.9, -0.95], [1.0, 4.0])]
-    levelset = dl.compute_Z(_Blocks(blocks, b), 4)
-    v = np.concatenate([v for v, _ in blocks])
-    grad_sq = np.concatenate([g for _, g in blocks])
+    v = np.array([0.5, 0.30, 0.31, 0.305, 0.32, -0.9, -0.95])
+    val = np.array([1.0, 2.0, 2.0, 2.0, 1.0, 1.0, 4.0])
+    grad_sq = val * (b**2 - v * v)
+    levelset = dl.compute_Z(_Samples(v, grad_sq, b), 4)
     values, arg_t, counts = _reference_Z(v, grad_sq, b, 1.0, 4)
     assert np.array_equal(levelset.values, values, equal_nan=True)
     assert np.array_equal(levelset.arg_t, arg_t, equal_nan=True)

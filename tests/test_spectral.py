@@ -232,14 +232,16 @@ def test_manifold_samples_shapes():
     fe = dl.first_nonzero_eigenvalue(model, grid)
     assert fe.mode.l == 1
     nef = dl.normalize(fe.mode)
-    v = np.concatenate([v for v, _ in nef.samples()]).reshape(grid.size, -1)
+    v, grad_sq = nef.samples()
+    # the fiber poles of every row, then one point on the equator level v = 0
+    assert v.shape == grad_sq.shape == (2 * grid.size + 1,)
     assert abs(v.max() - 1.0) < 1e-12 and abs(v.min() + 1.0) < 1e-12
-    # the latitude factor of the first mode is cos(psi): poles carry +-v_rad
-    assert np.array_equal(v[:, 0], nef.v_rad)
-    assert np.array_equal(v[:, -1], -nef.v_rad)
+    assert np.array_equal(v[:grid.size], nef.v_rad)
+    assert np.array_equal(v[grid.size:-1], -nef.v_rad)
+    assert v[-1] == 0.0 and grad_sq[-1] == nef.equator_grad_sq.max()
     zonal = dl.solve_eigen(assemble(model, grid, 0), 2).modes[1]
-    samples = list(dl.normalize(zonal).samples())
-    assert np.concatenate([v for v, _ in samples]).shape == (grid.size,)
+    v, grad_sq = dl.normalize(zonal).samples()
+    assert v.shape == grad_sq.shape == (grid.size,)
 
 
 def test_assemble_rejects_bad_modes():
