@@ -20,11 +20,10 @@ from .estimates import (BarrierFamily, LevelSetMaxima,
                         xi)
 from .geometry import (CIRCLE, INTERVAL_SPHERE, CurvatureProfile, Grid,
                        RadialProfile, WarpedManifold, be_ricci_lower_bound,
-                       circle, circle_cosine_density, cosine_density, curvature,
-                       diameter, integrate, interval_sphere, poly_cos_density,
-                       profile_from_samples, sphere, sphere_warp,
-                       stretched_sphere_warp, unit_fiber_area, weighted_measure,
-                       zero_density)
+                       circle, cosine_density, curvature, diameter, integrate,
+                       interval_sphere, poly_cos_density, profile_from_samples,
+                       sphere, sphere_warp, stretched_sphere_warp, unit_fiber_area,
+                       weighted_measure, zero_density)
 from .solitons import (EigenIdentityReport, HamiltonIdentityLedger,
                        NormalizedPotential, SolitonCandidate, SolitonResidual,
                        eigenfunction_identity, hamilton_identities, normalize_f,

@@ -31,12 +31,21 @@ SWEEP_DIMS = (2, 3, 4)
 
 @dataclass
 class CriterionResult:
+    """One criterion's rows; it passes when it checked something and every row passed."""
+
     cid: int
     title: str
-    passed: bool
     rows: list[dict] = field(default_factory=list)
     details: list[str] = field(default_factory=list)
     runtime_s: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.rows) and all(row["status"] == "pass" for row in self.rows)
+
+    def check(self, instance: str, quantity: str, value, expected, tolerance,
+              ok: bool) -> None:
+        self.rows.append(_row(self.cid, instance, quantity, value, expected, tolerance, ok))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -80,14 +89,13 @@ def evaluate_cosine_family() -> CosineFamily:
 def criterion_spectral_accuracy() -> CriterionResult:
     """lambda_1(S^n) = n within 1e-3 at N=4000; convergence order in [1.8, 2.2]."""
     t0 = time.perf_counter()
-    res = CriterionResult(1, "spectral accuracy and convergence order on round spheres", True)
+    res = CriterionResult(1, "spectral accuracy and convergence order on round spheres")
     for n in (2, 3, 4, 5):
         model = sphere(n)
         fe = first_nonzero_eigenvalue(model, Grid.uniform(model, ACCURACY_N))
         err = abs(fe.lam - n)
         ok = err <= 1e-3
-        res.passed &= ok
-        res.rows.append(_row(1, f"S^{n}:N={ACCURACY_N}", "lambda1", fe.lam, float(n), 1e-3, ok))
+        res.check(f"S^{n}:N={ACCURACY_N}", "lambda1", fe.lam, float(n), 1e-3, ok)
         res.details.append(f"lambda1(S^{n}) = {fe.lam:.9f}, |err| = {err:.3e}")
         errs = []
         for N in CONVERGENCE_NS:
@@ -96,27 +104,23 @@ def criterion_spectral_accuracy() -> CriterionResult:
         slope = float(np.polyfit(np.log([model.L / N for N in CONVERGENCE_NS]),
                                  np.log(errs), 1)[0])
         ok = 1.8 <= slope <= 2.2
-        res.passed &= ok
-        res.rows.append(_row(1, f"S^{n}:order", "convergence_order", slope, 2.0, 0.2, ok))
+        res.check(f"S^{n}:order", "convergence_order", slope, 2.0, 0.2, ok)
         res.details.append(f"S^{n} convergence order = {slope:.3f}")
     res.runtime_s = time.perf_counter() - t0
     within = res.runtime_s < 60.0
-    res.passed &= within
-    res.rows.append(_row(1, "suite", "runtime_within_60s", within, True, None, within))
+    res.check("suite", "runtime_within_60s", within, True, None, within)
     return res
 
 
 def criterion_lichnerowicz_suite(family: CosineFamily) -> CriterionResult:
     """lambda_1 >= (n-1) K_eff - 1e-6 on the cosine-density family."""
     t0 = time.perf_counter()
-    res = CriterionResult(2, "Lichnerowicz-type bound on the cosine-density family", True)
+    res = CriterionResult(2, "Lichnerowicz-type bound on the cosine-density family")
     for n, eps, model, fe, kb, nef, gm in family.members:
-        bound = (n - 1) * kb.K
+        bound = bounds_mod.lichnerowicz_be(n, kb.K)
         margin = fe.lam - bound
         ok = margin >= -1e-6
-        res.passed &= ok
-        res.rows.append(_row(2, f"S^{n}:eps={eps:g}", "lichnerowicz_margin",
-                             margin, 0.0, 1e-6, ok))
+        res.check(f"S^{n}:eps={eps:g}", "lichnerowicz_margin", margin, 0.0, 1e-6, ok)
         res.details.append(
             f"n={n} eps={eps:g}: lambda1={fe.lam:.6f} >= (n-1)K={bound:.6f} "
             f"(margin {margin:+.4f})")
@@ -127,31 +131,27 @@ def criterion_lichnerowicz_suite(family: CosineFamily) -> CriterionResult:
 def criterion_ling_suite(family: CosineFamily) -> CriterionResult:
     """lambda_1 >= pi^2/d^2 + (31/100)(n-1) K_eff - 1e-6 on the same 15 instances."""
     t0 = time.perf_counter()
-    res = CriterionResult(3, "Ling-type bound on the cosine-density family", True)
+    res = CriterionResult(3, "Ling-type bound on the cosine-density family")
     for n, eps, model, fe, kb, nef, gm in family.members:
         bound = bounds_mod.ling_be_bound(n, kb.K, diameter(model))
         margin = fe.lam - bound
         ok = margin >= -1e-6
-        res.passed &= ok
-        res.rows.append(_row(3, f"S^{n}:eps={eps:g}", "ling_margin", margin, 0.0, 1e-6, ok))
+        res.check(f"S^{n}:eps={eps:g}", "ling_margin", margin, 0.0, 1e-6, ok)
         res.details.append(
             f"n={n} eps={eps:g}: lambda1={fe.lam:.6f} >= {bound:.6f} (margin {margin:+.4f})")
     res.runtime_s = family.runtime_s + (time.perf_counter() - t0)  # the budget covers both
     within = res.runtime_s < 120.0
-    res.passed &= within
-    res.rows.append(_row(3, "suite", "runtime_within_120s", within, True, None, within))
+    res.check("suite", "runtime_within_120s", within, True, None, within)
     return res
 
 
 def criterion_gradient_estimate(family: CosineFamily) -> CriterionResult:
     """sup |grad v|^2/(b^2 - v^2) <= lam (1+a) (1 + 1e-2) with b = 1.01."""
     t0 = time.perf_counter()
-    res = CriterionResult(4, "gradient estimate on the cosine-density family", True)
+    res = CriterionResult(4, "gradient estimate on the cosine-density family")
     for n, eps, model, fe, kb, nef, gm in family.members:
         ok = gm.sup_ratio <= gm.bound * (1.0 + 1e-2)
-        res.passed &= ok
-        res.rows.append(_row(4, f"S^{n}:eps={eps:g}", "gradient_sup_ratio",
-                             gm.sup_ratio, gm.bound, 1e-2, ok))
+        res.check(f"S^{n}:eps={eps:g}", "gradient_sup_ratio", gm.sup_ratio, gm.bound, 1e-2, ok)
         res.details.append(
             f"n={n} eps={eps:g}: sup={gm.sup_ratio:.6f} <= lam(1+a)={gm.bound:.6f} "
             f"(l={fe.mode.l}, a={nef.a:.2e})")
@@ -162,7 +162,7 @@ def criterion_gradient_estimate(family: CosineFamily) -> CriterionResult:
 def criterion_barrier_dominance() -> CriterionResult:
     """Z(t) <= 1 + delta xi(t) + 1e-2 for the zonal eigenfunction of the unit S^2."""
     t0 = time.perf_counter()
-    res = CriterionResult(5, "barrier dominance for the symmetric zonal mode", True)
+    res = CriterionResult(5, "barrier dominance for the symmetric zonal mode")
     model = sphere(2)
     grid = Grid.uniform(model, SWEEP_N)
     zonal = solve_eigen(assemble(model, grid, 0), 3)
@@ -170,14 +170,11 @@ def criterion_barrier_dominance() -> CriterionResult:
     kb = be_ricci_lower_bound(model, grid)
     nef = est.normalize(mode, K=kb.K, b=1.01)
     ok_a = abs(nef.a) <= 1e-8
-    res.passed &= ok_a
-    res.rows.append(_row(5, "S^2:zonal", "asymmetry_a", nef.a, 0.0, 1e-8, ok_a))
+    res.check("S^2:zonal", "asymmetry_a", nef.a, 0.0, 1e-8, ok_a)
     z = est.barrier(0.0, 1.01, 0.25, 1.0)  # 1 + delta*xi with delta = 1/4
     dom = est.barrier_dominance_check(est.compute_Z(nef, 200), z)
     ok = dom.min_margin >= -1e-2
-    res.passed &= ok
-    res.rows.append(_row(5, "S^2:zonal", "dominance_min_margin",
-                         dom.min_margin, 0.0, 1e-2, ok))
+    res.check("S^2:zonal", "dominance_min_margin", dom.min_margin, 0.0, 1e-2, ok)
     res.details.append(
         f"zonal S^2: a={nef.a:.2e}, min margin {dom.min_margin:+.6f} over "
         f"{dom.occupied_bins} occupied bins")
@@ -196,31 +193,27 @@ def _extrapolated_limit(fn) -> float:
 def criterion_test_functions() -> CriterionResult:
     """Integrals, endpoint limits, and barrier mass identities of xi and eta."""
     t0 = time.perf_counter()
-    res = CriterionResult(6, "test-function identities", True)
+    res = CriterionResult(6, "test-function identities")
     half = math.pi / 2.0
 
     ix = est.gauss_legendre_integral(est.xi)
     ok = abs(ix + math.pi) <= 1e-8
-    res.passed &= ok
-    res.rows.append(_row(6, "xi", "integral", ix, -math.pi, 1e-8, ok))
+    res.check("xi", "integral", ix, -math.pi, 1e-8, ok)
 
     ie = est.gauss_legendre_integral(est.eta)
     ok = abs(ie) <= 1e-8
-    res.passed &= ok
-    res.rows.append(_row(6, "eta", "integral", ie, 0.0, 1e-8, ok))
+    res.check("eta", "integral", ie, 0.0, 1e-8, ok)
 
     for name, fn, series_value, expected in (
             ("xi", est.xi, est.xi(half), 0.0),
             ("eta", est.eta, est.eta(half), 1.0)):
         limit = _extrapolated_limit(fn)
         ok = abs(series_value - expected) <= 1e-12 and abs(limit - series_value) <= 1e-8
-        res.passed &= ok
-        res.rows.append(_row(6, name, "endpoint_limit", limit, expected, 1e-8, ok))
+        res.check(name, "endpoint_limit", limit, expected, 1e-8, ok)
         res.details.append(f"{name}(pi/2): series={series_value:.3e}, "
                            f"numeric limit={limit:.3e}")
     neg_ok = abs(est.eta(-half) + 1.0) <= 1e-12 and abs(est.xi(-half)) <= 1e-12
-    res.passed &= neg_ok
-    res.rows.append(_row(6, "endpoints", "odd_even_reflection", neg_ok, True, None, neg_ok))
+    res.check("endpoints", "odd_even_reflection", neg_ok, True, None, neg_ok)
 
     for mu in (0.25, 0.5, 1.0):
         for delta in (0.1, 0.25, 0.5):
@@ -228,9 +221,7 @@ def criterion_test_functions() -> CriterionResult:
             iz = est.gauss_legendre_integral(z.value)
             expected = (1.0 - mu * delta) * math.pi
             ok = abs(iz - expected) <= 1e-8
-            res.passed &= ok
-            res.rows.append(_row(6, f"z:mu={mu:g}:delta={delta:g}", "barrier_mass",
-                                 iz, expected, 1e-8, ok))
+            res.check(f"z:mu={mu:g}:delta={delta:g}", "barrier_mass", iz, expected, 1e-8, ok)
     res.runtime_s = time.perf_counter() - t0
     return res
 
@@ -238,25 +229,21 @@ def criterion_test_functions() -> CriterionResult:
 def criterion_exact_constants() -> CriterionResult:
     """The exact rational derivation of the diameter constant, and Myers' value."""
     t0 = time.perf_counter()
-    res = CriterionResult(7, "exact diameter and Myers constants", True)
+    res = CriterionResult(7, "exact diameter and Myers constants")
     der = bounds_mod.derive_diameter_bound()
     ok = der.as_pair() == (10, 13)
-    res.passed &= ok
-    res.rows.append(_row(7, "derivation", "ratio_pair", f"{der.numerator}/{der.denominator}",
-                         "10/13", None, ok))
+    res.check("derivation", "ratio_pair", f"{der.numerator}/{der.denominator}",
+              "10/13", None, ok)
 
     direct = bounds_mod.soliton_diameter_lower(1.0)
     rational_path = der.numerator * math.pi / (der.denominator * math.sqrt(1.0))
     ok = direct == rational_path
-    res.passed &= ok
-    res.rows.append(_row(7, "gamma=1", "diameter_lower_bitwise", direct, rational_path,
-                         0.0, ok))
+    res.check("gamma=1", "diameter_lower_bitwise", direct, rational_path, 0.0, ok)
 
     myers = bounds_mod.myers_upper(4, 1.0)
     expected = math.pi * math.sqrt(3.0)
     ok = abs(myers - expected) <= 1e-15 * expected
-    res.passed &= ok
-    res.rows.append(_row(7, "n=4:gamma=1", "myers_upper", myers, expected, 1e-15, ok))
+    res.check("n=4:gamma=1", "myers_upper", myers, expected, 1e-15, ok)
     res.details.append(f"derived pair {der.as_pair()}, d_min(1) = {direct:.12f}, "
                        f"myers(4,1) = {myers:.15f}")
     res.runtime_s = time.perf_counter() - t0
@@ -266,7 +253,7 @@ def criterion_exact_constants() -> CriterionResult:
 def criterion_soliton_checker() -> CriterionResult:
     """Einstein data passes at 1e-8; the standard perturbation hits its known residuals."""
     t0 = time.perf_counter()
-    res = CriterionResult(8, "soliton checker on Einstein data and perturbations", True)
+    res = CriterionResult(8, "soliton checker on Einstein data and perturbations")
     for n in (2, 3, 4):
         model = sphere(n)
         grid = Grid.uniform(model, SWEEP_N)
@@ -277,8 +264,7 @@ def criterion_soliton_checker() -> CriterionResult:
         worst = max(r.radial, r.tangential, ident.bianchi_sup, ident.constancy_std,
                     ident.trace_sup, eig.residual)
         ok = worst < 1e-8
-        res.passed &= ok
-        res.rows.append(_row(8, f"S^{n}:einstein", "max_residual", worst, 0.0, 1e-8, ok))
+        res.check(f"S^{n}:einstein", "max_residual", worst, 0.0, 1e-8, ok)
         res.details.append(f"S^{n} Einstein: worst residual {worst:.3e}")
 
     model = sphere(2)
@@ -290,8 +276,7 @@ def criterion_soliton_checker() -> CriterionResult:
                                   ("residual_tan", r.tangential, 0.1),
                                   ("trace_residual", ident.trace_sup, 0.2)):
         ok = abs(value - expected) <= 1e-3
-        res.passed &= ok
-        res.rows.append(_row(8, "S^2:f=0.1cos", name, value, expected, 1e-3, ok))
+        res.check("S^2:f=0.1cos", name, value, expected, 1e-3, ok)
     res.details.append(
         f"perturbation: rr={r.radial:.6f}, tan={r.tangential:.6f}, trace={ident.trace_sup:.6f}")
 
@@ -299,8 +284,7 @@ def criterion_soliton_checker() -> CriterionResult:
     again = sol.normalize_f(
         sol.SolitonCandidate(model=model, f=first.f, gamma=1.0), grid)
     ok = abs(again.shift) <= 1e-14
-    res.passed &= ok
-    res.rows.append(_row(8, "S^2:f=0.1cos", "shift_idempotency", again.shift, 0.0, 1e-14, ok))
+    res.check("S^2:f=0.1cos", "shift_idempotency", again.shift, 0.0, 1e-14, ok)
     res.runtime_s = time.perf_counter() - t0
     return res
 
@@ -308,7 +292,7 @@ def criterion_soliton_checker() -> CriterionResult:
 def criterion_case_totality() -> CriterionResult:
     """Every (a, delta) cell maps to exactly one case with constant >= 31/50 alpha."""
     t0 = time.perf_counter()
-    res = CriterionResult(9, "case totality and the 31/50 floor", True)
+    res = CriterionResult(9, "case totality and the 31/50 floor")
     floor = float(bounds_mod.CASE_FLOOR)
     labels = {"A": 0, "B-1": 0, "B-2-a": 0, "B-2-b1": 0, "B-2-b2": 0}
     worst = math.inf
@@ -322,10 +306,8 @@ def criterion_case_totality() -> CriterionResult:
             worst = min(worst, case.alpha_multiple)
             cells += 1
     ok = cells == 5000 and sum(labels.values()) == 5000 and worst >= floor
-    res.passed &= ok
-    res.rows.append(_row(9, "grid100x50", "min_alpha_multiple", worst, floor, 0.0, ok))
-    res.rows.append(_row(9, "grid100x50", "cells_classified", cells, 5000, None,
-                         cells == 5000))
+    res.check("grid100x50", "min_alpha_multiple", worst, floor, 0.0, ok)
+    res.check("grid100x50", "cells_classified", cells, 5000, None, cells == 5000)
     res.details.append(f"cases: {labels}, min additive constant {worst:.6f} x alpha")
     res.runtime_s = time.perf_counter() - t0
     return res
@@ -378,10 +360,9 @@ def verify_paper() -> SuiteOutcome:
     second = run_criteria()
     csv_second = render_csv(suite_rows(second), SUITE_COLUMNS)
     identical = csv_first == csv_second
-    det = CriterionResult(10, "determinism of the verification report", identical,
+    det = CriterionResult(10, "determinism of the verification report",
                           runtime_s=time.perf_counter() - t0)
-    det.rows.append(_row(10, "suite", "csv_bytes_identical", identical, True, None,
-                         identical))
+    det.check("suite", "csv_bytes_identical", identical, True, None, identical)
     det.details.append(f"second pass rendered {len(csv_second)} bytes, "
                        f"identical={identical}")
     results = first + [det]

@@ -27,7 +27,7 @@ kept exact as Fractions; floats appear only in returned report values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InapplicableBoundError
@@ -209,74 +209,24 @@ def gap_classifier(d: float, gamma: float) -> GapVerdict:
 
 
 @dataclass(frozen=True)
-class BoundEntry:
-    name: str
-    value: float
-    formula: str
-    applicable: bool = True
-    note: str = ""
-
-
-@dataclass
 class BoundReport:
-    """All closed-form bounds and margins for one experiment instance.
+    """The bounds that the bounds check records for one instance.
 
-    Margins are measured lambda minus bound; every value is reproducible from
-    the recorded inputs by re-evaluating the formulas.
+    ``case_bound`` is pi^2/d^2 + (case constant) alpha; it and ``case`` are
+    None when the case of the eigenfunction is unknown.
     """
 
-    inputs: dict
-    bounds: list[BoundEntry] = field(default_factory=list)
-    measured_lambda: float | None = None
-    margins: dict = field(default_factory=dict)
+    lichnerowicz: float
+    ling: float
     case: LingCase | None = None
-    notes: list[str] = field(default_factory=list)
+    case_bound: float | None = None
 
 
-def build_bound_report(n: int, K: float, d: float, measured_lambda: float | None = None,
-                       a: float | None = None, delta: float | None = None,
-                       gamma: float | None = None) -> BoundReport:
-    """Assemble every applicable bound for the given inputs, with margins."""
-    report = BoundReport(inputs={"n": n, "K": K, "d": d, "a": a, "delta": delta,
-                                 "gamma": gamma},
-                         measured_lambda=measured_lambda)
-
-    def _add(name: str, formula: str, fn):
-        try:
-            value = fn()
-        except InapplicableBoundError as exc:
-            report.bounds.append(BoundEntry(name=name, value=math.nan, formula=formula,
-                                            applicable=False, note=exc.reason))
-            return
-        report.bounds.append(BoundEntry(name=name, value=value, formula=formula))
-        if measured_lambda is not None:
-            report.margins[name] = measured_lambda - value
-
-    _add("lichnerowicz", "(n-1)*K", lambda: lichnerowicz_be(n, K))
-    _add("ling", "pi^2/d^2 + (31/100)*(n-1)*K", lambda: ling_be_bound(n, K, d))
-    if a is not None and delta is not None:
-        try:
-            case = ling_case(a, delta)
-            report.case = case
-            alpha = 0.5 * (n - 1) * K
-            _add("case", f"pi^2/d^2 + {case.alpha_multiple:.6g}*alpha [case {case.label}]",
-                 lambda: math.pi**2 / d**2 + case.alpha_multiple * alpha)
-            if a == 0.0:
-                _add("symmetric-barrier", "pi^2/d^2 + (n-1)*K/2",
-                     lambda: prop9_bound(n, K, d))
-            elif case.mu is not None:
-                _add("asymmetric-barrier", f"pi^2/d^2 + mu*(n-1)*K/2, mu={case.mu:.6g}",
-                     lambda: prop8_bound(n, K, d, case.mu, a, delta))
-        except InapplicableBoundError as exc:
-            report.notes.append(f"case analysis inapplicable: {exc.reason}")
-    if gamma is not None:
-        _add("myers-upper", "pi*sqrt((n-1)/gamma)", lambda: myers_upper(n, gamma))
-        try:
-            report.inputs["soliton_diameter_lower"] = soliton_diameter_lower(gamma)
-        except InapplicableBoundError:
-            pass
-        if n < 4:
-            report.notes.append(
-                "informational: nontrivial compact shrinking solitons require n >= 4; "
-                f"n={n} soliton claims are outside that range")
-    return report
+def build_bound_report(n: int, K: float, d: float, case: LingCase | None = None) -> BoundReport:
+    """The Lichnerowicz and Ling bounds and, given the case, the case bound."""
+    # these raise on n < 2, K <= 0 or d <= 0, before pi^2/d^2 is formed
+    lichnerowicz, ling = lichnerowicz_be(n, K), ling_be_bound(n, K, d)
+    case_bound = None
+    if case is not None:
+        case_bound = math.pi**2 / d**2 + case.alpha_multiple * (0.5 * (n - 1) * K)
+    return BoundReport(lichnerowicz, ling, case, case_bound)

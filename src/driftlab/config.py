@@ -22,6 +22,7 @@ SCHEMA_VERSION = 1
 
 MANIFOLD_FAMILIES = ("sphere", "stretched-sphere", "circle")
 DENSITY_FAMILIES = ("zero", "cosine", "poly-cos")
+_DENSITY_KEYS = {"zero": (), "cosine": ("eps",), "poly-cos": ("coeffs",)}  # beyond "name"
 CHECK_NAMES = ("spectrum", "bounds", "estimates", "soliton")
 FORMATS = ("csv", "json")
 
@@ -148,14 +149,12 @@ def _parse_density(obj, family: str) -> DensitySpec:
     name = obj["name"]
     if name not in DENSITY_FAMILIES:
         raise ConfigError(f"unknown density family {name!r}; known: {DENSITY_FAMILIES}")
+    # each family reads only its own parameter; a stray one would be silently ignored
+    _require_keys(obj, f"the {name} density", ("name",) + _DENSITY_KEYS[name], ())
     if name == "zero":
         return DensitySpec(name="zero")
     if name == "cosine":
-        if "eps" not in obj:
-            raise ConfigError("cosine density needs 'eps'")
         return DensitySpec(name="cosine", eps=_as_list(obj["eps"], "density.eps", float))
-    if "coeffs" not in obj:
-        raise ConfigError("poly-cos density needs 'coeffs'")
     if family == "circle":
         raise ConfigError("poly-cos densities are not periodic; circles take 'cosine' or 'zero'")
     return DensitySpec(name="poly-cos", coeffs=_as_list(obj["coeffs"], "density.coeffs", float))
@@ -242,6 +241,8 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
         _require_keys(fobj, "soliton.f", ("name",), ("eps",))
         if fobj["name"] not in ("zero", "cosine"):
             raise ConfigError("soliton potentials support families 'zero' and 'cosine'")
+        _require_keys(fobj, f"the {fobj['name']} soliton potential", ("name",),
+                      _DENSITY_KEYS[fobj["name"]])
         gamma = sob["gamma"]
         if gamma != "einstein":
             (gamma,) = _as_list([gamma], "soliton.gamma", float)
@@ -303,8 +304,8 @@ def build_model(config: ExperimentConfig, inst: InstanceSpec) -> geometry.Warped
     """Instantiate the manifold for one instance of the sweep."""
     if config.family == "circle":
         length = config.length
-        if config.density.name == "cosine":
-            dens = geometry.circle_cosine_density(inst.eps, length)
+        if config.density.name == "cosine":  # one period: cos(2 pi theta / length)
+            dens = geometry.cosine_density(inst.eps, length / 2.0)
         else:
             dens = geometry.zero_density()
         return geometry.circle(length, density=dens)

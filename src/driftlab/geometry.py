@@ -156,20 +156,6 @@ def poly_cos_density(coeffs, length: float = math.pi) -> RadialProfile:
                          name=f"poly-cos({','.join('%g' % v for v in c)})")
 
 
-def circle_cosine_density(amplitude: float, circumference: float,
-                          harmonic: int = 1) -> RadialProfile:
-    """Periodic density phi(theta) = amplitude * cos(2 pi k theta / L)."""
-    a = float(amplitude)
-    k = 2.0 * math.pi * int(harmonic) / float(circumference)
-    return RadialProfile(
-        value=lambda r: a * np.cos(k * np.asarray(r, dtype=float)),
-        d1=lambda r: -a * k * np.sin(k * np.asarray(r, dtype=float)),
-        d2=lambda r: -a * k**2 * np.cos(k * np.asarray(r, dtype=float)),
-        d3=lambda r: a * k**3 * np.sin(k * np.asarray(r, dtype=float)),
-        name=f"circle-cosine(eps={a:g},k={harmonic})",
-    )
-
-
 def profile_from_samples(r, values, name: str = "sampled") -> RadialProfile:
     """Cubic-spline profile through sampled values; derivatives from the spline."""
     from scipy.interpolate import CubicSpline  # its only user; kept off the import path

@@ -29,8 +29,6 @@ from .spectral import FirstEigenvalue, first_nonzero_eigenvalue
 
 def _select_case_barrier(config: ExperimentConfig, nef: est.NormalizedEigenfunction,
                          case: bounds_mod.LingCase) -> est.BarrierFamily:
-    if case.label == "A":
-        return est.barrier(0.0, nef.b, nef.delta, 1.0)
     if case.label == "B-2-b2":
         return est.case_b2b2_barrier(nef.a, nef.b, nef.delta, config.sigma)
     return est.barrier(nef.a, nef.b, nef.delta, case.mu)
@@ -41,36 +39,28 @@ def _spectrum_check(fe: FirstEigenvalue) -> Check:
     return Check(PASS if ok else FAIL)
 
 
-def _bounds_check(config: ExperimentConfig, rec: InstanceRecord, why: str) -> BoundsCheck:
-    """The bounds from the recorded n, K_eff, d, a and delta against lambda1."""
+def _bounds_check(config: ExperimentConfig, rec: InstanceRecord,
+                  case: bounds_mod.LingCase | None, why: str) -> BoundsCheck:
+    """The bounds from the recorded n, K_eff and d, and the case, against lambda1."""
     if why:
         return BoundsCheck(INAPPLICABLE, why)
-    report = bounds_mod.build_bound_report(n=rec.n, K=rec.K_eff, d=rec.d,
-                                           measured_lambda=rec.lambda1, a=rec.a,
-                                           delta=rec.delta)
-    value = {entry.name: entry.value for entry in report.bounds if entry.applicable}
-    margin = report.margins
-    # Lichnerowicz and Ling always apply here (n >= 2, K_eff > 0, d > 0); the
-    # case bound applies when the case analysis does
-    ok = all(margin[name] >= -config.tolerances["bound_margin"]
-             for name in ("lichnerowicz", "ling", "case") if name in margin)
-    case = report.case
+    report = bounds_mod.build_bound_report(rec.n, rec.K_eff, rec.d, case)
+    lichnerowicz, ling = rec.lambda1 - report.lichnerowicz, rec.lambda1 - report.ling
+    by_case = None if case is None else rec.lambda1 - report.case_bound
+    ok = all(m >= -config.tolerances["bound_margin"]
+             for m in (lichnerowicz, ling, by_case) if m is not None)
     return BoundsCheck(
         PASS if ok else FAIL,
         case=case.label if case else None, case_mu=case.mu if case else None,
-        bound_lichnerowicz=value["lichnerowicz"], bound_ling=value["ling"],
-        bound_case=value.get("case"), margin_lichnerowicz=margin["lichnerowicz"],
-        margin_ling=margin["ling"], margin_case=margin.get("case"))
+        bound_lichnerowicz=report.lichnerowicz, bound_ling=report.ling,
+        bound_case=report.case_bound, margin_lichnerowicz=lichnerowicz,
+        margin_ling=ling, margin_case=by_case)
 
 
 def _estimates_check(config: ExperimentConfig, nef: est.NormalizedEigenfunction | None,
-                     d: float, why: str) -> EstimatesCheck:
+                     case: bounds_mod.LingCase | None, d: float, why: str) -> EstimatesCheck:
     if why:
         return EstimatesCheck(INAPPLICABLE, why)
-    try:
-        case = bounds_mod.ling_case(nef.a, nef.delta)
-    except InapplicableBoundError as exc:
-        return EstimatesCheck(INAPPLICABLE, f"no barrier for the case analysis ({exc.reason})")
     tol = config.tolerances
     gm = est.gradient_estimate_margin(nef)
     barrier = _select_case_barrier(config, nef, case)
@@ -109,8 +99,9 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
     model = build_model(config, inst)
     grid = Grid.uniform(model, inst.N)
     shared: dict = {}
-    fe = nef = None
+    fe = nef = case = None
     why = ""  # why bounds and estimates do not apply
+    no_case = ""  # why the estimates have no barrier
     if any(c in config.checks for c in ("spectrum", "bounds", "estimates")):
         fe = first_nonzero_eigenvalue(model, grid, l_max=config.l_max)
         shared.update(lambda1=fe.lam, lambda1_mode=fe.mode.l,
@@ -123,6 +114,10 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
             if kb.positive:
                 nef = est.normalize(fe.mode, K=kb.K, b=config.b)
                 shared.update(k_ratio=nef.k, a=nef.a, delta=nef.delta)
+                try:
+                    case = bounds_mod.ling_case(nef.a, nef.delta)
+                except InapplicableBoundError as exc:
+                    no_case = f"no barrier for the case analysis ({exc.reason})"
             else:
                 why = f"needs K_eff > 0 (K_eff = {kb.K:.6g} at r = {kb.radius:.6g})"
     record = InstanceRecord(
@@ -130,8 +125,9 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
         L=model.L, density=inst.density_label, N=inst.N, b=config.b,
         bins=config.bins, d=diameter(model), **shared)
     checks = {"spectrum": lambda: _spectrum_check(fe),
-              "bounds": lambda: _bounds_check(config, record, why),
-              "estimates": lambda: _estimates_check(config, nef, record.d, why),
+              "bounds": lambda: _bounds_check(config, record, case, why),
+              "estimates": lambda: _estimates_check(config, nef, case, record.d,
+                                                    why or no_case),
               "soliton": lambda: _soliton_check(config, model, grid)}
     return InstanceResult(record, {name: checks[name]() for name in config.checks})
 

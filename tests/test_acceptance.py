@@ -80,6 +80,19 @@ def test_mutation_smoke(monkeypatch):
     assert not result.passed
 
 
+def test_criterion_passes_only_when_every_row_passed():
+    # a criterion that checked nothing does not pass
+    empty = acceptance.CriterionResult(0, "empty")
+    assert not empty.passed and empty.line().startswith("FAIL")
+    result = acceptance.CriterionResult(0, "one row")
+    result.check("x", "q", 1.0, 1.0, 0.0, True)
+    assert result.passed
+    result.check("x", "r", 2.0, 1.0, 0.0, False)
+    assert not result.passed
+    assert [row["status"] for row in result.rows] == ["pass", "fail"]
+    assert result.rows[1]["quantity"] == "r" and result.rows[1]["criterion"] == 0
+
+
 def test_criterion_10_determinism(tmp_path):
     outputs = []
     for run in ("one", "two"):

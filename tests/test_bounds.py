@@ -142,21 +142,21 @@ def test_gap_classifier():
 
 
 def test_bound_report_assembly():
-    report = dl.build_bound_report(n=2, K=1.0, d=math.pi, measured_lambda=2.0,
-                                   a=0.0, delta=0.25, gamma=1.0)
-    names = {entry.name for entry in report.bounds if entry.applicable}
-    assert {"lichnerowicz", "ling", "case", "symmetric-barrier", "myers-upper"} <= names
-    assert report.margins["lichnerowicz"] == pytest.approx(1.0, abs=1e-12)
-    assert report.margins["ling"] == pytest.approx(0.69, abs=1e-12)
-    assert report.margins["symmetric-barrier"] == pytest.approx(0.5, abs=1e-12)
-    assert report.case.label == "A"
-    # informational flag: dimension below the nontrivial-soliton range
-    assert any("n >= 4" in note for note in report.notes)
+    case = dl.ling_case(0.0, 0.25)
+    report = dl.build_bound_report(n=2, K=1.0, d=math.pi, case=case)
+    assert report.lichnerowicz == 1.0
+    assert report.ling == pytest.approx(1.31, abs=1e-12)
+    assert report.case is case and report.case.label == "A"
+    assert report.case_bound == pytest.approx(1.5, abs=1e-12)  # pi^2/d^2 + alpha = 1 + 1/2
+    # without a case only the two unconditional bounds are recorded
+    bare = dl.build_bound_report(n=2, K=1.0, d=math.pi)
+    assert (bare.lichnerowicz, bare.ling) == (report.lichnerowicz, report.ling)
+    assert bare.case is None and bare.case_bound is None
 
 
 def test_bound_report_marks_inapplicable():
-    report = dl.build_bound_report(n=2, K=-0.5, d=math.pi, measured_lambda=2.0)
-    by_name = {e.name: e for e in report.bounds}
-    assert not by_name["lichnerowicz"].applicable
-    assert not by_name["ling"].applicable
-    assert "lichnerowicz" not in report.margins
+    # a non-positive Ricci lower bound leaves no bound to record
+    with pytest.raises(InapplicableBoundError, match="positive Ricci lower bound"):
+        dl.build_bound_report(n=2, K=-0.5, d=math.pi)
+    with pytest.raises(InapplicableBoundError, match="positive diameter"):
+        dl.build_bound_report(n=2, K=1.0, d=0.0, case=dl.ling_case(0.0, 0.25))

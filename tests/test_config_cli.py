@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import driftlab.cli as cli
 import driftlab.runner as runner
+from driftlab.bounds import ling_case
 from driftlab.config import build_model, parse_config, read_config, soliton_gamma
 from driftlab.errors import ConfigError, InapplicableBoundError, SolverError
 from driftlab.reports import (BARRIER_COLUMNS, ERROR, FAIL, INAPPLICABLE, PASS,
@@ -128,6 +129,13 @@ def test_parse_rejects_non_finite_and_non_integral(overrides, tmp_path, capsys):
     {"soliton": 3},
     {"soliton": {"gamma": 1.0, "f": []}},
     {"schema_version": True},
+    # a parameter that the named family would silently ignore
+    {"family": {"name": "sphere", "n": [2],
+                "density": {"name": "poly-cos", "coeffs": [0, -1], "eps": [0.1, 0.5]}}},
+    {"family": {"name": "sphere", "n": [2], "density": {"name": "zero", "eps": [0.1]}}},
+    {"family": {"name": "sphere", "n": [2],
+                "density": {"name": "cosine", "eps": [0.1], "coeffs": [0, -1]}}},
+    {"checks": ["soliton"], "soliton": {"gamma": 1.0, "f": {"name": "zero", "eps": 0.4}}},
 ])
 def test_parse_rejects_wrongly_typed_values(overrides, tmp_path, capsys):
     # a wrongly typed value is a config error (exit 2), neither a crash nor a default
@@ -356,7 +364,6 @@ def test_case_barrier_selection():
     import dataclasses
 
     import driftlab as dl
-    from driftlab.bounds import ling_case
     from driftlab.runner import _select_case_barrier
     from driftlab.spectral import assemble
 
@@ -366,7 +373,10 @@ def test_case_barrier_selection():
     nef = dl.normalize(mode, K=1.0, b=1.01)
     config = parse_config(_base_config())
 
-    z_a = _select_case_barrier(config, nef, ling_case(0.0, nef.delta))
+    sym = dataclasses.replace(nef, a=0.0)  # case A is exactly a = 0
+    case_a = ling_case(sym.a, sym.delta)
+    assert case_a.label == "A"
+    z_a = _select_case_barrier(config, sym, case_a)
     assert z_a.a == 0.0 and z_a.mu == 1.0
 
     asym = dataclasses.replace(nef, a=0.5, K=0.6 * nef.lam)  # delta = 0.3
@@ -516,4 +526,12 @@ def test_ling_cases_config_reaches_each_barrier_case():
     for row in rows:
         assert all(row[f"verdict_{name}"] is True
                    for name in ("spectrum", "bounds", "estimates")), row
+        # the case bound pi^2/d^2 + (case constant) alpha, alpha = (n-1) K_eff / 2
+        case = ling_case(row["a"], row["delta"])
+        assert case.label == row["case"]
+        alpha = 0.5 * (row["n"] - 1) * row["K_eff"]
+        assert row["bound_case"] == pytest.approx(
+            math.pi**2 / row["d"]**2 + case.alpha_multiple * alpha, rel=1e-15)
+        assert row["margin_case"] == row["lambda1"] - row["bound_case"]
+        assert ("case_mu" in row) == (row["case"] != "B-2-b2"), row
     assert report.summary["passed"] == 3 and report.exit_code == 0

@@ -23,7 +23,7 @@ def _sphere_grid(n, N, eps=0.0):
 @lru_cache(maxsize=None)
 def _circle_grid(N, eps):
     length = 2.0 * math.pi
-    model = dl.circle(length, density=dl.circle_cosine_density(eps, length))
+    model = dl.circle(length, density=dl.cosine_density(eps, length / 2.0))
     return model, dl.Grid.uniform(model, N)
 
 
@@ -143,7 +143,7 @@ def test_operator_symmetry_all_topologies():
     for l in (0, 1, 2):
         assert weighted_symmetry_defect(assemble(model, grid, l)) < 1e-12
     circle = dl.circle(2.0 * math.pi,
-                       density=dl.circle_cosine_density(0.4, 2.0 * math.pi))
+                       density=dl.cosine_density(0.4, math.pi))
     cgrid = dl.Grid.uniform(circle, 500)
     assert weighted_symmetry_defect(assemble(circle, cgrid, 0)) < 1e-12
 
