@@ -182,16 +182,8 @@ def criterion_barrier_dominance() -> CriterionResult:
     return res
 
 
-def _extrapolated_limit(fn) -> float:
-    """Numeric endpoint limit of fn at pi/2, by polynomial extrapolation from
-    direct evaluations safely outside the series window."""
-    s = np.array([0.02, 0.0175, 0.015, 0.0125, 0.01])
-    vals = np.array([fn(math.pi / 2.0 - si) for si in s])
-    return float(np.polyfit(s, vals, 4)[-1])
-
-
 def criterion_test_functions() -> CriterionResult:
-    """Integrals, endpoint limits, and barrier mass identities of xi and eta."""
+    """Integrals, endpoint and centre values, and barrier masses of xi and eta."""
     t0 = time.perf_counter()
     res = CriterionResult(6, "test-function identities")
     half = math.pi / 2.0
@@ -204,14 +196,15 @@ def criterion_test_functions() -> CriterionResult:
     ok = abs(ie) <= 1e-8
     res.check("eta", "integral", ie, 0.0, 1e-8, ok)
 
-    for name, fn, series_value, expected in (
-            ("xi", est.xi, est.xi(half), 0.0),
-            ("eta", est.eta, est.eta(half), 1.0)):
-        limit = _extrapolated_limit(fn)
-        ok = abs(series_value - expected) <= 1e-12 and abs(limit - series_value) <= 1e-8
-        res.check(name, "endpoint_limit", limit, expected, 1e-8, ok)
-        res.details.append(f"{name}(pi/2): series={series_value:.3e}, "
-                           f"numeric limit={limit:.3e}")
+    # the series is centred at the endpoint and converges slowest at t = 0
+    for name, fn, end_value, center_value in (("xi", est.xi, 0.0, 1.0 - half**2),
+                                              ("eta", est.eta, 1.0, 0.0)):
+        for quantity, t, expected in (("endpoint_value", half, end_value),
+                                      ("center_value", 0.0, center_value)):
+            value = fn(t)
+            ok = abs(value - expected) <= 1e-12
+            res.check(name, quantity, value, expected, 1e-12, ok)
+        res.details.append(f"{name}(pi/2) = {fn(half):.3e}, {name}(0) = {fn(0.0):.17g}")
     neg_ok = abs(est.eta(-half) + 1.0) <= 1e-12 and abs(est.xi(-half)) <= 1e-12
     res.check("endpoints", "odd_even_reflection", neg_ok, True, None, neg_ok)
 

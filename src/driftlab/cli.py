@@ -145,6 +145,8 @@ def _run_barriers(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "emit-barriers" and args.points < 2:
+        parser.error(f"emit-barriers needs --points of at least 2, got {args.points}")
     try:
         if args.command in _CHECK_SUBCOMMANDS:
             return _run_sweep(args, _CHECK_SUBCOMMANDS[args.command])

@@ -241,8 +241,8 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
         _require_keys(fobj, "soliton.f", ("name",), ("eps",))
         if fobj["name"] not in ("zero", "cosine"):
             raise ConfigError("soliton potentials support families 'zero' and 'cosine'")
-        _require_keys(fobj, f"the {fobj['name']} soliton potential", ("name",),
-                      _DENSITY_KEYS[fobj["name"]])
+        _require_keys(fobj, f"the {fobj['name']} soliton potential",
+                      ("name",) + _DENSITY_KEYS[fobj["name"]], ())
         gamma = sob["gamma"]
         if gamma != "einstein":
             (gamma,) = _as_list([gamma], "soliton.gamma", float)

@@ -25,9 +25,10 @@ Both satisfy exact second-order identities,
     (1/2) eta'' cos^2 t - eta' cos t sin t - eta = -sin t,
 
 which make the touching-point inequality residuals of the barrier method
-evaluate to closed forms.  Their numerators vanish at t = +-pi/2, so inside a
-small endpoint window the evaluation switches to power series in s = pi/2 - |t|
-(coefficients below are exact Taylor coefficients).  Useful exact values:
+evaluate to closed forms.  The closed forms above cancel catastrophically near
+t = +-pi/2, where their numerators vanish, so xi and eta are evaluated on all of
+[-pi/2, pi/2] from one Taylor series in s = pi/2 - |t|, whose coefficients the
+identities generate.  Useful exact values:
 xi(0) = 1 - pi^2/4, xi(+-pi/2) = 0, eta(+-pi/2) = +-1, int xi dt = -pi,
 int eta dt = 0 over [-pi/2, pi/2].
 
@@ -50,28 +51,6 @@ from .spectral import EigenMode
 
 HALF_PI = math.pi / 2.0
 
-# Exact Taylor coefficients in s = pi/2 - |t| (increasing powers of s).
-_XI_SERIES = np.array([
-    0.0,
-    -2.0 * math.pi / 3.0,
-    1.0,
-    -4.0 * math.pi / 45.0,
-    1.0 / 9.0,
-    -4.0 * math.pi / 315.0,
-    2.0 / 135.0,
-    -8.0 * math.pi / 4725.0,
-])
-_ETA_SERIES = np.array([
-    1.0,
-    -8.0 / (3.0 * math.pi),
-    0.25,
-    -16.0 / (45.0 * math.pi),
-    1.0 / 24.0,
-    -16.0 / (315.0 * math.pi),
-    17.0 / 2880.0,
-    -32.0 / (4725.0 * math.pi),
-])
-_SERIES_WINDOW = 1e-3
 _DOMAIN_SLACK = 1e-12
 # Eigen-relation residuals beyond this multiple of the operator norm are flagged.
 _RESIDUAL_TOL = 1e-10
@@ -79,16 +58,48 @@ _RESIDUAL_TOL = 1e-10
 _GL_NODES, _GL_WEIGHTS = (HALF_PI * x for x in np.polynomial.legendre.leggauss(64))
 
 
+def _taylor_series(terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients of xi and eta in s = pi/2 - |t| (increasing powers).
+
+    In s the identities read (1/2) sin^2 s y'' + sin s cos s y' - y = r(s), with
+    r = 2 sin^2 s for xi and r = -cos s for eta.  Their s^k coefficient is
+    (k-1)(k+2)/2 c_k plus lower coefficients of the same parity, so c_0 and the
+    free c_1 = -y'(pi/2) of the regular solution seed a recurrence for the rest.
+    """
+    k = np.arange(terms + 2)
+    # over even k, w_k s^k sums to cos 2s and w_k (s/2)^k to cos s; over odd k to sin 2s
+    w = np.array([(-1.0) ** (j // 2) * 2.0**j / math.factorial(j) for j in k])
+    even = k % 2 == 0
+    sin2 = np.where(even & (k > 0), -w / 2.0, 0.0)  # sin^2 s = (1 - cos 2s)/2
+    sincos = np.where(even, 0.0, w / 2.0)  # sin s cos s = (sin 2s)/2
+    series = []
+    for c0, c1, rhs in ((0.0, -2.0 * math.pi / 3.0, 2.0 * sin2),
+                        (1.0, -8.0 / (3.0 * math.pi), np.where(even, -w / 2.0**k, 0.0))):
+        c = np.zeros(terms)
+        c[:2] = c0, c1
+        for m in range(2, terms):
+            j = k[:m]
+            lower = c[:m] @ (0.5 * j * (j - 1) * sin2[m + 2 - j] + j * sincos[m + 1 - j])
+            c[m] = (rhs[m] - lower) / ((m - 1) * (m + 2) / 2.0)
+        series.append(c)
+    return tuple(series)
+
+
+# The series converge for s < pi (the nearest singularity is t = +-3pi/2); 64
+# terms reach t = 0 (s = pi/2) to 1e-14 in the values and two derivatives.
+_XI_SERIES, _ETA_SERIES = _taylor_series(64)
+
+
 def _series_eval(coeffs: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
     """Evaluate d^order/dt^order of sum c_k s^k at s = pi/2 - t (t > 0 branch)."""
-    k = np.arange(coeffs.size)
-    if order == 0:
-        c = coeffs
-    elif order == 1:
-        c = -(coeffs * k)[1:]  # d/dt = -d/ds
-    else:
-        c = (coeffs * k * (k - 1))[2:]
-    return np.polynomial.polynomial.polyval(s, c)
+    c = coeffs
+    for _ in range(order):
+        c = -(c * np.arange(c.size))[1:]  # d/dt = -d/ds
+    out = np.full_like(s, c[-1])
+    for ck in c[-2::-1].tolist():  # Horner's rule, in place
+        out *= s
+        out += ck
+    return out
 
 
 def _check_domain(t: np.ndarray):
@@ -101,48 +112,12 @@ def _eval_pair(t, order: int, which: str):
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     _check_domain(t)
-    u = np.minimum(np.abs(t), HALF_PI)
-    s = HALF_PI - u
-    out = np.empty_like(u)
-    near = s < _SERIES_WINDOW
-    far = ~near
-    coeffs = _XI_SERIES if which == "xi" else _ETA_SERIES
-    if np.any(near):
-        out[near] = _series_eval(coeffs, s[near], order)
-    if np.any(far):
-        uf = u[far]
-        sec2 = 1.0 / np.cos(uf) ** 2
-        tan = np.tan(uf)
-        if which == "xi":
-            p = uf * np.sin(2.0 * uf) + uf**2 - math.pi**2 / 4.0
-            p1 = np.sin(2.0 * uf) + 2.0 * uf * np.cos(2.0 * uf) + 2.0 * uf
-            if order == 0:
-                out[far] = 1.0 + p * sec2
-            elif order == 1:
-                out[far] = p1 * sec2 + 2.0 * p * sec2 * tan
-            else:
-                p2 = 4.0 * np.cos(2.0 * uf) - 4.0 * uf * np.sin(2.0 * uf) + 2.0
-                out[far] = (p2 * sec2 + 4.0 * p1 * sec2 * tan
-                            + p * (4.0 * sec2 * tan**2 + 2.0 * sec2**2))
-        else:
-            m = (4.0 / math.pi) * uf + (2.0 / math.pi) * np.sin(2.0 * uf) - 2.0 * np.sin(uf)
-            m1 = 4.0 / math.pi + (4.0 / math.pi) * np.cos(2.0 * uf) - 2.0 * np.cos(uf)
-            if order == 0:
-                out[far] = m * sec2
-            elif order == 1:
-                out[far] = m1 * sec2 + 2.0 * m * sec2 * tan
-            else:
-                m2 = -(8.0 / math.pi) * np.sin(2.0 * uf) + 2.0 * np.sin(uf)
-                out[far] = (m2 * sec2 + 4.0 * m1 * sec2 * tan
-                            + m * (4.0 * sec2 * tan**2 + 2.0 * sec2**2))
-    # parity: xi is even, eta is odd
-    neg = t < 0.0
-    if which == "xi":
-        if order == 1:
-            out[neg] = -out[neg]
-    else:
-        if order != 1:
-            out[neg] = -out[neg]
+    s = HALF_PI - np.minimum(np.abs(t), HALF_PI)
+    out = _series_eval(_XI_SERIES if which == "xi" else _ETA_SERIES, s, order)
+    # xi is even, eta odd: this derivative is odd (zero at t = 0) if exactly one holds
+    if (which == "eta") != (order == 1):
+        out[t < 0.0] *= -1.0
+        out[t == 0.0] = 0.0
     return float(out[0]) if scalar else out
 
 

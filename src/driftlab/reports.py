@@ -26,7 +26,7 @@ import scipy
 
 from . import __version__
 from .config import CHECK_NAMES
-from .estimates import BarrierFamily, eta, xi
+from .estimates import barrier, eta, xi
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -261,9 +261,9 @@ def environment_stamp(grids) -> dict:
 
 def barrier_table(a: float, b: float, delta: float, mu: float,
                   points: int = 1001) -> list[dict]:
-    """Plot-ready samples (t, xi, eta, z) over the full interval [-pi/2, pi/2]."""
-    z = BarrierFamily(a=float(a), b=float(b), delta=float(delta), mu=float(mu),
-                      sigma=None, label="standard")
+    """Plot-ready samples (t, xi, eta, z) over the full interval [-pi/2, pi/2];
+    raises ``BarrierHypothesisError`` where the standard barrier does not apply."""
+    z = barrier(a, b, delta, mu)
     t = np.linspace(-math.pi / 2.0, math.pi / 2.0, points)
     xv, ev, zv = xi(t), eta(t), z.value(t)
     return [{"t": float(t[i]), "xi": float(xv[i]), "eta": float(ev[i]),

@@ -71,10 +71,10 @@ def test_criterion_09_case_totality():
 
 
 def test_mutation_smoke(monkeypatch):
-    # injected fault: perturbing a frozen series constant must break the suite
+    # injected fault: perturbing a series coefficient must break the suite
     import driftlab.estimates as est
     bad = est._XI_SERIES.copy()
-    bad[0] = 1e-3  # shifts the xi endpoint limit away from zero
+    bad[0] = 1e-3  # shifts xi(pi/2) and xi(0) away from their exact values
     monkeypatch.setattr(est, "_XI_SERIES", bad)
     result = acceptance.criterion_test_functions()
     assert not result.passed

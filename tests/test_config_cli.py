@@ -136,6 +136,8 @@ def test_parse_rejects_non_finite_and_non_integral(overrides, tmp_path, capsys):
     {"family": {"name": "sphere", "n": [2],
                 "density": {"name": "cosine", "eps": [0.1], "coeffs": [0, -1]}}},
     {"checks": ["soliton"], "soliton": {"gamma": 1.0, "f": {"name": "zero", "eps": 0.4}}},
+    # a cosine potential without its amplitude would run the zero potential
+    {"checks": ["soliton"], "soliton": {"gamma": 1.0, "f": {"name": "cosine"}}},
 ])
 def test_parse_rejects_wrongly_typed_values(overrides, tmp_path, capsys):
     # a wrongly typed value is a config error (exit 2), neither a crash nor a default
@@ -426,6 +428,28 @@ def test_barrier_table():
     assert abs(rows[0]["eta"] + 1.0) < 1e-14
     mid = rows[500]
     assert abs(mid["z"] - (1.0 + 0.25 * (1.0 - math.pi**2 / 4.0))) < 1e-12
+
+
+def test_emit_barriers_checks_the_barrier_hypotheses(tmp_path, capsys):
+    # the table goes through barrier(), so a barrier outside its hypotheses is
+    # refused with the reason instead of written
+    out = tmp_path / "out"
+    assert cli.main(["emit-barriers", "--out", str(out), "--mu", "5", "--delta", "2"]) == 1
+    assert "barrier needs" in capsys.readouterr().err
+    assert cli.main(["emit-barriers", "--out", str(out), "--delta", "2"]) == 1
+    assert "delta in (0, 1/2]" in capsys.readouterr().err
+    assert not (out / "barriers.csv").exists()
+    assert cli.main(["emit-barriers", "--out", str(out), "--points", "2"]) == 0
+    assert len((out / "barriers.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("points", ["-1", "0", "1"])
+def test_emit_barriers_needs_two_points(points, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["emit-barriers", "--out", str(tmp_path), "--points", points])
+    assert exc.value.code == 2
+    assert "--points of at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "barriers.csv").exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

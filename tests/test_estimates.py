@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import driftlab as dl
+import driftlab.estimates as est
 from driftlab.errors import (BarrierDomainError, BarrierHypothesisError,
                              DegenerateEigenfunctionError)
 from driftlab.estimates import LevelSetMaxima, eta, eta_d1, eta_d2, xi, xi_d1, xi_d2
@@ -59,14 +60,38 @@ def test_parity_sweep():
     assert np.max(np.abs(eta_d1(t) - eta_d1(-t))) < 1e-10
 
 
-def test_series_matches_direct_across_window():
-    # compare the two evaluation branches just outside the switch point
-    for s in (2e-3, 5e-3):
-        t = HALF_PI - s
-        series = np.polynomial.polynomial.polyval(
-            s, np.array([0.0, -2 * math.pi / 3, 1.0, -4 * math.pi / 45, 1 / 9,
-                         -4 * math.pi / 315, 2 / 135, -8 * math.pi / 4725]))
-        assert abs(xi(t) - series) < 1e-8
+def test_generated_series_matches_the_exact_taylor_coefficients():
+    # the first eight coefficients of the recurrence, against their exact values
+    pi = math.pi
+    xi_exact = [0.0, -2 * pi / 3, 1.0, -4 * pi / 45, 1 / 9, -4 * pi / 315, 2 / 135,
+                -8 * pi / 4725]
+    eta_exact = [1.0, -8 / (3 * pi), 0.25, -16 / (45 * pi), 1 / 24, -16 / (315 * pi),
+                 17 / 2880, -32 / (4725 * pi)]
+    np.testing.assert_allclose(est._XI_SERIES[:8], xi_exact, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(est._ETA_SERIES[:8], eta_exact, rtol=1e-15, atol=0.0)
+
+
+def test_xi_eta_match_high_precision_closed_forms():
+    # one series covers [-pi/2, pi/2]; 60-digit closed forms are the oracle,
+    # from next to the endpoint (where the closed forms cancel) to t = 0
+    mp = pytest.importorskip("mpmath").mp
+
+    def xi_mp(t):
+        return (mp.cos(t)**2 + 2*t*mp.sin(t)*mp.cos(t) + t**2 - mp.pi**2/4) / mp.cos(t)**2
+
+    def eta_mp(t):
+        return (4/mp.pi*t + 4/mp.pi*mp.cos(t)*mp.sin(t) - 2*mp.sin(t)) / mp.cos(t)**2
+
+    s = np.geomspace(1e-6, HALF_PI, 61)
+    t = np.concatenate([HALF_PI - s, s - HALF_PI])
+    worst = 0.0
+    with mp.workdps(60):
+        for fns, ref in (((xi, xi_d1, xi_d2), xi_mp), ((eta, eta_d1, eta_d2), eta_mp)):
+            for order, fn in enumerate(fns):
+                for ti, value in zip(t, fn(t)):
+                    exact = mp.diff(ref, mp.mpf(float(ti)), order)
+                    worst = max(worst, float(abs(value - exact) / max(1, abs(exact))))
+    assert worst <= 1e-14, worst
 
 
 def test_integrals():
@@ -85,13 +110,15 @@ def test_domain_error():
 
 def test_exact_ode_identities():
     # both test functions satisfy their defining second-order identities,
-    # which is what makes the touching-point residuals collapse
-    t = np.linspace(-HALF_PI, HALF_PI, 10001)
+    # which is what makes the touching-point residuals collapse; the log grid
+    # reaches next to the endpoints, where the closed forms cancel
+    near = HALF_PI - np.geomspace(1e-6, 1.0, 2001)
+    t = np.concatenate([np.linspace(-HALF_PI, HALF_PI, 10001), near, -near])
     cos2 = np.cos(t) ** 2
     exi = 0.5 * xi_d2(t) * cos2 - xi_d1(t) * np.cos(t) * np.sin(t) - xi(t) - 2.0 * cos2
     eeta = 0.5 * eta_d2(t) * cos2 - eta_d1(t) * np.cos(t) * np.sin(t) - eta(t) + np.sin(t)
-    assert np.max(np.abs(exi)) < 1e-9
-    assert np.max(np.abs(eeta)) < 1e-9
+    assert np.max(np.abs(exi)) < 1e-13
+    assert np.max(np.abs(eeta)) < 1e-13
 
 
 def test_barrier_values():
