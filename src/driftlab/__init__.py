@@ -29,8 +29,7 @@ from .solitons import (EigenIdentityReport, HamiltonIdentityLedger,
                        eigenfunction_identity, hamilton_identities, normalize_f,
                        soliton_residual)
 from .spectral import (EigenMode, FirstEigenvalue, MembershipVerdict,
-                       SpectralProblem, Spectrum, assemble,
-                       first_nonzero_eigenvalue, solve_eigen,
-                       solve_low_spectrum, spectrum_contains)
+                       SpectralProblem, assemble, first_nonzero_eigenvalue,
+                       solve_eigen, spectrum_contains)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

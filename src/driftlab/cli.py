@@ -53,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} checks")
         p.add_argument("--config", type=Path, required=True, help="experiment config (JSON)")
         p.add_argument("--grid", type=int, default=None, help="override the grid size")
-        p.add_argument("--workers", type=int, default=None, help="concurrent instances")
-        p.add_argument("--tolerance-profile", choices=("default", "strict"), default=None)
         _common(p)
 
     p = sub.add_parser("verify-paper", help="run the acceptance suite")
@@ -66,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--points", type=int, default=1001)
-    _common(p)
+    p.add_argument("--out", type=Path, default=Path("."),
+                   help="output directory for barriers.csv (default: .)")
     return parser
 
 
@@ -83,10 +82,9 @@ def _emit(rows, columns, payload, out_dir: Path | None, formats, basename: str):
 
 def _run_sweep(args, checks_override) -> int:
     raw = read_config(args.config)
-    overrides = {"grids": args.grid, "workers": args.workers}
-    if isinstance(raw, dict):  # overrides pass the same checks as the file's own values
-        raw.update({key: value for key, value in overrides.items() if value is not None})
-    config = parse_config(raw, tolerance_profile=args.tolerance_profile)
+    if args.grid is not None and isinstance(raw, dict):
+        raw["grids"] = args.grid  # the override passes the same checks as the file's value
+    config = parse_config(raw)
     if checks_override is not None:
         if checks_override == ("soliton",) and config.soliton is None:
             raise ConfigError("soliton-check needs a 'soliton' section in the config")
@@ -136,8 +134,7 @@ def _run_verify(args) -> int:
 
 def _run_barriers(args) -> int:
     rows = barrier_table(args.a, args.b, args.delta, args.mu, args.points)
-    out_dir = args.out if args.out is not None else Path(".")
-    path = emit_csv(rows, Path(out_dir) / "barriers.csv", BARRIER_COLUMNS)
+    path = emit_csv(rows, args.out / "barriers.csv", BARRIER_COLUMNS)
     print(f"wrote {path} ({len(rows)} points)")
     return 0
 

@@ -4,6 +4,9 @@ A configuration describes one manifold family with parameter ranges (dimension
 list, density amplitude list, grid sizes), the estimate constants, the checks
 to run, tolerances, and output destinations.  Unknown keys are rejected at
 every level, because a silently ignored typo can corrupt an entire sweep.
+Two retired keys are still read, so that older version-1 files parse:
+``l_max`` (an integer >= 1) and ``workers`` (exactly 1).  Neither selects
+anything, and any other value is a config error.
 """
 
 from __future__ import annotations
@@ -26,23 +29,13 @@ _DENSITY_KEYS = {"zero": (), "cosine": ("eps",), "poly-cos": ("coeffs",)}  # bey
 CHECK_NAMES = ("spectrum", "bounds", "estimates", "soliton")
 FORMATS = ("csv", "json")
 
-TOLERANCE_PROFILES = {
-    "default": {
-        "spectrum": 1e-3,
-        "bound_margin": 1e-6,
-        "gradient": 1e-2,
-        "dominance": 1e-2,
-        "holder": 1e-8,
-        "soliton": 1e-8,
-    },
-    "strict": {
-        "spectrum": 1e-4,
-        "bound_margin": 1e-9,
-        "gradient": 1e-3,
-        "dominance": 1e-3,
-        "holder": 1e-10,
-        "soliton": 1e-10,
-    },
+DEFAULT_TOLERANCES = {
+    "spectrum": 1e-3,
+    "bound_margin": 1e-6,
+    "gradient": 1e-2,
+    "dominance": 1e-2,
+    "holder": 1e-8,
+    "soliton": 1e-8,
 }
 
 
@@ -106,9 +99,7 @@ class ExperimentConfig:
     grids: tuple[int, ...]
     b: float
     bins: int
-    l_max: int
     sigma: float
-    workers: int
     checks: tuple[str, ...]
     tolerances: dict
     soliton: SolitonSpec | None
@@ -160,11 +151,11 @@ def _parse_density(obj, family: str) -> DensitySpec:
     return DensitySpec(name="poly-cos", coeffs=_as_list(obj["coeffs"], "density.coeffs", float))
 
 
-def parse_config(data: dict, tolerance_profile: str | None = None) -> ExperimentConfig:
+def parse_config(data: dict) -> ExperimentConfig:
     """Validate a raw configuration dictionary into an ExperimentConfig."""
     _require_keys(data, "config", ("schema_version", "family", "checks"),
                   ("grids", "b", "bins", "l_max", "sigma", "workers",
-                   "tolerance_profile", "tolerances", "soliton", "output"))
+                   "tolerances", "soliton", "output"))
     if type(data["schema_version"]) is not int or data["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data['schema_version']!r}; "
                           f"this build reads version {SCHEMA_VERSION}")
@@ -217,10 +208,7 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
     if any(g < 8 for g in grids):
         raise ConfigError("grid sizes must be at least 8")
 
-    profile = tolerance_profile or data.get("tolerance_profile", "default")
-    if not isinstance(profile, str) or profile not in TOLERANCE_PROFILES:
-        raise ConfigError(f"unknown tolerance profile {profile!r}")
-    tolerances = dict(TOLERANCE_PROFILES[profile])
+    tolerances = dict(DEFAULT_TOLERANCES)
     overrides = data.get("tolerances")
     if not isinstance(overrides, (dict, type(None))):
         raise ConfigError(f"tolerances must be a JSON object, got {overrides!r}")
@@ -272,19 +260,21 @@ def parse_config(data: dict, tolerance_profile: str | None = None) -> Experiment
     (bins,) = _as_list([data.get("bins", 200)], "bins", int)
     if bins < 2:
         raise ConfigError("bins must be at least 2")
-    (l_max,) = _as_list([data.get("l_max", 2)], "l_max", int)
-    if l_max < 0:
-        raise ConfigError("l_max must be nonnegative")
+    # retired keys, still read so that older files parse; neither is stored
+    (l_max,) = _as_list([data.get("l_max", 1)], "l_max", int)
+    if l_max < 1:
+        raise ConfigError("l_max is retired and may only be an integer >= 1: the first "
+                          "eigenvalue is always searched in the sectors l = 0, 1")
     (workers,) = _as_list([data.get("workers", 1)], "workers", int)
-    if workers < 1:
-        raise ConfigError("workers must be at least 1")
+    if workers != 1:
+        raise ConfigError("workers is retired and may only be 1: instances run one at a time")
     (sigma,) = _as_list([data.get("sigma", 1.0)], "sigma", float)
 
     return ExperimentConfig(
         family=name, n=n, radius=radius,
         length=length,
-        density=density, grids=grids, b=b, bins=bins, l_max=l_max,
-        sigma=sigma, workers=workers, checks=checks,
+        density=density, grids=grids, b=b, bins=bins,
+        sigma=sigma, checks=checks,
         tolerances=tolerances, soliton=soliton,
         out_dir=out.get("dir"), formats=formats,
     )

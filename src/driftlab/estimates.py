@@ -318,10 +318,6 @@ class LevelSetMaxima:
     lam: float
 
     @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    @property
     def occupied(self) -> np.ndarray:
         return self.counts > 0
 

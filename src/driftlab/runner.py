@@ -5,14 +5,13 @@ measured first eigenvalue, K_eff, the diameter, the normalization constants)
 and one typed record per requested check, with the check's quantities and a
 status: pass, fail, inapplicable (with its reason) or error.  A failing
 instance records its error and never aborts the remaining instances.
-Instances may run concurrently; results are kept in instance order, not
-completion order, so reports are stable.
+Instances run one at a time, in the configuration's sorted instance order,
+so reports are stable.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as bounds_mod
 from . import estimates as est
@@ -103,7 +102,7 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
     why = ""  # why bounds and estimates do not apply
     no_case = ""  # why the estimates have no barrier
     if any(c in config.checks for c in ("spectrum", "bounds", "estimates")):
-        fe = first_nonzero_eigenvalue(model, grid, l_max=config.l_max)
+        fe = first_nonzero_eigenvalue(model, grid)
         shared.update(lambda1=fe.lam, lambda1_mode=fe.mode.l,
                       lambda1_err_est=fe.error_estimate)
         if model.topology == CIRCLE:
@@ -151,10 +150,5 @@ def run(config: ExperimentConfig) -> RunReport:
         except Exception as exc:  # isolation: one bad instance never kills the sweep
             return _failed(config, inst, f"{type(exc).__name__}: {exc}")
 
-    instances = config.instances()
-    if config.workers > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = tuple(pool.map(_one, instances))
-    else:
-        results = tuple(_one(inst) for inst in instances)
+    results = tuple(_one(inst) for inst in config.instances())
     return RunReport(results=results, environment=environment_stamp(config.grids))

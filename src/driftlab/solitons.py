@@ -197,7 +197,6 @@ class EigenIdentityReport:
     membership: MembershipVerdict
     vacuous: bool
     shift: float
-    note: str
 
 
 def eigenfunction_identity(cand: SolitonCandidate, grid: Grid,
@@ -215,10 +214,6 @@ def eigenfunction_identity(cand: SolitonCandidate, grid: Grid,
     drift_grid = Grid.uniform(drift_model, grid.size)
     membership = spectrum_contains(drift_model, drift_grid, -2.0 * cand.gamma, tol)
 
-    scale = float(np.max(np.abs(fv)))
-    vacuous = scale <= 1e-12
-    note = ("potential is identically zero; the eigen-relation holds vacuously"
-            if vacuous else
-            "membership is reported for context; the pointwise residual is the binding test")
+    vacuous = float(np.max(np.abs(fv))) <= 1e-12
     return EigenIdentityReport(residual=residual, membership=membership,
-                               vacuous=vacuous, shift=norm.shift, note=note)
+                               vacuous=vacuous, shift=norm.shift)

@@ -25,6 +25,11 @@ S = D A D^{-1}, D = diag(sqrt(rho_i)), solved by bisection plus inverse
 iteration (LAPACK stebz/stein via scipy).  The periodic circle matrix has
 wrap-around corners and is solved by sparse shift-invert Lanczos (ARPACK).
 Both solves cost linear time in N and are deterministic.
+
+``solve_eigen`` returns one sector's eigenpairs as a tuple of ``EigenMode``.
+``first_nonzero_eigenvalue`` searches the sectors l = 0, 1 (a circle: its one
+periodic sector), four eigenpairs each, and ``spectrum_contains`` the sectors
+l = 0, 1, 2.
 """
 
 from __future__ import annotations
@@ -145,25 +150,8 @@ class EigenMode:
         return -self.mu
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted by magnitude, with weighted-orthonormal eigenfunctions."""
-
-    modes: tuple[EigenMode, ...]
-    model: WarpedManifold
-    grid: Grid
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([m.mu for m in self.modes])
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-    def __iter__(self):
-        return iter(self.modes)
-
-
-def _postprocess(problem: SpectralProblem, vals: np.ndarray, vecs: np.ndarray) -> list[EigenMode]:
+def _postprocess(problem: SpectralProblem, vals: np.ndarray,
+                 vecs: np.ndarray) -> tuple[EigenMode, ...]:
     q = problem.grid.weights
     modes = []
     for j in range(vals.size):
@@ -173,8 +161,7 @@ def _postprocess(problem: SpectralProblem, vals: np.ndarray, vecs: np.ndarray) -
         if u[i] < 0.0:
             u = -u
         modes.append(EigenMode(mu=float(vals[j]), l=problem.l, u=u, problem=problem))
-    modes.sort(key=lambda m: (abs(m.mu), m.l))
-    return modes
+    return tuple(sorted(modes, key=lambda m: abs(m.mu)))
 
 
 def _solver_error(problem: SpectralProblem, exc: Exception) -> SolverError:
@@ -186,8 +173,8 @@ def _solver_error(problem: SpectralProblem, exc: Exception) -> SolverError:
                 "off_max": float(np.max(np.abs(problem.off_diag))) if n > 1 else 0.0})
 
 
-def solve_eigen(problem: SpectralProblem, count: int) -> Spectrum:
-    """The ``count`` eigenvalues of smallest magnitude, with eigenfunctions.
+def solve_eigen(problem: SpectralProblem, count: int) -> tuple[EigenMode, ...]:
+    """The ``count`` eigenpairs of smallest magnitude, sorted by |mu|.
 
     The spectrum is nonpositive, so smallest magnitude means algebraically
     largest.  Interval models use bisection and inverse iteration on the
@@ -211,22 +198,7 @@ def solve_eigen(problem: SpectralProblem, count: int) -> Spectrum:
                                           select="i", select_range=(n - count, n - 1))
     except (LinAlgError, ArpackError) as exc:
         raise _solver_error(problem, exc) from exc
-    modes = _postprocess(problem, vals, vecs)
-    return Spectrum(modes=tuple(modes), model=problem.model, grid=problem.grid)
-
-
-def _sectors(model: WarpedManifold, l_max: int) -> range:
-    """Angular modes 0..l_max; a circle has the single periodic sector."""
-    return range(1 if model.topology == CIRCLE else l_max + 1)
-
-
-def solve_low_spectrum(model: WarpedManifold, grid: Grid, count: int = 6,
-                       l_max: int = 2) -> Spectrum:
-    """Low spectrum across angular modes 0..l_max, sorted by |mu| (ties by l)."""
-    modes = [m for l in _sectors(model, l_max)
-             for m in solve_eigen(assemble(model, grid, l), count).modes]
-    modes.sort(key=lambda m: (abs(m.mu), m.l))
-    return Spectrum(modes=tuple(modes), model=model, grid=grid)
+    return _postprocess(problem, vals, vecs)
 
 
 @dataclass(frozen=True)
@@ -240,29 +212,31 @@ class FirstEigenvalue:
     ambiguous: bool
 
 
-def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid, l_max: int = 2,
-                             count: int = 4, richardson: bool = True) -> FirstEigenvalue:
-    """Smallest lambda > 0 with Delta_phi u = -lambda u, searched over l <= min(l_max, 1).
+def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
+                             richardson: bool = True) -> FirstEigenvalue:
+    """Smallest lambda > 0 with Delta_phi u = -lambda u, searched over l = 0, 1.
 
     No sector l >= 2 can hold lambda_1: in symmetrized form
     S_l = S_1 - (c_l - c_1) diag(1/w^2), c_l = l(l+n-2), e.g. S_2 = S_1 - (n+1) diag(1/w^2),
     so by Weyl's inequality every l >= 2 eigenvalue lies strictly below its
-    l = 1 counterpart.  The constant mode (top of the l = 0 or periodic
-    sector) is dropped.  The winning sector is re-solved at half resolution
-    for a Richardson error estimate (second-order scheme:
-    |lam_N - lam_{N/2}| / 3).  If the gap to the next eigenvalue of the
-    searched sectors is below that estimate, a SpectralGapWarning is emitted.
+    l = 1 counterpart.  A circle has the single periodic sector.  Each sector
+    contributes its four eigenvalues of smallest magnitude, less the constant
+    mode (top of the l = 0 or periodic sector).  The winning sector is
+    re-solved at half resolution for a Richardson error estimate
+    (second-order scheme: |lam_N - lam_{N/2}| / 3).  If the gap to the next
+    eigenvalue of the searched sectors is below that estimate, a
+    SpectralGapWarning is emitted.
     """
     def _nonconstant(g: Grid, sectors) -> list[EigenMode]:
         cands = []
         for l in sectors:
-            modes = solve_eigen(assemble(model, g, l), count).modes
+            modes = solve_eigen(assemble(model, g, l), 4)
             cands += modes[1:] if l == 0 else modes
         if not cands:
-            raise SolverError("no non-constant eigenvalues computed; increase count")
+            raise SolverError("no non-constant eigenvalues computed; the grid is too small")
         return cands
 
-    cands = _nonconstant(grid, _sectors(model, min(l_max, 1)))
+    cands = _nonconstant(grid, (0,) if model.topology == CIRCLE else (0, 1))
     mode = min(cands, key=lambda m: (-m.mu, m.l))
     lam = -mode.mu
     err = math.nan
@@ -293,11 +267,11 @@ class MembershipVerdict:
     count_used: int
 
 
-def spectrum_contains(model: WarpedManifold, grid: Grid, target: float, tol: float,
-                      l_max: int = 2) -> MembershipVerdict:
+def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
+                      tol: float) -> MembershipVerdict:
     """True iff some eigenvalue lies within tol * max(1, |target|) of target.
 
-    Interval-sphere models only.  Each sector l <= l_max contributes every
+    Interval-sphere models only.  Each sector l = 0, 1, 2 contributes every
     eigenvalue above target - window (Sturm bisection) and the next one below,
     so ``contained`` and ``nearest`` are exact and a negative verdict is
     meaningful.  ``count_used`` is the number of eigenvalues computed.
@@ -308,7 +282,7 @@ def spectrum_contains(model: WarpedManifold, grid: Grid, target: float, tol: flo
         raise ValueError("tol must be positive")
     window = tol * max(1.0, abs(target))
     mus = []
-    for l in range(l_max + 1):
+    for l in (0, 1, 2):
         problem = assemble(model, grid, l)
         d, e = problem.diag, problem.off_diag
         try:

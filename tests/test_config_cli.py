@@ -43,8 +43,6 @@ def test_parse_happy_path_defaults():
     assert config.n == (2,)
     assert config.b == 1.01
     assert config.bins == 200
-    assert config.l_max == 2
-    assert config.workers == 1
     assert config.tolerances["bound_margin"] == 1e-6
     assert config.formats == ("csv",)
 
@@ -184,10 +182,55 @@ def test_parse_config_fails_only_with_config_error(path, value):
 
 
 def test_tolerance_profiles():
-    strict = parse_config(_base_config(), tolerance_profile="strict")
-    assert strict.tolerances["bound_margin"] == 1e-9
+    # one default set; per-key overrides still express the retired "strict" profile
+    strict = {"spectrum": 1e-4, "bound_margin": 1e-9, "gradient": 1e-3,
+              "dominance": 1e-3, "holder": 1e-10, "soliton": 1e-10}
+    assert parse_config(_base_config(tolerances=strict)).tolerances == strict
     override = parse_config(_base_config(tolerances={"gradient": 0.05}))
     assert override.tolerances["gradient"] == 0.05
+    assert override.tolerances["bound_margin"] == 1e-6
+
+
+def test_retired_keys_still_parse_and_select_nothing():
+    # version-1 files written before the keys were retired (the benchmark's
+    # sphere and circle configurations among them) read as before
+    assert parse_config(_base_config(l_max=2, workers=1)) == parse_config(_base_config())
+    assert parse_config(_base_config(l_max=7)) == parse_config(_base_config())
+
+
+@pytest.mark.parametrize("overrides,match", [
+    # a zonal-only search (l_max = 0) would miss an l = 1 first eigenvalue
+    ({"l_max": 0}, "l_max is retired"),
+    ({"l_max": -1}, "l_max is retired"),
+    ({"workers": 2}, "workers is retired"),
+    ({"workers": 0}, "workers is retired"),
+    ({"tolerance_profile": "default"}, "unknown key"),
+    ({"tolerance_profile": "strict"}, "unknown key"),
+], ids=["l_max=0", "l_max=-1", "workers=2", "workers=0", "tolerance_profile=default",
+        "tolerance_profile=strict"])
+def test_retired_settings_are_config_errors(overrides, match, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(_base_config(**overrides))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config(**overrides)))
+    assert cli.main(["spectrum", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--workers", "1"],
+    ["sweep", "--workers", "2"],
+    ["certify", "--tolerance-profile", "strict"],
+    ["sweep", "--tolerance-profile", "default"],
+], ids=["spectrum-workers", "sweep-workers", "certify-tolerance-profile",
+        "sweep-tolerance-profile"])
+def test_retired_flags_are_usage_errors(argv, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config()))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], "--config", str(path)] + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_instances_expand_and_sort():
@@ -347,20 +390,6 @@ def test_estimates_without_a_case_are_inapplicable(monkeypatch):
     assert "error" not in report.rows[0]
 
 
-def test_run_concurrent_matches_serial():
-    config = parse_config(_base_config(
-        family={"name": "sphere", "n": [2, 3],
-                "density": {"name": "cosine", "eps": [0.1, 0.3]}},
-        grids=[200], checks=["spectrum", "bounds"]))
-    serial = runner.run(config)
-    concurrent = runner.run(parse_config(_base_config(
-        family={"name": "sphere", "n": [2, 3],
-                "density": {"name": "cosine", "eps": [0.1, 0.3]}},
-        grids=[200], checks=["spectrum", "bounds"], workers=4)))
-    assert render_csv(serial.rows, SWEEP_COLUMNS) == \
-        render_csv(concurrent.rows, SWEEP_COLUMNS)
-
-
 def test_case_barrier_selection():
     # each case label maps to the matching barrier family
     import dataclasses
@@ -371,7 +400,7 @@ def test_case_barrier_selection():
 
     model = dl.sphere(2)
     grid = dl.Grid.uniform(model, 600)
-    mode = dl.solve_eigen(assemble(model, grid, 0), 3).modes[1]
+    mode = dl.solve_eigen(assemble(model, grid, 0), 3)[1]
     nef = dl.normalize(mode, K=1.0, b=1.01)
     config = parse_config(_base_config())
 
@@ -443,6 +472,15 @@ def test_emit_barriers_checks_the_barrier_hypotheses(tmp_path, capsys):
     assert len((out / "barriers.csv").read_text().splitlines()) == 3
 
 
+def test_emit_barriers_writes_csv_only(tmp_path, capsys):
+    # the table is CSV only, so a --format request is refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["emit-barriers", "--out", str(tmp_path), "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("points", ["-1", "0", "1"])
 def test_emit_barriers_needs_two_points(points, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -486,9 +524,8 @@ def test_cli_grid_override(tmp_path, capsys):
     code = cli.main(["spectrum", "--config", str(good), "--grid", "200"])
     assert code == 0
     assert "N=200" in capsys.readouterr().out
-    # overrides obey the same bounds as the file: grids >= 8, workers >= 1
-    for flag, value in (("--grid", "3"), ("--workers", "0"), ("--workers", "-5")):
-        assert cli.main(["spectrum", "--config", str(good), flag, value]) == 2
+    # the override obeys the same bound as the file: grids >= 8
+    assert cli.main(["spectrum", "--config", str(good), "--grid", "3"]) == 2
 
 
 def test_cli_emit_barriers(tmp_path, capsys):

@@ -160,8 +160,7 @@ def test_barrier_parameter_validation():
 def _zonal_s2(N=1200):
     model = dl.sphere(2)
     grid = dl.Grid.uniform(model, N)
-    spectrum = dl.solve_eigen(assemble(model, grid, 0), 3)
-    return model, grid, spectrum.modes[1]
+    return model, grid, dl.solve_eigen(assemble(model, grid, 0), 3)[1]
 
 
 def test_normalize_zonal_symmetric():
@@ -382,7 +381,7 @@ def _l1_mode_s2():
 def _l2_mode():
     model = dl.sphere(3)
     grid = dl.Grid.uniform(model, 900)
-    return dl.solve_eigen(assemble(model, grid, 2), 1).modes[0]
+    return dl.solve_eigen(assemble(model, grid, 2), 1)[0]
 
 
 def _full_samples(nef):
@@ -489,7 +488,7 @@ def test_normalize_corner_extremes_match_full_product(mode):
 
 def _zonal_mode(N):
     model = dl.sphere(3, density=dl.cosine_density(0.4))
-    return dl.solve_eigen(assemble(model, dl.Grid.uniform(model, N), 0), 2).modes[1]
+    return dl.solve_eigen(assemble(model, dl.Grid.uniform(model, N), 0), 2)[1]
 
 
 def test_streamed_sampler_matches_full_arrays():

@@ -27,25 +27,52 @@ def _circle_grid(N, eps):
     return model, dl.Grid.uniform(model, N)
 
 
+_EPS = st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _weighted_models(draw):
+    """A weighted n-sphere (n 2-5; cosine or short poly-cos density) or a
+    weighted circle, on a grid of 8-400 nodes."""
+    kind = draw(st.sampled_from(("cosine", "poly-cos", "circle")))
+    if kind == "circle":
+        length = 2.0 * math.pi
+        model = dl.circle(length, density=dl.cosine_density(draw(_EPS), length / 2.0))
+    else:
+        density = dl.cosine_density(draw(_EPS)) if kind == "cosine" else \
+            dl.poly_cos_density(draw(st.lists(_EPS, min_size=1, max_size=3)))
+        model = dl.sphere(draw(st.integers(2, 5)), density=density)
+    return model, dl.Grid.uniform(model, draw(st.integers(8, 400)))
+
+
+def _sectors(model):
+    """The sectors l = 0, 1, 2, or the one periodic sector of a circle."""
+    return (0,) if model.topology == dl.CIRCLE else (0, 1, 2)
+
+
+def _mus(modes):
+    return np.array([m.mu for m in modes])
+
+
 def _matrix(problem):
     """The operator on radial samples, column by column from ``apply``."""
     return np.column_stack([problem.apply(e) for e in np.eye(problem.size)])
 
 
 def test_s2_merged_spectrum_is_classical():
-    # k(k+1) ladder: 0, -2, -2, -6, -6, -6 across modes l = 0..2
+    # sector l of the unit S^2 holds -k(k+1) for k >= l, each once
     model, grid = _sphere_grid(2, 1500)
-    spectrum = dl.solve_low_spectrum(model, grid, count=4, l_max=2)
-    mus = spectrum.eigenvalues()[:6]
-    expected = np.array([0.0, -2.0, -2.0, -6.0, -6.0, -6.0])
-    assert np.max(np.abs(mus - expected)) < 2e-4
+    for l in (0, 1, 2):
+        mus = _mus(dl.solve_eigen(assemble(model, grid, l), 3))
+        expected = np.array([-k * (k + 1.0) for k in range(l, l + 3)])
+        assert np.max(np.abs(mus - expected)) < 2e-4
 
 
 def test_circle_fourier_spectrum():
+    # the one periodic sector holds -k^2, twice for k >= 1
     model = dl.circle(2.0 * math.pi)
     grid = dl.Grid.uniform(model, 800)
-    spectrum = dl.solve_low_spectrum(model, grid, count=6)
-    mus = spectrum.eigenvalues()
+    mus = _mus(dl.solve_eigen(assemble(model, grid, 0), 6))
     expected = np.array([0.0, -1.0, -1.0, -4.0, -4.0, -9.0])
     assert np.max(np.abs(mus - expected)) < 1e-3
 
@@ -92,7 +119,7 @@ def test_spectrum_contains_finds_deep_zonal_eigenvalues():
     # the 9th zonal eigenvalue is an eigenvalue of the assembled operator,
     # although the low l = 1 and l = 2 sectors reach below it much earlier
     model, grid = _sphere_grid(2, 400, eps=0.5)
-    target = dl.solve_eigen(assemble(model, grid, 0), 9).modes[8].mu
+    target = dl.solve_eigen(assemble(model, grid, 0), 9)[8].mu
     assert abs(target + 72.00475) < 1e-4
     verdict = dl.spectrum_contains(model, grid, target, 1e-6)
     assert verdict.contained
@@ -103,18 +130,20 @@ def test_spectrum_contains_finds_deep_zonal_eigenvalues():
 
 def test_zero_mode_is_constant():
     model, grid = _sphere_grid(2, 500)
-    spectrum = dl.solve_eigen(assemble(model, grid, 0), 3)
-    zero = spectrum.modes[0]
-    scale = abs(spectrum.modes[1].mu)
+    zero, first, _ = dl.solve_eigen(assemble(model, grid, 0), 3)
+    scale = abs(first.mu)
     assert abs(zero.mu) < 1e-10 * max(1.0, scale)
     assert np.std(zero.u) < 1e-8 * np.abs(zero.u).max()
 
 
-def test_constants_in_kernel_row_sums():
-    model, grid = _sphere_grid(2, 300)
+@settings(max_examples=60, deadline=None)
+@given(model_grid=_weighted_models())
+def test_constants_in_kernel_row_sums(model_grid):
+    # the rows of the l = 0 (or periodic) operator sum to zero up to rounding
+    model, grid = model_grid
     problem = assemble(model, grid, 0)
-    ones = np.ones(grid.size)
-    assert np.max(np.abs(problem.apply(ones))) < 1e-9
+    residual = np.max(np.abs(problem.apply(np.ones(grid.size))))
+    assert residual <= 1e-12 * np.max(np.abs(problem.diag))
 
 
 def test_l1_potential_and_tags():
@@ -130,30 +159,31 @@ def test_l1_potential_and_tags():
 
 def test_weighted_orthonormality():
     model, grid = _sphere_grid(2, 800, eps=0.3)
-    spectrum = dl.solve_eigen(assemble(model, grid, 0), 5)
+    modes = dl.solve_eigen(assemble(model, grid, 0), 5)
     q = grid.weights
-    for i, mi in enumerate(spectrum.modes):
-        for j, mj in enumerate(spectrum.modes):
+    for i, mi in enumerate(modes):
+        for j, mj in enumerate(modes):
             inner = float(np.dot(q, mi.u * mj.u))
             assert abs(inner - (1.0 if i == j else 0.0)) < 1e-8
 
 
-def test_operator_symmetry_all_topologies():
-    model, grid = _sphere_grid(3, 900, eps=0.4)
-    for l in (0, 1, 2):
+@settings(max_examples=60, deadline=None)
+@given(model_grid=_weighted_models())
+def test_operator_symmetry_all_topologies(model_grid):
+    model, grid = model_grid
+    for l in _sectors(model):
         assert weighted_symmetry_defect(assemble(model, grid, l)) < 1e-12
-    circle = dl.circle(2.0 * math.pi,
-                       density=dl.cosine_density(0.4, math.pi))
-    cgrid = dl.Grid.uniform(circle, 500)
-    assert weighted_symmetry_defect(assemble(circle, cgrid, 0)) < 1e-12
 
 
-def test_nonpositive_spectrum():
-    for n, eps in ((2, 0.0), (3, 0.7)):
-        model, grid = _sphere_grid(n, 600, eps=eps)
-        spectrum = dl.solve_low_spectrum(model, grid, count=5, l_max=2)
-        scale = float(np.abs(spectrum.eigenvalues()).max())
-        assert np.all(spectrum.eigenvalues() <= 1e-10 * max(1.0, scale))
+@settings(max_examples=60, deadline=None)
+@given(model_grid=_weighted_models())
+def test_nonpositive_spectrum(model_grid):
+    # each sector's top eigenvalue is at most rounding above zero, relative to
+    # the larger magnitude of the sector's two eigenvalues nearest zero
+    model, grid = model_grid
+    for l in _sectors(model):
+        mus = _mus(dl.solve_eigen(assemble(model, grid, l), 2))
+        assert mus[0] <= 1e-10 * max(1.0, float(np.abs(mus).max()))
 
 
 def test_convergence_order_s2():
@@ -172,19 +202,19 @@ def test_solver_determinism():
                     assemble(*_circle_grid(400, 0.5), 0)):
         a = dl.solve_eigen(problem, 4)
         b = dl.solve_eigen(problem, 4)
-        assert a.eigenvalues().tolist() == b.eigenvalues().tolist()
-        for ma, mb in zip(a.modes, b.modes):
+        assert _mus(a).tolist() == _mus(b).tolist()
+        for ma, mb in zip(a, b):
             assert np.array_equal(ma.u, mb.u)
 
 
 def test_circle_solve_matches_dense_reference():
     problem = assemble(*_circle_grid(300, 0.5), 0)
-    spectrum = dl.solve_eigen(problem, 6)
+    modes = dl.solve_eigen(problem, 6)
     reference = eigh(_matrix(problem) * problem.sqrt_rho[:, None] / problem.sqrt_rho[None, :],
                      eigvals_only=True)[::-1][:6]
-    assert np.max(np.abs(spectrum.eigenvalues() - reference)) < 1e-10
+    assert np.max(np.abs(_mus(modes) - reference)) < 1e-10
     q = problem.grid.weights
-    for mode in spectrum.modes:
+    for mode in modes:
         residual = problem.apply(mode.u) - mode.mu * mode.u
         assert math.sqrt(float(np.dot(q, residual**2))) < 1e-8
 
@@ -195,7 +225,7 @@ def test_sector_two_lies_below_sector_one(n, eps, N):
     # S_2 = S_1 - (n+1) diag(1/w^2): by Weyl's inequality no l = 2 mode can be lambda_1
     model = dl.sphere(n, density=dl.cosine_density(eps))
     grid = dl.Grid.uniform(model, N)
-    top = [dl.solve_eigen(assemble(model, grid, l), 1).modes[0].mu for l in (1, 2)]
+    top = [dl.solve_eigen(assemble(model, grid, l), 1)[0].mu for l in (1, 2)]
     assert top[1] < top[0]
 
 
@@ -209,22 +239,21 @@ def test_first_eigenvalue_solve_count(monkeypatch):
         return solve(problem, count)
 
     monkeypatch.setattr(spectral, "solve_eigen", counting_solve)
-    dl.first_nonzero_eigenvalue(*_sphere_grid(3, 400, eps=0.4), l_max=2)
+    dl.first_nonzero_eigenvalue(*_sphere_grid(3, 400, eps=0.4))
     assert calls == [400, 400, 200]
     calls.clear()
-    dl.first_nonzero_eigenvalue(*_circle_grid(400, 0.5), l_max=2)
+    dl.first_nonzero_eigenvalue(*_circle_grid(400, 0.5))
     assert calls == [400, 200]
 
 
 def test_angular_mode_search_matters():
     # on the cosine-density sphere the l = 1 branch lies strictly below the
-    # zonal branch, so truncating the search changes the answer
+    # zonal branch, so a zonal-only search would report the wrong eigenvalue
     model, grid = _sphere_grid(2, 800, eps=0.5)
-    full = dl.first_nonzero_eigenvalue(model, grid, l_max=2)
-    zonal_only = dl.first_nonzero_eigenvalue(model, grid, l_max=0)
-    assert full.mode.l == 1
-    assert zonal_only.mode.l == 0
-    assert full.lam < zonal_only.lam
+    fe = dl.first_nonzero_eigenvalue(model, grid)
+    zonal = dl.solve_eigen(assemble(model, grid, 0), 2)[1]
+    assert fe.mode.l == 1
+    assert fe.lam < zonal.lam
 
 
 def test_manifold_samples_shapes():
@@ -239,7 +268,7 @@ def test_manifold_samples_shapes():
     assert np.array_equal(v[:grid.size], nef.v_rad)
     assert np.array_equal(v[grid.size:-1], -nef.v_rad)
     assert v[-1] == 0.0 and grad_sq[-1] == nef.equator_grad_sq.max()
-    zonal = dl.solve_eigen(assemble(model, grid, 0), 2).modes[1]
+    zonal = dl.solve_eigen(assemble(model, grid, 0), 2)[1]
     v, grad_sq = dl.normalize(zonal).samples()
     assert v.shape == grad_sq.shape == (grid.size,)
 
