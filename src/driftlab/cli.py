@@ -44,19 +44,19 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _common(p):
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default: from config, else csv)")
-
     for name in _CHECK_SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run the {name} checks")
         p.add_argument("--config", type=Path, required=True, help="experiment config (JSON)")
         p.add_argument("--grid", type=int, default=None, help="override the grid size")
-        _common(p)
+        p.add_argument("--out", type=Path, default=None, help="output directory")
+        p.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="output format (default: from config, else csv)")
 
     p = sub.add_parser("verify-paper", help="run the acceptance suite")
-    _common(p)
+    p.add_argument("--out", type=Path, default=Path("."),
+                   help="directory for verify_paper.csv and verify_paper.json (default: .)")
+    p.add_argument("--format", choices=("csv", "json"), default=None,
+                   help="write only this format (default: both csv and json)")
 
     p = sub.add_parser("emit-barriers", help="write a (t, xi, eta, z) table")
     p.add_argument("--a", type=float, default=0.0)
@@ -114,10 +114,9 @@ def _run_verify(args) -> int:
         print(result.line())
         for detail in result.details:
             print(f"    {detail}")
-    out_dir = args.out if args.out is not None else Path(".")
     formats = (args.format,) if args.format else ("csv", "json")
     if "csv" in formats:
-        path = Path(out_dir) / "verify_paper.csv"
+        path = args.out / "verify_paper.csv"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(outcome.csv_text)
         print(f"wrote {path}")
@@ -126,8 +125,8 @@ def _run_verify(args) -> int:
                    for r in outcome.results}
         payload = json_payload([], {"criteria": summary, "passed": outcome.passed},
                                environment_stamp([]))
-        emit_json(payload, Path(out_dir) / "verify_paper.json")
-        print(f"wrote {Path(out_dir) / 'verify_paper.json'}")
+        emit_json(payload, args.out / "verify_paper.json")
+        print(f"wrote {args.out / 'verify_paper.json'}")
     print("VERIFICATION " + ("SUCCESSFUL" if outcome.passed else "FAILED"))
     return 0 if outcome.passed else 1
 

@@ -21,15 +21,17 @@ for l = 0, while for l >= 1 the singular potential l(l+n-2)/w^2 enforces the
 Dirichlet decay of the eigenfunctions.
 
 Eigenpairs come from the symmetric tridiagonal similarity transform
-S = D A D^{-1}, D = diag(sqrt(rho_i)), solved by bisection plus inverse
-iteration (LAPACK stebz/stein via scipy).  The periodic circle matrix has
-wrap-around corners and is solved by sparse shift-invert Lanczos (ARPACK).
-Both solves cost linear time in N and are deterministic.
+S = D A D^{-1}, D = diag(sqrt(rho_i)), solved in two LAPACK steps: bisection
+(stebz) for the eigenvalues, then inverse iteration (stein) for their
+eigenvectors.  The periodic circle matrix has wrap-around corners and is
+solved by sparse shift-invert Lanczos (ARPACK).  Both solves cost linear time
+in N and are deterministic.
 
 ``solve_eigen`` returns one sector's eigenpairs as a tuple of ``EigenMode``.
-``first_nonzero_eigenvalue`` searches the sectors l = 0, 1 (a circle: its one
-periodic sector), four eigenpairs each, and ``spectrum_contains`` the sectors
-l = 0, 1, 2.
+``first_nonzero_eigenvalue`` bisects the sectors l = 0, 1 for their four
+eigenvalues of smallest magnitude and runs inverse iteration only on the
+winning sector (a circle: Lanczos on its one periodic sector);
+``spectrum_contains`` searches the sectors l = 0, 1, 2.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal, get_lapack_funcs
 from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackError, eigsh
 
@@ -164,38 +166,78 @@ def _postprocess(problem: SpectralProblem, vals: np.ndarray,
     return tuple(sorted(modes, key=lambda m: abs(m.mu)))
 
 
-def _solver_error(problem: SpectralProblem, exc: Exception) -> SolverError:
+def _solver_error(problem: SpectralProblem, cause: Exception | str) -> SolverError:
     n = problem.size
     return SolverError(
-        f"eigensolver failed for l={problem.l}, N={n}: {exc}",
+        f"eigensolver failed for l={problem.l}, N={n}: {cause}",
         report={"l": problem.l, "size": n,
                 "diag_range": (float(problem.diag.min()), float(problem.diag.max())),
                 "off_max": float(np.max(np.abs(problem.off_diag))) if n > 1 else 0.0})
+
+
+@dataclass(frozen=True)
+class _Bisection:
+    """Bisected eigenvalues of an interval sector (LAPACK stebz, in block
+    order) with the block data that inverse iteration needs."""
+
+    problem: SpectralProblem
+    w: np.ndarray
+    iblock: np.ndarray
+    isplit: np.ndarray
+
+    @property
+    def mus(self) -> list[float]:
+        """The eigenvalues in the order of ``modes()``: by |mu|."""
+        return sorted(np.sort(self.w).tolist(), key=abs)
+
+    def modes(self) -> tuple[EigenMode, ...]:
+        """Eigenpairs of all the bisected eigenvalues by inverse iteration
+        (LAPACK stein).  It draws a start vector per eigenvalue and
+        reorthogonalizes within clusters, so it always gets the whole set."""
+        d, e = self.problem.diag, self.problem.off_diag
+        stein, = get_lapack_funcs(("stein",), (d, e))
+        vecs, info = stein(d, e, self.w, self.iblock, self.isplit)
+        if info != 0:
+            raise _solver_error(self.problem, f"stein returned info={info}")
+        order = np.argsort(self.w)
+        return _postprocess(self.problem, self.w[order], vecs[:, order])
+
+
+def _bisect(problem: SpectralProblem, count: int) -> _Bisection:
+    """Bisection for the ``count`` eigenvalues of an interval sector nearest
+    zero, with ``eigh_tridiagonal``'s default tolerance."""
+    d, e = problem.diag, problem.off_diag
+    n = problem.size
+    stebz, = get_lapack_funcs(("stebz",), (d, e))
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, n - count + 1, n, 0.0, "B")
+    if info != 0:
+        raise _solver_error(problem, f"stebz returned info={info}")
+    # stebz returns w with room for N values; a view would keep all of it alive
+    return _Bisection(problem=problem, w=w[:m].copy(), iblock=iblock, isplit=isplit)
 
 
 def solve_eigen(problem: SpectralProblem, count: int) -> tuple[EigenMode, ...]:
     """The ``count`` eigenpairs of smallest magnitude, sorted by |mu|.
 
     The spectrum is nonpositive, so smallest magnitude means algebraically
-    largest.  Interval models use bisection and inverse iteration on the
-    symmetrized tridiagonal matrix.  The circle uses shift-invert Lanczos
-    with a small positive shift, whose nearest eigenvalues are then the
-    largest, and a fixed start vector; it returns at most N - 1 eigenpairs.
+    largest.  Interval models bisect the symmetrized tridiagonal matrix for
+    the eigenvalues and get the eigenvectors by inverse iteration.  The
+    circle uses shift-invert Lanczos with a small positive shift, whose
+    nearest eigenvalues are then the largest, and a fixed start vector; it
+    returns at most N - 1 eigenpairs.
     """
     n = problem.size
     if count < 1:
         raise ValueError("count must be >= 1")
     count = min(count, n - 1 if problem.periodic else n)
+    if not problem.periodic:
+        return _bisect(problem, count).modes()
+    off, corner = problem.off_diag, [problem.corner]
+    matrix = diags([corner, off, problem.diag, off, corner],
+                   [1 - n, -1, 0, 1, n - 1], format="csc")
+    sigma = 1e-6 * float(np.max(np.abs(problem.diag)))
     try:
-        if problem.periodic:
-            off, corner = problem.off_diag, [problem.corner]
-            matrix = diags([corner, off, problem.diag, off, corner],
-                           [1 - n, -1, 0, 1, n - 1], format="csc")
-            sigma = 1e-6 * float(np.max(np.abs(problem.diag)))
-            vals, vecs = eigsh(matrix, k=count, sigma=sigma, v0=np.ones(n))
-        else:
-            vals, vecs = eigh_tridiagonal(problem.diag, problem.off_diag,
-                                          select="i", select_range=(n - count, n - 1))
+        vals, vecs = eigsh(matrix, k=count, sigma=sigma, v0=np.ones(n))
     except (LinAlgError, ArpackError) as exc:
         raise _solver_error(problem, exc) from exc
     return _postprocess(problem, vals, vecs)
@@ -221,30 +263,38 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     so by Weyl's inequality every l >= 2 eigenvalue lies strictly below its
     l = 1 counterpart.  A circle has the single periodic sector.  Each sector
     contributes its four eigenvalues of smallest magnitude, less the constant
-    mode (top of the l = 0 or periodic sector).  The winning sector is
-    re-solved at half resolution for a Richardson error estimate
+    mode (top of the l = 0 or periodic sector).  Interval sectors are only
+    bisected; inverse iteration runs once, for the winning sector's four
+    eigenvalues, and the eigenmode is taken from it.  The winning sector is
+    bisected again at half resolution for a Richardson error estimate
     (second-order scheme: |lam_N - lam_{N/2}| / 3).  If the gap to the next
     eigenvalue of the searched sectors is below that estimate, a
     SpectralGapWarning is emitted.
     """
-    def _nonconstant(g: Grid, sectors) -> list[EigenMode]:
-        cands = []
-        for l in sectors:
-            modes = solve_eigen(assemble(model, g, l), 4)
-            cands += modes[1:] if l == 0 else modes
-        if not cands:
-            raise SolverError("no non-constant eigenvalues computed; the grid is too small")
-        return cands
+    def _low(g: Grid, l: int):
+        """Sector l's eigenvalues of smallest magnitude, by |mu|, and the
+        function that returns their eigenpairs in that order."""
+        problem = assemble(model, g, l)
+        if problem.periodic:
+            modes = solve_eigen(problem, 4)
+            return [m.mu for m in modes], lambda: modes
+        bisection = _bisect(problem, 4)
+        return bisection.mus, bisection.modes
 
-    cands = _nonconstant(grid, (0,) if model.topology == CIRCLE else (0, 1))
-    mode = min(cands, key=lambda m: (-m.mu, m.l))
-    lam = -mode.mu
+    sectors = {l: _low(grid, l) for l in ((0,) if model.topology == CIRCLE else (0, 1))}
+    # (mu, l, index in the sector); index 0 of l = 0 is the constant mode
+    cands = [(mu, l, k) for l, (mus, _) in sectors.items()
+             for k, mu in enumerate(mus) if k or l]
+    mu, l, k = min(cands, key=lambda c: (-c[0], c[1]))
+    _, eigenpairs = sectors[l]
+    mode = eigenpairs()[k]
+    lam = -mu
     err = math.nan
     if richardson and grid.size >= 8:
-        coarse = _nonconstant(Grid.uniform(model, grid.size // 2), [mode.l])
-        err = abs(lam + max(m.mu for m in coarse)) / 3.0
+        coarse, _ = _low(Grid.uniform(model, grid.size // 2), l)
+        err = abs(lam + max(coarse[1:] if l == 0 else coarse)) / 3.0
     cluster = max(20.0 * (0.0 if math.isnan(err) else err), 1e-7 * max(1.0, lam))
-    above = [-m.mu for m in cands if (-m.mu) > lam + cluster]
+    above = [-c[0] for c in cands if (-c[0]) > lam + cluster]
     gap = (min(above) - lam) if above else math.inf
     ambiguous = (not math.isnan(err)) and gap < err
     if ambiguous:

@@ -1,5 +1,6 @@
 """Configuration parsing, sweep orchestration, report emission, and the CLI."""
 
+import argparse
 import json
 import math
 import platform
@@ -552,6 +553,17 @@ def test_cli_help_paths():
     with pytest.raises(SystemExit) as info:
         cli.main([])  # a subcommand is required
     assert info.value.code == 2
+
+
+def test_verify_paper_help_describes_its_own_outputs():
+    # verify-paper has no config; by default it writes both reports into .
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {name: {a.dest: a.help for a in p._actions} for name, p in sub.choices.items()}
+    verify = helps["verify-paper"]
+    assert verify["out"] == "directory for verify_paper.csv and verify_paper.json (default: .)"
+    assert verify["format"] == "write only this format (default: both csv and json)"
+    assert helps["sweep"]["format"] == "output format (default: from config, else csv)"
 
 
 def test_cli_import_leaves_integrate_interpolate_and_optimize_unloaded():

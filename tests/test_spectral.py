@@ -1,16 +1,18 @@
 """Spectral engine checks against classical spectra and structural invariants."""
 
+import json
 import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 import driftlab as dl
+import driftlab.cli as cli
 import driftlab.spectral as spectral
-from driftlab.errors import AssemblyError
+from driftlab.errors import AssemblyError, SolverError
 from driftlab.spectral import assemble, weighted_symmetry_defect
 
 
@@ -229,8 +231,67 @@ def test_sector_two_lies_below_sector_one(n, eps, N):
     assert top[1] < top[0]
 
 
+def _parent_search(model, grid):
+    """lambda1 as one eigh_tridiagonal eigenpair solve per sector: l = 0, 1 at
+    N and the winning sector at N/2, four eigenpairs each.  Returns
+    (lam, err, gap, mode)."""
+    def nonconstant(g, sectors):
+        cands = []
+        for l in sectors:
+            problem = assemble(model, g, l)
+            n = problem.size
+            vals, vecs = eigh_tridiagonal(problem.diag, problem.off_diag,
+                                          select="i", select_range=(n - 4, n - 1))
+            modes = spectral._postprocess(problem, vals, vecs)
+            cands += modes[1:] if l == 0 else modes
+        return cands
+
+    cands = nonconstant(grid, (0, 1))
+    mode = min(cands, key=lambda m: (-m.mu, m.l))
+    lam = -mode.mu
+    coarse = nonconstant(dl.Grid.uniform(model, grid.size // 2), [mode.l])
+    err = abs(lam + max(m.mu for m in coarse)) / 3.0
+    cluster = max(20.0 * err, 1e-7 * max(1.0, lam))
+    above = [-m.mu for m in cands if (-m.mu) > lam + cluster]
+    return lam, err, (min(above) - lam) if above else math.inf, mode
+
+
+@pytest.mark.parametrize("N", [400, 2000])
+@pytest.mark.parametrize("density,n,sector", [
+    (dl.cosine_density(0.5), 3, 1),
+    (dl.poly_cos_density([0.0, -1.0, -0.25]), 2, 0),  # configs/ling_cases.json, n = 2
+], ids=["cosine-n3", "ling-poly-cos-n2"])
+def test_first_eigenvalue_matches_eigenpair_solves_bitwise(density, n, sector, N):
+    # bisecting every sector and inverse-iterating only the winner reports the
+    # same bits as solving eigenpairs in every searched sector
+    model = dl.sphere(n, density=density)
+    grid = dl.Grid.uniform(model, N)
+    lam, err, gap, mode = _parent_search(model, grid)
+    fe = dl.first_nonzero_eigenvalue(model, grid)
+    assert mode.l == fe.mode.l == sector
+    assert (fe.lam, fe.error_estimate, fe.gap) == (lam, err, gap)
+    assert fe.mode.u.tobytes() == mode.u.tobytes()
+
+
+def _counting_lapack(monkeypatch, calls):
+    """Record each stebz call as ("stebz", N) and each stein call as
+    ("stein", N, number of eigenvalues)."""
+    lapack = spectral.get_lapack_funcs
+
+    def counted(name, routine):
+        def call(d, e, *args):
+            calls.append((name, d.size) + ((args[0].size,) if name == "stein" else ()))
+            return routine(d, e, *args)
+        return call
+
+    monkeypatch.setattr(spectral, "get_lapack_funcs", lambda names, arrays: [
+        counted(name, routine) for name, routine in zip(names, lapack(names, arrays))])
+
+
 def test_first_eigenvalue_solve_count(monkeypatch):
-    # sectors l = 0, 1 at N, then the winning sector at N/2; circles: N and N/2
+    # spheres: sectors l = 0, 1 bisected at N, inverse iteration on the winner's
+    # four eigenvalues, the winning sector bisected at N/2; circles: two
+    # Lanczos solves, at N and N/2
     calls = []
     solve = spectral.solve_eigen
 
@@ -239,11 +300,40 @@ def test_first_eigenvalue_solve_count(monkeypatch):
         return solve(problem, count)
 
     monkeypatch.setattr(spectral, "solve_eigen", counting_solve)
+    _counting_lapack(monkeypatch, calls)
     dl.first_nonzero_eigenvalue(*_sphere_grid(3, 400, eps=0.4))
-    assert calls == [400, 400, 200]
+    assert calls == [("stebz", 400), ("stebz", 400), ("stein", 400, 4), ("stebz", 200)]
     calls.clear()
     dl.first_nonzero_eigenvalue(*_circle_grid(400, 0.5))
     assert calls == [400, 200]
+
+
+@pytest.mark.parametrize("routine,l", [("stebz", 0), ("stein", 1)])
+def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, capsys):
+    # a nonzero info from either LAPACK step names the sector and the size,
+    # and a sweep that meets it exits 3
+    lapack = spectral.get_lapack_funcs
+
+    def with_info_1(call):
+        return lambda *args: (*call(*args)[:-1], 1)
+
+    monkeypatch.setattr(spectral, "get_lapack_funcs", lambda names, arrays: [
+        with_info_1(call) if name == routine else call
+        for name, call in zip(names, lapack(names, arrays))])
+    model, grid = _sphere_grid(3, 400, eps=0.5)
+    with pytest.raises(SolverError, match=f"l={l}, N=400: {routine} returned info=1") as info:
+        dl.first_nonzero_eigenvalue(model, grid)
+    assert (info.value.report["l"], info.value.report["size"]) == (l, 400)
+    with pytest.raises(SolverError, match=f"{routine} returned info=1"):
+        dl.solve_eigen(assemble(model, grid, 2), 4)
+
+    config = tmp_path / "sphere.json"
+    config.write_text(json.dumps({
+        "schema_version": 1,
+        "family": {"name": "sphere", "n": [3], "density": {"name": "cosine", "eps": [0.5]}},
+        "grids": [400], "checks": ["spectrum"]}))
+    assert cli.main(["sweep", "--config", str(config)]) == 3
+    assert f"l={l}, N=400" in capsys.readouterr().out
 
 
 def test_angular_mode_search_matters():
