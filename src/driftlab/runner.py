@@ -34,7 +34,7 @@ def _select_case_barrier(config: ExperimentConfig, nef: est.NormalizedEigenfunct
 
 
 def _spectrum_check(fe: FirstEigenvalue) -> Check:
-    ok = fe.lam > 0.0 and not fe.ambiguous and math.isfinite(fe.lam)
+    ok = fe.lam > 0.0 and math.isfinite(fe.lam)
     return Check(PASS if ok else FAIL)
 
 

@@ -30,27 +30,24 @@ in N and are deterministic.
 ``solve_eigen`` returns one sector's eigenpairs as a tuple of ``EigenMode``.
 ``first_nonzero_eigenvalue`` bisects the sectors l = 0, 1 for their four
 eigenvalues of smallest magnitude and runs inverse iteration only on the
-winning sector (a circle: Lanczos on its one periodic sector);
-``spectrum_contains`` searches the sectors l = 0, 1, 2.
+winning sector (a circle: Lanczos on its one periodic sector); its Richardson
+partner is the Rayleigh quotient of that eigenvector on the half-resolution
+operator, so each lambda_1 costs one eigensolve.  ``spectrum_contains``
+bisects the sectors l = 0, 1, 2 over a value window.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import AssemblyError, SolverError
 from .geometry import CIRCLE, INTERVAL_SPHERE, Grid, WarpedManifold, measure_density
-
-
-class SpectralGapWarning(UserWarning):
-    """The gap above the reported eigenvalue is within discretization error."""
 
 
 @dataclass(frozen=True)
@@ -203,17 +200,28 @@ class _Bisection:
         return _postprocess(self.problem, self.w[order], vecs[:, order])
 
 
-def _bisect(problem: SpectralProblem, count: int) -> _Bisection:
-    """Bisection for the ``count`` eigenvalues of an interval sector nearest
-    zero, with ``eigh_tridiagonal``'s default tolerance."""
+def _stebz(problem: SpectralProblem, select: int, vl: float, vu: float, il: int, iu: int,
+           order: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK stebz on the symmetrized matrix of an interval sector with
+    ``eigh_tridiagonal``'s default tolerance: select 1 takes the eigenvalues
+    in (vl, vu], select 2 those of (1-based, ascending) index il..iu.
+    Returns the eigenvalues in ``order`` ("E": ascending, "B": by block) with
+    the block data that inverse iteration needs."""
     d, e = problem.diag, problem.off_diag
-    n = problem.size
     stebz, = get_lapack_funcs(("stebz",), (d, e))
-    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, n - count + 1, n, 0.0, "B")
+    m, w, iblock, isplit, info = stebz(d, e, select, vl, vu, il, iu, 0.0, order)
     if info != 0:
         raise _solver_error(problem, f"stebz returned info={info}")
     # stebz returns w with room for N values; a view would keep all of it alive
-    return _Bisection(problem=problem, w=w[:m].copy(), iblock=iblock, isplit=isplit)
+    return w[:m].copy(), iblock, isplit
+
+
+def _bisect(problem: SpectralProblem, count: int) -> _Bisection:
+    """Bisection for the ``count`` eigenvalues of an interval sector nearest
+    zero."""
+    n = problem.size
+    w, iblock, isplit = _stebz(problem, 2, 0.0, 1.0, n - count + 1, n, "B")
+    return _Bisection(problem=problem, w=w, iblock=iblock, isplit=isplit)
 
 
 def solve_eigen(problem: SpectralProblem, count: int) -> tuple[EigenMode, ...]:
@@ -238,20 +246,38 @@ def solve_eigen(problem: SpectralProblem, count: int) -> tuple[EigenMode, ...]:
     sigma = 1e-6 * float(np.max(np.abs(problem.diag)))
     try:
         vals, vecs = eigsh(matrix, k=count, sigma=sigma, v0=np.ones(n))
-    except (LinAlgError, ArpackError) as exc:
+    except ArpackError as exc:
         raise _solver_error(problem, exc) from exc
     return _postprocess(problem, vals, vecs)
 
 
 @dataclass(frozen=True)
 class FirstEigenvalue:
-    """First non-zero eigenvalue lambda with its eigenmode and error estimate."""
+    """First non-zero eigenvalue lambda with its eigenmode, error estimate and
+    the gap to the next distinct eigenvalue of the searched sectors."""
 
     lam: float
     mode: EigenMode
     error_estimate: float
     gap: float
-    ambiguous: bool
+
+
+def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
+    """lambda = -<Au, u> / <u, u> of radial samples u, in energy form:
+
+        (sum_f c_f (u_{i+1} - u_i)^2 + c_l sum_i rho_i u_i^2 / w_i^2) / sum_i rho_i u_i^2,
+
+    c_f = off_i sqrt(rho_i rho_{i+1}), with the wrap-around face on circles.
+    Every term is nonnegative, so nothing cancels against the O(N^2) diagonal."""
+    s = problem.sqrt_rho
+    rho_u2 = (s * u) ** 2
+    energy = float(np.dot(problem.off_diag * s[:-1] * s[1:], np.diff(u) ** 2))
+    if problem.periodic:
+        energy += problem.corner * s[-1] * s[0] * (u[0] - u[-1]) ** 2
+    if problem.l:
+        w = np.asarray(problem.model.w.value(problem.grid.nodes), dtype=float)
+        energy += angular_eigenvalue(problem.model.n, problem.l) * float(np.sum(rho_u2 / w**2))
+    return energy / float(np.sum(rho_u2))
 
 
 def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
@@ -265,23 +291,28 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     contributes its four eigenvalues of smallest magnitude, less the constant
     mode (top of the l = 0 or periodic sector).  Interval sectors are only
     bisected; inverse iteration runs once, for the winning sector's four
-    eigenvalues, and the eigenmode is taken from it.  The winning sector is
-    bisected again at half resolution for a Richardson error estimate
-    (second-order scheme: |lam_N - lam_{N/2}| / 3).  If the gap to the next
-    eigenvalue of the searched sectors is below that estimate, a
-    SpectralGapWarning is emitted.
+    eigenvalues, and the eigenmode is taken from it.
+
+    The Richardson error estimate of the second-order scheme is
+    |lam_N - lam_{N/2}| / 3, where lam_{N/2} is the Rayleigh quotient, on the
+    winning sector's operator at N // 2, of the eigenvector linearly
+    interpolated onto the coarse nodes (for even N: the cell-pair average on
+    spheres, injection on circles).  Its error is quadratic in the O(h^2)
+    interpolation error, so it stands in for a half-resolution eigensolve.
+    ``gap`` is the distance to the next eigenvalue above lambda plus a
+    cluster width of max(20 err, 1e-7 max(1, lambda)).
     """
-    def _low(g: Grid, l: int):
+    def _low(l: int):
         """Sector l's eigenvalues of smallest magnitude, by |mu|, and the
         function that returns their eigenpairs in that order."""
-        problem = assemble(model, g, l)
+        problem = assemble(model, grid, l)
         if problem.periodic:
             modes = solve_eigen(problem, 4)
             return [m.mu for m in modes], lambda: modes
         bisection = _bisect(problem, 4)
         return bisection.mus, bisection.modes
 
-    sectors = {l: _low(grid, l) for l in ((0,) if model.topology == CIRCLE else (0, 1))}
+    sectors = {l: _low(l) for l in ((0,) if model.topology == CIRCLE else (0, 1))}
     # (mu, l, index in the sector); index 0 of l = 0 is the constant mode
     cands = [(mu, l, k) for l, (mus, _) in sectors.items()
              for k, mu in enumerate(mus) if k or l]
@@ -291,19 +322,14 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     lam = -mu
     err = math.nan
     if richardson and grid.size >= 8:
-        coarse, _ = _low(Grid.uniform(model, grid.size // 2), l)
-        err = abs(lam + max(coarse[1:] if l == 0 else coarse)) / 3.0
+        coarse = assemble(model, Grid.uniform(model, grid.size // 2), l)
+        period = model.L if model.topology == CIRCLE else None
+        u = np.interp(coarse.grid.nodes, grid.nodes, mode.u, period=period)
+        err = abs(lam - _rayleigh_quotient(coarse, u)) / 3.0
     cluster = max(20.0 * (0.0 if math.isnan(err) else err), 1e-7 * max(1.0, lam))
     above = [-c[0] for c in cands if (-c[0]) > lam + cluster]
     gap = (min(above) - lam) if above else math.inf
-    ambiguous = (not math.isnan(err)) and gap < err
-    if ambiguous:
-        warnings.warn(
-            f"spectral gap {gap:.3e} above lambda_1 is below the discretization "
-            f"error estimate {err:.3e}; the reported eigenvalue may be ambiguous",
-            SpectralGapWarning, stacklevel=2)
-    return FirstEigenvalue(lam=lam, mode=mode, error_estimate=err, gap=gap,
-                           ambiguous=ambiguous)
+    return FirstEigenvalue(lam=lam, mode=mode, error_estimate=err, gap=gap)
 
 
 @dataclass(frozen=True)
@@ -334,44 +360,13 @@ def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
     mus = []
     for l in (0, 1, 2):
         problem = assemble(model, grid, l)
-        d, e = problem.diag, problem.off_diag
-        try:
-            upper = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                                     select_range=(target - window, math.inf))
-            below = problem.size - 1 - upper.size
-            if below >= 0:
-                mus.extend(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                            select_range=(below, below)))
-        except LinAlgError as exc:
-            raise _solver_error(problem, exc) from exc
+        upper, _, _ = _stebz(problem, 1, target - window, math.inf, 1, 1, "E")
+        below = problem.size - upper.size
+        if below >= 1:
+            mus.extend(_stebz(problem, 2, 0.0, 1.0, below, below, "E")[0])
         mus.extend(upper)
     mus = np.array(mus)
     nearest = float(mus[np.argmin(np.abs(mus - target))])
     gap = abs(nearest - target)
     return MembershipVerdict(contained=gap <= window, nearest=nearest, gap=gap,
                              tolerance=window, count_used=mus.size)
-
-
-def weighted_symmetry_defect(problem: SpectralProblem, vectors: int = 6) -> float:
-    """max |<Au, v> - <u, Av>| over a fixed family of smooth test vectors,
-    relative to the Cauchy-Schwarz scale ||Au|| ||v|| + ||u|| ||Av|| in the
-    weighted norm; zero up to rounding for this discretization."""
-    q = problem.grid.weights
-    r = problem.grid.nodes
-    span = problem.model.L
-
-    def _norm(x):
-        return math.sqrt(float(np.dot(q, x * x)))
-
-    tests = [np.cos((k + 1) * math.pi * r / span) + 0.5 * np.sin((k + 2) * math.pi * r / span)
-             for k in range(vectors)]
-    worst = 0.0
-    for i, u in enumerate(tests):
-        au = problem.apply(u)
-        for v in tests[i + 1:]:
-            av = problem.apply(v)
-            lhs = float(np.dot(q, au * v))
-            rhs = float(np.dot(q, u * av))
-            scale = _norm(au) * _norm(v) + _norm(u) * _norm(av) + 1e-300
-            worst = max(worst, abs(lhs - rhs) / scale)
-    return worst

@@ -13,7 +13,7 @@ import driftlab as dl
 import driftlab.cli as cli
 import driftlab.spectral as spectral
 from driftlab.errors import AssemblyError, SolverError
-from driftlab.spectral import assemble, weighted_symmetry_defect
+from driftlab.spectral import assemble
 
 
 @lru_cache(maxsize=None)
@@ -61,6 +61,39 @@ def _matrix(problem):
     return np.column_stack([problem.apply(e) for e in np.eye(problem.size)])
 
 
+def _symmetrized(problem):
+    """The symmetrized operator S = D A D^{-1} as a dense matrix, corners included."""
+    s = np.diag(problem.diag) + np.diag(problem.off_diag, 1) + np.diag(problem.off_diag, -1)
+    s[0, -1] += problem.corner
+    s[-1, 0] += problem.corner
+    return s
+
+
+def weighted_symmetry_defect(problem, vectors=6):
+    """max |<Au, v> - <u, Av>| over a fixed family of smooth test vectors,
+    relative to the Cauchy-Schwarz scale ||Au|| ||v|| + ||u|| ||Av|| in the
+    weighted norm; zero up to rounding for this discretization."""
+    q = problem.grid.weights
+    r = problem.grid.nodes
+    span = problem.model.L
+
+    def _norm(x):
+        return math.sqrt(float(np.dot(q, x * x)))
+
+    tests = [np.cos((k + 1) * math.pi * r / span) + 0.5 * np.sin((k + 2) * math.pi * r / span)
+             for k in range(vectors)]
+    worst = 0.0
+    for i, u in enumerate(tests):
+        au = problem.apply(u)
+        for v in tests[i + 1:]:
+            av = problem.apply(v)
+            lhs = float(np.dot(q, au * v))
+            rhs = float(np.dot(q, u * av))
+            scale = _norm(au) * _norm(v) + _norm(u) * _norm(av) + 1e-300
+            worst = max(worst, abs(lhs - rhs) / scale)
+    return worst
+
+
 def test_s2_merged_spectrum_is_classical():
     # sector l of the unit S^2 holds -k(k+1) for k >= l, each once
     model, grid = _sphere_grid(2, 1500)
@@ -85,7 +118,6 @@ def test_first_eigenvalue_round_spheres():
         fe = dl.first_nonzero_eigenvalue(model, grid)
         assert abs(fe.lam - n) < tol
         assert fe.error_estimate < 1e-4
-        assert not fe.ambiguous
 
 
 def test_first_eigenvalue_refinement_consistency():
@@ -128,6 +160,41 @@ def test_spectrum_contains_finds_deep_zonal_eigenvalues():
     assert verdict.gap < 1e-10
     with pytest.raises(ValueError):
         dl.spectrum_contains(*_circle_grid(400, 0.5), -1.0, 1e-3)
+
+
+def _eigh_tridiagonal_contains(model, grid, target, tol):
+    """spectrum_contains through eigh_tridiagonal: per sector l = 0, 1, 2 the
+    eigenvalues above target - window and the one just below."""
+    window = tol * max(1.0, abs(target))
+    mus = []
+    for l in (0, 1, 2):
+        problem = assemble(model, grid, l)
+        d, e = problem.diag, problem.off_diag
+        upper = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                 select_range=(target - window, math.inf))
+        below = problem.size - 1 - upper.size
+        if below >= 0:
+            mus.extend(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                        select_range=(below, below)))
+        mus.extend(upper)
+    mus = np.array(mus)
+    nearest = float(mus[np.argmin(np.abs(mus - target))])
+    gap = abs(nearest - target)
+    return spectral.MembershipVerdict(contained=gap <= window, nearest=nearest, gap=gap,
+                                      tolerance=window, count_used=mus.size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_grid=_weighted_models().filter(lambda mg: mg[0].topology != dl.CIRCLE),
+       l=st.integers(0, 2), k=st.integers(1, 6), shift=st.floats(-1e-3, 1e-3),
+       tol=st.sampled_from((1e-9, 1e-6, 1e-4, 1e-2)))
+def test_spectrum_contains_matches_eigh_tridiagonal_bitwise(model_grid, l, k, shift, tol):
+    # calling stebz directly gives the verdicts of eigh_tridiagonal bit for bit,
+    # for targets on, near and between eigenvalues of every searched sector
+    model, grid = model_grid
+    target = dl.solve_eigen(assemble(model, grid, l), k)[-1].mu * (1.0 + shift)
+    verdict = dl.spectrum_contains(model, grid, target, tol)
+    assert verdict == _eigh_tridiagonal_contains(model, grid, target, tol)
 
 
 def test_zero_mode_is_constant():
@@ -231,26 +298,35 @@ def test_sector_two_lies_below_sector_one(n, eps, N):
     assert top[1] < top[0]
 
 
-def _parent_search(model, grid):
-    """lambda1 as one eigh_tridiagonal eigenpair solve per sector: l = 0, 1 at
-    N and the winning sector at N/2, four eigenpairs each.  Returns
-    (lam, err, gap, mode)."""
-    def nonconstant(g, sectors):
-        cands = []
-        for l in sectors:
-            problem = assemble(model, g, l)
-            n = problem.size
-            vals, vecs = eigh_tridiagonal(problem.diag, problem.off_diag,
-                                          select="i", select_range=(n - 4, n - 1))
-            modes = spectral._postprocess(problem, vals, vecs)
-            cands += modes[1:] if l == 0 else modes
-        return cands
+def _half_grid_estimate(model, N, lam, l):
+    """The Richardson estimate from a half-resolution eigensolve:
+    |lam + mu| / 3 with mu the top non-constant eigenvalue of sector l at
+    N // 2 (eigh_tridiagonal on spheres, dense eigh on circles)."""
+    problem = assemble(model, dl.Grid.uniform(model, N // 2), l)
+    n = problem.size
+    if problem.periodic:
+        mus = eigh(_symmetrized(problem), eigvals_only=True)[::-1]
+    else:
+        mus = eigh_tridiagonal(problem.diag, problem.off_diag, eigvals_only=True,
+                               select="i", select_range=(n - 2, n - 1))[::-1]
+    return abs(lam + mus[1 if l == 0 else 0]) / 3.0
 
-    cands = nonconstant(grid, (0, 1))
+
+def _parent_search(model, grid):
+    """lambda1 as one eigh_tridiagonal eigenpair solve per sector l = 0, 1,
+    four eigenpairs each, with a half-grid solve for the error estimate.
+    Returns (lam, err, gap, mode)."""
+    cands = []
+    for l in (0, 1):
+        problem = assemble(model, grid, l)
+        n = problem.size
+        vals, vecs = eigh_tridiagonal(problem.diag, problem.off_diag,
+                                      select="i", select_range=(n - 4, n - 1))
+        modes = spectral._postprocess(problem, vals, vecs)
+        cands += modes[1:] if l == 0 else modes
     mode = min(cands, key=lambda m: (-m.mu, m.l))
     lam = -mode.mu
-    coarse = nonconstant(dl.Grid.uniform(model, grid.size // 2), [mode.l])
-    err = abs(lam + max(m.mu for m in coarse)) / 3.0
+    err = _half_grid_estimate(model, grid.size, lam, mode.l)
     cluster = max(20.0 * err, 1e-7 * max(1.0, lam))
     above = [-m.mu for m in cands if (-m.mu) > lam + cluster]
     return lam, err, (min(above) - lam) if above else math.inf, mode
@@ -263,14 +339,45 @@ def _parent_search(model, grid):
 ], ids=["cosine-n3", "ling-poly-cos-n2"])
 def test_first_eigenvalue_matches_eigenpair_solves_bitwise(density, n, sector, N):
     # bisecting every sector and inverse-iterating only the winner reports the
-    # same bits as solving eigenpairs in every searched sector
+    # same eigenvalue, gap and eigenvector bits as solving eigenpairs in every
+    # searched sector; only the error estimate's partner is computed otherwise
     model = dl.sphere(n, density=density)
     grid = dl.Grid.uniform(model, N)
     lam, err, gap, mode = _parent_search(model, grid)
     fe = dl.first_nonzero_eigenvalue(model, grid)
     assert mode.l == fe.mode.l == sector
-    assert (fe.lam, fe.error_estimate, fe.gap) == (lam, err, gap)
+    assert (fe.lam, fe.gap) == (lam, gap)
     assert fe.mode.u.tobytes() == mode.u.tobytes()
+    assert fe.error_estimate == pytest.approx(err, rel=2e-3)
+
+
+@pytest.mark.parametrize("N", [400, 401, 2000])
+@pytest.mark.parametrize("model,sector", [
+    (dl.sphere(3, density=dl.cosine_density(0.5)), 1),
+    (dl.sphere(2, density=dl.poly_cos_density([0.0, -1.0, -0.25])), 0),
+    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi)), 0),
+], ids=["cosine-n3", "ling-poly-cos-n2", "circle"])
+def test_error_estimate_matches_half_grid_solve(model, sector, N):
+    # the Rayleigh quotient of the interpolated eigenvector stands in for the
+    # half-grid eigenvalue, on nested (even N) and non-nested (odd N) grids
+    fe = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, N))
+    assert fe.mode.l == sector
+    expected = _half_grid_estimate(model, N, fe.lam, sector)
+    assert fe.error_estimate == pytest.approx(expected, rel=2e-3)
+
+
+@pytest.mark.parametrize("model,l", [
+    (dl.sphere(2, density=dl.poly_cos_density([0.0, -1.0, -0.25])), 0),
+    (dl.sphere(3, density=dl.cosine_density(0.5)), 1),
+    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi)), 0),
+], ids=["sphere-l0", "sphere-l1", "circle"])
+def test_rayleigh_quotient_of_an_eigenvector_is_its_eigenvalue(model, l):
+    # the energy form of the quotient reproduces dense eigh's eigenvalues
+    problem = assemble(model, dl.Grid.uniform(model, 200), l)
+    vals, vecs = eigh(_symmetrized(problem))
+    for j in range(-6, -1 if l == 0 else 0):  # the constant mode is the top of l = 0
+        quotient = spectral._rayleigh_quotient(problem, vecs[:, j] / problem.sqrt_rho)
+        assert quotient == pytest.approx(-vals[j], rel=1e-12)
 
 
 def _counting_lapack(monkeypatch, calls):
@@ -289,9 +396,9 @@ def _counting_lapack(monkeypatch, calls):
 
 
 def test_first_eigenvalue_solve_count(monkeypatch):
-    # spheres: sectors l = 0, 1 bisected at N, inverse iteration on the winner's
-    # four eigenvalues, the winning sector bisected at N/2; circles: two
-    # Lanczos solves, at N and N/2
+    # spheres: sectors l = 0, 1 bisected at N and inverse iteration on the
+    # winner's four eigenvalues; circles: one Lanczos solve.  The error
+    # estimate solves nothing at N/2
     calls = []
     solve = spectral.solve_eigen
 
@@ -302,16 +409,14 @@ def test_first_eigenvalue_solve_count(monkeypatch):
     monkeypatch.setattr(spectral, "solve_eigen", counting_solve)
     _counting_lapack(monkeypatch, calls)
     dl.first_nonzero_eigenvalue(*_sphere_grid(3, 400, eps=0.4))
-    assert calls == [("stebz", 400), ("stebz", 400), ("stein", 400, 4), ("stebz", 200)]
+    assert calls == [("stebz", 400), ("stebz", 400), ("stein", 400, 4)]
     calls.clear()
     dl.first_nonzero_eigenvalue(*_circle_grid(400, 0.5))
-    assert calls == [400, 200]
+    assert calls == [400]
 
 
-@pytest.mark.parametrize("routine,l", [("stebz", 0), ("stein", 1)])
-def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, capsys):
-    # a nonzero info from either LAPACK step names the sector and the size,
-    # and a sweep that meets it exits 3
+def _force_info_1(monkeypatch, routine):
+    """Make the LAPACK ``routine`` return info = 1 after running."""
     lapack = spectral.get_lapack_funcs
 
     def with_info_1(call):
@@ -320,6 +425,13 @@ def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, cap
     monkeypatch.setattr(spectral, "get_lapack_funcs", lambda names, arrays: [
         with_info_1(call) if name == routine else call
         for name, call in zip(names, lapack(names, arrays))])
+
+
+@pytest.mark.parametrize("routine,l", [("stebz", 0), ("stein", 1)])
+def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, capsys):
+    # a nonzero info from either LAPACK step names the sector and the size,
+    # and a sweep that meets it exits 3
+    _force_info_1(monkeypatch, routine)
     model, grid = _sphere_grid(3, 400, eps=0.5)
     with pytest.raises(SolverError, match=f"l={l}, N=400: {routine} returned info=1") as info:
         dl.first_nonzero_eigenvalue(model, grid)
@@ -334,6 +446,13 @@ def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, cap
         "grids": [400], "checks": ["spectrum"]}))
     assert cli.main(["sweep", "--config", str(config)]) == 3
     assert f"l={l}, N=400" in capsys.readouterr().out
+
+
+def test_spectrum_contains_stebz_failure_is_a_solver_error(monkeypatch):
+    _force_info_1(monkeypatch, "stebz")
+    with pytest.raises(SolverError, match="l=0, N=400: stebz returned info=1") as info:
+        dl.spectrum_contains(*_sphere_grid(3, 400, eps=0.5), -3.0, 1e-3)
+    assert (info.value.report["l"], info.value.report["size"]) == (0, 400)
 
 
 def test_angular_mode_search_matters():
