@@ -9,21 +9,20 @@ all of its derived identities.
 
 __version__ = "0.1.0"
 
-from .bounds import (BoundReport, DiameterBoundDerivation, GapVerdict, LingCase,
-                     build_bound_report, derive_diameter_bound, gap_classifier,
-                     lichnerowicz_be, ling_be_bound, ling_case, myers_upper,
-                     prop8_bound, prop9_bound, soliton_diameter_lower)
+from .bounds import (BoundReport, DiameterBoundDerivation, LingCase,
+                     build_bound_report, derive_diameter_bound, lichnerowicz_be,
+                     ling_be_bound, ling_case, myers_upper, prop8_bound, prop9_bound,
+                     soliton_diameter_lower)
 from .estimates import (BarrierFamily, LevelSetMaxima,
                         NormalizedEigenfunction, barrier, barrier_dominance_check,
                         case_b2b2_barrier, compute_Z, eta, gradient_estimate_margin,
-                        length_integral_check, normalize, test_estimate_residual,
-                        xi)
+                        length_integral_check, normalize, xi)
 from .geometry import (CIRCLE, INTERVAL_SPHERE, CurvatureProfile, Grid,
                        RadialProfile, WarpedManifold, be_ricci_lower_bound,
                        circle, cosine_density, curvature, diameter, integrate,
-                       interval_sphere, poly_cos_density, profile_from_samples,
-                       sphere, sphere_warp, stretched_sphere_warp, unit_fiber_area,
-                       weighted_measure, zero_density)
+                       interval_sphere, poly_cos_density, sphere, sphere_warp,
+                       stretched_sphere_warp, unit_fiber_area, weighted_measure,
+                       zero_density)
 from .solitons import (EigenIdentityReport, HamiltonIdentityLedger,
                        NormalizedPotential, SolitonCandidate, SolitonResidual,
                        eigenfunction_identity, hamilton_identities, normalize_f,

@@ -188,27 +188,6 @@ def soliton_diameter_lower(gamma: float) -> float:
 
 
 @dataclass(frozen=True)
-class GapVerdict:
-    """Consequence relay of the diameter gap: strictly below the universal
-    lower bound forces the metric to be Einstein."""
-
-    verdict: str
-    threshold: float
-    note: str = ""
-
-
-def gap_classifier(d: float, gamma: float) -> GapVerdict:
-    """Classify a (diameter, gamma) pair against the soliton diameter gap."""
-    if d <= 0.0 or gamma <= 0.0:
-        raise InapplicableBoundError("gap classification needs d > 0 and gamma > 0")
-    threshold = soliton_diameter_lower(gamma)
-    if d < threshold:
-        return GapVerdict(verdict="must-be-Einstein", threshold=threshold,
-                          note="diameter strictly below the universal soliton bound")
-    return GapVerdict(verdict="nontrivial-soliton-possible", threshold=threshold)
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """The bounds that the bounds check records for one instance.
 

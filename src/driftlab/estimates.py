@@ -322,6 +322,26 @@ class LevelSetMaxima:
         return self.counts > 0
 
 
+def _edge_level_maxima(nef: NormalizedEigenfunction, edges: np.ndarray) -> np.ndarray:
+    """For an l = 1 mode, per bin edge t_e, the maximum of the fiber quantity
+    (A + C v_e^2) / (lam (b^2 - v_e^2)) over the rows that reach the level
+    v_e = b sin t_e; -inf where no row does."""
+    b, lam = nef.b, nef.lam
+    r2 = nef.v_rad ** 2
+    a_eq = nef.equator_grad_sq
+    # a row with R = 0 lies on the level v = 0, where its poles are samples
+    c = np.divide(nef.dv_rad ** 2 - a_eq, r2, out=np.zeros_like(r2), where=r2 > 0.0)
+    # symmetric edges share a level.  Sorted by R^2, descending, the rows that
+    # reach a level (R^2 >= v_e^2) are a prefix of the order
+    levels, at_edge = np.unique((b * np.sin(edges)) ** 2, return_inverse=True)
+    order = np.argsort(r2)[::-1]
+    a_eq, c = a_eq[order], c[order]
+    reach = np.searchsorted(-r2[order], -levels, side="right")
+    top = np.array([np.max(a_eq[:m] + c[:m] * s, initial=-np.inf)
+                    for s, m in zip(levels, reach)])
+    return (top / (lam * (b * b - levels)))[at_edge]
+
+
 def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima:
     """Per-bin maxima of the normalized gradient quantity over t-level sets.
 
@@ -339,6 +359,8 @@ def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima
     b, lam = nef.b, nef.lam
     tb = math.asin(1.0 / b)
     edges = np.linspace(-tb, tb, t_bins + 1)
+    # first, so that its N-arrays are gone before the 2N + 1 samples are drawn
+    edge_val = _edge_level_maxima(nef, edges) if nef.l == 1 else None
     v, grad_sq = nef.samples()
     t = np.arcsin(v / b)
     val = grad_sq / (lam * (b * b - v * v))
@@ -353,16 +375,7 @@ def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima
     hit = np.flatnonzero(val == values[idx])
     np.minimum.at(first, idx[hit], hit)
     arg_t = np.append(t, np.nan)[first]
-    if nef.l == 1:
-        r2 = nef.v_rad ** 2
-        a_eq = nef.equator_grad_sq
-        # a row with R = 0 lies on the level v = 0, where its poles are samples
-        c = np.divide(nef.dv_rad ** 2 - a_eq, r2, out=np.zeros_like(r2), where=r2 > 0.0)
-        # symmetric edges share a level; the loop is over levels, each O(N)
-        levels, at_edge = np.unique((b * np.sin(edges)) ** 2, return_inverse=True)
-        top = np.array([np.max(a_eq + c * s, where=r2 >= s, initial=-np.inf)
-                        for s in levels])
-        edge_val = (top / (lam * (b * b - levels)))[at_edge]
+    if edge_val is not None:
         for side in (slice(None, -1), slice(1, None)):  # lower edges, then upper
             counts += edge_val[side] > -np.inf
             better = edge_val[side] > values
@@ -482,53 +495,6 @@ def barrier_dominance_check(levelset: LevelSetMaxima, z) -> DominanceReport:
     i = int(np.argmin(finite))
     return DominanceReport(margins=margins, min_margin=float(finite[i]),
                            worst_t=float(tvals[i]), occupied_bins=int(occ.sum()))
-
-
-@dataclass(frozen=True)
-class TestEstimateResult:
-    """Touching-point inequality residuals for barrier candidates.
-
-    ``full`` is the complete right-hand side; the two corollary forms are
-    evaluated unconditionally and tagged with applicability of their
-    hypotheses (monotonicity and range of z at the touching point).
-    """
-
-    full: np.ndarray
-    cor6_value: np.ndarray
-    cor6_applicable: np.ndarray
-    cor7_value: np.ndarray
-    cor7_applicable: np.ndarray
-
-
-def test_estimate_residual(z, zdot, zddot, t0, c: float, delta: float,
-                           a: float | None = None) -> TestEstimateResult:
-    """Right-hand side of the touching-point inequality at t0.
-
-    For a valid barrier touched from below by Z at t0 with z(t0) > 0, the
-    maximum principle forces this quantity to be >= 0; barrier families are
-    designed so that it is <= 0 away from degenerate configurations, which is
-    what rules the touching out.  ``a`` (the asymmetry constant) tightens the
-    first corollary's range check; it defaults to c, the strictest choice.
-    """
-    z, zdot, zddot, t0 = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(z, dtype=float)),
-        np.asarray(zdot, dtype=float), np.asarray(zddot, dtype=float),
-        np.asarray(t0, dtype=float))
-    _check_domain(t0)
-    if np.any(z <= 0.0):
-        raise BarrierHypothesisError("the touching-point inequality requires z(t0) > 0")
-    a_eff = c if a is None else float(a)
-    cos, sin = np.cos(t0), np.sin(t0)
-    cos2 = cos * cos
-    base = 0.5 * zddot * cos2 - zdot * cos * sin - z + 1.0
-    cor6 = base + c * sin - 2.0 * delta * cos2
-    full = cor6 - (zdot / (4.0 * z)) * cos * (zdot * cos - 2.0 * z * sin + 2.0 * sin + 2.0 * c)
-    cor7 = base - 2.0 * delta * cos2
-    tiny = 1e-12
-    cor6_ok = (zdot >= -tiny) & (z >= 1.0 - c - tiny) & (z <= 1.0 + a_eff + tiny)
-    cor7_ok = (abs(a_eff) <= tiny) & (zdot * sin >= -tiny) & (z <= 1.0 + tiny)
-    return TestEstimateResult(full=full, cor6_value=cor6, cor6_applicable=cor6_ok,
-                              cor7_value=cor7, cor7_applicable=cor7_ok)
 
 
 @dataclass(frozen=True)

@@ -156,17 +156,6 @@ def poly_cos_density(coeffs, length: float = math.pi) -> RadialProfile:
                          name=f"poly-cos({','.join('%g' % v for v in c)})")
 
 
-def profile_from_samples(r, values, name: str = "sampled") -> RadialProfile:
-    """Cubic-spline profile through sampled values; derivatives from the spline."""
-    from scipy.interpolate import CubicSpline  # its only user; kept off the import path
-
-    sp = CubicSpline(np.asarray(r, dtype=float), np.asarray(values, dtype=float))
-    return RadialProfile(
-        value=sp, d1=sp.derivative(1), d2=sp.derivative(2), d3=sp.derivative(3),
-        name=name,
-    )
-
-
 @dataclass(frozen=True)
 class WarpedManifold:
     """A compact rotationally symmetric weighted manifold.
@@ -271,12 +260,15 @@ class Grid:
     Cell centers sit at (i + 1/2) h for the interval topology, so no node ever
     touches a pole; the circle uses nodes at i h with periodic wrap.  The
     weights integrate u against  w^{n-1} e^{-phi} dr * Vol(S^{n-1})  (interval)
-    or  e^{-phi} dtheta  (circle) by the composite midpoint rule.
+    or  e^{-phi} dtheta  (circle) by the composite midpoint rule; ``density``
+    holds rho = w^{n-1} e^{-phi} (or e^{-phi}) at the nodes, which they and
+    the operator assembly share.
     """
 
     nodes: np.ndarray
     spacing: float
     weights: np.ndarray
+    density: np.ndarray
 
     def __post_init__(self):
         if self.nodes.ndim != 1 or self.nodes.size < 4:
@@ -297,7 +289,9 @@ class Grid:
             nodes = (np.arange(count) + 0.5) * h
         else:
             nodes = np.arange(count) * h
-        grid = Grid(nodes=nodes, spacing=h, weights=np.ones(count))
+        rho = measure_density(model, nodes)
+        grid = Grid(nodes=nodes, spacing=h, weights=np.ones(count), density=rho)
+        # assemble, not the grid, rejects a density that is not positive and finite
         object.__setattr__(grid, "weights", weighted_measure(model, grid))
         return grid
 
@@ -312,7 +306,7 @@ def measure_density(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
 
 def weighted_measure(model: WarpedManifold, grid: Grid) -> np.ndarray:
     """Quadrature weights for integrating against the weighted volume measure."""
-    return unit_fiber_area(model.n) * measure_density(model, grid.nodes) * grid.spacing
+    return unit_fiber_area(model.n) * grid.density * grid.spacing
 
 
 def integrate(grid: Grid, samples: np.ndarray) -> float:

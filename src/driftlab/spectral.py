@@ -27,19 +27,21 @@ eigenvectors.  The periodic circle matrix has wrap-around corners and is
 solved by sparse shift-invert Lanczos (ARPACK).  Both solves cost linear time
 in N and are deterministic.
 
+Only the l = 0 operator is assembled from the density; a sector l >= 1 is
+derived from it by subtracting its angular potential from the diagonal.
 ``solve_eigen`` returns one sector's eigenpairs as a tuple of ``EigenMode``.
 ``first_nonzero_eigenvalue`` bisects the sectors l = 0, 1 for their four
 eigenvalues of smallest magnitude and runs inverse iteration only on the
-winning sector (a circle: Lanczos on its one periodic sector); its Richardson
-partner is the Rayleigh quotient of that eigenvector on the half-resolution
-operator, so each lambda_1 costs one eigensolve.  ``spectrum_contains``
-bisects the sectors l = 0, 1, 2 over a value window.
+winning eigenvalue (a circle: Lanczos on its one periodic sector); its
+Richardson partner is the Rayleigh quotient of that eigenvector on the
+half-resolution operator, so each lambda_1 costs one eigenvector.
+``spectrum_contains`` bisects the sectors l = 0, 1, 2 over a value window.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -86,6 +88,23 @@ class SpectralProblem:
             out[-1] += self.corner * y[0]
         return out / self.sqrt_rho
 
+    def sector(self, l: int) -> "SpectralProblem":
+        """Angular mode l of this l = 0 operator: the diagonal less
+        l(l+n-2)/w^2, computed in the potential's own buffer; the off-diagonal
+        and sqrt_rho are shared.  A circle has no fiber, so only the tag
+        changes."""
+        if not l:
+            return self
+        if self.periodic:
+            return replace(self, l=l)
+        w = self.model.w.value(self.grid.nodes)
+        potential = np.asarray(w, dtype=float) ** 2
+        np.divide(angular_eigenvalue(self.model.n, l), potential, out=potential)
+        if not np.all(np.isfinite(potential)):
+            raise AssemblyError(
+                "angular potential overflows at the poles; grid nodes must stay interior")
+        return replace(self, l=l, diag=np.subtract(self.diag, potential, out=potential))
+
 
 def angular_eigenvalue(n: int, l: int) -> float:
     """Eigenvalue l (l + n - 2) of degree-l spherical harmonics on the fiber."""
@@ -93,13 +112,16 @@ def angular_eigenvalue(n: int, l: int) -> float:
 
 
 def assemble(model: WarpedManifold, grid: Grid, l: int) -> SpectralProblem:
-    """Assemble the symmetric tridiagonal operator for angular mode l."""
+    """Assemble the symmetric tridiagonal operator for angular mode l.
+
+    An interval sector l >= 1 is the l = 0 operator less its angular
+    potential (``SpectralProblem.sector``)."""
     if l < 0 or int(l) != l:
         raise AssemblyError(f"angular mode must be a nonnegative integer, got {l!r}")
     l = int(l)
     h = grid.spacing
     nodes = grid.nodes
-    rho_c = measure_density(model, nodes)
+    rho_c = grid.density
     if np.any(rho_c <= 0.0) or not np.all(np.isfinite(rho_c)):
         raise AssemblyError("measure density is not positive and finite on the grid")
 
@@ -110,13 +132,6 @@ def assemble(model: WarpedManifold, grid: Grid, l: int) -> SpectralProblem:
         diag = np.zeros(grid.size)
         diag[:-1] -= coupling / rho_c[:-1]
         diag[1:] -= coupling / rho_c[1:]
-        if l >= 1:
-            wv = np.asarray(model.w.value(nodes), dtype=float)
-            potential = angular_eigenvalue(model.n, l) / wv**2
-            if not np.all(np.isfinite(potential)):
-                raise AssemblyError(
-                    "angular potential overflows at the poles; grid nodes must stay interior")
-            diag -= potential
         off = coupling / np.sqrt(rho_c[:-1] * rho_c[1:])
         corner = 0.0
     else:
@@ -130,8 +145,9 @@ def assemble(model: WarpedManifold, grid: Grid, l: int) -> SpectralProblem:
         off = coupling[:-1] / np.sqrt(rho_c[:-1] * rho_c[1:])
         corner = float(coupling[-1] / math.sqrt(rho_c[-1] * rho_c[0]))
 
-    return SpectralProblem(model=model, grid=grid, l=l, diag=diag, off_diag=off,
-                           corner=corner, sqrt_rho=np.sqrt(rho_c))
+    problem = SpectralProblem(model=model, grid=grid, l=0, diag=diag, off_diag=off,
+                              corner=corner, sqrt_rho=np.sqrt(rho_c))
+    return problem.sector(l)
 
 
 @dataclass(frozen=True)
@@ -175,7 +191,8 @@ def _solver_error(problem: SpectralProblem, cause: Exception | str) -> SolverErr
 @dataclass(frozen=True)
 class _Bisection:
     """Bisected eigenvalues of an interval sector (LAPACK stebz, in block
-    order) with the block data that inverse iteration needs."""
+    order) with the block data that inverse iteration (LAPACK stein) needs:
+    ``modes()`` for all of them, ``mode(k)`` for one."""
 
     problem: SpectralProblem
     w: np.ndarray
@@ -183,21 +200,41 @@ class _Bisection:
     isplit: np.ndarray
 
     @property
+    def _by_magnitude(self) -> list[int]:
+        """Indices into ``w`` in the order of ``modes()``: by |mu|."""
+        return sorted(np.argsort(self.w).tolist(), key=lambda j: abs(self.w[j]))
+
+    @property
     def mus(self) -> list[float]:
         """The eigenvalues in the order of ``modes()``: by |mu|."""
-        return sorted(np.sort(self.w).tolist(), key=abs)
+        return self.w[self._by_magnitude].tolist()
 
-    def modes(self) -> tuple[EigenMode, ...]:
-        """Eigenpairs of all the bisected eigenvalues by inverse iteration
-        (LAPACK stein).  It draws a start vector per eigenvalue and
-        reorthogonalizes within clusters, so it always gets the whole set."""
+    def _stein(self, w: np.ndarray, iblock: np.ndarray) -> np.ndarray:
+        """Eigenvectors of the eigenvalues ``w`` by inverse iteration (LAPACK
+        stein), which reads the first w.size entries of ``iblock``."""
         d, e = self.problem.diag, self.problem.off_diag
         stein, = get_lapack_funcs(("stein",), (d, e))
-        vecs, info = stein(d, e, self.w, self.iblock, self.isplit)
+        vecs, info = stein(d, e, w, iblock, self.isplit)
         if info != 0:
             raise _solver_error(self.problem, f"stein returned info={info}")
+        return vecs
+
+    def modes(self) -> tuple[EigenMode, ...]:
+        """Eigenpairs of all the bisected eigenvalues.  stein draws a start
+        vector per eigenvalue and reorthogonalizes the vectors of eigenvalues
+        closer than 1e-3 ||T|| to each other."""
+        vecs = self._stein(self.w, self.iblock)
         order = np.argsort(self.w)
         return _postprocess(self.problem, self.w[order], vecs[:, order])
+
+    def mode(self, k: int) -> EigenMode:
+        """The k-th eigenpair of ``modes()`` alone: inverse iteration on one
+        eigenvalue, with nothing to reorthogonalize against."""
+        j = self._by_magnitude[k]
+        # the wrapper wants an N-length iblock; stein reads only its first entry
+        iblock = np.full_like(self.iblock, self.iblock[j])
+        w = self.w[j:j + 1]
+        return _postprocess(self.problem, w, self._stein(w, iblock))[0]
 
 
 def _stebz(problem: SpectralProblem, select: int, vl: float, vu: float, il: int, iu: int,
@@ -290,8 +327,8 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     l = 1 counterpart.  A circle has the single periodic sector.  Each sector
     contributes its four eigenvalues of smallest magnitude, less the constant
     mode (top of the l = 0 or periodic sector).  Interval sectors are only
-    bisected; inverse iteration runs once, for the winning sector's four
-    eigenvalues, and the eigenmode is taken from it.
+    bisected, l = 1 on the l = 0 operator less its potential; inverse
+    iteration runs once, on the winning eigenvalue alone, for the eigenmode.
 
     The Richardson error estimate of the second-order scheme is
     |lam_N - lam_{N/2}| / 3, where lam_{N/2} is the Rayleigh quotient, on the
@@ -302,23 +339,24 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     ``gap`` is the distance to the next eigenvalue above lambda plus a
     cluster width of max(20 err, 1e-7 max(1, lambda)).
     """
-    def _low(l: int):
-        """Sector l's eigenvalues of smallest magnitude, by |mu|, and the
-        function that returns their eigenpairs in that order."""
-        problem = assemble(model, grid, l)
+    def _low(problem: SpectralProblem):
+        """The sector's eigenvalues of smallest magnitude, by |mu|, and the
+        function that returns the eigenpair of one of them."""
         if problem.periodic:
             modes = solve_eigen(problem, 4)
-            return [m.mu for m in modes], lambda: modes
+            return [m.mu for m in modes], modes.__getitem__
         bisection = _bisect(problem, 4)
-        return bisection.mus, bisection.modes
+        return bisection.mus, bisection.mode
 
-    sectors = {l: _low(l) for l in ((0,) if model.topology == CIRCLE else (0, 1))}
+    base = assemble(model, grid, 0)
+    problems = (base,) if base.periodic else (base, base.sector(1))
+    sectors = {p.l: _low(p) for p in problems}
     # (mu, l, index in the sector); index 0 of l = 0 is the constant mode
     cands = [(mu, l, k) for l, (mus, _) in sectors.items()
              for k, mu in enumerate(mus) if k or l]
     mu, l, k = min(cands, key=lambda c: (-c[0], c[1]))
-    _, eigenpairs = sectors[l]
-    mode = eigenpairs()[k]
+    _, eigenpair = sectors[l]
+    mode = eigenpair(k)
     lam = -mu
     err = math.nan
     if richardson and grid.size >= 8:
@@ -358,8 +396,9 @@ def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
         raise ValueError("tol must be positive")
     window = tol * max(1.0, abs(target))
     mus = []
+    base = assemble(model, grid, 0)
     for l in (0, 1, 2):
-        problem = assemble(model, grid, l)
+        problem = base.sector(l)
         upper, _, _ = _stebz(problem, 1, target - window, math.inf, 1, 1, "E")
         below = problem.size - upper.size
         if below >= 1:

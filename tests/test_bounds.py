@@ -131,16 +131,6 @@ def test_lambda_input_is_twice_gamma():
     assert LING_RATIO == Fraction(31, 100)
 
 
-def test_gap_classifier():
-    assert dl.gap_classifier(2.0, 1.0).verdict == "must-be-Einstein"
-    assert dl.gap_classifier(3.0, 1.0).verdict == "nontrivial-soliton-possible"
-    # the threshold itself is not strictly below, so it stays possible
-    threshold = dl.soliton_diameter_lower(1.0)
-    assert dl.gap_classifier(threshold, 1.0).verdict == "nontrivial-soliton-possible"
-    with pytest.raises(InapplicableBoundError):
-        dl.gap_classifier(0.0, 1.0)
-
-
 def test_bound_report_assembly():
     case = dl.ling_case(0.0, 0.25)
     report = dl.build_bound_report(n=2, K=1.0, d=math.pi, case=case)

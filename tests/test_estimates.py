@@ -2,10 +2,12 @@
 
 import math
 import warnings
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import driftlab as dl
@@ -271,8 +273,54 @@ def test_dominance_zonal_quarter_delta():
     assert report.min_margin > 0.0
 
 
+@dataclass(frozen=True)
+class _TouchingPointResidual:
+    """Touching-point inequality residuals for barrier candidates.
+
+    ``full`` is the complete right-hand side; the two corollary forms are
+    evaluated unconditionally and tagged with applicability of their
+    hypotheses (monotonicity and range of z at the touching point).
+    """
+
+    full: np.ndarray
+    cor6_value: np.ndarray
+    cor6_applicable: np.ndarray
+    cor7_value: np.ndarray
+    cor7_applicable: np.ndarray
+
+
+def _touching_point_residual(z, zdot, zddot, t0, c, delta, a=None):
+    """Right-hand side of the paper's touching-point inequality at t0.
+
+    For a valid barrier touched from below by Z at t0 with z(t0) > 0, the
+    maximum principle forces this quantity to be >= 0; barrier families are
+    designed so that it is <= 0 away from degenerate configurations, which is
+    what rules the touching out.  ``a`` (the asymmetry constant) tightens the
+    first corollary's range check; it defaults to c, the strictest choice.
+    """
+    z, zdot, zddot, t0 = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(z, dtype=float)),
+        np.asarray(zdot, dtype=float), np.asarray(zddot, dtype=float),
+        np.asarray(t0, dtype=float))
+    est._check_domain(t0)
+    if np.any(z <= 0.0):
+        raise BarrierHypothesisError("the touching-point inequality requires z(t0) > 0")
+    a_eff = c if a is None else float(a)
+    cos, sin = np.cos(t0), np.sin(t0)
+    cos2 = cos * cos
+    base = 0.5 * zddot * cos2 - zdot * cos * sin - z + 1.0
+    cor6 = base + c * sin - 2.0 * delta * cos2
+    full = cor6 - (zdot / (4.0 * z)) * cos * (zdot * cos - 2.0 * z * sin + 2.0 * sin + 2.0 * c)
+    cor7 = base - 2.0 * delta * cos2
+    tiny = 1e-12
+    cor6_ok = (zdot >= -tiny) & (z >= 1.0 - c - tiny) & (z <= 1.0 + a_eff + tiny)
+    cor7_ok = (abs(a_eff) <= tiny) & (zdot * sin >= -tiny) & (z <= 1.0 + tiny)
+    return _TouchingPointResidual(full=full, cor6_value=cor6, cor6_applicable=cor6_ok,
+                                  cor7_value=cor7, cor7_applicable=cor7_ok)
+
+
 def test_test_estimate_residual_trivial_zero():
-    res = dl.test_estimate_residual(1.0, 0.0, 0.0, 0.5, c=0.0, delta=0.0)
+    res = _touching_point_residual(1.0, 0.0, 0.0, 0.5, c=0.0, delta=0.0)
     assert res.full[0] == 0.0
 
 
@@ -282,8 +330,8 @@ def test_test_estimate_residual_cor7_sweep():
     delta = 0.25
     t = np.linspace(-HALF_PI, HALF_PI, 10001)
     z = 1.0 + delta * xi(t)
-    res = dl.test_estimate_residual(z, delta * xi_d1(t), delta * xi_d2(t), t,
-                                    c=0.0, delta=delta, a=0.0)
+    res = _touching_point_residual(z, delta * xi_d1(t), delta * xi_d2(t), t,
+                                   c=0.0, delta=delta, a=0.0)
     assert res.cor7_value.min() >= -1e-9
     assert np.max(np.abs(res.cor7_value)) < 1e-9
     assert res.cor7_applicable.all()
@@ -296,17 +344,17 @@ def test_test_estimate_residual_cor6_identity():
     a, b, delta = 0.3, 1.01, 0.12
     z = dl.barrier(a, b, delta, 1.0)
     t = np.linspace(-z.domain()[1], z.domain()[1], 2001)
-    res = dl.test_estimate_residual(z.value(t), z.d1(t), z.d2(t), t,
-                                    c=a / b, delta=delta, a=a)
+    res = _touching_point_residual(z.value(t), z.d1(t), z.d2(t), t,
+                                   c=a / b, delta=delta, a=a)
     assert np.max(np.abs(res.cor6_value)) < 1e-9
 
 
 def test_test_estimate_residual_tags_inapplicable():
-    res = dl.test_estimate_residual(1.0, -0.5, 0.0, 0.3, c=0.1, delta=0.1, a=0.2)
+    res = _touching_point_residual(1.0, -0.5, 0.0, 0.3, c=0.1, delta=0.1, a=0.2)
     assert not res.cor6_applicable[0]  # zdot < 0
     assert np.isfinite(res.full[0])    # still evaluated
     with pytest.raises(BarrierHypothesisError):
-        dl.test_estimate_residual(-1.0, 0.0, 0.0, 0.3, c=0.0, delta=0.1)
+        _touching_point_residual(-1.0, 0.0, 0.0, 0.3, c=0.0, delta=0.1)
 
 
 def test_length_integrals_constant_barrier():
@@ -580,3 +628,63 @@ def test_compute_Z_ties_keep_the_first_maximizer():
     assert levelset.values[2] == 2.0
     assert levelset.arg_t[2] == np.arcsin(0.30 / b)
     assert levelset.values[0] == 4.0
+
+
+def _per_level_masked_Z(nef, t_bins):
+    """compute_Z with one masked maximum over all N rows per edge level."""
+    b, lam = nef.b, nef.lam
+    tb = math.asin(1.0 / b)
+    edges = np.linspace(-tb, tb, t_bins + 1)
+    v, grad_sq = nef.samples()
+    t = np.arcsin(v / b)
+    val = grad_sq / (lam * (b * b - v * v))
+    inside = (t >= edges[0]) & (t <= edges[-1])
+    t, val = t[inside], val[inside]
+    idx = np.minimum(np.searchsorted(edges, t, side="right") - 1, t_bins - 1)
+    counts = np.bincount(idx, minlength=t_bins)
+    values = np.full(t_bins, -np.inf)
+    np.maximum.at(values, idx, val)
+    first = np.full(t_bins, val.size)
+    hit = np.flatnonzero(val == values[idx])
+    np.minimum.at(first, idx[hit], hit)
+    arg_t = np.append(t, np.nan)[first]
+    r2 = nef.v_rad ** 2
+    a_eq = nef.equator_grad_sq
+    c = np.divide(nef.dv_rad ** 2 - a_eq, r2, out=np.zeros_like(r2), where=r2 > 0.0)
+    levels, at_edge = np.unique((b * np.sin(edges)) ** 2, return_inverse=True)
+    top = np.array([np.max(a_eq + c * s, where=r2 >= s, initial=-np.inf) for s in levels])
+    edge_val = (top / (lam * (b * b - levels)))[at_edge]
+    for side in (slice(None, -1), slice(1, None)):
+        counts += edge_val[side] > -np.inf
+        better = edge_val[side] > values
+        values[better] = edge_val[side][better]
+        arg_t[better] = edges[side][better]
+    values[counts == 0] = np.nan
+    return values, arg_t, counts
+
+
+# radial values from a small pool, so that rows repeat R^2 (and R = 0)
+_RADIAL = st.one_of(st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]),
+                    st.floats(-1.0, 1.0))
+
+
+# a tiny drawn R overflows C = (R'^2 - A)/R^2 in both versions alike
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 5),
+       rows=st.lists(st.tuples(_RADIAL, st.floats(-5.0, 5.0)), min_size=4, max_size=60),
+       lam=st.floats(0.5, 10.0), b=st.floats(1.001, 2.0), bins=st.integers(1, 60))
+def test_compute_Z_prefix_maxima_match_masked_maxima_bitwise(n, rows, lam, b, bins):
+    # sorting the rows by R^2 once and taking each level's maximum over the
+    # prefix that reaches it changes no value, argument or count
+    model = dl.sphere(n)
+    grid = dl.Grid.uniform(model, len(rows))
+    v_rad, dv_rad = (np.array(column) for column in zip(*rows))
+    nef = est.NormalizedEigenfunction(
+        model=model, grid=grid, l=1, lam=lam, k=1.0, a=0.0, b=b, K=1.0,
+        v_rad=v_rad, dv_rad=dv_rad, residual_inf=0.0)
+    levelset = dl.compute_Z(nef, bins)
+    values, arg_t, counts = _per_level_masked_Z(nef, bins)
+    assert levelset.values.tobytes() == values.tobytes()
+    assert levelset.arg_t.tobytes() == arg_t.tobytes()
+    assert np.array_equal(levelset.counts, counts)

@@ -189,23 +189,6 @@ def test_circle_needs_periodic_density():
         dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, 2.0 * math.pi))
 
 
-def test_sampled_profile_matches_named_family():
-    # density supplied as samples with spline interpolation tracks the closed
-    # form away from spline boundary effects
-    r = np.linspace(0.0, math.pi, 2001)
-    sampled = dl.profile_from_samples(r, 0.5 * np.cos(r), name="sampled-cos")
-    model = dl.WarpedManifold(topology=dl.INTERVAL_SPHERE, n=2, L=math.pi,
-                              w=dl.sphere_warp(1.0), phi=sampled)
-    named = dl.sphere(2, density=dl.cosine_density(0.5))
-    grid = dl.Grid.uniform(model, 400)
-    ps = dl.curvature(model, grid)
-    pn = dl.curvature(named, grid)
-    assert np.max(np.abs(ps.ricphi_rr - pn.ricphi_rr)) < 1e-5
-    assert np.max(np.abs(ps.ricphi_tan - pn.ricphi_tan)) < 1e-6
-    ks = dl.be_ricci_lower_bound(model, grid)
-    assert abs(ks.K - 0.5) < 1e-4
-
-
 def test_grid_invariants():
     model = dl.sphere(2, density=dl.cosine_density(0.7))
     grid = dl.Grid.uniform(model, 64)
