@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .bounds import (BoundReport, DiameterBoundDerivation, LingCase,
                      build_bound_report, derive_diameter_bound, lichnerowicz_be,
-                     ling_be_bound, ling_case, myers_upper, prop8_bound, prop9_bound,
-                     soliton_diameter_lower)
+                     ling_be_bound, ling_case, myers_upper, soliton_diameter_lower)
 from .estimates import (BarrierFamily, LevelSetMaxima,
                         NormalizedEigenfunction, barrier, barrier_dominance_check,
                         case_b2b2_barrier, compute_Z, eta, gradient_estimate_margin,

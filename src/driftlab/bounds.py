@@ -108,30 +108,6 @@ def ling_case(a: float, delta: float) -> LingCase:
     return LingCase(label="B-2-b2", mu=None, alpha_multiple=float(CASE_FLOOR))
 
 
-def prop8_bound(n: int, K: float, d: float, mu: float, a: float, delta: float) -> float:
-    """Barrier bound pi^2/d^2 + mu (n-1) K / 2 for a > 0, mu in (0,1],
-    mu delta <= 4a/pi^2 (hypothesis checked with a one-ulp slack so the
-    equality case mu = 4a/(pi^2 delta) passes)."""
-    if n < 2 or K <= 0.0 or d <= 0.0:
-        raise InapplicableBoundError("the bound needs n >= 2, K > 0, d > 0")
-    if a <= 0.0:
-        raise InapplicableBoundError("this branch needs a > 0 (use the a = 0 bound instead)")
-    if not (0.0 < mu <= 1.0):
-        raise InapplicableBoundError("the barrier parameter mu must lie in (0, 1]")
-    limit = 4.0 * a / math.pi**2
-    if mu * delta > limit * (1.0 + 1e-12):
-        raise InapplicableBoundError(
-            f"hypothesis mu*delta <= 4a/pi^2 fails: {mu * delta:.6g} > {limit:.6g}")
-    return math.pi**2 / d**2 + 0.5 * mu * (n - 1) * K
-
-
-def prop9_bound(n: int, K: float, d: float) -> float:
-    """Barrier bound pi^2/d^2 + (n-1) K / 2 for the symmetric case a = 0."""
-    if n < 2 or K <= 0.0 or d <= 0.0:
-        raise InapplicableBoundError("the bound needs n >= 2, K > 0, d > 0")
-    return math.pi**2 / d**2 + 0.5 * (n - 1) * K
-
-
 def myers_upper(n: int, gamma: float) -> float:
     """Myers diameter upper bound pi sqrt((n-1)/gamma) for Ric >= gamma g."""
     if gamma <= 0.0:

@@ -275,8 +275,8 @@ class Grid:
             raise ValueError("grid needs at least 4 nodes")
         if np.any(np.diff(self.nodes) <= 0.0):
             raise ValueError("grid nodes must be strictly increasing")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
+        if not (np.all(self.weights > 0.0) and np.all(np.isfinite(self.weights))):
+            raise ValueError("quadrature weights must be positive and finite")
 
     @property
     def size(self) -> int:
@@ -290,10 +290,8 @@ class Grid:
         else:
             nodes = np.arange(count) * h
         rho = measure_density(model, nodes)
-        grid = Grid(nodes=nodes, spacing=h, weights=np.ones(count), density=rho)
-        # assemble, not the grid, rejects a density that is not positive and finite
-        object.__setattr__(grid, "weights", weighted_measure(model, grid))
-        return grid
+        return Grid(nodes=nodes, spacing=h, weights=weighted_measure(model, rho, h),
+                    density=rho)
 
 
 def measure_density(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
@@ -304,9 +302,10 @@ def measure_density(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
     return np.exp(-np.asarray(model.phi.value(r)))
 
 
-def weighted_measure(model: WarpedManifold, grid: Grid) -> np.ndarray:
-    """Quadrature weights for integrating against the weighted volume measure."""
-    return unit_fiber_area(model.n) * grid.density * grid.spacing
+def weighted_measure(model: WarpedManifold, density: np.ndarray, spacing: float) -> np.ndarray:
+    """Quadrature weights for integrating against the weighted volume measure,
+    from the measure density at the nodes and the node spacing."""
+    return unit_fiber_area(model.n) * density * spacing
 
 
 def integrate(grid: Grid, samples: np.ndarray) -> float:

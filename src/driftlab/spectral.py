@@ -23,28 +23,37 @@ Dirichlet decay of the eigenfunctions.
 Eigenpairs come from the symmetric tridiagonal similarity transform
 S = D A D^{-1}, D = diag(sqrt(rho_i)), solved in two LAPACK steps: bisection
 (stebz) for the eigenvalues, then inverse iteration (stein) for their
-eigenvectors.  The periodic circle matrix has wrap-around corners and is
-solved by sparse shift-invert Lanczos (ARPACK).  Both solves cost linear time
-in N and are deterministic.
+eigenvectors.  Both are called through scipy's C-level LAPACK
+(``scipy.linalg.cython_lapack``) with ctypes, which releases the GIL for the
+call, so sectors on two threads bisect at the same time.  The periodic circle
+matrix has wrap-around corners and is solved by sparse shift-invert Lanczos
+(ARPACK).  Both solves cost linear time in N and are deterministic.
 
 Only the l = 0 operator is assembled from the density; a sector l >= 1 is
 derived from it by subtracting its angular potential from the diagonal.
 ``solve_eigen`` returns one sector's eigenpairs as a tuple of ``EigenMode``.
-``first_nonzero_eigenvalue`` bisects the sectors l = 0, 1 for their four
-eigenvalues of smallest magnitude and runs inverse iteration only on the
-winning eigenvalue (a circle: Lanczos on its one periodic sector); its
-Richardson partner is the Rayleigh quotient of that eigenvector on the
-half-resolution operator, so each lambda_1 costs one eigenvector.
-``spectrum_contains`` bisects the sectors l = 0, 1, 2 over a value window.
+``first_nonzero_eigenvalue`` bisects the sectors l = 0, 1 at the same time,
+l = 1 on a worker thread, for their four eigenvalues of smallest magnitude and
+runs inverse iteration only on the winning eigenvalue (a circle: Lanczos on
+its one periodic sector, on the calling thread); its Richardson partner is the
+Rayleigh quotient of that eigenvector on the half-resolution operator, so each
+lambda_1 costs one eigenvector.  ``spectrum_contains`` bisects the sectors
+l = 0, 1, 2 over a value window, also at the same time.  Each sector's
+bisection reads only its own arrays, so the results are bitwise those of a
+sequential run.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import re
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import cython_lapack
 from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackError, eigsh
 
@@ -188,6 +197,89 @@ def _solver_error(problem: SpectralProblem, cause: Exception | str) -> SolverErr
                 "off_max": float(np.max(np.abs(problem.off_diag))) if n > 1 else 0.0})
 
 
+_C_TYPES = {"c": "char *", "i": "int *", "d": "double *"}
+_SCALARS = {"i": ctypes.c_int, "d": ctypes.c_double}
+_DTYPES = {"i": np.dtype(np.intc), "d": np.dtype(np.float64)}
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _pointer(kind: str, value):
+    """One argument of a ``_lapack`` routine as ctypes passes it."""
+    if kind == "c":
+        return value
+    if isinstance(value, np.ndarray):
+        if value.dtype != _DTYPES[kind] or not value.flags.c_contiguous:
+            raise TypeError(f"LAPACK needs a contiguous {_DTYPES[kind]} array, got a "
+                            f"{'' if value.flags.c_contiguous else 'strided '}{value.dtype} one")
+        return value.ctypes.data
+    scalar = _SCALARS[kind]
+    return ctypes.byref(value if isinstance(value, scalar) else scalar(value))
+
+
+def _lapack(name: str, kinds: str):
+    """The LAPACK routine ``name`` of scipy's C-level interface, by the function
+    pointer in ``scipy.linalg.cython_lapack.__pyx_capi__``, called through a
+    ctypes foreign function, which releases the GIL for the call.
+
+    ``kinds`` spells the routine's arguments, all pointers: "c" a char, "i" a
+    C int, "d" a double.  The capsule's name is the routine's C signature;
+    unless it is exactly that (an ILP64 or a changed scipy), this raises
+    ImportError rather than pass pointers of the wrong width.  The returned
+    function takes, in the routine's order, bytes for a char, a number for a
+    scalar input, a ctypes ``c_int`` for a scalar output, and a C-contiguous
+    array of C ints or float64 for an array."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = _capsule_name(capsule)
+    expected = "void (" + ", ".join(_C_TYPES[k] for k in kinds) + ")"
+    # Cython names scipy's double typedef __pyx_t_<module>_d
+    if re.sub(r"__pyx_t_\w+_d \*", "double *", signature.decode()) != expected:
+        raise ImportError(f"scipy.linalg.cython_lapack.{name} has the C signature "
+                          f"{signature.decode()!r}; driftlab calls it as {expected!r}")
+    routine = ctypes.CFUNCTYPE(None, *(ctypes.c_char_p if k == "c" else ctypes.c_void_p
+                                       for k in kinds))(_capsule_pointer(capsule, signature))
+
+    def call(*args):
+        routine(*(_pointer(kind, value) for kind, value in zip(kinds, args, strict=True)))
+
+    return call
+
+
+# range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit, work, iwork,
+# info; and n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifail, info
+_LAPACK = {"stebz": _lapack("dstebz", "cciddiidddiidiidii"),
+           "stein": _lapack("dstein", "iddidiididiii")}
+
+# lambda_1's two sectors, l = 0 and l = 1, bisect at the same time: the first
+# on the calling thread, the other on a worker (spectrum_contains' three
+# sectors use both workers).  The workers call nothing that a tracer may wrap
+# in a span, since a tracer keeps one span stack.
+def _new_sector_pool():
+    global _SECTORS
+    _SECTORS = ThreadPoolExecutor(max_workers=2, thread_name_prefix="driftlab-sector")
+
+
+_new_sector_pool()
+if hasattr(os, "register_at_fork"):  # POSIX; nothing forks elsewhere
+    # a forked child has none of its parent's worker threads, so it needs its own pool
+    os.register_at_fork(after_in_child=_new_sector_pool)
+
+
+def _each_sector(task, ls: tuple[int, ...]) -> list:
+    """[task(l) for l in ls], with the first on this thread and the others on
+    the sector workers, all at the same time.  Every task has ended before
+    this returns or raises, and the error raised is that of the lowest l that
+    failed, as in a sequential run."""
+    futures = [_SECTORS.submit(task, l) for l in ls[1:]]
+    try:
+        first = task(ls[0])
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
+
+
 @dataclass(frozen=True)
 class _Bisection:
     """Bisected eigenvalues of an interval sector (LAPACK stebz, in block
@@ -210,14 +302,19 @@ class _Bisection:
         return self.w[self._by_magnitude].tolist()
 
     def _stein(self, w: np.ndarray, iblock: np.ndarray) -> np.ndarray:
-        """Eigenvectors of the eigenvalues ``w`` by inverse iteration (LAPACK
-        stein), which reads the first w.size entries of ``iblock``."""
+        """Eigenvectors of the eigenvalues ``w`` (in block order, with their
+        blocks ``iblock``) by inverse iteration (LAPACK stein), as columns."""
         d, e = self.problem.diag, self.problem.off_diag
-        stein, = get_lapack_funcs(("stein",), (d, e))
-        vecs, info = stein(d, e, w, iblock, self.isplit)
-        if info != 0:
-            raise _solver_error(self.problem, f"stein returned info={info}")
-        return vecs
+        n, m = d.size, w.size
+        if iblock.size != m:
+            raise ValueError(f"{m} eigenvalues need {m} block numbers, got {iblock.size}")
+        z = np.empty((m, n))  # stein's n x m column-major array
+        info = ctypes.c_int()
+        _LAPACK["stein"](n, d, e, m, w, iblock, self.isplit, z, n, np.empty(5 * n),
+                         np.empty(n, np.intc), np.empty(m, np.intc), info)
+        if info.value:
+            raise _solver_error(self.problem, f"stein returned info={info.value}")
+        return z.T
 
     def modes(self) -> tuple[EigenMode, ...]:
         """Eigenpairs of all the bisected eigenvalues.  stein draws a start
@@ -231,33 +328,35 @@ class _Bisection:
         """The k-th eigenpair of ``modes()`` alone: inverse iteration on one
         eigenvalue, with nothing to reorthogonalize against."""
         j = self._by_magnitude[k]
-        # the wrapper wants an N-length iblock; stein reads only its first entry
-        iblock = np.full_like(self.iblock, self.iblock[j])
         w = self.w[j:j + 1]
-        return _postprocess(self.problem, w, self._stein(w, iblock))[0]
+        return _postprocess(self.problem, w, self._stein(w, self.iblock[j:j + 1]))[0]
 
 
-def _stebz(problem: SpectralProblem, select: int, vl: float, vu: float, il: int, iu: int,
-           order: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stebz(problem: SpectralProblem, range_: bytes, vl: float, vu: float, il: int, iu: int,
+           order: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """LAPACK stebz on the symmetrized matrix of an interval sector with
-    ``eigh_tridiagonal``'s default tolerance: select 1 takes the eigenvalues
-    in (vl, vu], select 2 those of (1-based, ascending) index il..iu.
-    Returns the eigenvalues in ``order`` ("E": ascending, "B": by block) with
-    the block data that inverse iteration needs."""
+    ``eigh_tridiagonal``'s arguments and tolerance 0: range b"V" takes the
+    eigenvalues in (vl, vu], range b"I" those of (1-based, ascending) index
+    il..iu.  Returns the eigenvalues in ``order`` (b"E": ascending, b"B": by
+    block) with the block data that inverse iteration needs: the block of each
+    eigenvalue and the last row of each block."""
     d, e = problem.diag, problem.off_diag
-    stebz, = get_lapack_funcs(("stebz",), (d, e))
-    m, w, iblock, isplit, info = stebz(d, e, select, vl, vu, il, iu, 0.0, order)
-    if info != 0:
-        raise _solver_error(problem, f"stebz returned info={info}")
-    # stebz returns w with room for N values; a view would keep all of it alive
-    return w[:m].copy(), iblock, isplit
+    n = d.size
+    w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    _LAPACK["stebz"](range_, order, n, vl, vu, il, iu, 0.0, d, e, m, nsplit, w, iblock,
+                     isplit, np.empty(4 * n), np.empty(3 * n, np.intc), info)
+    if info.value:
+        raise _solver_error(problem, f"stebz returned info={info.value}")
+    # copies: views would keep the N-long arrays alive
+    return w[:m.value].copy(), iblock[:m.value].copy(), isplit[:nsplit.value].copy()
 
 
 def _bisect(problem: SpectralProblem, count: int) -> _Bisection:
     """Bisection for the ``count`` eigenvalues of an interval sector nearest
     zero."""
     n = problem.size
-    w, iblock, isplit = _stebz(problem, 2, 0.0, 1.0, n - count + 1, n, "B")
+    w, iblock, isplit = _stebz(problem, b"I", 0.0, 1.0, n - count + 1, n, b"B")
     return _Bisection(problem=problem, w=w, iblock=iblock, isplit=isplit)
 
 
@@ -327,8 +426,12 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     l = 1 counterpart.  A circle has the single periodic sector.  Each sector
     contributes its four eigenvalues of smallest magnitude, less the constant
     mode (top of the l = 0 or periodic sector).  Interval sectors are only
-    bisected, l = 1 on the l = 0 operator less its potential; inverse
+    bisected, l = 1 on the l = 0 operator less its potential, the two at the
+    same time: l = 0 on the calling thread, l = 1 on a sector worker.  Inverse
     iteration runs once, on the winning eigenvalue alone, for the eigenmode.
+    The result is bitwise that of bisecting the sectors one after the other,
+    and a failure in either sector raises its ``SolverError`` here, l = 0's
+    first.
 
     The Richardson error estimate of the second-order scheme is
     |lam_N - lam_{N/2}| / 3, where lam_{N/2} is the Rayleigh quotient, on the
@@ -339,18 +442,15 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     ``gap`` is the distance to the next eigenvalue above lambda plus a
     cluster width of max(20 err, 1e-7 max(1, lambda)).
     """
-    def _low(problem: SpectralProblem):
-        """The sector's eigenvalues of smallest magnitude, by |mu|, and the
-        function that returns the eigenpair of one of them."""
-        if problem.periodic:
-            modes = solve_eigen(problem, 4)
-            return [m.mu for m in modes], modes.__getitem__
-        bisection = _bisect(problem, 4)
-        return bisection.mus, bisection.mode
-
     base = assemble(model, grid, 0)
-    problems = (base,) if base.periodic else (base, base.sector(1))
-    sectors = {p.l: _low(p) for p in problems}
+    # per sector: its eigenvalues of smallest magnitude, by |mu|, and the
+    # function that returns the eigenpair of one of them
+    if base.periodic:
+        modes = solve_eigen(base, 4)
+        sectors = {0: ([m.mu for m in modes], modes.__getitem__)}
+    else:
+        bisections = _each_sector(lambda l: _bisect(base.sector(l), 4), (0, 1))
+        sectors = {b.problem.l: (b.mus, b.mode) for b in bisections}
     # (mu, l, index in the sector); index 0 of l = 0 is the constant mode
     cands = [(mu, l, k) for l, (mus, _) in sectors.items()
              for k, mu in enumerate(mus) if k or l]
@@ -388,23 +488,28 @@ def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
     Interval-sphere models only.  Each sector l = 0, 1, 2 contributes every
     eigenvalue above target - window (Sturm bisection) and the next one below,
     so ``contained`` and ``nearest`` are exact and a negative verdict is
-    meaningful.  ``count_used`` is the number of eigenvalues computed.
+    meaningful.  The three sectors are bisected at the same time, l = 0 on
+    the calling thread and l = 1, 2 on the sector workers, and their
+    eigenvalues are joined in l order, as a sequential run would join them.
+    ``count_used`` is the number of eigenvalues computed.
     """
     if model.topology == CIRCLE:
         raise ValueError("spectrum_contains needs an interval-sphere model")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     window = tol * max(1.0, abs(target))
-    mus = []
     base = assemble(model, grid, 0)
-    for l in (0, 1, 2):
+
+    def members(l: int) -> np.ndarray:
         problem = base.sector(l)
-        upper, _, _ = _stebz(problem, 1, target - window, math.inf, 1, 1, "E")
+        upper, _, _ = _stebz(problem, b"V", target - window, math.inf, 1, 1, b"E")
         below = problem.size - upper.size
-        if below >= 1:
-            mus.extend(_stebz(problem, 2, 0.0, 1.0, below, below, "E")[0])
-        mus.extend(upper)
-    mus = np.array(mus)
+        if below < 1:
+            return upper
+        return np.concatenate((_stebz(problem, b"I", 0.0, 1.0, below, below, b"E")[0], upper))
+
+    # in l order, so a tie in ``nearest`` goes to the lowest sector
+    mus = np.concatenate(_each_sector(members, (0, 1, 2)))
     nearest = float(mus[np.argmin(np.abs(mus - target))])
     gap = abs(nearest - target)
     return MembershipVerdict(contained=gap <= window, nearest=nearest, gap=gap,

@@ -35,11 +35,6 @@ def test_ling_bound_monotonicity():
     assert base > math.pi**2 / 4.0                        # dominates pi^2/d^2
 
 
-def test_prop_bounds_dominate_ling():
-    for n, K, d in ((2, 1.0, math.pi), (3, 0.4, 2.0), (5, 2.0, 1.0)):
-        assert dl.prop9_bound(n, K, d) >= dl.ling_be_bound(n, K, d)
-
-
 def test_case_examples():
     case = dl.ling_case(0.0, 0.3)
     assert case.label == "A" and case.alpha_multiple == 1.0
@@ -79,23 +74,6 @@ def test_case_totality_and_floor():
         dl.ling_case(1.0, 0.3)
     with pytest.raises(InapplicableBoundError):
         dl.ling_case(0.3, 0.6)
-
-
-def test_prop8_values_and_hypotheses():
-    assert dl.prop8_bound(2, 1.0, math.pi, 1.0, 0.5, 0.1) == pytest.approx(1.5, abs=1e-12)
-    with pytest.raises(InapplicableBoundError):
-        dl.prop8_bound(2, 1.0, math.pi, 1.0, 0.1, 0.5)  # mu*delta > 4a/pi^2
-    # mu = 4a/(pi^2 delta) satisfies the hypothesis with equality
-    a, delta = 0.3, 0.2
-    mu = 4.0 * a / (math.pi**2 * delta)
-    assert dl.prop8_bound(2, 1.0, math.pi, mu, a, delta) > 0.0
-
-
-def test_prop9_values():
-    assert dl.prop9_bound(2, 1.0, math.pi) == pytest.approx(1.5, abs=1e-12)
-    assert dl.prop9_bound(3, 1.0, math.pi) == pytest.approx(2.0, abs=1e-12)
-    # d -> infinity leaves the curvature term
-    assert dl.prop9_bound(3, 1.0, 1e9) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_myers_values():

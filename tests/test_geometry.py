@@ -189,6 +189,17 @@ def test_circle_needs_periodic_density():
         dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, 2.0 * math.pi))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.parametrize("shift", [400.0, -400.0], ids=["vanishing", "infinite"])
+def test_grid_rejects_a_density_that_is_not_positive_and_finite(shift):
+    # phi = 400 cos r + shift spans [0, 800] or [-800, 0], so e^{-phi}
+    # underflows to 0 (or overflows to inf) at the nodes near one pole; the
+    # grid's weight check sees the real weights, not placeholders
+    model = dl.sphere(2, density=dl.cosine_density(400.0).shifted(shift))
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        dl.Grid.uniform(model, 64)
+
+
 def test_grid_invariants():
     model = dl.sphere(2, density=dl.cosine_density(0.7))
     grid = dl.Grid.uniform(model, 64)
@@ -196,4 +207,4 @@ def test_grid_invariants():
     assert np.all(grid.weights > 0)
     assert grid.size == 64
     # weights reproduce the weighted_measure operation
-    assert np.allclose(grid.weights, dl.weighted_measure(model, grid), rtol=0, atol=0)
+    assert np.array_equal(grid.weights, dl.weighted_measure(model, grid.density, grid.spacing))

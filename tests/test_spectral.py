@@ -1,13 +1,19 @@
 """Spectral engine checks against classical spectra and structural invariants."""
 
+import ctypes
 import json
 import math
+import multiprocessing
+import sys
+import threading
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import cython_lapack, eigh, eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 import driftlab as dl
 import driftlab.cli as cli
@@ -413,25 +419,29 @@ def test_rayleigh_quotient_of_an_eigenvector_is_its_eigenvalue(model, l):
         assert quotient == pytest.approx(-vals[j], rel=1e-12)
 
 
-def _counting_lapack(monkeypatch, calls):
-    """Record each stebz call as ("stebz", N) and each stein call as
-    ("stein", N, number of eigenvalues)."""
-    lapack = spectral.get_lapack_funcs
-
+def _counting_lapack(monkeypatch, calls, zonal_diag):
+    """Record each stebz call as ("stebz", N, l, thread) and each stein call as
+    ("stein", N, number of eigenvalues, thread); l is 0 when stebz sees the
+    diagonal ``zonal_diag`` of the l = 0 operator, else 1."""
     def counted(name, routine):
-        def call(d, e, *args):
-            calls.append((name, d.size) + ((args[0].size,) if name == "stein" else ()))
-            return routine(d, e, *args)
+        def call(*args):
+            thread = threading.current_thread().name
+            if name == "stebz":
+                calls.append((name, args[2], 0 if np.array_equal(args[8], zonal_diag) else 1,
+                              thread))
+            else:
+                calls.append((name, args[0], args[3], thread))
+            routine(*args)
         return call
 
-    monkeypatch.setattr(spectral, "get_lapack_funcs", lambda names, arrays: [
-        counted(name, routine) for name, routine in zip(names, lapack(names, arrays))])
+    for name, routine in list(spectral._LAPACK.items()):
+        monkeypatch.setitem(spectral._LAPACK, name, counted(name, routine))
 
 
 def test_first_eigenvalue_solve_count(monkeypatch):
-    # spheres: sectors l = 0, 1 bisected at N and inverse iteration on the
-    # winning eigenvalue alone; circles: one Lanczos solve.  The error
-    # estimate solves nothing at N/2
+    # spheres: sectors l = 0, 1 bisected at N, l = 1 on a sector worker, and
+    # inverse iteration on the winning eigenvalue alone; circles: one Lanczos
+    # solve and no sector worker.  The error estimate solves nothing at N/2
     calls = []
     solve = spectral.solve_eigen
 
@@ -440,37 +450,48 @@ def test_first_eigenvalue_solve_count(monkeypatch):
         return solve(problem, count)
 
     monkeypatch.setattr(spectral, "solve_eigen", counting_solve)
-    _counting_lapack(monkeypatch, calls)
-    dl.first_nonzero_eigenvalue(*_sphere_grid(3, 400, eps=0.4))
-    assert calls == [("stebz", 400), ("stebz", 400), ("stein", 400, 1)]
+    model, grid = _sphere_grid(3, 400, eps=0.4)
+    _counting_lapack(monkeypatch, calls, assemble(model, grid, 0).diag)
+    dl.first_nonzero_eigenvalue(model, grid)
+    assert Counter(call[:3] for call in calls) == Counter(
+        [("stebz", 400, 0), ("stebz", 400, 1), ("stein", 400, 1)])
+    threads = {call[:3]: call[3] for call in calls}
+    main = threading.main_thread().name
+    assert threads[("stebz", 400, 0)] == threads[("stein", 400, 1)] == main
+    assert threads[("stebz", 400, 1)].startswith("driftlab-sector")
     calls.clear()
+    monkeypatch.setattr(spectral, "_SECTORS", None)  # any use of the pool fails
     dl.first_nonzero_eigenvalue(*_circle_grid(400, 0.5))
     assert calls == [400]
 
 
-def _force_info_1(monkeypatch, routine):
-    """Make the LAPACK ``routine`` return info = 1 after running."""
-    lapack = spectral.get_lapack_funcs
+def _force_info_1(monkeypatch, routine, workers_only=False):
+    """Make the LAPACK ``routine`` return info = 1 after running; with
+    ``workers_only``, only on the sector workers."""
+    call = spectral._LAPACK[routine]
 
-    def with_info_1(call):
-        return lambda *args: (*call(*args)[:-1], 1)
+    def with_info_1(*args):
+        call(*args)
+        if not workers_only or threading.current_thread() is not threading.main_thread():
+            args[-1].value = 1
 
-    monkeypatch.setattr(spectral, "get_lapack_funcs", lambda names, arrays: [
-        with_info_1(call) if name == routine else call
-        for name, call in zip(names, lapack(names, arrays))])
+    monkeypatch.setitem(spectral._LAPACK, routine, with_info_1)
 
 
-@pytest.mark.parametrize("routine,l", [("stebz", 0), ("stein", 1)])
+@pytest.mark.parametrize("routine,l", [("stebz", 0), ("stein", 1), ("stebz", 1)])
 def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, capsys):
     # a nonzero info from either LAPACK step names the sector and the size,
-    # and a sweep that meets it exits 3
-    _force_info_1(monkeypatch, routine)
+    # also when only the l = 1 bisection on a sector worker fails, and a sweep
+    # that meets it exits 3
+    workers_only = (routine, l) == ("stebz", 1)
+    _force_info_1(monkeypatch, routine, workers_only)
     model, grid = _sphere_grid(3, 400, eps=0.5)
     with pytest.raises(SolverError, match=f"l={l}, N=400: {routine} returned info=1") as info:
         dl.first_nonzero_eigenvalue(model, grid)
     assert (info.value.report["l"], info.value.report["size"]) == (l, 400)
-    with pytest.raises(SolverError, match=f"{routine} returned info=1"):
-        dl.solve_eigen(assemble(model, grid, 2), 4)
+    if not workers_only:
+        with pytest.raises(SolverError, match=f"{routine} returned info=1"):
+            dl.solve_eigen(assemble(model, grid, 2), 4)
 
     config = tmp_path / "sphere.json"
     config.write_text(json.dumps({
@@ -486,6 +507,125 @@ def test_spectrum_contains_stebz_failure_is_a_solver_error(monkeypatch):
     with pytest.raises(SolverError, match="l=0, N=400: stebz returned info=1") as info:
         dl.spectrum_contains(*_sphere_grid(3, 400, eps=0.5), -3.0, 1e-3)
     assert (info.value.report["l"], info.value.report["size"]) == (0, 400)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model_grid=_weighted_models().filter(lambda mg: mg[0].topology != dl.CIRCLE),
+       l=st.integers(0, 2), data=st.data())
+def test_stebz_matches_the_f2py_wrapper_bitwise(model_grid, l, data):
+    # the C-level stebz gives scipy.linalg.lapack.dstebz's eigenvalues and
+    # block data bit for bit, by index and by value window, in both orders
+    model, grid = model_grid
+    problem = assemble(model, grid, l)
+    d, e, n = problem.diag, problem.off_diag, problem.size
+    select = data.draw(st.sampled_from((1, 2)))
+    order = data.draw(st.sampled_from(("B", "E")))
+    if select == 1:
+        vl = data.draw(st.floats(1.5 * d.min(), 0.5))
+        vu = data.draw(st.one_of(st.just(math.inf), st.floats(vl, 1.0, exclude_min=True)))
+        il = iu = 1
+    else:
+        vl, vu = 0.0, 1.0
+        il = data.draw(st.integers(1, n))
+        iu = data.draw(st.integers(il, n))
+    w, iblock, isplit = spectral._stebz(problem, b"VI"[select - 1:select], vl, vu, il, iu,
+                                        order.encode())
+    m, w_f2py, iblock_f2py, isplit_f2py, info = dstebz(d, e, select, vl, vu, il, iu, 0.0,
+                                                       order)
+    assert info == 0 and m == w.size
+    assert w.tobytes() == w_f2py[:m].tobytes()
+    assert np.array_equal(iblock, iblock_f2py[:m])
+    assert isplit[-1] == n and np.array_equal(isplit, isplit_f2py[:isplit.size])
+
+
+def _capsule(pointer, name):
+    """A capsule of ``pointer`` named by the C string at address ``name``."""
+    new = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    return new(("PyCapsule_New", ctypes.pythonapi))(pointer, name, None)
+
+
+def test_lapack_routine_with_another_signature_is_an_import_error(monkeypatch):
+    # an ILP64 scipy's stebz takes 64-bit ints: refuse it instead of passing
+    # pointers to 32-bit ones
+    signature = (b"void (char *, char *, long *, double *, double *, long *, long *, double *,"
+                 b" double *, double *, long *, long *, double *, long *, long *, double *,"
+                 b" long *, long *)")
+    name = ctypes.create_string_buffer(signature)  # the capsule keeps a pointer to it
+    capi = dict(cython_lapack.__pyx_capi__, dstebz=_capsule(1, ctypes.addressof(name)))
+    monkeypatch.setattr(cython_lapack, "__pyx_capi__", capi)
+    with pytest.raises(ImportError, match=r"dstebz has the C signature 'void \(char \*, "
+                                          r"char \*, long \*"):
+        spectral._lapack("dstebz", "cciddiidddiidiidii")
+    # the real capsule passes the same check, and a wrong argument count does not
+    monkeypatch.undo()
+    spectral._lapack("dstebz", "cciddiidddiidiidii")
+    with pytest.raises(ImportError, match="dstein has the C signature"):
+        spectral._lapack("dstein", "iddidiididii")
+
+
+def test_lapack_refuses_arrays_of_another_dtype_or_layout():
+    # a float32 or strided array would be read as something else: refused
+    problem = assemble(*_sphere_grid(2, 100), 0)
+    info = ctypes.c_int()
+    for d in (problem.diag.astype(np.float32), np.repeat(problem.diag, 2)[::2]):
+        with pytest.raises(TypeError, match="contiguous float64"):
+            spectral._LAPACK["stebz"](b"I", b"B", 100, 0.0, 1.0, 97, 100, 0.0, d,
+                                      problem.off_diag, ctypes.c_int(), ctypes.c_int(),
+                                      np.empty(100), np.empty(100, np.intc),
+                                      np.empty(100, np.intc), np.empty(400),
+                                      np.empty(300, np.intc), info)
+
+
+def test_concurrent_callers_get_the_sequential_results(monkeypatch):
+    # more calling threads than sector workers and cores, switching threads
+    # every microsecond: each lambda_1 is bitwise the one of a sequential
+    # search, and every call ends
+    problems = [_sphere_grid(n, N, eps=eps) for n, N, eps in
+                ((2, 400, 0.5), (3, 401, 0.4), (4, 2000, 0.9), (3, 64, 0.0))] * 2
+    monkeypatch.setattr(spectral, "_each_sector", lambda task, ls: [task(l) for l in ls])
+    expected = [dl.first_nonzero_eigenvalue(*p) for p in problems]
+    monkeypatch.undo()
+    got = [None] * len(problems)
+
+    def solve(i):
+        got[i] = dl.first_nonzero_eigenvalue(*problems[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(problems))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for fe, ref in zip(got, expected):
+        assert (fe.lam, fe.gap, fe.error_estimate, fe.mode.l) == \
+            (ref.lam, ref.gap, ref.error_estimate, ref.mode.l)
+        assert fe.mode.u.tobytes() == ref.mode.u.tobytes()
+
+
+def _fork_child_eigenvalue(queue):
+    queue.put(dl.first_nonzero_eigenvalue(*_sphere_grid(3, 400, eps=0.4)).lam)
+
+
+def test_forked_child_gets_its_own_sector_workers():
+    # a forked child inherits the pool but none of its threads; without a
+    # fresh pool its l = 1 bisection would wait forever
+    lam = dl.first_nonzero_eigenvalue(*_sphere_grid(3, 400, eps=0.4)).lam
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_fork_child_eigenvalue, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=30) == lam
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
 
 
 def test_angular_mode_search_matters():
