@@ -21,7 +21,9 @@ lower bound d >= 10 pi / (13 sqrt(gamma)); Myers' theorem bounds Einstein
 diameters the other way, d <= pi sqrt((n-1)/gamma).
 
 All rational constants (31/100, 31/50, 153/200, 153/100, 169/100, 10/13) are
-kept exact as Fractions; floats appear only in returned report values.
+kept exact as Fractions.  Floats appear in returned report values and in
+``ling_case``'s thresholds, which are rounded from the Fractions once, at
+import.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ CASE_FLOOR = Fraction(31, 50)           # every case yields at least this multip
 A_LARGE = Fraction(153, 200)            # = 0.765, large-asymmetry threshold
 A_OVER_DELTA = Fraction(153, 100)       # = 1.53, asymmetry/delta threshold
 DRIFT_EIGEN_MULTIPLE = Fraction(2)      # soliton potential eigenvalue, lambda = 2 gamma
+
+# ling_case's thresholds as floats, rounded once from the Fractions above
+_PI_SQ = math.pi**2
+_A_LARGE = float(A_LARGE)
+_A_OVER_DELTA = float(A_OVER_DELTA)
+_CASE_FLOOR = float(CASE_FLOOR)
 
 
 def _sqrt_exact(x: Fraction) -> Fraction:
@@ -98,14 +106,14 @@ def ling_case(a: float, delta: float) -> LingCase:
         raise InapplicableBoundError(f"delta={delta!r} must lie in (0, 1/2]")
     if a == 0.0:
         return LingCase(label="A", mu=1.0, alpha_multiple=1.0)
-    if a >= math.pi**2 * delta / 4.0:
+    if a >= _PI_SQ * delta / 4.0:
         return LingCase(label="B-1", mu=1.0, alpha_multiple=1.0)
-    mu = 4.0 * a / (math.pi**2 * delta)
-    if a >= float(A_LARGE):
-        return LingCase(label="B-2-a", mu=mu, alpha_multiple=8.0 * a / math.pi**2)
-    if a >= float(A_OVER_DELTA) * delta:
+    mu = 4.0 * a / (_PI_SQ * delta)
+    if a >= _A_LARGE:
+        return LingCase(label="B-2-a", mu=mu, alpha_multiple=8.0 * a / _PI_SQ)
+    if a >= _A_OVER_DELTA * delta:
         return LingCase(label="B-2-b1", mu=mu, alpha_multiple=mu)
-    return LingCase(label="B-2-b2", mu=None, alpha_multiple=float(CASE_FLOOR))
+    return LingCase(label="B-2-b2", mu=None, alpha_multiple=_CASE_FLOOR)
 
 
 def myers_upper(n: int, gamma: float) -> float:

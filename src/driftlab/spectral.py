@@ -33,14 +33,17 @@ Only the l = 0 operator is assembled from the density; a sector l >= 1 is
 derived from it by subtracting its angular potential from the diagonal.
 ``solve_eigen`` returns one sector's eigenpairs as a tuple of ``EigenMode``.
 ``first_nonzero_eigenvalue`` bisects the sectors l = 0, 1 at the same time,
-l = 1 on a worker thread, for their four eigenvalues of smallest magnitude and
-runs inverse iteration only on the winning eigenvalue (a circle: Lanczos on
-its one periodic sector, on the calling thread); its Richardson partner is the
-Rayleigh quotient of that eigenvector on the half-resolution operator, so each
-lambda_1 costs one eigenvector.  ``spectrum_contains`` bisects the sectors
-l = 0, 1, 2 over a value window, also at the same time.  Each sector's
-bisection reads only its own arrays, so the results are bitwise those of a
-sequential run.
+l = 1 on a worker thread, for the two eigenvalues of each that lambda_1 and
+its gap read (never the l = 0 constant mode) and runs inverse iteration only
+on the winning eigenvalue (a circle: Lanczos on its one periodic sector, on
+the calling thread).  Two suffice because lambda_1 is the larger sector top
+and the eigenvalues of one sector are simple and O(1) apart, so at most one
+per sector lies within lambda_1's cluster and the next one above it is among
+the four.  The Richardson partner is the Rayleigh quotient of the eigenvector
+on the half-resolution operator, so each lambda_1 costs one eigenvector.
+``spectrum_contains`` bisects the sectors l = 0, 1, 2 over a value window,
+also at the same time.  Each sector's bisection reads only its own arrays, so
+the results are bitwise those of a sequential run.
 """
 
 from __future__ import annotations
@@ -352,11 +355,10 @@ def _stebz(problem: SpectralProblem, range_: bytes, vl: float, vu: float, il: in
     return w[:m.value].copy(), iblock[:m.value].copy(), isplit[:nsplit.value].copy()
 
 
-def _bisect(problem: SpectralProblem, count: int) -> _Bisection:
-    """Bisection for the ``count`` eigenvalues of an interval sector nearest
-    zero."""
-    n = problem.size
-    w, iblock, isplit = _stebz(problem, b"I", 0.0, 1.0, n - count + 1, n, b"B")
+def _bisect(problem: SpectralProblem, il: int, iu: int) -> _Bisection:
+    """Bisection for the eigenvalues of (1-based, ascending) index il..iu of
+    an interval sector."""
+    w, iblock, isplit = _stebz(problem, b"I", 0.0, 1.0, il, iu, b"B")
     return _Bisection(problem=problem, w=w, iblock=iblock, isplit=isplit)
 
 
@@ -375,7 +377,7 @@ def solve_eigen(problem: SpectralProblem, count: int) -> tuple[EigenMode, ...]:
         raise ValueError("count must be >= 1")
     count = min(count, n - 1 if problem.periodic else n)
     if not problem.periodic:
-        return _bisect(problem, count).modes()
+        return _bisect(problem, n - count + 1, n).modes()
     off, corner = problem.off_diag, [problem.corner]
     matrix = diags([corner, off, problem.diag, off, corner],
                    [1 - n, -1, 0, 1, n - 1], format="csc")
@@ -423,12 +425,18 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     No sector l >= 2 can hold lambda_1: in symmetrized form
     S_l = S_1 - (c_l - c_1) diag(1/w^2), c_l = l(l+n-2), e.g. S_2 = S_1 - (n+1) diag(1/w^2),
     so by Weyl's inequality every l >= 2 eigenvalue lies strictly below its
-    l = 1 counterpart.  A circle has the single periodic sector.  Each sector
-    contributes its four eigenvalues of smallest magnitude, less the constant
-    mode (top of the l = 0 or periodic sector).  Interval sectors are only
-    bisected, l = 1 on the l = 0 operator less its potential, the two at the
-    same time: l = 0 on the calling thread, l = 1 on a sector worker.  Inverse
-    iteration runs once, on the winning eigenvalue alone, for the eigenmode.
+    l = 1 counterpart.  A circle has the single periodic sector, whose four
+    eigenvalues of smallest magnitude are solved, less the constant mode.  An
+    interval sector contributes two bisected eigenvalues: the top two of
+    l = 1, and the two of l = 0 just below its top, the constant mode, which
+    is never bisected.  lambda_1 is the larger of the two sector tops.  The
+    gap needs only the next eigenvalue of each sector: eigenvalues of one
+    Sturm-Liouville sector are simple and O(1) apart, far wider than the
+    cluster, so at most one per sector (a round sphere's l = 0 / l = 1 twin)
+    lies inside it.  Interval sectors are only bisected, l = 1 on the l = 0
+    operator less its potential, the two at the same time: l = 0 on the
+    calling thread, l = 1 on a sector worker.  Inverse iteration runs once,
+    on the winning eigenvalue alone, for the eigenmode.
     The result is bitwise that of bisecting the sectors one after the other,
     and a failure in either sector raises its ``SolverError`` here, l = 0's
     first.
@@ -443,17 +451,20 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     cluster width of max(20 err, 1e-7 max(1, lambda)).
     """
     base = assemble(model, grid, 0)
-    # per sector: its eigenvalues of smallest magnitude, by |mu|, and the
-    # function that returns the eigenpair of one of them
+    # per sector: its non-constant eigenvalues of smallest magnitude, by |mu|,
+    # and the function that returns the eigenpair of one of them
     if base.periodic:
-        modes = solve_eigen(base, 4)
+        modes = solve_eigen(base, 4)[1:]  # index 0 is the constant mode
         sectors = {0: ([m.mu for m in modes], modes.__getitem__)}
     else:
-        bisections = _each_sector(lambda l: _bisect(base.sector(l), 4), (0, 1))
+        # 1-based ascending indices: l = 1's top two, n-1..n, and the two
+        # below l = 0's top, the constant mode, n-2..n-1
+        n = base.size
+        bisections = _each_sector(lambda l: _bisect(base.sector(l), n - 2 + l, n - 1 + l),
+                                  (0, 1))
         sectors = {b.problem.l: (b.mus, b.mode) for b in bisections}
-    # (mu, l, index in the sector); index 0 of l = 0 is the constant mode
-    cands = [(mu, l, k) for l, (mus, _) in sectors.items()
-             for k, mu in enumerate(mus) if k or l]
+    # (mu, l, index in the sector)
+    cands = [(mu, l, k) for l, (mus, _) in sectors.items() for k, mu in enumerate(mus)]
     mu, l, k = min(cands, key=lambda c: (-c[0], c[1]))
     _, eigenpair = sectors[l]
     mode = eigenpair(k)

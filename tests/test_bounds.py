@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import driftlab as dl
-from driftlab.bounds import CASE_FLOOR, LING_RATIO
+from driftlab.bounds import A_LARGE, A_OVER_DELTA, CASE_FLOOR, LING_RATIO
 from driftlab.errors import InapplicableBoundError
 
 
@@ -74,6 +74,50 @@ def test_case_totality_and_floor():
         dl.ling_case(1.0, 0.3)
     with pytest.raises(InapplicableBoundError):
         dl.ling_case(0.3, 0.6)
+
+
+def _ling_case_from_fractions(a, delta):
+    """(label, mu, alpha multiple) of the case split with every threshold
+    rounded from its exact Fraction on each call."""
+    if a == 0.0:
+        return "A", 1.0, 1.0
+    if a >= math.pi**2 * delta / 4.0:
+        return "B-1", 1.0, 1.0
+    mu = 4.0 * a / (math.pi**2 * delta)
+    if a >= float(A_LARGE):
+        return "B-2-a", mu, 8.0 * a / math.pi**2
+    if a >= float(A_OVER_DELTA) * delta:
+        return "B-2-b1", mu, mu
+    return "B-2-b2", None, float(CASE_FLOOR)
+
+
+def _branch_edges():
+    """(a, delta) where ling_case changes branch: a = 0, a = 0.765, and for each
+    delta of the 100 x 50 grid a = pi^2 delta / 4 and a = 1.53 delta, below 1."""
+    edges = [(0.0, 0.3), (float(A_LARGE), 0.4), (float(A_LARGE), 0.5)]
+    for j in range(1, 51):
+        delta = j / 100.0
+        edges += [(math.pi**2 * delta / 4.0, delta), (float(A_OVER_DELTA) * delta, delta)]
+    return [(a, delta) for a, delta in edges if a < 1.0]
+
+
+def _case(a, delta):
+    case = dl.ling_case(a, delta)
+    return case.label, case.mu, case.alpha_multiple
+
+
+def test_ling_case_matches_the_fraction_thresholds_bitwise():
+    # the thresholds are floats rounded once from A_LARGE, A_OVER_DELTA and
+    # CASE_FLOOR; every decision and value keeps the per-call rounding's bits
+    for i in range(100):
+        for j in range(1, 51):
+            assert _case(i / 100.0, j / 100.0) == _ling_case_from_fractions(i / 100.0, j / 100.0)
+    for a, delta in _branch_edges():
+        around = [x for x in (math.nextafter(a, -1.0), a, math.nextafter(a, 2.0)) if x >= 0.0]
+        cases = [_case(x, delta) for x in around]
+        assert cases == [_ling_case_from_fractions(x, delta) for x in around]
+        # the edge separates two branches, so its neighbours test both sides
+        assert len({case[0] for case in cases}) == 2
 
 
 def test_myers_values():

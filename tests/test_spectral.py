@@ -318,18 +318,18 @@ def _half_grid_estimate(model, N, lam, l):
     return abs(lam + mus[1 if l == 0 else 0]) / 3.0
 
 
-def _parent_search(model, grid):
-    """lambda1 as one eigh_tridiagonal eigenpair solve per sector l = 0, 1,
-    four eigenpairs each, with a half-grid solve for the error estimate.
-    Returns (lam, err, gap, mode)."""
+def _eigenpair_search(model, grid):
+    """lambda1 as one eigh_tridiagonal eigenpair solve per sector l = 0, 1 for
+    the two eigenpairs it bisects (0-based indices n-3..n-2 below l = 0's
+    constant mode, n-2..n-1 in l = 1), with a half-grid solve for the error
+    estimate.  Returns (lam, err, gap, mode)."""
     cands = []
     for l in (0, 1):
         problem = assemble(model, grid, l)
         n = problem.size
         vals, vecs = eigh_tridiagonal(problem.diag, problem.off_diag,
-                                      select="i", select_range=(n - 4, n - 1))
-        modes = spectral._postprocess(problem, vals, vecs)
-        cands += modes[1:] if l == 0 else modes
+                                      select="i", select_range=(n - 3 + l, n - 2 + l))
+        cands += spectral._postprocess(problem, vals, vecs)
     mode = min(cands, key=lambda m: (-m.mu, m.l))
     lam = -mode.mu
     err = _half_grid_estimate(model, grid.size, lam, mode.l)
@@ -345,19 +345,56 @@ def _parent_search(model, grid):
 ], ids=["cosine-n3", "ling-poly-cos-n2"])
 def test_first_eigenvalue_matches_eigenpair_solves_bitwise(density, n, sector, N):
     # bisecting every sector and inverse-iterating only the winning eigenvalue
-    # reports the same eigenvalue and gap bits as solving four eigenpairs in
-    # every searched sector.  The eigenvector is the four-vector solve's up to
-    # the rounding of inverse iteration, which starts from another random
-    # vector and orthogonalizes against nothing
+    # reports the same eigenvalue and gap bits as solving the same two
+    # eigenpairs in every searched sector.  The eigenvector is the two-vector
+    # solve's up to the rounding of inverse iteration, which starts from
+    # another random vector and orthogonalizes against nothing
     model = dl.sphere(n, density=density)
     grid = dl.Grid.uniform(model, N)
-    lam, err, gap, mode = _parent_search(model, grid)
+    lam, err, gap, mode = _eigenpair_search(model, grid)
     fe = dl.first_nonzero_eigenvalue(model, grid)
     assert mode.l == fe.mode.l == sector
     assert (fe.lam, fe.gap) == (lam, gap)
     sign = math.copysign(1.0, float(np.dot(fe.mode.u, mode.u)))
     assert np.max(np.abs(sign * fe.mode.u - mode.u)) <= 1e-9 * np.max(np.abs(mode.u))
     assert fe.error_estimate == pytest.approx(err, rel=2e-3)
+
+
+@st.composite
+def _spheres(draw):
+    """An n-sphere (n 2-5) without a density (round: lambda_1 = n in both
+    l = 0 and l = 1) or with a cosine or short poly-cos one, on 8-300 nodes."""
+    kind = draw(st.sampled_from(("round", "cosine", "poly-cos")))
+    density = None if kind == "round" else dl.cosine_density(draw(_EPS)) \
+        if kind == "cosine" else dl.poly_cos_density(draw(st.lists(_EPS, min_size=1, max_size=3)))
+    model = dl.sphere(draw(st.integers(2, 5)), density=density)
+    return model, dl.Grid.uniform(model, draw(st.integers(8, 300)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_grid=_spheres())
+def test_first_eigenvalue_gap_matches_dense_spectra(model_grid):
+    # two eigenvalues per sector hold lambda_1 and the next eigenvalue above
+    # its cluster: at most one eigenvalue per sector (a round sphere's l = 0 /
+    # l = 1 twin) falls inside the cluster.  Oracle: every eigenvalue of the
+    # dense l = 0 and l = 1 matrices, less the constant mode.  The bisected
+    # values may differ from dense eigh's by the bisection tolerance
+    # eps ||T||, which the relative bound would not cover where a near twin
+    # just outside the cluster makes the gap small (4e-4 on a cosine sphere)
+    model, grid = model_grid
+    fe = dl.first_nonzero_eigenvalue(model, grid)
+    lams, norm = [], 0.0
+    for l in (0, 1):
+        problem = assemble(model, grid, l)
+        lams.append(-eigh(_symmetrized(problem), eigvals_only=True)[:-1 if l == 0 else None])
+        norm = max(norm, np.max(np.abs(problem.diag)) + 2.0 * np.max(np.abs(problem.off_diag)))
+    lams = np.sort(np.concatenate(lams))
+    slack = 4.0 * np.finfo(float).eps * norm
+    assert fe.lam == pytest.approx(lams[0], rel=1e-9, abs=slack)
+    err = 0.0 if math.isnan(fe.error_estimate) else fe.error_estimate
+    cluster = max(20.0 * err, 1e-7 * max(1.0, fe.lam))
+    gap = lams[lams > fe.lam + cluster][0] - fe.lam
+    assert fe.gap == pytest.approx(gap, rel=1e-9, abs=slack)
 
 
 def _oracle_assembly(model, grid, l):
@@ -420,17 +457,18 @@ def test_rayleigh_quotient_of_an_eigenvector_is_its_eigenvalue(model, l):
 
 
 def _counting_lapack(monkeypatch, calls, zonal_diag):
-    """Record each stebz call as ("stebz", N, l, thread) and each stein call as
-    ("stein", N, number of eigenvalues, thread); l is 0 when stebz sees the
-    diagonal ``zonal_diag`` of the l = 0 operator, else 1."""
+    """Record each stebz call as ("stebz", N, l, thread, (il, iu)) and each
+    stein call as ("stein", N, number of eigenvalues, thread, None); l is 0
+    when stebz sees the diagonal ``zonal_diag`` of the l = 0 operator, else 1,
+    and il..iu is its 1-based ascending index range."""
     def counted(name, routine):
         def call(*args):
             thread = threading.current_thread().name
             if name == "stebz":
                 calls.append((name, args[2], 0 if np.array_equal(args[8], zonal_diag) else 1,
-                              thread))
+                              thread, (args[5], args[6])))
             else:
-                calls.append((name, args[0], args[3], thread))
+                calls.append((name, args[0], args[3], thread, None))
             routine(*args)
         return call
 
@@ -439,9 +477,10 @@ def _counting_lapack(monkeypatch, calls, zonal_diag):
 
 
 def test_first_eigenvalue_solve_count(monkeypatch):
-    # spheres: sectors l = 0, 1 bisected at N, l = 1 on a sector worker, and
-    # inverse iteration on the winning eigenvalue alone; circles: one Lanczos
-    # solve and no sector worker.  The error estimate solves nothing at N/2
+    # spheres: sectors l = 0, 1 bisected at N for two eigenvalues each (l = 0
+    # below its constant mode), l = 1 on a sector worker, and inverse
+    # iteration on the winning eigenvalue alone; circles: one Lanczos solve
+    # and no sector worker.  The error estimate solves nothing at N/2
     calls = []
     solve = spectral.solve_eigen
 
@@ -459,6 +498,8 @@ def test_first_eigenvalue_solve_count(monkeypatch):
     main = threading.main_thread().name
     assert threads[("stebz", 400, 0)] == threads[("stein", 400, 1)] == main
     assert threads[("stebz", 400, 1)].startswith("driftlab-sector")
+    assert {call[2]: call[4] for call in calls if call[0] == "stebz"} == {
+        0: (398, 399), 1: (399, 400)}
     calls.clear()
     monkeypatch.setattr(spectral, "_SECTORS", None)  # any use of the pool fails
     dl.first_nonzero_eigenvalue(*_circle_grid(400, 0.5))
