@@ -337,7 +337,8 @@ def _edge_level_maxima(nef: NormalizedEigenfunction, edges: np.ndarray) -> np.nd
     order = np.argsort(r2)[::-1]
     a_eq, c = a_eq[order], c[order]
     reach = np.searchsorted(-r2[order], -levels, side="right")
-    top = np.array([np.max(a_eq[:m] + c[:m] * s, initial=-np.inf)
+    # on the level v = 0 the quantity is A alone, also where C overflowed to inf
+    top = np.array([np.max(a_eq[:m] + c[:m] * s if s else a_eq[:m], initial=-np.inf)
                     for s, m in zip(levels, reach)])
     return (top / (lam * (b * b - levels)))[at_edge]
 

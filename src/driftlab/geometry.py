@@ -310,7 +310,7 @@ def weighted_measure(model: WarpedManifold, density: np.ndarray, spacing: float)
 
 def integrate(grid: Grid, samples: np.ndarray) -> float:
     """Integral of a radial function against the weighted measure."""
-    return float(np.dot(grid.weights, samples))
+    return float(np.sum(grid.weights * samples))
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def normalize_f(cand: SolitonCandidate, grid: Grid) -> NormalizedPotential:
         * np.asarray(cand.model.w.value(r), dtype=float) ** (cand.model.n - 1) \
         * grid.spacing
     ef = np.exp(-fv)
-    shift = -float(np.dot(vol, fv * ef)) / float(np.dot(vol, ef))
+    shift = -float(np.sum(vol * fv * ef)) / float(np.sum(vol * ef))
     return NormalizedPotential(f=cand.f.shifted(shift), shift=shift)
 
 

@@ -23,36 +23,33 @@ Dirichlet decay of the eigenfunctions.
 Eigenpairs come from the symmetric tridiagonal similarity transform
 S = D A D^{-1}, D = diag(sqrt(rho_i)), solved in two LAPACK steps: bisection
 (stebz) for the eigenvalues, then inverse iteration (stein) for their
-eigenvectors.  Both are called through scipy's C-level LAPACK
-(``scipy.linalg.cython_lapack``) with ctypes, which releases the GIL for the
-call, so sectors on two threads bisect at the same time.  The periodic circle
-matrix has wrap-around corners and is solved by sparse shift-invert Lanczos
-(ARPACK).  Both solves cost linear time in N and are deterministic.
+eigenvectors.  Sturm counts (larrc) tell how many eigenvalues lie in a value
+window without computing any of them.  All three are called through scipy's
+C-level LAPACK (``scipy.linalg.cython_lapack``) with ctypes, on the calling
+thread.  The periodic circle matrix has wrap-around corners and is solved by
+sparse shift-invert Lanczos (ARPACK).  Both solves cost linear time in N and
+are deterministic.
 
 Only the l = 0 operator is assembled from the density; a sector l >= 1 is
 derived from it by subtracting its angular potential from the diagonal.
 ``solve_eigen`` returns one sector's eigenpairs as a tuple of ``EigenMode``.
-``first_nonzero_eigenvalue`` bisects the sectors l = 0, 1 at the same time,
-l = 1 on a worker thread, for the two eigenvalues of each that lambda_1 and
-its gap read (never the l = 0 constant mode) and runs inverse iteration only
-on the winning eigenvalue (a circle: Lanczos on its one periodic sector, on
-the calling thread).  Two suffice because lambda_1 is the larger sector top
-and the eigenvalues of one sector are simple and O(1) apart, so at most one
-per sector lies within lambda_1's cluster and the next one above it is among
-the four.  The Richardson partner is the Rayleigh quotient of the eigenvector
-on the half-resolution operator, so each lambda_1 costs one eigenvector.
-``spectrum_contains`` bisects the sectors l = 0, 1, 2 over a value window,
-also at the same time.  Each sector's bisection reads only its own arrays, so
-the results are bitwise those of a sequential run.
+``first_nonzero_eigenvalue`` bisects the top eigenvalue of the l = 1 sector
+and certifies with one Sturm count of the l = 0 operator that no zonal
+eigenvalue other than the constant mode lies above it; only where the count
+says otherwise (a round sphere's l = 0 / l = 1 twin, the Ling cases) is the
+l = 0 top bisected as well.  Inverse iteration runs only on the winning
+eigenvalue (a circle: Lanczos on its one periodic sector).  The Richardson
+partner is the Rayleigh quotient of the eigenvector on the half-resolution
+operator, so each lambda_1 costs one eigenvector.  ``spectrum_contains`` is
+three Sturm counts, one per sector l = 0, 1, 2, over the closed window around
+its target.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -183,7 +180,7 @@ def _postprocess(problem: SpectralProblem, vals: np.ndarray,
     modes = []
     for j in range(vals.size):
         u = vecs[:, j] / problem.sqrt_rho
-        u = u / math.sqrt(float(np.dot(q, u * u)))
+        u = u / math.sqrt(float(np.sum(q * u * u)))
         i = int(np.argmax(np.abs(u)))
         if u[i] < 0.0:
             u = -u
@@ -251,88 +248,38 @@ def _lapack(name: str, kinds: str):
 
 
 # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit, work, iwork,
-# info; and n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifail, info
+# info; n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifail, info; and jobt, n, vl,
+# vu, d, e, pivmin, eigcnt, lcnt, rcnt, info
 _LAPACK = {"stebz": _lapack("dstebz", "cciddiidddiidiidii"),
-           "stein": _lapack("dstein", "iddidiididiii")}
-
-# lambda_1's two sectors, l = 0 and l = 1, bisect at the same time: the first
-# on the calling thread, the other on a worker (spectrum_contains' three
-# sectors use both workers).  The workers call nothing that a tracer may wrap
-# in a span, since a tracer keeps one span stack.
-def _new_sector_pool():
-    global _SECTORS
-    _SECTORS = ThreadPoolExecutor(max_workers=2, thread_name_prefix="driftlab-sector")
-
-
-_new_sector_pool()
-if hasattr(os, "register_at_fork"):  # POSIX; nothing forks elsewhere
-    # a forked child has none of its parent's worker threads, so it needs its own pool
-    os.register_at_fork(after_in_child=_new_sector_pool)
-
-
-def _each_sector(task, ls: tuple[int, ...]) -> list:
-    """[task(l) for l in ls], with the first on this thread and the others on
-    the sector workers, all at the same time.  Every task has ended before
-    this returns or raises, and the error raised is that of the lowest l that
-    failed, as in a sequential run."""
-    futures = [_SECTORS.submit(task, l) for l in ls[1:]]
-    try:
-        first = task(ls[0])
-    finally:
-        wait(futures)
-    return [first] + [future.result() for future in futures]
+           "stein": _lapack("dstein", "iddidiididiii"),
+           "larrc": _lapack("dlarrc", "cidddddiiii")}
 
 
 @dataclass(frozen=True)
 class _Bisection:
     """Bisected eigenvalues of an interval sector (LAPACK stebz, in block
-    order) with the block data that inverse iteration (LAPACK stein) needs:
-    ``modes()`` for all of them, ``mode(k)`` for one."""
+    order) with the block data that inverse iteration (LAPACK stein) needs."""
 
     problem: SpectralProblem
     w: np.ndarray
     iblock: np.ndarray
     isplit: np.ndarray
 
-    @property
-    def _by_magnitude(self) -> list[int]:
-        """Indices into ``w`` in the order of ``modes()``: by |mu|."""
-        return sorted(np.argsort(self.w).tolist(), key=lambda j: abs(self.w[j]))
-
-    @property
-    def mus(self) -> list[float]:
-        """The eigenvalues in the order of ``modes()``: by |mu|."""
-        return self.w[self._by_magnitude].tolist()
-
-    def _stein(self, w: np.ndarray, iblock: np.ndarray) -> np.ndarray:
-        """Eigenvectors of the eigenvalues ``w`` (in block order, with their
-        blocks ``iblock``) by inverse iteration (LAPACK stein), as columns."""
+    def modes(self) -> tuple[EigenMode, ...]:
+        """Eigenpairs of all the bisected eigenvalues, by inverse iteration
+        (LAPACK stein).  stein draws a start vector per eigenvalue and
+        reorthogonalizes the vectors of eigenvalues closer than 1e-3 ||T|| to
+        each other."""
         d, e = self.problem.diag, self.problem.off_diag
-        n, m = d.size, w.size
-        if iblock.size != m:
-            raise ValueError(f"{m} eigenvalues need {m} block numbers, got {iblock.size}")
+        n, m = d.size, self.w.size
         z = np.empty((m, n))  # stein's n x m column-major array
         info = ctypes.c_int()
-        _LAPACK["stein"](n, d, e, m, w, iblock, self.isplit, z, n, np.empty(5 * n),
+        _LAPACK["stein"](n, d, e, m, self.w, self.iblock, self.isplit, z, n, np.empty(5 * n),
                          np.empty(n, np.intc), np.empty(m, np.intc), info)
         if info.value:
             raise _solver_error(self.problem, f"stein returned info={info.value}")
-        return z.T
-
-    def modes(self) -> tuple[EigenMode, ...]:
-        """Eigenpairs of all the bisected eigenvalues.  stein draws a start
-        vector per eigenvalue and reorthogonalizes the vectors of eigenvalues
-        closer than 1e-3 ||T|| to each other."""
-        vecs = self._stein(self.w, self.iblock)
         order = np.argsort(self.w)
-        return _postprocess(self.problem, self.w[order], vecs[:, order])
-
-    def mode(self, k: int) -> EigenMode:
-        """The k-th eigenpair of ``modes()`` alone: inverse iteration on one
-        eigenvalue, with nothing to reorthogonalize against."""
-        j = self._by_magnitude[k]
-        w = self.w[j:j + 1]
-        return _postprocess(self.problem, w, self._stein(w, self.iblock[j:j + 1]))[0]
+        return _postprocess(self.problem, self.w[order], z.T[:, order])
 
 
 def _stebz(problem: SpectralProblem, range_: bytes, vl: float, vu: float, il: int, iu: int,
@@ -360,6 +307,21 @@ def _bisect(problem: SpectralProblem, il: int, iu: int) -> _Bisection:
     an interval sector."""
     w, iblock, isplit = _stebz(problem, b"I", 0.0, 1.0, il, iu, b"B")
     return _Bisection(problem=problem, w=w, iblock=iblock, isplit=isplit)
+
+
+def _count(problem: SpectralProblem, vl: float, vu: float) -> int:
+    """Number of eigenvalues of an interval sector in (vl, vu]: the Sturm
+    counts at vu and vl of the symmetrized matrix (LAPACK larrc), that is,
+    the negative pivots of its LDL^T factorizations shifted by each end
+    (Sylvester's law of inertia).  A pivot that rounds to exactly zero is
+    counted twice, so it takes one eigenvalue off the count; with these
+    diagonals that needs a rounding coincidence."""
+    d, e = problem.diag, problem.off_diag
+    count, below_vl, below_vu, info = (ctypes.c_int() for _ in range(4))
+    _LAPACK["larrc"](b"T", d.size, vl, vu, d, e, 0.0, count, below_vl, below_vu, info)
+    if info.value:
+        raise _solver_error(problem, f"larrc returned info={info.value}")
+    return count.value
 
 
 def solve_eigen(problem: SpectralProblem, count: int) -> tuple[EigenMode, ...]:
@@ -391,13 +353,11 @@ def solve_eigen(problem: SpectralProblem, count: int) -> tuple[EigenMode, ...]:
 
 @dataclass(frozen=True)
 class FirstEigenvalue:
-    """First non-zero eigenvalue lambda with its eigenmode, error estimate and
-    the gap to the next distinct eigenvalue of the searched sectors."""
+    """First non-zero eigenvalue lambda with its eigenmode and error estimate."""
 
     lam: float
     mode: EigenMode
     error_estimate: float
-    gap: float
 
 
 def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
@@ -409,7 +369,7 @@ def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
     Every term is nonnegative, so nothing cancels against the O(N^2) diagonal."""
     s = problem.sqrt_rho
     rho_u2 = (s * u) ** 2
-    energy = float(np.dot(problem.off_diag * s[:-1] * s[1:], np.diff(u) ** 2))
+    energy = float(np.sum(problem.off_diag * s[:-1] * s[1:] * np.diff(u) ** 2))
     if problem.periodic:
         energy += problem.corner * s[-1] * s[0] * (u[0] - u[-1]) ** 2
     if problem.l:
@@ -426,20 +386,21 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     S_l = S_1 - (c_l - c_1) diag(1/w^2), c_l = l(l+n-2), e.g. S_2 = S_1 - (n+1) diag(1/w^2),
     so by Weyl's inequality every l >= 2 eigenvalue lies strictly below its
     l = 1 counterpart.  A circle has the single periodic sector, whose four
-    eigenvalues of smallest magnitude are solved, less the constant mode.  An
-    interval sector contributes two bisected eigenvalues: the top two of
-    l = 1, and the two of l = 0 just below its top, the constant mode, which
-    is never bisected.  lambda_1 is the larger of the two sector tops.  The
-    gap needs only the next eigenvalue of each sector: eigenvalues of one
-    Sturm-Liouville sector are simple and O(1) apart, far wider than the
-    cluster, so at most one per sector (a round sphere's l = 0 / l = 1 twin)
-    lies inside it.  Interval sectors are only bisected, l = 1 on the l = 0
-    operator less its potential, the two at the same time: l = 0 on the
-    calling thread, l = 1 on a sector worker.  Inverse iteration runs once,
-    on the winning eigenvalue alone, for the eigenmode.
-    The result is bitwise that of bisecting the sectors one after the other,
-    and a failure in either sector raises its ``SolverError`` here, l = 0's
-    first.
+    eigenvalues of smallest magnitude are solved; lambda_1 is the one after
+    the constant mode.
+
+    On an interval, lambda_1 is the larger of the two sector tops: the top
+    eigenvalue mu_1 of l = 1, and the top of l = 0 below its constant mode.
+    Only mu_1 is bisected at first.  One Sturm count of the l = 0 operator
+    over (mu_1 - tau, inf) then certifies the l = 0 top: tau, 16 eps
+    (max|d| + 2 max|e|), exceeds the bisection tolerance and the count's
+    rounding, so a count of 1 (the constant mode alone) means that the
+    bisected l = 0 top would lie below mu_1, and l = 1 wins.  A larger count
+    (a round sphere's l = 0 / l = 1 twin, the Ling cases) bisects the l = 0
+    top as well, and the larger top wins, the lower sector on a tie; a count
+    of 0 is a ``SolverError``.  Either way the result is bitwise that of
+    bisecting both tops.  Everything runs on the calling thread, and inverse
+    iteration runs once, on the winning eigenvalue alone, for the eigenmode.
 
     The Richardson error estimate of the second-order scheme is
     |lam_N - lam_{N/2}| / 3, where lam_{N/2} is the Rayleigh quotient, on the
@@ -447,38 +408,37 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     interpolated onto the coarse nodes (for even N: the cell-pair average on
     spheres, injection on circles).  Its error is quadratic in the O(h^2)
     interpolation error, so it stands in for a half-resolution eigensolve.
-    ``gap`` is the distance to the next eigenvalue above lambda plus a
-    cluster width of max(20 err, 1e-7 max(1, lambda)).
     """
     base = assemble(model, grid, 0)
-    # per sector: its non-constant eigenvalues of smallest magnitude, by |mu|,
-    # and the function that returns the eigenpair of one of them
     if base.periodic:
-        modes = solve_eigen(base, 4)[1:]  # index 0 is the constant mode
-        sectors = {0: ([m.mu for m in modes], modes.__getitem__)}
+        # index 0 is the constant mode; four, so that Lanczos resolves the
+        # near-double pair above it whole
+        mode = solve_eigen(base, 4)[1]
     else:
-        # 1-based ascending indices: l = 1's top two, n-1..n, and the two
-        # below l = 0's top, the constant mode, n-2..n-1
         n = base.size
-        bisections = _each_sector(lambda l: _bisect(base.sector(l), n - 2 + l, n - 1 + l),
-                                  (0, 1))
-        sectors = {b.problem.l: (b.mus, b.mode) for b in bisections}
-    # (mu, l, index in the sector)
-    cands = [(mu, l, k) for l, (mus, _) in sectors.items() for k, mu in enumerate(mus)]
-    mu, l, k = min(cands, key=lambda c: (-c[0], c[1]))
-    _, eigenpair = sectors[l]
-    mode = eigenpair(k)
-    lam = -mu
+        top = _bisect(base.sector(1), n, n)
+        # stebz bisects to about eps ||T||, and rounding moves a Sturm count
+        # by a few eps ||T||
+        margin = 16.0 * np.finfo(float).eps * float(
+            np.max(np.abs(base.diag)) + 2.0 * np.max(np.abs(base.off_diag)))
+        vl = float(top.w[0]) - margin
+        count = _count(base, vl, math.inf)
+        if count < 1:
+            raise _solver_error(base, f"larrc counts no eigenvalue above {vl!r}, "
+                                      "not even the constant mode")
+        if count > 1:
+            zonal = _bisect(base, n - 1, n - 1)
+            if zonal.w[0] >= top.w[0]:  # a tie goes to the lower sector
+                top = zonal
+        mode = top.modes()[0]
+    lam = mode.lam
     err = math.nan
     if richardson and grid.size >= 8:
-        coarse = assemble(model, Grid.uniform(model, grid.size // 2), l)
+        coarse = assemble(model, Grid.uniform(model, grid.size // 2), mode.l)
         period = model.L if model.topology == CIRCLE else None
         u = np.interp(coarse.grid.nodes, grid.nodes, mode.u, period=period)
         err = abs(lam - _rayleigh_quotient(coarse, u)) / 3.0
-    cluster = max(20.0 * (0.0 if math.isnan(err) else err), 1e-7 * max(1.0, lam))
-    above = [-c[0] for c in cands if (-c[0]) > lam + cluster]
-    gap = (min(above) - lam) if above else math.inf
-    return FirstEigenvalue(lam=lam, mode=mode, error_estimate=err, gap=gap)
+    return FirstEigenvalue(lam=lam, mode=mode, error_estimate=err)
 
 
 @dataclass(frozen=True)
@@ -486,8 +446,6 @@ class MembershipVerdict:
     """Whether the low spectrum contains a target value within tolerance."""
 
     contained: bool
-    nearest: float
-    gap: float
     tolerance: float
     count_used: int
 
@@ -496,13 +454,12 @@ def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
                       tol: float) -> MembershipVerdict:
     """True iff some eigenvalue lies within tol * max(1, |target|) of target.
 
-    Interval-sphere models only.  Each sector l = 0, 1, 2 contributes every
-    eigenvalue above target - window (Sturm bisection) and the next one below,
-    so ``contained`` and ``nearest`` are exact and a negative verdict is
-    meaningful.  The three sectors are bisected at the same time, l = 0 on
-    the calling thread and l = 1, 2 on the sector workers, and their
-    eigenvalues are joined in l order, as a sequential run would join them.
-    ``count_used`` is the number of eigenvalues computed.
+    Interval-sphere models only.  Each sector l = 0, 1, 2 counts its
+    eigenvalues in the closed window [target - window, target + window] by one
+    Sturm count, with no eigenvalue computed, so a negative verdict is
+    meaningful.  A count takes the half-open window (vl, vu], so vl is the
+    float just below target - window.  ``count_used`` is the number of
+    eigenvalues in the window, summed over the three sectors.
     """
     if model.topology == CIRCLE:
         raise ValueError("spectrum_contains needs an interval-sphere model")
@@ -510,18 +467,6 @@ def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
         raise ValueError("tol must be positive")
     window = tol * max(1.0, abs(target))
     base = assemble(model, grid, 0)
-
-    def members(l: int) -> np.ndarray:
-        problem = base.sector(l)
-        upper, _, _ = _stebz(problem, b"V", target - window, math.inf, 1, 1, b"E")
-        below = problem.size - upper.size
-        if below < 1:
-            return upper
-        return np.concatenate((_stebz(problem, b"I", 0.0, 1.0, below, below, b"E")[0], upper))
-
-    # in l order, so a tie in ``nearest`` goes to the lowest sector
-    mus = np.concatenate(_each_sector(members, (0, 1, 2)))
-    nearest = float(mus[np.argmin(np.abs(mus - target))])
-    gap = abs(nearest - target)
-    return MembershipVerdict(contained=gap <= window, nearest=nearest, gap=gap,
-                             tolerance=window, count_used=mus.size)
+    lower = math.nextafter(target - window, -math.inf)
+    count = sum(_count(base.sector(l), lower, target + window) for l in (0, 1, 2))
+    return MembershipVerdict(contained=count > 0, tolerance=window, count_used=count)

@@ -650,9 +650,12 @@ def _per_level_masked_Z(nef, t_bins):
     arg_t = np.append(t, np.nan)[first]
     r2 = nef.v_rad ** 2
     a_eq = nef.equator_grad_sq
-    c = np.divide(nef.dv_rad ** 2 - a_eq, r2, out=np.zeros_like(r2), where=r2 > 0.0)
     levels, at_edge = np.unique((b * np.sin(edges)) ** 2, return_inverse=True)
-    top = np.array([np.max(a_eq + c * s, where=r2 >= s, initial=-np.inf) for s in levels])
+    # a tiny drawn R overflows C = (R'^2 - A)/R^2, and C s on the rows masked out
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.divide(nef.dv_rad ** 2 - a_eq, r2, out=np.zeros_like(r2), where=r2 > 0.0)
+        top = np.array([np.max(a_eq + c * s if s else a_eq, where=r2 >= s, initial=-np.inf)
+                        for s in levels])
     edge_val = (top / (lam * (b * b - levels)))[at_edge]
     for side in (slice(None, -1), slice(1, None)):
         counts += edge_val[side] > -np.inf
@@ -661,6 +664,23 @@ def _per_level_masked_Z(nef, t_bins):
         arg_t[better] = edges[side][better]
     values[counts == 0] = np.nan
     return values, arg_t, counts
+
+
+def test_compute_Z_keeps_the_zero_level_of_a_row_with_a_subnormal_R():
+    # C = (R'^2 - A)/R^2 overflows to inf on R = 2.7e-160; C * 0 would make
+    # the v = 0 level's maximum NaN and drop its edge from both bins' counts
+    model = dl.sphere(2)
+    counts = []
+    for R in (2.669184536976705e-160, 1e-3):
+        nef = est.NormalizedEigenfunction(
+            model=model, grid=dl.Grid.uniform(model, 4), l=1, lam=1.0, k=1.0, a=0.0, b=2.0,
+            K=1.0, v_rad=np.array([0.0, 0.0, 0.0, R]), dv_rad=np.array([0.0, 0.0, 0.0, 1.0]),
+            residual_inf=0.0)
+        with np.errstate(over="ignore"):
+            levelset = dl.compute_Z(nef, 2)
+        assert np.all(np.isfinite(levelset.values))
+        counts.append(levelset.counts.tolist())
+    assert counts[0] == counts[1] == [2, 9]
 
 
 # radial values from a small pool, so that rows repeat R^2 (and R = 0)

@@ -3,11 +3,11 @@
 import ctypes
 import json
 import math
-import multiprocessing
+import os
+import subprocess
 import sys
-import threading
-from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,8 +150,9 @@ def test_spectrum_contains_examples():
     model, grid = _sphere_grid(2, 1000)
     assert dl.spectrum_contains(model, grid, -2.0, 1e-3).contained
     verdict = dl.spectrum_contains(model, grid, -3.0, 1e-3)
-    assert not verdict.contained
-    assert abs(verdict.nearest - (-2.0)) < 1e-4  # -2 is the closest level
+    assert not verdict.contained and verdict.tolerance == 3e-3
+    # -2 is the closest level: a window of 1.02 around -3 reaches it
+    assert dl.spectrum_contains(model, grid, -3.0, 0.34).contained
     assert dl.spectrum_contains(model, grid, 0.0, 1e-6).contained
 
 
@@ -162,15 +163,16 @@ def test_spectrum_contains_finds_deep_zonal_eigenvalues():
     target = dl.solve_eigen(assemble(model, grid, 0), 9)[8].mu
     assert abs(target + 72.00475) < 1e-4
     verdict = dl.spectrum_contains(model, grid, target, 1e-6)
-    assert verdict.contained
-    assert verdict.gap < 1e-10
+    assert verdict.contained and verdict.tolerance == 1e-6 * abs(target)
+    assert verdict.count_used == 1  # no other sector has an eigenvalue in the window
     with pytest.raises(ValueError):
         dl.spectrum_contains(*_circle_grid(400, 0.5), -1.0, 1e-3)
 
 
 def _eigh_tridiagonal_contains(model, grid, target, tol):
-    """spectrum_contains through eigh_tridiagonal: per sector l = 0, 1, 2 the
-    eigenvalues above target - window and the one just below."""
+    """(contained, tolerance) of spectrum_contains through eigh_tridiagonal:
+    per sector l = 0, 1, 2 the eigenvalues above target - window and the one
+    just below."""
     window = tol * max(1.0, abs(target))
     mus = []
     for l in (0, 1, 2):
@@ -183,11 +185,7 @@ def _eigh_tridiagonal_contains(model, grid, target, tol):
             mus.extend(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                         select_range=(below, below)))
         mus.extend(upper)
-    mus = np.array(mus)
-    nearest = float(mus[np.argmin(np.abs(mus - target))])
-    gap = abs(nearest - target)
-    return spectral.MembershipVerdict(contained=gap <= window, nearest=nearest, gap=gap,
-                                      tolerance=window, count_used=mus.size)
+    return bool(np.min(np.abs(np.array(mus) - target)) <= window), window
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,12 +193,74 @@ def _eigh_tridiagonal_contains(model, grid, target, tol):
        l=st.integers(0, 2), k=st.integers(1, 6), shift=st.floats(-1e-3, 1e-3),
        tol=st.sampled_from((1e-9, 1e-6, 1e-4, 1e-2)))
 def test_spectrum_contains_matches_eigh_tridiagonal_bitwise(model_grid, l, k, shift, tol):
-    # calling stebz directly gives the verdicts of eigh_tridiagonal bit for bit,
+    # the Sturm counts give the verdicts of bisecting with eigh_tridiagonal,
     # for targets on, near and between eigenvalues of every searched sector
     model, grid = model_grid
     target = dl.solve_eigen(assemble(model, grid, l), k)[-1].mu * (1.0 + shift)
     verdict = dl.spectrum_contains(model, grid, target, tol)
-    assert verdict == _eigh_tridiagonal_contains(model, grid, target, tol)
+    assert (verdict.contained, verdict.tolerance) == \
+        _eigh_tridiagonal_contains(model, grid, target, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_grid=_weighted_models().filter(lambda mg: mg[0].topology != dl.CIRCLE),
+       l=st.integers(0, 2), k=st.integers(0, 8), tol=st.sampled_from((1e-9, 1e-6, 1e-4, 1e-2)),
+       at=st.sampled_from(("lower end", "upper end", "between")))
+def test_spectrum_contains_matches_dense_spectra(model_grid, l, k, tol, at):
+    # oracle: every eigenvalue of the dense l = 0, 1, 2 matrices.  Targets put
+    # an eigenvalue of sector l exactly at one end of the closed window, or
+    # midway between two.  A count is exact for a matrix within a few
+    # eps ||T|| of the operator, and so is dense eigh: where an eigenvalue
+    # lies closer than that to an end, the verdict is free, so the oracle
+    # requires a contained verdict only with an eigenvalue inside the window
+    # narrowed by that slack, and a negative one only with none inside the
+    # widened window
+    model, grid = model_grid
+    spectra, slack = [], 0.0
+    for sector in (0, 1, 2):
+        problem = assemble(model, grid, sector)
+        spectra.append(eigh(_symmetrized(problem), eigvals_only=True)[::-1])
+        slack = max(slack, 8.0 * np.finfo(float).eps * float(
+            np.max(np.abs(problem.diag)) + 2.0 * np.max(np.abs(problem.off_diag))))
+    mus = spectra[l]
+    mu = mus[min(k, mus.size - 2)]
+    if at == "between":
+        target = 0.5 * (mu + mus[min(k, mus.size - 2) + 1])
+    else:
+        # mu = target - window or target + window, up to rounding; window is
+        # tol |target|, or tol where |target| < 1
+        sign = 1.0 if at == "lower end" else -1.0
+        target = mu / (1.0 + sign * tol)
+        if abs(target) < 1.0:
+            target = mu + sign * tol
+    verdict = dl.spectrum_contains(model, grid, target, tol)
+    window = tol * max(1.0, abs(target))
+    assert verdict.tolerance == window
+    distance = np.min(np.abs(np.concatenate(spectra) - target))
+    if distance <= window - slack:
+        assert verdict.contained
+    elif distance > window + slack:
+        assert not verdict.contained
+
+
+def test_spectrum_contains_counts_both_window_ends(monkeypatch):
+    # a diagonal operator: every pivot of a Sturm count is d_i - x, whose sign
+    # rounding keeps, so the counts are exact.  An eigenvalue at either end of
+    # the closed window [-6, -2] around -4 is contained, and one ulp outside
+    # it is not.  The entry sits at the last node: next to the pole, where
+    # the potentials of l = 1, 2 move it far below the window, and with no
+    # pivot after its own, which 0 / 0 would make NaN where it is zero
+    model, grid = _sphere_grid(2, 8)
+    zonal = assemble(model, grid, 0)
+    for end, outside in ((-6.0, -math.inf), (-2.0, 0.0)):
+        for mu, count in ((end, 1), (math.nextafter(end, outside), 0)):
+            diag = np.full(grid.size, -1e6)
+            diag[-1] = mu
+            problem = spectral.replace(zonal, diag=diag, off_diag=np.zeros(grid.size - 1))
+            monkeypatch.setattr(spectral, "assemble", lambda *args: problem)
+            verdict = dl.spectrum_contains(model, grid, -4.0, 0.5)
+            assert (verdict.contained, verdict.tolerance, verdict.count_used) == \
+                (count == 1, 2.0, count)
 
 
 def test_zero_mode_is_constant():
@@ -318,24 +378,19 @@ def _half_grid_estimate(model, N, lam, l):
     return abs(lam + mus[1 if l == 0 else 0]) / 3.0
 
 
-def _eigenpair_search(model, grid):
-    """lambda1 as one eigh_tridiagonal eigenpair solve per sector l = 0, 1 for
-    the two eigenpairs it bisects (0-based indices n-3..n-2 below l = 0's
-    constant mode, n-2..n-1 in l = 1), with a half-grid solve for the error
-    estimate.  Returns (lam, err, gap, mode)."""
-    cands = []
+def _bisect_both_tops(model, grid):
+    """lambda_1's eigenmode as eigh_tridiagonal gives it when it bisects both
+    sector tops, each alone (0-based index n-2, below l = 0's constant mode,
+    and n-1 of l = 1), and keeps the larger, the lower sector on a tie."""
+    best = None
     for l in (0, 1):
         problem = assemble(model, grid, l)
-        n = problem.size
-        vals, vecs = eigh_tridiagonal(problem.diag, problem.off_diag,
-                                      select="i", select_range=(n - 3 + l, n - 2 + l))
-        cands += spectral._postprocess(problem, vals, vecs)
-    mode = min(cands, key=lambda m: (-m.mu, m.l))
-    lam = -mode.mu
-    err = _half_grid_estimate(model, grid.size, lam, mode.l)
-    cluster = max(20.0 * err, 1e-7 * max(1.0, lam))
-    above = [-m.mu for m in cands if (-m.mu) > lam + cluster]
-    return lam, err, (min(above) - lam) if above else math.inf, mode
+        k = problem.size - 2 + l
+        vals, vecs = eigh_tridiagonal(problem.diag, problem.off_diag, select="i",
+                                      select_range=(k, k))
+        if best is None or vals[0] > best[1][0]:
+            best = problem, vals, vecs
+    return spectral._postprocess(*best)[0]
 
 
 @pytest.mark.parametrize("N", [400, 2000])
@@ -344,43 +399,55 @@ def _eigenpair_search(model, grid):
     (dl.poly_cos_density([0.0, -1.0, -0.25]), 2, 0),  # configs/ling_cases.json, n = 2
 ], ids=["cosine-n3", "ling-poly-cos-n2"])
 def test_first_eigenvalue_matches_eigenpair_solves_bitwise(density, n, sector, N):
-    # bisecting every sector and inverse-iterating only the winning eigenvalue
-    # reports the same eigenvalue and gap bits as solving the same two
-    # eigenpairs in every searched sector.  The eigenvector is the two-vector
-    # solve's up to the rounding of inverse iteration, which starts from
-    # another random vector and orthogonalizes against nothing
+    # bisecting l = 1's top, certifying l = 0's by a count (cosine) or
+    # bisecting it too (Ling) and inverse-iterating only the winning
+    # eigenvalue reports the eigenvalue and eigenvector bits of one
+    # eigenpair solve per sector top
     model = dl.sphere(n, density=density)
     grid = dl.Grid.uniform(model, N)
-    lam, err, gap, mode = _eigenpair_search(model, grid)
+    mode = _bisect_both_tops(model, grid)
     fe = dl.first_nonzero_eigenvalue(model, grid)
     assert mode.l == fe.mode.l == sector
-    assert (fe.lam, fe.gap) == (lam, gap)
-    sign = math.copysign(1.0, float(np.dot(fe.mode.u, mode.u)))
-    assert np.max(np.abs(sign * fe.mode.u - mode.u)) <= 1e-9 * np.max(np.abs(mode.u))
-    assert fe.error_estimate == pytest.approx(err, rel=2e-3)
+    assert fe.lam == mode.lam
+    assert fe.mode.u.tobytes() == mode.u.tobytes()
+    assert fe.error_estimate == pytest.approx(_half_grid_estimate(model, N, fe.lam, sector),
+                                              rel=2e-3)
 
 
 @st.composite
 def _spheres(draw):
     """An n-sphere (n 2-5) without a density (round: lambda_1 = n in both
-    l = 0 and l = 1) or with a cosine or short poly-cos one, on 8-300 nodes."""
-    kind = draw(st.sampled_from(("round", "cosine", "poly-cos")))
-    density = None if kind == "round" else dl.cosine_density(draw(_EPS)) \
-        if kind == "cosine" else dl.poly_cos_density(draw(st.lists(_EPS, min_size=1, max_size=3)))
+    l = 0 and l = 1), with a cosine or short poly-cos one, or with the Ling
+    cases' poly-cos density, on 8-300 nodes."""
+    kind = draw(st.sampled_from(("round", "cosine", "poly-cos", "ling")))
+    density = {"round": lambda: None,
+               "cosine": lambda: dl.cosine_density(draw(_EPS)),
+               "poly-cos": lambda: dl.poly_cos_density(
+                   draw(st.lists(_EPS, min_size=1, max_size=3))),
+               "ling": lambda: dl.poly_cos_density([0.0, -1.0, -0.25])}[kind]()
     model = dl.sphere(draw(st.integers(2, 5)), density=density)
     return model, dl.Grid.uniform(model, draw(st.integers(8, 300)))
 
 
+@settings(max_examples=80, deadline=None)
+@given(model_grid=_spheres())
+def test_first_eigenvalue_matches_bisecting_both_tops_bitwise(model_grid):
+    # the count certificate skips the l = 0 bisection only where l = 1 would
+    # win it: lambda_1, its sector and the eigenvector's bytes are those of
+    # bisecting both tops, on the round l = 0 / l = 1 twins too
+    model, grid = model_grid
+    fe = dl.first_nonzero_eigenvalue(model, grid)
+    mode = _bisect_both_tops(model, grid)
+    assert (fe.lam, fe.mode.l) == (mode.lam, mode.l)
+    assert fe.mode.u.tobytes() == mode.u.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(model_grid=_spheres())
-def test_first_eigenvalue_gap_matches_dense_spectra(model_grid):
-    # two eigenvalues per sector hold lambda_1 and the next eigenvalue above
-    # its cluster: at most one eigenvalue per sector (a round sphere's l = 0 /
-    # l = 1 twin) falls inside the cluster.  Oracle: every eigenvalue of the
-    # dense l = 0 and l = 1 matrices, less the constant mode.  The bisected
-    # values may differ from dense eigh's by the bisection tolerance
-    # eps ||T||, which the relative bound would not cover where a near twin
-    # just outside the cluster makes the gap small (4e-4 on a cosine sphere)
+def test_first_eigenvalue_matches_dense_spectra(model_grid):
+    # oracle: every eigenvalue of the dense l = 0 and l = 1 matrices, less the
+    # constant mode.  The bisected value may differ from dense eigh's by the
+    # bisection tolerance eps ||T||
     model, grid = model_grid
     fe = dl.first_nonzero_eigenvalue(model, grid)
     lams, norm = [], 0.0
@@ -388,13 +455,8 @@ def test_first_eigenvalue_gap_matches_dense_spectra(model_grid):
         problem = assemble(model, grid, l)
         lams.append(-eigh(_symmetrized(problem), eigvals_only=True)[:-1 if l == 0 else None])
         norm = max(norm, np.max(np.abs(problem.diag)) + 2.0 * np.max(np.abs(problem.off_diag)))
-    lams = np.sort(np.concatenate(lams))
     slack = 4.0 * np.finfo(float).eps * norm
-    assert fe.lam == pytest.approx(lams[0], rel=1e-9, abs=slack)
-    err = 0.0 if math.isnan(fe.error_estimate) else fe.error_estimate
-    cluster = max(20.0 * err, 1e-7 * max(1.0, fe.lam))
-    gap = lams[lams > fe.lam + cluster][0] - fe.lam
-    assert fe.gap == pytest.approx(gap, rel=1e-9, abs=slack)
+    assert fe.lam == pytest.approx(np.min(np.concatenate(lams)), rel=1e-9, abs=slack)
 
 
 def _oracle_assembly(model, grid, l):
@@ -456,19 +518,22 @@ def test_rayleigh_quotient_of_an_eigenvector_is_its_eigenvalue(model, l):
         assert quotient == pytest.approx(-vals[j], rel=1e-12)
 
 
-def _counting_lapack(monkeypatch, calls, zonal_diag):
-    """Record each stebz call as ("stebz", N, l, thread, (il, iu)) and each
-    stein call as ("stein", N, number of eigenvalues, thread, None); l is 0
-    when stebz sees the diagonal ``zonal_diag`` of the l = 0 operator, else 1,
-    and il..iu is its 1-based ascending index range."""
+# the position of n and of the diagonal among each routine's arguments
+_N_AND_DIAG = {"stebz": (2, 8), "stein": (0, 1), "larrc": (1, 4)}
+
+
+def _counting_lapack(monkeypatch, calls, zonal_diags):
+    """Record each stebz call as ("stebz", N, l, (il, iu)), each stein call as
+    ("stein", N, l, number of eigenvalues) and each larrc call as ("larrc", N,
+    l); l is 0 when the routine sees one of the l = 0 diagonals
+    ``zonal_diags``, else 1, and il..iu is stebz's 1-based ascending index
+    range."""
     def counted(name, routine):
         def call(*args):
-            thread = threading.current_thread().name
-            if name == "stebz":
-                calls.append((name, args[2], 0 if np.array_equal(args[8], zonal_diag) else 1,
-                              thread, (args[5], args[6])))
-            else:
-                calls.append((name, args[0], args[3], thread, None))
+            n, d = (args[i] for i in _N_AND_DIAG[name])
+            l = 0 if any(np.array_equal(d, z) for z in zonal_diags) else 1
+            calls.append((name, n, l) + {"stebz": ((args[5], args[6]),), "stein": (args[3],),
+                                         "larrc": ()}[name])
             routine(*args)
         return call
 
@@ -477,10 +542,11 @@ def _counting_lapack(monkeypatch, calls, zonal_diag):
 
 
 def test_first_eigenvalue_solve_count(monkeypatch):
-    # spheres: sectors l = 0, 1 bisected at N for two eigenvalues each (l = 0
-    # below its constant mode), l = 1 on a sector worker, and inverse
-    # iteration on the winning eigenvalue alone; circles: one Lanczos solve
-    # and no sector worker.  The error estimate solves nothing at N/2
+    # spheres: l = 1's top bisected at N, one Sturm count of the l = 0
+    # operator and inverse iteration on the winning eigenvalue alone; the
+    # l = 0 top is bisected only where the count finds more than the constant
+    # mode above l = 1's top (a round sphere, where it wins); circles: one
+    # Lanczos solve.  The error estimate solves nothing at N/2
     calls = []
     solve = spectral.solve_eigen
 
@@ -489,31 +555,27 @@ def test_first_eigenvalue_solve_count(monkeypatch):
         return solve(problem, count)
 
     monkeypatch.setattr(spectral, "solve_eigen", counting_solve)
-    model, grid = _sphere_grid(3, 400, eps=0.4)
-    _counting_lapack(monkeypatch, calls, assemble(model, grid, 0).diag)
-    dl.first_nonzero_eigenvalue(model, grid)
-    assert Counter(call[:3] for call in calls) == Counter(
-        [("stebz", 400, 0), ("stebz", 400, 1), ("stein", 400, 1)])
-    threads = {call[:3]: call[3] for call in calls}
-    main = threading.main_thread().name
-    assert threads[("stebz", 400, 0)] == threads[("stein", 400, 1)] == main
-    assert threads[("stebz", 400, 1)].startswith("driftlab-sector")
-    assert {call[2]: call[4] for call in calls if call[0] == "stebz"} == {
-        0: (398, 399), 1: (399, 400)}
+    cosine, round_ = _sphere_grid(3, 400, eps=0.4), _sphere_grid(3, 400)
+    _counting_lapack(monkeypatch, calls, [assemble(*mg, 0).diag for mg in (cosine, round_)])
+    dl.first_nonzero_eigenvalue(*cosine)
+    assert calls == [("stebz", 400, 1, (400, 400)), ("larrc", 400, 0), ("stein", 400, 1, 1)]
     calls.clear()
-    monkeypatch.setattr(spectral, "_SECTORS", None)  # any use of the pool fails
+    dl.first_nonzero_eigenvalue(*round_)
+    assert calls == [("stebz", 400, 1, (400, 400)), ("larrc", 400, 0),
+                     ("stebz", 400, 0, (399, 399)), ("stein", 400, 0, 1)]
+    calls.clear()
     dl.first_nonzero_eigenvalue(*_circle_grid(400, 0.5))
     assert calls == [400]
 
 
-def _force_info_1(monkeypatch, routine, workers_only=False):
-    """Make the LAPACK ``routine`` return info = 1 after running; with
-    ``workers_only``, only on the sector workers."""
+def _force_info(monkeypatch, routine, when=lambda args: True):
+    """Make the LAPACK ``routine`` return info = 1 after running, on the calls
+    whose arguments satisfy ``when``."""
     call = spectral._LAPACK[routine]
 
     def with_info_1(*args):
         call(*args)
-        if not workers_only or threading.current_thread() is not threading.main_thread():
+        if when(args):
             args[-1].value = 1
 
     monkeypatch.setitem(spectral._LAPACK, routine, with_info_1)
@@ -522,32 +584,67 @@ def _force_info_1(monkeypatch, routine, workers_only=False):
 @pytest.mark.parametrize("routine,l", [("stebz", 0), ("stein", 1), ("stebz", 1)])
 def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, capsys):
     # a nonzero info from either LAPACK step names the sector and the size,
-    # also when only the l = 1 bisection on a sector worker fails, and a sweep
+    # also when only the l = 0 bisection of a round sphere fails, and a sweep
     # that meets it exits 3
-    workers_only = (routine, l) == ("stebz", 1)
-    _force_info_1(monkeypatch, routine, workers_only)
-    model, grid = _sphere_grid(3, 400, eps=0.5)
+    zonal_only = (routine, l) == ("stebz", 0)
+    if zonal_only:  # l = 0's top has the 1-based index N - 1
+        _force_info(monkeypatch, routine, lambda args: args[5] == args[2] - 1)
+    else:
+        _force_info(monkeypatch, routine)
+    model, grid = _sphere_grid(3, 400, eps=0.0 if zonal_only else 0.5)
     with pytest.raises(SolverError, match=f"l={l}, N=400: {routine} returned info=1") as info:
         dl.first_nonzero_eigenvalue(model, grid)
     assert (info.value.report["l"], info.value.report["size"]) == (l, 400)
-    if not workers_only:
+    if not zonal_only:
         with pytest.raises(SolverError, match=f"{routine} returned info=1"):
             dl.solve_eigen(assemble(model, grid, 2), 4)
 
     config = tmp_path / "sphere.json"
+    density = {"name": "zero"} if zonal_only else {"name": "cosine", "eps": [0.5]}
     config.write_text(json.dumps({
-        "schema_version": 1,
-        "family": {"name": "sphere", "n": [3], "density": {"name": "cosine", "eps": [0.5]}},
+        "schema_version": 1, "family": {"name": "sphere", "n": [3], "density": density},
         "grids": [400], "checks": ["spectrum"]}))
     assert cli.main(["sweep", "--config", str(config)]) == 3
     assert f"l={l}, N=400" in capsys.readouterr().out
 
 
-def test_spectrum_contains_stebz_failure_is_a_solver_error(monkeypatch):
-    _force_info_1(monkeypatch, "stebz")
-    with pytest.raises(SolverError, match="l=0, N=400: stebz returned info=1") as info:
+def test_spectrum_contains_larrc_failure_is_a_solver_error(monkeypatch):
+    _force_info(monkeypatch, "larrc")
+    with pytest.raises(SolverError, match="l=0, N=400: larrc returned info=1") as info:
         dl.spectrum_contains(*_sphere_grid(3, 400, eps=0.5), -3.0, 1e-3)
     assert (info.value.report["l"], info.value.report["size"]) == (0, 400)
+
+
+@pytest.mark.parametrize("count", [0, 2, 5])
+def test_certificate_count_decides_the_zonal_bisection(count, monkeypatch):
+    # a count above 1 bisects the l = 0 top as well, and the larger top still
+    # wins (on the cosine sphere, l = 1's); a count of 0, which not even the
+    # constant mode gives, and a nonzero info from the count are
+    # SolverErrors that name l = 0 and N
+    model, grid = _sphere_grid(3, 400, eps=0.5)
+    expected = dl.first_nonzero_eigenvalue(model, grid)
+    calls = []
+    _counting_lapack(monkeypatch, calls, [assemble(model, grid, 0).diag])
+    larrc = spectral._LAPACK["larrc"]
+
+    def larrc_counting(*args):
+        larrc(*args)
+        args[7].value = count
+
+    monkeypatch.setitem(spectral._LAPACK, "larrc", larrc_counting)
+    if count:
+        fe = dl.first_nonzero_eigenvalue(model, grid)
+        assert ("stebz", 400, 0, (399, 399)) in calls
+        assert (fe.lam, fe.mode.l, fe.error_estimate) == \
+            (expected.lam, expected.mode.l, expected.error_estimate)
+        assert fe.mode.u.tobytes() == expected.mode.u.tobytes()
+        return
+    with pytest.raises(SolverError, match="l=0, N=400: larrc counts no eigenvalue"):
+        dl.first_nonzero_eigenvalue(model, grid)
+    monkeypatch.undo()
+    _force_info(monkeypatch, "larrc")
+    with pytest.raises(SolverError, match="l=0, N=400: larrc returned info=1"):
+        dl.first_nonzero_eigenvalue(model, grid)
 
 
 @settings(max_examples=80, deadline=None)
@@ -617,58 +714,6 @@ def test_lapack_refuses_arrays_of_another_dtype_or_layout():
                                       np.empty(300, np.intc), info)
 
 
-def test_concurrent_callers_get_the_sequential_results(monkeypatch):
-    # more calling threads than sector workers and cores, switching threads
-    # every microsecond: each lambda_1 is bitwise the one of a sequential
-    # search, and every call ends
-    problems = [_sphere_grid(n, N, eps=eps) for n, N, eps in
-                ((2, 400, 0.5), (3, 401, 0.4), (4, 2000, 0.9), (3, 64, 0.0))] * 2
-    monkeypatch.setattr(spectral, "_each_sector", lambda task, ls: [task(l) for l in ls])
-    expected = [dl.first_nonzero_eigenvalue(*p) for p in problems]
-    monkeypatch.undo()
-    got = [None] * len(problems)
-
-    def solve(i):
-        got[i] = dl.first_nonzero_eigenvalue(*problems[i])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(problems))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for fe, ref in zip(got, expected):
-        assert (fe.lam, fe.gap, fe.error_estimate, fe.mode.l) == \
-            (ref.lam, ref.gap, ref.error_estimate, ref.mode.l)
-        assert fe.mode.u.tobytes() == ref.mode.u.tobytes()
-
-
-def _fork_child_eigenvalue(queue):
-    queue.put(dl.first_nonzero_eigenvalue(*_sphere_grid(3, 400, eps=0.4)).lam)
-
-
-def test_forked_child_gets_its_own_sector_workers():
-    # a forked child inherits the pool but none of its threads; without a
-    # fresh pool its l = 1 bisection would wait forever
-    lam = dl.first_nonzero_eigenvalue(*_sphere_grid(3, 400, eps=0.4)).lam
-    context = multiprocessing.get_context("fork")
-    queue = context.Queue()
-    child = context.Process(target=_fork_child_eigenvalue, args=(queue,))
-    child.start()
-    try:
-        assert queue.get(timeout=30) == lam
-    finally:
-        child.join(timeout=30)
-        if child.is_alive():
-            child.kill()
-    assert child.exitcode == 0
-
-
 def test_angular_mode_search_matters():
     # on the cosine-density sphere the l = 1 branch lies strictly below the
     # zonal branch, so a zonal-only search would report the wrong eigenvalue
@@ -694,6 +739,31 @@ def test_manifold_samples_shapes():
     zonal = dl.solve_eigen(assemble(model, grid, 0), 2)[1]
     v, grad_sq = dl.normalize(zonal).samples()
     assert v.shape == grad_sq.shape == (grid.size,)
+
+
+_BLAS_PROBE = """
+import hashlib
+import driftlab as dl
+model = dl.sphere(3, density=dl.cosine_density(0.7))
+fe = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 100000))
+nef = dl.normalize(fe.mode)
+arrays = (fe.mode.u, nef.v_rad, nef.dv_rad)
+print(repr((fe.lam, fe.mode.l, fe.error_estimate, nef.k, nef.a, nef.residual_inf,
+            hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())))
+"""
+
+
+def test_first_eigenpair_does_not_depend_on_the_blas_thread_count():
+    # the N-long reductions (eigenvector norm, Rayleigh quotient, integrals)
+    # are numpy sums: OpenBLAS splits a dot product this long across its
+    # threads, so its rounding would follow the thread count
+    src = str(Path(dl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = [subprocess.run([sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True,
+                           check=True, timeout=300,
+                           env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path))
+            for threads in ("1", "2")]
+    assert runs[0].stdout == runs[1].stdout != ""
 
 
 def test_assemble_rejects_bad_modes():
