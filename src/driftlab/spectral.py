@@ -23,12 +23,12 @@ Dirichlet decay of the eigenfunctions.
 Eigenpairs come from the symmetric tridiagonal similarity transform
 S = D A D^{-1}, D = diag(sqrt(rho_i)), solved in two LAPACK steps: bisection
 (stebz) for the eigenvalues, then inverse iteration (stein) for their
-eigenvectors.  Sturm counts (larrc) tell how many eigenvalues lie in a value
-window without computing any of them.  All three are called through scipy's
-C-level LAPACK (``scipy.linalg.cython_lapack``) with ctypes, on the calling
-thread.  The periodic circle matrix has wrap-around corners and is solved by
-sparse shift-invert Lanczos (ARPACK).  Both solves cost linear time in N and
-are deterministic.
+eigenvectors.  A Sturm count, stebz over a value window with an infinite
+tolerance, tells how many eigenvalues lie in the window without computing
+any of them.  Both routines are scipy's wrappers (``scipy.linalg.lapack``).
+The periodic circle matrix has wrap-around corners and is solved by sparse
+shift-invert Lanczos (ARPACK).  Both solves cost linear time in N and are
+deterministic.
 
 Only the l = 0 operator is assembled from the density; a sector l >= 1 is
 derived from it by subtracting its angular potential from the diagonal.
@@ -47,13 +47,11 @@ its target.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cython_lapack
+from scipy.linalg import lapack
 from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackError, eigsh
 
@@ -197,68 +195,18 @@ def _solver_error(problem: SpectralProblem, cause: Exception | str) -> SolverErr
                 "off_max": float(np.max(np.abs(problem.off_diag))) if n > 1 else 0.0})
 
 
-_C_TYPES = {"c": "char *", "i": "int *", "d": "double *"}
-_SCALARS = {"i": ctypes.c_int, "d": ctypes.c_double}
-_DTYPES = {"i": np.dtype(np.intc), "d": np.dtype(np.float64)}
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _pointer(kind: str, value):
-    """One argument of a ``_lapack`` routine as ctypes passes it."""
-    if kind == "c":
-        return value
-    if isinstance(value, np.ndarray):
-        if value.dtype != _DTYPES[kind] or not value.flags.c_contiguous:
-            raise TypeError(f"LAPACK needs a contiguous {_DTYPES[kind]} array, got a "
-                            f"{'' if value.flags.c_contiguous else 'strided '}{value.dtype} one")
-        return value.ctypes.data
-    scalar = _SCALARS[kind]
-    return ctypes.byref(value if isinstance(value, scalar) else scalar(value))
-
-
-def _lapack(name: str, kinds: str):
-    """The LAPACK routine ``name`` of scipy's C-level interface, by the function
-    pointer in ``scipy.linalg.cython_lapack.__pyx_capi__``, called through a
-    ctypes foreign function, which releases the GIL for the call.
-
-    ``kinds`` spells the routine's arguments, all pointers: "c" a char, "i" a
-    C int, "d" a double.  The capsule's name is the routine's C signature;
-    unless it is exactly that (an ILP64 or a changed scipy), this raises
-    ImportError rather than pass pointers of the wrong width.  The returned
-    function takes, in the routine's order, bytes for a char, a number for a
-    scalar input, a ctypes ``c_int`` for a scalar output, and a C-contiguous
-    array of C ints or float64 for an array."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    signature = _capsule_name(capsule)
-    expected = "void (" + ", ".join(_C_TYPES[k] for k in kinds) + ")"
-    # Cython names scipy's double typedef __pyx_t_<module>_d
-    if re.sub(r"__pyx_t_\w+_d \*", "double *", signature.decode()) != expected:
-        raise ImportError(f"scipy.linalg.cython_lapack.{name} has the C signature "
-                          f"{signature.decode()!r}; driftlab calls it as {expected!r}")
-    routine = ctypes.CFUNCTYPE(None, *(ctypes.c_char_p if k == "c" else ctypes.c_void_p
-                                       for k in kinds))(_capsule_pointer(capsule, signature))
-
-    def call(*args):
-        routine(*(_pointer(kind, value) for kind, value in zip(kinds, args, strict=True)))
-
-    return call
-
-
-# range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit, work, iwork,
-# info; n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifail, info; and jobt, n, vl,
-# vu, d, e, pivmin, eigcnt, lcnt, rcnt, info
-_LAPACK = {"stebz": _lapack("dstebz", "cciddiidddiidiidii"),
-           "stein": _lapack("dstein", "iddidiididiii"),
-           "larrc": _lapack("dlarrc", "cidddddiiii")}
+# stebz: m, w, iblock, isplit, info = stebz(d, e, range, vl, vu, il, iu, abstol, order),
+# range 1 the eigenvalues in (vl, vu], range 2 those of 1-based ascending index il..iu;
+# stein: z, info = stein(d, e, w, iblock, isplit)
+_LAPACK = {"stebz": lapack.dstebz, "stein": lapack.dstein}
 
 
 @dataclass(frozen=True)
 class _Bisection:
     """Bisected eigenvalues of an interval sector (LAPACK stebz, in block
-    order) with the block data that inverse iteration (LAPACK stein) needs."""
+    order) with the block data that inverse iteration (LAPACK stein) needs:
+    the block of each eigenvalue and the last row of each block, in the
+    N-long arrays that scipy's stein wrapper takes."""
 
     problem: SpectralProblem
     w: np.ndarray
@@ -270,58 +218,38 @@ class _Bisection:
         (LAPACK stein).  stein draws a start vector per eigenvalue and
         reorthogonalizes the vectors of eigenvalues closer than 1e-3 ||T|| to
         each other."""
-        d, e = self.problem.diag, self.problem.off_diag
-        n, m = d.size, self.w.size
-        z = np.empty((m, n))  # stein's n x m column-major array
-        info = ctypes.c_int()
-        _LAPACK["stein"](n, d, e, m, self.w, self.iblock, self.isplit, z, n, np.empty(5 * n),
-                         np.empty(n, np.intc), np.empty(m, np.intc), info)
-        if info.value:
-            raise _solver_error(self.problem, f"stein returned info={info.value}")
+        z, info = _LAPACK["stein"](self.problem.diag, self.problem.off_diag, self.w,
+                                   self.iblock, self.isplit)
+        if info:
+            raise _solver_error(self.problem, f"stein returned info={info}")
         order = np.argsort(self.w)
-        return _postprocess(self.problem, self.w[order], z.T[:, order])
-
-
-def _stebz(problem: SpectralProblem, range_: bytes, vl: float, vu: float, il: int, iu: int,
-           order: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LAPACK stebz on the symmetrized matrix of an interval sector with
-    ``eigh_tridiagonal``'s arguments and tolerance 0: range b"V" takes the
-    eigenvalues in (vl, vu], range b"I" those of (1-based, ascending) index
-    il..iu.  Returns the eigenvalues in ``order`` (b"E": ascending, b"B": by
-    block) with the block data that inverse iteration needs: the block of each
-    eigenvalue and the last row of each block."""
-    d, e = problem.diag, problem.off_diag
-    n = d.size
-    w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
-    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-    _LAPACK["stebz"](range_, order, n, vl, vu, il, iu, 0.0, d, e, m, nsplit, w, iblock,
-                     isplit, np.empty(4 * n), np.empty(3 * n, np.intc), info)
-    if info.value:
-        raise _solver_error(problem, f"stebz returned info={info.value}")
-    # copies: views would keep the N-long arrays alive
-    return w[:m.value].copy(), iblock[:m.value].copy(), isplit[:nsplit.value].copy()
+        return _postprocess(self.problem, self.w[order], z[:, order])
 
 
 def _bisect(problem: SpectralProblem, il: int, iu: int) -> _Bisection:
-    """Bisection for the eigenvalues of (1-based, ascending) index il..iu of
-    an interval sector."""
-    w, iblock, isplit = _stebz(problem, b"I", 0.0, 1.0, il, iu, b"B")
-    return _Bisection(problem=problem, w=w, iblock=iblock, isplit=isplit)
+    """Bisection (LAPACK stebz, tolerance 0) for the eigenvalues of (1-based,
+    ascending) index il..iu of an interval sector."""
+    m, w, iblock, isplit, info = _LAPACK["stebz"](problem.diag, problem.off_diag, 2, 0.0, 1.0,
+                                                  il, iu, 0.0, "B")
+    if info:
+        raise _solver_error(problem, f"stebz returned info={info}")
+    return _Bisection(problem=problem, w=w[:m], iblock=iblock, isplit=isplit)
 
 
 def _count(problem: SpectralProblem, vl: float, vu: float) -> int:
     """Number of eigenvalues of an interval sector in (vl, vu]: the Sturm
-    counts at vu and vl of the symmetrized matrix (LAPACK larrc), that is,
-    the negative pivots of its LDL^T factorizations shifted by each end
-    (Sylvester's law of inertia).  A pivot that rounds to exactly zero is
-    counted twice, so it takes one eigenvalue off the count; with these
-    diagonals that needs a rounding coincidence."""
-    d, e = problem.diag, problem.off_diag
-    count, below_vl, below_vu, info = (ctypes.c_int() for _ in range(4))
-    _LAPACK["larrc"](b"T", d.size, vl, vu, d, e, 0.0, count, below_vl, below_vu, info)
-    if info.value:
-        raise _solver_error(problem, f"larrc returned info={info.value}")
-    return count.value
+    counts at vu and vl of the symmetrized matrix, that is, the negative
+    pivots of its LDL^T factorizations shifted by each end (Sylvester's law
+    of inertia).  This is LAPACK stebz over the window with tolerance +inf:
+    its bisection converges at once, and its m is the count at vu less the
+    count at vl.  stebz clips the window to the Gershgorin bounds, so vu may
+    be +inf, and replaces a pivot smaller than its pivmin by -pivmin, so a
+    pivot that rounds to zero counts once."""
+    m, *_, info = _LAPACK["stebz"](problem.diag, problem.off_diag, 1, vl, vu, 0, 0,
+                                   math.inf, "B")
+    if info:
+        raise _solver_error(problem, f"stebz returned info={info}")
+    return m
 
 
 def solve_eigen(problem: SpectralProblem, count: int) -> tuple[EigenMode, ...]:
@@ -424,7 +352,7 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
         vl = float(top.w[0]) - margin
         count = _count(base, vl, math.inf)
         if count < 1:
-            raise _solver_error(base, f"larrc counts no eigenvalue above {vl!r}, "
+            raise _solver_error(base, f"stebz counts no eigenvalue above {vl!r}, "
                                       "not even the constant mode")
         if count > 1:
             zonal = _bisect(base, n - 1, n - 1)
@@ -459,12 +387,16 @@ def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
     Sturm count, with no eigenvalue computed, so a negative verdict is
     meaningful.  A count takes the half-open window (vl, vu], so vl is the
     float just below target - window.  ``count_used`` is the number of
-    eigenvalues in the window, summed over the three sectors.
+    eigenvalues in the window, summed over the three sectors.  The target
+    must be finite and tol positive and finite, else ValueError: a NaN would
+    give a vacuous negative verdict, an infinite tol a vacuous positive one.
     """
     if model.topology == CIRCLE:
         raise ValueError("spectrum_contains needs an interval-sphere model")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     window = tol * max(1.0, abs(target))
     base = assemble(model, grid, 0)
     lower = math.nextafter(target - window, -math.inf)

@@ -1,6 +1,5 @@
 """Spectral engine checks against classical spectra and structural invariants."""
 
-import ctypes
 import json
 import math
 import os
@@ -12,8 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cython_lapack, eigh, eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg import eigh, eigh_tridiagonal
 
 import driftlab as dl
 import driftlab.cli as cli
@@ -243,24 +241,51 @@ def test_spectrum_contains_matches_dense_spectra(model_grid, l, k, tol, at):
         assert not verdict.contained
 
 
-def test_spectrum_contains_counts_both_window_ends(monkeypatch):
+@pytest.mark.parametrize("node", [0, 3, 7], ids=["first", "middle", "last"])
+def test_spectrum_contains_counts_both_window_ends(node, monkeypatch):
     # a diagonal operator: every pivot of a Sturm count is d_i - x, whose sign
     # rounding keeps, so the counts are exact.  An eigenvalue at either end of
-    # the closed window [-6, -2] around -4 is contained, and one ulp outside
-    # it is not.  The entry sits at the last node: next to the pole, where
-    # the potentials of l = 1, 2 move it far below the window, and with no
-    # pivot after its own, which 0 / 0 would make NaN where it is zero
+    # the closed window [-4.5, -3.5] around -4 is contained, and one ulp
+    # outside it is not, at any node.  One ulp below the window the entry
+    # equals the count's lower end, so its pivot there is zero.  The
+    # potentials of l = 1, 2 move the entry down by more than the window's
+    # width (1 / w^2 >= 1), so only l = 0 counts it
     model, grid = _sphere_grid(2, 8)
     zonal = assemble(model, grid, 0)
-    for end, outside in ((-6.0, -math.inf), (-2.0, 0.0)):
+    for end, outside in ((-4.5, -math.inf), (-3.5, 0.0)):
         for mu, count in ((end, 1), (math.nextafter(end, outside), 0)):
             diag = np.full(grid.size, -1e6)
-            diag[-1] = mu
+            diag[node] = mu
             problem = spectral.replace(zonal, diag=diag, off_diag=np.zeros(grid.size - 1))
             monkeypatch.setattr(spectral, "assemble", lambda *args: problem)
-            verdict = dl.spectrum_contains(model, grid, -4.0, 0.5)
+            verdict = dl.spectrum_contains(model, grid, -4.0, 0.125)
             assert (verdict.contained, verdict.tolerance, verdict.count_used) == \
-                (count == 1, 2.0, count)
+                (count == 1, 0.5, count)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_count_takes_a_zero_pivot_once(sign):
+    # tridiag(-1, 2, -1) of size 3 has the eigenvalues 2 - sqrt(2), 2 and
+    # 2 + sqrt(2).  Its LDL^T factorization shifted by 1 has the pivots 1, 0
+    # and a division by zero: the zero pivot must count once, so (1, 10]
+    # holds two eigenvalues, and so does (-10, -1] for the negated matrix.
+    # A count reads only the two diagonals of the problem
+    problem = spectral.replace(assemble(*_sphere_grid(2, 8), 0), diag=np.full(3, 2.0 * sign),
+                               off_diag=np.full(2, -sign))
+    vl, vu = (1.0, 10.0) if sign > 0 else (-10.0, -1.0)
+    assert spectral._count(problem, vl, vu) == 2
+    assert spectral._count(problem, vl, math.inf) == (2 if sign > 0 else 3)
+
+
+@pytest.mark.parametrize("target,tol", [
+    (math.nan, 1e-3), (math.inf, 1e-3), (-math.inf, 1e-3),
+    (-2.0, math.nan), (-2.0, math.inf), (-2.0, 0.0), (-2.0, -1e-3),
+])
+def test_spectrum_contains_rejects_a_bad_target_or_tolerance(target, tol):
+    # a NaN target or tolerance would give a vacuous negative verdict, and an
+    # infinite tolerance a vacuous positive one
+    with pytest.raises(ValueError, match="must be"):
+        dl.spectrum_contains(*_sphere_grid(2, 100), target, tol)
 
 
 def test_zero_mode_is_constant():
@@ -518,23 +543,22 @@ def test_rayleigh_quotient_of_an_eigenvector_is_its_eigenvalue(model, l):
         assert quotient == pytest.approx(-vals[j], rel=1e-12)
 
 
-# the position of n and of the diagonal among each routine's arguments
-_N_AND_DIAG = {"stebz": (2, 8), "stein": (0, 1), "larrc": (1, 4)}
-
-
 def _counting_lapack(monkeypatch, calls, zonal_diags):
-    """Record each stebz call as ("stebz", N, l, (il, iu)), each stein call as
-    ("stein", N, l, number of eigenvalues) and each larrc call as ("larrc", N,
-    l); l is 0 when the routine sees one of the l = 0 diagonals
-    ``zonal_diags``, else 1, and il..iu is stebz's 1-based ascending index
-    range."""
+    """Record each stebz bisection (range code 2) as ("stebz", N, l, (il, iu)),
+    each stebz count (range code 1) as ("count", N, l) and each stein call as
+    ("stein", N, l, number of eigenvalues); l is 0 when the routine sees one
+    of the l = 0 diagonals ``zonal_diags``, else 1, and il..iu is stebz's
+    1-based ascending index range."""
     def counted(name, routine):
-        def call(*args):
-            n, d = (args[i] for i in _N_AND_DIAG[name])
+        def call(d, e, *args):
             l = 0 if any(np.array_equal(d, z) for z in zonal_diags) else 1
-            calls.append((name, n, l) + {"stebz": ((args[5], args[6]),), "stein": (args[3],),
-                                         "larrc": ()}[name])
-            routine(*args)
+            if name == "stein":
+                calls.append(("stein", d.size, l, args[0].size))
+            elif args[0] == 2:
+                calls.append(("stebz", d.size, l, (args[3], args[4])))
+            else:
+                calls.append(("count", d.size, l))
+            return routine(d, e, *args)
         return call
 
     for name, routine in list(spectral._LAPACK.items()):
@@ -558,25 +582,29 @@ def test_first_eigenvalue_solve_count(monkeypatch):
     cosine, round_ = _sphere_grid(3, 400, eps=0.4), _sphere_grid(3, 400)
     _counting_lapack(monkeypatch, calls, [assemble(*mg, 0).diag for mg in (cosine, round_)])
     dl.first_nonzero_eigenvalue(*cosine)
-    assert calls == [("stebz", 400, 1, (400, 400)), ("larrc", 400, 0), ("stein", 400, 1, 1)]
+    assert calls == [("stebz", 400, 1, (400, 400)), ("count", 400, 0), ("stein", 400, 1, 1)]
     calls.clear()
     dl.first_nonzero_eigenvalue(*round_)
-    assert calls == [("stebz", 400, 1, (400, 400)), ("larrc", 400, 0),
+    assert calls == [("stebz", 400, 1, (400, 400)), ("count", 400, 0),
                      ("stebz", 400, 0, (399, 399)), ("stein", 400, 0, 1)]
     calls.clear()
     dl.first_nonzero_eigenvalue(*_circle_grid(400, 0.5))
     assert calls == [400]
 
 
+def _is_count(args):
+    """Whether stebz's arguments ask for a count: range code 1, a value window."""
+    return args[2] == 1
+
+
 def _force_info(monkeypatch, routine, when=lambda args: True):
-    """Make the LAPACK ``routine`` return info = 1 after running, on the calls
-    whose arguments satisfy ``when``."""
+    """Make the LAPACK ``routine`` return info = 1, its last value, after
+    running, on the calls whose arguments satisfy ``when``."""
     call = spectral._LAPACK[routine]
 
     def with_info_1(*args):
-        call(*args)
-        if when(args):
-            args[-1].value = 1
+        result = call(*args)
+        return result[:-1] + (1,) if when(args) else result
 
     monkeypatch.setitem(spectral._LAPACK, routine, with_info_1)
 
@@ -588,7 +616,8 @@ def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, cap
     # that meets it exits 3
     zonal_only = (routine, l) == ("stebz", 0)
     if zonal_only:  # l = 0's top has the 1-based index N - 1
-        _force_info(monkeypatch, routine, lambda args: args[5] == args[2] - 1)
+        _force_info(monkeypatch, routine,
+                    lambda args: args[2] == 2 and args[5] == args[0].size - 1)
     else:
         _force_info(monkeypatch, routine)
     model, grid = _sphere_grid(3, 400, eps=0.0 if zonal_only else 0.5)
@@ -608,9 +637,9 @@ def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, cap
     assert f"l={l}, N=400" in capsys.readouterr().out
 
 
-def test_spectrum_contains_larrc_failure_is_a_solver_error(monkeypatch):
-    _force_info(monkeypatch, "larrc")
-    with pytest.raises(SolverError, match="l=0, N=400: larrc returned info=1") as info:
+def test_spectrum_contains_count_failure_is_a_solver_error(monkeypatch):
+    _force_info(monkeypatch, "stebz", _is_count)
+    with pytest.raises(SolverError, match="l=0, N=400: stebz returned info=1") as info:
         dl.spectrum_contains(*_sphere_grid(3, 400, eps=0.5), -3.0, 1e-3)
     assert (info.value.report["l"], info.value.report["size"]) == (0, 400)
 
@@ -625,13 +654,13 @@ def test_certificate_count_decides_the_zonal_bisection(count, monkeypatch):
     expected = dl.first_nonzero_eigenvalue(model, grid)
     calls = []
     _counting_lapack(monkeypatch, calls, [assemble(model, grid, 0).diag])
-    larrc = spectral._LAPACK["larrc"]
+    stebz = spectral._LAPACK["stebz"]
 
-    def larrc_counting(*args):
-        larrc(*args)
-        args[7].value = count
+    def stebz_counting(*args):
+        result = stebz(*args)
+        return (count,) + result[1:] if _is_count(args) else result
 
-    monkeypatch.setitem(spectral._LAPACK, "larrc", larrc_counting)
+    monkeypatch.setitem(spectral._LAPACK, "stebz", stebz_counting)
     if count:
         fe = dl.first_nonzero_eigenvalue(model, grid)
         assert ("stebz", 400, 0, (399, 399)) in calls
@@ -639,79 +668,12 @@ def test_certificate_count_decides_the_zonal_bisection(count, monkeypatch):
             (expected.lam, expected.mode.l, expected.error_estimate)
         assert fe.mode.u.tobytes() == expected.mode.u.tobytes()
         return
-    with pytest.raises(SolverError, match="l=0, N=400: larrc counts no eigenvalue"):
+    with pytest.raises(SolverError, match="l=0, N=400: stebz counts no eigenvalue"):
         dl.first_nonzero_eigenvalue(model, grid)
     monkeypatch.undo()
-    _force_info(monkeypatch, "larrc")
-    with pytest.raises(SolverError, match="l=0, N=400: larrc returned info=1"):
+    _force_info(monkeypatch, "stebz", _is_count)
+    with pytest.raises(SolverError, match="l=0, N=400: stebz returned info=1"):
         dl.first_nonzero_eigenvalue(model, grid)
-
-
-@settings(max_examples=80, deadline=None)
-@given(model_grid=_weighted_models().filter(lambda mg: mg[0].topology != dl.CIRCLE),
-       l=st.integers(0, 2), data=st.data())
-def test_stebz_matches_the_f2py_wrapper_bitwise(model_grid, l, data):
-    # the C-level stebz gives scipy.linalg.lapack.dstebz's eigenvalues and
-    # block data bit for bit, by index and by value window, in both orders
-    model, grid = model_grid
-    problem = assemble(model, grid, l)
-    d, e, n = problem.diag, problem.off_diag, problem.size
-    select = data.draw(st.sampled_from((1, 2)))
-    order = data.draw(st.sampled_from(("B", "E")))
-    if select == 1:
-        vl = data.draw(st.floats(1.5 * d.min(), 0.5))
-        vu = data.draw(st.one_of(st.just(math.inf), st.floats(vl, 1.0, exclude_min=True)))
-        il = iu = 1
-    else:
-        vl, vu = 0.0, 1.0
-        il = data.draw(st.integers(1, n))
-        iu = data.draw(st.integers(il, n))
-    w, iblock, isplit = spectral._stebz(problem, b"VI"[select - 1:select], vl, vu, il, iu,
-                                        order.encode())
-    m, w_f2py, iblock_f2py, isplit_f2py, info = dstebz(d, e, select, vl, vu, il, iu, 0.0,
-                                                       order)
-    assert info == 0 and m == w.size
-    assert w.tobytes() == w_f2py[:m].tobytes()
-    assert np.array_equal(iblock, iblock_f2py[:m])
-    assert isplit[-1] == n and np.array_equal(isplit, isplit_f2py[:isplit.size])
-
-
-def _capsule(pointer, name):
-    """A capsule of ``pointer`` named by the C string at address ``name``."""
-    new = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
-    return new(("PyCapsule_New", ctypes.pythonapi))(pointer, name, None)
-
-
-def test_lapack_routine_with_another_signature_is_an_import_error(monkeypatch):
-    # an ILP64 scipy's stebz takes 64-bit ints: refuse it instead of passing
-    # pointers to 32-bit ones
-    signature = (b"void (char *, char *, long *, double *, double *, long *, long *, double *,"
-                 b" double *, double *, long *, long *, double *, long *, long *, double *,"
-                 b" long *, long *)")
-    name = ctypes.create_string_buffer(signature)  # the capsule keeps a pointer to it
-    capi = dict(cython_lapack.__pyx_capi__, dstebz=_capsule(1, ctypes.addressof(name)))
-    monkeypatch.setattr(cython_lapack, "__pyx_capi__", capi)
-    with pytest.raises(ImportError, match=r"dstebz has the C signature 'void \(char \*, "
-                                          r"char \*, long \*"):
-        spectral._lapack("dstebz", "cciddiidddiidiidii")
-    # the real capsule passes the same check, and a wrong argument count does not
-    monkeypatch.undo()
-    spectral._lapack("dstebz", "cciddiidddiidiidii")
-    with pytest.raises(ImportError, match="dstein has the C signature"):
-        spectral._lapack("dstein", "iddidiididii")
-
-
-def test_lapack_refuses_arrays_of_another_dtype_or_layout():
-    # a float32 or strided array would be read as something else: refused
-    problem = assemble(*_sphere_grid(2, 100), 0)
-    info = ctypes.c_int()
-    for d in (problem.diag.astype(np.float32), np.repeat(problem.diag, 2)[::2]):
-        with pytest.raises(TypeError, match="contiguous float64"):
-            spectral._LAPACK["stebz"](b"I", b"B", 100, 0.0, 1.0, 97, 100, 0.0, d,
-                                      problem.off_diag, ctypes.c_int(), ctypes.c_int(),
-                                      np.empty(100), np.empty(100, np.intc),
-                                      np.empty(100, np.intc), np.empty(400),
-                                      np.empty(300, np.intc), info)
 
 
 def test_angular_mode_search_matters():
