@@ -32,6 +32,12 @@ identities generate.  Useful exact values:
 xi(0) = 1 - pi^2/4, xi(+-pi/2) = 0, eta(+-pi/2) = +-1, int xi dt = -pi,
 int eta dt = 0 over [-pi/2, pi/2].
 
+Barrier values take xi and eta together from ``_xi_eta``, one Horner pass over
+both series.  The points that recur are evaluated once: the positivity sweep
+of [-pi/2, pi/2] and the Gauss-Legendre nodes in tables built at import, and
+each b's comparison-domain sweep in a small per-b cache, so every check reads
+the same bits that a fresh evaluation gives.
+
 Derivatives of barriers are always analytic; the touching-point residual is
 too sensitive for differenced derivatives.
 """
@@ -39,8 +45,8 @@ too sensitive for differenced derivatives.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,8 +58,6 @@ from .spectral import EigenMode
 HALF_PI = math.pi / 2.0
 
 _DOMAIN_SLACK = 1e-12
-# Eigen-relation residuals beyond this multiple of the operator norm are flagged.
-_RESIDUAL_TOL = 1e-10
 # Gauss-Legendre rule on [-pi/2, pi/2] for the smooth integrands of the barriers.
 _GL_NODES, _GL_WEIGHTS = (HALF_PI * x for x in np.polynomial.legendre.leggauss(64))
 
@@ -87,18 +91,21 @@ def _taylor_series(terms: int) -> tuple[np.ndarray, np.ndarray]:
 
 # The series converge for s < pi (the nearest singularity is t = +-3pi/2); 64
 # terms reach t = 0 (s = pi/2) to 1e-14 in the values and two derivatives.
-_XI_SERIES, _ETA_SERIES = _taylor_series(64)
+_SERIES = np.stack(_taylor_series(64))  # rows: xi, eta
+_XI_SERIES, _ETA_SERIES = _SERIES
 
 
 def _series_eval(coeffs: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
-    """Evaluate d^order/dt^order of sum c_k s^k at s = pi/2 - t (t > 0 branch)."""
+    """Evaluate d^order/dt^order of sum c_k s^k at s = pi/2 - t (t > 0 branch),
+    for one series or, in one pass, for each row of a stack of them."""
     c = coeffs
     for _ in range(order):
-        c = -(c * np.arange(c.size))[1:]  # d/dt = -d/ds
-    out = np.full_like(s, c[-1])
-    for ck in c[-2::-1].tolist():  # Horner's rule, in place
+        c = -(c * np.arange(c.shape[-1]))[..., 1:]  # d/dt = -d/ds
+    out = np.empty(c.shape[:-1] + s.shape)
+    out[...] = c[..., -1, None]
+    for k in range(c.shape[-1] - 2, -1, -1):  # Horner's rule, in place
         out *= s
-        out += ck
+        out += c[..., k, None]
     return out
 
 
@@ -107,18 +114,49 @@ def _check_domain(t: np.ndarray):
         raise BarrierDomainError("test functions are defined on [-pi/2, pi/2]")
 
 
-def _eval_pair(t, order: int, which: str):
+def _endpoint_distance(t) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(t, s = pi/2 - |t|, whether t was a scalar), t as a checked 1-d array."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     _check_domain(t)
-    s = HALF_PI - np.minimum(np.abs(t), HALF_PI)
+    return t, HALF_PI - np.minimum(np.abs(t), HALF_PI), scalar
+
+
+def _odd_sign(out: np.ndarray, t: np.ndarray):
+    """Turn values of the t > 0 branch of an odd function into its values at t."""
+    out[t < 0.0] *= -1.0
+    out[t == 0.0] = 0.0
+
+
+def _eval_pair(t, order: int, which: str):
+    t, s, scalar = _endpoint_distance(t)
     out = _series_eval(_XI_SERIES if which == "xi" else _ETA_SERIES, s, order)
     # xi is even, eta odd: this derivative is odd (zero at t = 0) if exactly one holds
     if (which == "eta") != (order == 1):
-        out[t < 0.0] *= -1.0
-        out[t == 0.0] = 0.0
+        _odd_sign(out, t)
     return float(out[0]) if scalar else out
+
+
+def _xi_eta(t):
+    """(xi(t), eta(t)) from one Horner pass over both series, bit for bit the
+    values of ``xi`` and ``eta``: a pair of floats for a scalar t, else a
+    (2, t.size) array."""
+    t, s, scalar = _endpoint_distance(t)
+    out = _series_eval(_SERIES, s, 0)
+    _odd_sign(out[1], t)
+    return (float(out[0, 0]), float(out[1, 0])) if scalar else out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# (xi, eta) at the points every length-integral check samples: its positivity
+# sweep of [-pi/2, pi/2] and the Gauss-Legendre nodes of its transit integral
+_SWEEP_XI_ETA = _read_only(_xi_eta(np.linspace(-HALF_PI, HALF_PI, 2001)))
+_GL_XI_ETA = _read_only(_xi_eta(_GL_NODES))
 
 
 def xi(t):
@@ -172,7 +210,9 @@ class NormalizedEigenfunction:
     c = a/b, alpha = (n-1)K/2 and delta = alpha/lam.  For a zonal mode (or on
     a circle) v is the radial factor ``v_rad``; an l = 1 mode is
     v = R(r) x with R = ``v_rad`` and x = cos(psi) on the fiber, the degree-1
-    zonal harmonic for every n.
+    zonal harmonic for every n.  ``residual_inf`` is the sup-norm of the
+    eigen-relation residual on the grid, and ``residual_rel`` that over the
+    bound on the operator's infinity norm, which rounding scales with.
     """
 
     model: WarpedManifold
@@ -186,6 +226,7 @@ class NormalizedEigenfunction:
     v_rad: np.ndarray
     dv_rad: np.ndarray
     residual_inf: float
+    residual_rel: float
 
     @property
     def c(self) -> float:
@@ -199,7 +240,7 @@ class NormalizedEigenfunction:
     def delta(self) -> float:
         return self.alpha / self.lam
 
-    @property
+    @cached_property
     def equator_grad_sq(self) -> np.ndarray:
         """A = (R/w)^2: |grad v|^2 on the fiber equator x = 0 of an l = 1 mode."""
         return (self.v_rad / np.asarray(self.model.w.value(self.grid.nodes), dtype=float)) ** 2
@@ -234,9 +275,9 @@ def normalize(mode: EigenMode, K: float | None = None,
     of a higher sector is not a first eigenfunction (lambda_1 lies in l <= 1,
     see ``first_nonzero_eigenvalue``) and raises.  The eigen-relation
     Delta_phi v = -lam (v + a) is re-checked on the grid through the assembled
-    operator; the residual sup-norm is stored, and a warning is raised when
-    it exceeds what rounding in the operator (whose norm grows like N^2)
-    explains.
+    operator; its sup-norm is stored, and also over the bound on the
+    operator's norm (which grows like N^2), where rounding alone stays far
+    below 1e-10 at every N.
     """
     if b <= 1.0:
         raise ValueError("the gradient-estimate constant b must exceed 1")
@@ -274,16 +315,11 @@ def normalize(mode: EigenMode, K: float | None = None,
     residual_inf = float(np.max(np.abs(res)))
     # bound on the operator's infinity norm, which rounding in the residual scales with
     op_norm = float(np.abs(problem.diag).max() + 2.0 * np.abs(problem.off_diag).max())
-    if residual_inf > _RESIDUAL_TOL * op_norm:
-        warnings.warn(
-            f"normalized eigen-relation residual {residual_inf:.3e} is large "
-            f"(operator norm {op_norm:.3e}); the input may not be an "
-            "eigenfunction of this discretization", UserWarning, stacklevel=2)
 
     return NormalizedEigenfunction(
         model=model, grid=grid, l=mode.l, lam=lam, k=k, a=a, b=float(b), K=float(K),
         v_rad=v_rad, dv_rad=_sample_derivative(v_rad, grid.spacing, periodic),
-        residual_inf=residual_inf,
+        residual_inf=residual_inf, residual_rel=residual_inf / op_norm,
     )
 
 
@@ -337,9 +373,17 @@ def _edge_level_maxima(nef: NormalizedEigenfunction, edges: np.ndarray) -> np.nd
     order = np.argsort(r2)[::-1]
     a_eq, c = a_eq[order], c[order]
     reach = np.searchsorted(-r2[order], -levels, side="right")
-    # on the level v = 0 the quantity is A alone, also where C overflowed to inf
-    top = np.array([np.max(a_eq[:m] + c[:m] * s if s else a_eq[:m], initial=-np.inf)
-                    for s, m in zip(levels, reach)])
+    top = np.full(levels.size, -np.inf)
+    buf = np.empty_like(c)
+    for i, (s, m) in enumerate(zip(levels.tolist(), reach.tolist())):
+        if not m:
+            continue
+        # on the level v = 0 the quantity is A alone, also where C overflowed to inf
+        part = a_eq[:m]
+        if s:
+            part = np.multiply(c[:m], s, out=buf[:m])
+            part += a_eq[:m]
+        top[i] = part.max()
     return (top / (lam * (b * b - levels)))[at_edge]
 
 
@@ -422,13 +466,24 @@ class BarrierFamily:
         return (-tb, tb)
 
     def value(self, t):
-        return 1.0 + self.c * eta(t) + self.xi_coeff * xi(t)
+        return self.combine(*_xi_eta(t))
+
+    def combine(self, xi_t, eta_t):
+        """z from the values of xi and eta at the same points."""
+        return 1.0 + self.c * eta_t + self.xi_coeff * xi_t
 
     def d1(self, t):
         return self.c * eta_d1(t) + self.xi_coeff * xi_d1(t)
 
     def d2(self, t):
         return self.c * eta_d2(t) + self.xi_coeff * xi_d2(t)
+
+
+@lru_cache(maxsize=8)
+def _domain_xi_eta(b: float) -> np.ndarray:
+    """(xi, eta) at the 1001 points of the comparison domain's positivity sweep."""
+    tb = math.asin(1.0 / b)
+    return _read_only(_xi_eta(np.linspace(-tb, tb, 1001)))
 
 
 def _validate_barrier(z: BarrierFamily):
@@ -438,8 +493,7 @@ def _validate_barrier(z: BarrierFamily):
         raise BarrierHypothesisError("barrier needs b > 1")
     if not (0.0 < z.delta <= 0.5 + _DOMAIN_SLACK):
         raise BarrierHypothesisError("barrier needs delta in (0, 1/2]")
-    lo, hi = z.domain()
-    sweep = z.value(np.linspace(lo, hi, 1001))
+    sweep = z.combine(*_domain_xi_eta(z.b))
     if np.any(sweep <= 0.0):
         raise BarrierHypothesisError(
             f"barrier is not positive on its domain (min {float(np.min(sweep)):.3e})")
@@ -504,7 +558,8 @@ class LengthIntegralLedger:
 
     sqrt(lam) * d  >=  int dt / sqrt(z)  >=  (pi^3 / int z dt)^{1/2};
     the second step is Holder's inequality and must hold up to quadrature
-    error regardless of the geometry.
+    error regardless of the geometry.  ``barrier_matches`` records whether
+    the barrier's (a, b) are the eigenfunction's constants.
     """
 
     sqrt_lam_diam: float
@@ -513,6 +568,7 @@ class LengthIntegralLedger:
     z_integral: float
     margin_transit: float
     margin_holder: float
+    barrier_matches: bool
 
 
 def length_integral_check(nef: NormalizedEigenfunction, z: BarrierFamily,
@@ -520,15 +576,9 @@ def length_integral_check(nef: NormalizedEigenfunction, z: BarrierFamily,
     """Evaluate the transit-length chain for a normalized eigenfunction."""
     if d <= 0.0:
         raise ValueError("the diameter must be positive")
-    if abs(z.a - nef.a) > 1e-6 or abs(z.b - nef.b) > 1e-12:
-        warnings.warn(
-            f"barrier parameters (a={z.a:g}, b={z.b:g}) do not match the "
-            f"eigenfunction constants (a={nef.a:.3g}, b={nef.b:g})",
-            UserWarning, stacklevel=2)
-    sweep = z.value(np.linspace(-HALF_PI, HALF_PI, 2001))
-    if np.any(sweep <= 0.0):
+    if np.any(z.combine(*_SWEEP_XI_ETA) <= 0.0):
         raise BarrierHypothesisError("barrier is not positive on [-pi/2, pi/2]")
-    transit = gauss_legendre_integral(lambda t: 1.0 / np.sqrt(z.value(t)))
+    transit = float(_GL_WEIGHTS @ (1.0 / np.sqrt(z.combine(*_GL_XI_ETA))))
     # int 1 = pi, int eta = 0 and int xi = -pi over [-pi/2, pi/2]
     z_int = math.pi * (1.0 - z.xi_coeff)
     holder = math.sqrt(math.pi**3 / z_int)
@@ -537,4 +587,5 @@ def length_integral_check(nef: NormalizedEigenfunction, z: BarrierFamily,
         sqrt_lam_diam=lhs, transit_integral=transit, holder_bound=holder,
         z_integral=z_int, margin_transit=lhs - transit,
         margin_holder=transit - holder,
+        barrier_matches=abs(z.a - nef.a) <= 1e-6 and abs(z.b - nef.b) <= 1e-12,
     )

@@ -55,6 +55,7 @@ class InstanceRecord:
     k_ratio: float | None = None
     a: float | None = None
     delta: float | None = None
+    normalize_residual: float | None = None
 
 
 @dataclass(frozen=True)

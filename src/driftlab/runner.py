@@ -112,7 +112,8 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
             shared.update(K_eff=kb.K, K_min_radius=kb.radius)
             if kb.positive:
                 nef = est.normalize(fe.mode, K=kb.K, b=config.b)
-                shared.update(k_ratio=nef.k, a=nef.a, delta=nef.delta)
+                shared.update(k_ratio=nef.k, a=nef.a, delta=nef.delta,
+                              normalize_residual=nef.residual_rel)
                 try:
                     case = bounds_mod.ling_case(nef.a, nef.delta)
                 except InapplicableBoundError as exc:

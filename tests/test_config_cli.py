@@ -285,6 +285,7 @@ def test_run_spectrum_row():
     assert report.summary["instances"] == 1
     row = report.rows[0]
     assert abs(row["lambda1"] - 2.0015) < 1e-2
+    assert 0.0 < row["normalize_residual"] <= 1e-10  # rounding, over the operator norm
     assert row["verdict_spectrum"] is True
     assert report.all_passed
 

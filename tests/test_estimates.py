@@ -1,13 +1,12 @@
 """Test functions, barriers, normalization, and level-set estimate checks."""
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import driftlab as dl
@@ -110,6 +109,22 @@ def test_domain_error():
         eta(np.array([0.1, -1.8]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(t=st.lists(st.floats(-HALF_PI, HALF_PI), max_size=40))
+def test_xi_eta_pair_matches_xi_and_eta_bitwise(t):
+    # one Horner pass over both series gives the bits of the separate calls,
+    # at the centre, both endpoints (and just past them) and negative t
+    t = np.array(t + [0.0, -0.0, HALF_PI, -HALF_PI, HALF_PI + 1e-13, -1e-300])
+    pair = est._xi_eta(t)
+    assert pair.shape == (2, t.size)
+    assert pair[0].tobytes() == xi(t).tobytes()
+    assert pair[1].tobytes() == eta(t).tobytes()
+    for ti in t.tolist():
+        assert [v.hex() for v in est._xi_eta(ti)] == [xi(ti).hex(), eta(ti).hex()]
+    with pytest.raises(BarrierDomainError):
+        est._xi_eta(np.append(t, 2.0))
+
+
 def test_exact_ode_identities():
     # both test functions satisfy their defining second-order identities,
     # which is what makes the touching-point residuals collapse; the log grid
@@ -182,9 +197,7 @@ def test_normalize_direct_formula():
     model, grid, mode = _zonal_s2()
     u = np.linspace(-1.0 / 3.0, 1.0, grid.size)
     synthetic = dl.EigenMode(mu=-2.0, l=0, u=u, problem=mode.problem)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # not an exact discrete eigenfunction
-        nef = dl.normalize(synthetic, K=1.0)
+    nef = dl.normalize(synthetic, K=1.0)
     assert abs(nef.k - 1.0 / 3.0) < 1e-12
     assert abs(nef.a - 0.5) < 1e-12
     expected = (u - 1.0 / 3.0) / (2.0 / 3.0)
@@ -197,9 +210,7 @@ def test_normalize_sign_flip():
                            u=-np.linspace(-0.25, 0.75, grid.size),
                            problem=mode.problem)
     # -u has max 0.25, min -0.75: the sign rule flips it back
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        nef = dl.normalize(flipped, K=1.0)
+    nef = dl.normalize(flipped, K=1.0)
     assert nef.v_rad.max() == pytest.approx(1.0, abs=1e-12)
     assert nef.k == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -363,9 +374,7 @@ def test_length_integrals_constant_barrier():
     nef = dl.normalize(mode, K=1.0, b=1.01)
     flat = dl.BarrierFamily(a=0.0, b=1.01, delta=0.25, mu=0.0, sigma=None,
                             label="constant")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ledger = dl.length_integral_check(nef, flat, math.pi)
+    ledger = dl.length_integral_check(nef, flat, math.pi)
     assert abs(ledger.transit_integral - math.pi) < 1e-10
     assert abs(ledger.holder_bound - math.pi) < 1e-10
     assert abs(ledger.margin_holder) < 1e-10
@@ -398,12 +407,82 @@ _TRANSIT_BARRIERS = [
 def test_transit_integral_matches_quad(z):
     _, _, mode = _zonal_s2()
     nef = dl.normalize(mode, K=1.0, b=z.b)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # z.a need not match nef.a here
-        ledger = dl.length_integral_check(nef, z, math.pi)
+    ledger = dl.length_integral_check(nef, z, math.pi)
+    assert ledger.barrier_matches == (z.a == 0.0)  # the zonal S^2 mode has a = 0
     oracle = quad(lambda t: 1.0 / math.sqrt(z.value(t)), -HALF_PI, HALF_PI,
                   limit=200, epsabs=1e-12, epsrel=1e-12)[0]
     assert abs(ledger.transit_integral - oracle) <= 1e-11
+
+
+def _per_call_value(z, t):
+    """z evaluated through separate xi and eta calls at the points t."""
+    return 1.0 + z.c * eta(t) + z.xi_coeff * xi(t)
+
+
+def _per_call_accepts(z) -> bool:
+    """Barrier validation's positivity sweep of the comparison domain."""
+    lo, hi = z.domain()
+    return not np.any(_per_call_value(z, np.linspace(lo, hi, 1001)) <= 0.0)
+
+
+def _per_call_ledger(nef, z, d):
+    """The length-integral ledger's fields with z evaluated per call on the
+    positivity sweep and the Gauss-Legendre nodes; None where it must raise."""
+    if np.any(_per_call_value(z, np.linspace(-HALF_PI, HALF_PI, 2001)) <= 0.0):
+        return None
+    transit = est.gauss_legendre_integral(lambda t: 1.0 / np.sqrt(_per_call_value(z, t)))
+    z_int = math.pi * (1.0 - z.xi_coeff)
+    holder = math.sqrt(math.pi**3 / z_int)
+    lhs = math.sqrt(nef.lam) * d
+    return [lhs, transit, holder, z_int, lhs - transit, transit - holder]
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(1.0, 4.0)),
+       b=st.floats(1.0, 2.0, exclude_min=True), delta=st.floats(1e-3, 0.5),
+       weight=st.floats(0.0, 1.0, exclude_min=True), b2b2=st.booleans())
+def test_tabulated_barrier_checks_match_per_call_series(a, b, delta, weight, b2b2):
+    # barrier() and length_integral_check read xi and eta from tables; their
+    # verdicts and every ledger bit match evaluating z afresh on each grid
+    if b2b2:
+        sigma = 2.0 * weight
+        raw = dl.BarrierFamily(a=a, b=b, delta=delta, mu=None, sigma=sigma, label="b2b2")
+        build = lambda: dl.case_b2b2_barrier(a, b, delta, sigma)  # noqa: E731
+    else:
+        raw = dl.BarrierFamily(a=a, b=b, delta=delta, mu=weight, sigma=None,
+                               label="standard")
+        build = lambda: dl.barrier(a, b, delta, weight)  # noqa: E731
+    # the variant also needs its xi coefficient positive
+    if not ((raw.xi_coeff > 0.0 or not b2b2) and _per_call_accepts(raw)):
+        with pytest.raises(BarrierHypothesisError):
+            build()
+        return
+    z = build()
+    assert z == raw
+    nef = dl.normalize(_zonal_s2()[2], K=1.0, b=b)
+    expected = _per_call_ledger(nef, z, math.pi)
+    if expected is None:
+        with pytest.raises(BarrierHypothesisError, match="not positive on"):
+            dl.length_integral_check(nef, z, math.pi)
+        return
+    ledger = dl.length_integral_check(nef, z, math.pi)
+    got = [ledger.sqrt_lam_diam, ledger.transit_integral, ledger.holder_bound,
+           ledger.z_integral, ledger.margin_transit, ledger.margin_holder]
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+    assert ledger.barrier_matches == (abs(a - nef.a) <= 1e-6)
+
+
+def test_barrier_positive_on_its_domain_only():
+    # c = 3/2 puts z(-pi/2) = 1 - c below zero, outside the comparison domain
+    # [-pi/6, pi/6] of b = 2: barrier() samples only the domain and accepts,
+    # the length integrals sample all of [-pi/2, pi/2] and refuse
+    z = dl.barrier(3.0, 2.0, 0.1, 1.0)
+    assert _per_call_accepts(z)
+    assert z.value(-HALF_PI) < 0.0
+    nef = dl.normalize(_zonal_s2()[2], K=1.0, b=2.0)
+    assert _per_call_ledger(nef, z, math.pi) is None
+    with pytest.raises(BarrierHypothesisError, match=r"not positive on \[-pi/2, pi/2\]"):
+        dl.length_integral_check(nef, z, math.pi)
 
 
 def test_length_integrals_rejects_degenerate_diameter():
@@ -592,15 +671,13 @@ def test_normalize_residual_is_scaled_by_the_operator_norm():
     # stays at the rounding level of the operator, whose norm grows like N^2
     model = dl.sphere(3, density=dl.cosine_density(0.5))
     mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 20000)).mode
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        nef = dl.normalize(mode, K=1.0)
+    nef = dl.normalize(mode, K=1.0)
     assert nef.residual_inf > 1e-6 * nef.lam
+    assert nef.residual_rel <= 1e-10
     noise = np.random.default_rng(0).standard_normal(mode.u.size)
     perturbed = dl.EigenMode(mu=mode.mu, l=mode.l, u=mode.u * (1.0 + 1e-6 * noise),
                              problem=mode.problem)
-    with pytest.warns(UserWarning, match="residual"):
-        dl.normalize(perturbed, K=1.0)
+    assert dl.normalize(perturbed, K=1.0).residual_rel > 1e-10
 
 
 class _Samples:
@@ -675,7 +752,7 @@ def test_compute_Z_keeps_the_zero_level_of_a_row_with_a_subnormal_R():
         nef = est.NormalizedEigenfunction(
             model=model, grid=dl.Grid.uniform(model, 4), l=1, lam=1.0, k=1.0, a=0.0, b=2.0,
             K=1.0, v_rad=np.array([0.0, 0.0, 0.0, R]), dv_rad=np.array([0.0, 0.0, 0.0, 1.0]),
-            residual_inf=0.0)
+            residual_inf=0.0, residual_rel=0.0)
         with np.errstate(over="ignore"):
             levelset = dl.compute_Z(nef, 2)
         assert np.all(np.isfinite(levelset.values))
@@ -694,6 +771,9 @@ _RADIAL = st.one_of(st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]),
 @given(n=st.integers(2, 5),
        rows=st.lists(st.tuples(_RADIAL, st.floats(-5.0, 5.0)), min_size=4, max_size=60),
        lam=st.floats(0.5, 10.0), b=st.floats(1.001, 2.0), bins=st.integers(1, 60))
+# no row reaches the top level v^2 = 1, whose maximum stays -inf
+@example(n=3, rows=[(0.5, 1.0), (-0.25, 2.0), (0.0, 0.5), (0.25, -1.0)], lam=2.0,
+         b=1.5, bins=6)
 def test_compute_Z_prefix_maxima_match_masked_maxima_bitwise(n, rows, lam, b, bins):
     # sorting the rows by R^2 once and taking each level's maximum over the
     # prefix that reaches it changes no value, argument or count
@@ -702,9 +782,37 @@ def test_compute_Z_prefix_maxima_match_masked_maxima_bitwise(n, rows, lam, b, bi
     v_rad, dv_rad = (np.array(column) for column in zip(*rows))
     nef = est.NormalizedEigenfunction(
         model=model, grid=grid, l=1, lam=lam, k=1.0, a=0.0, b=b, K=1.0,
-        v_rad=v_rad, dv_rad=dv_rad, residual_inf=0.0)
+        v_rad=v_rad, dv_rad=dv_rad, residual_inf=0.0, residual_rel=0.0)
     levelset = dl.compute_Z(nef, bins)
     values, arg_t, counts = _per_level_masked_Z(nef, bins)
     assert levelset.values.tobytes() == values.tobytes()
     assert levelset.arg_t.tobytes() == arg_t.tobytes()
     assert np.array_equal(levelset.counts, counts)
+    if np.all(v_rad ** 2 < np.max((b * np.sin(levelset.edges)) ** 2)):
+        edge_val = est._edge_level_maxima(nef, levelset.edges)
+        assert edge_val[0] == edge_val[-1] == -np.inf
+
+
+def _list_comprehension_edge_maxima(nef, edges):
+    """Per-edge prefix maxima from one list comprehension with a fresh array
+    per level: the reference for ``_edge_level_maxima``'s in-place loop."""
+    b, lam = nef.b, nef.lam
+    r2 = nef.v_rad ** 2
+    a_eq = nef.equator_grad_sq
+    c = np.divide(nef.dv_rad ** 2 - a_eq, r2, out=np.zeros_like(r2), where=r2 > 0.0)
+    levels, at_edge = np.unique((b * np.sin(edges)) ** 2, return_inverse=True)
+    order = np.argsort(r2)[::-1]
+    a_eq, c = a_eq[order], c[order]
+    reach = np.searchsorted(-r2[order], -levels, side="right")
+    top = np.array([np.max(a_eq[:m] + c[:m] * s if s else a_eq[:m], initial=-np.inf)
+                    for s, m in zip(levels, reach)])
+    return (top / (lam * (b * b - levels)))[at_edge]
+
+
+def test_edge_level_maxima_match_the_list_comprehension_on_a_real_mode():
+    nef = dl.normalize(_l1_mode(20000), K=1.0, b=1.01)
+    tb = math.asin(1.0 / nef.b)
+    edges = np.linspace(-tb, tb, 201)
+    edge_val = est._edge_level_maxima(nef, edges)
+    assert edge_val.tobytes() == _list_comprehension_edge_maxima(nef, edges).tobytes()
+    assert np.isfinite(edge_val).all()
