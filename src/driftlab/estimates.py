@@ -32,11 +32,13 @@ identities generate.  Useful exact values:
 xi(0) = 1 - pi^2/4, xi(+-pi/2) = 0, eta(+-pi/2) = +-1, int xi dt = -pi,
 int eta dt = 0 over [-pi/2, pi/2].
 
-Barrier values take xi and eta together from ``_xi_eta``, one Horner pass over
-both series.  The points that recur are evaluated once: the positivity sweep
-of [-pi/2, pi/2] and the Gauss-Legendre nodes in tables built at import, and
-each b's comparison-domain sweep in a small per-b cache, so every check reads
-the same bits that a fresh evaluation gives.
+One evaluator, ``xi_eta(t, order)``, gives the values (order 0) or the first
+or second derivatives of xi and eta together from one Horner pass over both
+series; ``xi``, ``eta``, ``BarrierFamily.value`` and
+``BarrierFamily.derivative`` all read it.  The points that recur are evaluated
+once: the positivity sweep of [-pi/2, pi/2] and the Gauss-Legendre nodes in
+tables built at import, and each b's comparison-domain sweep in a small per-b
+cache, so every check reads the same bits that a fresh evaluation gives.
 
 Derivatives of barriers are always analytic; the touching-point residual is
 too sensitive for differenced derivatives.
@@ -92,7 +94,6 @@ def _taylor_series(terms: int) -> tuple[np.ndarray, np.ndarray]:
 # The series converge for s < pi (the nearest singularity is t = +-3pi/2); 64
 # terms reach t = 0 (s = pi/2) to 1e-14 in the values and two derivatives.
 _SERIES = np.stack(_taylor_series(64))  # rows: xi, eta
-_XI_SERIES, _ETA_SERIES = _SERIES
 
 
 def _series_eval(coeffs: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
@@ -109,42 +110,21 @@ def _series_eval(coeffs: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _check_domain(t: np.ndarray):
-    if np.any(np.abs(t) > HALF_PI + _DOMAIN_SLACK) or not np.all(np.isfinite(t)):
-        raise BarrierDomainError("test functions are defined on [-pi/2, pi/2]")
-
-
-def _endpoint_distance(t) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(t, s = pi/2 - |t|, whether t was a scalar), t as a checked 1-d array."""
+def xi_eta(t, order: int = 0):
+    """The order-th derivatives (order 0, 1 or 2) of xi and eta at t, from one
+    Horner pass over both series: a pair of floats for a scalar t, else a
+    (2, t.size) array.  Raises ``BarrierDomainError`` outside [-pi/2, pi/2]."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    _check_domain(t)
-    return t, HALF_PI - np.minimum(np.abs(t), HALF_PI), scalar
-
-
-def _odd_sign(out: np.ndarray, t: np.ndarray):
-    """Turn values of the t > 0 branch of an odd function into its values at t."""
-    out[t < 0.0] *= -1.0
-    out[t == 0.0] = 0.0
-
-
-def _eval_pair(t, order: int, which: str):
-    t, s, scalar = _endpoint_distance(t)
-    out = _series_eval(_XI_SERIES if which == "xi" else _ETA_SERIES, s, order)
-    # xi is even, eta odd: this derivative is odd (zero at t = 0) if exactly one holds
-    if (which == "eta") != (order == 1):
-        _odd_sign(out, t)
-    return float(out[0]) if scalar else out
-
-
-def _xi_eta(t):
-    """(xi(t), eta(t)) from one Horner pass over both series, bit for bit the
-    values of ``xi`` and ``eta``: a pair of floats for a scalar t, else a
-    (2, t.size) array."""
-    t, s, scalar = _endpoint_distance(t)
-    out = _series_eval(_SERIES, s, 0)
-    _odd_sign(out[1], t)
+    if np.any(np.abs(t) > HALF_PI + _DOMAIN_SLACK) or not np.all(np.isfinite(t)):
+        raise BarrierDomainError("test functions are defined on [-pi/2, pi/2]")
+    out = _series_eval(_SERIES, HALF_PI - np.minimum(np.abs(t), HALF_PI), order)
+    # xi is even and eta odd, so the odd one of their order-th derivatives is
+    # eta's for even orders and xi's for odd ones; the series gives the t > 0 branch
+    odd = out[(order + 1) % 2]
+    odd[t < 0.0] *= -1.0
+    odd[t == 0.0] = 0.0
     return (float(out[0, 0]), float(out[1, 0])) if scalar else out
 
 
@@ -155,34 +135,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 # (xi, eta) at the points every length-integral check samples: its positivity
 # sweep of [-pi/2, pi/2] and the Gauss-Legendre nodes of its transit integral
-_SWEEP_XI_ETA = _read_only(_xi_eta(np.linspace(-HALF_PI, HALF_PI, 2001)))
-_GL_XI_ETA = _read_only(_xi_eta(_GL_NODES))
+_SWEEP_XI_ETA = _read_only(xi_eta(np.linspace(-HALF_PI, HALF_PI, 2001)))
+_GL_XI_ETA = _read_only(xi_eta(_GL_NODES))
 
 
 def xi(t):
     """Even test function; xi(0) = 1 - pi^2/4, xi(+-pi/2) = 0, int xi = -pi."""
-    return _eval_pair(t, 0, "xi")
-
-
-def xi_d1(t):
-    return _eval_pair(t, 1, "xi")
-
-
-def xi_d2(t):
-    return _eval_pair(t, 2, "xi")
+    return xi_eta(t)[0]
 
 
 def eta(t):
     """Odd test function; eta(0) = 0, eta(+-pi/2) = +-1, int eta = 0."""
-    return _eval_pair(t, 0, "eta")
-
-
-def eta_d1(t):
-    return _eval_pair(t, 1, "eta")
-
-
-def eta_d2(t):
-    return _eval_pair(t, 2, "eta")
+    return xi_eta(t)[1]
 
 
 def gauss_legendre_integral(f) -> float:
@@ -279,7 +243,7 @@ def normalize(mode: EigenMode, K: float | None = None,
     operator's norm (which grows like N^2), where rounding alone stays far
     below 1e-10 at every N.
     """
-    if b <= 1.0:
+    if not b > 1.0:
         raise ValueError("the gradient-estimate constant b must exceed 1")
     lam = -mode.mu
     if lam <= 0.0:
@@ -350,8 +314,6 @@ class LevelSetMaxima:
     values: np.ndarray
     arg_t: np.ndarray
     counts: np.ndarray
-    b: float
-    lam: float
 
     @property
     def occupied(self) -> np.ndarray:
@@ -429,8 +391,7 @@ def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima
     if not counts.any():
         raise ValueError("all level-set bins are empty; the bins do not cover the data")
     values[counts == 0] = np.nan
-    return LevelSetMaxima(edges=edges, values=values, arg_t=arg_t, counts=counts,
-                          b=b, lam=lam)
+    return LevelSetMaxima(edges=edges, values=values, arg_t=arg_t, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -461,40 +422,36 @@ class BarrierFamily:
             return self.mu * self.delta
         return self.delta - self.sigma * self.c**2
 
-    def domain(self) -> tuple[float, float]:
-        tb = math.asin(1.0 / self.b)
-        return (-tb, tb)
-
     def value(self, t):
-        return self.combine(*_xi_eta(t))
+        return self.combine(*xi_eta(t))
 
     def combine(self, xi_t, eta_t):
         """z from the values of xi and eta at the same points."""
         return 1.0 + self.c * eta_t + self.xi_coeff * xi_t
 
-    def d1(self, t):
-        return self.c * eta_d1(t) + self.xi_coeff * xi_d1(t)
-
-    def d2(self, t):
-        return self.c * eta_d2(t) + self.xi_coeff * xi_d2(t)
+    def derivative(self, t, order: int):
+        """d^order z / dt^order (order 1 or 2), analytic through ``xi_eta``."""
+        xi_t, eta_t = xi_eta(t, order)
+        return self.c * eta_t + self.xi_coeff * xi_t
 
 
 @lru_cache(maxsize=8)
 def _domain_xi_eta(b: float) -> np.ndarray:
     """(xi, eta) at the 1001 points of the comparison domain's positivity sweep."""
     tb = math.asin(1.0 / b)
-    return _read_only(_xi_eta(np.linspace(-tb, tb, 1001)))
+    return _read_only(xi_eta(np.linspace(-tb, tb, 1001)))
 
 
 def _validate_barrier(z: BarrierFamily):
-    if z.a < 0.0:
+    # every comparison is written so that NaN fails it
+    if not z.a >= 0.0:
         raise BarrierHypothesisError("barrier needs a >= 0")
-    if z.b <= 1.0:
+    if not z.b > 1.0:
         raise BarrierHypothesisError("barrier needs b > 1")
     if not (0.0 < z.delta <= 0.5 + _DOMAIN_SLACK):
         raise BarrierHypothesisError("barrier needs delta in (0, 1/2]")
     sweep = z.combine(*_domain_xi_eta(z.b))
-    if np.any(sweep <= 0.0):
+    if not np.all(sweep > 0.0):
         raise BarrierHypothesisError(
             f"barrier is not positive on its domain (min {float(np.min(sweep)):.3e})")
 
@@ -517,7 +474,7 @@ def case_b2b2_barrier(a: float, b: float, delta: float, sigma: float) -> Barrier
     """
     z = BarrierFamily(a=float(a), b=float(b), delta=float(delta), mu=None,
                       sigma=float(sigma), label="b2b2")
-    if z.xi_coeff <= 0.0:
+    if not z.xi_coeff > 0.0:
         raise BarrierHypothesisError(
             f"delta - sigma c^2 = {z.xi_coeff:.3e} lost the sign required for validity")
     _validate_barrier(z)
@@ -526,9 +483,9 @@ def case_b2b2_barrier(a: float, b: float, delta: float, sigma: float) -> Barrier
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """Margins z(t*) - Z(t*) per occupied bin, at each bin's maximizing t*."""
+    """The least margin z(t*) - Z(t*) over the occupied bins, each taken at
+    its bin's maximizing t*, and the t* of the worst bin."""
 
-    margins: np.ndarray
     min_margin: float
     worst_t: float
     occupied_bins: int
@@ -543,13 +500,11 @@ def barrier_dominance_check(levelset: LevelSetMaxima, z) -> DominanceReport:
     """
     zf = z.value if isinstance(z, BarrierFamily) else z
     occ = levelset.occupied
-    margins = np.full(levelset.values.size, np.nan)
     tvals = levelset.arg_t[occ]
-    margins[occ] = np.asarray(zf(tvals), dtype=float) - levelset.values[occ]
-    finite = margins[occ]
-    i = int(np.argmin(finite))
-    return DominanceReport(margins=margins, min_margin=float(finite[i]),
-                           worst_t=float(tvals[i]), occupied_bins=int(occ.sum()))
+    margins = np.asarray(zf(tvals), dtype=float) - levelset.values[occ]
+    i = int(np.argmin(margins))
+    return DominanceReport(min_margin=float(margins[i]), worst_t=float(tvals[i]),
+                           occupied_bins=int(occ.sum()))
 
 
 @dataclass(frozen=True)
@@ -574,9 +529,9 @@ class LengthIntegralLedger:
 def length_integral_check(nef: NormalizedEigenfunction, z: BarrierFamily,
                           d: float) -> LengthIntegralLedger:
     """Evaluate the transit-length chain for a normalized eigenfunction."""
-    if d <= 0.0:
+    if not d > 0.0:
         raise ValueError("the diameter must be positive")
-    if np.any(z.combine(*_SWEEP_XI_ETA) <= 0.0):
+    if not np.all(z.combine(*_SWEEP_XI_ETA) > 0.0):
         raise BarrierHypothesisError("barrier is not positive on [-pi/2, pi/2]")
     transit = float(_GL_WEIGHTS @ (1.0 / np.sqrt(z.combine(*_GL_XI_ETA))))
     # int 1 = pi, int eta = 0 and int xi = -pi over [-pi/2, pi/2]

@@ -26,7 +26,7 @@ import scipy
 
 from . import __version__
 from .config import CHECK_NAMES
-from .estimates import barrier, eta, xi
+from .estimates import barrier, xi_eta
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -266,6 +266,7 @@ def barrier_table(a: float, b: float, delta: float, mu: float,
     raises ``BarrierHypothesisError`` where the standard barrier does not apply."""
     z = barrier(a, b, delta, mu)
     t = np.linspace(-math.pi / 2.0, math.pi / 2.0, points)
-    xv, ev, zv = xi(t), eta(t), z.value(t)
+    xv, ev = xi_eta(t)
+    zv = z.combine(xv, ev)
     return [{"t": float(t[i]), "xi": float(xv[i]), "eta": float(ev[i]),
              "z": float(zv[i])} for i in range(points)]

@@ -72,12 +72,17 @@ def test_criterion_09_case_totality():
 
 def test_mutation_smoke(monkeypatch):
     # injected fault: perturbing a series coefficient must break the suite
+    # of xi and of every barrier, which read the one table of coefficients
     import driftlab.estimates as est
-    bad = est._XI_SERIES.copy()
-    bad[0] = 1e-3  # shifts xi(pi/2) and xi(0) away from their exact values
-    monkeypatch.setattr(est, "_XI_SERIES", bad)
+    bad = est._SERIES.copy()
+    bad[0, 0] = 1e-3  # shifts xi(pi/2) and xi(0) away from their exact values
+    monkeypatch.setattr(est, "_SERIES", bad)
     result = acceptance.criterion_test_functions()
     assert not result.passed
+    failed = {(row["instance"], row["quantity"]) for row in result.rows
+              if row["status"] == "fail"}
+    assert ("xi", "endpoint_value") in failed
+    assert any(quantity == "barrier_mass" for _, quantity in failed)
 
 
 def test_criterion_passes_only_when_every_row_passed():

@@ -13,6 +13,7 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 
+import driftlab as dl
 import driftlab.cli as cli
 import driftlab.runner as runner
 from driftlab.bounds import ling_case
@@ -537,6 +538,14 @@ def test_cli_emit_barriers(tmp_path, capsys):
     lines = (tmp_path / "barriers.csv").read_text().splitlines()
     assert lines[0] == ",".join(BARRIER_COLUMNS)
     assert len(lines) == 102
+    # with a > 0 the z column carries eta; every column keeps the bits of the
+    # library's own evaluation at the table's points
+    args = ["--a", "0.3", "--b", "1.2", "--delta", "0.12", "--mu", "0.8", "--points", "2001"]
+    assert cli.main(["emit-barriers", "--out", str(tmp_path)] + args) == 0
+    table = np.loadtxt(tmp_path / "barriers.csv", delimiter=",", skiprows=1).T
+    t = np.linspace(-math.pi / 2.0, math.pi / 2.0, 2001)
+    expected = [t, dl.xi(t), dl.eta(t), dl.barrier(0.3, 1.2, 0.12, 0.8).value(t)]
+    assert [col.tobytes() for col in table] == [col.tobytes() for col in expected]
 
 
 def test_emit_csv_writes_file(tmp_path):

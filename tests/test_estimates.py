@@ -11,9 +11,10 @@ from scipy.integrate import quad
 
 import driftlab as dl
 import driftlab.estimates as est
+from driftlab import cli
 from driftlab.errors import (BarrierDomainError, BarrierHypothesisError,
                              DegenerateEigenfunctionError)
-from driftlab.estimates import LevelSetMaxima, eta, eta_d1, eta_d2, xi, xi_d1, xi_d2
+from driftlab.estimates import LevelSetMaxima, eta, xi, xi_eta
 from driftlab.spectral import assemble
 
 HALF_PI = math.pi / 2.0
@@ -34,14 +35,11 @@ ETA_REFS = {
 
 
 def test_xi_eta_reference_values():
-    for t, (v, d1, d2) in XI_REFS.items():
-        assert abs(xi(t) - v) < 1e-12
-        assert abs(xi_d1(t) - d1) < 1e-10
-        assert abs(xi_d2(t) - d2) < 1e-9
-    for t, (v, d1, d2) in ETA_REFS.items():
-        assert abs(eta(t) - v) < 1e-12
-        assert abs(eta_d1(t) - d1) < 1e-10
-        assert abs(eta_d2(t) - d2) < 1e-9
+    for row, refs in enumerate((XI_REFS, ETA_REFS)):
+        for t, (v, d1, d2) in refs.items():
+            assert abs(xi_eta(t)[row] - v) < 1e-12
+            assert abs(xi_eta(t, 1)[row] - d1) < 1e-10
+            assert abs(xi_eta(t, 2)[row] - d2) < 1e-9
 
 
 def test_special_values():
@@ -57,8 +55,10 @@ def test_parity_sweep():
     t = np.linspace(0.0, HALF_PI, 4001)
     assert np.max(np.abs(xi(t) - xi(-t))) < 1e-12
     assert np.max(np.abs(eta(t) + eta(-t))) < 1e-12
-    assert np.max(np.abs(xi_d1(t) + xi_d1(-t))) < 1e-10
-    assert np.max(np.abs(eta_d1(t) - eta_d1(-t))) < 1e-10
+    xi_d1, eta_d1 = xi_eta(t, 1)
+    xi_d1_neg, eta_d1_neg = xi_eta(-t, 1)
+    assert np.max(np.abs(xi_d1 + xi_d1_neg)) < 1e-10
+    assert np.max(np.abs(eta_d1 - eta_d1_neg)) < 1e-10
 
 
 def test_generated_series_matches_the_exact_taylor_coefficients():
@@ -68,8 +68,7 @@ def test_generated_series_matches_the_exact_taylor_coefficients():
                 -8 * pi / 4725]
     eta_exact = [1.0, -8 / (3 * pi), 0.25, -16 / (45 * pi), 1 / 24, -16 / (315 * pi),
                  17 / 2880, -32 / (4725 * pi)]
-    np.testing.assert_allclose(est._XI_SERIES[:8], xi_exact, rtol=1e-15, atol=0.0)
-    np.testing.assert_allclose(est._ETA_SERIES[:8], eta_exact, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(est._SERIES[:, :8], [xi_exact, eta_exact], rtol=1e-15, atol=0.0)
 
 
 def test_xi_eta_match_high_precision_closed_forms():
@@ -87,9 +86,9 @@ def test_xi_eta_match_high_precision_closed_forms():
     t = np.concatenate([HALF_PI - s, s - HALF_PI])
     worst = 0.0
     with mp.workdps(60):
-        for fns, ref in (((xi, xi_d1, xi_d2), xi_mp), ((eta, eta_d1, eta_d2), eta_mp)):
-            for order, fn in enumerate(fns):
-                for ti, value in zip(t, fn(t)):
+        for row, ref in enumerate((xi_mp, eta_mp)):
+            for order in range(3):
+                for ti, value in zip(t, xi_eta(t, order)[row]):
                     exact = mp.diff(ref, mp.mpf(float(ti)), order)
                     worst = max(worst, float(abs(value - exact) / max(1, abs(exact))))
     assert worst <= 1e-14, worst
@@ -109,20 +108,47 @@ def test_domain_error():
         eta(np.array([0.1, -1.8]))
 
 
+def _separate_series(t, order):
+    """(xi, eta) derivatives of one order at the array t, each row evaluated
+    through its own series with its own parity rule: xi is even, eta odd, so
+    a derivative is odd (zero at t = 0) when exactly one of "it is eta's" and
+    "the order is 1" holds."""
+    s = HALF_PI - np.minimum(np.abs(t), HALF_PI)
+    rows = []
+    for i, which in enumerate(("xi", "eta")):
+        out = est._series_eval(est._SERIES[i], s, order)
+        if (which == "eta") != (order == 1):
+            out[t < 0.0] *= -1.0
+            out[t == 0.0] = 0.0
+        rows.append(out)
+    return rows
+
+
 @settings(max_examples=60, deadline=None)
-@given(t=st.lists(st.floats(-HALF_PI, HALF_PI), max_size=40))
-def test_xi_eta_pair_matches_xi_and_eta_bitwise(t):
-    # one Horner pass over both series gives the bits of the separate calls,
-    # at the centre, both endpoints (and just past them) and negative t
+@given(t=st.lists(st.floats(-HALF_PI, HALF_PI), max_size=40),
+       c=st.floats(0.0, 2.0), kappa=st.floats(0.0, 1.0))
+def test_stacked_series_match_separate_series_bitwise(t, c, kappa):
+    # one Horner pass over both series, with one parity rule for the pair,
+    # gives the bits of a separate pass per series for values and both
+    # derivatives, at the centre, both endpoints (and just past them) and
+    # negative t, on arrays and scalars; barrier derivatives combine them
     t = np.array(t + [0.0, -0.0, HALF_PI, -HALF_PI, HALF_PI + 1e-13, -1e-300])
-    pair = est._xi_eta(t)
-    assert pair.shape == (2, t.size)
-    assert pair[0].tobytes() == xi(t).tobytes()
-    assert pair[1].tobytes() == eta(t).tobytes()
-    for ti in t.tolist():
-        assert [v.hex() for v in est._xi_eta(ti)] == [xi(ti).hex(), eta(ti).hex()]
+    z = dl.BarrierFamily(a=c, b=1.0, delta=kappa, mu=1.0, sigma=None, label="raw")
+    for order in range(3):
+        xi_k, eta_k = _separate_series(t, order)
+        pair = xi_eta(t, order)
+        assert pair.shape == (2, t.size)
+        assert pair[0].tobytes() == xi_k.tobytes()
+        assert pair[1].tobytes() == eta_k.tobytes()
+        for i, ti in enumerate(t.tolist()):
+            assert [v.hex() for v in xi_eta(ti, order)] == [xi_k[i].hex(), eta_k[i].hex()]
+        if order:
+            expected = c * eta_k + kappa * xi_k
+            assert z.derivative(t, order).tobytes() == expected.tobytes()
+        else:
+            assert [xi(t).tobytes(), eta(t).tobytes()] == [xi_k.tobytes(), eta_k.tobytes()]
     with pytest.raises(BarrierDomainError):
-        est._xi_eta(np.append(t, 2.0))
+        xi_eta(np.append(t, 2.0))
 
 
 def test_exact_ode_identities():
@@ -132,8 +158,9 @@ def test_exact_ode_identities():
     near = HALF_PI - np.geomspace(1e-6, 1.0, 2001)
     t = np.concatenate([np.linspace(-HALF_PI, HALF_PI, 10001), near, -near])
     cos2 = np.cos(t) ** 2
-    exi = 0.5 * xi_d2(t) * cos2 - xi_d1(t) * np.cos(t) * np.sin(t) - xi(t) - 2.0 * cos2
-    eeta = 0.5 * eta_d2(t) * cos2 - eta_d1(t) * np.cos(t) * np.sin(t) - eta(t) + np.sin(t)
+    (x0, e0), (x1, e1), (x2, e2) = (xi_eta(t, order) for order in range(3))
+    exi = 0.5 * x2 * cos2 - x1 * np.cos(t) * np.sin(t) - x0 - 2.0 * cos2
+    eeta = 0.5 * e2 * cos2 - e1 * np.cos(t) * np.sin(t) - e0 + np.sin(t)
     assert np.max(np.abs(exi)) < 1e-13
     assert np.max(np.abs(eeta)) < 1e-13
 
@@ -171,6 +198,31 @@ def test_barrier_parameter_validation():
         dl.barrier(0.0, 1.01, 0.6, 1.0)
     with pytest.raises(BarrierHypothesisError):
         dl.barrier(0.0, 1.01, 0.25, 1.5)
+
+
+def test_hypotheses_refuse_nan(tmp_path, capsys):
+    # every hypothesis comparison fails on NaN instead of letting it through
+    nan = math.nan
+    for args in ((nan, 1.01, 0.25, 1.0), (0.0, nan, 0.25, 1.0),
+                 (0.0, 1.01, nan, 1.0), (0.0, 1.01, 0.25, nan)):
+        with pytest.raises(BarrierHypothesisError):
+            dl.barrier(*args)
+    with pytest.raises(BarrierHypothesisError, match="lost the sign"):
+        dl.case_b2b2_barrier(0.1, 1.01, 0.25, nan)
+    # a NaN xi coefficient makes both positivity sweeps all NaN
+    raw = dl.BarrierFamily(a=0.0, b=1.01, delta=0.25, mu=nan, sigma=None, label="raw")
+    with pytest.raises(BarrierHypothesisError, match="not positive on its domain"):
+        est._validate_barrier(raw)
+    nef = dl.normalize(_zonal_s2()[2], K=1.0)
+    with pytest.raises(BarrierHypothesisError, match=r"not positive on \[-pi/2, pi/2\]"):
+        dl.length_integral_check(nef, raw, math.pi)
+    with pytest.raises(ValueError, match="diameter"):
+        dl.length_integral_check(nef, dl.barrier(0.0, 1.01, 0.25, 1.0), nan)
+    with pytest.raises(ValueError, match="must exceed 1"):
+        dl.normalize(_zonal_s2()[2], K=1.0, b=nan)
+    assert cli.main(["emit-barriers", "--a", "nan", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "barriers.csv").exists()
+    assert "barrier needs a >= 0" in capsys.readouterr().err
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +320,7 @@ def test_dominance_synthetic_equality_and_failure():
     arg_t = 0.5 * (edges[:-1] + edges[1:])
     values = 1.0 + 0.1 * arg_t**2
     levelset = LevelSetMaxima(edges=edges, values=values, arg_t=arg_t,
-                              counts=np.ones(10, dtype=int), b=1.01, lam=2.0)
+                              counts=np.ones(10, dtype=int))
     same = dl.barrier_dominance_check(levelset, lambda t: 1.0 + 0.1 * t**2)
     assert abs(same.min_margin) < 1e-15
     below = dl.barrier_dominance_check(levelset, lambda t: np.zeros_like(t))
@@ -313,7 +365,7 @@ def _touching_point_residual(z, zdot, zddot, t0, c, delta, a=None):
         np.atleast_1d(np.asarray(z, dtype=float)),
         np.asarray(zdot, dtype=float), np.asarray(zddot, dtype=float),
         np.asarray(t0, dtype=float))
-    est._check_domain(t0)
+    xi_eta(t0)  # raises outside [-pi/2, pi/2]
     if np.any(z <= 0.0):
         raise BarrierHypothesisError("the touching-point inequality requires z(t0) > 0")
     a_eff = c if a is None else float(a)
@@ -340,8 +392,8 @@ def test_test_estimate_residual_cor7_sweep():
     # corollary residual vanishes along the whole sweep
     delta = 0.25
     t = np.linspace(-HALF_PI, HALF_PI, 10001)
-    z = 1.0 + delta * xi(t)
-    res = _touching_point_residual(z, delta * xi_d1(t), delta * xi_d2(t), t,
+    z = dl.barrier(0.0, 1.01, delta, 1.0)
+    res = _touching_point_residual(z.value(t), z.derivative(t, 1), z.derivative(t, 2), t,
                                    c=0.0, delta=delta, a=0.0)
     assert res.cor7_value.min() >= -1e-9
     assert np.max(np.abs(res.cor7_value)) < 1e-9
@@ -354,8 +406,9 @@ def test_test_estimate_residual_cor6_identity():
     # the B-1 barrier (mu = 1) collapses the first corollary to zero as well
     a, b, delta = 0.3, 1.01, 0.12
     z = dl.barrier(a, b, delta, 1.0)
-    t = np.linspace(-z.domain()[1], z.domain()[1], 2001)
-    res = _touching_point_residual(z.value(t), z.d1(t), z.d2(t), t,
+    tb = math.asin(1.0 / b)
+    t = np.linspace(-tb, tb, 2001)
+    res = _touching_point_residual(z.value(t), z.derivative(t, 1), z.derivative(t, 2), t,
                                    c=a / b, delta=delta, a=a)
     assert np.max(np.abs(res.cor6_value)) < 1e-9
 
@@ -421,8 +474,8 @@ def _per_call_value(z, t):
 
 def _per_call_accepts(z) -> bool:
     """Barrier validation's positivity sweep of the comparison domain."""
-    lo, hi = z.domain()
-    return not np.any(_per_call_value(z, np.linspace(lo, hi, 1001)) <= 0.0)
+    tb = math.asin(1.0 / z.b)
+    return not np.any(_per_call_value(z, np.linspace(-tb, tb, 1001)) <= 0.0)
 
 
 def _per_call_ledger(nef, z, d):
