@@ -22,10 +22,8 @@ from .geometry import (CIRCLE, INTERVAL_SPHERE, CurvatureProfile, Grid,
                        interval_sphere, poly_cos_density, sphere, sphere_warp,
                        stretched_sphere_warp, unit_fiber_area, weighted_measure,
                        zero_density)
-from .solitons import (EigenIdentityReport, HamiltonIdentityLedger,
-                       NormalizedPotential, SolitonCandidate, SolitonResidual,
-                       eigenfunction_identity, hamilton_identities, normalize_f,
-                       soliton_residual)
+from .solitons import (NormalizedPotential, SolitonCandidate, SolitonLedger,
+                       normalize_f, soliton_ledger)
 from .spectral import (EigenMode, FirstEigenvalue, MembershipVerdict,
                        SpectralProblem, assemble, first_nonzero_eigenvalue,
                        solve_eigen, spectrum_contains)

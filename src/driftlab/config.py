@@ -86,7 +86,7 @@ class DensitySpec:
 class SolitonSpec:
     f_name: str
     f_eps: float
-    gamma: float | str  # a number, or "einstein" for (n-1)/radius^2
+    gamma: float | str  # a number, or "einstein" for (n-1)/rho^2, rho the warp radius
 
 
 @dataclass(frozen=True)
@@ -323,5 +323,7 @@ def build_soliton_potential(config: ExperimentConfig, model) -> geometry.RadialP
 def soliton_gamma(config: ExperimentConfig, n: int) -> float:
     spec = config.soliton
     if spec.gamma == "einstein":
-        return (n - 1) / config.radius**2
+        # a stretched sphere of length L is the round sphere of radius L/pi
+        rho = config.length / math.pi if config.family == "stretched-sphere" else config.radius
+        return (n - 1) / rho**2
     return float(spec.gamma)

@@ -444,10 +444,10 @@ def _domain_xi_eta(b: float) -> np.ndarray:
 
 def _validate_barrier(z: BarrierFamily):
     # every comparison is written so that NaN fails it
-    if not z.a >= 0.0:
-        raise BarrierHypothesisError("barrier needs a >= 0")
-    if not z.b > 1.0:
-        raise BarrierHypothesisError("barrier needs b > 1")
+    if not 0.0 <= z.a < math.inf:
+        raise BarrierHypothesisError("barrier needs a >= 0, finite")
+    if not 1.0 < z.b < math.inf:
+        raise BarrierHypothesisError("barrier needs b > 1, finite")
     if not (0.0 < z.delta <= 0.5 + _DOMAIN_SLACK):
         raise BarrierHypothesisError("barrier needs delta in (0, 1/2]")
     sweep = z.combine(*_domain_xi_eta(z.b))

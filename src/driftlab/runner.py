@@ -79,18 +79,13 @@ def _soliton_check(config: ExperimentConfig, model: WarpedManifold, grid: Grid) 
     gamma = soliton_gamma(config, model.n)
     cand = sol.SolitonCandidate(model=model, f=build_soliton_potential(config, model),
                                 gamma=gamma)
-    res = sol.soliton_residual(cand, grid)
-    ident = sol.hamilton_identities(cand, grid)
-    eig = sol.eigenfunction_identity(cand, grid, tol=config.tolerances["spectrum"])
-    residuals = [res.radial, res.tangential, ident.bianchi_sup,
-                 ident.constancy_std, ident.trace_sup, eig.residual]
-    ok = all(v < config.tolerances["soliton"] for v in residuals)
+    led = sol.soliton_ledger(cand, grid, tol=config.tolerances["spectrum"])
     return SolitonCheck(
-        PASS if ok else FAIL, soliton_gamma=gamma,
-        soliton_resid_rr=res.radial, soliton_resid_tan=res.tangential,
-        bianchi_resid=ident.bianchi_sup, constancy_std=ident.constancy_std,
-        trace_resid=ident.trace_sup, eigenid_resid=eig.residual,
-        eigenid_member=eig.membership.contained, potential_shift=eig.shift)
+        PASS if led.worst < config.tolerances["soliton"] else FAIL, soliton_gamma=gamma,
+        soliton_resid_rr=led.radial, soliton_resid_tan=led.tangential,
+        bianchi_resid=led.bianchi_sup, constancy_std=led.constancy_std,
+        trace_resid=led.trace_sup, eigenid_resid=led.eigen_residual,
+        eigenid_member=led.membership.contained, potential_shift=led.shift)
 
 
 def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult:

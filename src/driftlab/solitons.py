@@ -23,11 +23,16 @@ potential is an eigenfunction of its own drift Laplacian:
 
     Delta_f f = Delta f - |grad f|^2 = -2 gamma f.
 
-The checker evaluates all of these numerically.  In the rotationally symmetric
-class, compact shrinkers are round, so positive tests use Einstein data
-(f = 0, gamma = (n-1)/radius^2) and negative tests use controlled
-perturbations, whose identity residuals must scale linearly with the
-perturbation size.
+``soliton_ledger`` evaluates the curvature and the derivatives of f once and
+returns one ``SolitonLedger`` with every residual: ``radial`` and
+``tangential`` (the equation), ``bianchi_sup``, ``constancy_std`` and
+``trace_sup`` (the identities), ``eigen_residual`` (the eigen-relation), the
+normalization ``shift``, the spectral ``membership`` of -2 gamma and the
+``vacuous`` flag; ``worst`` is the largest residual, NaN if any is NaN.  In the
+rotationally symmetric class, compact shrinkers are round, so positive tests
+use Einstein data (f = 0, gamma = (n-1)/rho^2 on a sphere of warp radius rho)
+and negative tests use controlled perturbations, whose identity residuals must
+scale linearly with the perturbation size.
 """
 
 from __future__ import annotations
@@ -74,32 +79,6 @@ class SolitonCandidate:
 
 
 @dataclass(frozen=True)
-class SolitonResidual:
-    """Sup-norms of the two components of Ric - gamma g + Hess f (poles included)."""
-
-    radial: float
-    tangential: float
-
-
-def soliton_residual(cand: SolitonCandidate, grid: Grid) -> SolitonResidual:
-    model, f = cand.model, cand.f
-    r = grid.nodes
-    prof = curvature(model, grid)
-    f2 = np.asarray(f.d2(r), dtype=float)
-    hess_tan = np.asarray(f.d1(r), dtype=float) * np.asarray(model.w.d1(r), dtype=float) \
-        / np.asarray(model.w.value(r), dtype=float)
-    res_rr = prof.ric_rr - cand.gamma + f2
-    res_tan = prof.ric_tan - cand.gamma + hess_tan
-    # pole values: curvature is isotropic, Hess f -> f'' g
-    ric0, ricL = pole_curvature(model)
-    fpp = np.asarray(f.d2(np.array([0.0, model.L])), dtype=float)
-    pole_vals = np.array([ric0 - cand.gamma + fpp[0], ricL - cand.gamma + fpp[1]])
-    sup_rr = max(float(np.max(np.abs(res_rr))), float(np.max(np.abs(pole_vals))))
-    sup_tan = max(float(np.max(np.abs(res_tan))), float(np.max(np.abs(pole_vals))))
-    return SolitonResidual(radial=sup_rr, tangential=sup_tan)
-
-
-@dataclass(frozen=True)
 class NormalizedPotential:
     """Potential shifted so that int f e^{-f} dV = 0, with the shift used."""
 
@@ -125,95 +104,81 @@ def normalize_f(cand: SolitonCandidate, grid: Grid) -> NormalizedPotential:
     return NormalizedPotential(f=cand.f.shifted(shift), shift=shift)
 
 
-def _radial_laplacian(model: WarpedManifold, f: RadialProfile,
-                      r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f' and Delta f = f'' + (n-1) w'/w f' of a radial function at interior nodes."""
+@dataclass(frozen=True)
+class SolitonLedger:
+    """Every residual of one candidate; the module docstring names the fields.
+
+    All residuals are sup-norms but ``constancy_std``, the standard deviation
+    of R - 2 gamma f + |grad f|^2 (a robust constancy measure).  The residual
+    is the binding eigen test: ``membership`` of -2 gamma in the drift
+    spectrum can hold coincidentally (on round spheres 2 gamma can be the
+    first eigenvalue).
+    """
+
+    radial: float
+    tangential: float
+    bianchi_sup: float
+    constancy_std: float
+    trace_sup: float
+    eigen_residual: float
+    membership: MembershipVerdict
+    vacuous: bool
+    shift: float
+
+    @property
+    def worst(self) -> float:
+        """The largest of the six residuals; NaN when any residual is NaN."""
+        return float(np.max([self.radial, self.tangential, self.bianchi_sup,
+                             self.constancy_std, self.trace_sup, self.eigen_residual]))
+
+
+def soliton_ledger(cand: SolitonCandidate, grid: Grid, tol: float = 1e-3) -> SolitonLedger:
+    """All residuals of the candidate from one evaluation of curvature and f.
+
+    ``tol`` is the spectral membership tolerance for -2 gamma.
+    """
+    model, f, gamma = cand.model, cand.f, cand.gamma
+    n = model.n
+    r = grid.nodes
+    prof = curvature(model, grid)
+    fv = np.asarray(f.value(r), dtype=float)
     f1 = np.asarray(f.d1(r), dtype=float)
     f2 = np.asarray(f.d2(r), dtype=float)
     wv = np.asarray(model.w.value(r), dtype=float)
     wd1 = np.asarray(model.w.d1(r), dtype=float)
-    return f1, f2 + (model.n - 1) * wd1 / wv * f1
+    lap_f = f2 + (n - 1) * wd1 / wv * f1
 
-
-@dataclass(frozen=True)
-class HamiltonIdentityLedger:
-    """Residuals of the three derived soliton identities.
-
-    ``constancy_std`` is the standard deviation of R - 2 gamma f + |grad f|^2
-    across the grid (a robust constancy measure); the other two are sup-norms.
-    """
-
-    bianchi_sup: float
-    constancy_std: float
-    trace_sup: float
-
-
-def hamilton_identities(cand: SolitonCandidate, grid: Grid) -> HamiltonIdentityLedger:
-    model, f = cand.model, cand.f
-    n = model.n
-    r = grid.nodes
-    prof = curvature(model, grid)
-    f1, lap_f = _radial_laplacian(model, f, r)
-    fv = np.asarray(f.value(r), dtype=float)
-
-    # exact pole limits: curvature is isotropic, grad f vanishes, Delta f -> n f''
+    # exact pole limits: curvature is isotropic, Hess f -> f'' g, grad f
+    # vanishes and Delta f -> n f''
     poles = np.array([0.0, model.L])
     ric_poles = np.array(pole_curvature(model))
     scalar_poles = n * ric_poles
     f_poles = np.asarray(f.value(poles), dtype=float)
     f2_poles = np.asarray(f.d2(poles), dtype=float)
+    pole_vals = ric_poles - gamma + f2_poles
 
-    dR = scalar_curvature_derivative(model, r)
-    bianchi = dR - 2.0 * prof.ric_rr * f1  # both factors vanish at the poles
+    radial = np.concatenate([prof.ric_rr - gamma + f2, pole_vals])
+    tangential = np.concatenate([prof.ric_tan - gamma + f1 * wd1 / wv, pole_vals])
+    bianchi = scalar_curvature_derivative(model, r) - 2.0 * prof.ric_rr * f1
+    conserved = np.concatenate([prof.scalar - 2.0 * gamma * fv + f1**2,
+                                scalar_poles - 2.0 * gamma * f_poles])
+    trace = np.concatenate([prof.scalar - n * gamma + lap_f,
+                            scalar_poles - n * gamma + n * f2_poles])
 
-    conserved = np.concatenate([
-        prof.scalar - 2.0 * cand.gamma * fv + f1**2,
-        scalar_poles - 2.0 * cand.gamma * f_poles,
-    ])
-
-    trace = np.concatenate([
-        prof.scalar - n * cand.gamma + lap_f,
-        scalar_poles - n * cand.gamma + n * f2_poles,
-    ])
-
-    return HamiltonIdentityLedger(
+    # the shift changes neither f' nor Delta f, only the values
+    norm = normalize_f(cand, grid)
+    f_norm = fv + norm.shift
+    drift_model = cand.drift_model()
+    membership = spectrum_contains(drift_model, Grid.uniform(drift_model, grid.size),
+                                   -2.0 * gamma, tol)
+    return SolitonLedger(
+        radial=float(np.max(np.abs(radial))),
+        tangential=float(np.max(np.abs(tangential))),
         bianchi_sup=float(np.max(np.abs(bianchi))),
         constancy_std=float(np.std(conserved)),
         trace_sup=float(np.max(np.abs(trace))),
+        eigen_residual=float(np.max(np.abs(lap_f - f1**2 + 2.0 * gamma * f_norm))),
+        membership=membership,
+        vacuous=float(np.max(np.abs(f_norm))) <= 1e-12,
+        shift=norm.shift,
     )
-
-
-@dataclass(frozen=True)
-class EigenIdentityReport:
-    """Residual of Delta_f f = -2 gamma f and the spectral membership of -2 gamma.
-
-    The residual test is the binding one; membership of -2 gamma in the drift
-    spectrum is reported alongside (it can hold coincidentally, e.g. on round
-    spheres where 2 gamma matches the first eigenvalue).  For f identically
-    zero the eigen-relation is vacuous and flagged as such.
-    """
-
-    residual: float
-    membership: MembershipVerdict
-    vacuous: bool
-    shift: float
-
-
-def eigenfunction_identity(cand: SolitonCandidate, grid: Grid,
-                           tol: float = 1e-3) -> EigenIdentityReport:
-    """Check the potential's drift eigen-relation after normalizing f."""
-    norm = normalize_f(cand, grid)
-    f = norm.f
-    r = grid.nodes
-    fv = np.asarray(f.value(r), dtype=float)
-    f1, lap_f = _radial_laplacian(cand.model, f, r)
-    drift_lap = lap_f - f1**2
-    residual = float(np.max(np.abs(drift_lap + 2.0 * cand.gamma * fv)))
-
-    drift_model = cand.drift_model()
-    drift_grid = Grid.uniform(drift_model, grid.size)
-    membership = spectrum_contains(drift_model, drift_grid, -2.0 * cand.gamma, tol)
-
-    vacuous = float(np.max(np.abs(fv))) <= 1e-12
-    return EigenIdentityReport(residual=residual, membership=membership,
-                               vacuous=vacuous, shift=norm.shift)

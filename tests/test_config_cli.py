@@ -280,6 +280,30 @@ def test_soliton_gamma_resolution():
     assert soliton_gamma(fixed, 3) == 1.5
 
 
+def test_einstein_gamma_uses_the_warp_radius_of_stretched_spheres():
+    # a stretched sphere of length L is the round sphere of radius L/pi, so its
+    # Einstein constant is (n-1) pi^2 / L^2, whatever the unused radius default
+    for length in (2 * math.pi, math.pi, 2.5):
+        config = parse_config(_base_config(
+            family={"name": "stretched-sphere", "n": [2, 3, 4], "length": length,
+                    "density": {"name": "zero"}},
+            grids=[400], checks=["soliton"],
+            soliton={"gamma": "einstein", "f": {"name": "zero"}}))
+        for n in (2, 3, 4):
+            assert soliton_gamma(config, n) == (n - 1) / (length / math.pi) ** 2
+        report = runner.run(config)
+        assert report.all_passed
+        for row in report.rows:
+            assert row["verdict_soliton"] is True
+            for col in ("soliton_resid_rr", "soliton_resid_tan", "bianchi_resid",
+                        "constancy_std", "trace_resid", "eigenid_resid"):
+                assert row[col] < 1e-10
+    rescaled = parse_config(_base_config(
+        family={"name": "sphere", "n": [3], "radius": 2.0, "density": {"name": "zero"}},
+        checks=["soliton"], soliton={"gamma": "einstein", "f": {"name": "zero"}}))
+    assert soliton_gamma(rescaled, 3) == 2.0 / 4.0
+
+
 def test_run_spectrum_row():
     config = parse_config(_base_config(grids=[400]))
     report = runner.run(config)

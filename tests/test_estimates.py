@@ -225,6 +225,25 @@ def test_hypotheses_refuse_nan(tmp_path, capsys):
     assert "barrier needs a >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hypotheses_refuse_infinity(tmp_path, capsys):
+    # b = inf collapses the comparison domain to t = 0, and a = inf meets
+    # xi(0) = 0 as inf * 0; both are refused before the positivity sweep
+    inf = math.inf
+    for args in ((0.0, inf, 0.25, 1.0), (inf, 1.01, 0.25, 1.0), (inf, inf, 0.25, 1.0)):
+        with pytest.raises(BarrierHypothesisError, match="finite"):
+            dl.barrier(*args)
+    # a negative sigma keeps the xi coefficient positive, so a = inf reaches
+    # the shared validation
+    for args in ((0.1, inf, 0.25, 1.0), (inf, 1.01, 0.25, -1.0)):
+        with pytest.raises(BarrierHypothesisError, match="finite"):
+            dl.case_b2b2_barrier(*args)
+    for flag in ("--b", "--a"):
+        assert cli.main(["emit-barriers", flag, "inf", "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "barriers.csv").exists()
+        assert "finite" in capsys.readouterr().err
+
+
 @lru_cache(maxsize=None)
 def _zonal_s2(N=1200):
     model = dl.sphere(2)

@@ -1,5 +1,7 @@
-"""Soliton equation residuals, derived identities, and potential normalization."""
+"""The soliton ledger (equation residuals, derived identities, eigen-relation)
+and potential normalization."""
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -8,6 +10,10 @@ import pytest
 from scipy.integrate import quad
 
 import driftlab as dl
+import driftlab.acceptance as acceptance
+import driftlab.runner as runner
+import driftlab.solitons as sol
+from driftlab.config import parse_config
 from driftlab.errors import PoleRegularityError
 
 
@@ -21,21 +27,20 @@ def test_einstein_spheres_are_exact_solitons():
     for n in (2, 3, 4):
         model, grid = _grid(n)
         cand = dl.SolitonCandidate(model=model, f=dl.zero_density(), gamma=float(n - 1))
-        res = dl.soliton_residual(cand, grid)
-        assert res.radial < 1e-9
-        assert res.tangential < 1e-9
-        ident = dl.hamilton_identities(cand, grid)
-        assert ident.bianchi_sup < 1e-9
-        assert ident.constancy_std < 1e-9
-        assert ident.trace_sup < 1e-9
+        led = dl.soliton_ledger(cand, grid)
+        assert led.radial < 1e-9
+        assert led.tangential < 1e-9
+        assert led.bianchi_sup < 1e-9
+        assert led.constancy_std < 1e-9
+        assert led.trace_sup < 1e-9
 
 
 def test_rescaled_sphere_matching_gamma():
     # radius rho sphere is Einstein with gamma = (n-1)/rho^2
     model, grid = _grid(3, radius=2.0)
     cand = dl.SolitonCandidate(model=model, f=dl.zero_density(), gamma=2.0 / 4.0)
-    res = dl.soliton_residual(cand, grid)
-    assert max(res.radial, res.tangential) < 1e-9
+    led = dl.soliton_ledger(cand, grid)
+    assert max(led.radial, led.tangential) < 1e-9
 
 
 def test_cosine_perturbation_residuals():
@@ -44,19 +49,18 @@ def test_cosine_perturbation_residuals():
     # Delta(0.1 cos r) = -0.2 cos r
     model, grid = _grid(2)
     cand = dl.SolitonCandidate(model=model, f=dl.cosine_density(0.1), gamma=1.0)
-    res = dl.soliton_residual(cand, grid)
-    assert res.radial == pytest.approx(0.1, abs=1e-10)
-    assert res.tangential == pytest.approx(0.1, abs=1e-10)
-    ident = dl.hamilton_identities(cand, grid)
-    assert ident.trace_sup == pytest.approx(0.2, abs=1e-10)
+    led = dl.soliton_ledger(cand, grid)
+    assert led.radial == pytest.approx(0.1, abs=1e-10)
+    assert led.tangential == pytest.approx(0.1, abs=1e-10)
+    assert led.trace_sup == pytest.approx(0.2, abs=1e-10)
 
 
 def test_wrong_gamma_trace_residual():
     # Einstein model with mismatched gamma: trace residual is n |gamma* - gamma|
     model, grid = _grid(3)
     cand = dl.SolitonCandidate(model=model, f=dl.zero_density(), gamma=1.3)
-    ident = dl.hamilton_identities(cand, grid)
-    assert ident.trace_sup == pytest.approx(3 * abs(2.0 - 1.3), abs=1e-9)
+    led = dl.soliton_ledger(cand, grid)
+    assert led.trace_sup == pytest.approx(3 * abs(2.0 - 1.3), abs=1e-9)
 
 
 def test_identity_residuals_scale_linearly():
@@ -65,8 +69,7 @@ def test_identity_residuals_scale_linearly():
     sups = []
     for eps in (1e-2, 1e-3):
         cand = dl.SolitonCandidate(model=model, f=dl.cosine_density(eps), gamma=1.0)
-        ident = dl.hamilton_identities(cand, grid)
-        sups.append(ident.trace_sup)
+        sups.append(dl.soliton_ledger(cand, grid).trace_sup)
     assert sups[0] / sups[1] == pytest.approx(10.0, rel=1e-6)
 
 
@@ -78,9 +81,9 @@ def test_scaling_covariance_of_residuals():
     scaled, gs = _grid(2, radius=c)
     f_unit = dl.cosine_density(0.1, length=math.pi)
     f_scaled = dl.cosine_density(0.1, length=c * math.pi)
-    r_unit = dl.soliton_residual(
+    r_unit = dl.soliton_ledger(
         dl.SolitonCandidate(model=unit, f=f_unit, gamma=1.0), gu)
-    r_scaled = dl.soliton_residual(
+    r_scaled = dl.soliton_ledger(
         dl.SolitonCandidate(model=scaled, f=f_scaled, gamma=1.0 / c**2), gs)
     assert r_scaled.radial == pytest.approx(r_unit.radial / c**2, rel=1e-8)
     assert r_scaled.tangential == pytest.approx(r_unit.tangential / c**2, rel=1e-8)
@@ -114,18 +117,24 @@ def test_normalize_f_idempotent():
     assert abs(second.shift) < 1e-14
 
 
-def test_eigenfunction_identity_vacuous_for_einstein():
+def test_eigen_relation_vacuous_for_einstein():
     model, grid = _grid(2)
     cand = dl.SolitonCandidate(model=model, f=dl.zero_density(), gamma=1.0)
-    report = dl.eigenfunction_identity(cand, grid)
-    assert report.vacuous
-    assert report.residual < 1e-12
+    led = dl.soliton_ledger(cand, grid)
+    assert led.vacuous
+    assert led.eigen_residual < 1e-12
     # -2 gamma = -2 happens to be the first non-zero eigenvalue of the round
     # 2-sphere, so membership holds coincidentally
-    assert report.membership.contained
+    assert led.membership.contained
+    # a constant potential is zero once normalized, so it is vacuous too
+    const5 = dl.SolitonCandidate(model=model, f=dl.zero_density().shifted(5.0), gamma=1.0)
+    led = dl.soliton_ledger(const5, grid)
+    assert led.shift == pytest.approx(-5.0, abs=1e-12)
+    assert led.vacuous
+    assert led.eigen_residual < 1e-12
 
 
-def test_eigenfunction_identity_flags_perturbation():
+def test_eigen_relation_flags_perturbation():
     # f = eps cos^2(r) is pole-regular but not a drift eigenfunction; the
     # residual is Theta(eps), a linearization sanity check
     model, grid = _grid(2)
@@ -133,10 +142,10 @@ def test_eigenfunction_identity_flags_perturbation():
     for eps in (1e-2, 1e-3):
         cand = dl.SolitonCandidate(
             model=model, f=dl.poly_cos_density([0.0, 0.0, eps]), gamma=1.0)
-        report = dl.eigenfunction_identity(cand, grid)
-        assert not report.vacuous
-        assert report.residual > 0.1 * eps  # flagged well above rounding
-        residuals.append(report.residual)
+        led = dl.soliton_ledger(cand, grid)
+        assert not led.vacuous
+        assert led.eigen_residual > 0.1 * eps  # flagged well above rounding
+        residuals.append(led.eigen_residual)
     assert residuals[0] / residuals[1] == pytest.approx(10.0, rel=0.05)
 
 
@@ -161,9 +170,38 @@ def test_soundness_residual_implies_identities():
     model, grid = _grid(2)
     for eps in (1e-3, 1e-5):
         cand = dl.SolitonCandidate(model=model, f=dl.cosine_density(eps), gamma=1.0)
-        res = dl.soliton_residual(cand, grid)
-        ident = dl.hamilton_identities(cand, grid)
-        assert max(res.radial, res.tangential) == pytest.approx(eps, rel=1e-6)
-        assert ident.trace_sup < 4.0 * eps
-        assert ident.bianchi_sup < 4.0 * eps
-        assert ident.constancy_std < 4.0 * eps
+        led = dl.soliton_ledger(cand, grid)
+        assert max(led.radial, led.tangential) == pytest.approx(eps, rel=1e-6)
+        assert led.trace_sup < 4.0 * eps
+        assert led.bianchi_sup < 4.0 * eps
+        assert led.constancy_std < 4.0 * eps
+
+
+def test_worst_residual_propagates_nan():
+    model, grid = _grid(2)
+    led = dl.soliton_ledger(
+        dl.SolitonCandidate(model=model, f=dl.cosine_density(0.1), gamma=1.0), grid)
+    assert led.worst == max(led.radial, led.tangential, led.bianchi_sup,
+                            led.constancy_std, led.trace_sup, led.eigen_residual)
+    for name in ("radial", "bianchi_sup", "eigen_residual"):
+        assert math.isnan(dataclasses.replace(led, **{name: math.nan}).worst)
+
+
+def test_nan_residual_fails_criterion_8_and_the_runner(monkeypatch):
+    # a NaN residual must fail every check that reads the ledger, not vanish
+    # into a max() that keeps its first finite argument
+    monkeypatch.setattr(sol, "scalar_curvature_derivative",
+                        lambda model, r: np.full(np.shape(r), math.nan))
+    crit = acceptance.criterion_soliton_checker()
+    assert not crit.passed
+    einstein = [row for row in crit.rows if row["quantity"] == "max_residual"]
+    assert len(einstein) == 3
+    assert all(math.isnan(row["value"]) and row["status"] == "fail" for row in einstein)
+    config = parse_config({
+        "schema_version": 1,
+        "family": {"name": "sphere", "n": [2], "density": {"name": "zero"}},
+        "grids": [300], "checks": ["soliton"],
+        "soliton": {"gamma": "einstein", "f": {"name": "zero"}}})
+    row = runner.run(config).rows[0]
+    assert math.isnan(row["bianchi_resid"])
+    assert row["verdict_soliton"] is False
