@@ -26,6 +26,6 @@ from .solitons import (NormalizedPotential, SolitonCandidate, SolitonLedger,
                        normalize_f, soliton_ledger)
 from .spectral import (EigenMode, FirstEigenvalue, MembershipVerdict,
                        SpectralProblem, assemble, first_nonzero_eigenvalue,
-                       solve_eigen, spectrum_contains)
+                       spectrum_contains)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -243,8 +243,8 @@ def normalize(mode: EigenMode, K: float | None = None,
     operator's norm (which grows like N^2), where rounding alone stays far
     below 1e-10 at every N.
     """
-    if not b > 1.0:
-        raise ValueError("the gradient-estimate constant b must exceed 1")
+    if not 1.0 < b < math.inf:
+        raise ValueError("the gradient-estimate constant b must exceed 1 and be finite")
     lam = -mode.mu
     if lam <= 0.0:
         raise DegenerateEigenfunctionError(
@@ -420,7 +420,10 @@ class BarrierFamily:
     def xi_coeff(self) -> float:
         if self.sigma is None:
             return self.mu * self.delta
-        return self.delta - self.sigma * self.c**2
+        try:
+            return self.delta - self.sigma * self.c**2
+        except OverflowError:  # (a/b)^2 beyond the float range: no coefficient
+            return math.nan
 
     def value(self, t):
         return self.combine(*xi_eta(t))

@@ -40,7 +40,7 @@ from .errors import PoleRegularityError
 INTERVAL_SPHERE = "interval-sphere"
 CIRCLE = "circle"
 
-# Pole closure and periodicity are checked to this absolute tolerance.
+# Pole closure, periodicity and evenness are checked to this absolute tolerance.
 _REGULARITY_TOL = 1e-8
 
 
@@ -205,12 +205,14 @@ class WarpedManifold:
             raise PoleRegularityError("warp must be strictly positive on (0, L)")
 
     def _check_periodicity(self):
-        ends = np.array([0.0, self.L])
-        v = np.asarray(self.phi.value(ends), dtype=float)
-        d = np.asarray(self.phi.d1(ends), dtype=float)
-        scale = 1.0 + float(np.max(np.abs(v)))
-        if abs(v[0] - v[1]) > _REGULARITY_TOL * scale or abs(d[0] - d[1]) > _REGULARITY_TOL * scale:
+        # periodic, and even (phi(theta) = phi(L - theta)) for the mirror sectors
+        v = np.asarray(self.phi.value(np.linspace(0.0, self.L, 129)), dtype=float)
+        d = np.asarray(self.phi.d1(np.array([0.0, self.L])), dtype=float)
+        tol = _REGULARITY_TOL * (1.0 + max(abs(v[0]), abs(v[-1])))
+        if abs(v[0] - v[-1]) > tol or abs(d[0] - d[1]) > tol:
             raise ValueError("circle density must be periodic with period L")
+        if not np.max(np.abs(v - v[::-1])) <= tol:
+            raise ValueError("circle density must be even about theta = 0")
 
     @property
     def label(self) -> str:

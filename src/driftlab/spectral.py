@@ -21,28 +21,22 @@ for l = 0, while for l >= 1 the singular potential l(l+n-2)/w^2 enforces the
 Dirichlet decay of the eigenfunctions.
 
 Eigenpairs come from the symmetric tridiagonal similarity transform
-S = D A D^{-1}, D = diag(sqrt(rho_i)), solved in two LAPACK steps: bisection
-(stebz) for the eigenvalues, then inverse iteration (stein) for their
-eigenvectors.  A Sturm count, stebz over a value window with an infinite
-tolerance, tells how many eigenvalues lie in the window without computing
-any of them.  Both routines are scipy's wrappers (``scipy.linalg.lapack``).
-The periodic circle matrix has wrap-around corners and is solved by sparse
-shift-invert Lanczos (ARPACK).  Both solves cost linear time in N and are
-deterministic.
+S = D A D^{-1}, D = diag(sqrt(rho_i)), solved in two LAPACK steps (scipy's
+``scipy.linalg.lapack`` wrappers, each linear in N): bisection (stebz) for
+the eigenvalues, then inverse iteration (stein) for their eigenvectors.  A
+Sturm count, stebz over a value window with an infinite tolerance, tells how
+many eigenvalues lie in the window without computing any of them.
 
 Only the l = 0 operator is assembled from the density; a sector l >= 1 is
-derived from it by subtracting its angular potential from the diagonal.
-``solve_eigen`` returns one sector's eigenpairs as a tuple of ``EigenMode``.
-``first_nonzero_eigenvalue`` bisects the top eigenvalue of the l = 1 sector
-and certifies with one Sturm count of the l = 0 operator that no zonal
-eigenvalue other than the constant mode lies above it; only where the count
-says otherwise (a round sphere's l = 0 / l = 1 twin, the Ling cases) is the
-l = 0 top bisected as well.  Inverse iteration runs only on the winning
-eigenvalue (a circle: Lanczos on its one periodic sector).  The Richardson
-partner is the Rayleigh quotient of the eigenvector on the half-resolution
-operator, so each lambda_1 costs one eigenvector.  ``spectrum_contains`` is
-three Sturm counts, one per sector l = 0, 1, 2, over the closed window around
-its target.
+derived from it by subtracting its angular potential from the diagonal.  A
+circle's periodic matrix splits into two mirror sectors with no corner: the
+even one, with the constant mode, takes the place of l = 0, the odd one that
+of l = 1.  ``first_nonzero_eigenvalue`` bisects the l = 1 top and certifies
+with one Sturm count of l = 0 that no eigenvalue but the constant mode lies
+above it, then inverse-iterates the winner alone.  The Richardson partner is
+the Rayleigh quotient of the eigenvector on the half-resolution operator, so
+each lambda_1 costs one eigenvector.  ``spectrum_contains`` is three Sturm
+counts, one per sector l = 0, 1, 2, over the closed window around its target.
 """
 
 from __future__ import annotations
@@ -52,8 +46,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.sparse import diags
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import AssemblyError, SolverError
 from .geometry import CIRCLE, INTERVAL_SPHERE, Grid, WarpedManifold, measure_density
@@ -96,14 +88,11 @@ class SpectralProblem:
         return out / self.sqrt_rho
 
     def sector(self, l: int) -> "SpectralProblem":
-        """Angular mode l of this l = 0 operator: the diagonal less
+        """Angular mode l of this interval l = 0 operator: the diagonal less
         l(l+n-2)/w^2, computed in the potential's own buffer; the off-diagonal
-        and sqrt_rho are shared.  A circle has no fiber, so only the tag
-        changes."""
+        and sqrt_rho are shared."""
         if not l:
             return self
-        if self.periodic:
-            return replace(self, l=l)
         w = self.model.w.value(self.grid.nodes)
         potential = np.asarray(w, dtype=float) ** 2
         np.divide(angular_eigenvalue(self.model.n, l), potential, out=potential)
@@ -111,6 +100,10 @@ class SpectralProblem:
             raise AssemblyError(
                 "angular potential overflows at the poles; grid nodes must stay interior")
         return replace(self, l=l, diag=np.subtract(self.diag, potential, out=potential))
+
+    def unfold(self, z: np.ndarray) -> tuple["SpectralProblem", np.ndarray]:
+        """The operator of this sector's eigenvectors z: an interval sector's own."""
+        return self, z
 
 
 def angular_eigenvalue(n: int, l: int) -> float:
@@ -123,8 +116,8 @@ def assemble(model: WarpedManifold, grid: Grid, l: int) -> SpectralProblem:
 
     An interval sector l >= 1 is the l = 0 operator less its angular
     potential (``SpectralProblem.sector``)."""
-    if l < 0 or int(l) != l:
-        raise AssemblyError(f"angular mode must be a nonnegative integer, got {l!r}")
+    if l < 0 or int(l) != l or (l and model.topology == CIRCLE):
+        raise AssemblyError(f"angular mode must be a nonnegative integer, 0 on a circle, got {l!r}")
     l = int(l)
     h = grid.spacing
     nodes = grid.nodes
@@ -186,13 +179,51 @@ def _postprocess(problem: SpectralProblem, vals: np.ndarray,
     return tuple(sorted(modes, key=lambda m: abs(m.mu)))
 
 
-def _solver_error(problem: SpectralProblem, cause: Exception | str) -> SolverError:
-    n = problem.size
+def _solver_error(problem: SpectralProblem | _MirrorSector, cause: str) -> SolverError:
+    n = problem.diag.size
     return SolverError(
         f"eigensolver failed for l={problem.l}, N={n}: {cause}",
         report={"l": problem.l, "size": n,
                 "diag_range": (float(problem.diag.min()), float(problem.diag.max())),
                 "off_max": float(np.max(np.abs(problem.off_diag))) if n > 1 else 0.0})
+
+
+@dataclass(frozen=True)
+class _MirrorSector:
+    """The even (l = 0) or odd (l = 1) sector of the circle operator ``full``."""
+
+    full: SpectralProblem
+    l: int
+    diag: np.ndarray
+    off_diag: np.ndarray
+
+    def unfold(self, z: np.ndarray) -> tuple[SpectralProblem, np.ndarray]:
+        rows = np.arange(self.l, self.l + self.diag.size)
+        mirror = -rows % self.full.size
+        z = z / np.where(rows == mirror, 1.0, math.sqrt(2.0))[:, None]
+        y = np.zeros((self.full.size, z.shape[1]))
+        y[mirror] = -z if self.l else z
+        y[rows] = z
+        return self.full, y
+
+
+def _mirror_sectors(problem: SpectralProblem) -> tuple[_MirrorSector, _MirrorSector]:
+    """The even and odd sectors of a circle's symmetrized periodic matrix,
+    which an even density makes commute with the reflection i -> N - i.  It
+    fixes node 0, and N/2 for even N, and swaps the pairs (i, N - i),
+    i = 1..p = (N - 1) // 2, whose entries are (z_i, +-z_i) / sqrt(2): a
+    coupling to a fixed node gains a factor sqrt(2), and for odd N the middle
+    pair's coupling e_p is added to the even sector's last diagonal entry and
+    subtracted from the odd one's.  The sectors' nodes are 0..N // 2 and 1..p."""
+    d, e, n = problem.diag, problem.off_diag, problem.size
+    p = (n - 1) // 2
+    if n % 2:
+        even = np.r_[d[:p], d[p] + e[p]], np.r_[math.sqrt(2.0) * e[0], e[1:p]]
+        odd = np.r_[d[1:p], d[p] - e[p]], e[1:p]
+    else:
+        even = d[:p + 2], np.r_[math.sqrt(2.0) * e[0], e[1:p], math.sqrt(2.0) * e[p]]
+        odd = d[1:p + 1], e[1:max(p, 2)]  # stebz and stein take one e for one row
+    return _MirrorSector(problem, 0, *even), _MirrorSector(problem, 1, *odd)
 
 
 # stebz: m, w, iblock, isplit, info = stebz(d, e, range, vl, vu, il, iu, abstol, order),
@@ -203,12 +234,12 @@ _LAPACK = {"stebz": lapack.dstebz, "stein": lapack.dstein}
 
 @dataclass(frozen=True)
 class _Bisection:
-    """Bisected eigenvalues of an interval sector (LAPACK stebz, in block
-    order) with the block data that inverse iteration (LAPACK stein) needs:
-    the block of each eigenvalue and the last row of each block, in the
-    N-long arrays that scipy's stein wrapper takes."""
+    """Bisected eigenvalues of a sector (LAPACK stebz, in block order) with
+    the block data that inverse iteration (LAPACK stein) needs: the block of
+    each eigenvalue and the last row of each block, in the N-long arrays
+    that scipy's stein wrapper takes."""
 
-    problem: SpectralProblem
+    problem: SpectralProblem | _MirrorSector
     w: np.ndarray
     iblock: np.ndarray
     isplit: np.ndarray
@@ -223,12 +254,13 @@ class _Bisection:
         if info:
             raise _solver_error(self.problem, f"stein returned info={info}")
         order = np.argsort(self.w)
-        return _postprocess(self.problem, self.w[order], z[:, order])
+        problem, z = self.problem.unfold(z[:, order])
+        return _postprocess(problem, self.w[order], z)
 
 
-def _bisect(problem: SpectralProblem, il: int, iu: int) -> _Bisection:
+def _bisect(problem: SpectralProblem | _MirrorSector, il: int, iu: int) -> _Bisection:
     """Bisection (LAPACK stebz, tolerance 0) for the eigenvalues of (1-based,
-    ascending) index il..iu of an interval sector."""
+    ascending) index il..iu of a sector."""
     m, w, iblock, isplit, info = _LAPACK["stebz"](problem.diag, problem.off_diag, 2, 0.0, 1.0,
                                                   il, iu, 0.0, "B")
     if info:
@@ -236,47 +268,19 @@ def _bisect(problem: SpectralProblem, il: int, iu: int) -> _Bisection:
     return _Bisection(problem=problem, w=w[:m], iblock=iblock, isplit=isplit)
 
 
-def _count(problem: SpectralProblem, vl: float, vu: float) -> int:
-    """Number of eigenvalues of an interval sector in (vl, vu]: the Sturm
-    counts at vu and vl of the symmetrized matrix, that is, the negative
-    pivots of its LDL^T factorizations shifted by each end (Sylvester's law
-    of inertia).  This is LAPACK stebz over the window with tolerance +inf:
-    its bisection converges at once, and its m is the count at vu less the
-    count at vl.  stebz clips the window to the Gershgorin bounds, so vu may
-    be +inf, and replaces a pivot smaller than its pivmin by -pivmin, so a
-    pivot that rounds to zero counts once."""
+def _count(problem: SpectralProblem | _MirrorSector, vl: float, vu: float) -> int:
+    """Number of eigenvalues of a sector in (vl, vu]: the Sturm count at vu
+    less that at vl, each the negative pivots of the LDL^T factorization
+    shifted by that end (Sylvester's law of inertia).  This is LAPACK stebz
+    over the window with tolerance +inf, whose bisection converges at once.
+    stebz clips the window to the Gershgorin bounds, so vu may be +inf, and
+    replaces a pivot smaller than its pivmin by -pivmin, so a pivot that
+    rounds to zero counts once."""
     m, *_, info = _LAPACK["stebz"](problem.diag, problem.off_diag, 1, vl, vu, 0, 0,
                                    math.inf, "B")
     if info:
         raise _solver_error(problem, f"stebz returned info={info}")
     return m
-
-
-def solve_eigen(problem: SpectralProblem, count: int) -> tuple[EigenMode, ...]:
-    """The ``count`` eigenpairs of smallest magnitude, sorted by |mu|.
-
-    The spectrum is nonpositive, so smallest magnitude means algebraically
-    largest.  Interval models bisect the symmetrized tridiagonal matrix for
-    the eigenvalues and get the eigenvectors by inverse iteration.  The
-    circle uses shift-invert Lanczos with a small positive shift, whose
-    nearest eigenvalues are then the largest, and a fixed start vector; it
-    returns at most N - 1 eigenpairs.
-    """
-    n = problem.size
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    count = min(count, n - 1 if problem.periodic else n)
-    if not problem.periodic:
-        return _bisect(problem, n - count + 1, n).modes()
-    off, corner = problem.off_diag, [problem.corner]
-    matrix = diags([corner, off, problem.diag, off, corner],
-                   [1 - n, -1, 0, 1, n - 1], format="csc")
-    sigma = 1e-6 * float(np.max(np.abs(problem.diag)))
-    try:
-        vals, vecs = eigsh(matrix, k=count, sigma=sigma, v0=np.ones(n))
-    except ArpackError as exc:
-        raise _solver_error(problem, exc) from exc
-    return _postprocess(problem, vals, vecs)
 
 
 @dataclass(frozen=True)
@@ -313,21 +317,19 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     No sector l >= 2 can hold lambda_1: in symmetrized form
     S_l = S_1 - (c_l - c_1) diag(1/w^2), c_l = l(l+n-2), e.g. S_2 = S_1 - (n+1) diag(1/w^2),
     so by Weyl's inequality every l >= 2 eigenvalue lies strictly below its
-    l = 1 counterpart.  A circle has the single periodic sector, whose four
-    eigenvalues of smallest magnitude are solved; lambda_1 is the one after
-    the constant mode.
+    l = 1 counterpart.  A circle's even and odd mirror sectors stand in for
+    l = 0 and l = 1; its mode is unfolded onto the full operator, with l = 0.
 
-    On an interval, lambda_1 is the larger of the two sector tops: the top
-    eigenvalue mu_1 of l = 1, and the top of l = 0 below its constant mode.
-    Only mu_1 is bisected at first.  One Sturm count of the l = 0 operator
-    over (mu_1 - tau, inf) then certifies the l = 0 top: tau, 16 eps
-    (max|d| + 2 max|e|), exceeds the bisection tolerance and the count's
-    rounding, so a count of 1 (the constant mode alone) means that the
-    bisected l = 0 top would lie below mu_1, and l = 1 wins.  A larger count
-    (a round sphere's l = 0 / l = 1 twin, the Ling cases) bisects the l = 0
-    top as well, and the larger top wins, the lower sector on a tie; a count
-    of 0 is a ``SolverError``.  Either way the result is bitwise that of
-    bisecting both tops.  Everything runs on the calling thread, and inverse
+    lambda_1 is the larger of the two sector tops: the top eigenvalue mu_1
+    of l = 1, and the top of l = 0 below its constant mode.  Only mu_1 is
+    bisected at first.  One Sturm count of l = 0 over (mu_1 - tau, inf) then
+    certifies the l = 0 top: tau, 16 eps (max|d| + 2 max|e|), exceeds the
+    bisection tolerance (about eps ||T||) and the count's rounding, so a
+    count of 1 (the constant mode alone) means that l = 1 wins.  A larger
+    count (a round sphere's l = 0 / l = 1 twin, the Ling cases, a circle's
+    double eigenvalue) bisects the l = 0 top as well, and the larger top
+    wins, the lower sector on a tie; a count of 0 is a ``SolverError``.
+    Either way the result is bitwise that of bisecting both tops.  Inverse
     iteration runs once, on the winning eigenvalue alone, for the eigenmode.
 
     The Richardson error estimate of the second-order scheme is
@@ -338,27 +340,20 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     interpolation error, so it stands in for a half-resolution eigensolve.
     """
     base = assemble(model, grid, 0)
-    if base.periodic:
-        # index 0 is the constant mode; four, so that Lanczos resolves the
-        # near-double pair above it whole
-        mode = solve_eigen(base, 4)[1]
-    else:
-        n = base.size
-        top = _bisect(base.sector(1), n, n)
-        # stebz bisects to about eps ||T||, and rounding moves a Sturm count
-        # by a few eps ||T||
-        margin = 16.0 * np.finfo(float).eps * float(
-            np.max(np.abs(base.diag)) + 2.0 * np.max(np.abs(base.off_diag)))
-        vl = float(top.w[0]) - margin
-        count = _count(base, vl, math.inf)
-        if count < 1:
-            raise _solver_error(base, f"stebz counts no eigenvalue above {vl!r}, "
-                                      "not even the constant mode")
-        if count > 1:
-            zonal = _bisect(base, n - 1, n - 1)
-            if zonal.w[0] >= top.w[0]:  # a tie goes to the lower sector
-                top = zonal
-        mode = top.modes()[0]
+    zonal, upper = _mirror_sectors(base) if base.periodic else (base, base.sector(1))
+    top = _bisect(upper, upper.diag.size, upper.diag.size)
+    margin = 16.0 * np.finfo(float).eps * float(
+        np.max(np.abs(zonal.diag)) + 2.0 * np.max(np.abs(zonal.off_diag)))
+    vl = float(top.w[0]) - margin
+    count = _count(zonal, vl, math.inf)
+    if count < 1:
+        raise _solver_error(zonal, f"stebz counts no eigenvalue above {vl!r}, "
+                                   "not even the constant mode")
+    if count > 1:
+        second = _bisect(zonal, zonal.diag.size - 1, zonal.diag.size - 1)
+        if second.w[0] >= top.w[0]:  # a tie goes to the lower sector
+            top = second
+    mode = top.modes()[0]
     lam = mode.lam
     err = math.nan
     if richardson and grid.size >= 8:

@@ -423,11 +423,11 @@ def test_case_barrier_selection():
 
     import driftlab as dl
     from driftlab.runner import _select_case_barrier
-    from driftlab.spectral import assemble
+    from driftlab.spectral import _bisect, assemble
 
     model = dl.sphere(2)
     grid = dl.Grid.uniform(model, 600)
-    mode = dl.solve_eigen(assemble(model, grid, 0), 3)[1]
+    mode = _bisect(assemble(model, grid, 0), 598, 600).modes()[1]  # first non-zero zonal
     nef = dl.normalize(mode, K=1.0, b=1.01)
     config = parse_config(_base_config())
 
@@ -607,6 +607,16 @@ def test_cli_import_leaves_integrate_interpolate_and_optimize_unloaded():
     code = ("import sys, driftlab.cli; print(sorted(m for m in ('scipy.integrate', "
             "'scipy.interpolate', 'scipy.optimize', 'scipy.special') "
             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # every eigenproblem, the circle's included, is tridiagonal LAPACK work
+    code = ("import sys, driftlab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'sparse']))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -15,7 +15,7 @@ from driftlab import cli
 from driftlab.errors import (BarrierDomainError, BarrierHypothesisError,
                              DegenerateEigenfunctionError)
 from driftlab.estimates import LevelSetMaxima, eta, xi, xi_eta
-from driftlab.spectral import assemble
+from driftlab.spectral import _bisect, assemble
 
 HALF_PI = math.pi / 2.0
 
@@ -225,6 +225,22 @@ def test_hypotheses_refuse_nan(tmp_path, capsys):
     assert "barrier needs a >= 0" in capsys.readouterr().err
 
 
+def test_hypotheses_refuse_an_overflowing_xi_coefficient():
+    # (a/b)^2 of a finite a = 1e200 overflows the float range; the variant
+    # barrier refuses it as a hypothesis, whatever sigma
+    for sigma in (1.0, -1.0, 0.0):
+        with pytest.raises(BarrierHypothesisError, match="lost the sign"):
+            dl.case_b2b2_barrier(1e200, 1.01, 0.25, sigma)
+
+
+@pytest.mark.parametrize("b", [math.inf, math.nan, 1.0, -math.inf])
+def test_normalize_needs_a_finite_b_above_one(b):
+    # b = inf would give a ~ 1e-13 and finite constants for a gradient
+    # estimate that needs a finite b
+    with pytest.raises(ValueError, match="exceed 1 and be finite"):
+        dl.normalize(_zonal_s2()[2], K=1.0, b=b)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hypotheses_refuse_infinity(tmp_path, capsys):
     # b = inf collapses the comparison domain to t = 0, and a = inf meets
@@ -244,11 +260,18 @@ def test_hypotheses_refuse_infinity(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+def _top_modes(problem, count):
+    """The ``count`` top eigenpairs of a sector, sorted by |mu|, through the
+    solver's own bisection and inverse iteration."""
+    n = problem.size
+    return _bisect(problem, n - count + 1, n).modes()
+
+
 @lru_cache(maxsize=None)
 def _zonal_s2(N=1200):
     model = dl.sphere(2)
     grid = dl.Grid.uniform(model, N)
-    return model, grid, dl.solve_eigen(assemble(model, grid, 0), 3)[1]
+    return model, grid, _top_modes(assemble(model, grid, 0), 3)[1]
 
 
 def test_normalize_zonal_symmetric():
@@ -580,7 +603,7 @@ def _l1_mode_s2():
 def _l2_mode():
     model = dl.sphere(3)
     grid = dl.Grid.uniform(model, 900)
-    return dl.solve_eigen(assemble(model, grid, 2), 1)[0]
+    return _top_modes(assemble(model, grid, 2), 1)[0]
 
 
 def _full_samples(nef):
@@ -687,7 +710,7 @@ def test_normalize_corner_extremes_match_full_product(mode):
 
 def _zonal_mode(N):
     model = dl.sphere(3, density=dl.cosine_density(0.4))
-    return dl.solve_eigen(assemble(model, dl.Grid.uniform(model, N), 0), 2)[1]
+    return _top_modes(assemble(model, dl.Grid.uniform(model, N), 0), 2)[1]
 
 
 def test_streamed_sampler_matches_full_arrays():

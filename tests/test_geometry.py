@@ -189,6 +189,21 @@ def test_circle_needs_periodic_density():
         dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, 2.0 * math.pi))
 
 
+@pytest.mark.parametrize("shift", [0.5 * math.pi, 1.0], ids=["sine", "shifted-cosine"])
+def test_circle_needs_an_even_density(shift):
+    # phi = 0.5 cos(theta - shift) is periodic but not even about theta = 0,
+    # so the circle's operator has no mirror sectors; unshifted it is accepted
+    def profile(s):
+        return dl.RadialProfile(value=lambda r: 0.5 * np.cos(np.asarray(r) - s),
+                                d1=lambda r: -0.5 * np.sin(np.asarray(r) - s),
+                                d2=lambda r: -0.5 * np.cos(np.asarray(r) - s),
+                                d3=lambda r: 0.5 * np.sin(np.asarray(r) - s))
+
+    with pytest.raises(ValueError, match="even about theta = 0"):
+        dl.circle(2.0 * math.pi, density=profile(shift))
+    assert dl.circle(2.0 * math.pi, density=profile(0.0)).phi.value(0.0) == 0.5
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 @pytest.mark.parametrize("shift", [400.0, -400.0], ids=["vanishing", "infinite"])
 def test_grid_rejects_a_density_that_is_not_positive_and_finite(shift):
