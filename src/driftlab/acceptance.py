@@ -80,7 +80,7 @@ def evaluate_cosine_family() -> CosineFamily:
             model = sphere(n, density=cosine_density(eps))
             grid = Grid.uniform(model, SWEEP_N)
             fe = first_nonzero_eigenvalue(model, grid)
-            kb = be_ricci_lower_bound(model, grid)
+            kb = be_ricci_lower_bound(model)
             nef = est.normalize(fe.mode, K=kb.K, b=1.01)
             members.append((n, eps, model, fe, kb, nef, est.gradient_estimate_margin(nef)))
     return CosineFamily(tuple(members), time.perf_counter() - t0)
@@ -166,7 +166,7 @@ def criterion_barrier_dominance() -> CriterionResult:
     model = sphere(2)
     grid = Grid.uniform(model, SWEEP_N)
     mode = _bisect(assemble(model, grid, 0), SWEEP_N - 2, SWEEP_N).modes()[1]  # first non-zero
-    kb = be_ricci_lower_bound(model, grid)
+    kb = be_ricci_lower_bound(model)
     nef = est.normalize(mode, K=kb.K, b=1.01)
     ok_a = abs(nef.a) <= 1e-8
     res.check("S^2:zonal", "asymmetry_a", nef.a, 0.0, 1e-8, ok_a)

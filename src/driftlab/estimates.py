@@ -37,8 +37,9 @@ or second derivatives of xi and eta together from one Horner pass over both
 series; ``xi``, ``eta``, ``BarrierFamily.value`` and
 ``BarrierFamily.derivative`` all read it.  The points that recur are evaluated
 once: the positivity sweep of [-pi/2, pi/2] and the Gauss-Legendre nodes in
-tables built at import, and each b's comparison-domain sweep in a small per-b
-cache, so every check reads the same bits that a fresh evaluation gives.
+tables built at import, each b's comparison-domain sweep in a small per-b
+cache, and the level-set bin edges of each (b, bins) in another, so every
+check reads the same bits that a fresh evaluation gives.
 
 Derivatives of barriers are always analytic; the touching-point residual is
 too sensitive for differenced derivatives.
@@ -207,25 +208,25 @@ class NormalizedEigenfunction:
     @cached_property
     def equator_grad_sq(self) -> np.ndarray:
         """A = (R/w)^2: |grad v|^2 on the fiber equator x = 0 of an l = 1 mode."""
-        return (self.v_rad / np.asarray(self.model.w.value(self.grid.nodes), dtype=float)) ** 2
+        return (self.v_rad / self.grid.w) ** 2
 
-    def samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (v, |grad v|^2) at the points of the manifold where, row by
-        row, the estimate quantities take their extremes.
+    def samples(self) -> tuple[np.ndarray, np.ndarray, float | None]:
+        """(v, |grad v|^2) at the points of the manifold where, row by row,
+        the estimate quantities take their extremes, as the N radial rows
+        and one equator value.
 
-        Zonal modes and circles: the radial grid.  On the row at r of an
-        l = 1 mode, |grad v|^2 = R'^2 x^2 + A (1 - x^2) and b^2 - v^2 =
-        b^2 - R^2 x^2, so |grad v|^2 / (b^2 - v^2) is a Moebius function of
-        x^2 and monotone in it: its sup over the row is at a fiber pole
-        x = +-1 or at the equator x = 0.  The points are the poles (R, R'^2),
-        then the antipodal poles (-R, R'^2), then one point (0, max A) for the
-        equators, which all lie on the level v = 0: 2N + 1 points in all.
+        Zonal modes and circles: the radial grid, and no equator (None).  On
+        the row at r of an l = 1 mode, |grad v|^2 = R'^2 x^2 + A (1 - x^2)
+        and b^2 - v^2 = b^2 - R^2 x^2, so |grad v|^2 / (b^2 - v^2) is a
+        Moebius function of x^2 and monotone in it: its sup over the row is
+        at a fiber pole x = +-1 or at the equator x = 0.  The points are the
+        poles (R, R'^2), which the rows hold, then the antipodal poles
+        (-R, R'^2), which mirror them, then one point (0, max A) for the
+        equators, which all lie on the level v = 0 and whose |grad v|^2 is
+        the third value: 2N + 1 points in all, each row evaluated once.
         """
-        grad_sq = self.dv_rad ** 2
-        if self.l == 0:
-            return self.v_rad, grad_sq
-        return (np.concatenate([self.v_rad, -self.v_rad, [0.0]]),
-                np.concatenate([grad_sq, grad_sq, [self.equator_grad_sq.max()]]))
+        equator = None if self.l == 0 else float(self.equator_grad_sq.max())
+        return self.v_rad, self.dv_rad ** 2, equator
 
 
 def normalize(mode: EigenMode, K: float | None = None,
@@ -273,7 +274,7 @@ def normalize(mode: EigenMode, K: float | None = None,
         v_rad = (u - (1.0 - k) / 2.0) / ((1.0 + k) / 2.0)
 
     if K is None:
-        K = be_ricci_lower_bound(model, grid).K if not periodic else 0.0
+        K = be_ricci_lower_bound(model).K if not periodic else 0.0
 
     res = problem.apply(v_rad) + lam * (v_rad + a)
     residual_inf = float(np.max(np.abs(res)))
@@ -298,9 +299,13 @@ class GradientMargin:
 
 def gradient_estimate_margin(nef: NormalizedEigenfunction) -> GradientMargin:
     """The gradient estimate's sup over ``nef.samples()``: for an l = 1 mode,
-    by monotonicity on each fiber, the exact sup over every radial row."""
-    v, grad_sq = nef.samples()
-    sup = float((grad_sq / (nef.b * nef.b - v * v)).max())
+    by monotonicity on each fiber, the exact sup over every radial row.  The
+    antipodal poles have the rows' ratios, since (-v)^2 = v^2 bitwise."""
+    v, grad_sq, equator = nef.samples()
+    b2 = nef.b * nef.b
+    sup = float((grad_sq / (b2 - v * v)).max())
+    if equator is not None:
+        sup = float(np.max([sup, equator / b2]))  # v = 0 on the equators
     bound = nef.lam * (1.0 + nef.a)
     return GradientMargin(margin=bound - sup, sup_ratio=sup, bound=bound)
 
@@ -320,57 +325,99 @@ class LevelSetMaxima:
         return self.counts > 0
 
 
+# Rows per numpy call when _edge_level_maxima evaluates surviving groups, so
+# that its memory stays bounded whatever the number of survivors.
+_EDGE_BLOCK_ROWS = 1 << 12
+
+
+def _group_maxima(c: np.ndarray, a: np.ndarray, r2: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per group (row of c, a, r2, each a fresh copy) and level s (one per
+    group), the largest fl(fl(c s) + a) over the rows that reach the level
+    (r2 >= s); -inf if none do."""
+    c *= s
+    c += a
+    c[r2 < s] = -np.inf
+    return c.max(axis=1)
+
+
 def _edge_level_maxima(nef: NormalizedEigenfunction, edges: np.ndarray) -> np.ndarray:
     """For an l = 1 mode, per bin edge t_e, the maximum of the fiber quantity
     (A + C v_e^2) / (lam (b^2 - v_e^2)) over the rows that reach the level
-    v_e = b sin t_e; -inf where no row does."""
+    v_e = b sin t_e; -inf where no row does.
+
+    Symmetric edges share a level s = v_e^2.  On s = 0 every row reaches and
+    the maximum is max A, which holds also where C overflowed to +-inf.  On
+    s > 0 it is the largest fl(fl(C s) + A) over the rows with R^2 >= s.
+    The rows are cut, in radial order, into groups of G = isqrt(N).  Rounding
+    is monotone, so fl(fl(Cmax s) + Amax), from the group's largest C and
+    A, bounds every row of the group.  Per level, the group with the best
+    bound among those that reach it is evaluated exactly, every group whose
+    bound lies below that value is pruned, and the rows of the survivors are
+    evaluated with the same products and sums and masked where they do not
+    reach the level.  The group holding the maximum always survives, so the
+    result is bitwise the maximum over all reaching rows.
+    """
     b, lam = nef.b, nef.lam
     r2 = nef.v_rad ** 2
     a_eq = nef.equator_grad_sq
     # a row with R = 0 lies on the level v = 0, where its poles are samples
     c = np.divide(nef.dv_rad ** 2 - a_eq, r2, out=np.zeros_like(r2), where=r2 > 0.0)
-    # symmetric edges share a level.  Sorted by R^2, descending, the rows that
-    # reach a level (R^2 >= v_e^2) are a prefix of the order
     levels, at_edge = np.unique((b * np.sin(edges)) ** 2, return_inverse=True)
-    order = np.argsort(r2)[::-1]
-    a_eq, c = a_eq[order], c[order]
-    reach = np.searchsorted(-r2[order], -levels, side="right")
     top = np.full(levels.size, -np.inf)
-    buf = np.empty_like(c)
-    for i, (s, m) in enumerate(zip(levels.tolist(), reach.tolist())):
-        if not m:
-            continue
-        # on the level v = 0 the quantity is A alone, also where C overflowed to inf
-        part = a_eq[:m]
-        if s:
-            part = np.multiply(c[:m], s, out=buf[:m])
-            part += a_eq[:m]
-        top[i] = part.max()
+    top[levels == 0.0] = a_eq.max()
+    live = np.flatnonzero((levels > 0.0) & (levels <= r2.max()))  # reached by some row
+    # the padding of the last group reaches no level
+    g = math.isqrt(r2.size)
+    pad = -r2.size % g
+    r2, c, a_eq = (np.pad(x, (0, pad), constant_values=-np.inf).reshape(-1, g)
+                   for x in (r2, c, a_eq))
+    s = levels[live, None]
+    bound = np.where(r2.max(axis=1) >= s, c.max(axis=1) * s + a_eq.max(axis=1), -np.inf)
+    best = np.argmax(bound, axis=1)
+    level, group = np.nonzero(bound >= _group_maxima(c[best], a_eq[best], r2[best], s)[:, None])
+    step = max(1, _EDGE_BLOCK_ROWS // g)
+    for k in range(0, level.size, step):
+        lv, gr = level[k:k + step], group[k:k + step]
+        np.maximum.at(top, live[lv], _group_maxima(c[gr], a_eq[gr], r2[gr], s[lv]))
     return (top / (lam * (b * b - levels)))[at_edge]
+
+
+@lru_cache(maxsize=8)
+def _bin_edges(b: float, bins: int) -> np.ndarray:
+    """The t-bin edges of ``compute_Z``: ``bins`` uniform bins of [-arcsin(1/b), arcsin(1/b)]."""
+    tb = math.asin(1.0 / b)
+    return _read_only(np.linspace(-tb, tb, bins + 1))
 
 
 def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima:
     """Per-bin maxima of the normalized gradient quantity over t-level sets.
 
     ``nef.samples()`` are binned by t = arcsin(v/b) on uniform edges (the last
-    bin closed); a bin's ``arg_t`` is the t of its first maximizing sample.
-    The fiber of an l = 1 mode's row is continuous: on a level v_e that the
-    row reaches (R^2 >= v_e^2) it has x^2 = v_e^2/R^2, so the quantity is
+    bin closed); a bin's ``arg_t`` is the t of its first maximizing sample,
+    in the order rows (the fiber poles), antipodal poles, equator point.
+    t and the quantity are computed once per row: numpy's arcsin is odd and
+    (-v)/b = -(v/b) bitwise, so the antipodal poles take -t and the row's
+    value, and only their bin indices are found apart.  The fiber of an
+    l = 1 mode's row is continuous: on a level v_e that the row reaches
+    (R^2 >= v_e^2) it has x^2 = v_e^2/R^2, so the quantity is
     (A + C v_e^2) / (lam (b^2 - v_e^2)) with C = (R'^2 - A)/R^2.  Monotone in
     x^2, it peaks over a closed bin at a pole or equator inside it or at one
     of the bin's two edge levels, so every bin also takes the maximum over
-    the rows at each of its edges (``arg_t`` the edge when that is larger)
-    and holds the exact maximum of the continuous fibers over the closed
-    bin.  ``counts`` tallies the samples and the reached edges of each bin.
+    the rows at each of its edges (``_edge_level_maxima``; ``arg_t`` the edge
+    when that is larger) and holds the exact maximum of the continuous fibers
+    over the closed bin.  ``counts`` tallies the samples and the reached
+    edges of each bin.
     """
     b, lam = nef.b, nef.lam
-    tb = math.asin(1.0 / b)
-    edges = np.linspace(-tb, tb, t_bins + 1)
-    # first, so that its N-arrays are gone before the 2N + 1 samples are drawn
+    edges = _bin_edges(b, t_bins)
+    # first, so that its N-arrays are gone before the samples' are made
     edge_val = _edge_level_maxima(nef, edges) if nef.l == 1 else None
-    v, grad_sq = nef.samples()
+    v, grad_sq, equator = nef.samples()
     t = np.arcsin(v / b)
     val = grad_sq / (lam * (b * b - v * v))
+    if equator is not None:  # the antipodal poles, then the equator point at v = 0
+        t = np.concatenate([t, -t, [0.0]])
+        val = np.concatenate([val, val, [equator / (lam * (b * b))]])
     inside = (t >= edges[0]) & (t <= edges[-1])
     if not inside.all():
         t, val = t[inside], val[inside]
@@ -378,10 +425,12 @@ def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima
     counts = np.bincount(idx, minlength=t_bins)
     values = np.full(t_bins, -np.inf)
     np.maximum.at(values, idx, val)
-    first = np.full(t_bins, val.size)  # an empty bin points past the end, at NaN
+    first = np.full(t_bins, val.size)  # an empty bin points past the end
     hit = np.flatnonzero(val == values[idx])
     np.minimum.at(first, idx[hit], hit)
-    arg_t = np.append(t, np.nan)[first]
+    arg_t = np.full(t_bins, np.nan)
+    seen = first < val.size
+    arg_t[seen] = t[first[seen]]
     if edge_val is not None:
         for side in (slice(None, -1), slice(1, None)):  # lower edges, then upper
             counts += edge_val[side] > -np.inf
@@ -494,17 +543,37 @@ class DominanceReport:
     occupied_bins: int
 
 
+@lru_cache(maxsize=8)
+def _edge_xi_eta(b: float, bins: int) -> np.ndarray:
+    """(xi, eta) at the ``compute_Z`` bin edges of (b, bins)."""
+    return _read_only(xi_eta(_bin_edges(b, bins)))
+
+
 def barrier_dominance_check(levelset: LevelSetMaxima, z) -> DominanceReport:
     """Check Z(t) <= z(t) at grid resolution; nonnegative minimum certifies it.
 
     ``z`` may be a BarrierFamily or any callable; margins are computed at the
     maximizing t of each occupied bin, so no values are fabricated for empty
-    bins.
+    bins.  For a BarrierFamily, an ``arg_t`` that is a bin edge of the
+    barrier's b (most are, for l = 1 modes) reads (xi, eta) from the table
+    of those edges, which ``xi_eta`` filled on the same points; the others
+    are evaluated afresh.
     """
-    zf = z.value if isinstance(z, BarrierFamily) else z
     occ = levelset.occupied
     tvals = levelset.arg_t[occ]
-    margins = np.asarray(zf(tvals), dtype=float) - levelset.values[occ]
+    if isinstance(z, BarrierFamily):
+        bins = levelset.edges.size - 1
+        edges = _bin_edges(z.b, bins)
+        j = np.minimum(np.searchsorted(edges, tvals), bins)
+        at_edge = edges[j] == tvals
+        pair = np.empty((2, tvals.size))
+        pair[:, at_edge] = _edge_xi_eta(z.b, bins)[:, j[at_edge]]
+        if not at_edge.all():
+            pair[:, ~at_edge] = xi_eta(tvals[~at_edge])
+        zt = z.combine(*pair)
+    else:
+        zt = np.asarray(z(tvals), dtype=float)
+    margins = zt - levelset.values[occ]
     i = int(np.argmin(margins))
     return DominanceReport(min_margin=float(margins[i]), worst_t=float(tvals[i]),
                            occupied_bins=int(occ.sum()))

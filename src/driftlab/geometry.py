@@ -264,13 +264,15 @@ class Grid:
     weights integrate u against  w^{n-1} e^{-phi} dr * Vol(S^{n-1})  (interval)
     or  e^{-phi} dtheta  (circle) by the composite midpoint rule; ``density``
     holds rho = w^{n-1} e^{-phi} (or e^{-phi}) at the nodes, which they and
-    the operator assembly share.
+    the operator assembly share, and ``w`` the warp at the nodes (None on
+    circles), which the angular sectors and the estimates read.
     """
 
     nodes: np.ndarray
     spacing: float
     weights: np.ndarray
     density: np.ndarray
+    w: np.ndarray | None
 
     def __post_init__(self):
         if self.nodes.ndim != 1 or self.nodes.size < 4:
@@ -289,19 +291,27 @@ class Grid:
         h = model.L / count
         if model.topology == INTERVAL_SPHERE:
             nodes = (np.arange(count) + 0.5) * h
+            w = np.asarray(model.w.value(nodes), dtype=float)
         else:
             nodes = np.arange(count) * h
-        rho = measure_density(model, nodes)
+            w = None
+        rho = _density(model, nodes, w)
         return Grid(nodes=nodes, spacing=h, weights=weighted_measure(model, rho, h),
-                    density=rho)
+                    density=rho, w=w)
 
 
 def measure_density(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
     """rho(r) = w^{n-1} e^{-phi} (interval) or e^{-phi} (circle)."""
     r = np.asarray(r, dtype=float)
-    if model.topology == INTERVAL_SPHERE:
-        return np.asarray(model.w.value(r)) ** (model.n - 1) * np.exp(-np.asarray(model.phi.value(r)))
-    return np.exp(-np.asarray(model.phi.value(r)))
+    w = np.asarray(model.w.value(r), dtype=float) if model.topology == INTERVAL_SPHERE else None
+    return _density(model, r, w)
+
+
+def _density(model: WarpedManifold, r: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """rho at r from the warp's values there (None on circles)."""
+    if w is None:
+        return np.exp(-np.asarray(model.phi.value(r)))
+    return w ** (model.n - 1) * np.exp(-np.asarray(model.phi.value(r)))
 
 
 def weighted_measure(model: WarpedManifold, density: np.ndarray, spacing: float) -> np.ndarray:
@@ -334,7 +344,11 @@ def curvature(model: WarpedManifold, grid: Grid) -> CurvatureProfile:
     cancellation-prone 1 - w'^2 uses the profile's stable form when present.
     Exact pole values are available from :func:`pole_curvature`.
     """
-    r = grid.nodes
+    return _curvature(model, grid.nodes, grid.w)
+
+
+def _curvature(model: WarpedManifold, r: np.ndarray, wv: np.ndarray | None) -> CurvatureProfile:
+    """Curvature at interior radii r, from the warp's values wv there."""
     phi = model.phi
     if model.topology == CIRCLE:
         zero = np.zeros_like(r)
@@ -343,7 +357,6 @@ def curvature(model: WarpedManifold, grid: Grid) -> CurvatureProfile:
                                 ricphi_rr=hess, ricphi_tan=hess.copy(),
                                 scalar=zero.copy())
     w = model.w
-    wv = np.asarray(w.value(r), dtype=float)
     if np.any(wv <= 0.0) or not np.all(np.isfinite(wv)):
         raise PoleRegularityError("warp is not positive on the grid; check pole regularity")
     wd1 = np.asarray(w.d1(r), dtype=float)
@@ -378,6 +391,18 @@ def pole_curvature(model: WarpedManifold) -> tuple[float, float]:
     return (-(n - 1) * float(w3[0]), (n - 1) * float(w3[1]))
 
 
+def _warp_slope_terms(model: WarpedManifold, r: np.ndarray):
+    """(w''' - w'' w'/w)/w, w' (w''/w + (1-w'^2)/w^2)/w, w'/w and w''/w at
+    interior r; the radial derivative of -w''/w is minus the first, that of
+    (1-w'^2)/w^2 is -2 times the second."""
+    w = model.w
+    wv, wd1, wd2, wd3 = (np.asarray(f(r), dtype=float) for f in (w.value, w.d1, w.d2, w.d3))
+    btan = np.asarray(w.stable_one_minus_d1_sq(r), dtype=float) / wv**2
+    term_a = (wd3 - wd2 * wd1 / wv) / wv
+    term_b = wd1 * (wd2 / wv + btan) / wv
+    return term_a, term_b, wd1 / wv, wd2 / wv
+
+
 def scalar_curvature_derivative(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
     """dR/dr at interior points, from analytic profile derivatives.
 
@@ -387,46 +412,113 @@ def scalar_curvature_derivative(model: WarpedManifold, r: np.ndarray) -> np.ndar
     """
     if model.topology == CIRCLE:
         return np.zeros_like(np.asarray(r, dtype=float))
-    w = model.w
-    r = np.asarray(r, dtype=float)
-    wv = np.asarray(w.value(r), dtype=float)
-    wd1 = np.asarray(w.d1(r), dtype=float)
-    wd2 = np.asarray(w.d2(r), dtype=float)
-    wd3 = np.asarray(w.d3(r), dtype=float)
-    btan = np.asarray(w.stable_one_minus_d1_sq(r), dtype=float) / wv**2
+    term_a, term_b, _, _ = _warp_slope_terms(model, np.asarray(r, dtype=float))
     n = model.n
-    term_a = (wd3 - wd2 * wd1 / wv) / wv
-    term_b = wd1 * (wd2 / wv + btan) / wv
     return -2.0 * (n - 1) * term_a - 2.0 * (n - 1) * (n - 2) * term_b
+
+
+def _ricphi_slopes(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
+    """d/dr of the radial and tangential Ric_phi eigenvalues at interior r,
+    the rows of a (2, r.size) array.  They are -(n-1) w''/w + phi'' and
+    -w''/w + (n-2)(1-w'^2)/w^2 + phi' w'/w."""
+    term_a, term_b, q, p = _warp_slope_terms(model, r)
+    phi, n = model.phi, model.n
+    pd1, pd2, pd3 = (np.asarray(f(r), dtype=float) for f in (phi.d1, phi.d2, phi.d3))
+    return np.stack([-(n - 1) * term_a + pd3,
+                     -term_a - 2.0 * (n - 2) * term_b + pd2 * q + pd1 * (p - q * q)])
+
+
+# Points of [0, L], poles included, at which be_ricci_lower_bound samples
+# Ric_phi, and the bisection steps that narrow each bracket before its secant step.
+_RIC_SAMPLES = 1025
+_RIC_BISECTIONS = 2
+_RIC_SECANTS = 2
+
+
+def _critical_points(model: WarpedManifold, which: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray) -> np.ndarray:
+    """A zero of the slope of Ric_phi eigenvalue ``which`` (0 radial, 1
+    tangential) in each bracket [lo, hi] that holds a local minimum.
+    ``_RIC_BISECTIONS`` bisections on the slope's sign come first; then each
+    step is a secant step between the bracket's ends, where both carry
+    slopes of opposite signs (a bisection elsewhere), and the last one is
+    returned.  The slope is evaluated inside the brackets only, never at a
+    pole."""
+    s_lo, s_hi = np.full(lo.size, np.nan), np.full(lo.size, np.nan)
+    for step in range(_RIC_BISECTIONS + _RIC_SECANTS + 1):
+        secant = (s_lo < 0.0) & (s_hi > 0.0) if step >= _RIC_BISECTIONS else False
+        frac = np.divide(-s_lo, s_hi - s_lo, out=np.full(lo.size, 0.5), where=secant)
+        x = lo + frac * (hi - lo)
+        if step == _RIC_BISECTIONS + _RIC_SECANTS:
+            return x
+        slope = _ricphi_slopes(model, x)[which, np.arange(x.size)]
+        down = slope < 0.0
+        lo, s_lo = np.where(down, x, lo), np.where(down, slope, s_lo)
+        hi, s_hi = np.where(down, hi, x), np.where(down, s_hi, slope)
 
 
 @dataclass(frozen=True)
 class RicciLowerBound:
-    """Largest K with Ric_phi >= (n-1) K g on the sampled model."""
+    """Largest K with Ric_phi >= (n-1) K g on the model, and where it is attained."""
 
     K: float
     radius: float
     positive: bool
 
 
-def be_ricci_lower_bound(model: WarpedManifold, grid: Grid) -> RicciLowerBound:
-    """K_eff = min over the sampled model of the smaller Ric_phi eigenvalue, over (n-1).
+def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
+    """K_eff = min over the model of the smaller Ric_phi eigenvalue, over (n-1).
 
-    The poles are included through their exact limit values (cell centers never
-    touch them, and densities like -cos r take their true minimum exactly at a
-    pole).  Flagged non-positive results are unusable by the Lichnerowicz- and
-    Ling-type bounds, which require K > 0.
+    The minimum is the model's own; no grid enters it.  Each of the two
+    eigenvalues (radial and tangential) is sampled at ``_RIC_SAMPLES``
+    equispaced points of [0, L], the poles through their exact isotropic
+    limits (``pole_curvature`` plus phi'').  Each interior sample that is a
+    strict local minimum of its eigenvalue's samples brackets a critical
+    point between its two neighbours, which ``_critical_points`` finds on
+    the sign of the closed-form radial derivative (the profiles carry third
+    derivatives) to within about 1e-13 L, where the eigenvalue is flat to
+    rounding; both eigenvalues there join the candidates.  The minimum of
+    the smaller eigenvalue is the smaller of the two eigenvalues' minima
+    (where they cross, their minimum has a concave kink, never a local
+    minimum), so no crossing needs a candidate.
+
+    A dip that no sampled minimum brackets needs two critical points of one
+    eigenvalue within 2H, H = L/1024, a pole counting as one (the
+    eigenvalues are even about the poles), and is at most
+    max |Ric_phi''| H^2 / 8 deep.  On the shipped families (the sphere warp
+    of radius L/pi with a cosine or a degree-2 poly-cos density) each
+    eigenvalue is a polynomial of degree at most 2 in c = cos(pi r/L), whose
+    r-derivative is sin(pi r/L) times a linear function of c: at most one
+    critical point inside (0, L), so a dip needs it within H of a pole,
+    where c is within 1 - cos(pi/1024) = 4.7e-6 of +-1.  The Ling cases'
+    lies at c = -1/2.
+
+    ``radius`` is where the minimum is attained; a tie (Ric_phi constant, as
+    on a unit round sphere) goes to the smallest radius, the pole r = 0.
+    A non-positive result is flagged: the Lichnerowicz- and Ling-type bounds
+    need K > 0.
     """
     if model.topology == CIRCLE:
         raise ValueError("the (n-1) K normalization degenerates on 1-dimensional circles")
-    prof = curvature(model, grid)
-    smaller = np.minimum(prof.ricphi_rr, prof.ricphi_tan)
-    ric0, ricL = pole_curvature(model)
-    hess_poles = np.asarray(model.phi.d2(np.array([0.0, model.L])), dtype=float)
-    candidates = np.concatenate([smaller, [ric0 + hess_poles[0], ricL + hess_poles[1]]])
-    radii = np.concatenate([grid.nodes, [0.0, model.L]])
-    i = int(np.argmin(candidates))
-    k_eff = float(candidates[i]) / (model.n - 1)
+    r = np.linspace(0.0, model.L, _RIC_SAMPLES)
+    inner = r[1:-1]
+    prof = _curvature(model, inner, np.asarray(model.w.value(inner), dtype=float))
+    ends = np.array([0.0, model.L])
+    sampled = np.empty((2, r.size))
+    sampled[:, [0, -1]] = np.array(pole_curvature(model)) \
+        + np.asarray(model.phi.d2(ends), dtype=float)
+    sampled[0, 1:-1], sampled[1, 1:-1] = prof.ricphi_rr, prof.ricphi_tan
+    left, mid, right = sampled[:, :-2], sampled[:, 1:-1], sampled[:, 2:]
+    which, j = np.nonzero((mid <= left) & (mid <= right) & ((mid < left) | (mid < right)))
+    radii, values = r, np.minimum(*sampled)
+    if j.size:
+        x = _critical_points(model, which, r[j], r[j + 2])  # the neighbours of sample j + 1
+        refined = _curvature(model, x, np.asarray(model.w.value(x), dtype=float))
+        radii = np.concatenate([radii, x])
+        values = np.concatenate([values, np.minimum(refined.ricphi_rr, refined.ricphi_tan)])
+    order = np.argsort(radii, kind="stable")
+    i = order[np.argmin(values[order])]
+    k_eff = float(values[i]) / (model.n - 1)
     return RicciLowerBound(K=k_eff, radius=float(radii[i]), positive=k_eff > 0.0)
 
 

@@ -103,7 +103,7 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
         if model.topology == CIRCLE:
             why = "needs an interval-sphere model (circles have no K_eff)"
         else:
-            kb = be_ricci_lower_bound(model, grid)
+            kb = be_ricci_lower_bound(model)
             shared.update(K_eff=kb.K, K_min_radius=kb.radius)
             if kb.positive:
                 nef = est.normalize(fe.mode, K=kb.K, b=config.b)

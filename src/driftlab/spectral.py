@@ -93,8 +93,9 @@ class SpectralProblem:
         and sqrt_rho are shared."""
         if not l:
             return self
-        w = self.model.w.value(self.grid.nodes)
-        potential = np.asarray(w, dtype=float) ** 2
+        if self.grid.w is None:
+            raise AssemblyError("a circle has no angular sectors l >= 1")
+        potential = self.grid.w ** 2
         np.divide(angular_eigenvalue(self.model.n, l), potential, out=potential)
         if not np.all(np.isfinite(potential)):
             raise AssemblyError(
@@ -305,8 +306,8 @@ def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
     if problem.periodic:
         energy += problem.corner * s[-1] * s[0] * (u[0] - u[-1]) ** 2
     if problem.l:
-        w = np.asarray(problem.model.w.value(problem.grid.nodes), dtype=float)
-        energy += angular_eigenvalue(problem.model.n, problem.l) * float(np.sum(rho_u2 / w**2))
+        energy += angular_eigenvalue(problem.model.n, problem.l) \
+            * float(np.sum(rho_u2 / problem.grid.w**2))
     return energy / float(np.sum(rho_u2))
 
 

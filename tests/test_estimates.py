@@ -1,12 +1,14 @@
 """Test functions, barriers, normalization, and level-set estimate checks."""
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import driftlab as dl
@@ -673,10 +675,20 @@ def _brute_fiber_Z(nef, bins, dense=2001):
     return values
 
 
+def _flat_samples(nef):
+    """The points that ``samples()`` stands for, as flat (v, |grad v|^2):
+    for an l = 1 mode the rows, their antipodal poles and the equator point,
+    2N + 1 in all."""
+    v, grad_sq, equator = nef.samples()
+    if equator is None:
+        return v, grad_sq
+    return np.concatenate([v, -v, [0.0]]), np.concatenate([grad_sq, grad_sq, [equator]])
+
+
 def test_normalize_l1_mode_symmetric():
     nef = dl.normalize(_l1_mode(), b=1.01)
     assert nef.a == 0.0 and nef.k == 1.0
-    v, _ = nef.samples()
+    v, _ = _flat_samples(nef)
     N = nef.v_rad.size
     assert abs(v.max() - 1.0) < 1e-12
     assert abs(v.min() + 1.0) < 1e-12
@@ -719,6 +731,7 @@ def test_streamed_sampler_matches_full_arrays():
     v, grad_sq = _full_samples(nef)
     samples = nef.samples()
     assert np.array_equal(samples[0], v) and np.array_equal(samples[1], grad_sq)
+    assert samples[2] is None
     sup = float((grad_sq / (nef.b * nef.b - v * v)).max())
     assert dl.gradient_estimate_margin(nef).sup_ratio == sup
     levelset = dl.compute_Z(nef, 200)
@@ -730,7 +743,7 @@ def test_streamed_sampler_matches_full_arrays():
     nef = dl.normalize(_l1_mode(), K=1.0, b=1.01)
     v, grad_sq = _full_samples(nef)
     N = nef.v_rad.size
-    samples = nef.samples()
+    samples = _flat_samples(nef)
     assert np.array_equal(samples[0][:N], v[:, 0])
     assert np.array_equal(samples[1][:N], grad_sq[:, 0])
     assert np.array_equal(samples[0][N:2 * N], v[:, -1])
@@ -782,7 +795,7 @@ class _Samples:
         self.v, self.grad_sq, self.b, self.lam, self.l = v, grad_sq, b, 1.0, 0
 
     def samples(self):
-        return self.v, self.grad_sq
+        return self.v, self.grad_sq, None
 
 
 def test_compute_Z_ties_keep_the_first_maximizer():
@@ -803,11 +816,12 @@ def test_compute_Z_ties_keep_the_first_maximizer():
 
 
 def _per_level_masked_Z(nef, t_bins):
-    """compute_Z with one masked maximum over all N rows per edge level."""
+    """compute_Z over all 2N + 1 points, with one masked maximum over all N
+    rows per edge level."""
     b, lam = nef.b, nef.lam
     tb = math.asin(1.0 / b)
     edges = np.linspace(-tb, tb, t_bins + 1)
-    v, grad_sq = nef.samples()
+    v, grad_sq = _flat_samples(nef)
     t = np.arcsin(v / b)
     val = grad_sq / (lam * (b * b - v * v))
     inside = (t >= edges[0]) & (t <= edges[-1])
@@ -889,8 +903,10 @@ def test_compute_Z_prefix_maxima_match_masked_maxima_bitwise(n, rows, lam, b, bi
 
 
 def _list_comprehension_edge_maxima(nef, edges):
-    """Per-edge prefix maxima from one list comprehension with a fresh array
-    per level: the reference for ``_edge_level_maxima``'s in-place loop."""
+    """Per-edge prefix maxima: the rows sorted by R^2, descending, and per
+    level one maximum over the prefix that reaches it, each a fresh array.
+    This is the prefix loop that ``_edge_level_maxima``'s group bounds
+    replaced, and the oracle they must match bit for bit."""
     b, lam = nef.b, nef.lam
     r2 = nef.v_rad ** 2
     a_eq = nef.equator_grad_sq
@@ -911,3 +927,129 @@ def test_edge_level_maxima_match_the_list_comprehension_on_a_real_mode():
     edge_val = est._edge_level_maxima(nef, edges)
     assert edge_val.tobytes() == _list_comprehension_edge_maxima(nef, edges).tobytes()
     assert np.isfinite(edge_val).all()
+
+
+# radial values with repeats (ties), zeros, and tiny ones whose C overflows
+_EDGE_RADIAL = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, 1e-10, -1e-10, 1e-160]),
+                         st.floats(-1.0, 1.0))
+# warp values: a tiny one sends C = (R'^2 - A)/R^2 = R'^2/R^2 - 1/w^2 to -inf
+_EDGE_WARP = st.one_of(st.sampled_from([1.0, 0.5, 1e-160]), st.floats(1e-3, 2.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(_EDGE_RADIAL, st.sampled_from([0.0, 1.0, -2.0, 1e-3]),
+                               _EDGE_WARP), min_size=4, max_size=200),
+       lam=st.floats(0.5, 10.0), b=st.floats(1.001, 2.0), bins=st.integers(1, 60))
+# R = 0 rows, +inf and -inf in C, tied rows, and no row reaching the outer levels
+@example(rows=[(0.0, 1.0, 1.0), (1e-160, 1.0, 0.5), (1e-10, 0.0, 1e-160), (0.5, 1.0, 1.0),
+               (0.5, 1.0, 1.0), (-0.5, 1.0, 1.0)], lam=2.0, b=1.5, bins=6)
+# identical rows: every group's bound is its exact value, and the best survives
+@example(rows=[(0.5, 1.0, 1.0)] * 4, lam=1.0, b=1.01, bins=4)
+def test_group_bound_edge_maxima_match_the_prefix_loop_bitwise(rows, lam, b, bins):
+    v_rad, dv_rad, w = (np.array(column) for column in zip(*rows))
+    with np.errstate(over="ignore"):
+        assume(np.all(np.isfinite((v_rad / w) ** 2)))  # A = (R/w)^2 finite
+    model = dl.sphere(3)
+    size = len(rows)
+    grid = dl.Grid(nodes=np.arange(size) + 0.5, spacing=1.0, weights=np.ones(size),
+                   density=np.ones(size), w=w)
+    nef = est.NormalizedEigenfunction(
+        model=model, grid=grid, l=1, lam=lam, k=1.0, a=0.0, b=b, K=1.0,
+        v_rad=v_rad, dv_rad=dv_rad, residual_inf=0.0, residual_rel=0.0)
+    edges = est._bin_edges(b, bins)
+    got = est._edge_level_maxima(nef, edges)
+    assert got.tobytes() == _list_comprehension_edge_maxima(nef, edges).tobytes()
+    if np.all(v_rad ** 2 < (b * np.sin(edges[0])) ** 2):
+        assert got[0] == got[-1] == -np.inf
+
+
+def _reference_compute_Z(nef, bins):
+    """compute_Z over the 2N + 1 flat points, with the prefix-loop edge levels."""
+    b, lam = nef.b, nef.lam
+    tb = math.asin(1.0 / b)
+    edges = np.linspace(-tb, tb, bins + 1)
+    edge_val = _list_comprehension_edge_maxima(nef, edges) if nef.l == 1 else None
+    v, grad_sq = _flat_samples(nef)
+    t = np.arcsin(v / b)
+    val = grad_sq / (lam * (b * b - v * v))
+    inside = (t >= edges[0]) & (t <= edges[-1])
+    t, val = t[inside], val[inside]
+    idx = np.minimum(np.searchsorted(edges, t, side="right") - 1, bins - 1)
+    counts = np.bincount(idx, minlength=bins)
+    values = np.full(bins, -np.inf)
+    np.maximum.at(values, idx, val)
+    first = np.full(bins, val.size)
+    hit = np.flatnonzero(val == values[idx])
+    np.minimum.at(first, idx[hit], hit)
+    arg_t = np.append(t, np.nan)[first]
+    if edge_val is not None:
+        for side in (slice(None, -1), slice(1, None)):
+            counts += edge_val[side] > -np.inf
+            better = edge_val[side] > values
+            values[better] = edge_val[side][better]
+            arg_t[better] = edges[side][better]
+    values[counts == 0] = np.nan
+    return edges, values, arg_t, counts
+
+
+@pytest.mark.parametrize("N", [64, 2000, 2001])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rows_once_match_the_flat_points_bitwise_on_real_modes(n, N):
+    # the cosine sphere's lambda_1 mode is l = 1, the Ling model's zonal
+    for density in (dl.cosine_density(0.5), dl.poly_cos_density([0.0, -1.0, -0.25])):
+        model = dl.sphere(n, density=density)
+        mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, N)).mode
+        nef = dl.normalize(mode, K=1.0)
+        v, grad_sq = _flat_samples(nef)
+        sup = float((grad_sq / (nef.b * nef.b - v * v)).max())
+        assert dl.gradient_estimate_margin(nef).sup_ratio == sup
+        levelset = dl.compute_Z(nef, 200)
+        edges, values, arg_t, counts = _reference_compute_Z(nef, 200)
+        assert levelset.edges.tobytes() == edges.tobytes()
+        assert levelset.values.tobytes() == values.tobytes()
+        assert levelset.arg_t.tobytes() == arg_t.tobytes()
+        assert np.array_equal(levelset.counts, counts)
+        z = dl.barrier(nef.a, nef.b, 0.25, 1.0)
+        dom = dl.barrier_dominance_check(levelset, z)
+        occ = levelset.occupied
+        margins = z.value(levelset.arg_t[occ]) - levelset.values[occ]
+        assert dom.min_margin == margins.min()
+        assert dom.worst_t == levelset.arg_t[occ][np.argmin(margins)]
+
+
+def test_dominance_check_reads_edges_from_the_table_bitwise():
+    # most arg_t of an l = 1 mode are bin edges; a barrier of another b has
+    # other edges, so its z is evaluated afresh, with the same bits
+    nef = dl.normalize(_l1_mode(), b=1.01)
+    levelset = dl.compute_Z(nef, 200)
+    occ = levelset.occupied
+    edge = np.isin(levelset.arg_t[occ], levelset.edges)
+    assert edge.sum() > occ.sum() // 2
+    for z in (dl.barrier(0.0, 1.01, 0.25, 1.0), dl.barrier(0.2, 1.2, 0.25, 0.8)):
+        report = dl.barrier_dominance_check(levelset, z)
+        margins = z.value(levelset.arg_t[occ]) - levelset.values[occ]
+        assert report.min_margin == margins.min()
+        assert report.worst_t == levelset.arg_t[occ][np.argmin(margins)]
+
+
+def test_touching_point_residual_is_nonpositive_at_the_worst_bin_of_the_sweep():
+    # on each shipped sweep instance at N = 400, the touching-point residual
+    # of its barrier at the worst dominance bin is <= 0 (up to rounding)
+    from driftlab import config as cfg, runner
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "cosine_density_sweep.json").read_text())
+    config = cfg.parse_config(dict(raw, grids=[400]))
+    seen = 0
+    for inst in config.instances():
+        model = cfg.build_model(config, inst)
+        grid = dl.Grid.uniform(model, inst.N)
+        fe = dl.first_nonzero_eigenvalue(model, grid)
+        nef = dl.normalize(fe.mode, K=dl.be_ricci_lower_bound(model).K, b=config.b)
+        z = runner._select_case_barrier(config, nef, dl.ling_case(nef.a, nef.delta))
+        t = dl.barrier_dominance_check(dl.compute_Z(nef, config.bins), z).worst_t
+        res = _touching_point_residual(z.value(t), z.derivative(t, 1), z.derivative(t, 2), t,
+                                       c=nef.c, delta=nef.delta, a=nef.a)
+        assert res.full[0] <= 1e-12
+        seen += 1
+    assert seen == 15

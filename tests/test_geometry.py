@@ -1,6 +1,8 @@
 """Curvature, measure, and diameter checks for the warped model geometry."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,7 +78,7 @@ def test_cosine_density_hessian_against_embedded_fd_oracle():
 def test_ricci_lower_bound_unit_spheres():
     for n in (2, 3, 5):
         model = dl.sphere(n)
-        kb = dl.be_ricci_lower_bound(model, dl.Grid.uniform(model, 400))
+        kb = dl.be_ricci_lower_bound(model)
         assert abs(kb.K - 1.0) < 1e-10
         assert kb.positive
 
@@ -84,7 +86,7 @@ def test_ricci_lower_bound_unit_spheres():
 def test_ricci_lower_bound_half_cosine():
     # min of 1 - 0.5 cos r over [0, pi] is 0.5, attained at the r = 0 pole
     model = dl.sphere(2, density=dl.cosine_density(0.5))
-    kb = dl.be_ricci_lower_bound(model, dl.Grid.uniform(model, 400))
+    kb = dl.be_ricci_lower_bound(model)
     assert abs(kb.K - 0.5) < 1e-12
     assert kb.radius == 0.0
     assert kb.positive
@@ -93,7 +95,7 @@ def test_ricci_lower_bound_half_cosine():
 def test_ricci_lower_bound_vanishing_flagged():
     # 1 + cos r vanishes at r = pi; the pole limit makes this exact
     model = dl.sphere(2, density=dl.cosine_density(-1.0))
-    kb = dl.be_ricci_lower_bound(model, dl.Grid.uniform(model, 400))
+    kb = dl.be_ricci_lower_bound(model)
     assert abs(kb.K) < 1e-14
     assert abs(kb.radius - math.pi) < 1e-12
     assert not kb.positive
@@ -223,3 +225,77 @@ def test_grid_invariants():
     assert grid.size == 64
     # weights reproduce the weighted_measure operation
     assert np.array_equal(grid.weights, dl.weighted_measure(model, grid.density, grid.spacing))
+
+
+def _ling_model(n):
+    return dl.sphere(n, density=dl.poly_cos_density([0.0, -1.0, -0.25]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ricci_lower_bound_matches_an_mpmath_minimization_on_the_ling_models(n):
+    # phi = -c - c^2/4 with c = cos r on the unit sphere: the radial
+    # eigenvalue (n-1) + phi'' and the tangential one (n-1) + phi' cot r,
+    # minimized in 40-digit arithmetic with numerical derivatives
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        def phi(r):
+            c = mpmath.cos(r)
+            return -c - c * c / 4
+
+        def radial(r):
+            return (n - 1) + mpmath.diff(phi, r, 2)
+
+        def tangential(r):
+            return (n - 1) + mpmath.diff(phi, r) * mpmath.cot(r)
+
+        # each eigenvalue's critical points inside (0, pi), from a sampled
+        # sign change of its derivative, and the poles' common limit
+        candidates = [(radial(mpmath.mpf(0)), 0.0), (radial(mpmath.pi), math.pi)]
+        for f in (radial, tangential):
+            slope = [mpmath.diff(f, mpmath.pi * k / 64) for k in range(1, 64)]
+            for k in range(1, 63):
+                if slope[k - 1] < 0 < slope[k]:
+                    r = mpmath.findroot(lambda x: mpmath.diff(f, x), mpmath.pi * (k + 1) / 64)
+                    candidates.append((f(r), float(r)))
+        best, where = min(candidates, key=lambda vr: vr[0])
+        best = float(best / (n - 1))
+    kb = dl.be_ricci_lower_bound(_ling_model(n))
+    assert abs(kb.K - best) <= 2e-16
+    assert abs(kb.radius - where) <= 1e-8
+    assert kb.positive
+
+
+def test_ricci_lower_bound_finds_a_minimum_between_cell_centres():
+    # the Ling n = 3 radial eigenvalue 2 + c + c^2 - 1/2 is least, 5/4, at
+    # c = -1/2, r = 2 pi/3, which is neither a cell centre at N = 400 nor a
+    # sample point; the minimum over the cell centres over-reads it
+    model = _ling_model(3)
+    kb = dl.be_ricci_lower_bound(model)
+    assert abs(kb.K - 0.625) <= 1e-16
+    assert abs(kb.radius - 2.0 * math.pi / 3.0) <= 1e-9
+    prof = dl.curvature(model, dl.Grid.uniform(model, 400))
+    cell_min = np.minimum(prof.ricphi_rr, prof.ricphi_tan).min() / 2.0
+    assert cell_min - 0.625 > 1e-7
+
+
+def test_ricci_lower_bound_does_not_depend_on_the_grid():
+    # K_eff is the model's, so the Ling report rows carry the same K_eff
+    # and K_min_radius at every N
+    from driftlab import config as cfg, runner
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "ling_cases.json").read_text())
+    raw.update(grids=[400, 100000], checks=["spectrum"])
+    rows = [res.record for res in runner.run(cfg.parse_config(raw)).results]
+    for n in (2, 3, 4):
+        small, large = (r for r in rows if r.n == n)
+        assert {small.N, large.N} == {400, 100000}
+        assert small.K_eff == large.K_eff == dl.be_ricci_lower_bound(_ling_model(n)).K
+        assert small.K_min_radius == large.K_min_radius
+
+
+def test_ricci_lower_bound_tie_goes_to_the_smallest_radius():
+    # Ric_phi is exactly constant on unit round spheres, so every candidate
+    # ties and the pole r = 0 is reported
+    for n in (2, 3, 5):
+        kb = dl.be_ricci_lower_bound(dl.sphere(n))
+        assert kb.K == 1.0 and kb.radius == 0.0

@@ -160,7 +160,7 @@ def test_first_eigenvalue_refinement_consistency():
 def test_first_eigenvalue_perturbed_respects_lower_bound():
     model, grid = _sphere_grid(2, 1000, eps=0.5)
     fe = dl.first_nonzero_eigenvalue(model, grid)
-    kb = dl.be_ricci_lower_bound(model, grid)
+    kb = dl.be_ricci_lower_bound(model)
     assert kb.K == 0.5
     assert fe.lam >= (model.n - 1) * kb.K
 
@@ -770,16 +770,16 @@ def test_manifold_samples_shapes():
     fe = dl.first_nonzero_eigenvalue(model, grid)
     assert fe.mode.l == 1
     nef = dl.normalize(fe.mode)
-    v, grad_sq = nef.samples()
-    # the fiber poles of every row, then one point on the equator level v = 0
-    assert v.shape == grad_sq.shape == (2 * grid.size + 1,)
-    assert abs(v.max() - 1.0) < 1e-12 and abs(v.min() + 1.0) < 1e-12
-    assert np.array_equal(v[:grid.size], nef.v_rad)
-    assert np.array_equal(v[grid.size:-1], -nef.v_rad)
-    assert v[-1] == 0.0 and grad_sq[-1] == nef.equator_grad_sq.max()
-    zonal = _top_modes(assemble(model, grid, 0), 2)[1]
-    v, grad_sq = dl.normalize(zonal).samples()
+    v, grad_sq, equator = nef.samples()
+    # the fiber poles of every row, which also stand for their antipodes,
+    # and the |grad v|^2 of one point on the equator level v = 0
     assert v.shape == grad_sq.shape == (grid.size,)
+    assert abs(max(v.max(), -v.min()) - 1.0) < 1e-12
+    assert np.array_equal(v, nef.v_rad)
+    assert equator == nef.equator_grad_sq.max()
+    zonal = _top_modes(assemble(model, grid, 0), 2)[1]
+    v, grad_sq, equator = dl.normalize(zonal).samples()
+    assert v.shape == grad_sq.shape == (grid.size,) and equator is None
 
 
 _BLAS_PROBE = """
@@ -816,3 +816,13 @@ def test_assemble_rejects_bad_modes():
     # a circle has no fiber, so no angular mode but l = 0
     with pytest.raises(AssemblyError, match="0 on a circle"):
         assemble(*_circle_grid(100, 0.5), 1)
+
+
+def test_circle_operator_has_no_angular_sector():
+    # a circle's grid carries no warp, so its operator refuses a sector l >= 1
+    # as assemble does, instead of reaching for the missing warp profile
+    base = assemble(*_circle_grid(100, 0.5), 0)
+    assert base.grid.w is None
+    assert base.sector(0) is base
+    with pytest.raises(AssemblyError, match="no angular sectors"):
+        base.sector(1)
