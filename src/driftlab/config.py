@@ -148,7 +148,10 @@ def _parse_density(obj, family: str) -> DensitySpec:
         return DensitySpec(name="cosine", eps=_as_list(obj["eps"], "density.eps", float))
     if family == "circle":
         raise ConfigError("poly-cos densities are not periodic; circles take 'cosine' or 'zero'")
-    return DensitySpec(name="poly-cos", coeffs=_as_list(obj["coeffs"], "density.coeffs", float))
+    coeffs = _as_list(obj["coeffs"], "density.coeffs", float)
+    if len(coeffs) > 3:  # the degree be_ricci_lower_bound's sampled minimum covers
+        raise ConfigError(f"poly-cos takes at most 3 coeffs (degree 2); got {len(coeffs)}")
+    return DensitySpec(name="poly-cos", coeffs=coeffs)
 
 
 def parse_config(data: dict) -> ExperimentConfig:

@@ -37,9 +37,8 @@ or second derivatives of xi and eta together from one Horner pass over both
 series; ``xi``, ``eta``, ``BarrierFamily.value`` and
 ``BarrierFamily.derivative`` all read it.  The points that recur are evaluated
 once: the positivity sweep of [-pi/2, pi/2] and the Gauss-Legendre nodes in
-tables built at import, each b's comparison-domain sweep in a small per-b
-cache, and the level-set bin edges of each (b, bins) in another, so every
-check reads the same bits that a fresh evaluation gives.
+tables built at import, and each b's comparison-domain sweep in a small per-b
+cache, so every check reads the same bits that a fresh evaluation gives.
 
 Derivatives of barriers are always analytic; the touching-point residual is
 too sensitive for differenced derivatives.
@@ -208,7 +207,7 @@ class NormalizedEigenfunction:
     @cached_property
     def equator_grad_sq(self) -> np.ndarray:
         """A = (R/w)^2: |grad v|^2 on the fiber equator x = 0 of an l = 1 mode."""
-        return (self.v_rad / self.grid.w) ** 2
+        return (self.v_rad / np.asarray(self.model.w.value(self.grid.nodes), dtype=float)) ** 2
 
     def samples(self) -> tuple[np.ndarray, np.ndarray, float | None]:
         """(v, |grad v|^2) at the points of the manifold where, row by row,
@@ -382,13 +381,6 @@ def _edge_level_maxima(nef: NormalizedEigenfunction, edges: np.ndarray) -> np.nd
     return (top / (lam * (b * b - levels)))[at_edge]
 
 
-@lru_cache(maxsize=8)
-def _bin_edges(b: float, bins: int) -> np.ndarray:
-    """The t-bin edges of ``compute_Z``: ``bins`` uniform bins of [-arcsin(1/b), arcsin(1/b)]."""
-    tb = math.asin(1.0 / b)
-    return _read_only(np.linspace(-tb, tb, bins + 1))
-
-
 def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima:
     """Per-bin maxima of the normalized gradient quantity over t-level sets.
 
@@ -409,7 +401,8 @@ def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima
     edges of each bin.
     """
     b, lam = nef.b, nef.lam
-    edges = _bin_edges(b, t_bins)
+    tb = math.asin(1.0 / b)
+    edges = np.linspace(-tb, tb, t_bins + 1)
     # first, so that its N-arrays are gone before the samples' are made
     edge_val = _edge_level_maxima(nef, edges) if nef.l == 1 else None
     v, grad_sq, equator = nef.samples()
@@ -543,37 +536,17 @@ class DominanceReport:
     occupied_bins: int
 
 
-@lru_cache(maxsize=8)
-def _edge_xi_eta(b: float, bins: int) -> np.ndarray:
-    """(xi, eta) at the ``compute_Z`` bin edges of (b, bins)."""
-    return _read_only(xi_eta(_bin_edges(b, bins)))
-
-
 def barrier_dominance_check(levelset: LevelSetMaxima, z) -> DominanceReport:
     """Check Z(t) <= z(t) at grid resolution; nonnegative minimum certifies it.
 
     ``z`` may be a BarrierFamily or any callable; margins are computed at the
     maximizing t of each occupied bin, so no values are fabricated for empty
-    bins.  For a BarrierFamily, an ``arg_t`` that is a bin edge of the
-    barrier's b (most are, for l = 1 modes) reads (xi, eta) from the table
-    of those edges, which ``xi_eta`` filled on the same points; the others
-    are evaluated afresh.
+    bins.
     """
+    zf = z.value if isinstance(z, BarrierFamily) else z
     occ = levelset.occupied
     tvals = levelset.arg_t[occ]
-    if isinstance(z, BarrierFamily):
-        bins = levelset.edges.size - 1
-        edges = _bin_edges(z.b, bins)
-        j = np.minimum(np.searchsorted(edges, tvals), bins)
-        at_edge = edges[j] == tvals
-        pair = np.empty((2, tvals.size))
-        pair[:, at_edge] = _edge_xi_eta(z.b, bins)[:, j[at_edge]]
-        if not at_edge.all():
-            pair[:, ~at_edge] = xi_eta(tvals[~at_edge])
-        zt = z.combine(*pair)
-    else:
-        zt = np.asarray(z(tvals), dtype=float)
-    margins = zt - levelset.values[occ]
+    margins = np.asarray(zf(tvals), dtype=float) - levelset.values[occ]
     i = int(np.argmin(margins))
     return DominanceReport(min_margin=float(margins[i]), worst_t=float(tvals[i]),
                            occupied_bins=int(occ.sum()))

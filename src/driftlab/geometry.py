@@ -120,11 +120,16 @@ def poly_cos_density(coeffs, length: float = math.pi) -> RadialProfile:
 
     ``coeffs`` are in increasing-degree order, p(x) = c0 + c1 x + c2 x^2 + ...
     Radial smoothness at the poles is automatic because d/dr cos(pi r/L)
-    vanishes there.
+    vanishes there.  The degree is at most 2: on the sphere warp each Ric_phi
+    eigenvalue is then a polynomial of degree at most 2 in cos(pi r/L), with
+    at most one interior critical point, which is what lets
+    ``be_ricci_lower_bound`` read the minimum from fixed samples.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("poly_cos_density expects a non-empty 1-d coefficient list")
+    if c.size > 3:
+        raise ValueError(f"poly_cos_density takes at most 3 coefficients (degree 2); got {c.size}")
     k = math.pi / float(length)
     p = np.polynomial.Polynomial(c)
     p1, p2, p3 = p.deriv(1), p.deriv(2), p.deriv(3)
@@ -264,15 +269,13 @@ class Grid:
     weights integrate u against  w^{n-1} e^{-phi} dr * Vol(S^{n-1})  (interval)
     or  e^{-phi} dtheta  (circle) by the composite midpoint rule; ``density``
     holds rho = w^{n-1} e^{-phi} (or e^{-phi}) at the nodes, which they and
-    the operator assembly share, and ``w`` the warp at the nodes (None on
-    circles), which the angular sectors and the estimates read.
+    the operator assembly share.
     """
 
     nodes: np.ndarray
     spacing: float
     weights: np.ndarray
     density: np.ndarray
-    w: np.ndarray | None
 
     def __post_init__(self):
         if self.nodes.ndim != 1 or self.nodes.size < 4:
@@ -291,27 +294,19 @@ class Grid:
         h = model.L / count
         if model.topology == INTERVAL_SPHERE:
             nodes = (np.arange(count) + 0.5) * h
-            w = np.asarray(model.w.value(nodes), dtype=float)
         else:
             nodes = np.arange(count) * h
-            w = None
-        rho = _density(model, nodes, w)
+        rho = measure_density(model, nodes)
         return Grid(nodes=nodes, spacing=h, weights=weighted_measure(model, rho, h),
-                    density=rho, w=w)
+                    density=rho)
 
 
 def measure_density(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
     """rho(r) = w^{n-1} e^{-phi} (interval) or e^{-phi} (circle)."""
     r = np.asarray(r, dtype=float)
-    w = np.asarray(model.w.value(r), dtype=float) if model.topology == INTERVAL_SPHERE else None
-    return _density(model, r, w)
-
-
-def _density(model: WarpedManifold, r: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """rho at r from the warp's values there (None on circles)."""
-    if w is None:
-        return np.exp(-np.asarray(model.phi.value(r)))
-    return w ** (model.n - 1) * np.exp(-np.asarray(model.phi.value(r)))
+    if model.topology == INTERVAL_SPHERE:
+        return np.asarray(model.w.value(r)) ** (model.n - 1) * np.exp(-np.asarray(model.phi.value(r)))
+    return np.exp(-np.asarray(model.phi.value(r)))
 
 
 def weighted_measure(model: WarpedManifold, density: np.ndarray, spacing: float) -> np.ndarray:
@@ -344,11 +339,11 @@ def curvature(model: WarpedManifold, grid: Grid) -> CurvatureProfile:
     cancellation-prone 1 - w'^2 uses the profile's stable form when present.
     Exact pole values are available from :func:`pole_curvature`.
     """
-    return _curvature(model, grid.nodes, grid.w)
+    return _curvature(model, grid.nodes)
 
 
-def _curvature(model: WarpedManifold, r: np.ndarray, wv: np.ndarray | None) -> CurvatureProfile:
-    """Curvature at interior radii r, from the warp's values wv there."""
+def _curvature(model: WarpedManifold, r: np.ndarray) -> CurvatureProfile:
+    """Curvature at interior radii r."""
     phi = model.phi
     if model.topology == CIRCLE:
         zero = np.zeros_like(r)
@@ -357,6 +352,7 @@ def _curvature(model: WarpedManifold, r: np.ndarray, wv: np.ndarray | None) -> C
                                 ricphi_rr=hess, ricphi_tan=hess.copy(),
                                 scalar=zero.copy())
     w = model.w
+    wv = np.asarray(w.value(r), dtype=float)
     if np.any(wv <= 0.0) or not np.all(np.isfinite(wv)):
         raise PoleRegularityError("warp is not positive on the grid; check pole regularity")
     wd1 = np.asarray(w.d1(r), dtype=float)
@@ -391,18 +387,6 @@ def pole_curvature(model: WarpedManifold) -> tuple[float, float]:
     return (-(n - 1) * float(w3[0]), (n - 1) * float(w3[1]))
 
 
-def _warp_slope_terms(model: WarpedManifold, r: np.ndarray):
-    """(w''' - w'' w'/w)/w, w' (w''/w + (1-w'^2)/w^2)/w, w'/w and w''/w at
-    interior r; the radial derivative of -w''/w is minus the first, that of
-    (1-w'^2)/w^2 is -2 times the second."""
-    w = model.w
-    wv, wd1, wd2, wd3 = (np.asarray(f(r), dtype=float) for f in (w.value, w.d1, w.d2, w.d3))
-    btan = np.asarray(w.stable_one_minus_d1_sq(r), dtype=float) / wv**2
-    term_a = (wd3 - wd2 * wd1 / wv) / wv
-    term_b = wd1 * (wd2 / wv + btan) / wv
-    return term_a, term_b, wd1 / wv, wd2 / wv
-
-
 def scalar_curvature_derivative(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
     """dR/dr at interior points, from analytic profile derivatives.
 
@@ -412,49 +396,30 @@ def scalar_curvature_derivative(model: WarpedManifold, r: np.ndarray) -> np.ndar
     """
     if model.topology == CIRCLE:
         return np.zeros_like(np.asarray(r, dtype=float))
-    term_a, term_b, _, _ = _warp_slope_terms(model, np.asarray(r, dtype=float))
+    w = model.w
+    r = np.asarray(r, dtype=float)
+    wv = np.asarray(w.value(r), dtype=float)
+    wd1 = np.asarray(w.d1(r), dtype=float)
+    wd2 = np.asarray(w.d2(r), dtype=float)
+    wd3 = np.asarray(w.d3(r), dtype=float)
+    btan = np.asarray(w.stable_one_minus_d1_sq(r), dtype=float) / wv**2
     n = model.n
+    term_a = (wd3 - wd2 * wd1 / wv) / wv
+    term_b = wd1 * (wd2 / wv + btan) / wv
     return -2.0 * (n - 1) * term_a - 2.0 * (n - 1) * (n - 2) * term_b
 
 
-def _ricphi_slopes(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
-    """d/dr of the radial and tangential Ric_phi eigenvalues at interior r,
-    the rows of a (2, r.size) array.  They are -(n-1) w''/w + phi'' and
-    -w''/w + (n-2)(1-w'^2)/w^2 + phi' w'/w."""
-    term_a, term_b, q, p = _warp_slope_terms(model, r)
-    phi, n = model.phi, model.n
-    pd1, pd2, pd3 = (np.asarray(f(r), dtype=float) for f in (phi.d1, phi.d2, phi.d3))
-    return np.stack([-(n - 1) * term_a + pd3,
-                     -term_a - 2.0 * (n - 2) * term_b + pd2 * q + pd1 * (p - q * q)])
-
-
 # Points of [0, L], poles included, at which be_ricci_lower_bound samples
-# Ric_phi, and the bisection steps that narrow each bracket before its secant step.
+# Ric_phi, and equally many (ends included) in each bracket it zooms into.
 _RIC_SAMPLES = 1025
-_RIC_BISECTIONS = 2
-_RIC_SECANTS = 2
+_RIC_ZOOMS = 2
 
 
-def _critical_points(model: WarpedManifold, which: np.ndarray, lo: np.ndarray,
-                     hi: np.ndarray) -> np.ndarray:
-    """A zero of the slope of Ric_phi eigenvalue ``which`` (0 radial, 1
-    tangential) in each bracket [lo, hi] that holds a local minimum.
-    ``_RIC_BISECTIONS`` bisections on the slope's sign come first; then each
-    step is a secant step between the bracket's ends, where both carry
-    slopes of opposite signs (a bisection elsewhere), and the last one is
-    returned.  The slope is evaluated inside the brackets only, never at a
-    pole."""
-    s_lo, s_hi = np.full(lo.size, np.nan), np.full(lo.size, np.nan)
-    for step in range(_RIC_BISECTIONS + _RIC_SECANTS + 1):
-        secant = (s_lo < 0.0) & (s_hi > 0.0) if step >= _RIC_BISECTIONS else False
-        frac = np.divide(-s_lo, s_hi - s_lo, out=np.full(lo.size, 0.5), where=secant)
-        x = lo + frac * (hi - lo)
-        if step == _RIC_BISECTIONS + _RIC_SECANTS:
-            return x
-        slope = _ricphi_slopes(model, x)[which, np.arange(x.size)]
-        down = slope < 0.0
-        lo, s_lo = np.where(down, x, lo), np.where(down, slope, s_lo)
-        hi, s_hi = np.where(down, hi, x), np.where(down, s_hi, slope)
+def _ricphi_pair(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
+    """The radial and tangential Ric_phi eigenvalues at interior radii r, the
+    rows of a (2, r.size) array."""
+    prof = _curvature(model, r)
+    return np.stack([prof.ricphi_rr, prof.ricphi_tan])
 
 
 @dataclass(frozen=True)
@@ -473,49 +438,57 @@ def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
     eigenvalues (radial and tangential) is sampled at ``_RIC_SAMPLES``
     equispaced points of [0, L], the poles through their exact isotropic
     limits (``pole_curvature`` plus phi'').  Each interior sample that is a
-    strict local minimum of its eigenvalue's samples brackets a critical
-    point between its two neighbours, which ``_critical_points`` finds on
-    the sign of the closed-form radial derivative (the profiles carry third
-    derivatives) to within about 1e-13 L, where the eigenvalue is flat to
-    rounding; both eigenvalues there join the candidates.  The minimum of
-    the smaller eigenvalue is the smaller of the two eigenvalues' minima
-    (where they cross, their minimum has a concave kink, never a local
-    minimum), so no crossing needs a candidate.
+    strict local minimum of its eigenvalue's samples brackets that
+    eigenvalue's minimum between its two neighbours.  The bracket is
+    sampled again at ``_RIC_SAMPLES`` points, the least sample's neighbours
+    bracket it anew, and so ``_RIC_ZOOMS`` times, from values alone: the
+    spacing falls from H = L/1024 to H (2/1024)^2, 1.2e-8 on [0, pi], where
+    the eigenvalue is flat to rounding.  Every sampled value, both
+    eigenvalues, is a candidate.  The minimum of the smaller eigenvalue is
+    the smaller of the two eigenvalues' minima (where they cross, their
+    minimum has a concave kink, never a local minimum), so no crossing
+    needs a candidate.
 
     A dip that no sampled minimum brackets needs two critical points of one
-    eigenvalue within 2H, H = L/1024, a pole counting as one (the
-    eigenvalues are even about the poles), and is at most
-    max |Ric_phi''| H^2 / 8 deep.  On the shipped families (the sphere warp
-    of radius L/pi with a cosine or a degree-2 poly-cos density) each
-    eigenvalue is a polynomial of degree at most 2 in c = cos(pi r/L), whose
-    r-derivative is sin(pi r/L) times a linear function of c: at most one
-    critical point inside (0, L), so a dip needs it within H of a pole,
+    eigenvalue within 2H, a pole counting as one (the eigenvalues are even
+    about the poles), and is at most max |Ric_phi''| H^2 / 8 deep.  Each
+    zoom relies on one critical point in its bracket in the same way.  On
+    the shipped families (the sphere warp of radius L/pi with a cosine or a
+    poly-cos density, whose degree ``poly_cos_density`` caps at 2) each
+    eigenvalue is a polynomial of degree at most 2 in c = cos(pi r/L),
+    whose r-derivative is sin(pi r/L) times a linear function of c: at most
+    one critical point inside (0, L), so a dip needs it within H of a pole,
     where c is within 1 - cos(pi/1024) = 4.7e-6 of +-1.  The Ling cases'
-    lies at c = -1/2.
+    lies at c = -1/2; the cosine densities' eigenvalues are monotone, with
+    their minimum at a pole, so they sample no bracket.
 
-    ``radius`` is where the minimum is attained; a tie (Ric_phi constant, as
-    on a unit round sphere) goes to the smallest radius, the pole r = 0.
-    A non-positive result is flagged: the Lichnerowicz- and Ling-type bounds
-    need K > 0.
+    ``radius`` is where the minimum is attained, to within the flatness of
+    the eigenvalue at rounding (about 1e-8 L at an interior minimum); a tie
+    (Ric_phi constant, as on a unit round sphere) goes to the smallest
+    radius, the pole r = 0.  A non-positive result is flagged: the
+    Lichnerowicz- and Ling-type bounds need K > 0.
     """
     if model.topology == CIRCLE:
         raise ValueError("the (n-1) K normalization degenerates on 1-dimensional circles")
     r = np.linspace(0.0, model.L, _RIC_SAMPLES)
-    inner = r[1:-1]
-    prof = _curvature(model, inner, np.asarray(model.w.value(inner), dtype=float))
-    ends = np.array([0.0, model.L])
     sampled = np.empty((2, r.size))
     sampled[:, [0, -1]] = np.array(pole_curvature(model)) \
-        + np.asarray(model.phi.d2(ends), dtype=float)
-    sampled[0, 1:-1], sampled[1, 1:-1] = prof.ricphi_rr, prof.ricphi_tan
+        + np.asarray(model.phi.d2(np.array([0.0, model.L])), dtype=float)
+    sampled[:, 1:-1] = _ricphi_pair(model, r[1:-1])
     left, mid, right = sampled[:, :-2], sampled[:, 1:-1], sampled[:, 2:]
     which, j = np.nonzero((mid <= left) & (mid <= right) & ((mid < left) | (mid < right)))
-    radii, values = r, np.minimum(*sampled)
-    if j.size:
-        x = _critical_points(model, which, r[j], r[j + 2])  # the neighbours of sample j + 1
-        refined = _curvature(model, x, np.asarray(model.w.value(x), dtype=float))
-        radii = np.concatenate([radii, x])
-        values = np.concatenate([values, np.minimum(refined.ricphi_rr, refined.ricphi_tan)])
+    lo, hi = r[j], r[j + 2]  # the neighbours of sample j + 1
+    radii, values = [r], [np.minimum(*sampled)]
+    rows = np.arange(j.size)
+    for _ in range(_RIC_ZOOMS if j.size else 0):
+        x = np.linspace(lo, hi, _RIC_SAMPLES, axis=1)
+        inner = x[:, 1:-1]
+        pair = _ricphi_pair(model, inner.ravel()).reshape(2, j.size, -1)
+        k = np.argmin(pair[which, rows], axis=1)  # inner sample k is x sample k + 1
+        lo, hi = x[rows, k], x[rows, k + 2]
+        radii.append(inner.ravel())
+        values.append(np.minimum(*pair).ravel())
+    radii, values = np.concatenate(radii), np.concatenate(values)
     order = np.argsort(radii, kind="stable")
     i = order[np.argmin(values[order])]
     k_eff = float(values[i]) / (model.n - 1)

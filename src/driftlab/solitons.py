@@ -96,7 +96,9 @@ def normalize_f(cand: SolitonCandidate, grid: Grid) -> NormalizedPotential:
     r = grid.nodes
     fv = np.asarray(cand.f.value(r), dtype=float)
     # plain metric volume element, density handled explicitly
-    vol = unit_fiber_area(cand.model.n) * grid.w ** (cand.model.n - 1) * grid.spacing
+    vol = unit_fiber_area(cand.model.n) \
+        * np.asarray(cand.model.w.value(r), dtype=float) ** (cand.model.n - 1) \
+        * grid.spacing
     ef = np.exp(-fv)
     shift = -float(np.sum(vol * fv * ef)) / float(np.sum(vol * ef))
     return NormalizedPotential(f=cand.f.shifted(shift), shift=shift)
@@ -142,7 +144,7 @@ def soliton_ledger(cand: SolitonCandidate, grid: Grid, tol: float = 1e-3) -> Sol
     fv = np.asarray(f.value(r), dtype=float)
     f1 = np.asarray(f.d1(r), dtype=float)
     f2 = np.asarray(f.d2(r), dtype=float)
-    wv = grid.w
+    wv = np.asarray(model.w.value(r), dtype=float)
     wd1 = np.asarray(model.w.d1(r), dtype=float)
     lap_f = f2 + (n - 1) * wd1 / wv * f1
 

@@ -93,9 +93,10 @@ class SpectralProblem:
         and sqrt_rho are shared."""
         if not l:
             return self
-        if self.grid.w is None:
+        if self.periodic:
             raise AssemblyError("a circle has no angular sectors l >= 1")
-        potential = self.grid.w ** 2
+        w = self.model.w.value(self.grid.nodes)
+        potential = np.asarray(w, dtype=float) ** 2
         np.divide(angular_eigenvalue(self.model.n, l), potential, out=potential)
         if not np.all(np.isfinite(potential)):
             raise AssemblyError(
@@ -306,8 +307,8 @@ def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
     if problem.periodic:
         energy += problem.corner * s[-1] * s[0] * (u[0] - u[-1]) ** 2
     if problem.l:
-        energy += angular_eigenvalue(problem.model.n, problem.l) \
-            * float(np.sum(rho_u2 / problem.grid.w**2))
+        w = np.asarray(problem.model.w.value(problem.grid.nodes), dtype=float)
+        energy += angular_eigenvalue(problem.model.n, problem.l) * float(np.sum(rho_u2 / w**2))
     return energy / float(np.sum(rho_u2))
 
 

@@ -951,13 +951,12 @@ def test_group_bound_edge_maxima_match_the_prefix_loop_bitwise(rows, lam, b, bin
     with np.errstate(over="ignore"):
         assume(np.all(np.isfinite((v_rad / w) ** 2)))  # A = (R/w)^2 finite
     model = dl.sphere(3)
-    size = len(rows)
-    grid = dl.Grid(nodes=np.arange(size) + 0.5, spacing=1.0, weights=np.ones(size),
-                   density=np.ones(size), w=w)
     nef = est.NormalizedEigenfunction(
-        model=model, grid=grid, l=1, lam=lam, k=1.0, a=0.0, b=b, K=1.0,
-        v_rad=v_rad, dv_rad=dv_rad, residual_inf=0.0, residual_rel=0.0)
-    edges = est._bin_edges(b, bins)
+        model=model, grid=dl.Grid.uniform(model, len(rows)), l=1, lam=lam, k=1.0, a=0.0,
+        b=b, K=1.0, v_rad=v_rad, dv_rad=dv_rad, residual_inf=0.0, residual_rel=0.0)
+    nef.__dict__["equator_grad_sq"] = (v_rad / w) ** 2  # the drawn warp's A, not the sphere's
+    tb = math.asin(1.0 / b)
+    edges = np.linspace(-tb, tb, bins + 1)
     got = est._edge_level_maxima(nef, edges)
     assert got.tobytes() == _list_comprehension_edge_maxima(nef, edges).tobytes()
     if np.all(v_rad ** 2 < (b * np.sin(edges[0])) ** 2):
@@ -1016,21 +1015,6 @@ def test_rows_once_match_the_flat_points_bitwise_on_real_modes(n, N):
         margins = z.value(levelset.arg_t[occ]) - levelset.values[occ]
         assert dom.min_margin == margins.min()
         assert dom.worst_t == levelset.arg_t[occ][np.argmin(margins)]
-
-
-def test_dominance_check_reads_edges_from_the_table_bitwise():
-    # most arg_t of an l = 1 mode are bin edges; a barrier of another b has
-    # other edges, so its z is evaluated afresh, with the same bits
-    nef = dl.normalize(_l1_mode(), b=1.01)
-    levelset = dl.compute_Z(nef, 200)
-    occ = levelset.occupied
-    edge = np.isin(levelset.arg_t[occ], levelset.edges)
-    assert edge.sum() > occ.sum() // 2
-    for z in (dl.barrier(0.0, 1.01, 0.25, 1.0), dl.barrier(0.2, 1.2, 0.25, 0.8)):
-        report = dl.barrier_dominance_check(levelset, z)
-        margins = z.value(levelset.arg_t[occ]) - levelset.values[occ]
-        assert report.min_margin == margins.min()
-        assert report.worst_t == levelset.arg_t[occ][np.argmin(margins)]
 
 
 def test_touching_point_residual_is_nonpositive_at_the_worst_bin_of_the_sweep():

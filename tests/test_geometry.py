@@ -261,7 +261,8 @@ def test_ricci_lower_bound_matches_an_mpmath_minimization_on_the_ling_models(n):
         best = float(best / (n - 1))
     kb = dl.be_ricci_lower_bound(_ling_model(n))
     assert abs(kb.K - best) <= 2e-16
-    assert abs(kb.radius - where) <= 1e-8
+    # located from values, to within the eigenvalue's flatness at rounding
+    assert abs(kb.radius - where) <= 1e-7
     assert kb.positive
 
 
@@ -272,7 +273,7 @@ def test_ricci_lower_bound_finds_a_minimum_between_cell_centres():
     model = _ling_model(3)
     kb = dl.be_ricci_lower_bound(model)
     assert abs(kb.K - 0.625) <= 1e-16
-    assert abs(kb.radius - 2.0 * math.pi / 3.0) <= 1e-9
+    assert abs(kb.radius - 2.0 * math.pi / 3.0) <= 1e-7
     prof = dl.curvature(model, dl.Grid.uniform(model, 400))
     cell_min = np.minimum(prof.ricphi_rr, prof.ricphi_tan).min() / 2.0
     assert cell_min - 0.625 > 1e-7
@@ -299,3 +300,17 @@ def test_ricci_lower_bound_tie_goes_to_the_smallest_radius():
     for n in (2, 3, 5):
         kb = dl.be_ricci_lower_bound(dl.sphere(n))
         assert kb.K == 1.0 and kb.radius == 0.0
+
+
+def test_poly_cos_density_is_capped_at_degree_two():
+    # be_ricci_lower_bound's fixed samples rule out a hidden dip only while
+    # each Ric_phi eigenvalue has one interior critical point at most
+    dl.poly_cos_density([0.0, -1.0, -0.25])
+    with pytest.raises(ValueError, match="at most 3 coefficients"):
+        dl.poly_cos_density([0.0, 0.0, 0.0, 1.0])
+    from driftlab import config as cfg
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "ling_cases.json").read_text())
+    raw["family"]["density"]["coeffs"] = [0.0, -1.0, -0.25, 0.1]
+    with pytest.raises(cfg.ConfigError, match="at most 3 coeffs"):
+        cfg.parse_config(raw)

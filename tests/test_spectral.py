@@ -819,10 +819,9 @@ def test_assemble_rejects_bad_modes():
 
 
 def test_circle_operator_has_no_angular_sector():
-    # a circle's grid carries no warp, so its operator refuses a sector l >= 1
-    # as assemble does, instead of reaching for the missing warp profile
+    # a circle has no warp, so its operator refuses a sector l >= 1 as
+    # assemble does, instead of reaching for the missing warp profile
     base = assemble(*_circle_grid(100, 0.5), 0)
-    assert base.grid.w is None
     assert base.sector(0) is base
     with pytest.raises(AssemblyError, match="no angular sectors"):
         base.sector(1)
