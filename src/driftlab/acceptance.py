@@ -8,7 +8,6 @@ enters the report, so two runs of the suite produce byte-identical files.
 
 from __future__ import annotations
 
-import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -60,15 +59,28 @@ def _row(cid: int, instance: str, quantity: str, value, expected, tolerance,
 
 
 @dataclass(frozen=True)
+class FamilyMember:
+    """What criteria 2-4 read of one cosine-family instance at N = SWEEP_N:
+    the first eigenvalue and its sector, K_eff, the diameter, the asymmetry
+    a of the normalized eigenfunction (b = 1.01) and its gradient margin."""
+
+    n: int
+    eps: float
+    lam: float
+    l: int
+    K: float
+    d: float
+    a: float
+    sup_ratio: float
+    bound: float
+
+
+@dataclass(frozen=True)
 class CosineFamily:
-    """The cosine-density family that criteria 2-4 check, evaluated once per suite pass.
+    """The cosine-density family that criteria 2-4 check, evaluated once per
+    suite pass; ``runtime_s`` is the evaluation's time."""
 
-    ``members`` holds (n, eps, model, fe, kb, nef, gm) for each instance: the
-    first eigenvalue, K_eff, the normalized eigenfunction (b = 1.01) and its
-    gradient margin at N = SWEEP_N.  ``runtime_s`` is the evaluation's time.
-    """
-
-    members: tuple[tuple, ...]
+    members: tuple[FamilyMember, ...]
     runtime_s: float
 
 
@@ -78,11 +90,14 @@ def evaluate_cosine_family() -> CosineFamily:
     for n in SWEEP_DIMS:
         for eps in EPS_VALUES:
             model = sphere(n, density=cosine_density(eps))
-            grid = Grid.uniform(model, SWEEP_N)
-            fe = first_nonzero_eigenvalue(model, grid)
+            fe = first_nonzero_eigenvalue(model, Grid.uniform(model, SWEEP_N))
             kb = be_ricci_lower_bound(model)
             nef = est.normalize(fe.mode, K=kb.K, b=1.01)
-            members.append((n, eps, model, fe, kb, nef, est.gradient_estimate_margin(nef)))
+            gm = est.gradient_estimate_margin(nef)
+            members.append(FamilyMember(
+                n=n, eps=eps, lam=float(fe.lam), l=int(fe.mode.l), K=kb.K,
+                d=diameter(model), a=float(nef.a), sup_ratio=float(gm.sup_ratio),
+                bound=float(gm.bound)))
     return CosineFamily(tuple(members), time.perf_counter() - t0)
 
 
@@ -116,13 +131,13 @@ def criterion_lichnerowicz_suite(family: CosineFamily) -> CriterionResult:
     """lambda_1 >= (n-1) K_eff - 1e-6 on the cosine-density family."""
     t0 = time.perf_counter()
     res = CriterionResult(2, "Lichnerowicz-type bound on the cosine-density family")
-    for n, eps, model, fe, kb, nef, gm in family.members:
-        bound = bounds_mod.lichnerowicz_be(n, kb.K)
-        margin = fe.lam - bound
+    for m in family.members:
+        bound = bounds_mod.lichnerowicz_be(m.n, m.K)
+        margin = m.lam - bound
         ok = margin >= -1e-6
-        res.check(f"S^{n}:eps={eps:g}", "lichnerowicz_margin", margin, 0.0, 1e-6, ok)
+        res.check(f"S^{m.n}:eps={m.eps:g}", "lichnerowicz_margin", margin, 0.0, 1e-6, ok)
         res.details.append(
-            f"n={n} eps={eps:g}: lambda1={fe.lam:.6f} >= (n-1)K={bound:.6f} "
+            f"n={m.n} eps={m.eps:g}: lambda1={m.lam:.6f} >= (n-1)K={bound:.6f} "
             f"(margin {margin:+.4f})")
     res.runtime_s = time.perf_counter() - t0
     return res
@@ -132,13 +147,13 @@ def criterion_ling_suite(family: CosineFamily) -> CriterionResult:
     """lambda_1 >= pi^2/d^2 + (31/100)(n-1) K_eff - 1e-6 on the same 15 instances."""
     t0 = time.perf_counter()
     res = CriterionResult(3, "Ling-type bound on the cosine-density family")
-    for n, eps, model, fe, kb, nef, gm in family.members:
-        bound = bounds_mod.ling_be_bound(n, kb.K, diameter(model))
-        margin = fe.lam - bound
+    for m in family.members:
+        bound = bounds_mod.ling_be_bound(m.n, m.K, m.d)
+        margin = m.lam - bound
         ok = margin >= -1e-6
-        res.check(f"S^{n}:eps={eps:g}", "ling_margin", margin, 0.0, 1e-6, ok)
+        res.check(f"S^{m.n}:eps={m.eps:g}", "ling_margin", margin, 0.0, 1e-6, ok)
         res.details.append(
-            f"n={n} eps={eps:g}: lambda1={fe.lam:.6f} >= {bound:.6f} (margin {margin:+.4f})")
+            f"n={m.n} eps={m.eps:g}: lambda1={m.lam:.6f} >= {bound:.6f} (margin {margin:+.4f})")
     res.runtime_s = family.runtime_s + (time.perf_counter() - t0)  # the budget covers both
     within = res.runtime_s < 120.0
     res.check("suite", "runtime_within_120s", within, True, None, within)
@@ -149,12 +164,12 @@ def criterion_gradient_estimate(family: CosineFamily) -> CriterionResult:
     """sup |grad v|^2/(b^2 - v^2) <= lam (1+a) (1 + 1e-2) with b = 1.01."""
     t0 = time.perf_counter()
     res = CriterionResult(4, "gradient estimate on the cosine-density family")
-    for n, eps, model, fe, kb, nef, gm in family.members:
-        ok = gm.sup_ratio <= gm.bound * (1.0 + 1e-2)
-        res.check(f"S^{n}:eps={eps:g}", "gradient_sup_ratio", gm.sup_ratio, gm.bound, 1e-2, ok)
+    for m in family.members:
+        ok = m.sup_ratio <= m.bound * (1.0 + 1e-2)
+        res.check(f"S^{m.n}:eps={m.eps:g}", "gradient_sup_ratio", m.sup_ratio, m.bound, 1e-2, ok)
         res.details.append(
-            f"n={n} eps={eps:g}: sup={gm.sup_ratio:.6f} <= lam(1+a)={gm.bound:.6f} "
-            f"(l={fe.mode.l}, a={nef.a:.2e})")
+            f"n={m.n} eps={m.eps:g}: sup={m.sup_ratio:.6f} <= lam(1+a)={m.bound:.6f} "
+            f"(l={m.l}, a={m.a:.2e})")
     res.runtime_s = time.perf_counter() - t0
     return res
 
@@ -315,7 +330,8 @@ CRITERIA = (
 def run_criteria() -> list[CriterionResult]:
     """One suite pass; criteria 2-4 read one evaluation of the cosine family."""
     family = evaluate_cosine_family()
-    return [fn(family) if inspect.signature(fn).parameters else fn() for fn in CRITERIA]
+    accuracy, *on_family = CRITERIA[:4]
+    return [accuracy()] + [fn(family) for fn in on_family] + [fn() for fn in CRITERIA[4:]]
 
 
 def suite_rows(results: list[CriterionResult]) -> list[dict]:
@@ -330,7 +346,6 @@ def suite_rows(results: list[CriterionResult]) -> list[dict]:
 @dataclass
 class SuiteOutcome:
     results: list[CriterionResult]
-    csv_text: str
     passed: bool
 
 
@@ -352,6 +367,4 @@ def verify_paper() -> SuiteOutcome:
     det.details.append(f"second pass rendered {len(csv_second)} bytes, "
                        f"identical={identical}")
     results = first + [det]
-    csv_text = render_csv(suite_rows(results), SUITE_COLUMNS)
-    return SuiteOutcome(results=results, csv_text=csv_text,
-                        passed=all(r.passed for r in results))
+    return SuiteOutcome(results=results, passed=all(r.passed for r in results))

@@ -23,10 +23,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .acceptance import verify_paper
+from .acceptance import suite_rows, verify_paper
 from .config import parse_config, read_config
 from .errors import ConfigError, DriftLabError, SolverError
-from .reports import (BARRIER_COLUMNS, SWEEP_COLUMNS, barrier_table,
+from .reports import (BARRIER_COLUMNS, SUITE_COLUMNS, SWEEP_COLUMNS, barrier_table,
                       emit_csv, emit_json, environment_stamp, json_payload)
 from .runner import run
 
@@ -115,18 +115,12 @@ def _run_verify(args) -> int:
         for detail in result.details:
             print(f"    {detail}")
     formats = (args.format,) if args.format else ("csv", "json")
-    if "csv" in formats:
-        path = args.out / "verify_paper.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(outcome.csv_text)
+    summary = {r.cid: {"title": r.title, "passed": r.passed} for r in outcome.results}
+    payload = json_payload([], {"criteria": summary, "passed": outcome.passed},
+                           environment_stamp([]))
+    for path in _emit(suite_rows(outcome.results), SUITE_COLUMNS, payload, args.out,
+                      formats, "verify_paper"):
         print(f"wrote {path}")
-    if "json" in formats:
-        summary = {r.cid: {"title": r.title, "passed": r.passed}
-                   for r in outcome.results}
-        payload = json_payload([], {"criteria": summary, "passed": outcome.passed},
-                               environment_stamp([]))
-        emit_json(payload, args.out / "verify_paper.json")
-        print(f"wrote {args.out / 'verify_paper.json'}")
     print("VERIFICATION " + ("SUCCESSFUL" if outcome.passed else "FAILED"))
     return 0 if outcome.passed else 1
 

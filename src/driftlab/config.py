@@ -149,8 +149,9 @@ def _parse_density(obj, family: str) -> DensitySpec:
     if family == "circle":
         raise ConfigError("poly-cos densities are not periodic; circles take 'cosine' or 'zero'")
     coeffs = _as_list(obj["coeffs"], "density.coeffs", float)
-    if len(coeffs) > 3:  # the degree be_ricci_lower_bound's sampled minimum covers
-        raise ConfigError(f"poly-cos takes at most 3 coeffs (degree 2); got {len(coeffs)}")
+    if len(coeffs) > 3:  # the degree of be_ricci_lower_bound's closed form
+        raise ConfigError(f"poly-cos takes at most 3 coeffs (degree 2, the degree K_eff "
+                          f"has a closed form for); got {len(coeffs)}")
     return DensitySpec(name="poly-cos", coeffs=coeffs)
 
 

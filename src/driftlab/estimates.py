@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import (BarrierDomainError, BarrierHypothesisError,
                      DegenerateEigenfunctionError)
-from .geometry import CIRCLE, Grid, WarpedManifold, be_ricci_lower_bound
+from .geometry import CIRCLE, Grid, WarpedManifold
 from .spectral import EigenMode
 
 HALF_PI = math.pi / 2.0
@@ -228,8 +228,7 @@ class NormalizedEigenfunction:
         return self.v_rad, self.dv_rad ** 2, equator
 
 
-def normalize(mode: EigenMode, K: float | None = None,
-              b: float = 1.01) -> NormalizedEigenfunction:
+def normalize(mode: EigenMode, K: float, b: float = 1.01) -> NormalizedEigenfunction:
     """Fix sign and scale of an eigenfunction, returning v with its constants.
 
     The sign is chosen so that max u >= -min u over the manifold, then u is
@@ -271,9 +270,6 @@ def normalize(mode: EigenMode, K: float | None = None,
         k = -float(u.min())
         a = (1.0 - k) / (1.0 + k)
         v_rad = (u - (1.0 - k) / 2.0) / ((1.0 + k) / 2.0)
-
-    if K is None:
-        K = be_ricci_lower_bound(model).K if not periodic else 0.0
 
     res = problem.apply(v_rad) + lam * (v_rad + a)
     residual_inf = float(np.max(np.abs(res)))

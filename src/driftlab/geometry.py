@@ -30,12 +30,12 @@ poles, so profiles may carry a stable closed form for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import PoleRegularityError
+from .errors import InapplicableBoundError, PoleRegularityError
 
 INTERVAL_SPHERE = "interval-sphere"
 CIRCLE = "circle"
@@ -51,6 +51,13 @@ class RadialProfile:
     ``one_minus_d1_sq`` optionally evaluates 1 - (f')^2 in a cancellation-free
     form; warp profiles want this because (1 - w'^2)/w^2 is a 0/0 limit at the
     poles.
+
+    ``cos_family`` records what a constructor of the round cos-polynomial
+    family built, for ``be_ricci_lower_bound``'s closed form: ``(L,)`` for
+    the round warp of length L, ``(L, coeffs)`` for the density
+    p(cos(pi r / L)) with p's coefficients in increasing-degree order (L is
+    None for ``zero_density``, which fits every length).  Only those
+    constructors set it; any other profile has None.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -59,18 +66,24 @@ class RadialProfile:
     d3: Callable[[np.ndarray], np.ndarray]
     name: str = ""
     one_minus_d1_sq: Callable[[np.ndarray], np.ndarray] | None = None
+    cos_family: tuple | None = field(default=None, init=False)
 
     def __call__(self, r):
         return self.value(r)
 
     def shifted(self, offset: float) -> "RadialProfile":
-        """The profile f + offset (derivatives unchanged)."""
+        """The profile f + offset (derivatives unchanged); a density's record
+        moves its constant term, a warp's is dropped."""
         base = self.value
-        return replace(
+        out = replace(
             self,
             value=lambda r, _b=base, _o=float(offset): _b(r) + _o,
             name=f"{self.name}+{offset:g}" if self.name else f"shift({offset:g})",
         )
+        if self.cos_family is not None and len(self.cos_family) == 2:
+            length, coeffs = self.cos_family
+            _record(out, (length, (coeffs[0] + offset,) + coeffs[1:]))
+        return out
 
     def stable_one_minus_d1_sq(self, r):
         if self.one_minus_d1_sq is not None:
@@ -79,40 +92,46 @@ class RadialProfile:
         return (1.0 - d) * (1.0 + d)
 
 
+def _record(profile: RadialProfile, cos_family: tuple) -> RadialProfile:
+    object.__setattr__(profile, "cos_family", cos_family)
+    return profile
+
+
 def sphere_warp(radius: float = 1.0) -> RadialProfile:
     """w(r) = radius * sin(r / radius) on [0, pi * radius]."""
     rho = float(radius)
-    return RadialProfile(
+    return _record(RadialProfile(
         value=lambda r: rho * np.sin(np.asarray(r, dtype=float) / rho),
         d1=lambda r: np.cos(np.asarray(r, dtype=float) / rho),
         d2=lambda r: -np.sin(np.asarray(r, dtype=float) / rho) / rho,
         d3=lambda r: -np.cos(np.asarray(r, dtype=float) / rho) / rho**2,
         name=f"sphere-warp(radius={rho:g})",
         one_minus_d1_sq=lambda r: np.sin(np.asarray(r, dtype=float) / rho) ** 2,
-    )
+    ), (math.pi * rho,))
 
 
 def stretched_sphere_warp(length: float) -> RadialProfile:
     """Pole-regular warp of total arc length L: w(r) = (L/pi) sin(pi r / L)."""
-    return sphere_warp(length / math.pi)
+    return _record(sphere_warp(length / math.pi), (float(length),))
 
 
 def zero_density() -> RadialProfile:
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    return RadialProfile(value=zero, d1=zero, d2=zero, d3=zero, name="zero")
+    return _record(RadialProfile(value=zero, d1=zero, d2=zero, d3=zero, name="zero"),
+                   (None, (0.0,)))
 
 
 def cosine_density(amplitude: float, length: float = math.pi) -> RadialProfile:
     """phi(r) = amplitude * cos(pi r / L); on the unit sphere this is eps*cos(r)."""
     a = float(amplitude)
     k = math.pi / float(length)
-    return RadialProfile(
+    return _record(RadialProfile(
         value=lambda r: a * np.cos(k * np.asarray(r, dtype=float)),
         d1=lambda r: -a * k * np.sin(k * np.asarray(r, dtype=float)),
         d2=lambda r: -a * k**2 * np.cos(k * np.asarray(r, dtype=float)),
         d3=lambda r: a * k**3 * np.sin(k * np.asarray(r, dtype=float)),
         name=f"cosine(eps={a:g})",
-    )
+    ), (float(length), (0.0, a)))
 
 
 def poly_cos_density(coeffs, length: float = math.pi) -> RadialProfile:
@@ -120,10 +139,9 @@ def poly_cos_density(coeffs, length: float = math.pi) -> RadialProfile:
 
     ``coeffs`` are in increasing-degree order, p(x) = c0 + c1 x + c2 x^2 + ...
     Radial smoothness at the poles is automatic because d/dr cos(pi r/L)
-    vanishes there.  The degree is at most 2: on the sphere warp each Ric_phi
-    eigenvalue is then a polynomial of degree at most 2 in cos(pi r/L), with
-    at most one interior critical point, which is what lets
-    ``be_ricci_lower_bound`` read the minimum from fixed samples.
+    vanishes there.  The degree is at most 2, the degree that
+    ``be_ricci_lower_bound`` solves in closed form: on the round warp each
+    Ric_phi eigenvalue is then a quadratic in cos(pi r/L).
     """
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
@@ -157,8 +175,9 @@ def poly_cos_density(coeffs, length: float = math.pi) -> RadialProfile:
         x3 = k**3 * np.sin(k * r)
         return p3(_x(r)) * x1**3 + 3.0 * p2(_x(r)) * x1 * x2 + p1(_x(r)) * x3
 
-    return RadialProfile(value=_value, d1=_d1, d2=_d2, d3=_d3,
-                         name=f"poly-cos({','.join('%g' % v for v in c)})")
+    return _record(RadialProfile(value=_value, d1=_d1, d2=_d2, d3=_d3,
+                                 name=f"poly-cos({','.join('%g' % v for v in c)})"),
+                   (float(length), tuple(c.tolist())))
 
 
 @dataclass(frozen=True)
@@ -339,12 +358,7 @@ def curvature(model: WarpedManifold, grid: Grid) -> CurvatureProfile:
     cancellation-prone 1 - w'^2 uses the profile's stable form when present.
     Exact pole values are available from :func:`pole_curvature`.
     """
-    return _curvature(model, grid.nodes)
-
-
-def _curvature(model: WarpedManifold, r: np.ndarray) -> CurvatureProfile:
-    """Curvature at interior radii r."""
-    phi = model.phi
+    r, phi = grid.nodes, model.phi
     if model.topology == CIRCLE:
         zero = np.zeros_like(r)
         hess = np.asarray(phi.d2(r), dtype=float)
@@ -409,19 +423,6 @@ def scalar_curvature_derivative(model: WarpedManifold, r: np.ndarray) -> np.ndar
     return -2.0 * (n - 1) * term_a - 2.0 * (n - 1) * (n - 2) * term_b
 
 
-# Points of [0, L], poles included, at which be_ricci_lower_bound samples
-# Ric_phi, and equally many (ends included) in each bracket it zooms into.
-_RIC_SAMPLES = 1025
-_RIC_ZOOMS = 2
-
-
-def _ricphi_pair(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
-    """The radial and tangential Ric_phi eigenvalues at interior radii r, the
-    rows of a (2, r.size) array."""
-    prof = _curvature(model, r)
-    return np.stack([prof.ricphi_rr, prof.ricphi_tan])
-
-
 @dataclass(frozen=True)
 class RicciLowerBound:
     """Largest K with Ric_phi >= (n-1) K g on the model, and where it is attained."""
@@ -434,65 +435,42 @@ class RicciLowerBound:
 def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
     """K_eff = min over the model of the smaller Ric_phi eigenvalue, over (n-1).
 
-    The minimum is the model's own; no grid enters it.  Each of the two
-    eigenvalues (radial and tangential) is sampled at ``_RIC_SAMPLES``
-    equispaced points of [0, L], the poles through their exact isotropic
-    limits (``pole_curvature`` plus phi'').  Each interior sample that is a
-    strict local minimum of its eigenvalue's samples brackets that
-    eigenvalue's minimum between its two neighbours.  The bracket is
-    sampled again at ``_RIC_SAMPLES`` points, the least sample's neighbours
-    bracket it anew, and so ``_RIC_ZOOMS`` times, from values alone: the
-    spacing falls from H = L/1024 to H (2/1024)^2, 1.2e-8 on [0, pi], where
-    the eigenvalue is flat to rounding.  Every sampled value, both
-    eigenvalues, is a candidate.  The minimum of the smaller eigenvalue is
-    the smaller of the two eigenvalues' minima (where they cross, their
-    minimum has a concave kink, never a local minimum), so no crossing
-    needs a candidate.
+    The minimum is the model's own, in closed form, on the round
+    cos-polynomial family that every config builds: the round warp
+    w = rho sin(r/rho) of the model's length L = pi rho, with a density
+    phi = c0 + c1 c + c2 c^2 in c = cos(r/rho) (``poly_cos_density``,
+    ``cosine_density``, ``zero_density``).  There Ric = (n-1)/rho^2 in every
+    direction, and phi'' and phi' w'/w give
 
-    A dip that no sampled minimum brackets needs two critical points of one
-    eigenvalue within 2H, a pole counting as one (the eigenvalues are even
-    about the poles), and is at most max |Ric_phi''| H^2 / 8 deep.  Each
-    zoom relies on one critical point in its bracket in the same way.  On
-    the shipped families (the sphere warp of radius L/pi with a cosine or a
-    poly-cos density, whose degree ``poly_cos_density`` caps at 2) each
-    eigenvalue is a polynomial of degree at most 2 in c = cos(pi r/L),
-    whose r-derivative is sin(pi r/L) times a linear function of c: at most
-    one critical point inside (0, L), so a dip needs it within H of a pole,
-    where c is within 1 - cos(pi/1024) = 4.7e-6 of +-1.  The Ling cases'
-    lies at c = -1/2; the cosine densities' eigenvalues are monotone, with
-    their minimum at a pole, so they sample no bracket.
+        rho^2 Ric_phi,rr  = (n-1) + 2 c2 - c1 c - 4 c2 c^2
+        rho^2 Ric_phi,tan = (n-1)        - c1 c - 2 c2 c^2,
 
-    ``radius`` is where the minimum is attained, to within the flatness of
-    the eigenvalue at rounding (about 1e-8 L at an interior minimum); a tie
-    (Ric_phi constant, as on a unit round sphere) goes to the smallest
-    radius, the pole r = 0.  A non-positive result is flagged: the
-    Lichnerowicz- and Ling-type bounds need K > 0.
+    so each eigenvalue is least at c = +-1 (a pole) or at its vertex inside
+    (-1, 1).  ``radius`` = rho acos(c) is where the minimum is attained; a
+    tie (Ric_phi constant, as on a unit round sphere) goes to the largest c,
+    the smallest radius.  A model outside the family raises
+    ``InapplicableBoundError``, since no minimum is proved for it.  A
+    non-positive result is flagged: the Lichnerowicz- and Ling-type bounds
+    need K > 0.
     """
     if model.topology == CIRCLE:
         raise ValueError("the (n-1) K normalization degenerates on 1-dimensional circles")
-    r = np.linspace(0.0, model.L, _RIC_SAMPLES)
-    sampled = np.empty((2, r.size))
-    sampled[:, [0, -1]] = np.array(pole_curvature(model)) \
-        + np.asarray(model.phi.d2(np.array([0.0, model.L])), dtype=float)
-    sampled[:, 1:-1] = _ricphi_pair(model, r[1:-1])
-    left, mid, right = sampled[:, :-2], sampled[:, 1:-1], sampled[:, 2:]
-    which, j = np.nonzero((mid <= left) & (mid <= right) & ((mid < left) | (mid < right)))
-    lo, hi = r[j], r[j + 2]  # the neighbours of sample j + 1
-    radii, values = [r], [np.minimum(*sampled)]
-    rows = np.arange(j.size)
-    for _ in range(_RIC_ZOOMS if j.size else 0):
-        x = np.linspace(lo, hi, _RIC_SAMPLES, axis=1)
-        inner = x[:, 1:-1]
-        pair = _ricphi_pair(model, inner.ravel()).reshape(2, j.size, -1)
-        k = np.argmin(pair[which, rows], axis=1)  # inner sample k is x sample k + 1
-        lo, hi = x[rows, k], x[rows, k + 2]
-        radii.append(inner.ravel())
-        values.append(np.minimum(*pair).ravel())
-    radii, values = np.concatenate(radii), np.concatenate(values)
-    order = np.argsort(radii, kind="stable")
-    i = order[np.argmin(values[order])]
-    k_eff = float(values[i]) / (model.n - 1)
-    return RicciLowerBound(K=k_eff, radius=float(radii[i]), positive=k_eff > 0.0)
+    dens = model.phi.cos_family
+    if model.w.cos_family != (model.L,) or dens is None or len(dens) != 2 \
+            or dens[0] not in (None, model.L):
+        raise InapplicableBoundError(
+            f"K_eff has a closed form only for the round warp with a cos-polynomial density "
+            f"of the model's length L; {model.label} is not one")
+    n1 = model.n - 1
+    c1, c2 = (dens[1] + (0.0, 0.0))[1:3]
+    candidates = []  # (rho^2 Ric_phi, -c): the least value, then the largest c
+    for a, q in ((n1 + 2.0 * c2, -4.0 * c2), (n1, -2.0 * c2)):
+        vertex = (c1 / (2.0 * q),) if abs(c1) < 2.0 * q else ()
+        candidates += [(a - c1 * c + q * c * c, -c) for c in (1.0, -1.0) + vertex]
+    value, neg_c = min(candidates)
+    rho = model.L / math.pi
+    k_eff = value / (n1 * rho**2)
+    return RicciLowerBound(K=k_eff, radius=rho * math.acos(-neg_c), positive=k_eff > 0.0)
 
 
 def diameter(model: WarpedManifold) -> float:

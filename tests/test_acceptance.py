@@ -7,6 +7,7 @@ in separate processes and compares the emitted CSV reports byte for byte.
 Each test prints one PASS/FAIL line for its criterion.
 """
 
+import dataclasses
 import subprocess
 import sys
 
@@ -35,6 +36,15 @@ def test_criterion_01_spectral_accuracy():
 @pytest.fixture(scope="module")
 def cosine_family():
     return acceptance.evaluate_cosine_family()
+
+
+def test_cosine_family_keeps_only_scalars(cosine_family):
+    # criteria 2-4 read a few numbers per member; no eigenvector, grid or
+    # model stays alive between them
+    assert len(cosine_family.members) == 15
+    for member in cosine_family.members:
+        for f in dataclasses.fields(member):
+            assert type(getattr(member, f.name)) in (int, float), f.name
 
 
 def test_criterion_02_lichnerowicz_suite(cosine_family):

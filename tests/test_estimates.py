@@ -686,7 +686,7 @@ def _flat_samples(nef):
 
 
 def test_normalize_l1_mode_symmetric():
-    nef = dl.normalize(_l1_mode(), b=1.01)
+    nef = dl.normalize(_l1_mode(), K=1.0, b=1.01)
     assert nef.a == 0.0 and nef.k == 1.0
     v, _ = _flat_samples(nef)
     N = nef.v_rad.size

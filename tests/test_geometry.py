@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import driftlab as dl
-from driftlab.errors import PoleRegularityError
+from driftlab.errors import InapplicableBoundError, PoleRegularityError
 from driftlab.geometry import pole_curvature
 
 
@@ -261,19 +262,19 @@ def test_ricci_lower_bound_matches_an_mpmath_minimization_on_the_ling_models(n):
         best = float(best / (n - 1))
     kb = dl.be_ricci_lower_bound(_ling_model(n))
     assert abs(kb.K - best) <= 2e-16
-    # located from values, to within the eigenvalue's flatness at rounding
-    assert abs(kb.radius - where) <= 1e-7
+    # rho acos(c) at the vertex c = -1/2, rho = 1, is 2 pi/3 correctly rounded
+    assert abs(kb.radius - where) <= 1e-15
     assert kb.positive
 
 
 def test_ricci_lower_bound_finds_a_minimum_between_cell_centres():
     # the Ling n = 3 radial eigenvalue 2 + c + c^2 - 1/2 is least, 5/4, at
-    # c = -1/2, r = 2 pi/3, which is neither a cell centre at N = 400 nor a
-    # sample point; the minimum over the cell centres over-reads it
+    # c = -1/2, r = 2 pi/3, which is not a cell centre at N = 400; the
+    # minimum over the cell centres over-reads it
     model = _ling_model(3)
     kb = dl.be_ricci_lower_bound(model)
-    assert abs(kb.K - 0.625) <= 1e-16
-    assert abs(kb.radius - 2.0 * math.pi / 3.0) <= 1e-7
+    assert kb.K == 0.625
+    assert kb.radius == math.acos(-0.5)
     prof = dl.curvature(model, dl.Grid.uniform(model, 400))
     cell_min = np.minimum(prof.ricphi_rr, prof.ricphi_tan).min() / 2.0
     assert cell_min - 0.625 > 1e-7
@@ -303,8 +304,8 @@ def test_ricci_lower_bound_tie_goes_to_the_smallest_radius():
 
 
 def test_poly_cos_density_is_capped_at_degree_two():
-    # be_ricci_lower_bound's fixed samples rule out a hidden dip only while
-    # each Ric_phi eigenvalue has one interior critical point at most
+    # be_ricci_lower_bound's closed form takes each Ric_phi eigenvalue as a
+    # quadratic in cos(pi r/L), which a degree above 2 would break
     dl.poly_cos_density([0.0, -1.0, -0.25])
     with pytest.raises(ValueError, match="at most 3 coefficients"):
         dl.poly_cos_density([0.0, 0.0, 0.0, 1.0])
@@ -314,3 +315,80 @@ def test_poly_cos_density_is_capped_at_degree_two():
     raw["family"]["density"]["coeffs"] = [0.0, -1.0, -0.25, 0.1]
     with pytest.raises(cfg.ConfigError, match="at most 3 coeffs"):
         cfg.parse_config(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), length=st.floats(1.0, 8.0),
+       coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
+def test_closed_form_ricci_lower_bound_is_the_sampled_minimum(n, length, coeffs):
+    # the closed form against curvature() at 20001 cell centres: at or below
+    # every sample, to rounding, and below their least by no more than
+    # sampling allows.  Each eigenvalue is stationary in r where it is least
+    # (at a pole, or at a vertex in c), and a centre lies within h/2 of that
+    # point, so the least sample over-reads K_eff by at most
+    # max |d^2 Ric_phi / dr^2| (h/2)^2 / 2, over (n-1).
+    model = dl.interval_sphere(n, length, density=dl.poly_cos_density(coeffs, length))
+    kb = dl.be_ricci_lower_bound(model)
+    grid = dl.Grid.uniform(model, 20001)
+    prof = dl.curvature(model, grid)
+    least = float(np.minimum(prof.ricphi_rr, prof.ricphi_tan).min()) / (n - 1)
+    c1, c2 = (list(coeffs) + [0.0, 0.0])[1:3]
+    rho = length / math.pi
+    rounding = 16.0 * np.finfo(float).eps * (n - 1 + abs(c1) + 6.0 * abs(c2)) \
+        / ((n - 1) * rho**2)
+    # rho^2 Ric_phi = a + b c + q c^2 with |b| = |c1|, |q| <= 4 |c2|
+    second = (abs(c1) + 16.0 * abs(c2)) / ((n - 1) * rho**4)
+    assert kb.K <= least + rounding
+    assert least - kb.K <= second * grid.spacing**2 / 8.0 + rounding
+    assert kb.positive == (kb.K > 0.0)
+
+
+def test_ricci_lower_bound_refuses_a_model_outside_the_round_cos_family():
+    # a profile built by hand carries no record, even with the callables of
+    # a family member, and a cosine of length pi on a sphere of length 2 pi
+    # is not a polynomial in cos(r/2): no closed form covers either
+    cos = dl.cosine_density(0.5)
+    hand_built = dl.RadialProfile(value=cos.value, d1=cos.d1, d2=cos.d2, d3=cos.d3)
+    with pytest.raises(InapplicableBoundError, match="closed form"):
+        dl.be_ricci_lower_bound(dl.sphere(2, density=hand_built))
+    warp = dl.sphere_warp()
+    hand_warp = dl.RadialProfile(value=warp.value, d1=warp.d1, d2=warp.d2, d3=warp.d3)
+    with pytest.raises(InapplicableBoundError, match="closed form"):
+        dl.be_ricci_lower_bound(dl.interval_sphere(2, math.pi, warp=hand_warp))
+    with pytest.raises(InapplicableBoundError, match="closed form"):
+        dl.be_ricci_lower_bound(dl.sphere(3, radius=2.0, density=cos))
+    # at the model's length the same cosine is in the family: min of
+    # (2 - 0.5 c) / 4 at the pole c = 1
+    kb = dl.be_ricci_lower_bound(
+        dl.sphere(3, radius=2.0, density=dl.cosine_density(0.5, 2.0 * math.pi)))
+    assert kb.K == 1.5 / 8.0 and kb.radius == 0.0
+    # circles keep their own refusal
+    with pytest.raises(ValueError, match="circles"):
+        dl.be_ricci_lower_bound(dl.circle(2.0 * math.pi))
+    # no constructor takes the record
+    with pytest.raises(TypeError):
+        dl.RadialProfile(value=cos.value, d1=cos.d1, d2=cos.d2, d3=cos.d3,
+                         cos_family=(math.pi, (0.0, 0.5)))
+
+
+def test_constructors_record_the_round_cos_family():
+    assert dl.sphere_warp(2.0).cos_family == (2.0 * math.pi,)
+    assert dl.stretched_sphere_warp(2.5).cos_family == (2.5,)
+    assert dl.zero_density().cos_family == (None, (0.0,))
+    assert dl.cosine_density(0.3, 2.5).cos_family == (2.5, (0.0, 0.3))
+    assert dl.poly_cos_density([1, -1, 0.5]).cos_family == (math.pi, (1.0, -1.0, 0.5))
+    # interval_sphere and sphere form their L as the warp's constructor does
+    for model in (dl.interval_sphere(3, 2.5), dl.sphere(3, radius=0.7)):
+        assert model.w.cos_family == (model.L,)
+
+
+def test_shifted_density_keeps_its_record():
+    # K_eff does not depend on the constant term c0, which the record moves
+    dens = dl.poly_cos_density([0.0, -1.0, -0.25])
+    moved = dens.shifted(0.7)
+    assert moved.cos_family == (math.pi, (0.7, -1.0, -0.25))
+    assert dl.be_ricci_lower_bound(dl.sphere(3, density=moved)) \
+        == dl.be_ricci_lower_bound(dl.sphere(3, density=dens))
+    assert dl.zero_density().shifted(-1.0).cos_family == (None, (-1.0,))
+    # a warp plus a constant is no longer the round warp
+    assert dl.sphere_warp().shifted(0.1).cos_family is None

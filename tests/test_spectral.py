@@ -769,7 +769,8 @@ def test_manifold_samples_shapes():
     model, grid = _sphere_grid(3, 400, eps=0.4)
     fe = dl.first_nonzero_eigenvalue(model, grid)
     assert fe.mode.l == 1
-    nef = dl.normalize(fe.mode)
+    K = dl.be_ricci_lower_bound(model).K
+    nef = dl.normalize(fe.mode, K=K)
     v, grad_sq, equator = nef.samples()
     # the fiber poles of every row, which also stand for their antipodes,
     # and the |grad v|^2 of one point on the equator level v = 0
@@ -778,7 +779,7 @@ def test_manifold_samples_shapes():
     assert np.array_equal(v, nef.v_rad)
     assert equator == nef.equator_grad_sq.max()
     zonal = _top_modes(assemble(model, grid, 0), 2)[1]
-    v, grad_sq, equator = dl.normalize(zonal).samples()
+    v, grad_sq, equator = dl.normalize(zonal, K=K).samples()
     assert v.shape == grad_sq.shape == (grid.size,) and equator is None
 
 
@@ -787,7 +788,7 @@ import hashlib
 import driftlab as dl
 model = dl.sphere(3, density=dl.cosine_density(0.7))
 fe = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 100000))
-nef = dl.normalize(fe.mode)
+nef = dl.normalize(fe.mode, K=dl.be_ricci_lower_bound(model).K)
 arrays = (fe.mode.u, nef.v_rad, nef.dv_rad)
 print(repr((fe.lam, fe.mode.l, fe.error_estimate, nef.k, nef.a, nef.residual_inf,
             hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())))
