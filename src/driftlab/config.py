@@ -294,34 +294,27 @@ def read_config(path: str | Path):
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
 
 
+def _cos_polynomial(name: str, eps: float, length: float, coeffs=None) -> geometry.CosPolynomial:
+    """A named density or soliton potential as p(cos(pi r / length))."""
+    return geometry.CosPolynomial(
+        {"zero": (0.0,), "cosine": (0.0, eps), "poly-cos": coeffs}[name], length)
+
+
 def build_model(config: ExperimentConfig, inst: InstanceSpec) -> geometry.WarpedManifold:
     """Instantiate the manifold for one instance of the sweep."""
+    length = math.pi * config.radius if config.family == "sphere" else config.length
+    # a circle's cosine is one period: cos(2 pi theta / length)
+    period = length / 2.0 if config.family == "circle" else length
+    dens = _cos_polynomial(config.density.name, inst.eps, period, config.density.coeffs)
     if config.family == "circle":
-        length = config.length
-        if config.density.name == "cosine":  # one period: cos(2 pi theta / length)
-            dens = geometry.cosine_density(inst.eps, length / 2.0)
-        else:
-            dens = geometry.zero_density()
         return geometry.circle(length, density=dens)
-
-    length = config.length if config.family == "stretched-sphere" \
-        else math.pi * config.radius
-    if config.density.name == "cosine":
-        dens = geometry.cosine_density(inst.eps, length)
-    elif config.density.name == "poly-cos":
-        dens = geometry.poly_cos_density(config.density.coeffs, length)
-    else:
-        dens = geometry.zero_density()
     if config.family == "sphere":
         return geometry.sphere(inst.n, radius=config.radius, density=dens)
     return geometry.interval_sphere(inst.n, length, density=dens)
 
 
-def build_soliton_potential(config: ExperimentConfig, model) -> geometry.RadialProfile:
-    spec = config.soliton
-    if spec.f_name == "zero":
-        return geometry.zero_density()
-    return geometry.cosine_density(spec.f_eps, model.L)
+def build_soliton_potential(config: ExperimentConfig, model) -> geometry.CosPolynomial:
+    return _cos_polynomial(config.soliton.f_name, config.soliton.f_eps, model.L)
 
 
 def soliton_gamma(config: ExperimentConfig, n: int) -> float:

@@ -21,16 +21,19 @@ and the Hessian of a radial function phi has radial component phi'' and
 tangential component phi' w'/w.  The Bakry-Emery Ricci tensor is
 Ric_phi = Ric + Hess(phi).
 
-All profiles are supplied with analytic derivatives up to third order so that
-curvature, its radial derivative, and pole limits can be evaluated without
-differencing noise.  The quantity (1 - w'^2) is cancellation-prone near the
-poles, so profiles may carry a stable closed form for it.
+Every config builds the round cos-polynomial family, two types that generate
+their values and analytic derivatives from their fields: ``RoundWarp(L)``,
+w = rho sin(r/rho) with rho = L/pi, and ``CosPolynomial(coeffs, L)``,
+phi = p(cos(pi r/L)) with deg p <= 2.  ``RadialProfile`` takes hand-built
+callables for any other profile.  Analytic derivatives (a warp's up to third
+order) keep curvature and its pole limits free of differencing noise, and a
+warp gives 1 - w'^2, which cancels near the poles, in its most stable form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -46,138 +49,115 @@ _REGULARITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A scalar profile on [0, L] with analytic derivatives up to order three.
-
-    ``one_minus_d1_sq`` optionally evaluates 1 - (f')^2 in a cancellation-free
-    form; warp profiles want this because (1 - w'^2)/w^2 is a 0/0 limit at the
-    poles.
-
-    ``cos_family`` records what a constructor of the round cos-polynomial
-    family built, for ``be_ricci_lower_bound``'s closed form: ``(L,)`` for
-    the round warp of length L, ``(L, coeffs)`` for the density
-    p(cos(pi r / L)) with p's coefficients in increasing-degree order (L is
-    None for ``zero_density``, which fits every length).  Only those
-    constructors set it; any other profile has None.
-    """
+    """A hand-built profile on [0, L] with analytic derivatives, for any profile
+    outside the round cos-polynomial family; ``d3`` is read from warps only."""
 
     value: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
     d3: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-    one_minus_d1_sq: Callable[[np.ndarray], np.ndarray] | None = None
-    cos_family: tuple | None = field(default=None, init=False)
-
-    def __call__(self, r):
-        return self.value(r)
 
     def shifted(self, offset: float) -> "RadialProfile":
-        """The profile f + offset (derivatives unchanged); a density's record
-        moves its constant term, a warp's is dropped."""
+        """The profile f + offset (derivatives unchanged)."""
         base = self.value
-        out = replace(
-            self,
-            value=lambda r, _b=base, _o=float(offset): _b(r) + _o,
-            name=f"{self.name}+{offset:g}" if self.name else f"shift({offset:g})",
-        )
-        if self.cos_family is not None and len(self.cos_family) == 2:
-            length, coeffs = self.cos_family
-            _record(out, (length, (coeffs[0] + offset,) + coeffs[1:]))
-        return out
+        return replace(self, value=lambda r, _b=base, _o=float(offset): _b(r) + _o)
 
-    def stable_one_minus_d1_sq(self, r):
-        if self.one_minus_d1_sq is not None:
-            return self.one_minus_d1_sq(r)
+    def slope_defect(self, r):
         d = self.d1(r)
         return (1.0 - d) * (1.0 + d)
 
 
-def _record(profile: RadialProfile, cos_family: tuple) -> RadialProfile:
-    object.__setattr__(profile, "cos_family", cos_family)
-    return profile
+@dataclass(frozen=True)
+class RoundWarp:
+    """The round warp of arc length L: w(r) = rho sin(r / rho), rho = L / pi."""
+
+    length: float
+
+    @property
+    def rho(self) -> float:
+        return self.length / math.pi
+
+    def _angle(self, r):
+        return np.asarray(r, dtype=float) / self.rho
+
+    def value(self, r):
+        return self.rho * np.sin(self._angle(r))
+
+    def d1(self, r):
+        return np.cos(self._angle(r))
+
+    def d2(self, r):
+        return -np.sin(self._angle(r)) / self.rho
+
+    def d3(self, r):
+        return -np.cos(self._angle(r)) / self.rho**2
+
+    def slope_defect(self, r):
+        """1 - w'^2 = sin^2(r / rho), free of the cancellation near the poles."""
+        return np.sin(self._angle(r)) ** 2
 
 
-def sphere_warp(radius: float = 1.0) -> RadialProfile:
-    """w(r) = radius * sin(r / radius) on [0, pi * radius]."""
-    rho = float(radius)
-    return _record(RadialProfile(
-        value=lambda r: rho * np.sin(np.asarray(r, dtype=float) / rho),
-        d1=lambda r: np.cos(np.asarray(r, dtype=float) / rho),
-        d2=lambda r: -np.sin(np.asarray(r, dtype=float) / rho) / rho,
-        d3=lambda r: -np.cos(np.asarray(r, dtype=float) / rho) / rho**2,
-        name=f"sphere-warp(radius={rho:g})",
-        one_minus_d1_sq=lambda r: np.sin(np.asarray(r, dtype=float) / rho) ** 2,
-    ), (math.pi * rho,))
+def _horner(c, x):
+    """c[0] + c[1] x (+ c[2] x^2) in numpy polyval's operation order, in place."""
+    y = c[-1] * x
+    y += c[-2]
+    if len(c) == 3:
+        y *= x
+        y += c[0]
+    return y
 
 
-def stretched_sphere_warp(length: float) -> RadialProfile:
-    """Pole-regular warp of total arc length L: w(r) = (L/pi) sin(pi r / L)."""
-    return _record(sphere_warp(length / math.pi), (float(length),))
+@dataclass(frozen=True)
+class CosPolynomial:
+    """The density phi(r) = p(x), x = cos(k r), k = pi / L, p(x) = c0 + c1 x + c2 x^2.
 
-
-def zero_density() -> RadialProfile:
-    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    return _record(RadialProfile(value=zero, d1=zero, d2=zero, d3=zero, name="zero"),
-                   (None, (0.0,)))
-
-
-def cosine_density(amplitude: float, length: float = math.pi) -> RadialProfile:
-    """phi(r) = amplitude * cos(pi r / L); on the unit sphere this is eps*cos(r)."""
-    a = float(amplitude)
-    k = math.pi / float(length)
-    return _record(RadialProfile(
-        value=lambda r: a * np.cos(k * np.asarray(r, dtype=float)),
-        d1=lambda r: -a * k * np.sin(k * np.asarray(r, dtype=float)),
-        d2=lambda r: -a * k**2 * np.cos(k * np.asarray(r, dtype=float)),
-        d3=lambda r: a * k**3 * np.sin(k * np.asarray(r, dtype=float)),
-        name=f"cosine(eps={a:g})",
-    ), (float(length), (0.0, a)))
-
-
-def poly_cos_density(coeffs, length: float = math.pi) -> RadialProfile:
-    """phi(r) = p(cos(pi r / L)) for a polynomial p given by ``coeffs``.
-
-    ``coeffs`` are in increasing-degree order, p(x) = c0 + c1 x + c2 x^2 + ...
-    Radial smoothness at the poles is automatic because d/dr cos(pi r/L)
-    vanishes there.  The degree is at most 2, the degree that
-    ``be_ricci_lower_bound`` solves in closed form: on the round warp each
-    Ric_phi eigenvalue is then a quadratic in cos(pi r/L).
+    ``coeffs`` holds 1 to 3 coefficients in increasing-degree order: degree 2
+    is what ``be_ricci_lower_bound`` solves in closed form.  Radial smoothness
+    at the poles is automatic, as d/dr cos(k r) vanishes there.  The chain
+    rule gives phi' = -k p'(x) sin(k r) and phi'' = k^2 (p''(x) (1 - x^2) -
+    p'(x) x) = k^2 (2 c2 - c1 x - 4 c2 x^2).
     """
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("poly_cos_density expects a non-empty 1-d coefficient list")
-    if c.size > 3:
-        raise ValueError(f"poly_cos_density takes at most 3 coefficients (degree 2); got {c.size}")
-    k = math.pi / float(length)
-    p = np.polynomial.Polynomial(c)
-    p1, p2, p3 = p.deriv(1), p.deriv(2), p.deriv(3)
 
-    def _x(r):
-        return np.cos(k * np.asarray(r, dtype=float))
+    coeffs: tuple[float, ...]
+    length: float = math.pi
 
-    def _value(r):
-        return p(_x(r))
+    def __post_init__(self):
+        c, length = tuple(float(v) for v in self.coeffs), float(self.length)
+        if not (1 <= len(c) <= 3 and all(map(math.isfinite, c)) and 0.0 < length < math.inf):
+            raise ValueError(f"CosPolynomial takes 1 to 3 finite coefficients (degree <= 2) "
+                             f"and a positive and finite length; got {c}, {length}")
+        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "length", length)
 
-    def _d1(r):
-        r = np.asarray(r, dtype=float)
-        return p1(_x(r)) * (-k * np.sin(k * r))
+    def shifted(self, offset: float) -> "CosPolynomial":
+        """The density phi + offset: c0 moves, nothing else."""
+        return replace(self, coeffs=(self.coeffs[0] + offset,) + self.coeffs[1:])
 
-    def _d2(r):
-        r = np.asarray(r, dtype=float)
-        x1 = -k * np.sin(k * r)
-        x2 = -k**2 * np.cos(k * r)
-        return p2(_x(r)) * x1**2 + p1(_x(r)) * x2
+    def value(self, r):
+        c = self.coeffs
+        if len(c) == 1:
+            return np.full(np.shape(r), c[0])
+        return _horner(c, np.cos(math.pi / self.length * np.asarray(r, dtype=float)))
 
-    def _d3(r):
-        r = np.asarray(r, dtype=float)
-        x1 = -k * np.sin(k * r)
-        x2 = -k**2 * np.cos(k * r)
-        x3 = k**3 * np.sin(k * r)
-        return p3(_x(r)) * x1**3 + 3.0 * p2(_x(r)) * x1 * x2 + p1(_x(r)) * x3
+    def d1(self, r):
+        k, (c1, c2) = math.pi / self.length, (self.coeffs + (0.0, 0.0))[1:3]
+        kr = k * np.asarray(r, dtype=float)
+        return _horner((-k * c1, -2.0 * k * c2), np.cos(kr)) * np.sin(kr)
 
-    return _record(RadialProfile(value=_value, d1=_d1, d2=_d2, d3=_d3,
-                                 name=f"poly-cos({','.join('%g' % v for v in c)})"),
-                   (float(length), tuple(c.tolist())))
+    def d2(self, r):
+        k, (c1, c2) = math.pi / self.length, (self.coeffs + (0.0, 0.0))[1:3]
+        k2 = k**2
+        return _horner((2.0 * k2 * c2, -k2 * c1, -4.0 * k2 * c2),
+                       np.cos(k * np.asarray(r, dtype=float)))
+
+
+def zero_density() -> CosPolynomial:
+    return CosPolynomial((0.0,))
+
+
+def cosine_density(amplitude: float, length: float = math.pi) -> CosPolynomial:
+    """phi(r) = amplitude * cos(pi r / L); on the unit sphere this is eps*cos(r)."""
+    return CosPolynomial((0.0, amplitude), length)
 
 
 @dataclass(frozen=True)
@@ -191,8 +171,8 @@ class WarpedManifold:
     topology: str
     n: int
     L: float
-    w: RadialProfile | None
-    phi: RadialProfile
+    w: RoundWarp | RadialProfile | None
+    phi: CosPolynomial | RadialProfile
     name: str = ""
 
     def __post_init__(self):
@@ -243,27 +223,29 @@ class WarpedManifold:
         return self.name or f"{self.topology}(n={self.n},L={self.L:g})"
 
 
-def sphere(n: int, radius: float = 1.0, density: RadialProfile | None = None,
+def sphere(n: int, radius: float = 1.0, density: CosPolynomial | RadialProfile | None = None,
            name: str = "") -> WarpedManifold:
     """Round n-sphere of the given radius, optionally with a radial density."""
+    length = math.pi * radius
     return WarpedManifold(
-        topology=INTERVAL_SPHERE, n=n, L=math.pi * radius,
-        w=sphere_warp(radius), phi=density or zero_density(),
+        topology=INTERVAL_SPHERE, n=n, L=length,
+        w=RoundWarp(length), phi=density or zero_density(),
         name=name or f"S^{n}(r={radius:g})",
     )
 
 
 def interval_sphere(n: int, length: float, warp: RadialProfile | None = None,
-                    density: RadialProfile | None = None, name: str = "") -> WarpedManifold:
-    """Warped product over an interval of arc length ``length``."""
+                    density: CosPolynomial | RadialProfile | None = None,
+                    name: str = "") -> WarpedManifold:
+    """Warped product over an interval of arc length ``length`` (round by default)."""
     return WarpedManifold(
         topology=INTERVAL_SPHERE, n=n, L=float(length),
-        w=warp or stretched_sphere_warp(length), phi=density or zero_density(),
+        w=warp or RoundWarp(length), phi=density or zero_density(),
         name=name,
     )
 
 
-def circle(circumference: float, density: RadialProfile | None = None,
+def circle(circumference: float, density: CosPolynomial | RadialProfile | None = None,
            name: str = "") -> WarpedManifold:
     """Weighted circle of the given circumference."""
     return WarpedManifold(
@@ -355,7 +337,7 @@ def curvature(model: WarpedManifold, grid: Grid) -> CurvatureProfile:
 
     Cell centers stay a half-spacing away from the poles, so the removable
     singularities of w''/w and (1 - w'^2)/w^2 are evaluated directly; the
-    cancellation-prone 1 - w'^2 uses the profile's stable form when present.
+    cancellation-prone 1 - w'^2 uses the warp's stable form.
     Exact pole values are available from :func:`pole_curvature`.
     """
     r, phi = grid.nodes, model.phi
@@ -372,7 +354,7 @@ def curvature(model: WarpedManifold, grid: Grid) -> CurvatureProfile:
     wd1 = np.asarray(w.d1(r), dtype=float)
     wd2 = np.asarray(w.d2(r), dtype=float)
     a = wd2 / wv
-    btan = np.asarray(w.stable_one_minus_d1_sq(r), dtype=float) / wv**2
+    btan = np.asarray(w.slope_defect(r), dtype=float) / wv**2
     n = model.n
     ric_rr = -(n - 1) * a
     ric_tan = -a + (n - 2) * btan
@@ -416,7 +398,7 @@ def scalar_curvature_derivative(model: WarpedManifold, r: np.ndarray) -> np.ndar
     wd1 = np.asarray(w.d1(r), dtype=float)
     wd2 = np.asarray(w.d2(r), dtype=float)
     wd3 = np.asarray(w.d3(r), dtype=float)
-    btan = np.asarray(w.stable_one_minus_d1_sq(r), dtype=float) / wv**2
+    btan = np.asarray(w.slope_defect(r), dtype=float) / wv**2
     n = model.n
     term_a = (wd3 - wd2 * wd1 / wv) / wv
     term_b = wd1 * (wd2 / wv + btan) / wv
@@ -436,10 +418,10 @@ def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
     """K_eff = min over the model of the smaller Ric_phi eigenvalue, over (n-1).
 
     The minimum is the model's own, in closed form, on the round
-    cos-polynomial family that every config builds: the round warp
-    w = rho sin(r/rho) of the model's length L = pi rho, with a density
-    phi = c0 + c1 c + c2 c^2 in c = cos(r/rho) (``poly_cos_density``,
-    ``cosine_density``, ``zero_density``).  There Ric = (n-1)/rho^2 in every
+    cos-polynomial family that every config builds: ``model.w ==
+    RoundWarp(L)``, w = rho sin(r/rho) with L = pi rho, and a
+    ``CosPolynomial`` density phi = c0 + c1 c + c2 c^2 in c = cos(r/rho) of
+    length L (of any length if constant).  There Ric = (n-1)/rho^2 in every
     direction, and phi'' and phi' w'/w give
 
         rho^2 Ric_phi,rr  = (n-1) + 2 c2 - c1 c - 4 c2 c^2
@@ -455,14 +437,14 @@ def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
     """
     if model.topology == CIRCLE:
         raise ValueError("the (n-1) K normalization degenerates on 1-dimensional circles")
-    dens = model.phi.cos_family
-    if model.w.cos_family != (model.L,) or dens is None or len(dens) != 2 \
-            or dens[0] not in (None, model.L):
+    phi = model.phi
+    if model.w != RoundWarp(model.L) or not isinstance(phi, CosPolynomial) \
+            or (phi.length != model.L and any(phi.coeffs[1:])):
         raise InapplicableBoundError(
             f"K_eff has a closed form only for the round warp with a cos-polynomial density "
             f"of the model's length L; {model.label} is not one")
     n1 = model.n - 1
-    c1, c2 = (dens[1] + (0.0, 0.0))[1:3]
+    c1, c2 = (phi.coeffs + (0.0, 0.0))[1:3]
     candidates = []  # (rho^2 Ric_phi, -c): the least value, then the largest c
     for a, q in ((n1 + 2.0 * c2, -4.0 * c2), (n1, -2.0 * c2)):
         vertex = (c1 / (2.0 * q),) if abs(c1) < 2.0 * q else ()

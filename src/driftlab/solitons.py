@@ -43,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleRegularityError
-from .geometry import (INTERVAL_SPHERE, Grid, RadialProfile, WarpedManifold,
-                       curvature, pole_curvature, scalar_curvature_derivative,
-                       unit_fiber_area)
+from .geometry import (INTERVAL_SPHERE, CosPolynomial, Grid, RadialProfile,
+                       WarpedManifold, curvature, pole_curvature,
+                       scalar_curvature_derivative, unit_fiber_area)
 from .spectral import MembershipVerdict, spectrum_contains
 
 _POLE_TOL = 1e-8
@@ -56,7 +56,7 @@ class SolitonCandidate:
     """A proposed gradient shrinking soliton (model, potential f, gamma)."""
 
     model: WarpedManifold
-    f: RadialProfile
+    f: CosPolynomial | RadialProfile
     gamma: float
 
     def __post_init__(self):
@@ -82,7 +82,7 @@ class SolitonCandidate:
 class NormalizedPotential:
     """Potential shifted so that int f e^{-f} dV = 0, with the shift used."""
 
-    f: RadialProfile
+    f: CosPolynomial | RadialProfile
     shift: float
 
 

@@ -996,7 +996,7 @@ def _reference_compute_Z(nef, bins):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_rows_once_match_the_flat_points_bitwise_on_real_modes(n, N):
     # the cosine sphere's lambda_1 mode is l = 1, the Ling model's zonal
-    for density in (dl.cosine_density(0.5), dl.poly_cos_density([0.0, -1.0, -0.25])):
+    for density in (dl.cosine_density(0.5), dl.CosPolynomial([0.0, -1.0, -0.25])):
         model = dl.sphere(n, density=density)
         mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, N)).mode
         nef = dl.normalize(mode, K=1.0)

@@ -228,8 +228,11 @@ def test_grid_invariants():
     assert np.array_equal(grid.weights, dl.weighted_measure(model, grid.density, grid.spacing))
 
 
+LING = (0.0, -1.0, -0.25)  # configs/ling_cases.json
+
+
 def _ling_model(n):
-    return dl.sphere(n, density=dl.poly_cos_density([0.0, -1.0, -0.25]))
+    return dl.sphere(n, density=dl.CosPolynomial(LING))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -306,9 +309,10 @@ def test_ricci_lower_bound_tie_goes_to_the_smallest_radius():
 def test_poly_cos_density_is_capped_at_degree_two():
     # be_ricci_lower_bound's closed form takes each Ric_phi eigenvalue as a
     # quadratic in cos(pi r/L), which a degree above 2 would break
-    dl.poly_cos_density([0.0, -1.0, -0.25])
-    with pytest.raises(ValueError, match="at most 3 coefficients"):
-        dl.poly_cos_density([0.0, 0.0, 0.0, 1.0])
+    dl.CosPolynomial([0.0, -1.0, -0.25])
+    for coeffs in ([0.0, 0.0, 0.0, 1.0], []):
+        with pytest.raises(ValueError, match="1 to 3 finite coefficients"):
+            dl.CosPolynomial(coeffs)
     from driftlab import config as cfg
     raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
                       / "ling_cases.json").read_text())
@@ -327,7 +331,7 @@ def test_closed_form_ricci_lower_bound_is_the_sampled_minimum(n, length, coeffs)
     # (at a pole, or at a vertex in c), and a centre lies within h/2 of that
     # point, so the least sample over-reads K_eff by at most
     # max |d^2 Ric_phi / dr^2| (h/2)^2 / 2, over (n-1).
-    model = dl.interval_sphere(n, length, density=dl.poly_cos_density(coeffs, length))
+    model = dl.interval_sphere(n, length, density=dl.CosPolynomial(coeffs, length))
     kb = dl.be_ricci_lower_bound(model)
     grid = dl.Grid.uniform(model, 20001)
     prof = dl.curvature(model, grid)
@@ -344,14 +348,15 @@ def test_closed_form_ricci_lower_bound_is_the_sampled_minimum(n, length, coeffs)
 
 
 def test_ricci_lower_bound_refuses_a_model_outside_the_round_cos_family():
-    # a profile built by hand carries no record, even with the callables of
-    # a family member, and a cosine of length pi on a sphere of length 2 pi
-    # is not a polynomial in cos(r/2): no closed form covers either
+    # a profile built by hand is not of the family's types, even with the
+    # callables of a family member, and a cosine of length pi on a sphere of
+    # length 2 pi is not a polynomial in cos(r/2): no closed form covers either
     cos = dl.cosine_density(0.5)
-    hand_built = dl.RadialProfile(value=cos.value, d1=cos.d1, d2=cos.d2, d3=cos.d3)
+    hand_built = dl.RadialProfile(value=cos.value, d1=cos.d1, d2=cos.d2,
+                                  d3=lambda r: 0.5 * np.sin(np.asarray(r)))
     with pytest.raises(InapplicableBoundError, match="closed form"):
         dl.be_ricci_lower_bound(dl.sphere(2, density=hand_built))
-    warp = dl.sphere_warp()
+    warp = dl.RoundWarp(math.pi)
     hand_warp = dl.RadialProfile(value=warp.value, d1=warp.d1, d2=warp.d2, d3=warp.d3)
     with pytest.raises(InapplicableBoundError, match="closed form"):
         dl.be_ricci_lower_bound(dl.interval_sphere(2, math.pi, warp=hand_warp))
@@ -365,30 +370,106 @@ def test_ricci_lower_bound_refuses_a_model_outside_the_round_cos_family():
     # circles keep their own refusal
     with pytest.raises(ValueError, match="circles"):
         dl.be_ricci_lower_bound(dl.circle(2.0 * math.pi))
-    # no constructor takes the record
-    with pytest.raises(TypeError):
-        dl.RadialProfile(value=cos.value, d1=cos.d1, d2=cos.d2, d3=cos.d3,
-                         cos_family=(math.pi, (0.0, 0.5)))
+
+
+@pytest.mark.parametrize("coeffs", [[0.5], [0.5, 0.0, 0.0]], ids=["c0", "c0-0-0"])
+def test_ricci_lower_bound_takes_a_constant_density_of_any_length(coeffs):
+    # a constant density has Hess(phi) = 0, so Ric_phi = Ric and K = 1 on the
+    # unit S^2 whatever length the constant was written with
+    for length in (2.0, math.pi):
+        kb = dl.be_ricci_lower_bound(dl.sphere(2, density=dl.CosPolynomial(coeffs, length)))
+        assert kb.K == 1.0 and kb.radius == 0.0 and kb.positive
 
 
 def test_constructors_record_the_round_cos_family():
-    assert dl.sphere_warp(2.0).cos_family == (2.0 * math.pi,)
-    assert dl.stretched_sphere_warp(2.5).cos_family == (2.5,)
-    assert dl.zero_density().cos_family == (None, (0.0,))
-    assert dl.cosine_density(0.3, 2.5).cos_family == (2.5, (0.0, 0.3))
-    assert dl.poly_cos_density([1, -1, 0.5]).cos_family == (math.pi, (1.0, -1.0, 0.5))
-    # interval_sphere and sphere form their L as the warp's constructor does
+    assert dl.zero_density() == dl.CosPolynomial((0.0,))
+    assert dl.cosine_density(0.3, 2.5) == dl.CosPolynomial((0.0, 0.3), 2.5)
+    poly = dl.CosPolynomial([1, -1, 0.5])
+    assert poly.coeffs == (1.0, -1.0, 0.5) and poly.length == math.pi
+    assert dl.RoundWarp(2.0 * math.pi).rho == 2.0
+    # interval_sphere and sphere build the round warp of the model's own L
     for model in (dl.interval_sphere(3, 2.5), dl.sphere(3, radius=0.7)):
-        assert model.w.cos_family == (model.L,)
+        assert model.w == dl.RoundWarp(model.L)
+        assert model.phi == dl.zero_density()
 
 
 def test_shifted_density_keeps_its_record():
-    # K_eff does not depend on the constant term c0, which the record moves
-    dens = dl.poly_cos_density([0.0, -1.0, -0.25])
+    # K_eff does not depend on the constant term c0, the only one shift moves
+    dens = dl.CosPolynomial([0.0, -1.0, -0.25])
     moved = dens.shifted(0.7)
-    assert moved.cos_family == (math.pi, (0.7, -1.0, -0.25))
+    assert moved == dl.CosPolynomial((0.7, -1.0, -0.25))
     assert dl.be_ricci_lower_bound(dl.sphere(3, density=moved)) \
         == dl.be_ricci_lower_bound(dl.sphere(3, density=dens))
-    assert dl.zero_density().shifted(-1.0).cos_family == (None, (-1.0,))
-    # a warp plus a constant is no longer the round warp
-    assert dl.sphere_warp().shifted(0.1).cos_family is None
+    assert dl.zero_density().shifted(-1.0) == dl.CosPolynomial((-1.0,))
+
+
+@pytest.mark.parametrize("coeffs, length", [
+    ([0.0, math.nan], math.pi), ([0.0, math.inf], math.pi), ([-math.inf], math.pi),
+    ([0.0, 0.5], 0.0), ([0.0, 0.5], -1.0), ([0.0, 0.5], math.inf), ([0.0, 0.5], math.nan)])
+def test_cos_polynomial_rejects_non_finite_input(coeffs, length):
+    with pytest.raises(ValueError, match="finite"):
+        dl.CosPolynomial(coeffs, length)
+
+
+def test_family_constructors_reject_a_bad_length():
+    # a zero length is refused up front, not by a ZeroDivisionError inside
+    with pytest.raises(ValueError, match="positive and finite"):
+        dl.cosine_density(0.5, 0.0)
+    # a RoundWarp takes its length from the model, which refuses a bad one
+    for radius in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dl.sphere(2, radius=radius)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+       length=st.floats(0.5, 8.0), t=st.floats(0.0, 1.0))
+def test_cos_polynomial_derivatives_match_mpmath(coeffs, length, t):
+    # value, d1 and d2 against 40-digit numerical derivatives of
+    # p(cos(pi r / L)), to a few rounding units of each one's scale
+    mpmath = pytest.importorskip("mpmath")
+    dens = dl.CosPolynomial(coeffs, length)
+    r = t * length
+    k = math.pi / length
+    scale = sum(abs(c) for c in coeffs) + 1.0
+    with mpmath.workdps(40):
+        def phi(x):
+            c = mpmath.cos(mpmath.pi / mpmath.mpf(length) * x)
+            return sum(mpmath.mpf(cj) * c**j for j, cj in enumerate(coeffs))
+
+        exact = [float(mpmath.diff(phi, mpmath.mpf(r), order)) for order in range(3)]
+    got = [float(dens.value(np.array([r]))[0]), float(dens.d1(np.array([r]))[0]),
+           float(dens.d2(np.array([r]))[0])]
+    for order, (g, e) in enumerate(zip(got, exact)):
+        tol = 8.0 * np.finfo(float).eps * scale * max(k, 1.0) ** order * (1.0 + 4.0 * order)
+        assert abs(g - e) <= tol, (order, g, e)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, -0.9, 400.0])
+@pytest.mark.parametrize("length", [math.pi, 2.5, 0.5 * math.pi, 2.0 * math.pi])
+def test_cosine_density_has_the_plain_cosine_bits(a, length):
+    # the operation order that keeps every report byte for byte: the value
+    # is a cos(k r), phi' = (-a k) sin(k r) and phi'' = (-a k^2) cos(k r)
+    r = np.linspace(0.0, length, 1001)
+    k = math.pi / length
+    dens = dl.cosine_density(a, length)
+    assert np.array_equal(dens.value(r), a * np.cos(math.pi / length * r))
+    assert np.array_equal(dens.d1(r), -a * k * np.sin(k * r))
+    assert np.array_equal(dens.d2(r), -a * k**2 * np.cos(k * r))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_non_unit_round_spheres_keep_the_closed_form(n):
+    # K_eff scales as 1/rho^2 and its radius as rho, with the warp built from
+    # the model's own L
+    unit = dl.be_ricci_lower_bound(_ling_model(n))
+    models = [dl.sphere(n, radius=radius) for radius in (0.7, 1.3, 3.0)]
+    models.append(dl.interval_sphere(n, 2.5))
+    for bare in models:
+        model = dl.interval_sphere(n, bare.L, warp=bare.w,
+                                   density=dl.CosPolynomial(LING, bare.L))
+        assert bare.w == model.w == dl.RoundWarp(model.L)
+        rho = model.L / math.pi
+        kb = dl.be_ricci_lower_bound(model)
+        assert abs(kb.K - unit.K / rho**2) <= 1e-15 * abs(unit.K / rho**2)
+        assert abs(kb.radius - rho * unit.radius) <= 1e-15 * rho * unit.radius

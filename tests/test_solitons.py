@@ -141,7 +141,7 @@ def test_eigen_relation_flags_perturbation():
     residuals = []
     for eps in (1e-2, 1e-3):
         cand = dl.SolitonCandidate(
-            model=model, f=dl.poly_cos_density([0.0, 0.0, eps]), gamma=1.0)
+            model=model, f=dl.CosPolynomial([0.0, 0.0, eps]), gamma=1.0)
         led = dl.soliton_ledger(cand, grid)
         assert not led.vacuous
         assert led.eigen_residual > 0.1 * eps  # flagged well above rounding

@@ -46,7 +46,7 @@ def _weighted_models(draw):
         model = dl.circle(length, density=dl.cosine_density(draw(_EPS), length / 2.0))
     else:
         density = dl.cosine_density(draw(_EPS)) if kind == "cosine" else \
-            dl.poly_cos_density(draw(st.lists(_EPS, min_size=1, max_size=3)))
+            dl.CosPolynomial(draw(st.lists(_EPS, min_size=1, max_size=3)))
         model = dl.sphere(draw(st.integers(2, 5)), density=density)
     return model, dl.Grid.uniform(model, draw(st.integers(8, 400)))
 
@@ -495,7 +495,7 @@ def _bisect_both_tops(model, grid):
 @pytest.mark.parametrize("N", [400, 2000])
 @pytest.mark.parametrize("density,n,sector", [
     (dl.cosine_density(0.5), 3, 1),
-    (dl.poly_cos_density([0.0, -1.0, -0.25]), 2, 0),  # configs/ling_cases.json, n = 2
+    (dl.CosPolynomial([0.0, -1.0, -0.25]), 2, 0),  # configs/ling_cases.json, n = 2
 ], ids=["cosine-n3", "ling-poly-cos-n2"])
 def test_first_eigenvalue_matches_eigenpair_solves_bitwise(density, n, sector, N):
     # bisecting l = 1's top, certifying l = 0's by a count (cosine) or
@@ -521,9 +521,9 @@ def _spheres(draw):
     kind = draw(st.sampled_from(("round", "cosine", "poly-cos", "ling")))
     density = {"round": lambda: None,
                "cosine": lambda: dl.cosine_density(draw(_EPS)),
-               "poly-cos": lambda: dl.poly_cos_density(
+               "poly-cos": lambda: dl.CosPolynomial(
                    draw(st.lists(_EPS, min_size=1, max_size=3))),
-               "ling": lambda: dl.poly_cos_density([0.0, -1.0, -0.25])}[kind]()
+               "ling": lambda: dl.CosPolynomial([0.0, -1.0, -0.25])}[kind]()
     model = dl.sphere(draw(st.integers(2, 5)), density=density)
     return model, dl.Grid.uniform(model, draw(st.integers(8, 300)))
 
@@ -591,7 +591,7 @@ def test_sectors_from_the_zonal_assembly_match_a_fresh_assembly_bitwise(model_gr
 @pytest.mark.parametrize("N", [400, 401, 2000])
 @pytest.mark.parametrize("model,sector", [
     (dl.sphere(3, density=dl.cosine_density(0.5)), 1),
-    (dl.sphere(2, density=dl.poly_cos_density([0.0, -1.0, -0.25])), 0),
+    (dl.sphere(2, density=dl.CosPolynomial([0.0, -1.0, -0.25])), 0),
     (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi)), 0),
 ], ids=["cosine-n3", "ling-poly-cos-n2", "circle"])
 def test_error_estimate_matches_half_grid_solve(model, sector, N):
@@ -604,7 +604,7 @@ def test_error_estimate_matches_half_grid_solve(model, sector, N):
 
 
 @pytest.mark.parametrize("model,l", [
-    (dl.sphere(2, density=dl.poly_cos_density([0.0, -1.0, -0.25])), 0),
+    (dl.sphere(2, density=dl.CosPolynomial([0.0, -1.0, -0.25])), 0),
     (dl.sphere(3, density=dl.cosine_density(0.5)), 1),
     (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi)), 0),
 ], ids=["sphere-l0", "sphere-l1", "circle"])
