@@ -3,7 +3,12 @@
 A configuration describes one manifold family with parameter ranges (dimension
 list, density amplitude list, grid sizes), the estimate constants, the checks
 to run, tolerances, and output destinations.  Unknown keys are rejected at
-every level, because a silently ignored typo can corrupt an entire sweep.
+every level, because a silently ignored typo can corrupt an entire sweep, and
+so is a key the named family (``FAMILY_KEYS``) or density (``DENSITY_KEYS``)
+does not take.  Every family resolves to one length ``L``, ``length`` or
+``pi * radius``: the round warp of length ``L`` is the round sphere of radius
+``L/pi``, whose Einstein constant is ``(n-1)/(L/pi)^2``.  Each density, and the
+soliton potential, resolves to one (label, coefficients) pair per instance.
 Two retired keys are still read, so that older version-1 files parse:
 ``l_max`` (an integer >= 1) and ``workers`` (exactly 1).  Neither selects
 anything, and any other value is a config error.
@@ -23,9 +28,16 @@ from . import geometry
 
 SCHEMA_VERSION = 1
 
-MANIFOLD_FAMILIES = ("sphere", "stretched-sphere", "circle")
-DENSITY_FAMILIES = ("zero", "cosine", "poly-cos")
-_DENSITY_KEYS = {"zero": (), "cosine": ("eps",), "poly-cos": ("coeffs",)}  # beyond "name"
+# each family's keys beyond "name" and "density": (required, optional)
+FAMILY_KEYS = {"sphere": (("n",), ("radius",)),
+               "stretched-sphere": (("n", "length"), ()),
+               "circle": (("length",), ("n",))}
+DENSITY_KEYS = {"zero": (), "cosine": ("eps",), "poly-cos": ("coeffs",)}  # beyond "name"
+# names are checked against tuples first: a JSON list as a name is then unequal
+# to each, where a dict lookup would raise TypeError
+MANIFOLD_FAMILIES = tuple(FAMILY_KEYS)
+DENSITY_FAMILIES = tuple(DENSITY_KEYS)
+PERIODIC_DENSITIES = ("zero", "cosine")  # the densities a circle and a soliton potential take
 CHECK_NAMES = ("spectrum", "bounds", "estimates", "soliton")
 FORMATS = ("csv", "json")
 
@@ -68,33 +80,47 @@ def _as_list(value, name: str, kind):
     return tuple(out)
 
 
+def _scalar(value, name: str, kind, ok, rule: str):
+    """One finite float or exact int; the config error "<name> <rule>" unless ``ok`` holds."""
+    (x,) = _as_list([value], name, kind)
+    if not ok(x):
+        raise ConfigError(f"{name} {rule}")
+    return x
+
+
+def _positive(x) -> bool:
+    return x > 0
+
+
+def _names(value, where: str, what: str, known: tuple) -> tuple[str, ...]:
+    """A non-empty list of names, each one of ``known``."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
+    for item in value:
+        if item not in known:
+            raise ConfigError(f"unknown {what} {item!r}; known: {known}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class DensitySpec:
-    name: str
-    eps: tuple[float, ...] = (0.0,)
-    coeffs: tuple[float, ...] | None = None
+    """A density section resolved to one (label, coefficients) pair per instance."""
 
-    def label(self, eps: float) -> str:
-        if self.name == "zero":
-            return "zero"
-        if self.name == "cosine":
-            return f"cosine({eps:g})"
-        return f"poly-cos({','.join('%g' % c for c in self.coeffs)})"
+    eps: tuple[float, ...]  # the cosine amplitudes swept; (0.0,) for the other families
+    choices: tuple[tuple[str, tuple[float, ...]], ...]
 
 
 @dataclass(frozen=True)
 class SolitonSpec:
-    f_name: str
-    f_eps: float
-    gamma: float | str  # a number, or "einstein" for (n-1)/rho^2, rho the warp radius
+    f: tuple[float, ...]  # the potential's coefficients in cos(pi r / L)
+    gamma: float | str  # a number, or "einstein" for (n-1)/(L/pi)^2
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     family: str
     n: tuple[int, ...]
-    radius: float
-    length: float | None
+    L: float
     density: DensitySpec
     grids: tuple[int, ...]
     b: float
@@ -107,12 +133,10 @@ class ExperimentConfig:
     formats: tuple[str, ...]
 
     def instances(self) -> list["InstanceSpec"]:
-        eps_values = self.density.eps if self.density.name == "cosine" else (0.0,)
-        out = []
-        for n, eps, N in itertools.product(self.n, eps_values, self.grids):
-            out.append(InstanceSpec(family=self.family, n=n, eps=eps, N=N,
-                                    density_label=self.density.label(eps)))
-        out.sort(key=lambda i: i.sort_key)
+        """Every (n, density, grid) instance, sorted by (n, coefficients, N)."""
+        out = [InstanceSpec(self.family, n, N, label, coeffs) for n, (label, coeffs), N
+               in itertools.product(self.n, self.density.choices, self.grids)]
+        out.sort(key=lambda i: (i.n, i.coeffs, i.N))
         return out
 
 
@@ -120,39 +144,34 @@ class ExperimentConfig:
 class InstanceSpec:
     family: str
     n: int
-    eps: float
     N: int
     density_label: str
+    coeffs: tuple[float, ...]
 
     @property
     def key(self) -> str:
         return f"{self.family}:n={self.n}:density={self.density_label}:N={self.N}"
 
-    @property
-    def sort_key(self):
-        return (self.family, self.n, self.eps, self.N)
 
-
-def _parse_density(obj, family: str) -> DensitySpec:
-    if obj is None:
-        return DensitySpec(name="zero")
-    _require_keys(obj, "family.density", ("name",), ("eps", "coeffs"))
+def _parse_density(obj, where: str, known: tuple, sweep: bool) -> DensitySpec:
+    """A density section; a sweep takes a list of cosine amplitudes, a potential one."""
+    obj = {"name": "zero"} if obj is None else obj
+    _require_keys(obj, where, ("name",), ("eps", "coeffs"))
     name = obj["name"]
-    if name not in DENSITY_FAMILIES:
-        raise ConfigError(f"unknown density family {name!r}; known: {DENSITY_FAMILIES}")
+    if name not in known:
+        raise ConfigError(f"{where} takes the families {known}, not {name!r}")
     # each family reads only its own parameter; a stray one would be silently ignored
-    _require_keys(obj, f"the {name} density", ("name",) + _DENSITY_KEYS[name], ())
-    if name == "zero":
-        return DensitySpec(name="zero")
+    _require_keys(obj, f"the {name} family of {where}", ("name",) + DENSITY_KEYS[name], ())
     if name == "cosine":
-        return DensitySpec(name="cosine", eps=_as_list(obj["eps"], "density.eps", float))
-    if family == "circle":
-        raise ConfigError("poly-cos densities are not periodic; circles take 'cosine' or 'zero'")
-    coeffs = _as_list(obj["coeffs"], "density.coeffs", float)
+        eps = _as_list(obj["eps"] if sweep else [obj["eps"]], f"{where}.eps", float)
+        return DensitySpec(eps, tuple((f"cosine({e:g})", (0.0, e)) for e in eps))
+    if name == "zero":
+        return DensitySpec((0.0,), (("zero", (0.0,)),))
+    coeffs = _as_list(obj["coeffs"], f"{where}.coeffs", float)
     if len(coeffs) > 3:  # the degree of be_ricci_lower_bound's closed form
         raise ConfigError(f"poly-cos takes at most 3 coeffs (degree 2, the degree K_eff "
                           f"has a closed form for); got {len(coeffs)}")
-    return DensitySpec(name="poly-cos", coeffs=coeffs)
+    return DensitySpec((0.0,), ((f"poly-cos({','.join('%g' % c for c in coeffs)})", coeffs),))
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -169,45 +188,23 @@ def parse_config(data: dict) -> ExperimentConfig:
     name = fam["name"]
     if name not in MANIFOLD_FAMILIES:
         raise ConfigError(f"unknown manifold family {name!r}; known: {MANIFOLD_FAMILIES}")
-    if name == "circle":
-        n = _as_list(fam.get("n", 1), "family.n", int)
-        if n != (1,):
-            raise ConfigError("circle models are one-dimensional; omit 'n' or set it to 1")
-        if "length" not in fam:
-            raise ConfigError("circle models need 'length' (the circumference)")
-        if "radius" in fam:
-            raise ConfigError("circle models take 'length', not 'radius'")
-    else:
-        if "n" not in fam:
-            raise ConfigError(f"{name} models need 'n'")
-        n = _as_list(fam["n"], "family.n", int)
-        if any(v < 2 for v in n):
-            raise ConfigError("interval-sphere dimensions must satisfy n >= 2")
-    if name == "sphere" and "length" in fam:
-        raise ConfigError("sphere models take 'radius', not 'length'")
-    if name == "stretched-sphere":
-        if "length" not in fam:
-            raise ConfigError("stretched-sphere models need 'length'")
-        if "radius" in fam:
-            raise ConfigError("stretched-sphere models take 'length', not 'radius'")
-    (radius,) = _as_list([fam.get("radius", 1.0)], "family.radius", float)
-    if radius <= 0:
-        raise ConfigError("radius must be positive")
-    length = fam.get("length")
-    if length is not None:
-        (length,) = _as_list([length], "family.length", float)
-        if length <= 0:
-            raise ConfigError("length must be positive")
-    density = _parse_density(fam.get("density"), name)
+    required, optional = FAMILY_KEYS[name]
+    _require_keys(fam, f"the {name} family", ("name",) + required, ("density",) + optional)
+    circle = name == "circle"
+    n = _as_list(fam.get("n", 1), "family.n", int)
+    if circle and n != (1,):
+        raise ConfigError("circle models are one-dimensional; omit 'n' or set it to 1")
+    if not circle and min(n) < 2:
+        raise ConfigError("interval-sphere dimensions must satisfy n >= 2")
+    if "length" in fam:
+        L = _scalar(fam["length"], "family.length", float, _positive, "must be positive")
+    else:  # a sphere of radius r is the round warp of length pi r
+        L = math.pi * _scalar(fam.get("radius", 1.0), "family.radius", float, _positive,
+                              "must be positive")
+    density = _parse_density(fam.get("density"), "family.density",
+                             PERIODIC_DENSITIES if circle else DENSITY_FAMILIES, True)
 
-    checks = data["checks"]
-    if not isinstance(checks, list) or not checks:
-        raise ConfigError("checks must be a non-empty list")
-    checks = tuple(checks)
-    for c in checks:
-        if c not in CHECK_NAMES:
-            raise ConfigError(f"unknown check {c!r}; known: {CHECK_NAMES}")
-
+    checks = _names(data["checks"], "checks", "check", CHECK_NAMES)
     grids = _as_list(data.get("grids", 1000), "grids", int)
     if any(g < 8 for g in grids):
         raise ConfigError("grid sizes must be at least 8")
@@ -219,69 +216,52 @@ def parse_config(data: dict) -> ExperimentConfig:
     for key, value in (overrides or {}).items():
         if key not in tolerances:
             raise ConfigError(f"unknown tolerance {key!r}; known: {sorted(tolerances)}")
-        (value,) = _as_list([value], f"tolerance {key!r}", float)
-        if value <= 0:
-            raise ConfigError(f"tolerance {key!r} must be a positive number")
-        tolerances[key] = value
+        tolerances[key] = _scalar(value, f"tolerance {key!r}", float, _positive,
+                                  "must be a positive number")
 
     soliton = None
     if data.get("soliton") is not None:
         sob = data["soliton"]
         _require_keys(sob, "soliton", ("gamma",), ("f",))
-        fobj = sob.get("f")
-        fobj = {"name": "zero"} if fobj is None else fobj
-        _require_keys(fobj, "soliton.f", ("name",), ("eps",))
-        if fobj["name"] not in ("zero", "cosine"):
-            raise ConfigError("soliton potentials support families 'zero' and 'cosine'")
-        _require_keys(fobj, f"the {fobj['name']} soliton potential",
-                      ("name",) + _DENSITY_KEYS[fobj["name"]], ())
+        f = _parse_density(sob.get("f"), "soliton.f", PERIODIC_DENSITIES, False)
         gamma = sob["gamma"]
         if gamma != "einstein":
-            (gamma,) = _as_list([gamma], "soliton.gamma", float)
-            if gamma <= 0:
-                raise ConfigError("soliton gamma must be positive or the string 'einstein'")
-        (f_eps,) = _as_list([fobj.get("eps", 0.0)], "soliton.f.eps", float)
-        soliton = SolitonSpec(f_name=fobj["name"], f_eps=f_eps, gamma=gamma)
+            gamma = _scalar(gamma, "soliton.gamma", float, _positive,
+                            "must be positive or the string 'einstein'")
+        soliton = SolitonSpec(f=f.choices[0][1], gamma=gamma)
     if "soliton" in checks and soliton is None:
         raise ConfigError("the 'soliton' check needs a 'soliton' section")
 
     out = data.get("output")
     out = {} if out is None else out
     _require_keys(out, "output", (), ("dir", "formats"))
-    formats = out.get("formats", ["csv"])
-    if not isinstance(formats, list):
-        raise ConfigError(f"output.formats must be a list, got {formats!r}")
     if not isinstance(out.get("dir", ""), str):
         raise ConfigError(f"output.dir must be a string, got {out['dir']!r}")
-    formats = tuple(formats)
-    for f in formats:
-        if f not in FORMATS:
-            raise ConfigError(f"unknown output format {f!r}; known: {FORMATS}")
+    formats = _names(out.get("formats", ["csv"]), "output.formats", "output format", FORMATS)
 
-    (b,) = _as_list([data.get("b", 1.01)], "b", float)
-    if b <= 1.0:
-        raise ConfigError("b must exceed 1")
-    (bins,) = _as_list([data.get("bins", 200)], "bins", int)
-    if bins < 2:
-        raise ConfigError("bins must be at least 2")
+    b = _scalar(data.get("b", 1.01), "b", float, lambda v: v > 1.0, "must exceed 1")
+    bins = _scalar(data.get("bins", 200), "bins", int, lambda v: v >= 2, "must be at least 2")
     # retired keys, still read so that older files parse; neither is stored
-    (l_max,) = _as_list([data.get("l_max", 1)], "l_max", int)
-    if l_max < 1:
-        raise ConfigError("l_max is retired and may only be an integer >= 1: the first "
-                          "eigenvalue is always searched in the sectors l = 0, 1")
-    (workers,) = _as_list([data.get("workers", 1)], "workers", int)
-    if workers != 1:
-        raise ConfigError("workers is retired and may only be 1: instances run one at a time")
+    _scalar(data.get("l_max", 1), "l_max", int, lambda v: v >= 1,
+            "is retired and may only be an integer >= 1: the first eigenvalue is always "
+            "searched in the sectors l = 0, 1")
+    _scalar(data.get("workers", 1), "workers", int, lambda v: v == 1,
+            "is retired and may only be 1: instances run one at a time")
     (sigma,) = _as_list([data.get("sigma", 1.0)], "sigma", float)
 
-    return ExperimentConfig(
-        family=name, n=n, radius=radius,
-        length=length,
-        density=density, grids=grids, b=b, bins=bins,
-        sigma=sigma, checks=checks,
-        tolerances=tolerances, soliton=soliton,
+    config = ExperimentConfig(
+        family=name, n=n, L=L, density=density, grids=grids, b=b, bins=bins,
+        sigma=sigma, checks=checks, tolerances=tolerances, soliton=soliton,
         out_dir=out.get("dir"), formats=formats,
     )
+    # a repeated key would be two report rows, and two tallies, of one instance
+    seen = set()
+    for inst in config.instances():
+        if inst.key in seen:
+            raise ConfigError(f"two instances share the report key {inst.key!r}: an n, grid "
+                              f"size or amplitude repeats, or two amplitudes print alike")
+        seen.add(inst.key)
+    return config
 
 
 def read_config(path: str | Path):
@@ -294,33 +274,19 @@ def read_config(path: str | Path):
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
 
 
-def _cos_polynomial(name: str, eps: float, length: float, coeffs=None) -> geometry.CosPolynomial:
-    """A named density or soliton potential as p(cos(pi r / length))."""
-    return geometry.CosPolynomial(
-        {"zero": (0.0,), "cosine": (0.0, eps), "poly-cos": coeffs}[name], length)
-
-
 def build_model(config: ExperimentConfig, inst: InstanceSpec) -> geometry.WarpedManifold:
     """Instantiate the manifold for one instance of the sweep."""
-    length = math.pi * config.radius if config.family == "sphere" else config.length
-    # a circle's cosine is one period: cos(2 pi theta / length)
-    period = length / 2.0 if config.family == "circle" else length
-    dens = _cos_polynomial(config.density.name, inst.eps, period, config.density.coeffs)
-    if config.family == "circle":
-        return geometry.circle(length, density=dens)
-    if config.family == "sphere":
-        return geometry.sphere(inst.n, radius=config.radius, density=dens)
-    return geometry.interval_sphere(inst.n, length, density=dens)
+    if config.family == "circle":  # a circle's cosine is one period: cos(2 pi theta / L)
+        return geometry.circle(config.L, geometry.CosPolynomial(inst.coeffs, config.L / 2.0))
+    return geometry.interval_sphere(inst.n, config.L,
+                                    density=geometry.CosPolynomial(inst.coeffs, config.L))
 
 
 def build_soliton_potential(config: ExperimentConfig, model) -> geometry.CosPolynomial:
-    return _cos_polynomial(config.soliton.f_name, config.soliton.f_eps, model.L)
+    return geometry.CosPolynomial(config.soliton.f, model.L)
 
 
 def soliton_gamma(config: ExperimentConfig, n: int) -> float:
-    spec = config.soliton
-    if spec.gamma == "einstein":
-        # a stretched sphere of length L is the round sphere of radius L/pi
-        rho = config.length / math.pi if config.family == "stretched-sphere" else config.radius
-        return (n - 1) / rho**2
-    return float(spec.gamma)
+    if config.soliton.gamma == "einstein":
+        return (n - 1) / (config.L / math.pi) ** 2  # the warp radius is L/pi
+    return config.soliton.gamma

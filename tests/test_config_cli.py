@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,9 +84,9 @@ def test_parse_rejects_bad_values():
         parse_config(_base_config(tolerances={"wat": 1.0}))
     with pytest.raises(ConfigError, match="soliton"):
         parse_config(_base_config(checks=["soliton"]))
-    with pytest.raises(ConfigError, match="not 'length'"):
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in the sphere family: \['length'\]"):
         parse_config(_base_config(family={"name": "sphere", "n": [2], "length": 2.0}))
-    with pytest.raises(ConfigError, match="not 'radius'"):
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in the circle family: \['radius'\]"):
         parse_config(_base_config(
             family={"name": "circle", "length": 6.0, "radius": 1.0}))
 
@@ -138,6 +139,15 @@ def test_parse_rejects_non_finite_and_non_integral(overrides, tmp_path, capsys):
     {"checks": ["soliton"], "soliton": {"gamma": 1.0, "f": {"name": "zero", "eps": 0.4}}},
     # a cosine potential without its amplitude would run the zero potential
     {"checks": ["soliton"], "soliton": {"gamma": 1.0, "f": {"name": "cosine"}}},
+    # a soliton potential takes one amplitude, a density a list of them
+    {"checks": ["soliton"], "soliton": {"gamma": 1.0, "f": {"name": "cosine", "eps": [0.1]}}},
+    {"family": {"name": "circle", "length": 6.0,
+                "density": {"name": "poly-cos", "coeffs": [0, -1]}}},
+    # a null length used to parse, and then fail every instance
+    {"family": {"name": "stretched-sphere", "n": [2], "length": None}},
+    {"family": {"name": "circle", "length": None}},
+    # an output dir and no format would write nothing, and say nothing
+    {"output": {"dir": "out", "formats": []}},
 ])
 def test_parse_rejects_wrongly_typed_values(overrides, tmp_path, capsys):
     # a wrongly typed value is a config error (exit 2), neither a crash nor a default
@@ -302,6 +312,47 @@ def test_einstein_gamma_uses_the_warp_radius_of_stretched_spheres():
         family={"name": "sphere", "n": [3], "radius": 2.0, "density": {"name": "zero"}},
         checks=["soliton"], soliton={"gamma": "einstein", "f": {"name": "zero"}}))
     assert soliton_gamma(rescaled, 3) == 2.0 / 4.0
+
+
+def test_radius_and_length_give_the_same_rows():
+    # a sphere of radius r is the round warp of length pi r: the two families
+    # differ only in how the length is given, so every other column agrees
+    def rows(family):
+        config = parse_config(_base_config(
+            family=dict(family, n=[3], density={"name": "cosine", "eps": [0.5]}),
+            grids=[400], checks=["spectrum", "bounds", "estimates", "soliton"],
+            soliton={"gamma": "einstein", "f": {"name": "zero"}}))
+        for n in config.n:
+            assert soliton_gamma(config, n) == (n - 1) / (config.L / math.pi) ** 2
+        return runner.run(config).rows
+
+    (by_radius,) = rows({"name": "sphere", "radius": 2.0})
+    (by_length,) = rows({"name": "stretched-sphere", "length": 6.283185307179586})
+    assert by_radius["L"] == by_length["L"] == 2.0 * math.pi
+    assert by_radius["soliton_gamma"] == 2.0 / 4.0
+    assert by_radius.keys() == by_length.keys()
+    differ = {key for key in by_radius if by_radius[key] != by_length[key]}
+    assert differ == {"family", "instance"}
+
+
+@pytest.mark.parametrize("family,grids,repeated", [
+    ({"name": "sphere", "n": [2, 2], "density": {"name": "cosine", "eps": [0.1]}}, [64],
+     "sphere:n=2:density=cosine(0.1):N=64"),
+    ({"name": "sphere", "n": [2], "density": {"name": "cosine", "eps": [0.1, 0.1]}}, [64],
+     "sphere:n=2:density=cosine(0.1):N=64"),
+    ({"name": "sphere", "n": [2], "density": {"name": "cosine", "eps": [0.1]}}, [64, 64],
+     "sphere:n=2:density=cosine(0.1):N=64"),
+    # distinct amplitudes that print alike under %g
+    ({"name": "sphere", "n": [2],
+      "density": {"name": "cosine", "eps": [0.1234561, 0.1234562]}}, [64],
+     "sphere:n=2:density=cosine(0.123456):N=64"),
+    ({"name": "circle", "length": 6.0, "density": {"name": "cosine", "eps": [0.5, 0.5]}},
+     [64, 80], "circle:n=1:density=cosine(0.5):N=64"),
+], ids=["n", "eps", "grids", "eps-alike-under-g", "circle"])
+def test_instances_sharing_a_report_key_are_config_errors(family, grids, repeated):
+    # two rows under one key would make the summary count one instance twice
+    with pytest.raises(ConfigError, match=re.escape(repr(repeated))):
+        parse_config(_base_config(family=family, grids=grids))
 
 
 def test_run_spectrum_row():
