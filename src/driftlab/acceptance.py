@@ -237,13 +237,13 @@ def criterion_exact_constants() -> CriterionResult:
     """The exact rational derivation of the diameter constant, and Myers' value."""
     t0 = time.perf_counter()
     res = CriterionResult(7, "exact diameter and Myers constants")
-    der = bounds_mod.derive_diameter_bound()
-    ok = der.as_pair() == (10, 13)
-    res.check("derivation", "ratio_pair", f"{der.numerator}/{der.denominator}",
-              "10/13", None, ok)
+    ratio = bounds_mod.derive_diameter_bound()
+    pair = (ratio.numerator, ratio.denominator)
+    ok = pair == (10, 13)
+    res.check("derivation", "ratio_pair", "%d/%d" % pair, "10/13", None, ok)
 
     direct = bounds_mod.soliton_diameter_lower(1.0)
-    rational_path = der.numerator * math.pi / (der.denominator * math.sqrt(1.0))
+    rational_path = ratio.numerator * math.pi / (ratio.denominator * math.sqrt(1.0))
     ok = direct == rational_path
     res.check("gamma=1", "diameter_lower_bitwise", direct, rational_path, 0.0, ok)
 
@@ -251,7 +251,7 @@ def criterion_exact_constants() -> CriterionResult:
     expected = math.pi * math.sqrt(3.0)
     ok = abs(myers - expected) <= 1e-15 * expected
     res.check("n=4:gamma=1", "myers_upper", myers, expected, 1e-15, ok)
-    res.details.append(f"derived pair {der.as_pair()}, d_min(1) = {direct:.12f}, "
+    res.details.append(f"derived pair {pair}, d_min(1) = {direct:.12f}, "
                        f"myers(4,1) = {myers:.15f}")
     res.runtime_s = time.perf_counter() - t0
     return res

@@ -21,7 +21,8 @@ lower bound d >= 10 pi / (13 sqrt(gamma)); Myers' theorem bounds Einstein
 diameters the other way, d <= pi sqrt((n-1)/gamma).
 
 All rational constants (31/100, 31/50, 153/200, 153/100, 169/100, 10/13) are
-kept exact as Fractions.  Floats appear in returned report values and in
+kept exact as Fractions; ``derive_diameter_bound()`` is the Fraction 10/13,
+1/sqrt(2 - 31/100).  Floats appear in returned report values and in
 ``ling_case``'s thresholds, which are rounded from the Fractions once, at
 import.
 """
@@ -123,44 +124,15 @@ def myers_upper(n: int, gamma: float) -> float:
     return math.pi * math.sqrt((n - 1) / gamma)
 
 
-@dataclass(frozen=True)
-class DiameterBoundDerivation:
-    """Exact derivation of the soliton diameter constant 10 pi / 13.
+def derive_diameter_bound() -> Fraction:
+    """The diameter constant 10/13, exactly.
 
     With the potential eigenvalue lambda = 2 gamma fed into the Ling-type
     bound, 2 gamma >= pi^2/d^2 + (31/100) gamma, so
     (169/100) gamma >= pi^2/d^2 and d >= (10/13) pi / sqrt(gamma).
-    Everything is rational until the final multiplication by pi.
+    Everything is rational until ``soliton_diameter_lower`` multiplies by pi.
     """
-
-    eigen_multiple: Fraction
-    ling_ratio: Fraction
-    residual: Fraction
-    ratio: Fraction
-
-    @property
-    def numerator(self) -> int:
-        return self.ratio.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.ratio.denominator
-
-    def as_pair(self) -> tuple[int, int]:
-        return (self.numerator, self.denominator)
-
-    def diameter_lower(self, gamma: float) -> float:
-        return self.numerator * math.pi / (self.denominator * math.sqrt(gamma))
-
-
-def derive_diameter_bound() -> DiameterBoundDerivation:
-    """Derive the (numerator, denominator) of the diameter constant exactly."""
-    residual = DRIFT_EIGEN_MULTIPLE - LING_RATIO        # 169/100, exact
-    ratio = 1 / _sqrt_exact(residual)                   # 10/13, exact
-    return DiameterBoundDerivation(
-        eigen_multiple=DRIFT_EIGEN_MULTIPLE, ling_ratio=LING_RATIO,
-        residual=residual, ratio=ratio,
-    )
+    return 1 / _sqrt_exact(DRIFT_EIGEN_MULTIPLE - LING_RATIO)
 
 
 def soliton_diameter_lower(gamma: float) -> float:
@@ -168,20 +140,20 @@ def soliton_diameter_lower(gamma: float) -> float:
     compact gradient shrinking solitons."""
     if gamma <= 0.0:
         raise InapplicableBoundError("shrinking solitons have gamma > 0")
-    return derive_diameter_bound().diameter_lower(gamma)
+    ratio = derive_diameter_bound()
+    return ratio.numerator * math.pi / (ratio.denominator * math.sqrt(gamma))
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """The bounds that the bounds check records for one instance.
 
-    ``case_bound`` is pi^2/d^2 + (case constant) alpha; it and ``case`` are
-    None when the case of the eigenfunction is unknown.
+    ``case_bound`` is pi^2/d^2 + (case constant) alpha, or None when the case
+    of the eigenfunction is unknown.
     """
 
     lichnerowicz: float
     ling: float
-    case: LingCase | None = None
     case_bound: float | None = None
 
 
@@ -192,4 +164,4 @@ def build_bound_report(n: int, K: float, d: float, case: LingCase | None = None)
     case_bound = None
     if case is not None:
         case_bound = math.pi**2 / d**2 + case.alpha_multiple * (0.5 * (n - 1) * K)
-    return BoundReport(lichnerowicz, ling, case, case_bound)
+    return BoundReport(lichnerowicz, ling, case_bound)

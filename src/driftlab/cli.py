@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .acceptance import suite_rows, verify_paper
@@ -82,13 +81,11 @@ def _emit(rows, columns, payload, out_dir: Path | None, formats, basename: str):
 
 def _run_sweep(args, checks_override) -> int:
     raw = read_config(args.config)
-    if args.grid is not None and isinstance(raw, dict):
-        raw["grids"] = args.grid  # the override passes the same checks as the file's value
-    config = parse_config(raw)
-    if checks_override is not None:
-        if checks_override == ("soliton",) and config.soliton is None:
-            raise ConfigError("soliton-check needs a 'soliton' section in the config")
-        config = replace(config, checks=checks_override)
+    parse_config(raw)  # the file as written, so that no override hides a fault in it
+    if args.grid is not None:
+        raw["grids"] = args.grid
+    raw["checks"] = list(checks_override or raw["checks"])
+    config = parse_config(raw)  # the overrides pass the same checks as the file's values
     report = run(config)
 
     out_dir = args.out if args.out is not None else \

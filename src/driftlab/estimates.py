@@ -13,8 +13,10 @@ level-set maximum function
 
     Z(t) = max { |grad v|^2 / (lambda (b^2 - v^2)) : arcsin(v(x)/b) = t }
 
-is dominated by explicit barriers z(t) = 1 + c eta(t) + kappa xi(t), c = a/b,
-built from the classical pair of test functions
+is dominated by explicit barriers z(t) = 1 + c eta(t) + kappa xi(t), c = a/b.
+A ``BarrierFamily`` holds only (a, b, kappa); ``barrier`` computes
+kappa = mu delta and ``case_b2b2_barrier`` kappa = delta - sigma c^2.  The
+barriers are built from the classical pair of test functions
 
     xi(t)  = (cos^2 t + 2 t sin t cos t + t^2 - pi^2/4) / cos^2 t,
     eta(t) = ((4/pi) t + (4/pi) cos t sin t - 2 sin t) / cos^2 t.
@@ -434,34 +436,22 @@ def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima
 
 @dataclass(frozen=True)
 class BarrierFamily:
-    """Comparison function z(t) = 1 + (a/b) eta(t) + kappa xi(t).
+    """Comparison function z(t) = 1 + (a/b) eta(t) + kappa xi(t), kappa = ``xi_coeff``.
 
-    The standard family has kappa = mu * delta; the variant used in the
-    smallest-asymmetry case of the eigenvalue theorem has
-    kappa = delta - sigma (a/b)^2 with an explicit sigma.  The comparison
-    domain is [-arcsin(1/b), arcsin(1/b)], but values extend smoothly to
+    ``barrier`` builds the standard family, kappa = mu delta, and
+    ``case_b2b2_barrier`` the variant of the smallest-asymmetry case of the
+    eigenvalue theorem, kappa = delta - sigma (a/b)^2.  The comparison domain
+    is [-arcsin(1/b), arcsin(1/b)], but values extend smoothly to
     [-pi/2, pi/2] for the length integrals.
     """
 
     a: float
     b: float
-    delta: float
-    mu: float | None
-    sigma: float | None
-    label: str
+    xi_coeff: float
 
     @property
     def c(self) -> float:
         return self.a / self.b
-
-    @property
-    def xi_coeff(self) -> float:
-        if self.sigma is None:
-            return self.mu * self.delta
-        try:
-            return self.delta - self.sigma * self.c**2
-        except OverflowError:  # (a/b)^2 beyond the float range: no coefficient
-            return math.nan
 
     def value(self, t):
         return self.combine(*xi_eta(t))
@@ -483,13 +473,13 @@ def _domain_xi_eta(b: float) -> np.ndarray:
     return _read_only(xi_eta(np.linspace(-tb, tb, 1001)))
 
 
-def _validate_barrier(z: BarrierFamily):
+def _validate_barrier(z: BarrierFamily, delta: float):
     # every comparison is written so that NaN fails it
     if not 0.0 <= z.a < math.inf:
         raise BarrierHypothesisError("barrier needs a >= 0, finite")
     if not 1.0 < z.b < math.inf:
         raise BarrierHypothesisError("barrier needs b > 1, finite")
-    if not (0.0 < z.delta <= 0.5 + _DOMAIN_SLACK):
+    if not (0.0 < delta <= 0.5 + _DOMAIN_SLACK):
         raise BarrierHypothesisError("barrier needs delta in (0, 1/2]")
     sweep = z.combine(*_domain_xi_eta(z.b))
     if not np.all(sweep > 0.0):
@@ -501,9 +491,8 @@ def barrier(a: float, b: float, delta: float, mu: float) -> BarrierFamily:
     """Standard barrier 1 + (a/b) eta + mu delta xi with mu in (0, 1]."""
     if not (0.0 < mu <= 1.0 + _DOMAIN_SLACK):
         raise BarrierHypothesisError("barrier needs mu in (0, 1]")
-    z = BarrierFamily(a=float(a), b=float(b), delta=float(delta), mu=float(mu),
-                      sigma=None, label="standard")
-    _validate_barrier(z)
+    z = BarrierFamily(a=float(a), b=float(b), xi_coeff=float(mu) * float(delta))
+    _validate_barrier(z, float(delta))
     return z
 
 
@@ -513,12 +502,16 @@ def case_b2b2_barrier(a: float, b: float, delta: float, sigma: float) -> Barrier
     sigma is an explicit input; the xi coefficient must stay positive for the
     barrier to make sense, which is checked here along with positivity of z.
     """
-    z = BarrierFamily(a=float(a), b=float(b), delta=float(delta), mu=None,
-                      sigma=float(sigma), label="b2b2")
-    if not z.xi_coeff > 0.0:
+    a, b, delta, sigma = float(a), float(b), float(delta), float(sigma)
+    try:
+        kappa = delta - sigma * (a / b) ** 2
+    except OverflowError:  # (a/b)^2 beyond the float range: no coefficient
+        kappa = math.nan
+    if not kappa > 0.0:
         raise BarrierHypothesisError(
-            f"delta - sigma c^2 = {z.xi_coeff:.3e} lost the sign required for validity")
-    _validate_barrier(z)
+            f"delta - sigma c^2 = {kappa:.3e} lost the sign required for validity")
+    z = BarrierFamily(a=a, b=b, xi_coeff=kappa)
+    _validate_barrier(z, delta)
     return z
 
 

@@ -19,7 +19,8 @@ Curvature of the warped product, in an orthonormal frame:
 
 and the Hessian of a radial function phi has radial component phi'' and
 tangential component phi' w'/w.  The Bakry-Emery Ricci tensor is
-Ric_phi = Ric + Hess(phi).
+Ric_phi = Ric + Hess(phi).  These are interval-sphere quantities: ``curvature``,
+``pole_curvature`` and ``scalar_curvature_derivative`` refuse circles.
 
 Every config builds the round cos-polynomial family, two types that generate
 their values and analytic derivatives from their fields: ``RoundWarp(L)``,
@@ -340,14 +341,9 @@ def curvature(model: WarpedManifold, grid: Grid) -> CurvatureProfile:
     cancellation-prone 1 - w'^2 uses the warp's stable form.
     Exact pole values are available from :func:`pole_curvature`.
     """
-    r, phi = grid.nodes, model.phi
-    if model.topology == CIRCLE:
-        zero = np.zeros_like(r)
-        hess = np.asarray(phi.d2(r), dtype=float)
-        return CurvatureProfile(ric_rr=zero, ric_tan=zero.copy(),
-                                ricphi_rr=hess, ricphi_tan=hess.copy(),
-                                scalar=zero.copy())
-    w = model.w
+    if model.topology != INTERVAL_SPHERE:
+        raise ValueError("curvature is defined for interval-sphere models only")
+    r, phi, w = grid.nodes, model.phi, model.w
     wv = np.asarray(w.value(r), dtype=float)
     if np.any(wv <= 0.0) or not np.all(np.isfinite(wv)):
         raise PoleRegularityError("warp is not positive on the grid; check pole regularity")
@@ -390,8 +386,8 @@ def scalar_curvature_derivative(model: WarpedManifold, r: np.ndarray) -> np.ndar
     both of which vanish identically on round spheres, so the round case
     evaluates to zero up to rounding.
     """
-    if model.topology == CIRCLE:
-        return np.zeros_like(np.asarray(r, dtype=float))
+    if model.topology != INTERVAL_SPHERE:
+        raise ValueError("dR/dr is defined for interval-sphere models only")
     w = model.w
     r = np.asarray(r, dtype=float)
     wv = np.asarray(w.value(r), dtype=float)

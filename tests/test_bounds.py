@@ -1,12 +1,14 @@
 """Closed-form bound values, case analysis, and exact rational constants."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 import driftlab as dl
-from driftlab.bounds import A_LARGE, A_OVER_DELTA, CASE_FLOOR, LING_RATIO
+from driftlab.bounds import (A_LARGE, A_OVER_DELTA, CASE_FLOOR, DRIFT_EIGEN_MULTIPLE,
+                             LING_RATIO)
 from driftlab.errors import InapplicableBoundError
 
 
@@ -134,36 +136,36 @@ def test_soliton_diameter_lower_values():
 
 
 def test_derivation_exact():
-    der = dl.derive_diameter_bound()
-    assert der.as_pair() == (10, 13)
-    assert der.residual == Fraction(169, 100)
-    assert der.ratio == Fraction(10, 13)
-    assert der.eigen_multiple - der.ling_ratio == der.residual
-    # no floating point: repeated runs are identical objects value-wise
-    again = dl.derive_diameter_bound()
-    assert again.as_pair() == der.as_pair()
-    assert again.residual == der.residual
+    ratio = dl.derive_diameter_bound()
+    assert type(ratio) is Fraction and ratio == Fraction(10, 13)
+    assert (ratio.numerator, ratio.denominator) == (10, 13)
+    # 1 / ratio^2 is the residual 2 - 31/100 = 169/100 of the Ling-type bound
+    assert 1 / ratio**2 == Fraction(169, 100) == DRIFT_EIGEN_MULTIPLE - LING_RATIO
+    # no floating point: repeated runs give the same value
+    assert dl.derive_diameter_bound() == ratio
     # cross-check: pi / sqrt(169/100) equals the float path bit for bit
     assert dl.soliton_diameter_lower(1.0) == 10 * math.pi / (13 * math.sqrt(1.0))
 
 
 def test_lambda_input_is_twice_gamma():
     # the derivation consumes the drift eigenvalue lambda = 2 gamma
-    assert dl.derive_diameter_bound().eigen_multiple == Fraction(2)
+    assert DRIFT_EIGEN_MULTIPLE == Fraction(2)
     assert LING_RATIO == Fraction(31, 100)
 
 
 def test_bound_report_assembly():
     case = dl.ling_case(0.0, 0.25)
+    assert case.label == "A"
     report = dl.build_bound_report(n=2, K=1.0, d=math.pi, case=case)
     assert report.lichnerowicz == 1.0
     assert report.ling == pytest.approx(1.31, abs=1e-12)
-    assert report.case is case and report.case.label == "A"
     assert report.case_bound == pytest.approx(1.5, abs=1e-12)  # pi^2/d^2 + alpha = 1 + 1/2
+    # the report holds the bound values only; the caller keeps its case
+    assert [f.name for f in dataclasses.fields(report)] == ["lichnerowicz", "ling", "case_bound"]
     # without a case only the two unconditional bounds are recorded
     bare = dl.build_bound_report(n=2, K=1.0, d=math.pi)
     assert (bare.lichnerowicz, bare.ling) == (report.lichnerowicz, report.ling)
-    assert bare.case is None and bare.case_bound is None
+    assert bare.case_bound is None
 
 
 def test_bound_report_marks_inapplicable():

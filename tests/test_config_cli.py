@@ -486,20 +486,47 @@ def test_case_barrier_selection():
     case_a = ling_case(sym.a, sym.delta)
     assert case_a.label == "A"
     z_a = _select_case_barrier(config, sym, case_a)
-    assert z_a.a == 0.0 and z_a.mu == 1.0
+    assert (z_a.a, z_a.b) == (0.0, 1.01) and case_a.mu == 1.0
+    assert z_a.xi_coeff == case_a.mu * sym.delta
 
     asym = dataclasses.replace(nef, a=0.5, K=0.6 * nef.lam)  # delta = 0.3
     case = ling_case(asym.a, asym.delta)
     assert case.label == "B-2-b1"
     z_b1 = _select_case_barrier(config, asym, case)
-    assert z_b1.mu == pytest.approx(case.mu)
+    assert z_b1.xi_coeff == case.mu * asym.delta
 
     tiny = dataclasses.replace(nef, a=1e-3)
     case2 = ling_case(tiny.a, tiny.delta)
     assert case2.label == "B-2-b2"
     z_b2 = _select_case_barrier(config, tiny, case2)
-    assert z_b2.sigma == config.sigma
-    assert z_b2.xi_coeff == pytest.approx(tiny.delta - config.sigma * tiny.c**2)
+    assert z_b2.xi_coeff == tiny.delta - config.sigma * tiny.c**2
+    # a barrier is its three values
+    assert [f.name for f in dataclasses.fields(z_b2)] == ["a", "b", "xi_coeff"]
+
+
+@pytest.mark.parametrize("name", ["ling_cases", "cosine_density_sweep"])
+def test_report_barrier_margins_rebuild_from_the_row(name):
+    # the barrier rebuilt from a report row's a, b and delta, through the
+    # runner's selection and the row's case, gives the row's transit and
+    # Holder margins bit for bit at the row's lambda1 and d
+    from types import SimpleNamespace
+
+    from driftlab.estimates import length_integral_check
+    from driftlab.runner import _select_case_barrier
+
+    raw = read_config(CONFIGS / f"{name}.json")
+    raw["grids"] = [400]
+    config = parse_config(raw)
+    cases = set()
+    for row in runner.run(config).rows:
+        case = ling_case(row["a"], row["delta"])
+        assert case.label == row["case"]
+        cases.add(case.label)
+        nef = SimpleNamespace(a=row["a"], b=row["b"], delta=row["delta"], lam=row["lambda1"])
+        ledger = length_integral_check(nef, _select_case_barrier(config, nef, case), row["d"])
+        assert ledger.margin_transit.hex() == row["transit_margin"].hex()
+        assert ledger.margin_holder.hex() == row["holder_margin"].hex()
+    assert cases == ({"B-1", "B-2-b1", "B-2-b2"} if name == "ling_cases" else {"A"})
 
 
 def test_csv_header_and_formatting():
@@ -587,7 +614,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert (tmp_path / "o" / "report.csv").exists()
 
     # soliton-check without a soliton section is a usage error
+    capsys.readouterr()
     assert cli.main(["soliton-check", "--config", str(good)]) == 2
+    assert "the 'soliton' check needs a 'soliton' section" in capsys.readouterr().err
 
     failing = tmp_path / "failing.json"
     failing.write_text(json.dumps(_base_config(
@@ -604,6 +633,14 @@ def test_cli_grid_override(tmp_path, capsys):
     assert "N=200" in capsys.readouterr().out
     # the override obeys the same bound as the file: grids >= 8
     assert cli.main(["spectrum", "--config", str(good), "--grid", "3"]) == 2
+    # and does not hide an invalid file
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_base_config(grids=[2.5, -7])))
+    for command in ("sweep", "spectrum"):
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(bad)]) == 2
+        assert cli.main([command, "--config", str(bad), "--grid", "64"]) == 2
+        assert "grids entries must be finite int" in capsys.readouterr().err
 
 
 def test_cli_emit_barriers(tmp_path, capsys):

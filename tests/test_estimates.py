@@ -135,7 +135,7 @@ def test_stacked_series_match_separate_series_bitwise(t, c, kappa):
     # derivatives, at the centre, both endpoints (and just past them) and
     # negative t, on arrays and scalars; barrier derivatives combine them
     t = np.array(t + [0.0, -0.0, HALF_PI, -HALF_PI, HALF_PI + 1e-13, -1e-300])
-    z = dl.BarrierFamily(a=c, b=1.0, delta=kappa, mu=1.0, sigma=None, label="raw")
+    z = dl.BarrierFamily(a=c, b=1.0, xi_coeff=kappa)
     for order in range(3):
         xi_k, eta_k = _separate_series(t, order)
         pair = xi_eta(t, order)
@@ -212,9 +212,9 @@ def test_hypotheses_refuse_nan(tmp_path, capsys):
     with pytest.raises(BarrierHypothesisError, match="lost the sign"):
         dl.case_b2b2_barrier(0.1, 1.01, 0.25, nan)
     # a NaN xi coefficient makes both positivity sweeps all NaN
-    raw = dl.BarrierFamily(a=0.0, b=1.01, delta=0.25, mu=nan, sigma=None, label="raw")
+    raw = dl.BarrierFamily(a=0.0, b=1.01, xi_coeff=nan)
     with pytest.raises(BarrierHypothesisError, match="not positive on its domain"):
-        est._validate_barrier(raw)
+        est._validate_barrier(raw, 0.25)
     nef = dl.normalize(_zonal_s2()[2], K=1.0)
     with pytest.raises(BarrierHypothesisError, match=r"not positive on \[-pi/2, pi/2\]"):
         dl.length_integral_check(nef, raw, math.pi)
@@ -469,8 +469,7 @@ def test_length_integrals_constant_barrier():
     # z = 1: transit integral pi, Holder bound (pi^3/pi)^(1/2) = pi, equality
     _, _, mode = _zonal_s2()
     nef = dl.normalize(mode, K=1.0, b=1.01)
-    flat = dl.BarrierFamily(a=0.0, b=1.01, delta=0.25, mu=0.0, sigma=None,
-                            label="constant")
+    flat = dl.BarrierFamily(a=0.0, b=1.01, xi_coeff=0.0)
     ledger = dl.length_integral_check(nef, flat, math.pi)
     assert abs(ledger.transit_integral - math.pi) < 1e-10
     assert abs(ledger.holder_bound - math.pi) < 1e-10
@@ -491,17 +490,20 @@ def test_length_integrals_quarter_delta():
     assert nef.lam >= implied
 
 
+# (family, a, b, delta, mu or sigma)
 _TRANSIT_BARRIERS = [
-    *(dl.barrier(a, b, delta, mu) for a in (0.0, 0.3, 0.9) for b in (1.01, 2.0)
+    *(("standard", a, b, delta, mu) for a in (0.0, 0.3, 0.9) for b in (1.01, 2.0)
       for delta in (0.1, 0.5) for mu in (0.25, 1.0)),
-    *(dl.case_b2b2_barrier(a, 1.01, delta, sigma) for a in (0.05, 0.3)
+    *(("b2b2", a, 1.01, delta, sigma) for a in (0.05, 0.3)
       for delta in (0.1, 0.5) for sigma in (0.5, 1.0)),
 ]
 
 
-@pytest.mark.parametrize("z", _TRANSIT_BARRIERS,
-                         ids=lambda z: f"{z.label}:a={z.a:g}:b={z.b:g}:delta={z.delta:g}")
-def test_transit_integral_matches_quad(z):
+@pytest.mark.parametrize("family,a,b,delta,weight", _TRANSIT_BARRIERS,
+                         ids=[f"{f}:a={a:g}:b={b:g}:delta={d:g}"
+                              for f, a, b, d, _ in _TRANSIT_BARRIERS])
+def test_transit_integral_matches_quad(family, a, b, delta, weight):
+    z = (dl.barrier if family == "standard" else dl.case_b2b2_barrier)(a, b, delta, weight)
     _, _, mode = _zonal_s2()
     nef = dl.normalize(mode, K=1.0, b=z.b)
     ledger = dl.length_integral_check(nef, z, math.pi)
@@ -543,11 +545,10 @@ def test_tabulated_barrier_checks_match_per_call_series(a, b, delta, weight, b2b
     # verdicts and every ledger bit match evaluating z afresh on each grid
     if b2b2:
         sigma = 2.0 * weight
-        raw = dl.BarrierFamily(a=a, b=b, delta=delta, mu=None, sigma=sigma, label="b2b2")
+        raw = dl.BarrierFamily(a=a, b=b, xi_coeff=delta - sigma * (a / b) ** 2)
         build = lambda: dl.case_b2b2_barrier(a, b, delta, sigma)  # noqa: E731
     else:
-        raw = dl.BarrierFamily(a=a, b=b, delta=delta, mu=weight, sigma=None,
-                               label="standard")
+        raw = dl.BarrierFamily(a=a, b=b, xi_coeff=weight * delta)
         build = lambda: dl.barrier(a, b, delta, weight)  # noqa: E731
     # the variant also needs its xi coefficient positive
     if not ((raw.xi_coeff > 0.0 or not b2b2) and _per_call_accepts(raw)):

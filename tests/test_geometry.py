@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 import driftlab as dl
 from driftlab.errors import InapplicableBoundError, PoleRegularityError
-from driftlab.geometry import pole_curvature
+from driftlab.geometry import pole_curvature, scalar_curvature_derivative
 
 
 def test_unit_s2_is_einstein():
@@ -370,6 +370,18 @@ def test_ricci_lower_bound_refuses_a_model_outside_the_round_cos_family():
     # circles keep their own refusal
     with pytest.raises(ValueError, match="circles"):
         dl.be_ricci_lower_bound(dl.circle(2.0 * math.pi))
+
+
+def test_curvature_refuses_circles():
+    # curvature is an interval-sphere quantity, refused on circles as the
+    # pole limits are
+    ring = dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi))
+    with pytest.raises(ValueError, match="interval-sphere models only"):
+        dl.curvature(ring, dl.Grid.uniform(ring, 64))
+    with pytest.raises(ValueError, match="interval-sphere models only"):
+        scalar_curvature_derivative(ring, np.linspace(0.1, 1.0, 5))
+    with pytest.raises(ValueError, match="interval-sphere models only"):
+        pole_curvature(ring)
 
 
 @pytest.mark.parametrize("coeffs", [[0.5], [0.5, 0.0, 0.0]], ids=["c0", "c0-0-0"])
