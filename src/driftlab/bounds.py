@@ -30,6 +30,7 @@ import.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,11 +101,14 @@ def ling_case(a: float, delta: float) -> LingCase:
              combining mu = 4a/(pi^2 delta) with lambda >= 2 alpha
     B-2-b1 : 1.53 delta <= a < 0.765                 -> mu = 4a/(pi^2 delta)
     B-2-b2 : a < 1.53 delta                          -> variant barrier, 31/50 alpha
+
+    delta must be a normal float: for a subnormal one, 1.53 delta can round
+    down to 1.5 delta and B-2-b1 would return mu = 0.6 < 31/50.
     """
     if not (0.0 <= a < 1.0):
         raise InapplicableBoundError(f"asymmetry constant a={a!r} must lie in [0, 1)")
-    if not (0.0 < delta <= 0.5):
-        raise InapplicableBoundError(f"delta={delta!r} must lie in (0, 1/2]")
+    if not (sys.float_info.min <= delta <= 0.5):
+        raise InapplicableBoundError(f"delta={delta!r} must be a normal float in (0, 1/2]")
     if a == 0.0:
         return LingCase(label="A", mu=1.0, alpha_multiple=1.0)
     if a >= _PI_SQ * delta / 4.0:

@@ -17,7 +17,7 @@ import json
 import math
 import platform
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -105,8 +105,11 @@ class SolitonCheck(Check):
 
 
 def _quantities(record) -> dict:
-    return {name: value for name, value in asdict(record).items()
-            if value is not None and name not in ("status", "reason")}
+    """The record's fields that are not None, in field order, less status and
+    reason; the values are the record's own scalars, not copies."""
+    return {f.name: value for f in fields(record)
+            if (value := getattr(record, f.name)) is not None
+            and f.name not in ("status", "reason")}
 
 
 @dataclass(frozen=True)

@@ -34,15 +34,17 @@ even one, with the constant mode, takes the place of l = 0, the odd one that
 of l = 1.  ``first_nonzero_eigenvalue`` bisects the l = 1 top and certifies
 with one Sturm count of l = 0 that no eigenvalue but the constant mode lies
 above it, then inverse-iterates the winner alone.  The Richardson partner is
-the Rayleigh quotient of the eigenvector on the half-resolution operator, so
-each lambda_1 costs one eigenvector.  ``spectrum_contains`` is three Sturm
-counts, one per sector l = 0, 1, 2, over the closed window around its target.
+the Rayleigh quotient of the eigenvector on the half-resolution operator,
+formed only when the error estimate is read, so each lambda_1 costs one
+eigenvector.  ``spectrum_contains`` is three Sturm counts, one per sector
+l = 0, 1, 2, over the closed window around its target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -287,11 +289,28 @@ def _count(problem: SpectralProblem | _MirrorSector, vl: float, vu: float) -> in
 
 @dataclass(frozen=True)
 class FirstEigenvalue:
-    """First non-zero eigenvalue lambda with its eigenmode and error estimate."""
+    """First non-zero eigenvalue lambda with its eigenmode; the Richardson
+    error estimate is formed on its first read."""
 
     lam: float
     mode: EigenMode
-    error_estimate: float
+
+    @cached_property
+    def error_estimate(self) -> float:
+        """|lam_N - lam_{N/2}| / 3, where lam_{N/2} is the Rayleigh quotient,
+        on the winning sector's operator at N // 2, of the eigenvector
+        linearly interpolated onto the coarse nodes (for even N: the cell-pair
+        average on spheres, injection on circles); NaN below 8 nodes.  Its
+        error is quadratic in the O(h^2) interpolation error, so it stands in
+        for a half-resolution eigensolve."""
+        problem = self.mode.problem
+        model, grid = problem.model, problem.grid
+        if grid.size < 8:
+            return math.nan
+        coarse = assemble(model, Grid.uniform(model, grid.size // 2), self.mode.l)
+        period = model.L if problem.periodic else None
+        u = np.interp(coarse.grid.nodes, grid.nodes, self.mode.u, period=period)
+        return abs(self.lam - _rayleigh_quotient(coarse, u)) / 3.0
 
 
 def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
@@ -312,8 +331,7 @@ def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
     return energy / float(np.sum(rho_u2))
 
 
-def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
-                             richardson: bool = True) -> FirstEigenvalue:
+def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid) -> FirstEigenvalue:
     """Smallest lambda > 0 with Delta_phi u = -lambda u, searched over l = 0, 1.
 
     No sector l >= 2 can hold lambda_1: in symmetrized form
@@ -334,12 +352,10 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
     Either way the result is bitwise that of bisecting both tops.  Inverse
     iteration runs once, on the winning eigenvalue alone, for the eigenmode.
 
-    The Richardson error estimate of the second-order scheme is
-    |lam_N - lam_{N/2}| / 3, where lam_{N/2} is the Rayleigh quotient, on the
-    winning sector's operator at N // 2, of the eigenvector linearly
-    interpolated onto the coarse nodes (for even N: the cell-pair average on
-    spheres, injection on circles).  Its error is quadratic in the O(h^2)
-    interpolation error, so it stands in for a half-resolution eigensolve.
+    Nothing is assembled at N // 2 here: the Richardson error estimate of
+    the second-order scheme (``FirstEigenvalue.error_estimate``) is formed
+    from ``mode.problem`` when it is first read, so a caller that reads only
+    ``lam`` and ``mode`` pays for one resolution.
     """
     base = assemble(model, grid, 0)
     zonal, upper = _mirror_sectors(base) if base.periodic else (base, base.sector(1))
@@ -356,14 +372,7 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid,
         if second.w[0] >= top.w[0]:  # a tie goes to the lower sector
             top = second
     mode = top.modes()[0]
-    lam = mode.lam
-    err = math.nan
-    if richardson and grid.size >= 8:
-        coarse = assemble(model, Grid.uniform(model, grid.size // 2), mode.l)
-        period = model.L if model.topology == CIRCLE else None
-        u = np.interp(coarse.grid.nodes, grid.nodes, mode.u, period=period)
-        err = abs(lam - _rayleigh_quotient(coarse, u)) / 3.0
-    return FirstEigenvalue(lam=lam, mode=mode, error_estimate=err)
+    return FirstEigenvalue(lam=mode.lam, mode=mode)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ Each test prints one PASS/FAIL line for its criterion.
 import dataclasses
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from driftlab import acceptance
+from driftlab import acceptance, bounds
 
 
 def _run(fn, *args):
@@ -77,7 +78,48 @@ def test_criterion_08_soliton_checker():
 
 
 def test_criterion_09_case_totality():
-    _run(acceptance.criterion_case_totality)
+    result = _run(acceptance.criterion_case_totality)
+    # a certificate in exact rationals: one row per case plus the float
+    # thresholds and pi's bound, each value and bound an exact Fraction
+    assert {(row["instance"], row["quantity"]) for row in result.rows} == {
+        ("A", "alpha_multiple"), ("B-1", "alpha_multiple"), ("B-2-b2", "alpha_multiple"),
+        ("B-2-a", "alpha_multiple_lower"), ("B-2-a", "float_threshold"),
+        ("B-2-b1", "alpha_multiple_lower"), ("B-2-b1", "float_threshold_ratio"),
+        ("pi", "machin_upper_bound")}
+    for row in result.rows:
+        value, bound = Fraction(row["value"]), Fraction(row["expected"])
+        assert value < bound if row["instance"] == "pi" else value >= bound
+    lower = {row["instance"]: Fraction(row["value"]) for row in result.rows
+             if row["quantity"] == "alpha_multiple_lower"}
+    assert lower["B-2-a"] == lower["B-2-b1"] > Fraction(31, 50)
+
+
+def test_machin_bound_lies_above_pi():
+    mpmath = pytest.importorskip("mpmath")
+    P = acceptance.machin_pi_upper()
+    assert type(P) is Fraction and P < Fraction(31416, 10000)
+    with mpmath.workdps(50):
+        assert mpmath.mpf(P.numerator) / P.denominator > mpmath.pi
+
+
+@pytest.mark.parametrize("module,name,value,failing", [
+    (acceptance, "machin_pi_upper", lambda: Fraction(22, 7),
+     {("pi", "machin_upper_bound"), ("B-2-a", "alpha_multiple_lower"),
+      ("B-2-a", "float_threshold"), ("B-2-b1", "alpha_multiple_lower"),
+      ("B-2-b1", "float_threshold_ratio")}),
+    (bounds, "A_LARGE", Fraction(152, 200), {("B-2-a", "alpha_multiple_lower")}),
+    (bounds, "_A_LARGE", 0.764, {("B-2-a", "float_threshold")}),
+    (bounds, "_A_OVER_DELTA", 1.5297, {("B-2-b1", "float_threshold_ratio")}),
+], ids=["pi-22/7", "A_LARGE-152/200", "float-0.764", "float-1.5297"])
+def test_criterion_09_fails_on_a_weaker_constant(monkeypatch, module, name, value, failing):
+    # 22/7 is too coarse a bound on pi, and a threshold below 153/200 (or a
+    # float one below 31 P^2/400, resp. 31 P^2/200) would let a case fall
+    # under 31/50: the certificate names each failing step
+    monkeypatch.setattr(module, name, value)
+    result = acceptance.criterion_case_totality()
+    assert not result.passed
+    assert {(row["instance"], row["quantity"]) for row in result.rows
+            if row["status"] == "fail"} == failing
 
 
 def test_mutation_smoke(monkeypatch):

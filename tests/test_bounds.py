@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,16 @@ def test_case_totality_and_floor():
         dl.ling_case(1.0, 0.3)
     with pytest.raises(InapplicableBoundError):
         dl.ling_case(0.3, 0.6)
+
+
+def test_ling_case_refuses_subnormal_delta():
+    # 1.53 delta rounds to 1.5 delta at delta = 2 * 5e-324, where B-2-b1
+    # would give mu = 0.6 < 31/50; criterion 9's certificate needs normal delta
+    with pytest.raises(InapplicableBoundError, match="normal float"):
+        dl.ling_case(1.5e-323, 1e-323)
+    with pytest.raises(InapplicableBoundError, match="normal float"):
+        dl.ling_case(0.0, math.nextafter(sys.float_info.min, 0.0))
+    assert dl.ling_case(0.0, sys.float_info.min).label == "A"
 
 
 def _ling_case_from_fractions(a, delta):

@@ -149,10 +149,8 @@ def test_first_eigenvalue_refinement_consistency():
     # Richardson-extrapolating the two resolutions must land closer to the
     # classical value than either raw resolution
     model, _ = _sphere_grid(3, 64)
-    lam_c = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 400),
-                                        richardson=False).lam
-    lam_f = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 800),
-                                        richardson=False).lam
+    lam_c = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 400)).lam
+    lam_f = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 800)).lam
     extrap = lam_f + (lam_f - lam_c) / 3.0
     assert abs(extrap - 3.0) < abs(lam_f - 3.0) < abs(lam_c - 3.0)
 
@@ -376,7 +374,7 @@ def test_convergence_order_s2():
     ns = (250, 500, 1000, 2000)
     for N in ns:
         model, grid = _sphere_grid(2, N)
-        fe = dl.first_nonzero_eigenvalue(model, grid, richardson=False)
+        fe = dl.first_nonzero_eigenvalue(model, grid)
         errs.append(abs(fe.lam - 2.0))
     slope = np.polyfit(np.log([math.pi / N for N in ns]), np.log(errs), 1)[0]
     assert 1.8 < slope < 2.2
@@ -601,6 +599,43 @@ def test_error_estimate_matches_half_grid_solve(model, sector, N):
     assert fe.mode.l == sector
     expected = _half_grid_estimate(model, N, fe.lam, sector)
     assert fe.error_estimate == pytest.approx(expected, rel=2e-3)
+
+
+def test_lam_and_mode_assemble_nothing_at_half_resolution(monkeypatch):
+    # the Richardson partner is built on the first read of error_estimate,
+    # once; reading lam and mode alone assembles and grids only at N
+    model, grid = _sphere_grid(3, 400, eps=0.5)
+    sizes = []
+    real_assemble, real_uniform = spectral.assemble, dl.Grid.uniform
+    monkeypatch.setattr(spectral, "assemble",
+                        lambda m, g, l: sizes.append(("assemble", g.size)) or real_assemble(m, g, l))
+    monkeypatch.setattr(dl.Grid, "uniform",
+                        lambda m, N: sizes.append(("grid", N)) or real_uniform(m, N))
+    fe = dl.first_nonzero_eigenvalue(model, grid)
+    assert (fe.lam, fe.mode.l) == (fe.mode.lam, 1)
+    assert sizes == [("assemble", 400)]
+    err = fe.error_estimate
+    assert sizes[1:] == [("grid", 200), ("assemble", 200)]
+    assert fe.error_estimate is err and len(sizes) == 3
+
+
+@pytest.mark.parametrize("model,N,sector", [
+    (dl.sphere(3, density=dl.cosine_density(0.5)), 400, 1),
+    (dl.sphere(2), 400, 0),
+    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi)), 400, 0),
+    (dl.sphere(3, density=dl.cosine_density(0.5)), 401, 1),
+], ids=["cosine-l1", "round-l0-twin", "circle", "odd-N"])
+def test_error_estimate_is_the_eager_formula_bitwise(model, N, sector):
+    # the estimate formed from mode.problem on first read keeps every bit of
+    # the one formed from the model and grid inside the solve
+    grid = dl.Grid.uniform(model, N)
+    fe = dl.first_nonzero_eigenvalue(model, grid)
+    assert fe.mode.l == sector
+    coarse = assemble(model, dl.Grid.uniform(model, N // 2), fe.mode.l)
+    period = model.L if model.topology == dl.CIRCLE else None
+    u = np.interp(coarse.grid.nodes, grid.nodes, fe.mode.u, period=period)
+    eager = abs(fe.lam - spectral._rayleigh_quotient(coarse, u)) / 3.0
+    assert fe.error_estimate == eager and math.isfinite(eager)
 
 
 @pytest.mark.parametrize("model,l", [
