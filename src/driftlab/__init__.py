@@ -21,10 +21,8 @@ from .geometry import (CIRCLE, INTERVAL_SPHERE, CosPolynomial, CurvatureProfile,
                        be_ricci_lower_bound, circle, cosine_density, curvature,
                        diameter, integrate, interval_sphere, sphere,
                        unit_fiber_area, weighted_measure, zero_density)
-from .solitons import (NormalizedPotential, SolitonCandidate, SolitonLedger,
-                       normalize_f, soliton_ledger)
-from .spectral import (EigenMode, FirstEigenvalue, MembershipVerdict,
-                       SpectralProblem, assemble, first_nonzero_eigenvalue,
-                       spectrum_contains)
+from .solitons import SolitonCandidate, SolitonLedger, normalize_f, soliton_ledger
+from .spectral import (EigenMode, MembershipVerdict, SpectralProblem, assemble,
+                       first_nonzero_eigenvalue, spectrum_contains)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

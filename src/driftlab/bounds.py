@@ -23,8 +23,8 @@ diameters the other way, d <= pi sqrt((n-1)/gamma).
 All rational constants (31/100, 31/50, 153/200, 153/100, 169/100, 10/13) are
 kept exact as Fractions; ``derive_diameter_bound()`` is the Fraction 10/13,
 1/sqrt(2 - 31/100).  Floats appear in returned report values and in
-``ling_case``'s thresholds, which are rounded from the Fractions once, at
-import.
+``ling_case``'s B-2 thresholds, which are rounded from the Fractions once, at
+import; its B-1 test compares Fractions.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ CASE_FLOOR = Fraction(31, 50)           # every case yields at least this multip
 A_LARGE = Fraction(153, 200)            # = 0.765, large-asymmetry threshold
 A_OVER_DELTA = Fraction(153, 100)       # = 1.53, asymmetry/delta threshold
 DRIFT_EIGEN_MULTIPLE = Fraction(2)      # soliton potential eigenvalue, lambda = 2 gamma
+PI_UPPER = Fraction("3.14159265358979323846264338327950289")  # > pi by under 1e-35
 
-# ling_case's thresholds as floats, rounded once from the Fractions above
+# ling_case's other thresholds as floats, rounded once from the Fractions above
 _PI_SQ = math.pi**2
 _A_LARGE = float(A_LARGE)
 _A_OVER_DELTA = float(A_OVER_DELTA)
@@ -104,6 +105,12 @@ def ling_case(a: float, delta: float) -> LingCase:
 
     delta must be a normal float: for a subnormal one, 1.53 delta can round
     down to 1.5 delta and B-2-b1 would return mu = 0.6 < 31/50.
+
+    B-1's test a >= PI_UPPER^2 delta / 4 is exact, in Fractions, so a B-1
+    point meets the mu = 1 barrier's hypothesis a >= pi^2 delta / 4; the
+    float fl(pi^2) delta / 4 lies below it at 30 of the 50 values
+    delta = j/100.  PI_UPPER exceeds pi by under 1e-35, far inside one float
+    spacing, so B-2's mu = 4a/(pi^2 delta) stays at most 1 up to rounding.
     """
     if not (0.0 <= a < 1.0):
         raise InapplicableBoundError(f"asymmetry constant a={a!r} must lie in [0, 1)")
@@ -111,7 +118,7 @@ def ling_case(a: float, delta: float) -> LingCase:
         raise InapplicableBoundError(f"delta={delta!r} must be a normal float in (0, 1/2]")
     if a == 0.0:
         return LingCase(label="A", mu=1.0, alpha_multiple=1.0)
-    if a >= _PI_SQ * delta / 4.0:
+    if 4 * Fraction(a) >= PI_UPPER**2 * Fraction(delta):
         return LingCase(label="B-1", mu=1.0, alpha_multiple=1.0)
     mu = 4.0 * a / (_PI_SQ * delta)
     if a >= _A_LARGE:

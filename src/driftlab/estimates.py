@@ -157,9 +157,7 @@ def gauss_legendre_integral(f) -> float:
     return float(_GL_WEIGHTS @ f(_GL_NODES))
 
 
-def _sample_derivative(y: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    if periodic:
-        return (np.roll(y, -1) - np.roll(y, 1)) / (2.0 * h)
+def _sample_derivative(y: np.ndarray, h: float) -> np.ndarray:
     d = np.empty_like(y)
     d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
     d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
@@ -173,8 +171,8 @@ class NormalizedEigenfunction:
 
     max v = 1 and min v = -1 over the manifold; lam > 0 is the eigenvalue, k
     and a the asymmetry constants, b > 1 the gradient-estimate parameter,
-    c = a/b, alpha = (n-1)K/2 and delta = alpha/lam.  For a zonal mode (or on
-    a circle) v is the radial factor ``v_rad``; an l = 1 mode is
+    c = a/b, alpha = (n-1)K/2 and delta = alpha/lam.  For a zonal mode v is
+    the radial factor ``v_rad``; an l = 1 mode is
     v = R(r) x with R = ``v_rad`` and x = cos(psi) on the fiber, the degree-1
     zonal harmonic for every n.  ``residual_inf`` is the sup-norm of the
     eigen-relation residual on the grid, and ``residual_rel`` that over the
@@ -216,7 +214,7 @@ class NormalizedEigenfunction:
         the estimate quantities take their extremes, as the N radial rows
         and one equator value.
 
-        Zonal modes and circles: the radial grid, and no equator (None).  On
+        Zonal modes: the radial grid, and no equator (None).  On
         the row at r of an l = 1 mode, |grad v|^2 = R'^2 x^2 + A (1 - x^2)
         and b^2 - v^2 = b^2 - R^2 x^2, so |grad v|^2 / (b^2 - v^2) is a
         Moebius function of x^2 and monotone in it: its sup over the row is
@@ -238,7 +236,9 @@ def normalize(mode: EigenMode, K: float, b: float = 1.01) -> NormalizedEigenfunc
     v = (u - (1-k)/2) / ((1+k)/2).  An l = 1 mode R(r) cos(psi) takes both
     signs on every fiber, so it has k = 1, a = 0 and v = u / max |u|.  A mode
     of a higher sector is not a first eigenfunction (lambda_1 lies in l <= 1,
-    see ``first_nonzero_eigenvalue``) and raises.  The eigen-relation
+    see ``first_nonzero_eigenvalue``) and raises.  A circle's mode raises
+    ValueError: a circle has no (n-1) K, so alpha = delta = 0 and no
+    estimate applies.  The eigen-relation
     Delta_phi v = -lam (v + a) is re-checked on the grid through the assembled
     operator; its sup-norm is stored, and also over the bound on the
     operator's norm (which grows like N^2), where rounding alone stays far
@@ -246,14 +246,15 @@ def normalize(mode: EigenMode, K: float, b: float = 1.01) -> NormalizedEigenfunc
     """
     if not 1.0 < b < math.inf:
         raise ValueError("the gradient-estimate constant b must exceed 1 and be finite")
-    lam = -mode.mu
+    lam = mode.lam
     if lam <= 0.0:
         raise DegenerateEigenfunctionError(
-            f"eigenvalue mu={mode.mu:.3e} does not define a first non-zero mode")
+            f"eigenvalue lam={lam:.3e} does not define a first non-zero mode")
     problem = mode.problem
     model, grid = problem.model, problem.grid
-    periodic = model.topology == CIRCLE
-    if mode.l > (0 if periodic else 1):
+    if model.topology == CIRCLE:
+        raise ValueError("the (n-1) K normalization degenerates on 1-dimensional circles")
+    if mode.l > 1:
         raise DegenerateEigenfunctionError(
             f"an l = {mode.l} mode is not a first eigenfunction (lambda_1 lies in l <= 1)")
     u = np.array(mode.u, dtype=float)
@@ -280,7 +281,7 @@ def normalize(mode: EigenMode, K: float, b: float = 1.01) -> NormalizedEigenfunc
 
     return NormalizedEigenfunction(
         model=model, grid=grid, l=mode.l, lam=lam, k=k, a=a, b=float(b), K=float(K),
-        v_rad=v_rad, dv_rad=_sample_derivative(v_rad, grid.spacing, periodic),
+        v_rad=v_rad, dv_rad=_sample_derivative(v_rad, grid.spacing),
         residual_inf=residual_inf, residual_rel=residual_inf / op_norm,
     )
 

@@ -23,7 +23,7 @@ from .geometry import CIRCLE, Grid, WarpedManifold, be_ricci_lower_bound, diamet
 from .reports import (ERROR, FAIL, INAPPLICABLE, PASS, BoundsCheck, Check,
                       EstimatesCheck, InstanceRecord, InstanceResult, RunReport,
                       SolitonCheck, environment_stamp)
-from .spectral import FirstEigenvalue, first_nonzero_eigenvalue
+from .spectral import EigenMode, first_nonzero_eigenvalue
 
 
 def _select_case_barrier(config: ExperimentConfig, nef: est.NormalizedEigenfunction,
@@ -33,7 +33,7 @@ def _select_case_barrier(config: ExperimentConfig, nef: est.NormalizedEigenfunct
     return est.barrier(nef.a, nef.b, nef.delta, case.mu)
 
 
-def _spectrum_check(fe: FirstEigenvalue) -> Check:
+def _spectrum_check(fe: EigenMode) -> Check:
     ok = fe.lam > 0.0 and math.isfinite(fe.lam)
     return Check(PASS if ok else FAIL)
 
@@ -98,7 +98,7 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
     no_case = ""  # why the estimates have no barrier
     if any(c in config.checks for c in ("spectrum", "bounds", "estimates")):
         fe = first_nonzero_eigenvalue(model, grid)
-        shared.update(lambda1=fe.lam, lambda1_mode=fe.mode.l,
+        shared.update(lambda1=fe.lam, lambda1_mode=fe.l,
                       lambda1_err_est=fe.error_estimate)
         if model.topology == CIRCLE:
             why = "needs an interval-sphere model (circles have no K_eff)"
@@ -106,7 +106,7 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
             kb = be_ricci_lower_bound(model)
             shared.update(K_eff=kb.K, K_min_radius=kb.radius)
             if kb.positive:
-                nef = est.normalize(fe.mode, K=kb.K, b=config.b)
+                nef = est.normalize(fe, K=kb.K, b=config.b)
                 shared.update(k_ratio=nef.k, a=nef.a, delta=nef.delta,
                               normalize_residual=nef.residual_rel)
                 try:

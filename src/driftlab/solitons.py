@@ -78,20 +78,14 @@ class SolitonCandidate:
                               name=f"{self.model.label}+potential")
 
 
-@dataclass(frozen=True)
-class NormalizedPotential:
-    """Potential shifted so that int f e^{-f} dV = 0, with the shift used."""
-
-    f: CosPolynomial | RadialProfile
-    shift: float
-
-
-def normalize_f(cand: SolitonCandidate, grid: Grid) -> NormalizedPotential:
-    """Shift f by s = -(int f e^{-f} dV)/(int e^{-f} dV), the closed-form root.
+def normalize_f(cand: SolitonCandidate, grid: Grid) -> float:
+    """The shift s = -(int f e^{-f} dV)/(int e^{-f} dV) that makes
+    int (f + s) e^{-(f + s)} dV vanish; ``cand.f.shifted(s)`` is the
+    normalized potential.
 
     The shifted constraint factors as e^{-s} (int f e^{-f} + s int e^{-f}) = 0,
-    so one shift lands exactly on the normalization; re-running returns a
-    shift of zero up to rounding.
+    so one shift lands exactly on the normalization; re-running on the
+    shifted potential returns a shift of zero up to rounding.
     """
     r = grid.nodes
     fv = np.asarray(cand.f.value(r), dtype=float)
@@ -100,8 +94,7 @@ def normalize_f(cand: SolitonCandidate, grid: Grid) -> NormalizedPotential:
         * np.asarray(cand.model.w.value(r), dtype=float) ** (cand.model.n - 1) \
         * grid.spacing
     ef = np.exp(-fv)
-    shift = -float(np.sum(vol * fv * ef)) / float(np.sum(vol * ef))
-    return NormalizedPotential(f=cand.f.shifted(shift), shift=shift)
+    return -float(np.sum(vol * fv * ef)) / float(np.sum(vol * ef))
 
 
 @dataclass(frozen=True)
@@ -166,8 +159,8 @@ def soliton_ledger(cand: SolitonCandidate, grid: Grid, tol: float = 1e-3) -> Sol
                             scalar_poles - n * gamma + n * f2_poles])
 
     # the shift changes neither f' nor Delta f, only the values
-    norm = normalize_f(cand, grid)
-    f_norm = fv + norm.shift
+    shift = normalize_f(cand, grid)
+    f_norm = fv + shift
     drift_model = cand.drift_model()
     membership = spectrum_contains(drift_model, Grid.uniform(drift_model, grid.size),
                                    -2.0 * gamma, tol)
@@ -180,5 +173,5 @@ def soliton_ledger(cand: SolitonCandidate, grid: Grid, tol: float = 1e-3) -> Sol
         eigen_residual=float(np.max(np.abs(lap_f - f1**2 + 2.0 * gamma * f_norm))),
         membership=membership,
         vacuous=float(np.max(np.abs(f_norm))) <= 1e-12,
-        shift=norm.shift,
+        shift=shift,
     )

@@ -156,17 +156,29 @@ def assemble(model: WarpedManifold, grid: Grid, l: int) -> SpectralProblem:
 
 @dataclass(frozen=True)
 class EigenMode:
-    """One computed eigenpair: Delta_phi u = mu u with radial samples u."""
+    """One computed eigenpair: Delta_phi u = -lam u with radial samples u;
+    the Richardson error estimate of lam is formed on its first read."""
 
-    mu: float
+    lam: float
     l: int
     u: np.ndarray
     problem: SpectralProblem
 
-    @property
-    def lam(self) -> float:
-        """lambda = -mu, positive for non-constant modes."""
-        return -self.mu
+    @cached_property
+    def error_estimate(self) -> float:
+        """|lam_N - lam_{N/2}| / 3, where lam_{N/2} is the Rayleigh quotient,
+        on the mode's operator at N // 2, of the eigenvector linearly
+        interpolated onto the coarse nodes (for even N: the cell-pair average
+        on spheres, injection on circles); NaN below 8 nodes.  Its error is
+        quadratic in the O(h^2) interpolation error, so it stands in for a
+        half-resolution eigensolve."""
+        model, grid = self.problem.model, self.problem.grid
+        if grid.size < 8:
+            return math.nan
+        coarse = assemble(model, Grid.uniform(model, grid.size // 2), self.l)
+        period = model.L if self.problem.periodic else None
+        u = np.interp(coarse.grid.nodes, grid.nodes, self.u, period=period)
+        return abs(self.lam - _rayleigh_quotient(coarse, u)) / 3.0
 
 
 def _postprocess(problem: SpectralProblem, vals: np.ndarray,
@@ -179,8 +191,8 @@ def _postprocess(problem: SpectralProblem, vals: np.ndarray,
         i = int(np.argmax(np.abs(u)))
         if u[i] < 0.0:
             u = -u
-        modes.append(EigenMode(mu=float(vals[j]), l=problem.l, u=u, problem=problem))
-    return tuple(sorted(modes, key=lambda m: abs(m.mu)))
+        modes.append(EigenMode(lam=-float(vals[j]), l=problem.l, u=u, problem=problem))
+    return tuple(sorted(modes, key=lambda m: abs(m.lam)))
 
 
 def _solver_error(problem: SpectralProblem | _MirrorSector, cause: str) -> SolverError:
@@ -287,32 +299,6 @@ def _count(problem: SpectralProblem | _MirrorSector, vl: float, vu: float) -> in
     return m
 
 
-@dataclass(frozen=True)
-class FirstEigenvalue:
-    """First non-zero eigenvalue lambda with its eigenmode; the Richardson
-    error estimate is formed on its first read."""
-
-    lam: float
-    mode: EigenMode
-
-    @cached_property
-    def error_estimate(self) -> float:
-        """|lam_N - lam_{N/2}| / 3, where lam_{N/2} is the Rayleigh quotient,
-        on the winning sector's operator at N // 2, of the eigenvector
-        linearly interpolated onto the coarse nodes (for even N: the cell-pair
-        average on spheres, injection on circles); NaN below 8 nodes.  Its
-        error is quadratic in the O(h^2) interpolation error, so it stands in
-        for a half-resolution eigensolve."""
-        problem = self.mode.problem
-        model, grid = problem.model, problem.grid
-        if grid.size < 8:
-            return math.nan
-        coarse = assemble(model, Grid.uniform(model, grid.size // 2), self.mode.l)
-        period = model.L if problem.periodic else None
-        u = np.interp(coarse.grid.nodes, grid.nodes, self.mode.u, period=period)
-        return abs(self.lam - _rayleigh_quotient(coarse, u)) / 3.0
-
-
 def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
     """lambda = -<Au, u> / <u, u> of radial samples u, in energy form:
 
@@ -331,7 +317,7 @@ def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
     return energy / float(np.sum(rho_u2))
 
 
-def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid) -> FirstEigenvalue:
+def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid) -> EigenMode:
     """Smallest lambda > 0 with Delta_phi u = -lambda u, searched over l = 0, 1.
 
     No sector l >= 2 can hold lambda_1: in symmetrized form
@@ -352,10 +338,11 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid) -> FirstEigenval
     Either way the result is bitwise that of bisecting both tops.  Inverse
     iteration runs once, on the winning eigenvalue alone, for the eigenmode.
 
-    Nothing is assembled at N // 2 here: the Richardson error estimate of
-    the second-order scheme (``FirstEigenvalue.error_estimate``) is formed
-    from ``mode.problem`` when it is first read, so a caller that reads only
-    ``lam`` and ``mode`` pays for one resolution.
+    The result is the winning ``EigenMode``.  Nothing is assembled at N // 2
+    here: the Richardson error estimate of the second-order scheme
+    (``EigenMode.error_estimate``) is formed from ``problem`` when it is
+    first read, so a caller that reads only ``lam`` and ``u`` pays for one
+    resolution.
     """
     base = assemble(model, grid, 0)
     zonal, upper = _mirror_sectors(base) if base.periodic else (base, base.sector(1))
@@ -371,8 +358,7 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid) -> FirstEigenval
         second = _bisect(zonal, zonal.diag.size - 1, zonal.diag.size - 1)
         if second.w[0] >= top.w[0]:  # a tie goes to the lower sector
             top = second
-    mode = top.modes()[0]
-    return FirstEigenvalue(lam=mode.lam, mode=mode)
+    return top.modes()[0]
 
 
 @dataclass(frozen=True)

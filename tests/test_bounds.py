@@ -9,7 +9,7 @@ import pytest
 
 import driftlab as dl
 from driftlab.bounds import (A_LARGE, A_OVER_DELTA, CASE_FLOOR, DRIFT_EIGEN_MULTIPLE,
-                             LING_RATIO)
+                             LING_RATIO, PI_UPPER)
 from driftlab.errors import InapplicableBoundError
 
 
@@ -89,12 +89,19 @@ def test_ling_case_refuses_subnormal_delta():
     assert dl.ling_case(0.0, sys.float_info.min).label == "A"
 
 
+def _b1_threshold(delta):
+    """pi^2 delta / 4 to 60 digits (mpmath), for the exact B-1 test."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        return mpmath.pi**2 * mpmath.mpf(delta) / 4
+
+
 def _ling_case_from_fractions(a, delta):
-    """(label, mu, alpha multiple) of the case split with every threshold
-    rounded from its exact Fraction on each call."""
+    """(label, mu, alpha multiple) of the case split with the B-1 test exact
+    and every other threshold rounded from its exact Fraction on each call."""
     if a == 0.0:
         return "A", 1.0, 1.0
-    if a >= math.pi**2 * delta / 4.0:
+    if a >= _b1_threshold(delta):
         return "B-1", 1.0, 1.0
     mu = 4.0 * a / (math.pi**2 * delta)
     if a >= float(A_LARGE):
@@ -106,11 +113,12 @@ def _ling_case_from_fractions(a, delta):
 
 def _branch_edges():
     """(a, delta) where ling_case changes branch: a = 0, a = 0.765, and for each
-    delta of the 100 x 50 grid a = pi^2 delta / 4 and a = 1.53 delta, below 1."""
+    delta of the 100 x 50 grid a = pi^2 delta / 4 (the nearest float to the
+    exact value) and a = 1.53 delta, below 1."""
     edges = [(0.0, 0.3), (float(A_LARGE), 0.4), (float(A_LARGE), 0.5)]
     for j in range(1, 51):
         delta = j / 100.0
-        edges += [(math.pi**2 * delta / 4.0, delta), (float(A_OVER_DELTA) * delta, delta)]
+        edges += [(float(_b1_threshold(delta)), delta), (float(A_OVER_DELTA) * delta, delta)]
     return [(a, delta) for a, delta in edges if a < 1.0]
 
 
@@ -120,8 +128,9 @@ def _case(a, delta):
 
 
 def test_ling_case_matches_the_fraction_thresholds_bitwise():
-    # the thresholds are floats rounded once from A_LARGE, A_OVER_DELTA and
-    # CASE_FLOOR; every decision and value keeps the per-call rounding's bits
+    # B-1's test is exact; the other thresholds are floats rounded once from
+    # A_LARGE, A_OVER_DELTA and CASE_FLOOR, and every other decision and value
+    # keeps the per-call rounding's bits
     for i in range(100):
         for j in range(1, 51):
             assert _case(i / 100.0, j / 100.0) == _ling_case_from_fractions(i / 100.0, j / 100.0)
@@ -131,6 +140,29 @@ def test_ling_case_matches_the_fraction_thresholds_bitwise():
         assert cases == [_ling_case_from_fractions(x, delta) for x in around]
         # the edge separates two branches, so its neighbours test both sides
         assert len({case[0] for case in cases}) == 2
+
+
+def test_ling_case_b1_boundary_is_exact():
+    # B-1 (mu = 1) needs mu delta <= 4a/pi^2, i.e. a >= pi^2 delta / 4 exactly:
+    # the float just below the exact threshold is not B-1, the one at or above is
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        excess = mpmath.mpf(PI_UPPER.numerator) / PI_UPPER.denominator - mpmath.pi
+        assert 0 < excess < mpmath.mpf("1e-35")
+    for j in range(1, 41):
+        delta = j / 100.0
+        threshold = _b1_threshold(delta)
+        nearest = float(threshold)
+        if mpmath.mpf(nearest) >= threshold:
+            below, above = math.nextafter(nearest, 0.0), nearest
+        else:
+            below, above = nearest, math.nextafter(nearest, 1.0)
+        assert mpmath.mpf(below) < threshold <= mpmath.mpf(above)
+        assert dl.ling_case(below, delta).label != "B-1", (j, below)
+        assert dl.ling_case(above, delta).label == "B-1", (j, above)
+    # 1.2e-16 below pi^2 * 0.4 / 4: B-2-a, whose mu is 1 to rounding
+    case = dl.ling_case(0.9869604401089358, 0.4)
+    assert case.label == "B-2-a" and case.mu <= 1.0 + 1e-12
 
 
 def test_myers_values():

@@ -243,6 +243,15 @@ def test_normalize_needs_a_finite_b_above_one(b):
         dl.normalize(_zonal_s2()[2], K=1.0, b=b)
 
 
+def test_normalize_refuses_a_circle_mode():
+    # a circle has no (n-1) K, so alpha = delta = 0 and no estimate applies,
+    # whatever K the caller passes
+    model = dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi))
+    mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 200))
+    with pytest.raises(ValueError, match="circles"):
+        dl.normalize(mode, K=1.0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hypotheses_refuse_infinity(tmp_path, capsys):
     # b = inf collapses the comparison domain to t = 0, and a = inf meets
@@ -292,7 +301,7 @@ def test_normalize_direct_formula():
     # v = (u - 1/3)/(2/3)
     model, grid, mode = _zonal_s2()
     u = np.linspace(-1.0 / 3.0, 1.0, grid.size)
-    synthetic = dl.EigenMode(mu=-2.0, l=0, u=u, problem=mode.problem)
+    synthetic = dl.EigenMode(lam=2.0, l=0, u=u, problem=mode.problem)
     nef = dl.normalize(synthetic, K=1.0)
     assert abs(nef.k - 1.0 / 3.0) < 1e-12
     assert abs(nef.a - 0.5) < 1e-12
@@ -302,7 +311,7 @@ def test_normalize_direct_formula():
 
 def test_normalize_sign_flip():
     model, grid, mode = _zonal_s2()
-    flipped = dl.EigenMode(mu=mode.mu, l=0,
+    flipped = dl.EigenMode(lam=mode.lam, l=0,
                            u=-np.linspace(-0.25, 0.75, grid.size),
                            problem=mode.problem)
     # -u has max 0.25, min -0.75: the sign rule flips it back
@@ -313,11 +322,11 @@ def test_normalize_sign_flip():
 
 def test_normalize_rejects_constants():
     model, grid, mode = _zonal_s2()
-    const = dl.EigenMode(mu=-2.0, l=0, u=np.ones(grid.size), problem=mode.problem)
+    const = dl.EigenMode(lam=2.0, l=0, u=np.ones(grid.size), problem=mode.problem)
     with pytest.raises(DegenerateEigenfunctionError):
         dl.normalize(const, K=1.0)
     with pytest.raises(DegenerateEigenfunctionError):
-        dl.normalize(dl.EigenMode(mu=0.0, l=0, u=np.cos(grid.nodes),
+        dl.normalize(dl.EigenMode(lam=0.0, l=0, u=np.cos(grid.nodes),
                                   problem=mode.problem), K=1.0)
 
 
@@ -594,8 +603,8 @@ def test_length_integrals_rejects_degenerate_diameter():
 def _l1_mode(N=900, n=3):
     model = dl.sphere(n, density=dl.cosine_density(0.4))
     fe = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, N))
-    assert fe.mode.l == 1
-    return fe.mode
+    assert fe.l == 1
+    return fe
 
 
 def _l1_mode_s2():
@@ -779,12 +788,12 @@ def test_normalize_residual_is_scaled_by_the_operator_norm():
     # at N = 2e4 rounding alone puts the residual far above 1e-6 lam, but it
     # stays at the rounding level of the operator, whose norm grows like N^2
     model = dl.sphere(3, density=dl.cosine_density(0.5))
-    mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 20000)).mode
+    mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 20000))
     nef = dl.normalize(mode, K=1.0)
     assert nef.residual_inf > 1e-6 * nef.lam
     assert nef.residual_rel <= 1e-10
     noise = np.random.default_rng(0).standard_normal(mode.u.size)
-    perturbed = dl.EigenMode(mu=mode.mu, l=mode.l, u=mode.u * (1.0 + 1e-6 * noise),
+    perturbed = dl.EigenMode(lam=mode.lam, l=mode.l, u=mode.u * (1.0 + 1e-6 * noise),
                              problem=mode.problem)
     assert dl.normalize(perturbed, K=1.0).residual_rel > 1e-10
 
@@ -999,7 +1008,7 @@ def test_rows_once_match_the_flat_points_bitwise_on_real_modes(n, N):
     # the cosine sphere's lambda_1 mode is l = 1, the Ling model's zonal
     for density in (dl.cosine_density(0.5), dl.CosPolynomial([0.0, -1.0, -0.25])):
         model = dl.sphere(n, density=density)
-        mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, N)).mode
+        mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, N))
         nef = dl.normalize(mode, K=1.0)
         v, grad_sq = _flat_samples(nef)
         sup = float((grad_sq / (nef.b * nef.b - v * v)).max())
@@ -1030,7 +1039,7 @@ def test_touching_point_residual_is_nonpositive_at_the_worst_bin_of_the_sweep():
         model = cfg.build_model(config, inst)
         grid = dl.Grid.uniform(model, inst.N)
         fe = dl.first_nonzero_eigenvalue(model, grid)
-        nef = dl.normalize(fe.mode, K=dl.be_ricci_lower_bound(model).K, b=config.b)
+        nef = dl.normalize(fe, K=dl.be_ricci_lower_bound(model).K, b=config.b)
         z = runner._select_case_barrier(config, nef, dl.ling_case(nef.a, nef.delta))
         t = dl.barrier_dominance_check(dl.compute_Z(nef, config.bins), z).worst_t
         res = _touching_point_residual(z.value(t), z.derivative(t, 1), z.derivative(t, 2), t,

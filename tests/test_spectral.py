@@ -57,12 +57,12 @@ def _sectors(model):
 
 
 def _mus(modes):
-    return np.array([m.mu for m in modes])
+    return np.array([-m.lam for m in modes])
 
 
 def _top_modes(problem, count):
     """The ``count`` top eigenpairs of a sphere sector or a circle's mirror
-    sector, sorted by |mu|, through the solver's own bisection and inverse
+    sector, sorted by |lam|, through the solver's own bisection and inverse
     iteration."""
     n = problem.diag.size
     return spectral._bisect(problem, n - count + 1, n).modes()
@@ -177,7 +177,7 @@ def test_spectrum_contains_finds_deep_zonal_eigenvalues():
     # the 9th zonal eigenvalue is an eigenvalue of the assembled operator,
     # although the low l = 1 and l = 2 sectors reach below it much earlier
     model, grid = _sphere_grid(2, 400, eps=0.5)
-    target = _top_modes(assemble(model, grid, 0), 9)[8].mu
+    target = -_top_modes(assemble(model, grid, 0), 9)[8].lam
     assert abs(target + 72.00475) < 1e-4
     verdict = dl.spectrum_contains(model, grid, target, 1e-6)
     assert verdict.contained and verdict.tolerance == 1e-6 * abs(target)
@@ -213,7 +213,7 @@ def test_spectrum_contains_matches_eigh_tridiagonal_bitwise(model_grid, l, k, sh
     # the Sturm counts give the verdicts of bisecting with eigh_tridiagonal,
     # for targets on, near and between eigenvalues of every searched sector
     model, grid = model_grid
-    target = _top_modes(assemble(model, grid, l), k)[-1].mu * (1.0 + shift)
+    target = -_top_modes(assemble(model, grid, l), k)[-1].lam * (1.0 + shift)
     verdict = dl.spectrum_contains(model, grid, target, tol)
     assert (verdict.contained, verdict.tolerance) == \
         _eigh_tridiagonal_contains(model, grid, target, tol)
@@ -310,8 +310,8 @@ def test_spectrum_contains_rejects_a_bad_target_or_tolerance(target, tol):
 def test_zero_mode_is_constant():
     model, grid = _sphere_grid(2, 500)
     zero, first, _ = _top_modes(assemble(model, grid, 0), 3)
-    scale = abs(first.mu)
-    assert abs(zero.mu) < 1e-10 * max(1.0, scale)
+    scale = abs(first.lam)
+    assert abs(zero.lam) < 1e-10 * max(1.0, scale)
     assert np.std(zero.u) < 1e-8 * np.abs(zero.u).max()
 
 
@@ -396,14 +396,14 @@ def test_circle_solve_matches_dense_reference():
     # double), and unfold into its eigenfunctions with l = 0
     problem = assemble(*_circle_grid(300, 0.5), 0)
     even, odd = spectral._mirror_sectors(problem)
-    modes = sorted(_top_modes(even, 4) + _top_modes(odd, 3), key=lambda m: -m.mu)[:6]
+    modes = sorted(_top_modes(even, 4) + _top_modes(odd, 3), key=lambda m: m.lam)[:6]
     reference = eigh(_matrix(problem) * problem.sqrt_rho[:, None] / problem.sqrt_rho[None, :],
                      eigvals_only=True)[::-1][:6]
     assert np.max(np.abs(_mus(modes) - reference)) < 1e-10
     q = problem.grid.weights
     for mode in modes:
         assert mode.problem is problem and mode.l == 0
-        residual = problem.apply(mode.u) - mode.mu * mode.u
+        residual = problem.apply(mode.u) + mode.lam * mode.u
         assert math.sqrt(float(np.dot(q, residual**2))) < 1e-8
         assert float(np.dot(q, mode.u**2)) == pytest.approx(1.0, rel=1e-12)
 
@@ -446,7 +446,7 @@ def test_mirror_sectors_hold_the_periodic_spectrum(eps, N, length):
     # lambda_1 is the top eigenvalue below the constant mode, within the
     # bisection tolerance, and its eigenfunction lives on the full circle
     fe = dl.first_nonzero_eigenvalue(model, grid)
-    assert fe.mode.l == 0 and fe.mode.problem.periodic and fe.mode.u.size == N
+    assert fe.l == 0 and fe.problem.periodic and fe.u.size == N
     assert fe.lam == pytest.approx(-eigh(full, eigvals_only=True)[-2], rel=1e-9,
                                    abs=4.0 * np.finfo(float).eps * norm)
 
@@ -457,8 +457,8 @@ def test_sector_two_lies_below_sector_one(n, eps, N):
     # S_2 = S_1 - (n+1) diag(1/w^2): by Weyl's inequality no l = 2 mode can be lambda_1
     model = dl.sphere(n, density=dl.cosine_density(eps))
     grid = dl.Grid.uniform(model, N)
-    top = [_top_modes(assemble(model, grid, l), 1)[0].mu for l in (1, 2)]
-    assert top[1] < top[0]
+    top = [_top_modes(assemble(model, grid, l), 1)[0].lam for l in (1, 2)]
+    assert top[1] > top[0]
 
 
 def _half_grid_estimate(model, N, lam, l):
@@ -504,9 +504,9 @@ def test_first_eigenvalue_matches_eigenpair_solves_bitwise(density, n, sector, N
     grid = dl.Grid.uniform(model, N)
     mode = _bisect_both_tops(model, grid)
     fe = dl.first_nonzero_eigenvalue(model, grid)
-    assert mode.l == fe.mode.l == sector
+    assert mode.l == fe.l == sector
     assert fe.lam == mode.lam
-    assert fe.mode.u.tobytes() == mode.u.tobytes()
+    assert fe.u.tobytes() == mode.u.tobytes()
     assert fe.error_estimate == pytest.approx(_half_grid_estimate(model, N, fe.lam, sector),
                                               rel=2e-3)
 
@@ -535,8 +535,8 @@ def test_first_eigenvalue_matches_bisecting_both_tops_bitwise(model_grid):
     model, grid = model_grid
     fe = dl.first_nonzero_eigenvalue(model, grid)
     mode = _bisect_both_tops(model, grid)
-    assert (fe.lam, fe.mode.l) == (mode.lam, mode.l)
-    assert fe.mode.u.tobytes() == mode.u.tobytes()
+    assert (fe.lam, fe.l) == (mode.lam, mode.l)
+    assert fe.u.tobytes() == mode.u.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -596,7 +596,7 @@ def test_error_estimate_matches_half_grid_solve(model, sector, N):
     # the Rayleigh quotient of the interpolated eigenvector stands in for the
     # half-grid eigenvalue, on nested (even N) and non-nested (odd N) grids
     fe = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, N))
-    assert fe.mode.l == sector
+    assert fe.l == sector
     expected = _half_grid_estimate(model, N, fe.lam, sector)
     assert fe.error_estimate == pytest.approx(expected, rel=2e-3)
 
@@ -612,30 +612,39 @@ def test_lam_and_mode_assemble_nothing_at_half_resolution(monkeypatch):
     monkeypatch.setattr(dl.Grid, "uniform",
                         lambda m, N: sizes.append(("grid", N)) or real_uniform(m, N))
     fe = dl.first_nonzero_eigenvalue(model, grid)
-    assert (fe.lam, fe.mode.l) == (fe.mode.lam, 1)
+    assert fe.l == 1 and fe.lam > 0.0 and fe.u.size == 400
     assert sizes == [("assemble", 400)]
     err = fe.error_estimate
     assert sizes[1:] == [("grid", 200), ("assemble", 200)]
     assert fe.error_estimate is err and len(sizes) == 3
 
 
-@pytest.mark.parametrize("model,N,sector", [
-    (dl.sphere(3, density=dl.cosine_density(0.5)), 400, 1),
-    (dl.sphere(2), 400, 0),
-    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi)), 400, 0),
-    (dl.sphere(3, density=dl.cosine_density(0.5)), 401, 1),
-], ids=["cosine-l1", "round-l0-twin", "circle", "odd-N"])
-def test_error_estimate_is_the_eager_formula_bitwise(model, N, sector):
+def _non_first_mode(model, grid):
+    """The top non-constant l = 0 mode, whose lam exceeds an l = 1 lambda_1."""
+    mode = spectral._bisect(assemble(model, grid, 0), grid.size - 2, grid.size).modes()[1]
+    assert mode.lam > dl.first_nonzero_eigenvalue(model, grid).lam
+    return mode
+
+
+@pytest.mark.parametrize("model,N,sector,solve", [
+    (dl.sphere(3, density=dl.cosine_density(0.5)), 400, 1, dl.first_nonzero_eigenvalue),
+    (dl.sphere(2), 400, 0, dl.first_nonzero_eigenvalue),
+    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi)), 400, 0,
+     dl.first_nonzero_eigenvalue),
+    (dl.sphere(3, density=dl.cosine_density(0.5)), 401, 1, dl.first_nonzero_eigenvalue),
+    (dl.sphere(3, density=dl.cosine_density(0.5)), 400, 0, _non_first_mode),
+], ids=["cosine-l1", "round-l0-twin", "circle", "odd-N", "non-first-l0"])
+def test_error_estimate_is_the_eager_formula_bitwise(model, N, sector, solve):
     # the estimate formed from mode.problem on first read keeps every bit of
-    # the one formed from the model and grid inside the solve
+    # the one formed from the model and grid inside the solve, for any mode
     grid = dl.Grid.uniform(model, N)
-    fe = dl.first_nonzero_eigenvalue(model, grid)
-    assert fe.mode.l == sector
-    coarse = assemble(model, dl.Grid.uniform(model, N // 2), fe.mode.l)
+    mode = solve(model, grid)
+    assert mode.l == sector
+    coarse = assemble(model, dl.Grid.uniform(model, N // 2), mode.l)
     period = model.L if model.topology == dl.CIRCLE else None
-    u = np.interp(coarse.grid.nodes, grid.nodes, fe.mode.u, period=period)
-    eager = abs(fe.lam - spectral._rayleigh_quotient(coarse, u)) / 3.0
-    assert fe.error_estimate == eager and math.isfinite(eager)
+    u = np.interp(coarse.grid.nodes, grid.nodes, mode.u, period=period)
+    eager = abs(mode.lam - spectral._rayleigh_quotient(coarse, u)) / 3.0
+    assert mode.error_estimate == eager and math.isfinite(eager)
 
 
 @pytest.mark.parametrize("model,l", [
@@ -700,7 +709,7 @@ def test_first_eigenvalue_solve_count(monkeypatch):
     assert calls[:3] == [("stebz", 199, 1, (199, 199)), ("count", 201, 0),
                          ("stebz", 201, 0, (200, 200))]
     assert calls[3:] in ([("stein", 201, 0, 1)], [("stein", 199, 1, 1)])
-    assert fe.mode.l == 0 and fe.mode.u.size == 400
+    assert fe.l == 0 and fe.u.size == 400
 
 
 def _is_count(args):
@@ -775,9 +784,9 @@ def test_certificate_count_decides_the_zonal_bisection(count, monkeypatch):
     if count:
         fe = dl.first_nonzero_eigenvalue(model, grid)
         assert ("stebz", 400, 0, (399, 399)) in calls
-        assert (fe.lam, fe.mode.l, fe.error_estimate) == \
-            (expected.lam, expected.mode.l, expected.error_estimate)
-        assert fe.mode.u.tobytes() == expected.mode.u.tobytes()
+        assert (fe.lam, fe.l, fe.error_estimate) == \
+            (expected.lam, expected.l, expected.error_estimate)
+        assert fe.u.tobytes() == expected.u.tobytes()
         return
     with pytest.raises(SolverError, match="l=0, N=400: stebz counts no eigenvalue"):
         dl.first_nonzero_eigenvalue(model, grid)
@@ -796,16 +805,16 @@ def test_angular_mode_search_matters():
     model, grid = _sphere_grid(2, 800, eps=0.5)
     fe = dl.first_nonzero_eigenvalue(model, grid)
     zonal = _top_modes(assemble(model, grid, 0), 2)[1]
-    assert fe.mode.l == 1
+    assert fe.l == 1
     assert fe.lam < zonal.lam
 
 
 def test_manifold_samples_shapes():
     model, grid = _sphere_grid(3, 400, eps=0.4)
     fe = dl.first_nonzero_eigenvalue(model, grid)
-    assert fe.mode.l == 1
+    assert fe.l == 1
     K = dl.be_ricci_lower_bound(model).K
-    nef = dl.normalize(fe.mode, K=K)
+    nef = dl.normalize(fe, K=K)
     v, grad_sq, equator = nef.samples()
     # the fiber poles of every row, which also stand for their antipodes,
     # and the |grad v|^2 of one point on the equator level v = 0
@@ -823,9 +832,9 @@ import hashlib
 import driftlab as dl
 model = dl.sphere(3, density=dl.cosine_density(0.7))
 fe = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 100000))
-nef = dl.normalize(fe.mode, K=dl.be_ricci_lower_bound(model).K)
-arrays = (fe.mode.u, nef.v_rad, nef.dv_rad)
-print(repr((fe.lam, fe.mode.l, fe.error_estimate, nef.k, nef.a, nef.residual_inf,
+nef = dl.normalize(fe, K=dl.be_ricci_lower_bound(model).K)
+arrays = (fe.u, nef.v_rad, nef.dv_rad)
+print(repr((fe.lam, fe.l, fe.error_estimate, nef.k, nef.a, nef.residual_inf,
             hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())))
 """
 
