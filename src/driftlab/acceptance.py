@@ -8,7 +8,9 @@ Criteria 2-4 come from one function, ``criteria_cosine_family``, which
 solves each of their 15 instances once and fills all three results.
 
 The suite does only the work its rows read: no criterion reads a Richardson
-error estimate, so no half-resolution operator is assembled, and criterion 9
+error estimate, so no half-resolution operator is assembled; criterion 1
+reads only its lambda_1 values, so none of its eigenvectors is formed;
+criterion 5 bisects the one zonal eigenvalue it reads; and criterion 9
 certifies the 31/50 floor of the case split in exact rationals instead of
 sampling it.
 """
@@ -138,7 +140,7 @@ def criterion_barrier_dominance() -> CriterionResult:
     res = CriterionResult(5, "barrier dominance for the symmetric zonal mode")
     model = sphere(2)
     grid = Grid.uniform(model, SWEEP_N)
-    mode = _bisect(assemble(model, grid, 0), SWEEP_N - 2, SWEEP_N).modes()[1]  # first non-zero
+    mode, = _bisect(assemble(model, grid, 0), SWEEP_N - 1, SWEEP_N - 1)  # first non-zero
     kb = be_ricci_lower_bound(model)
     nef = est.normalize(mode, K=kb.K, b=1.01)
     ok_a = abs(nef.a) <= 1e-8

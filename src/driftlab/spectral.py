@@ -22,10 +22,12 @@ Dirichlet decay of the eigenfunctions.
 
 Eigenpairs come from the symmetric tridiagonal similarity transform
 S = D A D^{-1}, D = diag(sqrt(rho_i)), solved in two LAPACK steps (scipy's
-``scipy.linalg.lapack`` wrappers, each linear in N): bisection (stebz) for
-the eigenvalues, then inverse iteration (stein) for their eigenvectors.  A
-Sturm count, stebz over a value window with an infinite tolerance, tells how
-many eigenvalues lie in the window without computing any of them.
+``scipy.linalg.lapack`` wrappers, each linear in N): bisection (stebz), by
+index or over a value window, for the eigenvalues, then inverse iteration
+(stein) for an eigenvector, run on the first read of the mode's ``u`` and
+on its eigenvalue alone.  A Sturm count, stebz over a value window with an
+infinite tolerance, tells how many eigenvalues lie in the window without
+computing any of them.
 
 Only the l = 0 operator is assembled from the density; a sector l >= 1 is
 derived from it by subtracting its angular potential from the diagonal.  A
@@ -33,11 +35,14 @@ circle's periodic matrix splits into two mirror sectors with no corner: the
 even one, with the constant mode, takes the place of l = 0, the odd one that
 of l = 1.  ``first_nonzero_eigenvalue`` bisects the l = 1 top and certifies
 with one Sturm count of l = 0 that no eigenvalue but the constant mode lies
-above it, then inverse-iterates the winner alone.  The Richardson partner is
-the Rayleigh quotient of the eigenvector on the half-resolution operator,
-formed only when the error estimate is read, so each lambda_1 costs one
-eigenvector.  ``spectrum_contains`` is three Sturm counts, one per sector
-l = 0, 1, 2, over the closed window around its target.
+above it; where the count finds more, it bisects l = 0 in the counted window
+alone.  The winner's eigenvector is formed when it is first read, and the
+Richardson partner, the Rayleigh quotient of the eigenvector on the
+half-resolution operator, when the error estimate is read, so a lambda_1
+costs at most one eigenvector, and none when only ``lam`` is read.
+``spectrum_contains`` counts, sector by sector from l = 0, the eigenvalues
+in the closed window around its target, until a sector has none above it;
+it refuses a target that could need more than ``MAX_SECTORS`` sectors.
 """
 
 from __future__ import annotations
@@ -157,7 +162,8 @@ def assemble(model: WarpedManifold, grid: Grid, l: int) -> SpectralProblem:
 @dataclass(frozen=True)
 class EigenMode:
     """One computed eigenpair: Delta_phi u = -lam u with radial samples u;
-    the Richardson error estimate of lam is formed on its first read."""
+    the Richardson error estimate of lam is formed on its first read.  The
+    solver's modes form u on its first read too (``_BisectedMode``)."""
 
     lam: float
     l: int
@@ -181,18 +187,13 @@ class EigenMode:
         return abs(self.lam - _rayleigh_quotient(coarse, u)) / 3.0
 
 
-def _postprocess(problem: SpectralProblem, vals: np.ndarray,
-                 vecs: np.ndarray) -> tuple[EigenMode, ...]:
-    q = problem.grid.weights
-    modes = []
-    for j in range(vals.size):
-        u = vecs[:, j] / problem.sqrt_rho
-        u = u / math.sqrt(float(np.sum(q * u * u)))
-        i = int(np.argmax(np.abs(u)))
-        if u[i] < 0.0:
-            u = -u
-        modes.append(EigenMode(lam=-float(vals[j]), l=problem.l, u=u, problem=problem))
-    return tuple(sorted(modes, key=lambda m: abs(m.lam)))
+def _normalized(problem: SpectralProblem, y: np.ndarray) -> np.ndarray:
+    """The eigenfunction u = y / sqrt(rho) of a symmetrized eigenvector y,
+    of unit weighted norm and signed so that its largest |u_i| is positive."""
+    u = y / problem.sqrt_rho
+    u = u / math.sqrt(float(np.sum(problem.grid.weights * u * u)))
+    i = int(np.argmax(np.abs(u)))
+    return -u if u[i] < 0.0 else u
 
 
 def _solver_error(problem: SpectralProblem | _MirrorSector, cause: str) -> SolverError:
@@ -248,40 +249,75 @@ def _mirror_sectors(problem: SpectralProblem) -> tuple[_MirrorSector, _MirrorSec
 _LAPACK = {"stebz": lapack.dstebz, "stein": lapack.dstein}
 
 
-@dataclass(frozen=True)
-class _Bisection:
-    """Bisected eigenvalues of a sector (LAPACK stebz, in block order) with
-    the block data that inverse iteration (LAPACK stein) needs: the block of
-    each eigenvalue and the last row of each block, in the N-long arrays
-    that scipy's stein wrapper takes."""
+class _BisectedMode(EigenMode):
+    """An eigenvalue mu = -lam that bisection found in a sector of
+    ``problem``, whose eigenvector u is formed on its first read, by inverse
+    iteration (LAPACK stein) on this eigenvalue alone.  Until then the mode
+    keeps the number of its eigenvalue's block, the last rows of the blocks
+    up to it (the block data stebz returned) and, on a circle, which mirror
+    sector holds it; the sector and the N-long arrays that scipy's stein
+    wrapper takes are rebuilt from ``problem`` at the read, and the block
+    data are dropped once u is formed.  stein draws its start vector from a
+    fixed seed, so u is the same at every read, and that of running stein on
+    the eigenvalue right after bisecting it.  ``repr`` leaves u unformed;
+    ``==``, which compares the fields, forms it."""
 
-    problem: SpectralProblem | _MirrorSector
-    w: np.ndarray
-    iblock: np.ndarray
-    isplit: np.ndarray
+    def __init__(self, sector: SpectralProblem | _MirrorSector, mu: float, block: int,
+                 splits: np.ndarray):
+        problem = sector.full if isinstance(sector, _MirrorSector) else sector
+        # u stays out of the instance until its first read, as cached_property needs
+        vars(self).update(lam=-float(mu), l=problem.l, problem=problem,
+                          _blocks=(sector.l, int(block), splits))
 
-    def modes(self) -> tuple[EigenMode, ...]:
-        """Eigenpairs of all the bisected eigenvalues, by inverse iteration
-        (LAPACK stein).  stein draws a start vector per eigenvalue and
-        reorthogonalizes the vectors of eigenvalues closer than 1e-3 ||T|| to
-        each other."""
-        z, info = _LAPACK["stein"](self.problem.diag, self.problem.off_diag, self.w,
-                                   self.iblock, self.isplit)
+    @cached_property
+    def u(self) -> np.ndarray:
+        mirror, block, splits = self._blocks
+        sector = _mirror_sectors(self.problem)[mirror] if self.problem.periodic else self.problem
+        iblock, isplit = np.zeros((2, sector.diag.size), dtype=np.int32)
+        iblock[0], isplit[:block] = block, splits
+        z, info = _LAPACK["stein"](sector.diag, sector.off_diag, np.array([-self.lam]),
+                                   iblock, isplit)
         if info:
-            raise _solver_error(self.problem, f"stein returned info={info}")
-        order = np.argsort(self.w)
-        problem, z = self.problem.unfold(z[:, order])
-        return _postprocess(problem, self.w[order], z)
+            raise _solver_error(sector, f"stein returned info={info}")
+        del vars(self)["_blocks"]
+        problem, y = sector.unfold(z)
+        return _normalized(problem, y[:, 0])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(lam={self.lam!r}, l={self.l!r})"
 
 
-def _bisect(problem: SpectralProblem | _MirrorSector, il: int, iu: int) -> _Bisection:
-    """Bisection (LAPACK stebz, tolerance 0) for the eigenvalues of (1-based,
-    ascending) index il..iu of a sector."""
-    m, w, iblock, isplit, info = _LAPACK["stebz"](problem.diag, problem.off_diag, 2, 0.0, 1.0,
-                                                  il, iu, 0.0, "B")
+def _stebz(problem: SpectralProblem | _MirrorSector, range_: int, vl: float, vu: float,
+           il: int, iu: int, tol: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK stebz on a sector, in block order: (m, w, iblock, isplit)."""
+    m, w, iblock, isplit, info = _LAPACK["stebz"](problem.diag, problem.off_diag, range_,
+                                                  vl, vu, il, iu, tol, "B")
     if info:
         raise _solver_error(problem, f"stebz returned info={info}")
-    return _Bisection(problem=problem, w=w[:m], iblock=iblock, isplit=isplit)
+    return m, w, iblock, isplit
+
+
+def _modes(problem: SpectralProblem | _MirrorSector, m: int, w: np.ndarray,
+           iblock: np.ndarray, isplit: np.ndarray) -> tuple[_BisectedMode, ...]:
+    """The m bisected eigenvalues of a sector as eigenmodes, sorted by |lam|."""
+    modes = (_BisectedMode(problem, w[j], iblock[j], isplit[:iblock[j]].copy())
+             for j in range(m))
+    return tuple(sorted(modes, key=lambda mode: abs(mode.lam)))
+
+
+def _bisect(problem: SpectralProblem | _MirrorSector, il: int,
+            iu: int) -> tuple[_BisectedMode, ...]:
+    """Bisection (LAPACK stebz, tolerance 0) for the eigenvalues of (1-based,
+    ascending) index il..iu of a sector, as eigenmodes sorted by |lam|."""
+    return _modes(problem, *_stebz(problem, 2, 0.0, 1.0, il, iu, 0.0))
+
+
+def _bisect_window(problem: SpectralProblem | _MirrorSector, vl: float,
+                   vu: float) -> tuple[_BisectedMode, ...]:
+    """Bisection (LAPACK stebz, tolerance 0) for the eigenvalues of a sector
+    in the value window (vl, vu], as eigenmodes sorted by |lam|.  The
+    eigenvalues outside the window are not searched for."""
+    return _modes(problem, *_stebz(problem, 1, vl, vu, 0, 0, 0.0))
 
 
 def _count(problem: SpectralProblem | _MirrorSector, vl: float, vu: float) -> int:
@@ -292,11 +328,7 @@ def _count(problem: SpectralProblem | _MirrorSector, vl: float, vu: float) -> in
     stebz clips the window to the Gershgorin bounds, so vu may be +inf, and
     replaces a pivot smaller than its pivmin by -pivmin, so a pivot that
     rounds to zero counts once."""
-    m, *_, info = _LAPACK["stebz"](problem.diag, problem.off_diag, 1, vl, vu, 0, 0,
-                                   math.inf, "B")
-    if info:
-        raise _solver_error(problem, f"stebz returned info={info}")
-    return m
+    return _stebz(problem, 1, vl, vu, 0, 0, math.inf)[0]
 
 
 def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
@@ -328,37 +360,53 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid) -> EigenMode:
 
     lambda_1 is the larger of the two sector tops: the top eigenvalue mu_1
     of l = 1, and the top of l = 0 below its constant mode.  Only mu_1 is
-    bisected at first.  One Sturm count of l = 0 over (mu_1 - tau, inf) then
-    certifies the l = 0 top: tau, 16 eps (max|d| + 2 max|e|), exceeds the
-    bisection tolerance (about eps ||T||) and the count's rounding, so a
-    count of 1 (the constant mode alone) means that l = 1 wins.  A larger
-    count (a round sphere's l = 0 / l = 1 twin, the Ling cases, a circle's
-    double eigenvalue) bisects the l = 0 top as well, and the larger top
-    wins, the lower sector on a tie; a count of 0 is a ``SolverError``.
-    Either way the result is bitwise that of bisecting both tops.  Inverse
-    iteration runs once, on the winning eigenvalue alone, for the eigenmode.
+    bisected at first, by its index.  One Sturm count of l = 0 over
+    (vl, inf), vl = mu_1 - tau, then certifies the l = 0 top: tau,
+    16 eps (max|d| + 2 max|e|), exceeds the bisection tolerance (about
+    eps ||T||) and the count's rounding, so a count of 1 (the constant mode
+    alone) means that l = 1 wins, and the result is bitwise that of
+    bisecting both tops.  A larger count (a round sphere's l = 0 / l = 1
+    twin, the Ling cases, a circle's double eigenvalue) bisects l = 0 over
+    the value window (vl, -tau] alone, which leaves out the constant mode
+    (0 up to rounding); the largest eigenvalue found is the l = 0 top, and
+    the larger top wins, the lower sector on a tie.  The window must hold
+    count - 1 eigenvalues: any other number means that one lies within tau
+    of the constant mode, where the two cannot be told apart, and is a
+    ``SolverError``, as is a count of 0.  This window bisection searches
+    only the eigenvalues above vl, where an index bisection of the l = 0 top
+    would first locate it among the whole spectrum; both keep the
+    tolerance, but their bits may differ.
 
-    The result is the winning ``EigenMode``.  Nothing is assembled at N // 2
-    here: the Richardson error estimate of the second-order scheme
-    (``EigenMode.error_estimate``) is formed from ``problem`` when it is
-    first read, so a caller that reads only ``lam`` and ``u`` pays for one
-    resolution.
+    The result is the winning ``EigenMode``.  Its eigenvector ``u`` is
+    formed by inverse iteration on the winning eigenvalue alone when it is
+    first read, and the Richardson error estimate of the second-order scheme
+    (``EigenMode.error_estimate``) from ``problem`` when that is first read:
+    a caller that reads only ``lam`` runs no inverse iteration, and one that
+    reads ``lam`` and ``u`` assembles nothing at N // 2.
     """
     base = assemble(model, grid, 0)
     zonal, upper = _mirror_sectors(base) if base.periodic else (base, base.sector(1))
-    top = _bisect(upper, upper.diag.size, upper.diag.size)
+    top, = _bisect(upper, upper.diag.size, upper.diag.size)
     margin = 16.0 * np.finfo(float).eps * float(
         np.max(np.abs(zonal.diag)) + 2.0 * np.max(np.abs(zonal.off_diag)))
-    vl = float(top.w[0]) - margin
+    vl = -top.lam - margin
     count = _count(zonal, vl, math.inf)
     if count < 1:
         raise _solver_error(zonal, f"stebz counts no eigenvalue above {vl!r}, "
                                    "not even the constant mode")
     if count > 1:
-        second = _bisect(zonal, zonal.diag.size - 1, zonal.diag.size - 1)
-        if second.w[0] >= top.w[0]:  # a tie goes to the lower sector
-            top = second
-    return top.modes()[0]
+        window = _bisect_window(zonal, vl, -margin)
+        if len(window) != count - 1:
+            raise _solver_error(zonal, f"stebz finds {len(window)} eigenvalues in "
+                                       f"({vl!r}, {-margin!r}], not the {count - 1} that the "
+                                       "count leaves beside the constant mode: one lies "
+                                       "within the margin of it")
+        if window[0].lam <= top.lam:  # a tie goes to the lower sector
+            top = window[0]
+    return top
+
+
+MAX_SECTORS = 1000  # the most angular sectors spectrum_contains counts
 
 
 @dataclass(frozen=True)
@@ -374,14 +422,25 @@ def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
                       tol: float) -> MembershipVerdict:
     """True iff some eigenvalue lies within tol * max(1, |target|) of target.
 
-    Interval-sphere models only.  Each sector l = 0, 1, 2 counts its
-    eigenvalues in the closed window [target - window, target + window] by one
-    Sturm count, with no eigenvalue computed, so a negative verdict is
+    Interval-sphere models only.  The sectors l = 0, 1, 2, ... each count
+    their eigenvalues in the closed window [target - window, target + window]
+    by one Sturm count, with no eigenvalue computed, so a negative verdict is
     meaningful.  A count takes the half-open window (vl, vu], so vl is the
-    float just below target - window.  ``count_used`` is the number of
-    eigenvalues in the window, summed over the three sectors.  The target
-    must be finite and tol positive and finite, else ValueError: a NaN would
-    give a vacuous negative verdict, an infinite tol a vacuous positive one.
+    float just below target - window.  The search stops at the first sector
+    whose count over (vl, inf) is 0: its eigenvalues all lie at or below vl,
+    and by the Weyl argument of ``first_nonzero_eigenvalue`` those of every
+    higher sector lie strictly below them.  ``count_used`` is the number of
+    eigenvalues in the window, summed over the sectors.
+
+    The l = 0 operator is negative semidefinite and sector l subtracts
+    l (l + n - 2) diag(1/w^2) from it, so every eigenvalue of sector l lies
+    at or below -l (l + n - 2) / max w^2 (max over the grid nodes).  A
+    window whose vl lies below that bound for l = ``MAX_SECTORS`` is refused
+    with ValueError, as it could need more sectors than that; otherwise the
+    sectors from ``MAX_SECTORS`` on hold nothing above vl and at most
+    ``MAX_SECTORS`` are counted.  The target must be finite, tol positive and
+    finite and both window ends finite, else ValueError: a NaN would give a
+    vacuous negative verdict, an infinite tol a vacuous positive one.
     """
     if model.topology == CIRCLE:
         raise ValueError("spectrum_contains needs an interval-sphere model")
@@ -390,7 +449,18 @@ def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     window = tol * max(1.0, abs(target))
+    lower, upper = math.nextafter(target - window, -math.inf), target + window
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError(f"the window ends must be finite, got ({lower!r}, {upper!r}]")
+    w2 = float(np.max(np.asarray(model.w.value(grid.nodes), dtype=float) ** 2))
+    if -angular_eigenvalue(model.n, MAX_SECTORS) / w2 > lower:
+        raise ValueError(f"the window around {target!r} reaches below the top of sector "
+                         f"l = {MAX_SECTORS}; at most {MAX_SECTORS} sectors are counted")
     base = assemble(model, grid, 0)
-    lower = math.nextafter(target - window, -math.inf)
-    count = sum(_count(base.sector(l), lower, target + window) for l in (0, 1, 2))
+    count = 0
+    for l in range(MAX_SECTORS):
+        sector = base.sector(l)
+        if not _count(sector, lower, math.inf):
+            break
+        count += _count(sector, lower, upper)
     return MembershipVerdict(contained=count > 0, tolerance=window, count_used=count)

@@ -275,7 +275,7 @@ def _top_modes(problem, count):
     """The ``count`` top eigenpairs of a sector, sorted by |mu|, through the
     solver's own bisection and inverse iteration."""
     n = problem.size
-    return _bisect(problem, n - count + 1, n).modes()
+    return _bisect(problem, n - count + 1, n)
 
 
 @lru_cache(maxsize=None)

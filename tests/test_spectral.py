@@ -1,5 +1,6 @@
 """Spectral engine checks against classical spectra and structural invariants."""
 
+import itertools
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh, eigh_tridiagonal
 
 import driftlab as dl
+import driftlab.acceptance as acceptance
 import driftlab.cli as cli
 import driftlab.spectral as spectral
 from driftlab.errors import AssemblyError, SolverError
@@ -65,7 +67,7 @@ def _top_modes(problem, count):
     sector, sorted by |lam|, through the solver's own bisection and inverse
     iteration."""
     n = problem.diag.size
-    return spectral._bisect(problem, n - count + 1, n).modes()
+    return spectral._bisect(problem, n - count + 1, n)
 
 
 def _tridiagonal(sector):
@@ -186,13 +188,26 @@ def test_spectrum_contains_finds_deep_zonal_eigenvalues():
         dl.spectrum_contains(*_circle_grid(400, 0.5), -1.0, 1e-3)
 
 
+def test_spectrum_contains_searches_every_sector():
+    # the top eigenvalue of l = 3 is an eigenvalue of the operator, although
+    # it lies below the tops of l = 0, 1, 2: the search goes on to the first
+    # sector with no eigenvalue above the window, here l = 4
+    model, grid = _sphere_grid(3, 2000, eps=0.5)
+    target = -_top_modes(assemble(model, grid, 3), 1)[0].lam
+    assert abs(target + 15.04998454) < 1e-8
+    verdict = dl.spectrum_contains(model, grid, target, 1e-9)
+    assert verdict.contained and verdict.count_used == 1
+    assert (verdict.contained, verdict.tolerance) == \
+        _eigh_tridiagonal_contains(model, grid, target, 1e-9)
+
+
 def _eigh_tridiagonal_contains(model, grid, target, tol):
     """(contained, tolerance) of spectrum_contains through eigh_tridiagonal:
-    per sector l = 0, 1, 2 the eigenvalues above target - window and the one
-    just below."""
+    per sector l = 0, 1, 2, ... the eigenvalues above target - window and
+    the one just below, up to the first sector with none above."""
     window = tol * max(1.0, abs(target))
     mus = []
-    for l in (0, 1, 2):
+    for l in itertools.count():
         problem = assemble(model, grid, l)
         d, e = problem.diag, problem.off_diag
         upper = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
@@ -202,16 +217,18 @@ def _eigh_tridiagonal_contains(model, grid, target, tol):
             mus.extend(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                         select_range=(below, below)))
         mus.extend(upper)
+        if not upper.size:
+            break
     return bool(np.min(np.abs(np.array(mus) - target)) <= window), window
 
 
 @settings(max_examples=60, deadline=None)
 @given(model_grid=_weighted_models().filter(lambda mg: mg[0].topology != dl.CIRCLE),
-       l=st.integers(0, 2), k=st.integers(1, 6), shift=st.floats(-1e-3, 1e-3),
+       l=st.integers(0, 4), k=st.integers(1, 6), shift=st.floats(-1e-3, 1e-3),
        tol=st.sampled_from((1e-9, 1e-6, 1e-4, 1e-2)))
 def test_spectrum_contains_matches_eigh_tridiagonal_bitwise(model_grid, l, k, shift, tol):
     # the Sturm counts give the verdicts of bisecting with eigh_tridiagonal,
-    # for targets on, near and between eigenvalues of every searched sector
+    # for targets on, near and between eigenvalues of sectors l = 0..4
     model, grid = model_grid
     target = -_top_modes(assemble(model, grid, l), k)[-1].lam * (1.0 + shift)
     verdict = dl.spectrum_contains(model, grid, target, tol)
@@ -224,21 +241,26 @@ def test_spectrum_contains_matches_eigh_tridiagonal_bitwise(model_grid, l, k, sh
        l=st.integers(0, 2), k=st.integers(0, 8), tol=st.sampled_from((1e-9, 1e-6, 1e-4, 1e-2)),
        at=st.sampled_from(("lower end", "upper end", "between")))
 def test_spectrum_contains_matches_dense_spectra(model_grid, l, k, tol, at):
-    # oracle: every eigenvalue of the dense l = 0, 1, 2 matrices.  Targets put
-    # an eigenvalue of sector l exactly at one end of the closed window, or
-    # midway between two.  A count is exact for a matrix within a few
-    # eps ||T|| of the operator, and so is dense eigh: where an eigenvalue
-    # lies closer than that to an end, the verdict is free, so the oracle
-    # requires a contained verdict only with an eigenvalue inside the window
-    # narrowed by that slack, and a negative one only with none inside the
-    # widened window
+    # oracle: every eigenvalue of the dense matrices of sectors l = 0, 1, 2,
+    # ..., up to the first whose top lies below the window widened by the
+    # slack below.  Targets put an eigenvalue of sector l exactly at one end
+    # of the closed window, or midway between two.  A count is exact for a
+    # matrix within a few eps ||T|| of the operator, and so is dense eigh:
+    # where an eigenvalue lies closer than that to an end, the verdict is
+    # free, so the oracle requires a contained verdict only with an
+    # eigenvalue inside the window narrowed by that slack, and a negative one
+    # only with none inside the widened window
     model, grid = model_grid
     spectra, slack = [], 0.0
-    for sector in (0, 1, 2):
+
+    def add(sector):
         problem = assemble(model, grid, sector)
         spectra.append(eigh(_symmetrized(problem), eigvals_only=True)[::-1])
-        slack = max(slack, 8.0 * np.finfo(float).eps * float(
+        return max(slack, 8.0 * np.finfo(float).eps * float(
             np.max(np.abs(problem.diag)) + 2.0 * np.max(np.abs(problem.off_diag))))
+
+    for sector in (0, 1, 2):
+        slack = add(sector)
     mus = spectra[l]
     mu = mus[min(k, mus.size - 2)]
     if at == "between":
@@ -253,6 +275,10 @@ def test_spectrum_contains_matches_dense_spectra(model_grid, l, k, tol, at):
     verdict = dl.spectrum_contains(model, grid, target, tol)
     window = tol * max(1.0, abs(target))
     assert verdict.tolerance == window
+    for sector in itertools.count(3):
+        if spectra[-1][0] < target - window - slack:
+            break
+        slack = add(sector)
     distance = np.min(np.abs(np.concatenate(spectra) - target))
     if distance <= window - slack:
         assert verdict.contained
@@ -305,6 +331,29 @@ def test_spectrum_contains_rejects_a_bad_target_or_tolerance(target, tol):
     # infinite tolerance a vacuous positive one
     with pytest.raises(ValueError, match="must be"):
         dl.spectrum_contains(*_sphere_grid(2, 100), target, tol)
+
+
+@pytest.mark.parametrize("target,tol", [(-1e300, 1e10), (-1.6e308, 1.0), (1e300, 1e10)])
+def test_spectrum_contains_rejects_a_window_that_overflows(target, tol):
+    # target - window overflows to -inf: every sector would count an
+    # eigenvalue above it, so the sector search would never stop
+    with pytest.raises(ValueError, match="window ends must be finite"):
+        dl.spectrum_contains(*_sphere_grid(3, 100), target, tol)
+
+
+def test_spectrum_contains_counts_at_most_max_sectors(monkeypatch):
+    # every eigenvalue of sector l lies at or below -l (l + n - 2) / max w^2
+    # (here -l (l + 1) on the unit S^3): a window reaching below that bound
+    # for l = MAX_SECTORS is refused before any count, one above it is searched
+    model, grid = _sphere_grid(3, 400)
+    with pytest.raises(ValueError, match="at most 1000 sectors"):
+        dl.spectrum_contains(model, grid, -2e6, 1e-3)
+    monkeypatch.setattr(spectral, "MAX_SECTORS", 4)
+    top3 = -_top_modes(assemble(model, grid, 3), 1)[0].lam  # about -15 > -20
+    verdict = dl.spectrum_contains(model, grid, top3, 1e-9)
+    assert verdict.contained and verdict.count_used == 1
+    with pytest.raises(ValueError, match="at most 4 sectors"):
+        dl.spectrum_contains(model, grid, -24.0, 1e-3)
 
 
 def test_zero_mode_is_constant():
@@ -475,19 +524,26 @@ def _half_grid_estimate(model, N, lam, l):
     return abs(lam + mus[1 if l == 0 else 0]) / 3.0
 
 
-def _bisect_both_tops(model, grid):
-    """lambda_1's eigenmode as eigh_tridiagonal gives it when it bisects both
-    sector tops, each alone (0-based index n-2, below l = 0's constant mode,
-    and n-1 of l = 1), and keeps the larger, the lower sector on a tie."""
-    best = None
-    for l in (0, 1):
-        problem = assemble(model, grid, l)
-        k = problem.size - 2 + l
-        vals, vecs = eigh_tridiagonal(problem.diag, problem.off_diag, select="i",
-                                      select_range=(k, k))
-        if best is None or vals[0] > best[1][0]:
-            best = problem, vals, vecs
-    return spectral._postprocess(*best)[0]
+def _solve_both_tops(model, grid):
+    """lambda_1's eigenmode as eigh_tridiagonal gives it when it bisects the
+    l = 1 top by its index (0-based n-1) and the l = 0 top over the value
+    window (mu_1 - tau, -tau], tau = 16 eps (max|d| + 2 max|e|) of l = 0,
+    which leaves out the constant mode, and keeps the larger, the lower
+    sector on a tie.  Each eigenvector comes from one stein call on the
+    sector's bisected eigenvalues."""
+    zonal, upper = (assemble(model, grid, l) for l in (0, 1))
+    n = upper.size
+    vals, vecs = eigh_tridiagonal(upper.diag, upper.off_diag, select="i",
+                                  select_range=(n - 1, n - 1))
+    best = upper, vals[-1], vecs[:, -1]
+    tau = 16.0 * np.finfo(float).eps * float(
+        np.max(np.abs(zonal.diag)) + 2.0 * np.max(np.abs(zonal.off_diag)))
+    vals, vecs = eigh_tridiagonal(zonal.diag, zonal.off_diag, select="v",
+                                  select_range=(vals[-1] - tau, -tau))
+    if vals.size and vals[-1] >= best[1]:
+        best = zonal, vals[-1], vecs[:, -1]
+    problem, mu, y = best
+    return problem.l, -float(mu), spectral._normalized(problem, y)
 
 
 @pytest.mark.parametrize("N", [400, 2000])
@@ -497,16 +553,16 @@ def _bisect_both_tops(model, grid):
 ], ids=["cosine-n3", "ling-poly-cos-n2"])
 def test_first_eigenvalue_matches_eigenpair_solves_bitwise(density, n, sector, N):
     # bisecting l = 1's top, certifying l = 0's by a count (cosine) or
-    # bisecting it too (Ling) and inverse-iterating only the winning
-    # eigenvalue reports the eigenvalue and eigenvector bits of one
-    # eigenpair solve per sector top
+    # bisecting it too in its counted window (Ling) and inverse-iterating
+    # only the winning eigenvalue reports the eigenvalue and eigenvector bits
+    # of one eigenpair solve per sector top
     model = dl.sphere(n, density=density)
     grid = dl.Grid.uniform(model, N)
-    mode = _bisect_both_tops(model, grid)
+    l, lam, u = _solve_both_tops(model, grid)
     fe = dl.first_nonzero_eigenvalue(model, grid)
-    assert mode.l == fe.l == sector
-    assert fe.lam == mode.lam
-    assert fe.u.tobytes() == mode.u.tobytes()
+    assert l == fe.l == sector
+    assert fe.lam == lam
+    assert fe.u.tobytes() == u.tobytes()
     assert fe.error_estimate == pytest.approx(_half_grid_estimate(model, N, fe.lam, sector),
                                               rel=2e-3)
 
@@ -531,12 +587,13 @@ def _spheres(draw):
 def test_first_eigenvalue_matches_bisecting_both_tops_bitwise(model_grid):
     # the count certificate skips the l = 0 bisection only where l = 1 would
     # win it: lambda_1, its sector and the eigenvector's bytes are those of
-    # bisecting both tops, on the round l = 0 / l = 1 twins too
+    # bisecting both tops, l = 0's in its window, on the round l = 0 / l = 1
+    # twins too
     model, grid = model_grid
     fe = dl.first_nonzero_eigenvalue(model, grid)
-    mode = _bisect_both_tops(model, grid)
-    assert (fe.lam, fe.l) == (mode.lam, mode.l)
-    assert fe.u.tobytes() == mode.u.tobytes()
+    l, lam, u = _solve_both_tops(model, grid)
+    assert (fe.lam, fe.l) == (lam, l)
+    assert fe.u.tobytes() == u.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -621,7 +678,7 @@ def test_lam_and_mode_assemble_nothing_at_half_resolution(monkeypatch):
 
 def _non_first_mode(model, grid):
     """The top non-constant l = 0 mode, whose lam exceeds an l = 1 lambda_1."""
-    mode = spectral._bisect(assemble(model, grid, 0), grid.size - 2, grid.size).modes()[1]
+    mode = spectral._bisect(assemble(model, grid, 0), grid.size - 2, grid.size)[1]
     assert mode.lam > dl.first_nonzero_eigenvalue(model, grid).lam
     return mode
 
@@ -662,8 +719,10 @@ def test_rayleigh_quotient_of_an_eigenvector_is_its_eigenvalue(model, l):
 
 
 def _counting_lapack(monkeypatch, calls, zonal_diags):
-    """Record each stebz bisection (range code 2) as ("stebz", N, l, (il, iu)),
-    each stebz count (range code 1) as ("count", N, l) and each stein call as
+    """Record each stebz index bisection (range code 2) as
+    ("stebz", N, l, (il, iu)), each stebz count (range code 1, tolerance
+    +inf) as ("count", N, l), each stebz window bisection (range code 1,
+    tolerance 0) as ("window", N, l) and each stein call as
     ("stein", N, l, number of eigenvalues); l is 0 when the routine sees one
     of the l = 0 diagonals ``zonal_diags``, else 1, and il..iu is stebz's
     1-based ascending index range."""
@@ -675,7 +734,7 @@ def _counting_lapack(monkeypatch, calls, zonal_diags):
             elif args[0] == 2:
                 calls.append(("stebz", d.size, l, (args[3], args[4])))
             else:
-                calls.append(("count", d.size, l))
+                calls.append(("count" if args[5] == math.inf else "window", d.size, l))
             return routine(d, e, *args)
         return call
 
@@ -684,10 +743,11 @@ def _counting_lapack(monkeypatch, calls, zonal_diags):
 
 
 def test_first_eigenvalue_solve_count(monkeypatch):
-    # l = 1's top bisected at N, one Sturm count of the l = 0 operator and
-    # inverse iteration on the winning eigenvalue alone; the l = 0 top is
-    # bisected only where the count finds more than the constant mode above
-    # l = 1's top (a round sphere, where it wins).  A circle runs the same
+    # l = 1's top bisected at N and one Sturm count of the l = 0 operator;
+    # l = 0 is bisected, over the window the count certified, only where the
+    # count finds more than the constant mode above l = 1's top (a round
+    # sphere, where it wins).  Inverse iteration runs on the winning
+    # eigenvalue alone, once, at the first read of u.  A circle runs the same
     # sequence on its mirror sectors: odd in place of l = 1, even in place
     # of l = 0.  The error estimate solves nothing at N/2
     calls = []
@@ -696,25 +756,57 @@ def test_first_eigenvalue_solve_count(monkeypatch):
     even = spectral._mirror_sectors(assemble(*circle, 0))[0]
     _counting_lapack(monkeypatch, calls,
                      [assemble(*mg, 0).diag for mg in (cosine, round_)] + [even.diag])
-    dl.first_nonzero_eigenvalue(*cosine)
-    assert calls == [("stebz", 400, 1, (400, 400)), ("count", 400, 0), ("stein", 400, 1, 1)]
+    fe = dl.first_nonzero_eigenvalue(*cosine)
+    assert calls == [("stebz", 400, 1, (400, 400)), ("count", 400, 0)]
+    u = fe.u
+    assert calls[2:] == [("stein", 400, 1, 1)]
+    assert fe.u is u and fe.error_estimate > 0.0 and len(calls) == 3
     calls.clear()
-    dl.first_nonzero_eigenvalue(*round_)
-    assert calls == [("stebz", 400, 1, (400, 400)), ("count", 400, 0),
-                     ("stebz", 400, 0, (399, 399)), ("stein", 400, 0, 1)]
+    fe = dl.first_nonzero_eigenvalue(*round_)
+    assert calls == [("stebz", 400, 1, (400, 400)), ("count", 400, 0), ("window", 400, 0)]
+    assert fe.l == 0 and fe.u.size == 400
+    assert calls[3:] == [("stein", 400, 0, 1)]
     calls.clear()
     fe = dl.first_nonzero_eigenvalue(*circle)
     # the cosine density makes lambda_1 double, one copy in each sector, so the
-    # count finds it above the odd top and the even top is bisected too
-    assert calls[:3] == [("stebz", 199, 1, (199, 199)), ("count", 201, 0),
-                         ("stebz", 201, 0, (200, 200))]
-    assert calls[3:] in ([("stein", 201, 0, 1)], [("stein", 199, 1, 1)])
+    # count finds it above the odd top and the even sector is bisected too
+    assert calls == [("stebz", 199, 1, (199, 199)), ("count", 201, 0), ("window", 201, 0)]
     assert fe.l == 0 and fe.u.size == 400
+    assert calls[3:] in ([("stein", 201, 0, 1)], [("stein", 199, 1, 1)])
+
+
+def test_lam_alone_runs_no_inverse_iteration(monkeypatch):
+    # acceptance criterion 1 reads only lambda_1 of its 20 round-sphere solves
+    # (twins: each adds a window bisection of l = 0), so it runs no stein; a
+    # verify_paper() pass runs stein only for the 15 cosine-family modes and
+    # the zonal mode of criterion 5, all at N = 2000, in both its passes
+    calls = []
+    _counting_lapack(monkeypatch, calls, [])
+    acceptance.criterion_spectral_accuracy()
+    assert [c[0] for c in calls] == ["stebz", "count", "window"] * 20
+    calls.clear()
+    assert acceptance.verify_paper().passed
+    assert [c[:2] for c in calls if c[0] == "stein"] == [("stein", 2000)] * 32
+
+
+def test_a_mode_forms_u_once_and_drops_its_block_data(monkeypatch):
+    # a circle's mode keeps its block data, not its mirror sector, until u is
+    # read, and not after; repr forms nothing
+    calls = []
+    _counting_lapack(monkeypatch, calls, [])
+    fe = dl.first_nonzero_eigenvalue(*_circle_grid(400, 0.5))
+    before = len(calls)
+    assert repr(fe) == f"_BisectedMode(lam={fe.lam!r}, l=0)"
+    assert set(vars(fe)) == {"lam", "l", "problem", "_blocks"}
+    u = fe.u
+    assert set(vars(fe)) == {"lam", "l", "problem", "u"} and fe.u is u
+    assert [c[0] for c in calls[before:]] == ["stein"]
 
 
 def _is_count(args):
-    """Whether stebz's arguments ask for a count: range code 1, a value window."""
-    return args[2] == 1
+    """Whether stebz's arguments ask for a count: range code 1, a value
+    window, with an infinite tolerance."""
+    return args[2] == 1 and args[7] == math.inf
 
 
 def _force_info(monkeypatch, routine, when=lambda args: True):
@@ -732,21 +824,20 @@ def _force_info(monkeypatch, routine, when=lambda args: True):
 @pytest.mark.parametrize("routine,l", [("stebz", 0), ("stein", 1), ("stebz", 1)])
 def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, capsys):
     # a nonzero info from either LAPACK step names the sector and the size,
-    # also when only the l = 0 bisection of a round sphere fails, and a sweep
-    # that meets it exits 3
+    # also when only the l = 0 window bisection of a round sphere fails, and
+    # a sweep that meets it exits 3.  stein runs at the first read of u
     zonal_only = (routine, l) == ("stebz", 0)
-    if zonal_only:  # l = 0's top has the 1-based index N - 1
-        _force_info(monkeypatch, routine,
-                    lambda args: args[2] == 2 and args[5] == args[0].size - 1)
+    if zonal_only:  # l = 0 is bisected over a value window, with tolerance 0
+        _force_info(monkeypatch, routine, lambda args: args[2] == 1 and args[7] == 0.0)
     else:
         _force_info(monkeypatch, routine)
     model, grid = _sphere_grid(3, 400, eps=0.0 if zonal_only else 0.5)
     with pytest.raises(SolverError, match=f"l={l}, N=400: {routine} returned info=1") as info:
-        dl.first_nonzero_eigenvalue(model, grid)
+        dl.first_nonzero_eigenvalue(model, grid).u
     assert (info.value.report["l"], info.value.report["size"]) == (l, 400)
     if not zonal_only:
         with pytest.raises(SolverError, match=f"{routine} returned info=1"):
-            _top_modes(assemble(model, grid, 2), 4)
+            _top_modes(assemble(model, grid, 2), 4)[0].u
 
     config = tmp_path / "sphere.json"
     density = {"name": "zero"} if zonal_only else {"name": "cosine", "eps": [0.5]}
@@ -766,12 +857,12 @@ def test_spectrum_contains_count_failure_is_a_solver_error(monkeypatch):
 
 @pytest.mark.parametrize("count", [0, 2, 5])
 def test_certificate_count_decides_the_zonal_bisection(count, monkeypatch):
-    # a count above 1 bisects the l = 0 top as well, and the larger top still
-    # wins (on the cosine sphere, l = 1's); a count of 0, which not even the
-    # constant mode gives, and a nonzero info from the count are
-    # SolverErrors that name l = 0 and N
+    # a count above 1 bisects l = 0 over the window the count certified,
+    # which must then hold count - 1 eigenvalues: on the cosine sphere it
+    # holds none, so a forged count of 2 or 5 is a SolverError, as are a
+    # count of 0, which not even the constant mode gives, and a nonzero info
+    # from the count; each names l = 0 and N
     model, grid = _sphere_grid(3, 400, eps=0.5)
-    expected = dl.first_nonzero_eigenvalue(model, grid)
     calls = []
     _counting_lapack(monkeypatch, calls, [assemble(model, grid, 0).diag])
     stebz = spectral._LAPACK["stebz"]
@@ -782,11 +873,10 @@ def test_certificate_count_decides_the_zonal_bisection(count, monkeypatch):
 
     monkeypatch.setitem(spectral._LAPACK, "stebz", stebz_counting)
     if count:
-        fe = dl.first_nonzero_eigenvalue(model, grid)
-        assert ("stebz", 400, 0, (399, 399)) in calls
-        assert (fe.lam, fe.l, fe.error_estimate) == \
-            (expected.lam, expected.l, expected.error_estimate)
-        assert fe.u.tobytes() == expected.u.tobytes()
+        with pytest.raises(SolverError, match=f"l=0, N=400: stebz finds 0 eigenvalues in "
+                                              rf"\(.*\], not the {count - 1} that the count"):
+            dl.first_nonzero_eigenvalue(model, grid)
+        assert calls[1:] == [("count", 400, 0), ("window", 400, 0)]
         return
     with pytest.raises(SolverError, match="l=0, N=400: stebz counts no eigenvalue"):
         dl.first_nonzero_eigenvalue(model, grid)
