@@ -16,11 +16,10 @@ from .estimates import (BarrierFamily, LevelSetMaxima,
                         NormalizedEigenfunction, barrier, barrier_dominance_check,
                         case_b2b2_barrier, compute_Z, eta, gradient_estimate_margin,
                         length_integral_check, normalize, xi)
-from .geometry import (CIRCLE, INTERVAL_SPHERE, CosPolynomial, CurvatureProfile,
-                       Grid, RadialProfile, RoundWarp, WarpedManifold,
-                       be_ricci_lower_bound, circle, cosine_density, curvature,
-                       diameter, integrate, interval_sphere, sphere,
-                       unit_fiber_area, weighted_measure, zero_density)
+from .geometry import (CIRCLE, INTERVAL_SPHERE, CosPolynomial, Grid, RoundWarp,
+                       WarpedManifold, be_ricci_lower_bound, circle, cosine_density,
+                       diameter, integrate, interval_sphere, sphere, unit_fiber_area,
+                       weighted_measure, zero_density)
 from .solitons import SolitonCandidate, SolitonLedger, normalize_f, soliton_ledger
 from .spectral import (EigenMode, MembershipVerdict, SpectralProblem, assemble,
                        first_nonzero_eigenvalue, spectrum_contains)

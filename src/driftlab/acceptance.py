@@ -249,20 +249,6 @@ def criterion_soliton_checker() -> CriterionResult:
     return res
 
 
-def machin_pi_upper() -> Fraction:
-    """A rational P > pi from Machin's formula pi = 16 atan(1/5) - 4 atan(1/239).
-
-    For 0 < x < 1 the series atan(x) = x - x^3/3 + x^5/5 - ... alternates with
-    shrinking terms, so a partial sum that ends on a positive term lies above
-    atan(x) and one that ends on a negative term below it: five terms bound
-    atan(1/5) from above, two bound atan(1/239) from below."""
-
-    def atan(x: Fraction, terms: int) -> Fraction:
-        return sum(Fraction((-1) ** k, 2 * k + 1) * x ** (2 * k + 1) for k in range(terms))
-
-    return 16 * atan(Fraction(1, 5), 5) - 4 * atan(Fraction(1, 239), 2)
-
-
 def criterion_case_totality() -> CriterionResult:
     """Every case of ``ling_case`` yields at least 31/50 alpha: a certificate
     in exact rationals.
@@ -276,8 +262,9 @@ def criterion_case_totality() -> CriterionResult:
       barrier;
     - B-2-a gives 8a/pi^2 with a >= 153/200, and B-2-b1 gives
       mu = 4a/(pi^2 delta) with a >= (153/100) delta, so both exceed
-      (153/25)/P^2 for any P > pi; P is Machin's bound, and its row checks
-      P < 3.1416 (22/7 would not do: (153/25)/(22/7)^2 < 31/50);
+      (153/25)/P^2 for any P > pi; P is ``bounds.PI_UPPER``, Machin's bound
+      rounded up at 35 decimals, and its row checks P < 3.1416 (22/7 would
+      not do: (153/25)/(22/7)^2 < 31/50);
     - ``ling_case``'s float thresholds keep both: a >= fl(153/200) >= 31P^2/400
       gives 8a/pi^2 > 31/50, and a >= fl(fl(1.53) delta), which is at least
       fl(1.53)(1 - 2^-52) delta because the product of a normal delta rounds
@@ -286,7 +273,7 @@ def criterion_case_totality() -> CriterionResult:
     t0 = time.perf_counter()
     res = CriterionResult(9, "case totality and the 31/50 floor")
     floor = bounds_mod.CASE_FLOOR
-    P = machin_pi_upper()
+    P = bounds_mod.PI_UPPER
     pi_limit = Fraction(31416, 10000)
     large = 8 * bounds_mod.A_LARGE / P**2
     rows = (

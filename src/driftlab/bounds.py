@@ -22,7 +22,9 @@ diameters the other way, d <= pi sqrt((n-1)/gamma).
 
 All rational constants (31/100, 31/50, 153/200, 153/100, 169/100, 10/13) are
 kept exact as Fractions; ``derive_diameter_bound()`` is the Fraction 10/13,
-1/sqrt(2 - 31/100).  Floats appear in returned report values and in
+1/sqrt(2 - 31/100).  ``PI_UPPER`` is the one rational bound on pi, proved
+from Machin's formula at import; ``ling_case``'s B-1 test and acceptance
+criterion 9 read it.  Floats appear in returned report values and in
 ``ling_case``'s B-2 thresholds, which are rounded from the Fractions once, at
 import; its B-1 test compares Fractions.
 """
@@ -41,7 +43,28 @@ CASE_FLOOR = Fraction(31, 50)           # every case yields at least this multip
 A_LARGE = Fraction(153, 200)            # = 0.765, large-asymmetry threshold
 A_OVER_DELTA = Fraction(153, 100)       # = 1.53, asymmetry/delta threshold
 DRIFT_EIGEN_MULTIPLE = Fraction(2)      # soliton potential eigenvalue, lambda = 2 gamma
-PI_UPPER = Fraction("3.14159265358979323846264338327950289")  # > pi by under 1e-35
+
+
+def _machin_bound() -> Fraction:
+    """A rational P > pi from Machin's formula pi = 16 atan(1/5) - 4 atan(1/239),
+    rounded up at 35 decimals.
+
+    For 0 < x < 1 the series atan(x) = x - x^3/3 + x^5/5 - ... alternates with
+    shrinking terms, so a partial sum that ends on a positive term lies above
+    atan(x) and one that ends on a negative term below it: 27 terms bound
+    atan(1/5) from above and 8 bound atan(1/239) from below.  The combination
+    exceeds pi by under 1e-38; rounded up, it is pi rounded up at 35
+    decimals, 5.8e-36 above pi.
+    """
+
+    def atan(x: Fraction, terms: int) -> Fraction:
+        return sum(Fraction((-1) ** k, 2 * k + 1) * x ** (2 * k + 1) for k in range(terms))
+
+    upper = 16 * atan(Fraction(1, 5), 27) - 4 * atan(Fraction(1, 239), 8)
+    return Fraction(math.ceil(upper * 10**35), 10**35)
+
+
+PI_UPPER = _machin_bound()  # 3.14159265358979323846264338327950289
 
 # ling_case's other thresholds as floats, rounded once from the Fractions above
 _PI_SQ = math.pi**2

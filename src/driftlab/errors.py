@@ -6,7 +6,7 @@ class DriftLabError(Exception):
 
 
 class PoleRegularityError(DriftLabError):
-    """A warp or potential profile fails the smooth-closure conditions at a pole."""
+    """A soliton potential fails the smooth-closure condition at a pole."""
 
 
 class AssemblyError(DriftLabError):

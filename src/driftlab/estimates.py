@@ -174,9 +174,9 @@ class NormalizedEigenfunction:
     c = a/b, alpha = (n-1)K/2 and delta = alpha/lam.  For a zonal mode v is
     the radial factor ``v_rad``; an l = 1 mode is
     v = R(r) x with R = ``v_rad`` and x = cos(psi) on the fiber, the degree-1
-    zonal harmonic for every n.  ``residual_inf`` is the sup-norm of the
-    eigen-relation residual on the grid, and ``residual_rel`` that over the
-    bound on the operator's infinity norm, which rounding scales with.
+    zonal harmonic for every n.  ``residual_rel`` is the sup-norm of the
+    eigen-relation residual on the grid over the bound on the operator's
+    infinity norm, which rounding scales with.
     """
 
     model: WarpedManifold
@@ -189,7 +189,6 @@ class NormalizedEigenfunction:
     K: float
     v_rad: np.ndarray
     dv_rad: np.ndarray
-    residual_inf: float
     residual_rel: float
 
     @property
@@ -240,9 +239,9 @@ def normalize(mode: EigenMode, K: float, b: float = 1.01) -> NormalizedEigenfunc
     ValueError: a circle has no (n-1) K, so alpha = delta = 0 and no
     estimate applies.  The eigen-relation
     Delta_phi v = -lam (v + a) is re-checked on the grid through the assembled
-    operator; its sup-norm is stored, and also over the bound on the
-    operator's norm (which grows like N^2), where rounding alone stays far
-    below 1e-10 at every N.
+    operator; its sup-norm is stored over the bound on the operator's norm
+    (which grows like N^2), where rounding alone stays far below 1e-10 at
+    every N.
     """
     if not 1.0 < b < math.inf:
         raise ValueError("the gradient-estimate constant b must exceed 1 and be finite")
@@ -274,15 +273,14 @@ def normalize(mode: EigenMode, K: float, b: float = 1.01) -> NormalizedEigenfunc
         a = (1.0 - k) / (1.0 + k)
         v_rad = (u - (1.0 - k) / 2.0) / ((1.0 + k) / 2.0)
 
-    res = problem.apply(v_rad) + lam * (v_rad + a)
-    residual_inf = float(np.max(np.abs(res)))
+    residual = float(np.max(np.abs(problem.apply(v_rad) + lam * (v_rad + a))))
     # bound on the operator's infinity norm, which rounding in the residual scales with
     op_norm = float(np.abs(problem.diag).max() + 2.0 * np.abs(problem.off_diag).max())
 
     return NormalizedEigenfunction(
         model=model, grid=grid, l=mode.l, lam=lam, k=k, a=a, b=float(b), K=float(K),
         v_rad=v_rad, dv_rad=_sample_derivative(v_rad, grid.spacing),
-        residual_inf=residual_inf, residual_rel=residual_inf / op_norm,
+        residual_rel=residual / op_norm,
     )
 
 
@@ -313,7 +311,6 @@ class LevelSetMaxima:
     """Binned maxima of |grad v|^2 / (lam (b^2 - v^2)) over level sets of
     t = arcsin(v/b); empty bins are marked NaN, never interpolated."""
 
-    edges: np.ndarray
     values: np.ndarray
     arg_t: np.ndarray
     counts: np.ndarray
@@ -432,7 +429,7 @@ def compute_Z(nef: NormalizedEigenfunction, t_bins: int = 200) -> LevelSetMaxima
     if not counts.any():
         raise ValueError("all level-set bins are empty; the bins do not cover the data")
     values[counts == 0] = np.nan
-    return LevelSetMaxima(edges=edges, values=values, arg_t=arg_t, counts=counts)
+    return LevelSetMaxima(values=values, arg_t=arg_t, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -519,10 +516,9 @@ def case_b2b2_barrier(a: float, b: float, delta: float, sigma: float) -> Barrier
 @dataclass(frozen=True)
 class DominanceReport:
     """The least margin z(t*) - Z(t*) over the occupied bins, each taken at
-    its bin's maximizing t*, and the t* of the worst bin."""
+    its bin's maximizing t*, and the number of occupied bins."""
 
     min_margin: float
-    worst_t: float
     occupied_bins: int
 
 
@@ -535,30 +531,21 @@ def barrier_dominance_check(levelset: LevelSetMaxima, z) -> DominanceReport:
     """
     zf = z.value if isinstance(z, BarrierFamily) else z
     occ = levelset.occupied
-    tvals = levelset.arg_t[occ]
-    margins = np.asarray(zf(tvals), dtype=float) - levelset.values[occ]
-    i = int(np.argmin(margins))
-    return DominanceReport(min_margin=float(margins[i]), worst_t=float(tvals[i]),
-                           occupied_bins=int(occ.sum()))
+    margins = np.asarray(zf(levelset.arg_t[occ]), dtype=float) - levelset.values[occ]
+    return DominanceReport(min_margin=float(margins.min()), occupied_bins=int(occ.sum()))
 
 
 @dataclass(frozen=True)
 class LengthIntegralLedger:
-    """The three quantities of the transit-length comparison and their margins.
+    """The margins of the two steps of the transit-length comparison
 
-    sqrt(lam) * d  >=  int dt / sqrt(z)  >=  (pi^3 / int z dt)^{1/2};
+        sqrt(lam) * d  >=  int dt / sqrt(z)  >=  (pi^3 / int z dt)^{1/2};
+
     the second step is Holder's inequality and must hold up to quadrature
-    error regardless of the geometry.  ``barrier_matches`` records whether
-    the barrier's (a, b) are the eigenfunction's constants.
-    """
+    error regardless of the geometry."""
 
-    sqrt_lam_diam: float
-    transit_integral: float
-    holder_bound: float
-    z_integral: float
     margin_transit: float
     margin_holder: float
-    barrier_matches: bool
 
 
 def length_integral_check(nef: NormalizedEigenfunction, z: BarrierFamily,
@@ -570,12 +557,6 @@ def length_integral_check(nef: NormalizedEigenfunction, z: BarrierFamily,
         raise BarrierHypothesisError("barrier is not positive on [-pi/2, pi/2]")
     transit = float(_GL_WEIGHTS @ (1.0 / np.sqrt(z.combine(*_GL_XI_ETA))))
     # int 1 = pi, int eta = 0 and int xi = -pi over [-pi/2, pi/2]
-    z_int = math.pi * (1.0 - z.xi_coeff)
-    holder = math.sqrt(math.pi**3 / z_int)
-    lhs = math.sqrt(nef.lam) * d
-    return LengthIntegralLedger(
-        sqrt_lam_diam=lhs, transit_integral=transit, holder_bound=holder,
-        z_integral=z_int, margin_transit=lhs - transit,
-        margin_holder=transit - holder,
-        barrier_matches=abs(z.a - nef.a) <= 1e-6 and abs(z.b - nef.b) <= 1e-12,
-    )
+    holder = math.sqrt(math.pi**3 / (math.pi * (1.0 - z.xi_coeff)))
+    return LengthIntegralLedger(margin_transit=math.sqrt(nef.lam) * d - transit,
+                                margin_holder=transit - holder)

@@ -1,71 +1,40 @@
-"""Weighted model manifolds: warped products over an interval, and weighted circles.
+"""Weighted model manifolds: round warped products over an interval, and weighted circles.
 
 A rotationally symmetric metric on a closed manifold is written as
 
-    g = dr^2 + w(r)^2 g_{S^{n-1}},   r in [0, L],
+    g = dr^2 + w(r)^2 g_{S^{n-1}},   r in [0, L].
 
-where the warp profile w vanishes at both endpoints with unit slope
-(w(0) = w(L) = 0, w'(0) = 1, w'(L) = -1), which is exactly the condition for
-the two ends to close up into smooth poles.  A weighted (Bakry-Emery)
-structure adds a radial density phi, turning the volume form into
-e^{-phi} dV_g.  The second supported topology is a weighted circle of
-circumference L, where the fiber is trivial and only the density matters.
+Every interval sphere carries the round warp of its length, ``RoundWarp(L)``:
+w = rho sin(r/rho) with rho = L/pi, which vanishes at both ends with unit
+slope, so the two ends close up into smooth poles by construction.  A
+weighted (Bakry-Emery) structure adds a radial density phi, turning the
+volume form into e^{-phi} dV_g; every config builds a ``CosPolynomial(coeffs,
+L)``, phi = p(cos(pi r/L)) with deg p <= 2, which generates its value and
+analytic derivatives from its fields.  The second supported topology is a
+weighted circle of circumference L, where the fiber is trivial and only the
+density matters.
 
-Curvature of the warped product, in an orthonormal frame:
-
-    Ric_rr  = -(n-1) w''/w
-    Ric_tan = -w''/w + (n-2) (1 - w'^2) / w^2
-    R       = Ric_rr + (n-1) Ric_tan
-
-and the Hessian of a radial function phi has radial component phi'' and
-tangential component phi' w'/w.  The Bakry-Emery Ricci tensor is
-Ric_phi = Ric + Hess(phi).  These are interval-sphere quantities: ``curvature``,
-``pole_curvature`` and ``scalar_curvature_derivative`` refuse circles.
-
-Every config builds the round cos-polynomial family, two types that generate
-their values and analytic derivatives from their fields: ``RoundWarp(L)``,
-w = rho sin(r/rho) with rho = L/pi, and ``CosPolynomial(coeffs, L)``,
-phi = p(cos(pi r/L)) with deg p <= 2.  ``RadialProfile`` takes hand-built
-callables for any other profile.  Analytic derivatives (a warp's up to third
-order) keep curvature and its pole limits free of differencing noise, and a
-warp gives 1 - w'^2, which cancels near the poles, in its most stable form.
+On the round warp the curvature has a closed form: Ric = (n-1)/rho^2 g in
+every direction, R = n (n-1)/rho^2 and dR/dr = 0.  The Hessian of a radial
+function phi has radial component phi'' and tangential component phi' w'/w,
+and the Bakry-Emery Ricci tensor is Ric_phi = Ric + Hess(phi), whose least
+eigenvalue ``be_ricci_lower_bound`` finds in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .errors import InapplicableBoundError, PoleRegularityError
+from .errors import InapplicableBoundError
 
 INTERVAL_SPHERE = "interval-sphere"
 CIRCLE = "circle"
 
-# Pole closure, periodicity and evenness are checked to this absolute tolerance.
+# A circle density's periodicity and evenness are checked to this absolute tolerance.
 _REGULARITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """A hand-built profile on [0, L] with analytic derivatives, for any profile
-    outside the round cos-polynomial family; ``d3`` is read from warps only."""
-
-    value: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-    d3: Callable[[np.ndarray], np.ndarray]
-
-    def shifted(self, offset: float) -> "RadialProfile":
-        """The profile f + offset (derivatives unchanged)."""
-        base = self.value
-        return replace(self, value=lambda r, _b=base, _o=float(offset): _b(r) + _o)
-
-    def slope_defect(self, r):
-        d = self.d1(r)
-        return (1.0 - d) * (1.0 + d)
 
 
 @dataclass(frozen=True)
@@ -86,16 +55,6 @@ class RoundWarp:
 
     def d1(self, r):
         return np.cos(self._angle(r))
-
-    def d2(self, r):
-        return -np.sin(self._angle(r)) / self.rho
-
-    def d3(self, r):
-        return -np.cos(self._angle(r)) / self.rho**2
-
-    def slope_defect(self, r):
-        """1 - w'^2 = sin^2(r / rho), free of the cancellation near the poles."""
-        return np.sin(self._angle(r)) ** 2
 
 
 def _horner(c, x):
@@ -165,15 +124,15 @@ def cosine_density(amplitude: float, length: float = math.pi) -> CosPolynomial:
 class WarpedManifold:
     """A compact rotationally symmetric weighted manifold.
 
-    topology "interval-sphere": warped product over [0, L] with fiber S^{n-1};
-    topology "circle": weighted circle of circumference L (n = 1, no warp).
+    topology "interval-sphere": warped product over [0, L] with fiber S^{n-1}
+    and the round warp ``RoundWarp(L)``; topology "circle": weighted circle of
+    circumference L (n = 1, no warp).
     """
 
     topology: str
     n: int
     L: float
-    w: RoundWarp | RadialProfile | None
-    phi: CosPolynomial | RadialProfile
+    phi: CosPolynomial
     name: str = ""
 
     def __post_init__(self):
@@ -184,30 +143,15 @@ class WarpedManifold:
         if self.topology == INTERVAL_SPHERE:
             if self.n < 2:
                 raise ValueError("interval-sphere models need dimension n >= 2")
-            if self.w is None:
-                raise ValueError("interval-sphere models need a warp profile")
-            self._check_pole_regularity()
         else:
             if self.n != 1:
                 raise ValueError("circle models are one-dimensional (n = 1)")
-            if self.w is not None:
-                raise ValueError("circle models carry no warp profile")
             self._check_periodicity()
 
-    def _check_pole_regularity(self):
-        w = self.w
-        ends = np.array([0.0, self.L])
-        vals = np.asarray(w.value(ends), dtype=float)
-        slopes = np.asarray(w.d1(ends), dtype=float)
-        if abs(vals[0]) > _REGULARITY_TOL * self.L or abs(vals[1]) > _REGULARITY_TOL * self.L:
-            raise PoleRegularityError(
-                f"warp must vanish at the poles; got w(0)={vals[0]:.3e}, w(L)={vals[1]:.3e}")
-        if abs(slopes[0] - 1.0) > _REGULARITY_TOL or abs(slopes[1] + 1.0) > _REGULARITY_TOL:
-            raise PoleRegularityError(
-                f"pole slopes must be +1/-1; got w'(0)={slopes[0]:.10f}, w'(L)={slopes[1]:.10f}")
-        interior = np.linspace(0.0, self.L, 513)[1:-1]
-        if np.any(np.asarray(w.value(interior)) <= 0.0):
-            raise PoleRegularityError("warp must be strictly positive on (0, L)")
+    @property
+    def w(self) -> RoundWarp | None:
+        """The warp: the round warp of length L on an interval sphere, none on a circle."""
+        return RoundWarp(self.L) if self.topology == INTERVAL_SPHERE else None
 
     def _check_periodicity(self):
         # periodic, and even (phi(theta) = phi(L - theta)) for the mirror sectors
@@ -224,33 +168,24 @@ class WarpedManifold:
         return self.name or f"{self.topology}(n={self.n},L={self.L:g})"
 
 
-def sphere(n: int, radius: float = 1.0, density: CosPolynomial | RadialProfile | None = None,
+def interval_sphere(n: int, length: float, density: CosPolynomial | None = None,
+                    name: str = "") -> WarpedManifold:
+    """The round warped product over an interval of arc length ``length``."""
+    return WarpedManifold(topology=INTERVAL_SPHERE, n=n, L=float(length),
+                          phi=density or zero_density(), name=name)
+
+
+def sphere(n: int, radius: float = 1.0, density: CosPolynomial | None = None,
            name: str = "") -> WarpedManifold:
     """Round n-sphere of the given radius, optionally with a radial density."""
-    length = math.pi * radius
-    return WarpedManifold(
-        topology=INTERVAL_SPHERE, n=n, L=length,
-        w=RoundWarp(length), phi=density or zero_density(),
-        name=name or f"S^{n}(r={radius:g})",
-    )
+    return interval_sphere(n, math.pi * radius, density, name or f"S^{n}(r={radius:g})")
 
 
-def interval_sphere(n: int, length: float, warp: RadialProfile | None = None,
-                    density: CosPolynomial | RadialProfile | None = None,
-                    name: str = "") -> WarpedManifold:
-    """Warped product over an interval of arc length ``length`` (round by default)."""
-    return WarpedManifold(
-        topology=INTERVAL_SPHERE, n=n, L=float(length),
-        w=warp or RoundWarp(length), phi=density or zero_density(),
-        name=name,
-    )
-
-
-def circle(circumference: float, density: CosPolynomial | RadialProfile | None = None,
+def circle(circumference: float, density: CosPolynomial | None = None,
            name: str = "") -> WarpedManifold:
     """Weighted circle of the given circumference."""
     return WarpedManifold(
-        topology=CIRCLE, n=1, L=float(circumference), w=None,
+        topology=CIRCLE, n=1, L=float(circumference),
         phi=density or zero_density(), name=name or f"circle(L={circumference:g})",
     )
 
@@ -323,85 +258,6 @@ def integrate(grid: Grid, samples: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class CurvatureProfile:
-    """Curvature of the model sampled on a grid (orthonormal-frame components)."""
-
-    ric_rr: np.ndarray
-    ric_tan: np.ndarray
-    ricphi_rr: np.ndarray
-    ricphi_tan: np.ndarray
-    scalar: np.ndarray
-
-
-def curvature(model: WarpedManifold, grid: Grid) -> CurvatureProfile:
-    """Ricci, Bakry-Emery Ricci, and scalar curvature at the grid nodes.
-
-    Cell centers stay a half-spacing away from the poles, so the removable
-    singularities of w''/w and (1 - w'^2)/w^2 are evaluated directly; the
-    cancellation-prone 1 - w'^2 uses the warp's stable form.
-    Exact pole values are available from :func:`pole_curvature`.
-    """
-    if model.topology != INTERVAL_SPHERE:
-        raise ValueError("curvature is defined for interval-sphere models only")
-    r, phi, w = grid.nodes, model.phi, model.w
-    wv = np.asarray(w.value(r), dtype=float)
-    if np.any(wv <= 0.0) or not np.all(np.isfinite(wv)):
-        raise PoleRegularityError("warp is not positive on the grid; check pole regularity")
-    wd1 = np.asarray(w.d1(r), dtype=float)
-    wd2 = np.asarray(w.d2(r), dtype=float)
-    a = wd2 / wv
-    btan = np.asarray(w.slope_defect(r), dtype=float) / wv**2
-    n = model.n
-    ric_rr = -(n - 1) * a
-    ric_tan = -a + (n - 2) * btan
-    scalar = -2.0 * (n - 1) * a + (n - 1) * (n - 2) * btan
-    pd1 = np.asarray(phi.d1(r), dtype=float)
-    pd2 = np.asarray(phi.d2(r), dtype=float)
-    hess_rr = pd2
-    hess_tan = pd1 * wd1 / wv
-    return CurvatureProfile(
-        ric_rr=ric_rr, ric_tan=ric_tan,
-        ricphi_rr=ric_rr + hess_rr, ricphi_tan=ric_tan + hess_tan,
-        scalar=scalar,
-    )
-
-
-def pole_curvature(model: WarpedManifold) -> tuple[float, float]:
-    """Limit value of every Ricci component at each pole (curvature is isotropic there).
-
-    L'Hopital against w gives  Ric(0) = -(n-1) w'''(0)  and
-    Ric(L) = +(n-1) w'''(L); the tangential component has the same limits.
-    """
-    if model.topology != INTERVAL_SPHERE:
-        raise ValueError("pole curvature is defined for interval-sphere models only")
-    n = model.n
-    w3 = np.asarray(model.w.d3(np.array([0.0, model.L])), dtype=float)
-    return (-(n - 1) * float(w3[0]), (n - 1) * float(w3[1]))
-
-
-def scalar_curvature_derivative(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
-    """dR/dr at interior points, from analytic profile derivatives.
-
-    Written as a combination of (w''' - w'' w'/w) and (w''/w + (1-w'^2)/w^2),
-    both of which vanish identically on round spheres, so the round case
-    evaluates to zero up to rounding.
-    """
-    if model.topology != INTERVAL_SPHERE:
-        raise ValueError("dR/dr is defined for interval-sphere models only")
-    w = model.w
-    r = np.asarray(r, dtype=float)
-    wv = np.asarray(w.value(r), dtype=float)
-    wd1 = np.asarray(w.d1(r), dtype=float)
-    wd2 = np.asarray(w.d2(r), dtype=float)
-    wd3 = np.asarray(w.d3(r), dtype=float)
-    btan = np.asarray(w.slope_defect(r), dtype=float) / wv**2
-    n = model.n
-    term_a = (wd3 - wd2 * wd1 / wv) / wv
-    term_b = wd1 * (wd2 / wv + btan) / wv
-    return -2.0 * (n - 1) * term_a - 2.0 * (n - 1) * (n - 2) * term_b
-
-
-@dataclass(frozen=True)
 class RicciLowerBound:
     """Largest K with Ric_phi >= (n-1) K g on the model, and where it is attained."""
 
@@ -414,8 +270,8 @@ def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
     """K_eff = min over the model of the smaller Ric_phi eigenvalue, over (n-1).
 
     The minimum is the model's own, in closed form, on the round
-    cos-polynomial family that every config builds: ``model.w ==
-    RoundWarp(L)``, w = rho sin(r/rho) with L = pi rho, and a
+    cos-polynomial family that every config builds: the round warp
+    w = rho sin(r/rho), L = pi rho, of every interval sphere, and a
     ``CosPolynomial`` density phi = c0 + c1 c + c2 c^2 in c = cos(r/rho) of
     length L (of any length if constant).  There Ric = (n-1)/rho^2 in every
     direction, and phi'' and phi' w'/w give
@@ -426,7 +282,7 @@ def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
     so each eigenvalue is least at c = +-1 (a pole) or at its vertex inside
     (-1, 1).  ``radius`` = rho acos(c) is where the minimum is attained; a
     tie (Ric_phi constant, as on a unit round sphere) goes to the largest c,
-    the smallest radius.  A model outside the family raises
+    the smallest radius.  A density outside the family raises
     ``InapplicableBoundError``, since no minimum is proved for it.  A
     non-positive result is flagged: the Lichnerowicz- and Ling-type bounds
     need K > 0.
@@ -434,11 +290,10 @@ def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
     if model.topology == CIRCLE:
         raise ValueError("the (n-1) K normalization degenerates on 1-dimensional circles")
     phi = model.phi
-    if model.w != RoundWarp(model.L) or not isinstance(phi, CosPolynomial) \
-            or (phi.length != model.L and any(phi.coeffs[1:])):
+    if not isinstance(phi, CosPolynomial) or (phi.length != model.L and any(phi.coeffs[1:])):
         raise InapplicableBoundError(
-            f"K_eff has a closed form only for the round warp with a cos-polynomial density "
-            f"of the model's length L; {model.label} is not one")
+            f"K_eff has a closed form only for a cos-polynomial density of the model's "
+            f"length L; {model.label} is not one")
     n1 = model.n - 1
     c1, c2 = (phi.coeffs + (0.0, 0.0))[1:3]
     candidates = []  # (rho^2 Ric_phi, -c): the least value, then the largest c

@@ -23,16 +23,19 @@ potential is an eigenfunction of its own drift Laplacian:
 
     Delta_f f = Delta f - |grad f|^2 = -2 gamma f.
 
-``soliton_ledger`` evaluates the curvature and the derivatives of f once and
-returns one ``SolitonLedger`` with every residual: ``radial`` and
-``tangential`` (the equation), ``bianchi_sup``, ``constancy_std`` and
-``trace_sup`` (the identities), ``eigen_residual`` (the eigen-relation), the
-normalization ``shift``, the spectral ``membership`` of -2 gamma and the
-``vacuous`` flag; ``worst`` is the largest residual, NaN if any is NaN.  In the
-rotationally symmetric class, compact shrinkers are round, so positive tests
-use Einstein data (f = 0, gamma = (n-1)/rho^2 on a sphere of warp radius rho)
-and negative tests use controlled perturbations, whose identity residuals must
-scale linearly with the perturbation size.
+Every candidate lives on the round warp of length L, whose curvature is
+closed-form: Ric = (n-1)/rho^2 g with rho = L/pi, in every direction and at
+the poles, R = n Ric and dR/dr = 0.  ``soliton_ledger`` takes these and the
+derivatives of f, evaluated once, and returns one ``SolitonLedger`` with every
+residual: ``radial`` and ``tangential`` (the equation), ``bianchi_sup``,
+``constancy_std`` and ``trace_sup`` (the identities), ``eigen_residual`` (the
+eigen-relation), the normalization ``shift``, the spectral ``membership`` of
+-2 gamma and the ``vacuous`` flag; ``worst`` is the largest residual, NaN if
+any is NaN.  In the rotationally symmetric class, compact shrinkers are
+round, so positive tests use Einstein data (f = 0, gamma = (n-1)/rho^2 on a
+sphere of warp radius rho, whose residuals are then exactly 0) and negative
+tests use controlled perturbations, whose identity residuals must scale
+linearly with the perturbation size.
 """
 
 from __future__ import annotations
@@ -43,9 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleRegularityError
-from .geometry import (INTERVAL_SPHERE, CosPolynomial, Grid, RadialProfile,
-                       WarpedManifold, curvature, pole_curvature,
-                       scalar_curvature_derivative, unit_fiber_area)
+from .geometry import INTERVAL_SPHERE, CosPolynomial, Grid, WarpedManifold, unit_fiber_area
 from .spectral import MembershipVerdict, spectrum_contains
 
 _POLE_TOL = 1e-8
@@ -56,7 +57,7 @@ class SolitonCandidate:
     """A proposed gradient shrinking soliton (model, potential f, gamma)."""
 
     model: WarpedManifold
-    f: CosPolynomial | RadialProfile
+    f: CosPolynomial
     gamma: float
 
     def __post_init__(self):
@@ -74,7 +75,7 @@ class SolitonCandidate:
     def drift_model(self) -> WarpedManifold:
         """The weighted manifold whose density is the soliton potential itself."""
         return WarpedManifold(topology=self.model.topology, n=self.model.n,
-                              L=self.model.L, w=self.model.w, phi=self.f,
+                              L=self.model.L, phi=self.f,
                               name=f"{self.model.label}+potential")
 
 
@@ -126,14 +127,18 @@ class SolitonLedger:
 
 
 def soliton_ledger(cand: SolitonCandidate, grid: Grid, tol: float = 1e-3) -> SolitonLedger:
-    """All residuals of the candidate from one evaluation of curvature and f.
+    """All residuals of the candidate from the closed-form curvature and one
+    evaluation of f.
 
+    Ric is (n-1)/(L/pi)^2, the expression of ``config.soliton_gamma``'s
+    Einstein gamma, so an Einstein candidate's residuals are exactly 0.
     ``tol`` is the spectral membership tolerance for -2 gamma.
     """
     model, f, gamma = cand.model, cand.f, cand.gamma
     n = model.n
     r = grid.nodes
-    prof = curvature(model, grid)
+    ric = (n - 1) / (model.L / math.pi) ** 2  # in every direction, at the poles too
+    scalar = n * ric
     fv = np.asarray(f.value(r), dtype=float)
     f1 = np.asarray(f.d1(r), dtype=float)
     f2 = np.asarray(f.d2(r), dtype=float)
@@ -141,22 +146,19 @@ def soliton_ledger(cand: SolitonCandidate, grid: Grid, tol: float = 1e-3) -> Sol
     wd1 = np.asarray(model.w.d1(r), dtype=float)
     lap_f = f2 + (n - 1) * wd1 / wv * f1
 
-    # exact pole limits: curvature is isotropic, Hess f -> f'' g, grad f
-    # vanishes and Delta f -> n f''
+    # exact pole limits: Hess f -> f'' g, grad f vanishes and Delta f -> n f''
     poles = np.array([0.0, model.L])
-    ric_poles = np.array(pole_curvature(model))
-    scalar_poles = n * ric_poles
     f_poles = np.asarray(f.value(poles), dtype=float)
     f2_poles = np.asarray(f.d2(poles), dtype=float)
-    pole_vals = ric_poles - gamma + f2_poles
+    pole_vals = ric - gamma + f2_poles
 
-    radial = np.concatenate([prof.ric_rr - gamma + f2, pole_vals])
-    tangential = np.concatenate([prof.ric_tan - gamma + f1 * wd1 / wv, pole_vals])
-    bianchi = scalar_curvature_derivative(model, r) - 2.0 * prof.ric_rr * f1
-    conserved = np.concatenate([prof.scalar - 2.0 * gamma * fv + f1**2,
-                                scalar_poles - 2.0 * gamma * f_poles])
-    trace = np.concatenate([prof.scalar - n * gamma + lap_f,
-                            scalar_poles - n * gamma + n * f2_poles])
+    radial = np.concatenate([ric - gamma + f2, pole_vals])
+    tangential = np.concatenate([ric - gamma + f1 * wd1 / wv, pole_vals])
+    bianchi = 2.0 * ric * f1  # grad R = 0, so only 2 Ric(grad f, .) is left
+    # R is constant, so R - 2 gamma f + |grad f|^2 spreads as its other terms do
+    conserved = np.concatenate([f1**2 - 2.0 * gamma * fv, -2.0 * gamma * f_poles])
+    trace = np.concatenate([scalar - n * gamma + lap_f,
+                            scalar - n * gamma + n * f2_poles])
 
     # the shift changes neither f' nor Delta f, only the values
     shift = normalize_f(cand, grid)

@@ -414,7 +414,6 @@ class MembershipVerdict:
     """Whether the low spectrum contains a target value within tolerance."""
 
     contained: bool
-    tolerance: float
     count_used: int
 
 
@@ -463,4 +462,4 @@ def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
         if not _count(sector, lower, math.inf):
             break
         count += _count(sector, lower, upper)
-    return MembershipVerdict(contained=count > 0, tolerance=window, count_used=count)
+    return MembershipVerdict(contained=count > 0, count_used=count)

@@ -107,15 +107,19 @@ def test_criterion_09_case_totality():
 
 
 def test_machin_bound_lies_above_pi():
+    # criterion 9's P is bounds.PI_UPPER, Machin's bound rounded up at 35
+    # decimals: pi rounded up at 35 decimals, within 1e-35 above pi
     mpmath = pytest.importorskip("mpmath")
-    P = acceptance.machin_pi_upper()
-    assert type(P) is Fraction and P < Fraction(31416, 10000)
+    P = bounds.PI_UPPER
+    assert type(P) is Fraction and P == Fraction("3.14159265358979323846264338327950289")
+    row, = (row for row in acceptance.criterion_case_totality().rows if row["instance"] == "pi")
+    assert Fraction(row["value"]) == P
     with mpmath.workdps(50):
-        assert mpmath.mpf(P.numerator) / P.denominator > mpmath.pi
+        assert 0 < mpmath.mpf(P.numerator) / P.denominator - mpmath.pi < mpmath.mpf("1e-35")
 
 
 @pytest.mark.parametrize("module,name,value,failing", [
-    (acceptance, "machin_pi_upper", lambda: Fraction(22, 7),
+    (bounds, "PI_UPPER", Fraction(22, 7),
      {("pi", "machin_upper_bound"), ("B-2-a", "alpha_multiple_lower"),
       ("B-2-a", "float_threshold"), ("B-2-b1", "alpha_multiple_lower"),
       ("B-2-b1", "float_threshold_ratio")}),

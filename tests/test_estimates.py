@@ -292,7 +292,8 @@ def test_normalize_zonal_symmetric():
     assert abs(nef.a) < 1e-9
     assert abs(nef.v_rad.max() - 1.0) < 1e-10
     assert abs(nef.v_rad.min() + 1.0) < 1e-10
-    assert nef.residual_inf < 1e-6 * nef.lam
+    residual = mode.problem.apply(nef.v_rad) + nef.lam * (nef.v_rad + nef.a)
+    assert np.max(np.abs(residual)) < 1e-6 * nef.lam
     assert abs(nef.delta - 0.25) < 1e-5  # alpha/lam = 0.5/2
 
 
@@ -372,8 +373,7 @@ def test_dominance_synthetic_equality_and_failure():
     edges = np.linspace(-1.0, 1.0, 11)
     arg_t = 0.5 * (edges[:-1] + edges[1:])
     values = 1.0 + 0.1 * arg_t**2
-    levelset = LevelSetMaxima(edges=edges, values=values, arg_t=arg_t,
-                              counts=np.ones(10, dtype=int))
+    levelset = LevelSetMaxima(values=values, arg_t=arg_t, counts=np.ones(10, dtype=int))
     same = dl.barrier_dominance_check(levelset, lambda t: 1.0 + 0.1 * t**2)
     assert abs(same.min_margin) < 1e-15
     below = dl.barrier_dominance_check(levelset, lambda t: np.zeros_like(t))
@@ -480,8 +480,8 @@ def test_length_integrals_constant_barrier():
     nef = dl.normalize(mode, K=1.0, b=1.01)
     flat = dl.BarrierFamily(a=0.0, b=1.01, xi_coeff=0.0)
     ledger = dl.length_integral_check(nef, flat, math.pi)
-    assert abs(ledger.transit_integral - math.pi) < 1e-10
-    assert abs(ledger.holder_bound - math.pi) < 1e-10
+    # transit = sqrt(lam) pi - margin_transit, Holder = transit - margin_holder
+    assert abs(math.sqrt(nef.lam) * math.pi - ledger.margin_transit - math.pi) < 1e-10
     assert abs(ledger.margin_holder) < 1e-10
     assert ledger.margin_transit > 0.0
 
@@ -491,12 +491,14 @@ def test_length_integrals_quarter_delta():
     nef = dl.normalize(mode, K=1.0, b=1.01)
     z = dl.barrier(0.0, 1.01, 0.25, 1.0)
     ledger = dl.length_integral_check(nef, z, math.pi)
-    assert abs(ledger.z_integral - 0.75 * math.pi) < 1e-10
     assert ledger.margin_holder >= 0.0
     assert ledger.margin_transit >= 0.0
+    # int z = (1 - delta) pi gives the Holder bound (pi^3 / int z)^{1/2}, and
     # the chain certifies lambda >= pi^3 / (int z * d^2)
-    implied = math.pi**3 / (ledger.z_integral * math.pi**2)
-    assert nef.lam >= implied
+    transit = math.sqrt(nef.lam) * math.pi - ledger.margin_transit
+    holder = transit - ledger.margin_holder
+    assert abs(holder - math.sqrt(math.pi**3 / (0.75 * math.pi))) < 1e-10
+    assert nef.lam >= math.pi**3 / (0.75 * math.pi * math.pi**2)
 
 
 # (family, a, b, delta, mu or sigma)
@@ -516,10 +518,9 @@ def test_transit_integral_matches_quad(family, a, b, delta, weight):
     _, _, mode = _zonal_s2()
     nef = dl.normalize(mode, K=1.0, b=z.b)
     ledger = dl.length_integral_check(nef, z, math.pi)
-    assert ledger.barrier_matches == (z.a == 0.0)  # the zonal S^2 mode has a = 0
     oracle = quad(lambda t: 1.0 / math.sqrt(z.value(t)), -HALF_PI, HALF_PI,
                   limit=200, epsabs=1e-12, epsrel=1e-12)[0]
-    assert abs(ledger.transit_integral - oracle) <= 1e-11
+    assert abs(math.sqrt(nef.lam) * math.pi - ledger.margin_transit - oracle) <= 1e-11
 
 
 def _per_call_value(z, t):
@@ -534,15 +535,13 @@ def _per_call_accepts(z) -> bool:
 
 
 def _per_call_ledger(nef, z, d):
-    """The length-integral ledger's fields with z evaluated per call on the
+    """The length-integral ledger's margins with z evaluated per call on the
     positivity sweep and the Gauss-Legendre nodes; None where it must raise."""
     if np.any(_per_call_value(z, np.linspace(-HALF_PI, HALF_PI, 2001)) <= 0.0):
         return None
     transit = est.gauss_legendre_integral(lambda t: 1.0 / np.sqrt(_per_call_value(z, t)))
-    z_int = math.pi * (1.0 - z.xi_coeff)
-    holder = math.sqrt(math.pi**3 / z_int)
-    lhs = math.sqrt(nef.lam) * d
-    return [lhs, transit, holder, z_int, lhs - transit, transit - holder]
+    holder = math.sqrt(math.pi**3 / (math.pi * (1.0 - z.xi_coeff)))
+    return [math.sqrt(nef.lam) * d - transit, transit - holder]
 
 
 @settings(max_examples=80, deadline=None)
@@ -573,10 +572,8 @@ def test_tabulated_barrier_checks_match_per_call_series(a, b, delta, weight, b2b
             dl.length_integral_check(nef, z, math.pi)
         return
     ledger = dl.length_integral_check(nef, z, math.pi)
-    got = [ledger.sqrt_lam_diam, ledger.transit_integral, ledger.holder_bound,
-           ledger.z_integral, ledger.margin_transit, ledger.margin_holder]
+    got = [ledger.margin_transit, ledger.margin_holder]
     assert [v.hex() for v in got] == [v.hex() for v in expected]
-    assert ledger.barrier_matches == (abs(a - nef.a) <= 1e-6)
 
 
 def test_barrier_positive_on_its_domain_only():
@@ -779,9 +776,9 @@ def test_compute_Z_is_the_exact_maximum_over_each_closed_bin(n):
     assert np.all(levelset.values[seen] >= sampled[seen] * (1.0 - 1e-14))
     assert np.any(levelset.values[seen] > sampled[seen] * (1.0 + 1e-6))
     # an arg_t is a sample's t or one of the bin's edges
-    inside = ((levelset.arg_t >= levelset.edges[:-1])
-              & (levelset.arg_t <= levelset.edges[1:]))
-    assert inside.all()
+    tb = math.asin(1.0 / nef.b)
+    edges = np.linspace(-tb, tb, bins + 1)
+    assert ((levelset.arg_t >= edges[:-1]) & (levelset.arg_t <= edges[1:])).all()
 
 
 def test_normalize_residual_is_scaled_by_the_operator_norm():
@@ -790,7 +787,8 @@ def test_normalize_residual_is_scaled_by_the_operator_norm():
     model = dl.sphere(3, density=dl.cosine_density(0.5))
     mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 20000))
     nef = dl.normalize(mode, K=1.0)
-    assert nef.residual_inf > 1e-6 * nef.lam
+    residual = mode.problem.apply(nef.v_rad) + nef.lam * (nef.v_rad + nef.a)
+    assert np.max(np.abs(residual)) > 1e-6 * nef.lam
     assert nef.residual_rel <= 1e-10
     noise = np.random.default_rng(0).standard_normal(mode.u.size)
     perturbed = dl.EigenMode(lam=mode.lam, l=mode.l, u=mode.u * (1.0 + 1e-6 * noise),
@@ -871,7 +869,7 @@ def test_compute_Z_keeps_the_zero_level_of_a_row_with_a_subnormal_R():
         nef = est.NormalizedEigenfunction(
             model=model, grid=dl.Grid.uniform(model, 4), l=1, lam=1.0, k=1.0, a=0.0, b=2.0,
             K=1.0, v_rad=np.array([0.0, 0.0, 0.0, R]), dv_rad=np.array([0.0, 0.0, 0.0, 1.0]),
-            residual_inf=0.0, residual_rel=0.0)
+            residual_rel=0.0)
         with np.errstate(over="ignore"):
             levelset = dl.compute_Z(nef, 2)
         assert np.all(np.isfinite(levelset.values))
@@ -901,14 +899,16 @@ def test_compute_Z_prefix_maxima_match_masked_maxima_bitwise(n, rows, lam, b, bi
     v_rad, dv_rad = (np.array(column) for column in zip(*rows))
     nef = est.NormalizedEigenfunction(
         model=model, grid=grid, l=1, lam=lam, k=1.0, a=0.0, b=b, K=1.0,
-        v_rad=v_rad, dv_rad=dv_rad, residual_inf=0.0, residual_rel=0.0)
+        v_rad=v_rad, dv_rad=dv_rad, residual_rel=0.0)
     levelset = dl.compute_Z(nef, bins)
     values, arg_t, counts = _per_level_masked_Z(nef, bins)
     assert levelset.values.tobytes() == values.tobytes()
     assert levelset.arg_t.tobytes() == arg_t.tobytes()
     assert np.array_equal(levelset.counts, counts)
-    if np.all(v_rad ** 2 < np.max((b * np.sin(levelset.edges)) ** 2)):
-        edge_val = est._edge_level_maxima(nef, levelset.edges)
+    tb = math.asin(1.0 / b)
+    edges = np.linspace(-tb, tb, bins + 1)
+    if np.all(v_rad ** 2 < np.max((b * np.sin(edges)) ** 2)):
+        edge_val = est._edge_level_maxima(nef, edges)
         assert edge_val[0] == edge_val[-1] == -np.inf
 
 
@@ -963,7 +963,7 @@ def test_group_bound_edge_maxima_match_the_prefix_loop_bitwise(rows, lam, b, bin
     model = dl.sphere(3)
     nef = est.NormalizedEigenfunction(
         model=model, grid=dl.Grid.uniform(model, len(rows)), l=1, lam=lam, k=1.0, a=0.0,
-        b=b, K=1.0, v_rad=v_rad, dv_rad=dv_rad, residual_inf=0.0, residual_rel=0.0)
+        b=b, K=1.0, v_rad=v_rad, dv_rad=dv_rad, residual_rel=0.0)
     nef.__dict__["equator_grad_sq"] = (v_rad / w) ** 2  # the drawn warp's A, not the sphere's
     tb = math.asin(1.0 / b)
     edges = np.linspace(-tb, tb, bins + 1)
@@ -1014,8 +1014,7 @@ def test_rows_once_match_the_flat_points_bitwise_on_real_modes(n, N):
         sup = float((grad_sq / (nef.b * nef.b - v * v)).max())
         assert dl.gradient_estimate_margin(nef).sup_ratio == sup
         levelset = dl.compute_Z(nef, 200)
-        edges, values, arg_t, counts = _reference_compute_Z(nef, 200)
-        assert levelset.edges.tobytes() == edges.tobytes()
+        _, values, arg_t, counts = _reference_compute_Z(nef, 200)
         assert levelset.values.tobytes() == values.tobytes()
         assert levelset.arg_t.tobytes() == arg_t.tobytes()
         assert np.array_equal(levelset.counts, counts)
@@ -1024,7 +1023,7 @@ def test_rows_once_match_the_flat_points_bitwise_on_real_modes(n, N):
         occ = levelset.occupied
         margins = z.value(levelset.arg_t[occ]) - levelset.values[occ]
         assert dom.min_margin == margins.min()
-        assert dom.worst_t == levelset.arg_t[occ][np.argmin(margins)]
+        assert dom.occupied_bins == occ.sum()
 
 
 def test_touching_point_residual_is_nonpositive_at_the_worst_bin_of_the_sweep():
@@ -1041,7 +1040,12 @@ def test_touching_point_residual_is_nonpositive_at_the_worst_bin_of_the_sweep():
         fe = dl.first_nonzero_eigenvalue(model, grid)
         nef = dl.normalize(fe, K=dl.be_ricci_lower_bound(model).K, b=config.b)
         z = runner._select_case_barrier(config, nef, dl.ling_case(nef.a, nef.delta))
-        t = dl.barrier_dominance_check(dl.compute_Z(nef, config.bins), z).worst_t
+        # the worst bin's t: where the least dominance margin is taken
+        levelset = dl.compute_Z(nef, config.bins)
+        occ = levelset.occupied
+        margins = z.value(levelset.arg_t[occ]) - levelset.values[occ]
+        assert margins.min() == dl.barrier_dominance_check(levelset, z).min_margin
+        t = levelset.arg_t[occ][np.argmin(margins)]
         res = _touching_point_residual(z.value(t), z.derivative(t, 1), z.derivative(t, 2), t,
                                        c=nef.c, delta=nef.delta, a=nef.a)
         assert res.full[0] <= 1e-12

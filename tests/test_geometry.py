@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -10,43 +11,110 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import driftlab as dl
-from driftlab.errors import InapplicableBoundError, PoleRegularityError
-from driftlab.geometry import pole_curvature, scalar_curvature_derivative
+from driftlab.errors import InapplicableBoundError
+
+
+@lru_cache(maxsize=None)
+def _warp_terms(length, r):
+    """(A, B) with Ric_rr = (n-1) A and Ric_tan = A + (n-2) B, from 30-digit
+    mpmath derivatives of the round warp w = rho sin(r/rho), rho = L/pi:
+    A = -w''/w and B = (1 - w'^2)/w^2 inside, and at a pole p, by
+    L'Hopital, A = B = -w^(3)(p)/w'(p)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        rho = mpmath.mpf(length) / mpmath.pi
+        w = lambda x: rho * mpmath.sin(x / rho)  # noqa: E731
+        x = mpmath.mpf(r)
+        if r in (0.0, length):
+            a = -mpmath.diff(w, x, 3) / mpmath.diff(w, x)
+            return a, a
+        w0, w1, w2 = (mpmath.diff(w, x, k) for k in range(3))
+        return -w2 / w0, (1 - w1**2) / w0**2
+
+
+@lru_cache(maxsize=None)
+def _density_terms(coeffs, length, r):
+    """(phi'', H) with Hess(phi) = diag(phi'', H), from 30-digit mpmath
+    derivatives of phi = p(cos(pi r/L)) and w: H = phi' w'/w inside, and
+    phi''(p) at a pole p, where Hess(phi) is isotropic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        rho = mpmath.mpf(length) / mpmath.pi
+        w = lambda x: rho * mpmath.sin(x / rho)  # noqa: E731
+        phi = lambda x: sum(mpmath.mpf(c) * mpmath.cos(x / rho) ** j  # noqa: E731
+                            for j, c in enumerate(coeffs))
+        x = mpmath.mpf(r)
+        p2 = mpmath.diff(phi, x, 2)
+        if r in (0.0, length):
+            return p2, p2
+        return p2, mpmath.diff(phi, x) * mpmath.diff(w, x) / w(x)
+
+
+def _ricphi_oracle(n, length, coeffs, r):
+    """(Ric_phi,rr, Ric_phi,tan) at r, independent of driftlab: the warped
+    product's Ric_rr = -(n-1) w''/w and Ric_tan = -w''/w + (n-2)(1 - w'^2)/w^2,
+    plus Hess(phi), all from mpmath derivatives at 30 digits."""
+    a, b = _warp_terms(length, r)
+    p2, h = _density_terms(tuple(coeffs), length, r)
+    return float((n - 1) * a + p2), float(a + (n - 2) * b + h)
+
+
+def _ricphi_sampled(model, r):
+    """(Ric_phi,rr, Ric_phi,tan) at interior points r in floats, from the
+    model's density derivatives and the round warp's identities
+    -w''/w = (1 - w'^2)/w^2 = 1/rho^2, with phi' w'/w = phi' cot(r/rho)/rho."""
+    rho = model.L / math.pi
+    rr = (model.n - 1) / rho**2 + model.phi.d2(r)
+    tan = (model.n - 1) / rho**2 + model.phi.d1(r) / (rho * np.tan(r / rho))
+    return rr, tan
 
 
 def test_unit_s2_is_einstein():
+    # Ric = g at the poles and inside, so K_eff is 1 and the soliton
+    # equation with gamma = 1 and f = 0 has residual 0
     model = dl.sphere(2)
-    grid = dl.Grid.uniform(model, 800)
-    prof = dl.curvature(model, grid)
-    assert np.max(np.abs(prof.ric_rr - 1.0)) < 1e-10
-    assert np.max(np.abs(prof.ric_tan - 1.0)) < 1e-10
-    assert np.max(np.abs(prof.scalar - 2.0)) < 1e-9
+    for r in (0.0, 0.3, 1.5, 2.9, math.pi):
+        assert _ricphi_oracle(2, math.pi, (0.0,), r) == pytest.approx((1.0, 1.0), abs=1e-15)
+    assert dl.be_ricci_lower_bound(model).K == 1.0
+    led = dl.soliton_ledger(dl.SolitonCandidate(model=model, f=model.phi, gamma=1.0),
+                            dl.Grid.uniform(model, 800))
+    assert led.radial == led.tangential == 0.0
 
 
 def test_unit_s4_scalar_curvature():
+    # R = Ric_rr + 3 Ric_tan = 12 on the unit S^4; the soliton ledger's
+    # trace identity R - 4 gamma + Delta f reads it as 12 - 10 at gamma = 2.5
+    for r in (0.2, 1.0, 2.7):
+        rr, tan = _ricphi_oracle(4, math.pi, (0.0,), r)
+        assert rr + 3.0 * tan == pytest.approx(12.0, abs=1e-13)
     model = dl.sphere(4)
-    grid = dl.Grid.uniform(model, 800)
-    prof = dl.curvature(model, grid)
-    assert np.max(np.abs(prof.scalar - 12.0)) < 1e-9
-    assert np.max(np.abs(prof.ric_rr - 3.0)) < 1e-10
-    assert np.max(np.abs(prof.ric_tan - 3.0)) < 1e-9
+    led = dl.soliton_ledger(dl.SolitonCandidate(model=model, f=model.phi, gamma=2.5),
+                            dl.Grid.uniform(model, 800))
+    assert led.trace_sup == 2.0 and led.constancy_std == 0.0
 
 
 def test_pole_limits_match_interior():
-    model = dl.sphere(3)
-    r0, rl = pole_curvature(model)
-    assert abs(r0 - 2.0) < 1e-12
-    assert abs(rl - 2.0) < 1e-12
+    # at a pole Ric_phi is isotropic: both eigenvalues tend to the closed
+    # form's pole value rho^2 Ric_phi = (n-1) - c1 c - 2 c2 at c = +-1, which
+    # K_eff takes at the r = 0 pole of the cosine S^3
+    model = dl.sphere(3, density=dl.cosine_density(0.5))
+    coeffs = model.phi.coeffs
+    for pole, inside, expected in ((0.0, 1e-4, 1.5), (math.pi, math.pi - 1e-4, 2.5)):
+        at_pole = _ricphi_oracle(3, math.pi, coeffs, pole)
+        assert at_pole == pytest.approx((expected, expected), abs=1e-14)
+        assert _ricphi_oracle(3, math.pi, coeffs, inside) == pytest.approx(at_pole, abs=1e-7)
+    kb = dl.be_ricci_lower_bound(model)
+    assert (kb.K, kb.radius) == (0.75, 0.0)
 
 
 def test_cosine_density_ricci_pointwise():
+    # on the unit S^2, Ric_phi = (1 - eps cos r) g for phi = eps cos r
     eps = 0.3
-    model = dl.sphere(2, density=dl.cosine_density(eps))
-    grid = dl.Grid.uniform(model, 500)
-    prof = dl.curvature(model, grid)
-    expected = 1.0 - eps * np.cos(grid.nodes)
-    assert np.max(np.abs(prof.ricphi_rr - expected)) < 1e-10
-    assert np.max(np.abs(prof.ricphi_tan - expected)) < 1e-10
+    grid = dl.Grid.uniform(dl.sphere(2, density=dl.cosine_density(eps)), 50)
+    for r in grid.nodes:
+        expected = 1.0 - eps * math.cos(r)
+        assert _ricphi_oracle(2, math.pi, (0.0, eps), r) == \
+            pytest.approx((expected, expected), abs=1e-14)
 
 
 def test_cosine_density_hessian_against_embedded_fd_oracle():
@@ -54,26 +122,29 @@ def test_cosine_density_hessian_against_embedded_fd_oracle():
     # Hessian along geodesics can be differenced directly in the embedding:
     # radial geodesics vary the colatitude, tangential ones are great circles
     # through the point in the latitude direction.
+    # The model gives Hess(phi) as (phi'', phi' w'/w) from its density and warp.
     eps = 0.4
     model = dl.sphere(2, density=dl.cosine_density(eps))
     grid = dl.Grid.uniform(model, 400)
-    prof = dl.curvature(model, grid)
+    r = grid.nodes
+    hess_rr = model.phi.d2(r)
+    hess_tan = model.phi.d1(r) * model.w.d1(r) / model.w.value(r)
     h = 1e-4
 
     def phi_of_z(z):
         return eps * z
 
     for idx in (40, 133, 200, 333):
-        r = grid.nodes[idx]
+        x = r[idx]
         # radial: second difference of phi along the meridian
-        fd_rr = (phi_of_z(math.cos(r + h)) - 2.0 * phi_of_z(math.cos(r))
-                 + phi_of_z(math.cos(r - h))) / h**2
+        fd_rr = (phi_of_z(math.cos(x + h)) - 2.0 * phi_of_z(math.cos(x))
+                 + phi_of_z(math.cos(x - h))) / h**2
         # tangential: great circle gamma(s) = cos(s) p + sin(s) e with e the
-        # unit latitude direction; its z-coordinate is cos(s) cos(r)
-        fd_tan = (phi_of_z(math.cos(h) * math.cos(r)) - 2.0 * phi_of_z(math.cos(r))
-                  + phi_of_z(math.cos(-h) * math.cos(r))) / h**2
-        assert abs((prof.ricphi_rr[idx] - prof.ric_rr[idx]) - fd_rr) < 1e-6
-        assert abs((prof.ricphi_tan[idx] - prof.ric_tan[idx]) - fd_tan) < 1e-6
+        # unit latitude direction; its z-coordinate is cos(s) cos(x)
+        fd_tan = (phi_of_z(math.cos(h) * math.cos(x)) - 2.0 * phi_of_z(math.cos(x))
+                  + phi_of_z(math.cos(-h) * math.cos(x))) / h**2
+        assert abs(hess_rr[idx] - fd_rr) < 1e-6
+        assert abs(hess_tan[idx] - fd_tan) < 1e-6
 
 
 def test_ricci_lower_bound_unit_spheres():
@@ -163,28 +234,31 @@ def test_diameter_closed_forms():
 
 
 def test_scaling_covariance():
-    # metric scaled by c^2: diameter scales by c, curvature by 1/c^2
+    # metric scaled by c^2: diameter scales by c, curvature by 1/c^2, so
+    # K_eff and the Einstein soliton's gamma scale by 1/c^2
     c = 2.0
     unit = dl.sphere(3)
     scaled = dl.sphere(3, radius=c)
     assert abs(dl.diameter(scaled) - c * dl.diameter(unit)) < 1e-14
-    gu = dl.Grid.uniform(unit, 300)
-    gs = dl.Grid.uniform(scaled, 300)
-    pu = dl.curvature(unit, gu)
-    ps = dl.curvature(scaled, gs)
-    assert np.max(np.abs(ps.ric_rr - pu.ric_rr / c**2)) < 1e-10
-    assert np.max(np.abs(ps.scalar - pu.scalar / c**2)) < 1e-10
+    assert dl.be_ricci_lower_bound(scaled).K == dl.be_ricci_lower_bound(unit).K / c**2
+    assert _ricphi_oracle(3, scaled.L, (0.0,), 1.0) == pytest.approx((0.5, 0.5), abs=1e-15)
+    led = dl.soliton_ledger(dl.SolitonCandidate(model=scaled, f=scaled.phi, gamma=2.0 / c**2),
+                            dl.Grid.uniform(scaled, 300))
+    assert led.worst == 0.0
 
 
 def test_pole_regularity_rejected():
-    bad = dl.RadialProfile(
-        value=lambda r: np.sin(2.0 * np.asarray(r)) / 2.0,
-        d1=lambda r: np.cos(2.0 * np.asarray(r)),
-        d2=lambda r: -2.0 * np.sin(2.0 * np.asarray(r)),
-        d3=lambda r: -4.0 * np.cos(2.0 * np.asarray(r)))
-    with pytest.raises(PoleRegularityError):
+    # a model takes no warp: every interval sphere has the round warp of its
+    # length, which vanishes at both poles with slopes +1 and -1
+    with pytest.raises(TypeError, match="w"):
         dl.WarpedManifold(topology=dl.INTERVAL_SPHERE, n=2, L=math.pi,
-                          w=bad, phi=dl.zero_density())
+                          w=dl.RoundWarp(2.0), phi=dl.zero_density())
+    for length in (math.pi, 2.5):
+        w = dl.interval_sphere(2, length).w
+        assert w == dl.RoundWarp(length)
+        assert w.value(0.0) == 0.0 and abs(w.value(length)) <= 1e-15 * length
+        assert w.d1(0.0) == 1.0 and w.d1(length) == -1.0
+        assert np.all(w.value(np.linspace(0.0, length, 513)[1:-1]) > 0.0)
 
 
 def test_circle_needs_periodic_density():
@@ -195,12 +269,17 @@ def test_circle_needs_periodic_density():
 @pytest.mark.parametrize("shift", [0.5 * math.pi, 1.0], ids=["sine", "shifted-cosine"])
 def test_circle_needs_an_even_density(shift):
     # phi = 0.5 cos(theta - shift) is periodic but not even about theta = 0,
-    # so the circle's operator has no mirror sectors; unshifted it is accepted
-    def profile(s):
-        return dl.RadialProfile(value=lambda r: 0.5 * np.cos(np.asarray(r) - s),
-                                d1=lambda r: -0.5 * np.sin(np.asarray(r) - s),
-                                d2=lambda r: -0.5 * np.cos(np.asarray(r) - s),
-                                d3=lambda r: 0.5 * np.sin(np.asarray(r) - s))
+    # so the circle's operator has no mirror sectors; unshifted it is accepted.
+    # A cos-polynomial is even by construction, so the density is built by hand
+    class profile:
+        def __init__(self, s):
+            self.s = s
+
+        def value(self, r):
+            return 0.5 * np.cos(np.asarray(r) - self.s)
+
+        def d1(self, r):
+            return -0.5 * np.sin(np.asarray(r) - self.s)
 
     with pytest.raises(ValueError, match="even about theta = 0"):
         dl.circle(2.0 * math.pi, density=profile(shift))
@@ -278,9 +357,35 @@ def test_ricci_lower_bound_finds_a_minimum_between_cell_centres():
     kb = dl.be_ricci_lower_bound(model)
     assert kb.K == 0.625
     assert kb.radius == math.acos(-0.5)
-    prof = dl.curvature(model, dl.Grid.uniform(model, 400))
-    cell_min = np.minimum(prof.ricphi_rr, prof.ricphi_tan).min() / 2.0
+    assert _ricphi_oracle(3, math.pi, LING, kb.radius)[0] == pytest.approx(1.25, abs=1e-15)
+    nodes = dl.Grid.uniform(model, 400).nodes
+    cell_min = np.minimum(*_ricphi_sampled(model, nodes)).min() / 2.0
     assert cell_min - 0.625 > 1e-7
+
+
+# the densities of the shipped sweeps: cosine amplitudes and the Ling model
+_ORACLE_DENSITIES = {"cosine(-0.5)": (0.0, -0.5), "cosine(0.1)": (0.0, 0.1),
+                     "cosine(0.5)": (0.0, 0.5), "cosine(0.9)": (0.0, 0.9), "ling": LING}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("density", list(_ORACLE_DENSITIES))
+def test_ricci_lower_bound_matches_an_independent_ricci_oracle(density, n):
+    # K_eff and where it is attained against the mpmath Ric_phi at both
+    # poles, at the reported radius (a pole or the vertex) and at 1000
+    # interior points: every sample lies at or above K_eff, to the closed
+    # form's rounding, and the reported radius attains it
+    coeffs = _ORACLE_DENSITIES[density]
+    model = dl.sphere(n, density=dl.CosPolynomial(coeffs))
+    kb = dl.be_ricci_lower_bound(model)
+    c1, c2 = (list(coeffs) + [0.0, 0.0])[1:3]
+    rounding = 16.0 * np.finfo(float).eps * (n - 1 + abs(c1) + 6.0 * abs(c2)) / (n - 1)
+    points = [0.0, math.pi] + [math.pi * k / 1001 for k in range(1, 1001)]
+    least = min(min(_ricphi_oracle(n, math.pi, coeffs, r)) for r in points) / (n - 1)
+    assert kb.K <= least + rounding
+    attained = min(_ricphi_oracle(n, math.pi, coeffs, kb.radius)) / (n - 1)
+    assert abs(attained - kb.K) <= rounding
+    assert kb.positive == (kb.K > 0.0)
 
 
 def test_ricci_lower_bound_does_not_depend_on_the_grid():
@@ -325,7 +430,7 @@ def test_poly_cos_density_is_capped_at_degree_two():
 @given(n=st.integers(2, 6), length=st.floats(1.0, 8.0),
        coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
 def test_closed_form_ricci_lower_bound_is_the_sampled_minimum(n, length, coeffs):
-    # the closed form against curvature() at 20001 cell centres: at or below
+    # the closed form against Ric_phi at 20001 cell centres: at or below
     # every sample, to rounding, and below their least by no more than
     # sampling allows.  Each eigenvalue is stationary in r where it is least
     # (at a pole, or at a vertex in c), and a centre lies within h/2 of that
@@ -334,8 +439,7 @@ def test_closed_form_ricci_lower_bound_is_the_sampled_minimum(n, length, coeffs)
     model = dl.interval_sphere(n, length, density=dl.CosPolynomial(coeffs, length))
     kb = dl.be_ricci_lower_bound(model)
     grid = dl.Grid.uniform(model, 20001)
-    prof = dl.curvature(model, grid)
-    least = float(np.minimum(prof.ricphi_rr, prof.ricphi_tan).min()) / (n - 1)
+    least = float(np.minimum(*_ricphi_sampled(model, grid.nodes)).min()) / (n - 1)
     c1, c2 = (list(coeffs) + [0.0, 0.0])[1:3]
     rho = length / math.pi
     rounding = 16.0 * np.finfo(float).eps * (n - 1 + abs(c1) + 6.0 * abs(c2)) \
@@ -348,18 +452,12 @@ def test_closed_form_ricci_lower_bound_is_the_sampled_minimum(n, length, coeffs)
 
 
 def test_ricci_lower_bound_refuses_a_model_outside_the_round_cos_family():
-    # a profile built by hand is not of the family's types, even with the
-    # callables of a family member, and a cosine of length pi on a sphere of
-    # length 2 pi is not a polynomial in cos(r/2): no closed form covers either
+    # a cosine of length L/3 is cos(3 r) on the unit sphere, not a quadratic
+    # in cos(r), and a cosine of length pi on a sphere of length 2 pi is not
+    # a polynomial in cos(r/2): no closed form covers either
     cos = dl.cosine_density(0.5)
-    hand_built = dl.RadialProfile(value=cos.value, d1=cos.d1, d2=cos.d2,
-                                  d3=lambda r: 0.5 * np.sin(np.asarray(r)))
     with pytest.raises(InapplicableBoundError, match="closed form"):
-        dl.be_ricci_lower_bound(dl.sphere(2, density=hand_built))
-    warp = dl.RoundWarp(math.pi)
-    hand_warp = dl.RadialProfile(value=warp.value, d1=warp.d1, d2=warp.d2, d3=warp.d3)
-    with pytest.raises(InapplicableBoundError, match="closed form"):
-        dl.be_ricci_lower_bound(dl.interval_sphere(2, math.pi, warp=hand_warp))
+        dl.be_ricci_lower_bound(dl.sphere(2, density=dl.cosine_density(0.5, math.pi / 3.0)))
     with pytest.raises(InapplicableBoundError, match="closed form"):
         dl.be_ricci_lower_bound(dl.sphere(3, radius=2.0, density=cos))
     # at the model's length the same cosine is in the family: min of
@@ -373,15 +471,14 @@ def test_ricci_lower_bound_refuses_a_model_outside_the_round_cos_family():
 
 
 def test_curvature_refuses_circles():
-    # curvature is an interval-sphere quantity, refused on circles as the
-    # pole limits are
+    # a circle has no warp, so neither K_eff nor the soliton ledger's
+    # curvature applies to it
     ring = dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi))
-    with pytest.raises(ValueError, match="interval-sphere models only"):
-        dl.curvature(ring, dl.Grid.uniform(ring, 64))
-    with pytest.raises(ValueError, match="interval-sphere models only"):
-        scalar_curvature_derivative(ring, np.linspace(0.1, 1.0, 5))
-    with pytest.raises(ValueError, match="interval-sphere models only"):
-        pole_curvature(ring)
+    assert ring.w is None
+    with pytest.raises(ValueError, match="circles"):
+        dl.be_ricci_lower_bound(ring)
+    with pytest.raises(ValueError, match="interval-sphere models"):
+        dl.SolitonCandidate(model=ring, f=ring.phi, gamma=1.0)
 
 
 @pytest.mark.parametrize("coeffs", [[0.5], [0.5, 0.0, 0.0]], ids=["c0", "c0-0-0"])
@@ -478,8 +575,7 @@ def test_non_unit_round_spheres_keep_the_closed_form(n):
     models = [dl.sphere(n, radius=radius) for radius in (0.7, 1.3, 3.0)]
     models.append(dl.interval_sphere(n, 2.5))
     for bare in models:
-        model = dl.interval_sphere(n, bare.L, warp=bare.w,
-                                   density=dl.CosPolynomial(LING, bare.L))
+        model = dl.interval_sphere(n, bare.L, density=dl.CosPolynomial(LING, bare.L))
         assert bare.w == model.w == dl.RoundWarp(model.L)
         rho = model.L / math.pi
         kb = dl.be_ricci_lower_bound(model)

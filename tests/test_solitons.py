@@ -12,7 +12,6 @@ from scipy.integrate import quad
 import driftlab as dl
 import driftlab.acceptance as acceptance
 import driftlab.runner as runner
-import driftlab.solitons as sol
 from driftlab.config import parse_config
 from driftlab.errors import PoleRegularityError
 
@@ -33,6 +32,25 @@ def test_einstein_spheres_are_exact_solitons():
         assert led.bianchi_sup < 1e-9
         assert led.constancy_std < 1e-9
         assert led.trace_sup < 1e-9
+
+
+@pytest.mark.parametrize("family", ["sphere", "stretched-sphere"])
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_einstein_residuals_are_exactly_zero(family, n):
+    # Ric = (n-1)/(L/pi)^2 g in closed form, the expression of the config's
+    # Einstein gamma, so every residual of f = 0 is exactly 0, not rounding
+    # noise, on unit and stretched spheres and at the config's own grid
+    fam = {"name": family, "n": [n], "density": {"name": "zero"}}
+    if family == "stretched-sphere":
+        fam["length"] = 2.5
+    config = parse_config({"schema_version": 1, "family": fam, "grids": [2000],
+                           "checks": ["soliton"],
+                           "soliton": {"gamma": "einstein", "f": {"name": "zero"}}})
+    row, = runner.run(config).rows
+    for column in ("soliton_resid_rr", "soliton_resid_tan", "bianchi_resid",
+                   "constancy_std", "trace_resid", "eigenid_resid"):
+        assert row[column] == 0.0, column
+    assert row["verdict_soliton"] is True
 
 
 def test_rescaled_sphere_matching_gamma():
@@ -152,13 +170,9 @@ def test_candidate_validation():
     model, grid = _grid(2)
     with pytest.raises(ValueError):
         dl.SolitonCandidate(model=model, f=dl.zero_density(), gamma=0.0)
-    sin_profile = dl.RadialProfile(
-        value=lambda r: np.sin(np.asarray(r, dtype=float)),
-        d1=lambda r: np.cos(np.asarray(r, dtype=float)),
-        d2=lambda r: -np.sin(np.asarray(r, dtype=float)),
-        d3=lambda r: -np.cos(np.asarray(r, dtype=float)))
+    # cos(r/2), a cosine of twice the model's length, has slope -1/2 at r = pi
     with pytest.raises(PoleRegularityError):
-        dl.SolitonCandidate(model=model, f=sin_profile, gamma=1.0)
+        dl.SolitonCandidate(model=model, f=dl.cosine_density(1.0, 2.0 * math.pi), gamma=1.0)
     with pytest.raises(ValueError):
         dl.SolitonCandidate(model=dl.circle(2 * math.pi), f=dl.zero_density(),
                             gamma=1.0)
@@ -189,8 +203,8 @@ def test_worst_residual_propagates_nan():
 def test_nan_residual_fails_criterion_8_and_the_runner(monkeypatch):
     # a NaN residual must fail every check that reads the ledger, not vanish
     # into a max() that keeps its first finite argument
-    monkeypatch.setattr(sol, "scalar_curvature_derivative",
-                        lambda model, r: np.full(np.shape(r), math.nan))
+    monkeypatch.setattr(dl.CosPolynomial, "d1",
+                        lambda self, r: np.full(np.shape(r), math.nan))
     crit = acceptance.criterion_soliton_checker()
     assert not crit.passed
     einstein = [row for row in crit.rows if row["quantity"] == "max_residual"]

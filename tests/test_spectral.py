@@ -168,8 +168,7 @@ def test_first_eigenvalue_perturbed_respects_lower_bound():
 def test_spectrum_contains_examples():
     model, grid = _sphere_grid(2, 1000)
     assert dl.spectrum_contains(model, grid, -2.0, 1e-3).contained
-    verdict = dl.spectrum_contains(model, grid, -3.0, 1e-3)
-    assert not verdict.contained and verdict.tolerance == 3e-3
+    assert not dl.spectrum_contains(model, grid, -3.0, 1e-3).contained
     # -2 is the closest level: a window of 1.02 around -3 reaches it
     assert dl.spectrum_contains(model, grid, -3.0, 0.34).contained
     assert dl.spectrum_contains(model, grid, 0.0, 1e-6).contained
@@ -182,7 +181,7 @@ def test_spectrum_contains_finds_deep_zonal_eigenvalues():
     target = -_top_modes(assemble(model, grid, 0), 9)[8].lam
     assert abs(target + 72.00475) < 1e-4
     verdict = dl.spectrum_contains(model, grid, target, 1e-6)
-    assert verdict.contained and verdict.tolerance == 1e-6 * abs(target)
+    assert verdict.contained
     assert verdict.count_used == 1  # no other sector has an eigenvalue in the window
     with pytest.raises(ValueError):
         dl.spectrum_contains(*_circle_grid(400, 0.5), -1.0, 1e-3)
@@ -197,14 +196,13 @@ def test_spectrum_contains_searches_every_sector():
     assert abs(target + 15.04998454) < 1e-8
     verdict = dl.spectrum_contains(model, grid, target, 1e-9)
     assert verdict.contained and verdict.count_used == 1
-    assert (verdict.contained, verdict.tolerance) == \
-        _eigh_tridiagonal_contains(model, grid, target, 1e-9)
+    assert _eigh_tridiagonal_contains(model, grid, target, 1e-9)
 
 
 def _eigh_tridiagonal_contains(model, grid, target, tol):
-    """(contained, tolerance) of spectrum_contains through eigh_tridiagonal:
-    per sector l = 0, 1, 2, ... the eigenvalues above target - window and
-    the one just below, up to the first sector with none above."""
+    """spectrum_contains's verdict through eigh_tridiagonal: per sector
+    l = 0, 1, 2, ... the eigenvalues above target - window and the one just
+    below, up to the first sector with none above."""
     window = tol * max(1.0, abs(target))
     mus = []
     for l in itertools.count():
@@ -219,7 +217,7 @@ def _eigh_tridiagonal_contains(model, grid, target, tol):
         mus.extend(upper)
         if not upper.size:
             break
-    return bool(np.min(np.abs(np.array(mus) - target)) <= window), window
+    return bool(np.min(np.abs(np.array(mus) - target)) <= window)
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,8 +230,7 @@ def test_spectrum_contains_matches_eigh_tridiagonal_bitwise(model_grid, l, k, sh
     model, grid = model_grid
     target = -_top_modes(assemble(model, grid, l), k)[-1].lam * (1.0 + shift)
     verdict = dl.spectrum_contains(model, grid, target, tol)
-    assert (verdict.contained, verdict.tolerance) == \
-        _eigh_tridiagonal_contains(model, grid, target, tol)
+    assert verdict.contained == _eigh_tridiagonal_contains(model, grid, target, tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,7 +271,6 @@ def test_spectrum_contains_matches_dense_spectra(model_grid, l, k, tol, at):
             target = mu + sign * tol
     verdict = dl.spectrum_contains(model, grid, target, tol)
     window = tol * max(1.0, abs(target))
-    assert verdict.tolerance == window
     for sector in itertools.count(3):
         if spectra[-1][0] < target - window - slack:
             break
@@ -289,23 +285,26 @@ def test_spectrum_contains_matches_dense_spectra(model_grid, l, k, tol, at):
 @pytest.mark.parametrize("node", [0, 3, 7], ids=["first", "middle", "last"])
 def test_spectrum_contains_counts_both_window_ends(node, monkeypatch):
     # a diagonal operator: every pivot of a Sturm count is d_i - x, whose sign
-    # rounding keeps, so the counts are exact.  An eigenvalue at either end of
-    # the closed window [-4.5, -3.5] around -4 is contained, and one ulp
-    # outside it is not, at any node.  One ulp below the window the entry
-    # equals the count's lower end, so its pivot there is zero.  The
-    # potentials of l = 1, 2 move the entry down by more than the window's
-    # width (1 / w^2 >= 1), so only l = 0 counts it
+    # rounding keeps, so the counts are exact.  The window is tol |target|
+    # wide for |target| >= 1 and tol wide below: an eigenvalue at either end
+    # of the closed window, [-4.5, -3.5] around -4 or [-0.625, -0.375]
+    # around -0.5 (tol = 0.125), is contained, and one a float outside it is
+    # not, at any node.  One float below the window the entry equals the
+    # count's lower end, so its pivot there is zero.  The potentials of
+    # l = 1, 2 move the entry down by more than the window's width
+    # (1 / w^2 >= 1), so only l = 0 counts it
     model, grid = _sphere_grid(2, 8)
     zonal = assemble(model, grid, 0)
-    for end, outside in ((-4.5, -math.inf), (-3.5, 0.0)):
-        for mu, count in ((end, 1), (math.nextafter(end, outside), 0)):
-            diag = np.full(grid.size, -1e6)
-            diag[node] = mu
-            problem = spectral.replace(zonal, diag=diag, off_diag=np.zeros(grid.size - 1))
-            monkeypatch.setattr(spectral, "assemble", lambda *args: problem)
-            verdict = dl.spectrum_contains(model, grid, -4.0, 0.125)
-            assert (verdict.contained, verdict.tolerance, verdict.count_used) == \
-                (count == 1, 0.5, count)
+    for target, ends in ((-4.0, (-4.5, -3.5)), (-0.5, (-0.625, -0.375))):
+        for end, outside in zip(ends, (-math.inf, 0.0)):
+            for mu, count in ((end, 1), (math.nextafter(end, outside), 0)):
+                diag = np.full(grid.size, -1e6)
+                diag[node] = mu
+                problem = spectral.replace(zonal, diag=diag, off_diag=np.zeros(grid.size - 1))
+                monkeypatch.setattr(spectral, "assemble", lambda *args: problem)
+                verdict = dl.spectrum_contains(model, grid, target, 0.125)
+                assert (verdict.contained, verdict.count_used) == (count == 1, count), \
+                    (target, mu)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -924,7 +923,7 @@ model = dl.sphere(3, density=dl.cosine_density(0.7))
 fe = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 100000))
 nef = dl.normalize(fe, K=dl.be_ricci_lower_bound(model).K)
 arrays = (fe.u, nef.v_rad, nef.dv_rad)
-print(repr((fe.lam, fe.l, fe.error_estimate, nef.k, nef.a, nef.residual_inf,
+print(repr((fe.lam, fe.l, fe.error_estimate, nef.k, nef.a, nef.residual_rel,
             hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())))
 """
 
