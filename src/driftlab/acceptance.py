@@ -74,14 +74,14 @@ def criterion_spectral_accuracy() -> CriterionResult:
     res = CriterionResult(1, "spectral accuracy and convergence order on round spheres")
     for n in (2, 3, 4, 5):
         model = sphere(n)
-        fe = first_nonzero_eigenvalue(model, Grid.uniform(model, ACCURACY_N))
+        fe = first_nonzero_eigenvalue(Grid.uniform(model, ACCURACY_N))
         err = abs(fe.lam - n)
         ok = err <= 1e-3
         res.check(f"S^{n}:N={ACCURACY_N}", "lambda1", fe.lam, float(n), 1e-3, ok)
         res.details.append(f"lambda1(S^{n}) = {fe.lam:.9f}, |err| = {err:.3e}")
         errs = []
         for N in CONVERGENCE_NS:
-            fe_n = first_nonzero_eigenvalue(model, Grid.uniform(model, N))
+            fe_n = first_nonzero_eigenvalue(Grid.uniform(model, N))
             errs.append(abs(fe_n.lam - n))
         slope = float(np.polyfit(np.log([model.L / N for N in CONVERGENCE_NS]),
                                  np.log(errs), 1)[0])
@@ -107,7 +107,7 @@ def criteria_cosine_family() -> tuple[CriterionResult, CriterionResult, Criterio
     for n in SWEEP_DIMS:
         for eps in EPS_VALUES:
             model = sphere(n, density=cosine_density(eps))
-            fe = first_nonzero_eigenvalue(model, Grid.uniform(model, SWEEP_N))
+            fe = first_nonzero_eigenvalue(Grid.uniform(model, SWEEP_N))
             K = be_ricci_lower_bound(model).K
             nef = est.normalize(fe, K=K, b=1.01)
             gm = est.gradient_estimate_margin(nef)
@@ -140,7 +140,7 @@ def criterion_barrier_dominance() -> CriterionResult:
     res = CriterionResult(5, "barrier dominance for the symmetric zonal mode")
     model = sphere(2)
     grid = Grid.uniform(model, SWEEP_N)
-    mode, = _bisect(assemble(model, grid, 0), SWEEP_N - 1, SWEEP_N - 1)  # first non-zero
+    mode, = _bisect(assemble(grid, 0), SWEEP_N - 1, SWEEP_N - 1)  # first non-zero
     kb = be_ricci_lower_bound(model)
     nef = est.normalize(mode, K=kb.K, b=1.01)
     ok_a = abs(nef.a) <= 1e-8
@@ -222,17 +222,15 @@ def criterion_soliton_checker() -> CriterionResult:
     t0 = time.perf_counter()
     res = CriterionResult(8, "soliton checker on Einstein data and perturbations")
     for n in (2, 3, 4):
-        model = sphere(n)
-        grid = Grid.uniform(model, SWEEP_N)
-        cand = sol.SolitonCandidate(model=model, f=model.phi, gamma=float(n - 1))
-        worst = sol.soliton_ledger(cand, grid).worst
+        cand = sol.SolitonCandidate(Grid.uniform(sphere(n), SWEEP_N), gamma=float(n - 1))
+        worst = sol.soliton_ledger(cand).worst
         res.check(f"S^{n}:einstein", "max_residual", worst, 0.0, 1e-8, worst < 1e-8)
         res.details.append(f"S^{n} Einstein: worst residual {worst:.3e}")
 
-    model = sphere(2)
-    grid = Grid.uniform(model, SWEEP_N)
-    pert = sol.SolitonCandidate(model=model, f=cosine_density(0.1), gamma=1.0)
-    led = sol.soliton_ledger(pert, grid)
+    # the perturbation is the model's density, f = 0.1 cos r
+    pert = sol.SolitonCandidate(Grid.uniform(sphere(2, density=cosine_density(0.1)), SWEEP_N),
+                                gamma=1.0)
+    led = sol.soliton_ledger(pert)
     for name, value, expected in (("residual_rr", led.radial, 0.1),
                                   ("residual_tan", led.tangential, 0.1),
                                   ("trace_residual", led.trace_sup, 0.2)):
@@ -241,8 +239,9 @@ def criterion_soliton_checker() -> CriterionResult:
     res.details.append(
         f"perturbation: rr={led.radial:.6f}, tan={led.tangential:.6f}, trace={led.trace_sup:.6f}")
 
-    shifted = pert.f.shifted(sol.normalize_f(pert, grid))
-    again = sol.normalize_f(sol.SolitonCandidate(model=model, f=shifted, gamma=1.0), grid)
+    shifted = pert.grid.model.phi.shifted(sol.normalize_f(pert))
+    again = sol.normalize_f(
+        sol.SolitonCandidate(Grid.uniform(sphere(2, density=shifted), SWEEP_N), gamma=1.0))
     ok = abs(again) <= 1e-14
     res.check("S^2:f=0.1cos", "shift_idempotency", again, 0.0, 1e-14, ok)
     res.runtime_s = time.perf_counter() - t0

@@ -7,8 +7,8 @@ every level, because a silently ignored typo can corrupt an entire sweep, and
 so is a key the named family (``FAMILY_KEYS``) or density (``DENSITY_KEYS``)
 does not take.  Every family resolves to one length ``L``, ``length`` or
 ``pi * radius``: the round warp of length ``L`` is the round sphere of radius
-``L/pi``, whose Einstein constant is ``(n-1)/(L/pi)^2``.  Each density, and the
-soliton potential, resolves to one (label, coefficients) pair per instance.
+``L/pi``, whose Einstein constant is ``(n-1)/(L/pi)^2``.  Each density, also
+the soliton potential, resolves to one (label, coefficients) pair per instance.
 Two retired keys are still read, so that older version-1 files parse:
 ``l_max`` (an integer >= 1) and ``workers`` (exactly 1).  Neither selects
 anything, and any other value is a config error.
@@ -37,12 +37,12 @@ DENSITY_KEYS = {"zero": (), "cosine": ("eps",), "poly-cos": ("coeffs",)}  # beyo
 # to each, where a dict lookup would raise TypeError
 MANIFOLD_FAMILIES = tuple(FAMILY_KEYS)
 DENSITY_FAMILIES = tuple(DENSITY_KEYS)
-PERIODIC_DENSITIES = ("zero", "cosine")  # the densities a circle and a soliton potential take
+PERIODIC_DENSITIES = ("zero", "cosine")  # the densities a circle takes
 CHECK_NAMES = ("spectrum", "bounds", "estimates", "soliton")
 FORMATS = ("csv", "json")
 
 DEFAULT_TOLERANCES = {
-    "spectrum": 1e-3,
+    "spectrum": 1e-3,  # the soliton check's membership window; the spectrum check reads none
     "bound_margin": 1e-6,
     "gradient": 1e-2,
     "dominance": 1e-2,
@@ -112,7 +112,6 @@ class DensitySpec:
 
 @dataclass(frozen=True)
 class SolitonSpec:
-    f: tuple[float, ...]  # the potential's coefficients in cos(pi r / L)
     gamma: float | str  # a number, or "einstein" for (n-1)/(L/pi)^2
 
 
@@ -153,8 +152,8 @@ class InstanceSpec:
         return f"{self.family}:n={self.n}:density={self.density_label}:N={self.N}"
 
 
-def _parse_density(obj, where: str, known: tuple, sweep: bool) -> DensitySpec:
-    """A density section; a sweep takes a list of cosine amplitudes, a potential one."""
+def _parse_density(obj, where: str, known: tuple) -> DensitySpec:
+    """A density section; a cosine takes a list of amplitudes, or one."""
     obj = {"name": "zero"} if obj is None else obj
     _require_keys(obj, where, ("name",), ("eps", "coeffs"))
     name = obj["name"]
@@ -163,7 +162,7 @@ def _parse_density(obj, where: str, known: tuple, sweep: bool) -> DensitySpec:
     # each family reads only its own parameter; a stray one would be silently ignored
     _require_keys(obj, f"the {name} family of {where}", ("name",) + DENSITY_KEYS[name], ())
     if name == "cosine":
-        eps = _as_list(obj["eps"] if sweep else [obj["eps"]], f"{where}.eps", float)
+        eps = _as_list(obj["eps"], f"{where}.eps", float)
         return DensitySpec(eps, tuple((f"cosine({e:g})", (0.0, e)) for e in eps))
     if name == "zero":
         return DensitySpec((0.0,), (("zero", (0.0,)),))
@@ -202,7 +201,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         L = math.pi * _scalar(fam.get("radius", 1.0), "family.radius", float, _positive,
                               "must be positive")
     density = _parse_density(fam.get("density"), "family.density",
-                             PERIODIC_DENSITIES if circle else DENSITY_FAMILIES, True)
+                             PERIODIC_DENSITIES if circle else DENSITY_FAMILIES)
 
     checks = _names(data["checks"], "checks", "check", CHECK_NAMES)
     grids = _as_list(data.get("grids", 1000), "grids", int)
@@ -222,13 +221,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     soliton = None
     if data.get("soliton") is not None:
         sob = data["soliton"]
-        _require_keys(sob, "soliton", ("gamma",), ("f",))
-        f = _parse_density(sob.get("f"), "soliton.f", PERIODIC_DENSITIES, False)
+        _require_keys(sob, "soliton", ("gamma",), ())
         gamma = sob["gamma"]
         if gamma != "einstein":
             gamma = _scalar(gamma, "soliton.gamma", float, _positive,
                             "must be positive or the string 'einstein'")
-        soliton = SolitonSpec(f=f.choices[0][1], gamma=gamma)
+        soliton = SolitonSpec(gamma=gamma)
     if "soliton" in checks and soliton is None:
         raise ConfigError("the 'soliton' check needs a 'soliton' section")
 
@@ -282,11 +280,7 @@ def build_model(config: ExperimentConfig, inst: InstanceSpec) -> geometry.Warped
                                     density=geometry.CosPolynomial(inst.coeffs, config.L))
 
 
-def build_soliton_potential(config: ExperimentConfig, model) -> geometry.CosPolynomial:
-    return geometry.CosPolynomial(config.soliton.f, model.L)
-
-
-def soliton_gamma(config: ExperimentConfig, n: int) -> float:
+def soliton_gamma(config: ExperimentConfig, model: geometry.WarpedManifold) -> float:
     if config.soliton.gamma == "einstein":
-        return (n - 1) / (config.L / math.pi) ** 2  # the warp radius is L/pi
+        return geometry.einstein_constant(model)
     return config.soliton.gamma

@@ -56,8 +56,8 @@ import numpy as np
 
 from .errors import (BarrierDomainError, BarrierHypothesisError,
                      DegenerateEigenfunctionError)
-from .geometry import CIRCLE, Grid, WarpedManifold
-from .spectral import EigenMode
+from .geometry import Grid
+from .spectral import EigenMode, norm_bound
 
 HALF_PI = math.pi / 2.0
 
@@ -179,7 +179,6 @@ class NormalizedEigenfunction:
     infinity norm, which rounding scales with.
     """
 
-    model: WarpedManifold
     grid: Grid
     l: int
     lam: float
@@ -197,7 +196,7 @@ class NormalizedEigenfunction:
 
     @property
     def alpha(self) -> float:
-        return 0.5 * (self.model.n - 1) * self.K
+        return 0.5 * (self.grid.model.n - 1) * self.K
 
     @property
     def delta(self) -> float:
@@ -206,7 +205,8 @@ class NormalizedEigenfunction:
     @cached_property
     def equator_grad_sq(self) -> np.ndarray:
         """A = (R/w)^2: |grad v|^2 on the fiber equator x = 0 of an l = 1 mode."""
-        return (self.v_rad / np.asarray(self.model.w.value(self.grid.nodes), dtype=float)) ** 2
+        w = self.grid.model.w.value(self.grid.nodes)
+        return (self.v_rad / np.asarray(w, dtype=float)) ** 2
 
     def samples(self) -> tuple[np.ndarray, np.ndarray, float | None]:
         """(v, |grad v|^2) at the points of the manifold where, row by row,
@@ -250,12 +250,12 @@ def normalize(mode: EigenMode, K: float, b: float = 1.01) -> NormalizedEigenfunc
         raise DegenerateEigenfunctionError(
             f"eigenvalue lam={lam:.3e} does not define a first non-zero mode")
     problem = mode.problem
-    model, grid = problem.model, problem.grid
-    if model.topology == CIRCLE:
+    if problem.periodic:
         raise ValueError("the (n-1) K normalization degenerates on 1-dimensional circles")
     if mode.l > 1:
         raise DegenerateEigenfunctionError(
             f"an l = {mode.l} mode is not a first eigenfunction (lambda_1 lies in l <= 1)")
+    grid = problem.grid
     u = np.array(mode.u, dtype=float)
     umax, umin = float(u.max()), float(u.min())
     if umax - umin <= 1e-12 * max(1.0, abs(umax)):
@@ -274,13 +274,10 @@ def normalize(mode: EigenMode, K: float, b: float = 1.01) -> NormalizedEigenfunc
         v_rad = (u - (1.0 - k) / 2.0) / ((1.0 + k) / 2.0)
 
     residual = float(np.max(np.abs(problem.apply(v_rad) + lam * (v_rad + a))))
-    # bound on the operator's infinity norm, which rounding in the residual scales with
-    op_norm = float(np.abs(problem.diag).max() + 2.0 * np.abs(problem.off_diag).max())
-
     return NormalizedEigenfunction(
-        model=model, grid=grid, l=mode.l, lam=lam, k=k, a=a, b=float(b), K=float(K),
+        grid=grid, l=mode.l, lam=lam, k=k, a=a, b=float(b), K=float(K),
         v_rad=v_rad, dv_rad=_sample_derivative(v_rad, grid.spacing),
-        residual_rel=residual / op_norm,
+        residual_rel=residual / norm_bound(problem),
     )
 
 

@@ -190,6 +190,12 @@ def circle(circumference: float, density: CosPolynomial | None = None,
     )
 
 
+def einstein_constant(model: WarpedManifold) -> float:
+    """Ric = (n-1)/rho^2, rho = L/pi: the round warp's Ricci curvature in
+    every direction, and so the gamma of its Einstein soliton."""
+    return (model.n - 1) / (model.L / math.pi) ** 2
+
+
 def unit_fiber_area(n: int) -> float:
     """Area of the unit fiber: Vol(S^{n-1}) = 2 pi^{n/2} / Gamma(n/2); 1 for circles."""
     if n == 1:
@@ -199,7 +205,7 @@ def unit_fiber_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered grid with quadrature weights for the weighted measure.
+    """Uniform cell-centered grid on ``model``, whose weighted measure it integrates.
 
     Cell centers sit at (i + 1/2) h for the interval topology, so no node ever
     touches a pole; the circle uses nodes at i h with periodic wrap.  The
@@ -209,6 +215,7 @@ class Grid:
     the operator assembly share.
     """
 
+    model: WarpedManifold
     nodes: np.ndarray
     spacing: float
     weights: np.ndarray
@@ -234,8 +241,8 @@ class Grid:
         else:
             nodes = np.arange(count) * h
         rho = measure_density(model, nodes)
-        return Grid(nodes=nodes, spacing=h, weights=weighted_measure(model, rho, h),
-                    density=rho)
+        return Grid(model=model, nodes=nodes, spacing=h,
+                    weights=unit_fiber_area(model.n) * rho * h, density=rho)
 
 
 def measure_density(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
@@ -244,12 +251,6 @@ def measure_density(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
     if model.topology == INTERVAL_SPHERE:
         return np.asarray(model.w.value(r)) ** (model.n - 1) * np.exp(-np.asarray(model.phi.value(r)))
     return np.exp(-np.asarray(model.phi.value(r)))
-
-
-def weighted_measure(model: WarpedManifold, density: np.ndarray, spacing: float) -> np.ndarray:
-    """Quadrature weights for integrating against the weighted volume measure,
-    from the measure density at the nodes and the node spacing."""
-    return unit_fiber_area(model.n) * density * spacing
 
 
 def integrate(grid: Grid, samples: np.ndarray) -> float:

@@ -16,10 +16,9 @@ import math
 from . import bounds as bounds_mod
 from . import estimates as est
 from . import solitons as sol
-from .config import (ExperimentConfig, InstanceSpec, build_model,
-                     build_soliton_potential, soliton_gamma)
+from .config import ExperimentConfig, InstanceSpec, build_model, soliton_gamma
 from .errors import InapplicableBoundError, SolverError
-from .geometry import CIRCLE, Grid, WarpedManifold, be_ricci_lower_bound, diameter
+from .geometry import CIRCLE, Grid, be_ricci_lower_bound, diameter
 from .reports import (ERROR, FAIL, INAPPLICABLE, PASS, BoundsCheck, Check,
                       EstimatesCheck, InstanceRecord, InstanceResult, RunReport,
                       SolitonCheck, environment_stamp)
@@ -75,11 +74,12 @@ def _estimates_check(config: ExperimentConfig, nef: est.NormalizedEigenfunction 
         holder_margin=ledger.margin_holder)
 
 
-def _soliton_check(config: ExperimentConfig, model: WarpedManifold, grid: Grid) -> SolitonCheck:
-    gamma = soliton_gamma(config, model.n)
-    cand = sol.SolitonCandidate(model=model, f=build_soliton_potential(config, model),
-                                gamma=gamma)
-    led = sol.soliton_ledger(cand, grid, tol=config.tolerances["spectrum"])
+def _soliton_check(config: ExperimentConfig, grid: Grid) -> SolitonCheck:
+    """The soliton residuals of the instance's model, whose density is the potential.
+    The ``spectrum`` tolerance is the membership window for -2 gamma."""
+    gamma = soliton_gamma(config, grid.model)
+    cand = sol.SolitonCandidate(grid=grid, gamma=gamma)
+    led = sol.soliton_ledger(cand, tol=config.tolerances["spectrum"])
     return SolitonCheck(
         PASS if led.worst < config.tolerances["soliton"] else FAIL, soliton_gamma=gamma,
         soliton_resid_rr=led.radial, soliton_resid_tan=led.tangential,
@@ -97,7 +97,7 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
     why = ""  # why bounds and estimates do not apply
     no_case = ""  # why the estimates have no barrier
     if any(c in config.checks for c in ("spectrum", "bounds", "estimates")):
-        fe = first_nonzero_eigenvalue(model, grid)
+        fe = first_nonzero_eigenvalue(grid)
         shared.update(lambda1=fe.lam, lambda1_mode=fe.l,
                       lambda1_err_est=fe.error_estimate)
         if model.topology == CIRCLE:
@@ -123,7 +123,7 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
               "bounds": lambda: _bounds_check(config, record, case, why),
               "estimates": lambda: _estimates_check(config, nef, case, record.d,
                                                     why or no_case),
-              "soliton": lambda: _soliton_check(config, model, grid)}
+              "soliton": lambda: _soliton_check(config, grid)}
     return InstanceResult(record, {name: checks[name]() for name in config.checks})
 
 

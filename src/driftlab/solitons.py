@@ -1,6 +1,6 @@
 """Verification of the gradient shrinking soliton equation and its identities.
 
-A candidate triple (model, f, gamma) is a gradient shrinking soliton when
+A candidate (M, g, f) with constant gamma is a gradient shrinking soliton when
 
     Ric - gamma g + Hess f = 0,   gamma > 0.
 
@@ -23,11 +23,13 @@ potential is an eigenfunction of its own drift Laplacian:
 
     Delta_f f = Delta f - |grad f|^2 = -2 gamma f.
 
-Every candidate lives on the round warp of length L, whose curvature is
-closed-form: Ric = (n-1)/rho^2 g with rho = L/pi, in every direction and at
-the poles, R = n Ric and dR/dr = 0.  ``soliton_ledger`` takes these and the
-derivatives of f, evaluated once, and returns one ``SolitonLedger`` with every
-residual: ``radial`` and ``tangential`` (the equation), ``bianchi_sup``,
+A candidate is a grid and gamma: the grid's model is the weighted manifold
+(M, g, e^{-f}), whose density is the potential f.  It lives on the round warp
+of length L, whose curvature is closed-form (``geometry.einstein_constant``):
+Ric = (n-1)/rho^2 g with rho = L/pi, in every direction and at the poles,
+R = n Ric and dR/dr = 0.  ``soliton_ledger`` takes these and the derivatives
+of f, evaluated once, and returns one ``SolitonLedger`` with every residual:
+``radial`` and ``tangential`` (the equation), ``bianchi_sup``,
 ``constancy_std`` and ``trace_sup`` (the identities), ``eigen_residual`` (the
 eigen-relation), the normalization ``shift``, the spectral ``membership`` of
 -2 gamma and the ``vacuous`` flag; ``worst`` is the largest residual, NaN if
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleRegularityError
-from .geometry import INTERVAL_SPHERE, CosPolynomial, Grid, WarpedManifold, unit_fiber_area
+from .geometry import INTERVAL_SPHERE, Grid, einstein_constant, unit_fiber_area
 from .spectral import MembershipVerdict, spectrum_contains
 
 _POLE_TOL = 1e-8
@@ -54,46 +56,41 @@ _POLE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SolitonCandidate:
-    """A proposed gradient shrinking soliton (model, potential f, gamma)."""
+    """A proposed gradient shrinking soliton: the grid's model, whose density
+    is the potential f, and gamma."""
 
-    model: WarpedManifold
-    f: CosPolynomial
+    grid: Grid
     gamma: float
 
     def __post_init__(self):
-        if self.model.topology != INTERVAL_SPHERE:
+        model = self.grid.model
+        if model.topology != INTERVAL_SPHERE:
             raise ValueError("soliton candidates are supported on interval-sphere models")
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise ValueError("shrinking solitons need gamma > 0")
-        ends = np.array([0.0, self.model.L])
-        slopes = np.asarray(self.f.d1(ends), dtype=float)
+        ends = np.array([0.0, model.L])
+        slopes = np.asarray(model.phi.d1(ends), dtype=float)
         if np.max(np.abs(slopes)) > _POLE_TOL:
             raise PoleRegularityError(
                 f"potential slope must vanish at the poles for grad f to be smooth; "
                 f"got f'(0)={slopes[0]:.3e}, f'(L)={slopes[1]:.3e}")
 
-    def drift_model(self) -> WarpedManifold:
-        """The weighted manifold whose density is the soliton potential itself."""
-        return WarpedManifold(topology=self.model.topology, n=self.model.n,
-                              L=self.model.L, phi=self.f,
-                              name=f"{self.model.label}+potential")
 
-
-def normalize_f(cand: SolitonCandidate, grid: Grid) -> float:
+def normalize_f(cand: SolitonCandidate) -> float:
     """The shift s = -(int f e^{-f} dV)/(int e^{-f} dV) that makes
-    int (f + s) e^{-(f + s)} dV vanish; ``cand.f.shifted(s)`` is the
-    normalized potential.
+    int (f + s) e^{-(f + s)} dV vanish; ``cand.grid.model.phi.shifted(s)``
+    is the normalized potential.
 
     The shifted constraint factors as e^{-s} (int f e^{-f} + s int e^{-f}) = 0,
     so one shift lands exactly on the normalization; re-running on the
     shifted potential returns a shift of zero up to rounding.
     """
-    r = grid.nodes
-    fv = np.asarray(cand.f.value(r), dtype=float)
+    grid = cand.grid
+    model, r = grid.model, grid.nodes
+    fv = np.asarray(model.phi.value(r), dtype=float)
     # plain metric volume element, density handled explicitly
-    vol = unit_fiber_area(cand.model.n) \
-        * np.asarray(cand.model.w.value(r), dtype=float) ** (cand.model.n - 1) \
-        * grid.spacing
+    vol = unit_fiber_area(model.n) \
+        * np.asarray(model.w.value(r), dtype=float) ** (model.n - 1) * grid.spacing
     ef = np.exp(-fv)
     return -float(np.sum(vol * fv * ef)) / float(np.sum(vol * ef))
 
@@ -126,18 +123,18 @@ class SolitonLedger:
                              self.constancy_std, self.trace_sup, self.eigen_residual]))
 
 
-def soliton_ledger(cand: SolitonCandidate, grid: Grid, tol: float = 1e-3) -> SolitonLedger:
+def soliton_ledger(cand: SolitonCandidate, tol: float = 1e-3) -> SolitonLedger:
     """All residuals of the candidate from the closed-form curvature and one
-    evaluation of f.
+    evaluation of f on its grid.
 
-    Ric is (n-1)/(L/pi)^2, the expression of ``config.soliton_gamma``'s
-    Einstein gamma, so an Einstein candidate's residuals are exactly 0.
-    ``tol`` is the spectral membership tolerance for -2 gamma.
+    Ric is ``einstein_constant``, which is also the config's Einstein gamma,
+    so an Einstein candidate's residuals are exactly 0.  ``tol`` is the
+    spectral membership tolerance for -2 gamma.
     """
-    model, f, gamma = cand.model, cand.f, cand.gamma
-    n = model.n
-    r = grid.nodes
-    ric = (n - 1) / (model.L / math.pi) ** 2  # in every direction, at the poles too
+    grid, gamma = cand.grid, cand.gamma
+    model, r = grid.model, grid.nodes
+    f, n = model.phi, model.n
+    ric = einstein_constant(model)  # in every direction, at the poles too
     scalar = n * ric
     fv = np.asarray(f.value(r), dtype=float)
     f1 = np.asarray(f.d1(r), dtype=float)
@@ -161,11 +158,9 @@ def soliton_ledger(cand: SolitonCandidate, grid: Grid, tol: float = 1e-3) -> Sol
                             scalar - n * gamma + n * f2_poles])
 
     # the shift changes neither f' nor Delta f, only the values
-    shift = normalize_f(cand, grid)
+    shift = normalize_f(cand)
     f_norm = fv + shift
-    drift_model = cand.drift_model()
-    membership = spectrum_contains(drift_model, Grid.uniform(drift_model, grid.size),
-                                   -2.0 * gamma, tol)
+    membership = spectrum_contains(grid, -2.0 * gamma, tol)
     return SolitonLedger(
         radial=float(np.max(np.abs(radial))),
         tangential=float(np.max(np.abs(tangential))),

@@ -55,7 +55,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import AssemblyError, SolverError
-from .geometry import CIRCLE, INTERVAL_SPHERE, Grid, WarpedManifold, measure_density
+from .geometry import CIRCLE, INTERVAL_SPHERE, Grid, measure_density
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ class SpectralProblem:
     ``diag``/``off_diag`` store the symmetrized tridiagonal form; ``corner``
     is the periodic wrap coupling (circles only).  ``sqrt_rho`` maps
     symmetrized eigenvectors back to eigenfunctions, u = y / sqrt(rho).
+    The operator is that of ``grid.model``.
     """
 
-    model: WarpedManifold
     grid: Grid
     l: int
     diag: np.ndarray
@@ -77,7 +77,7 @@ class SpectralProblem:
 
     @property
     def periodic(self) -> bool:
-        return self.model.topology == CIRCLE
+        return self.grid.model.topology == CIRCLE
 
     @property
     def size(self) -> int:
@@ -102,9 +102,9 @@ class SpectralProblem:
             return self
         if self.periodic:
             raise AssemblyError("a circle has no angular sectors l >= 1")
-        w = self.model.w.value(self.grid.nodes)
-        potential = np.asarray(w, dtype=float) ** 2
-        np.divide(angular_eigenvalue(self.model.n, l), potential, out=potential)
+        model = self.grid.model
+        potential = np.asarray(model.w.value(self.grid.nodes), dtype=float) ** 2
+        np.divide(angular_eigenvalue(model.n, l), potential, out=potential)
         if not np.all(np.isfinite(potential)):
             raise AssemblyError(
                 "angular potential overflows at the poles; grid nodes must stay interior")
@@ -120,11 +120,13 @@ def angular_eigenvalue(n: int, l: int) -> float:
     return float(l * (l + n - 2))
 
 
-def assemble(model: WarpedManifold, grid: Grid, l: int) -> SpectralProblem:
-    """Assemble the symmetric tridiagonal operator for angular mode l.
+def assemble(grid: Grid, l: int) -> SpectralProblem:
+    """Assemble the symmetric tridiagonal operator of the grid's model for
+    angular mode l.
 
     An interval sector l >= 1 is the l = 0 operator less its angular
     potential (``SpectralProblem.sector``)."""
+    model = grid.model
     if l < 0 or int(l) != l or (l and model.topology == CIRCLE):
         raise AssemblyError(f"angular mode must be a nonnegative integer, 0 on a circle, got {l!r}")
     l = int(l)
@@ -154,7 +156,7 @@ def assemble(model: WarpedManifold, grid: Grid, l: int) -> SpectralProblem:
         off = coupling[:-1] / np.sqrt(rho_c[:-1] * rho_c[1:])
         corner = float(coupling[-1] / math.sqrt(rho_c[-1] * rho_c[0]))
 
-    problem = SpectralProblem(model=model, grid=grid, l=0, diag=diag, off_diag=off,
+    problem = SpectralProblem(grid=grid, l=0, diag=diag, off_diag=off,
                               corner=corner, sqrt_rho=np.sqrt(rho_c))
     return problem.sector(l)
 
@@ -178,13 +180,19 @@ class EigenMode:
         on spheres, injection on circles); NaN below 8 nodes.  Its error is
         quadratic in the O(h^2) interpolation error, so it stands in for a
         half-resolution eigensolve."""
-        model, grid = self.problem.model, self.problem.grid
+        grid = self.problem.grid
         if grid.size < 8:
             return math.nan
-        coarse = assemble(model, Grid.uniform(model, grid.size // 2), self.l)
-        period = model.L if self.problem.periodic else None
+        coarse = assemble(Grid.uniform(grid.model, grid.size // 2), self.l)
+        period = grid.model.L if self.problem.periodic else None
         u = np.interp(coarse.grid.nodes, grid.nodes, self.u, period=period)
         return abs(self.lam - _rayleigh_quotient(coarse, u)) / 3.0
+
+
+def norm_bound(problem: SpectralProblem | _MirrorSector) -> float:
+    """max|d| + 2 max|e|: a bound on the infinity norm of a symmetric
+    tridiagonal sector, which rounding in its eigenvalues scales with."""
+    return float(np.max(np.abs(problem.diag)) + 2.0 * np.max(np.abs(problem.off_diag)))
 
 
 def _normalized(problem: SpectralProblem, y: np.ndarray) -> np.ndarray:
@@ -344,13 +352,15 @@ def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
     if problem.periodic:
         energy += problem.corner * s[-1] * s[0] * (u[0] - u[-1]) ** 2
     if problem.l:
-        w = np.asarray(problem.model.w.value(problem.grid.nodes), dtype=float)
-        energy += angular_eigenvalue(problem.model.n, problem.l) * float(np.sum(rho_u2 / w**2))
+        model = problem.grid.model
+        w = np.asarray(model.w.value(problem.grid.nodes), dtype=float)
+        energy += angular_eigenvalue(model.n, problem.l) * float(np.sum(rho_u2 / w**2))
     return energy / float(np.sum(rho_u2))
 
 
-def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid) -> EigenMode:
-    """Smallest lambda > 0 with Delta_phi u = -lambda u, searched over l = 0, 1.
+def first_nonzero_eigenvalue(grid: Grid) -> EigenMode:
+    """Smallest lambda > 0 with Delta_phi u = -lambda u on the grid's model,
+    searched over l = 0, 1.
 
     No sector l >= 2 can hold lambda_1: in symmetrized form
     S_l = S_1 - (c_l - c_1) diag(1/w^2), c_l = l(l+n-2), e.g. S_2 = S_1 - (n+1) diag(1/w^2),
@@ -384,11 +394,10 @@ def first_nonzero_eigenvalue(model: WarpedManifold, grid: Grid) -> EigenMode:
     a caller that reads only ``lam`` runs no inverse iteration, and one that
     reads ``lam`` and ``u`` assembles nothing at N // 2.
     """
-    base = assemble(model, grid, 0)
+    base = assemble(grid, 0)
     zonal, upper = _mirror_sectors(base) if base.periodic else (base, base.sector(1))
     top, = _bisect(upper, upper.diag.size, upper.diag.size)
-    margin = 16.0 * np.finfo(float).eps * float(
-        np.max(np.abs(zonal.diag)) + 2.0 * np.max(np.abs(zonal.off_diag)))
+    margin = 16.0 * np.finfo(float).eps * norm_bound(zonal)
     vl = -top.lam - margin
     count = _count(zonal, vl, math.inf)
     if count < 1:
@@ -417,9 +426,9 @@ class MembershipVerdict:
     count_used: int
 
 
-def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
-                      tol: float) -> MembershipVerdict:
-    """True iff some eigenvalue lies within tol * max(1, |target|) of target.
+def spectrum_contains(grid: Grid, target: float, tol: float) -> MembershipVerdict:
+    """True iff some eigenvalue of the grid's model lies within
+    tol * max(1, |target|) of target.
 
     Interval-sphere models only.  The sectors l = 0, 1, 2, ... each count
     their eigenvalues in the closed window [target - window, target + window]
@@ -441,6 +450,7 @@ def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
     finite and both window ends finite, else ValueError: a NaN would give a
     vacuous negative verdict, an infinite tol a vacuous positive one.
     """
+    model = grid.model
     if model.topology == CIRCLE:
         raise ValueError("spectrum_contains needs an interval-sphere model")
     if not math.isfinite(target):
@@ -455,7 +465,7 @@ def spectrum_contains(model: WarpedManifold, grid: Grid, target: float,
     if -angular_eigenvalue(model.n, MAX_SECTORS) / w2 > lower:
         raise ValueError(f"the window around {target!r} reaches below the top of sector "
                          f"l = {MAX_SECTORS}; at most {MAX_SECTORS} sectors are counted")
-    base = assemble(model, grid, 0)
+    base = assemble(grid, 0)
     count = 0
     for l in range(MAX_SECTORS):
         sector = base.sector(l)

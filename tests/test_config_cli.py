@@ -128,6 +128,7 @@ def test_parse_rejects_non_finite_and_non_integral(overrides, tmp_path, capsys):
     {"tolerances": [1]},
     {"tolerances": 0},
     {"soliton": 3},
+    # soliton.f is retired: the soliton potential is the family density
     {"soliton": {"gamma": 1.0, "f": []}},
     {"schema_version": True},
     # a parameter that the named family would silently ignore
@@ -136,11 +137,11 @@ def test_parse_rejects_non_finite_and_non_integral(overrides, tmp_path, capsys):
     {"family": {"name": "sphere", "n": [2], "density": {"name": "zero", "eps": [0.1]}}},
     {"family": {"name": "sphere", "n": [2],
                 "density": {"name": "cosine", "eps": [0.1], "coeffs": [0, -1]}}},
-    {"checks": ["soliton"], "soliton": {"gamma": 1.0, "f": {"name": "zero", "eps": 0.4}}},
-    # a cosine potential without its amplitude would run the zero potential
-    {"checks": ["soliton"], "soliton": {"gamma": 1.0, "f": {"name": "cosine"}}},
-    # a soliton potential takes one amplitude, a density a list of them
-    {"checks": ["soliton"], "soliton": {"gamma": 1.0, "f": {"name": "cosine", "eps": [0.1]}}},
+    {"checks": ["soliton"], "soliton": {"gamma": 1.0, "f": {"name": "zero"}}},
+    # gamma is required, positive, and a number or exactly "einstein"
+    {"checks": ["soliton"], "soliton": {}},
+    {"checks": ["soliton"], "soliton": {"gamma": 0.0}},
+    {"checks": ["soliton"], "soliton": {"gamma": "Einstein"}},
     {"family": {"name": "circle", "length": 6.0,
                 "density": {"name": "poly-cos", "coeffs": [0, -1]}}},
     # a null length used to parse, and then fail every instance
@@ -172,7 +173,6 @@ _CONFIG_KEYS = (
     + [("family", key) for key in ("name", "n", "radius", "length", "density")]
     + [("family", "density", key) for key in ("name", "eps", "coeffs")]
     + [("tolerances", "gradient"), ("soliton", "gamma"), ("soliton", "f"),
-       ("soliton", "f", "name"), ("soliton", "f", "eps"),
        ("output", "dir"), ("output", "formats")])
 
 
@@ -181,7 +181,7 @@ _CONFIG_KEYS = (
 def test_parse_config_fails_only_with_config_error(path, value):
     # any JSON value at any key either parses or is a config error (exit 2)
     data = _base_config(tolerances={"gradient": 0.05},
-                        soliton={"gamma": 1.0, "f": {"name": "cosine", "eps": 0.1}},
+                        soliton={"gamma": 1.0},
                         output={"dir": "out", "formats": ["csv"]})
     parent = data
     for key in path[:-1]:
@@ -281,13 +281,10 @@ def test_build_models():
 
 
 def test_soliton_gamma_resolution():
-    config = parse_config(_base_config(
-        checks=["soliton"],
-        soliton={"gamma": "einstein", "f": {"name": "zero"}}))
-    assert soliton_gamma(config, 3) == 2.0
-    fixed = parse_config(_base_config(
-        checks=["soliton"], soliton={"gamma": 1.5, "f": {"name": "cosine", "eps": 0.1}}))
-    assert soliton_gamma(fixed, 3) == 1.5
+    config = parse_config(_base_config(checks=["soliton"], soliton={"gamma": "einstein"}))
+    assert soliton_gamma(config, dl.sphere(3)) == 2.0
+    fixed = parse_config(_base_config(checks=["soliton"], soliton={"gamma": 1.5}))
+    assert soliton_gamma(fixed, dl.sphere(3)) == 1.5
 
 
 def test_einstein_gamma_uses_the_warp_radius_of_stretched_spheres():
@@ -297,10 +294,11 @@ def test_einstein_gamma_uses_the_warp_radius_of_stretched_spheres():
         config = parse_config(_base_config(
             family={"name": "stretched-sphere", "n": [2, 3, 4], "length": length,
                     "density": {"name": "zero"}},
-            grids=[400], checks=["soliton"],
-            soliton={"gamma": "einstein", "f": {"name": "zero"}}))
-        for n in (2, 3, 4):
-            assert soliton_gamma(config, n) == (n - 1) / (length / math.pi) ** 2
+            grids=[400], checks=["soliton"], soliton={"gamma": "einstein"}))
+        for inst in config.instances():
+            n = inst.n
+            assert soliton_gamma(config, build_model(config, inst)) \
+                == (n - 1) / (length / math.pi) ** 2
         report = runner.run(config)
         assert report.all_passed
         for row in report.rows:
@@ -310,8 +308,8 @@ def test_einstein_gamma_uses_the_warp_radius_of_stretched_spheres():
                 assert row[col] < 1e-10
     rescaled = parse_config(_base_config(
         family={"name": "sphere", "n": [3], "radius": 2.0, "density": {"name": "zero"}},
-        checks=["soliton"], soliton={"gamma": "einstein", "f": {"name": "zero"}}))
-    assert soliton_gamma(rescaled, 3) == 2.0 / 4.0
+        checks=["soliton"], soliton={"gamma": "einstein"}))
+    assert soliton_gamma(rescaled, build_model(rescaled, rescaled.instances()[0])) == 2.0 / 4.0
 
 
 def test_radius_and_length_give_the_same_rows():
@@ -321,9 +319,10 @@ def test_radius_and_length_give_the_same_rows():
         config = parse_config(_base_config(
             family=dict(family, n=[3], density={"name": "cosine", "eps": [0.5]}),
             grids=[400], checks=["spectrum", "bounds", "estimates", "soliton"],
-            soliton={"gamma": "einstein", "f": {"name": "zero"}}))
-        for n in config.n:
-            assert soliton_gamma(config, n) == (n - 1) / (config.L / math.pi) ** 2
+            soliton={"gamma": "einstein"}))
+        for inst in config.instances():
+            assert soliton_gamma(config, build_model(config, inst)) \
+                == (inst.n - 1) / (config.L / math.pi) ** 2
         return runner.run(config).rows
 
     (by_radius,) = rows({"name": "sphere", "radius": 2.0})
@@ -368,9 +367,7 @@ def test_run_spectrum_row():
 
 def test_run_failing_soliton_check_is_reported():
     config = parse_config(_base_config(
-        checks=["soliton"],
-        soliton={"gamma": 1.0, "f": {"name": "cosine", "eps": 0.1}},
-        grids=[300]))
+        checks=["soliton"], soliton={"gamma": 1.0}, grids=[300]))
     report = runner.run(config)
     assert report.rows[0]["verdict_soliton"] is False
     assert not report.all_passed
@@ -478,7 +475,7 @@ def test_case_barrier_selection():
 
     model = dl.sphere(2)
     grid = dl.Grid.uniform(model, 600)
-    mode = _bisect(assemble(model, grid, 0), 598, 600)[1]  # first non-zero zonal
+    mode = _bisect(assemble(grid, 0), 598, 600)[1]  # first non-zero zonal
     nef = dl.normalize(mode, K=1.0, b=1.01)
     config = parse_config(_base_config())
 
@@ -620,9 +617,16 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     failing = tmp_path / "failing.json"
     failing.write_text(json.dumps(_base_config(
-        checks=["soliton"], grids=[300],
-        soliton={"gamma": 1.0, "f": {"name": "cosine", "eps": 0.1}})))
+        checks=["soliton"], grids=[300], soliton={"gamma": 1.0})))
     assert cli.main(["soliton-check", "--config", str(failing)]) == 1
+
+    # a retired soliton potential is an unknown key: the potential is the family density
+    capsys.readouterr()
+    retired = tmp_path / "retired.json"
+    retired.write_text(json.dumps(_base_config(
+        checks=["soliton"], grids=[300], soliton={"gamma": 1.0, "f": {"name": "zero"}})))
+    assert cli.main(["soliton-check", "--config", str(retired)]) == 2
+    assert "unknown key(s) in soliton: ['f']" in capsys.readouterr().err
 
 
 def test_cli_grid_override(tmp_path, capsys):

@@ -247,7 +247,7 @@ def test_normalize_refuses_a_circle_mode():
     # a circle has no (n-1) K, so alpha = delta = 0 and no estimate applies,
     # whatever K the caller passes
     model = dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi))
-    mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 200))
+    mode = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 200))
     with pytest.raises(ValueError, match="circles"):
         dl.normalize(mode, K=1.0)
 
@@ -282,7 +282,7 @@ def _top_modes(problem, count):
 def _zonal_s2(N=1200):
     model = dl.sphere(2)
     grid = dl.Grid.uniform(model, N)
-    return model, grid, _top_modes(assemble(model, grid, 0), 3)[1]
+    return model, grid, _top_modes(assemble(grid, 0), 3)[1]
 
 
 def test_normalize_zonal_symmetric():
@@ -599,7 +599,7 @@ def test_length_integrals_rejects_degenerate_diameter():
 @lru_cache(maxsize=None)
 def _l1_mode(N=900, n=3):
     model = dl.sphere(n, density=dl.cosine_density(0.4))
-    fe = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, N))
+    fe = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, N))
     assert fe.l == 1
     return fe
 
@@ -612,7 +612,7 @@ def _l1_mode_s2():
 def _l2_mode():
     model = dl.sphere(3)
     grid = dl.Grid.uniform(model, 900)
-    return _top_modes(assemble(model, grid, 2), 1)[0]
+    return _top_modes(assemble(grid, 2), 1)[0]
 
 
 def _full_samples(nef):
@@ -622,7 +622,7 @@ def _full_samples(nef):
     if nef.l == 0:
         return nef.v_rad, nef.dv_rad ** 2
     psi = np.linspace(0.0, math.pi, 241)
-    wv = np.asarray(nef.model.w.value(nef.grid.nodes), dtype=float)
+    wv = np.asarray(nef.grid.model.w.value(nef.grid.nodes), dtype=float)
     v = np.outer(nef.v_rad, np.cos(psi))
     grad_sq = np.outer(nef.dv_rad, np.cos(psi)) ** 2 + np.outer(nef.v_rad / wv, np.sin(psi)) ** 2
     return v, grad_sq
@@ -656,7 +656,7 @@ def _brute_fiber_Z(nef, bins, dense=2001):
     b, lam = nef.b, nef.lam
     tb = math.asin(1.0 / b)
     edges = np.linspace(-tb, tb, bins + 1)
-    wv = np.asarray(nef.model.w.value(nef.grid.nodes), dtype=float)
+    wv = np.asarray(nef.grid.model.w.value(nef.grid.nodes), dtype=float)
     R, dR2, A = nef.v_rad, nef.dv_rad ** 2, (nef.v_rad / wv) ** 2
 
     def quantity(row, x):
@@ -729,7 +729,7 @@ def test_normalize_corner_extremes_match_full_product(mode):
 
 def _zonal_mode(N):
     model = dl.sphere(3, density=dl.cosine_density(0.4))
-    return _top_modes(assemble(model, dl.Grid.uniform(model, N), 0), 2)[1]
+    return _top_modes(assemble(dl.Grid.uniform(model, N), 0), 2)[1]
 
 
 def test_streamed_sampler_matches_full_arrays():
@@ -785,7 +785,7 @@ def test_normalize_residual_is_scaled_by_the_operator_norm():
     # at N = 2e4 rounding alone puts the residual far above 1e-6 lam, but it
     # stays at the rounding level of the operator, whose norm grows like N^2
     model = dl.sphere(3, density=dl.cosine_density(0.5))
-    mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 20000))
+    mode = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 20000))
     nef = dl.normalize(mode, K=1.0)
     residual = mode.problem.apply(nef.v_rad) + nef.lam * (nef.v_rad + nef.a)
     assert np.max(np.abs(residual)) > 1e-6 * nef.lam
@@ -867,7 +867,7 @@ def test_compute_Z_keeps_the_zero_level_of_a_row_with_a_subnormal_R():
     counts = []
     for R in (2.669184536976705e-160, 1e-3):
         nef = est.NormalizedEigenfunction(
-            model=model, grid=dl.Grid.uniform(model, 4), l=1, lam=1.0, k=1.0, a=0.0, b=2.0,
+            grid=dl.Grid.uniform(model, 4), l=1, lam=1.0, k=1.0, a=0.0, b=2.0,
             K=1.0, v_rad=np.array([0.0, 0.0, 0.0, R]), dv_rad=np.array([0.0, 0.0, 0.0, 1.0]),
             residual_rel=0.0)
         with np.errstate(over="ignore"):
@@ -898,7 +898,7 @@ def test_compute_Z_prefix_maxima_match_masked_maxima_bitwise(n, rows, lam, b, bi
     grid = dl.Grid.uniform(model, len(rows))
     v_rad, dv_rad = (np.array(column) for column in zip(*rows))
     nef = est.NormalizedEigenfunction(
-        model=model, grid=grid, l=1, lam=lam, k=1.0, a=0.0, b=b, K=1.0,
+        grid=grid, l=1, lam=lam, k=1.0, a=0.0, b=b, K=1.0,
         v_rad=v_rad, dv_rad=dv_rad, residual_rel=0.0)
     levelset = dl.compute_Z(nef, bins)
     values, arg_t, counts = _per_level_masked_Z(nef, bins)
@@ -962,7 +962,7 @@ def test_group_bound_edge_maxima_match_the_prefix_loop_bitwise(rows, lam, b, bin
         assume(np.all(np.isfinite((v_rad / w) ** 2)))  # A = (R/w)^2 finite
     model = dl.sphere(3)
     nef = est.NormalizedEigenfunction(
-        model=model, grid=dl.Grid.uniform(model, len(rows)), l=1, lam=lam, k=1.0, a=0.0,
+        grid=dl.Grid.uniform(model, len(rows)), l=1, lam=lam, k=1.0, a=0.0,
         b=b, K=1.0, v_rad=v_rad, dv_rad=dv_rad, residual_rel=0.0)
     nef.__dict__["equator_grad_sq"] = (v_rad / w) ** 2  # the drawn warp's A, not the sphere's
     tb = math.asin(1.0 / b)
@@ -1008,7 +1008,7 @@ def test_rows_once_match_the_flat_points_bitwise_on_real_modes(n, N):
     # the cosine sphere's lambda_1 mode is l = 1, the Ling model's zonal
     for density in (dl.cosine_density(0.5), dl.CosPolynomial([0.0, -1.0, -0.25])):
         model = dl.sphere(n, density=density)
-        mode = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, N))
+        mode = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, N))
         nef = dl.normalize(mode, K=1.0)
         v, grad_sq = _flat_samples(nef)
         sup = float((grad_sq / (nef.b * nef.b - v * v)).max())
@@ -1037,7 +1037,7 @@ def test_touching_point_residual_is_nonpositive_at_the_worst_bin_of_the_sweep():
     for inst in config.instances():
         model = cfg.build_model(config, inst)
         grid = dl.Grid.uniform(model, inst.N)
-        fe = dl.first_nonzero_eigenvalue(model, grid)
+        fe = dl.first_nonzero_eigenvalue(grid)
         nef = dl.normalize(fe, K=dl.be_ricci_lower_bound(model).K, b=config.b)
         z = runner._select_case_barrier(config, nef, dl.ling_case(nef.a, nef.delta))
         # the worst bin's t: where the least dominance margin is taken

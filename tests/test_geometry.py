@@ -76,8 +76,7 @@ def test_unit_s2_is_einstein():
     for r in (0.0, 0.3, 1.5, 2.9, math.pi):
         assert _ricphi_oracle(2, math.pi, (0.0,), r) == pytest.approx((1.0, 1.0), abs=1e-15)
     assert dl.be_ricci_lower_bound(model).K == 1.0
-    led = dl.soliton_ledger(dl.SolitonCandidate(model=model, f=model.phi, gamma=1.0),
-                            dl.Grid.uniform(model, 800))
+    led = dl.soliton_ledger(dl.SolitonCandidate(dl.Grid.uniform(model, 800), gamma=1.0))
     assert led.radial == led.tangential == 0.0
 
 
@@ -88,8 +87,7 @@ def test_unit_s4_scalar_curvature():
         rr, tan = _ricphi_oracle(4, math.pi, (0.0,), r)
         assert rr + 3.0 * tan == pytest.approx(12.0, abs=1e-13)
     model = dl.sphere(4)
-    led = dl.soliton_ledger(dl.SolitonCandidate(model=model, f=model.phi, gamma=2.5),
-                            dl.Grid.uniform(model, 800))
+    led = dl.soliton_ledger(dl.SolitonCandidate(dl.Grid.uniform(model, 800), gamma=2.5))
     assert led.trace_sup == 2.0 and led.constancy_std == 0.0
 
 
@@ -242,8 +240,7 @@ def test_scaling_covariance():
     assert abs(dl.diameter(scaled) - c * dl.diameter(unit)) < 1e-14
     assert dl.be_ricci_lower_bound(scaled).K == dl.be_ricci_lower_bound(unit).K / c**2
     assert _ricphi_oracle(3, scaled.L, (0.0,), 1.0) == pytest.approx((0.5, 0.5), abs=1e-15)
-    led = dl.soliton_ledger(dl.SolitonCandidate(model=scaled, f=scaled.phi, gamma=2.0 / c**2),
-                            dl.Grid.uniform(scaled, 300))
+    led = dl.soliton_ledger(dl.SolitonCandidate(dl.Grid.uniform(scaled, 300), gamma=2.0 / c**2))
     assert led.worst == 0.0
 
 
@@ -303,8 +300,9 @@ def test_grid_invariants():
     assert np.all(np.diff(grid.nodes) > 0)
     assert np.all(grid.weights > 0)
     assert grid.size == 64
-    # weights reproduce the weighted_measure operation
-    assert np.array_equal(grid.weights, dl.weighted_measure(model, grid.density, grid.spacing))
+    # the grid carries its model, and its weights are Vol(S^{n-1}) rho h
+    assert grid.model is model
+    assert np.array_equal(grid.weights, dl.unit_fiber_area(2) * grid.density * grid.spacing)
 
 
 LING = (0.0, -1.0, -0.25)  # configs/ling_cases.json
@@ -478,7 +476,7 @@ def test_curvature_refuses_circles():
     with pytest.raises(ValueError, match="circles"):
         dl.be_ricci_lower_bound(ring)
     with pytest.raises(ValueError, match="interval-sphere models"):
-        dl.SolitonCandidate(model=ring, f=ring.phi, gamma=1.0)
+        dl.SolitonCandidate(dl.Grid.uniform(ring, 64), gamma=1.0)
 
 
 @pytest.mark.parametrize("coeffs", [[0.5], [0.5, 0.0, 0.0]], ids=["c0", "c0-0-0"])

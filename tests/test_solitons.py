@@ -17,16 +17,18 @@ from driftlab.errors import PoleRegularityError
 
 
 @lru_cache(maxsize=None)
-def _grid(n=2, N=1500, radius=1.0):
-    model = dl.sphere(n, radius=radius)
-    return model, dl.Grid.uniform(model, N)
+def _grid(density=None, n=2, N=1500, radius=1.0):
+    """A grid on the n-sphere whose density is the soliton potential."""
+    return dl.Grid.uniform(dl.sphere(n, radius=radius, density=density), N)
+
+
+def _candidate(density=None, gamma=1.0, **grid):
+    return dl.SolitonCandidate(_grid(density, **grid), gamma=gamma)
 
 
 def test_einstein_spheres_are_exact_solitons():
     for n in (2, 3, 4):
-        model, grid = _grid(n)
-        cand = dl.SolitonCandidate(model=model, f=dl.zero_density(), gamma=float(n - 1))
-        led = dl.soliton_ledger(cand, grid)
+        led = dl.soliton_ledger(_candidate(gamma=float(n - 1), n=n))
         assert led.radial < 1e-9
         assert led.tangential < 1e-9
         assert led.bianchi_sup < 1e-9
@@ -44,8 +46,7 @@ def test_einstein_residuals_are_exactly_zero(family, n):
     if family == "stretched-sphere":
         fam["length"] = 2.5
     config = parse_config({"schema_version": 1, "family": fam, "grids": [2000],
-                           "checks": ["soliton"],
-                           "soliton": {"gamma": "einstein", "f": {"name": "zero"}}})
+                           "checks": ["soliton"], "soliton": {"gamma": "einstein"}})
     row, = runner.run(config).rows
     for column in ("soliton_resid_rr", "soliton_resid_tan", "bianchi_resid",
                    "constancy_std", "trace_resid", "eigenid_resid"):
@@ -53,11 +54,23 @@ def test_einstein_residuals_are_exactly_zero(family, n):
     assert row["verdict_soliton"] is True
 
 
+def test_the_family_density_is_the_soliton_potential():
+    # a cosine(0.1) sphere with gamma = 1 is criterion 8's perturbation: the
+    # check reads the instance's own density, not an Einstein f = 0 beside it
+    config = parse_config({
+        "schema_version": 1,
+        "family": {"name": "sphere", "n": [2], "density": {"name": "cosine", "eps": [0.1]}},
+        "grids": [2000], "checks": ["soliton"], "soliton": {"gamma": 1.0}})
+    row, = runner.run(config).rows
+    assert row["soliton_resid_rr"] == pytest.approx(0.1, abs=1e-10)
+    assert row["soliton_resid_tan"] == pytest.approx(0.1, abs=1e-10)
+    assert row["trace_resid"] == pytest.approx(0.2, abs=1e-10)
+    assert row["verdict_soliton"] is False
+
+
 def test_rescaled_sphere_matching_gamma():
     # radius rho sphere is Einstein with gamma = (n-1)/rho^2
-    model, grid = _grid(3, radius=2.0)
-    cand = dl.SolitonCandidate(model=model, f=dl.zero_density(), gamma=2.0 / 4.0)
-    led = dl.soliton_ledger(cand, grid)
+    led = dl.soliton_ledger(_candidate(gamma=2.0 / 4.0, n=3, radius=2.0))
     assert max(led.radial, led.tangential) < 1e-9
 
 
@@ -65,9 +78,7 @@ def test_cosine_perturbation_residuals():
     # Hess(0.1 cos r) = -0.1 cos r g on the unit 2-sphere, so the soliton
     # residual is -0.1 cos r in both slots; the trace identity picks up
     # Delta(0.1 cos r) = -0.2 cos r
-    model, grid = _grid(2)
-    cand = dl.SolitonCandidate(model=model, f=dl.cosine_density(0.1), gamma=1.0)
-    led = dl.soliton_ledger(cand, grid)
+    led = dl.soliton_ledger(_candidate(dl.cosine_density(0.1)))
     assert led.radial == pytest.approx(0.1, abs=1e-10)
     assert led.tangential == pytest.approx(0.1, abs=1e-10)
     assert led.trace_sup == pytest.approx(0.2, abs=1e-10)
@@ -75,19 +86,14 @@ def test_cosine_perturbation_residuals():
 
 def test_wrong_gamma_trace_residual():
     # Einstein model with mismatched gamma: trace residual is n |gamma* - gamma|
-    model, grid = _grid(3)
-    cand = dl.SolitonCandidate(model=model, f=dl.zero_density(), gamma=1.3)
-    led = dl.soliton_ledger(cand, grid)
+    led = dl.soliton_ledger(_candidate(gamma=1.3, n=3))
     assert led.trace_sup == pytest.approx(3 * abs(2.0 - 1.3), abs=1e-9)
 
 
 def test_identity_residuals_scale_linearly():
     # perturbations of size eps produce Theta(eps) identity residuals
-    model, grid = _grid(2)
-    sups = []
-    for eps in (1e-2, 1e-3):
-        cand = dl.SolitonCandidate(model=model, f=dl.cosine_density(eps), gamma=1.0)
-        sups.append(dl.soliton_ledger(cand, grid).trace_sup)
+    sups = [dl.soliton_ledger(_candidate(dl.cosine_density(eps))).trace_sup
+            for eps in (1e-2, 1e-3)]
     assert sups[0] / sups[1] == pytest.approx(10.0, rel=1e-6)
 
 
@@ -95,30 +101,21 @@ def test_scaling_covariance_of_residuals():
     # g -> c^2 g with gamma -> gamma/c^2 and the same potential profile in the
     # stretched coordinate scales both residual components by 1/c^2
     c = 2.0
-    unit, gu = _grid(2)
-    scaled, gs = _grid(2, radius=c)
-    f_unit = dl.cosine_density(0.1, length=math.pi)
-    f_scaled = dl.cosine_density(0.1, length=c * math.pi)
-    r_unit = dl.soliton_ledger(
-        dl.SolitonCandidate(model=unit, f=f_unit, gamma=1.0), gu)
-    r_scaled = dl.soliton_ledger(
-        dl.SolitonCandidate(model=scaled, f=f_scaled, gamma=1.0 / c**2), gs)
+    r_unit = dl.soliton_ledger(_candidate(dl.cosine_density(0.1, length=math.pi)))
+    r_scaled = dl.soliton_ledger(_candidate(dl.cosine_density(0.1, length=c * math.pi),
+                                            gamma=1.0 / c**2, radius=c))
     assert r_scaled.radial == pytest.approx(r_unit.radial / c**2, rel=1e-8)
     assert r_scaled.tangential == pytest.approx(r_unit.tangential / c**2, rel=1e-8)
 
 
 def test_normalize_f_trivial_cases():
-    model, grid = _grid(2)
-    zero = dl.SolitonCandidate(model=model, f=dl.zero_density(), gamma=1.0)
-    assert dl.normalize_f(zero, grid) == pytest.approx(0.0, abs=1e-15)
-    const5 = dl.SolitonCandidate(model=model, f=dl.zero_density().shifted(5.0), gamma=1.0)
-    assert dl.normalize_f(const5, grid) == pytest.approx(-5.0, abs=1e-12)
+    assert dl.normalize_f(_candidate()) == pytest.approx(0.0, abs=1e-15)
+    const5 = _candidate(dl.zero_density().shifted(5.0))
+    assert dl.normalize_f(const5) == pytest.approx(-5.0, abs=1e-12)
 
 
 def test_normalize_f_cosine_against_quadrature_oracle():
-    model, grid = _grid(2, N=20000)
-    cand = dl.SolitonCandidate(model=model, f=dl.cosine_density(1.0), gamma=1.0)
-    got = dl.normalize_f(cand, grid)
+    got = dl.normalize_f(_candidate(dl.cosine_density(1.0), N=20000))
     num = quad(lambda r: math.cos(r) * math.exp(-math.cos(r)) * math.sin(r),
                0.0, math.pi, epsabs=1e-13, epsrel=1e-13)[0]
     den = quad(lambda r: math.exp(-math.cos(r)) * math.sin(r),
@@ -127,25 +124,20 @@ def test_normalize_f_cosine_against_quadrature_oracle():
 
 
 def test_normalize_f_idempotent():
-    model, grid = _grid(2)
-    cand = dl.SolitonCandidate(model=model, f=dl.cosine_density(0.7), gamma=1.0)
-    shifted = cand.f.shifted(dl.normalize_f(cand, grid))
-    second = dl.normalize_f(dl.SolitonCandidate(model=model, f=shifted, gamma=1.0), grid)
+    f = dl.cosine_density(0.7)
+    second = dl.normalize_f(_candidate(f.shifted(dl.normalize_f(_candidate(f)))))
     assert type(second) is float and abs(second) < 1e-14
 
 
 def test_eigen_relation_vacuous_for_einstein():
-    model, grid = _grid(2)
-    cand = dl.SolitonCandidate(model=model, f=dl.zero_density(), gamma=1.0)
-    led = dl.soliton_ledger(cand, grid)
+    led = dl.soliton_ledger(_candidate())
     assert led.vacuous
     assert led.eigen_residual < 1e-12
     # -2 gamma = -2 happens to be the first non-zero eigenvalue of the round
     # 2-sphere, so membership holds coincidentally
     assert led.membership.contained
     # a constant potential is zero once normalized, so it is vacuous too
-    const5 = dl.SolitonCandidate(model=model, f=dl.zero_density().shifted(5.0), gamma=1.0)
-    led = dl.soliton_ledger(const5, grid)
+    led = dl.soliton_ledger(_candidate(dl.zero_density().shifted(5.0)))
     assert led.shift == pytest.approx(-5.0, abs=1e-12)
     assert led.vacuous
     assert led.eigen_residual < 1e-12
@@ -154,12 +146,9 @@ def test_eigen_relation_vacuous_for_einstein():
 def test_eigen_relation_flags_perturbation():
     # f = eps cos^2(r) is pole-regular but not a drift eigenfunction; the
     # residual is Theta(eps), a linearization sanity check
-    model, grid = _grid(2)
     residuals = []
     for eps in (1e-2, 1e-3):
-        cand = dl.SolitonCandidate(
-            model=model, f=dl.CosPolynomial([0.0, 0.0, eps]), gamma=1.0)
-        led = dl.soliton_ledger(cand, grid)
+        led = dl.soliton_ledger(_candidate(dl.CosPolynomial([0.0, 0.0, eps])))
         assert not led.vacuous
         assert led.eigen_residual > 0.1 * eps  # flagged well above rounding
         residuals.append(led.eigen_residual)
@@ -167,23 +156,19 @@ def test_eigen_relation_flags_perturbation():
 
 
 def test_candidate_validation():
-    model, grid = _grid(2)
     with pytest.raises(ValueError):
-        dl.SolitonCandidate(model=model, f=dl.zero_density(), gamma=0.0)
+        _candidate(gamma=0.0)
     # cos(r/2), a cosine of twice the model's length, has slope -1/2 at r = pi
     with pytest.raises(PoleRegularityError):
-        dl.SolitonCandidate(model=model, f=dl.cosine_density(1.0, 2.0 * math.pi), gamma=1.0)
+        _candidate(dl.cosine_density(1.0, 2.0 * math.pi))
     with pytest.raises(ValueError):
-        dl.SolitonCandidate(model=dl.circle(2 * math.pi), f=dl.zero_density(),
-                            gamma=1.0)
+        dl.SolitonCandidate(dl.Grid.uniform(dl.circle(2 * math.pi), 100), gamma=1.0)
 
 
 def test_soundness_residual_implies_identities():
     # soliton residual O(eps) forces identity residuals of the same order
-    model, grid = _grid(2)
     for eps in (1e-3, 1e-5):
-        cand = dl.SolitonCandidate(model=model, f=dl.cosine_density(eps), gamma=1.0)
-        led = dl.soliton_ledger(cand, grid)
+        led = dl.soliton_ledger(_candidate(dl.cosine_density(eps)))
         assert max(led.radial, led.tangential) == pytest.approx(eps, rel=1e-6)
         assert led.trace_sup < 4.0 * eps
         assert led.bianchi_sup < 4.0 * eps
@@ -191,9 +176,7 @@ def test_soundness_residual_implies_identities():
 
 
 def test_worst_residual_propagates_nan():
-    model, grid = _grid(2)
-    led = dl.soliton_ledger(
-        dl.SolitonCandidate(model=model, f=dl.cosine_density(0.1), gamma=1.0), grid)
+    led = dl.soliton_ledger(_candidate(dl.cosine_density(0.1)))
     assert led.worst == max(led.radial, led.tangential, led.bianchi_sup,
                             led.constancy_std, led.trace_sup, led.eigen_residual)
     for name in ("radial", "bianchi_sup", "eigen_residual"):
@@ -213,8 +196,7 @@ def test_nan_residual_fails_criterion_8_and_the_runner(monkeypatch):
     config = parse_config({
         "schema_version": 1,
         "family": {"name": "sphere", "n": [2], "density": {"name": "zero"}},
-        "grids": [300], "checks": ["soliton"],
-        "soliton": {"gamma": "einstein", "f": {"name": "zero"}}})
+        "grids": [300], "checks": ["soliton"], "soliton": {"gamma": "einstein"}})
     row = runner.run(config).rows[0]
     assert math.isnan(row["bianchi_resid"])
     assert row["verdict_soliton"] is False

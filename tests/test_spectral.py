@@ -24,15 +24,13 @@ from driftlab.spectral import assemble
 
 @lru_cache(maxsize=None)
 def _sphere_grid(n, N, eps=0.0):
-    model = dl.sphere(n, density=dl.cosine_density(eps) if eps else None)
-    return model, dl.Grid.uniform(model, N)
+    return dl.Grid.uniform(dl.sphere(n, density=dl.cosine_density(eps) if eps else None), N)
 
 
 @lru_cache(maxsize=None)
 def _circle_grid(N, eps):
     length = 2.0 * math.pi
-    model = dl.circle(length, density=dl.cosine_density(eps, length / 2.0))
-    return model, dl.Grid.uniform(model, N)
+    return dl.Grid.uniform(dl.circle(length, density=dl.cosine_density(eps, length / 2.0)), N)
 
 
 _EPS = st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)
@@ -50,7 +48,7 @@ def _weighted_models(draw):
         density = dl.cosine_density(draw(_EPS)) if kind == "cosine" else \
             dl.CosPolynomial(draw(st.lists(_EPS, min_size=1, max_size=3)))
         model = dl.sphere(draw(st.integers(2, 5)), density=density)
-    return model, dl.Grid.uniform(model, draw(st.integers(8, 400)))
+    return dl.Grid.uniform(model, draw(st.integers(8, 400)))
 
 
 def _sectors(model):
@@ -96,7 +94,7 @@ def weighted_symmetry_defect(problem, vectors=6):
     weighted norm; zero up to rounding for this discretization."""
     q = problem.grid.weights
     r = problem.grid.nodes
-    span = problem.model.L
+    span = problem.grid.model.L
 
     def _norm(x):
         return math.sqrt(float(np.dot(q, x * x)))
@@ -117,9 +115,9 @@ def weighted_symmetry_defect(problem, vectors=6):
 
 def test_s2_merged_spectrum_is_classical():
     # sector l of the unit S^2 holds -k(k+1) for k >= l, each once
-    model, grid = _sphere_grid(2, 1500)
+    grid = _sphere_grid(2, 1500)
     for l in (0, 1, 2):
-        mus = _mus(_top_modes(assemble(model, grid, l), 3))
+        mus = _mus(_top_modes(assemble(grid, l), 3))
         expected = np.array([-k * (k + 1.0) for k in range(l, l + 3)])
         assert np.max(np.abs(mus - expected)) < 2e-4
 
@@ -129,7 +127,7 @@ def test_circle_fourier_spectrum():
     # even mirror sector, with the constant mode, and sin(k theta) in the odd one
     model = dl.circle(2.0 * math.pi)
     grid = dl.Grid.uniform(model, 800)
-    even, odd = spectral._mirror_sectors(assemble(model, grid, 0))
+    even, odd = spectral._mirror_sectors(assemble(grid, 0))
     assert (even.diag.size, odd.diag.size) == (401, 399)
     even_mus, odd_mus = _mus(_top_modes(even, 3)), _mus(_top_modes(odd, 3))
     assert np.max(np.abs(even_mus - [0.0, -1.0, -4.0])) < 1e-3
@@ -141,8 +139,8 @@ def test_circle_fourier_spectrum():
 
 def test_first_eigenvalue_round_spheres():
     for n, N, tol in ((2, 2000, 5e-6), (3, 2000, 5e-6), (4, 1500, 1e-5)):
-        model, grid = _sphere_grid(n, N)
-        fe = dl.first_nonzero_eigenvalue(model, grid)
+        grid = _sphere_grid(n, N)
+        fe = dl.first_nonzero_eigenvalue(grid)
         assert abs(fe.lam - n) < tol
         assert fe.error_estimate < 1e-4
 
@@ -150,63 +148,64 @@ def test_first_eigenvalue_round_spheres():
 def test_first_eigenvalue_refinement_consistency():
     # Richardson-extrapolating the two resolutions must land closer to the
     # classical value than either raw resolution
-    model, _ = _sphere_grid(3, 64)
-    lam_c = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 400)).lam
-    lam_f = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 800)).lam
+    model = _sphere_grid(3, 64).model
+    lam_c = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 400)).lam
+    lam_f = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 800)).lam
     extrap = lam_f + (lam_f - lam_c) / 3.0
     assert abs(extrap - 3.0) < abs(lam_f - 3.0) < abs(lam_c - 3.0)
 
 
 def test_first_eigenvalue_perturbed_respects_lower_bound():
-    model, grid = _sphere_grid(2, 1000, eps=0.5)
-    fe = dl.first_nonzero_eigenvalue(model, grid)
+    grid = _sphere_grid(2, 1000, eps=0.5)
+    model = grid.model
+    fe = dl.first_nonzero_eigenvalue(grid)
     kb = dl.be_ricci_lower_bound(model)
     assert kb.K == 0.5
     assert fe.lam >= (model.n - 1) * kb.K
 
 
 def test_spectrum_contains_examples():
-    model, grid = _sphere_grid(2, 1000)
-    assert dl.spectrum_contains(model, grid, -2.0, 1e-3).contained
-    assert not dl.spectrum_contains(model, grid, -3.0, 1e-3).contained
+    grid = _sphere_grid(2, 1000)
+    assert dl.spectrum_contains(grid, -2.0, 1e-3).contained
+    assert not dl.spectrum_contains(grid, -3.0, 1e-3).contained
     # -2 is the closest level: a window of 1.02 around -3 reaches it
-    assert dl.spectrum_contains(model, grid, -3.0, 0.34).contained
-    assert dl.spectrum_contains(model, grid, 0.0, 1e-6).contained
+    assert dl.spectrum_contains(grid, -3.0, 0.34).contained
+    assert dl.spectrum_contains(grid, 0.0, 1e-6).contained
 
 
 def test_spectrum_contains_finds_deep_zonal_eigenvalues():
     # the 9th zonal eigenvalue is an eigenvalue of the assembled operator,
     # although the low l = 1 and l = 2 sectors reach below it much earlier
-    model, grid = _sphere_grid(2, 400, eps=0.5)
-    target = -_top_modes(assemble(model, grid, 0), 9)[8].lam
+    grid = _sphere_grid(2, 400, eps=0.5)
+    target = -_top_modes(assemble(grid, 0), 9)[8].lam
     assert abs(target + 72.00475) < 1e-4
-    verdict = dl.spectrum_contains(model, grid, target, 1e-6)
+    verdict = dl.spectrum_contains(grid, target, 1e-6)
     assert verdict.contained
     assert verdict.count_used == 1  # no other sector has an eigenvalue in the window
     with pytest.raises(ValueError):
-        dl.spectrum_contains(*_circle_grid(400, 0.5), -1.0, 1e-3)
+        dl.spectrum_contains(_circle_grid(400, 0.5), -1.0, 1e-3)
 
 
 def test_spectrum_contains_searches_every_sector():
     # the top eigenvalue of l = 3 is an eigenvalue of the operator, although
     # it lies below the tops of l = 0, 1, 2: the search goes on to the first
     # sector with no eigenvalue above the window, here l = 4
-    model, grid = _sphere_grid(3, 2000, eps=0.5)
-    target = -_top_modes(assemble(model, grid, 3), 1)[0].lam
+    grid = _sphere_grid(3, 2000, eps=0.5)
+    target = -_top_modes(assemble(grid, 3), 1)[0].lam
     assert abs(target + 15.04998454) < 1e-8
-    verdict = dl.spectrum_contains(model, grid, target, 1e-9)
+    verdict = dl.spectrum_contains(grid, target, 1e-9)
     assert verdict.contained and verdict.count_used == 1
-    assert _eigh_tridiagonal_contains(model, grid, target, 1e-9)
+    assert _eigh_tridiagonal_contains(grid, target, 1e-9)
 
 
-def _eigh_tridiagonal_contains(model, grid, target, tol):
+def _eigh_tridiagonal_contains(grid, target, tol):
     """spectrum_contains's verdict through eigh_tridiagonal: per sector
     l = 0, 1, 2, ... the eigenvalues above target - window and the one just
     below, up to the first sector with none above."""
     window = tol * max(1.0, abs(target))
     mus = []
     for l in itertools.count():
-        problem = assemble(model, grid, l)
+        problem = assemble(grid, l)
         d, e = problem.diag, problem.off_diag
         upper = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
                                  select_range=(target - window, math.inf))
@@ -221,23 +220,22 @@ def _eigh_tridiagonal_contains(model, grid, target, tol):
 
 
 @settings(max_examples=60, deadline=None)
-@given(model_grid=_weighted_models().filter(lambda mg: mg[0].topology != dl.CIRCLE),
+@given(grid=_weighted_models().filter(lambda grid: grid.model.topology != dl.CIRCLE),
        l=st.integers(0, 4), k=st.integers(1, 6), shift=st.floats(-1e-3, 1e-3),
        tol=st.sampled_from((1e-9, 1e-6, 1e-4, 1e-2)))
-def test_spectrum_contains_matches_eigh_tridiagonal_bitwise(model_grid, l, k, shift, tol):
+def test_spectrum_contains_matches_eigh_tridiagonal_bitwise(grid, l, k, shift, tol):
     # the Sturm counts give the verdicts of bisecting with eigh_tridiagonal,
     # for targets on, near and between eigenvalues of sectors l = 0..4
-    model, grid = model_grid
-    target = -_top_modes(assemble(model, grid, l), k)[-1].lam * (1.0 + shift)
-    verdict = dl.spectrum_contains(model, grid, target, tol)
-    assert verdict.contained == _eigh_tridiagonal_contains(model, grid, target, tol)
+    target = -_top_modes(assemble(grid, l), k)[-1].lam * (1.0 + shift)
+    verdict = dl.spectrum_contains(grid, target, tol)
+    assert verdict.contained == _eigh_tridiagonal_contains(grid, target, tol)
 
 
 @settings(max_examples=60, deadline=None)
-@given(model_grid=_weighted_models().filter(lambda mg: mg[0].topology != dl.CIRCLE),
+@given(grid=_weighted_models().filter(lambda grid: grid.model.topology != dl.CIRCLE),
        l=st.integers(0, 2), k=st.integers(0, 8), tol=st.sampled_from((1e-9, 1e-6, 1e-4, 1e-2)),
        at=st.sampled_from(("lower end", "upper end", "between")))
-def test_spectrum_contains_matches_dense_spectra(model_grid, l, k, tol, at):
+def test_spectrum_contains_matches_dense_spectra(grid, l, k, tol, at):
     # oracle: every eigenvalue of the dense matrices of sectors l = 0, 1, 2,
     # ..., up to the first whose top lies below the window widened by the
     # slack below.  Targets put an eigenvalue of sector l exactly at one end
@@ -247,11 +245,10 @@ def test_spectrum_contains_matches_dense_spectra(model_grid, l, k, tol, at):
     # free, so the oracle requires a contained verdict only with an
     # eigenvalue inside the window narrowed by that slack, and a negative one
     # only with none inside the widened window
-    model, grid = model_grid
     spectra, slack = [], 0.0
 
     def add(sector):
-        problem = assemble(model, grid, sector)
+        problem = assemble(grid, sector)
         spectra.append(eigh(_symmetrized(problem), eigvals_only=True)[::-1])
         return max(slack, 8.0 * np.finfo(float).eps * float(
             np.max(np.abs(problem.diag)) + 2.0 * np.max(np.abs(problem.off_diag))))
@@ -269,7 +266,7 @@ def test_spectrum_contains_matches_dense_spectra(model_grid, l, k, tol, at):
         target = mu / (1.0 + sign * tol)
         if abs(target) < 1.0:
             target = mu + sign * tol
-    verdict = dl.spectrum_contains(model, grid, target, tol)
+    verdict = dl.spectrum_contains(grid, target, tol)
     window = tol * max(1.0, abs(target))
     for sector in itertools.count(3):
         if spectra[-1][0] < target - window - slack:
@@ -293,8 +290,8 @@ def test_spectrum_contains_counts_both_window_ends(node, monkeypatch):
     # count's lower end, so its pivot there is zero.  The potentials of
     # l = 1, 2 move the entry down by more than the window's width
     # (1 / w^2 >= 1), so only l = 0 counts it
-    model, grid = _sphere_grid(2, 8)
-    zonal = assemble(model, grid, 0)
+    grid = _sphere_grid(2, 8)
+    zonal = assemble(grid, 0)
     for target, ends in ((-4.0, (-4.5, -3.5)), (-0.5, (-0.625, -0.375))):
         for end, outside in zip(ends, (-math.inf, 0.0)):
             for mu, count in ((end, 1), (math.nextafter(end, outside), 0)):
@@ -302,7 +299,7 @@ def test_spectrum_contains_counts_both_window_ends(node, monkeypatch):
                 diag[node] = mu
                 problem = spectral.replace(zonal, diag=diag, off_diag=np.zeros(grid.size - 1))
                 monkeypatch.setattr(spectral, "assemble", lambda *args: problem)
-                verdict = dl.spectrum_contains(model, grid, target, 0.125)
+                verdict = dl.spectrum_contains(grid, target, 0.125)
                 assert (verdict.contained, verdict.count_used) == (count == 1, count), \
                     (target, mu)
 
@@ -314,7 +311,7 @@ def test_count_takes_a_zero_pivot_once(sign):
     # and a division by zero: the zero pivot must count once, so (1, 10]
     # holds two eigenvalues, and so does (-10, -1] for the negated matrix.
     # A count reads only the two diagonals of the problem
-    problem = spectral.replace(assemble(*_sphere_grid(2, 8), 0), diag=np.full(3, 2.0 * sign),
+    problem = spectral.replace(assemble(_sphere_grid(2, 8), 0), diag=np.full(3, 2.0 * sign),
                                off_diag=np.full(2, -sign))
     vl, vu = (1.0, 10.0) if sign > 0 else (-10.0, -1.0)
     assert spectral._count(problem, vl, vu) == 2
@@ -329,7 +326,7 @@ def test_spectrum_contains_rejects_a_bad_target_or_tolerance(target, tol):
     # a NaN target or tolerance would give a vacuous negative verdict, and an
     # infinite tolerance a vacuous positive one
     with pytest.raises(ValueError, match="must be"):
-        dl.spectrum_contains(*_sphere_grid(2, 100), target, tol)
+        dl.spectrum_contains(_sphere_grid(2, 100), target, tol)
 
 
 @pytest.mark.parametrize("target,tol", [(-1e300, 1e10), (-1.6e308, 1.0), (1e300, 1e10)])
@@ -337,46 +334,45 @@ def test_spectrum_contains_rejects_a_window_that_overflows(target, tol):
     # target - window overflows to -inf: every sector would count an
     # eigenvalue above it, so the sector search would never stop
     with pytest.raises(ValueError, match="window ends must be finite"):
-        dl.spectrum_contains(*_sphere_grid(3, 100), target, tol)
+        dl.spectrum_contains(_sphere_grid(3, 100), target, tol)
 
 
 def test_spectrum_contains_counts_at_most_max_sectors(monkeypatch):
     # every eigenvalue of sector l lies at or below -l (l + n - 2) / max w^2
     # (here -l (l + 1) on the unit S^3): a window reaching below that bound
     # for l = MAX_SECTORS is refused before any count, one above it is searched
-    model, grid = _sphere_grid(3, 400)
+    grid = _sphere_grid(3, 400)
     with pytest.raises(ValueError, match="at most 1000 sectors"):
-        dl.spectrum_contains(model, grid, -2e6, 1e-3)
+        dl.spectrum_contains(grid, -2e6, 1e-3)
     monkeypatch.setattr(spectral, "MAX_SECTORS", 4)
-    top3 = -_top_modes(assemble(model, grid, 3), 1)[0].lam  # about -15 > -20
-    verdict = dl.spectrum_contains(model, grid, top3, 1e-9)
+    top3 = -_top_modes(assemble(grid, 3), 1)[0].lam  # about -15 > -20
+    verdict = dl.spectrum_contains(grid, top3, 1e-9)
     assert verdict.contained and verdict.count_used == 1
     with pytest.raises(ValueError, match="at most 4 sectors"):
-        dl.spectrum_contains(model, grid, -24.0, 1e-3)
+        dl.spectrum_contains(grid, -24.0, 1e-3)
 
 
 def test_zero_mode_is_constant():
-    model, grid = _sphere_grid(2, 500)
-    zero, first, _ = _top_modes(assemble(model, grid, 0), 3)
+    grid = _sphere_grid(2, 500)
+    zero, first, _ = _top_modes(assemble(grid, 0), 3)
     scale = abs(first.lam)
     assert abs(zero.lam) < 1e-10 * max(1.0, scale)
     assert np.std(zero.u) < 1e-8 * np.abs(zero.u).max()
 
 
 @settings(max_examples=60, deadline=None)
-@given(model_grid=_weighted_models())
-def test_constants_in_kernel_row_sums(model_grid):
+@given(grid=_weighted_models())
+def test_constants_in_kernel_row_sums(grid):
     # the rows of the l = 0 (or periodic) operator sum to zero up to rounding
-    model, grid = model_grid
-    problem = assemble(model, grid, 0)
+    problem = assemble(grid, 0)
     residual = np.max(np.abs(problem.apply(np.ones(grid.size))))
     assert residual <= 1e-12 * np.max(np.abs(problem.diag))
 
 
 def test_l1_potential_and_tags():
-    model, grid = _sphere_grid(2, 300)
-    p0 = assemble(model, grid, 0)
-    p1 = assemble(model, grid, 1)
+    grid = _sphere_grid(2, 300)
+    p0 = assemble(grid, 0)
+    p1 = assemble(grid, 1)
     # the l >= 1 operator subtracts exactly l(l+n-2)/w^2 on the diagonal
     w = np.sin(grid.nodes)
     diff = _matrix(p1) - _matrix(p0)
@@ -385,8 +381,8 @@ def test_l1_potential_and_tags():
 
 
 def test_weighted_orthonormality():
-    model, grid = _sphere_grid(2, 800, eps=0.3)
-    modes = _top_modes(assemble(model, grid, 0), 5)
+    grid = _sphere_grid(2, 800, eps=0.3)
+    modes = _top_modes(assemble(grid, 0), 5)
     q = grid.weights
     for i, mi in enumerate(modes):
         for j, mj in enumerate(modes):
@@ -395,21 +391,20 @@ def test_weighted_orthonormality():
 
 
 @settings(max_examples=60, deadline=None)
-@given(model_grid=_weighted_models())
-def test_operator_symmetry_all_topologies(model_grid):
-    model, grid = model_grid
+@given(grid=_weighted_models())
+def test_operator_symmetry_all_topologies(grid):
+    model = grid.model
     for l in _sectors(model):
-        assert weighted_symmetry_defect(assemble(model, grid, l)) < 1e-12
+        assert weighted_symmetry_defect(assemble(grid, l)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
-@given(model_grid=_weighted_models())
-def test_nonpositive_spectrum(model_grid):
+@given(grid=_weighted_models())
+def test_nonpositive_spectrum(grid):
     # each sector's top eigenvalue is at most rounding above zero, relative to
     # the larger magnitude of the sector's two eigenvalues nearest zero; a
     # circle's sectors are its two mirror sectors
-    model, grid = model_grid
-    base = assemble(model, grid, 0)
+    base = assemble(grid, 0)
     sectors = spectral._mirror_sectors(base) if base.periodic else \
         [base.sector(l) for l in (0, 1, 2)]
     for sector in sectors:
@@ -421,16 +416,16 @@ def test_convergence_order_s2():
     errs = []
     ns = (250, 500, 1000, 2000)
     for N in ns:
-        model, grid = _sphere_grid(2, N)
-        fe = dl.first_nonzero_eigenvalue(model, grid)
+        grid = _sphere_grid(2, N)
+        fe = dl.first_nonzero_eigenvalue(grid)
         errs.append(abs(fe.lam - 2.0))
     slope = np.polyfit(np.log([math.pi / N for N in ns]), np.log(errs), 1)[0]
     assert 1.8 < slope < 2.2
 
 
 def test_solver_determinism():
-    for problem in (assemble(*_sphere_grid(2, 700, eps=0.2), 1),
-                    *spectral._mirror_sectors(assemble(*_circle_grid(400, 0.5), 0))):
+    for problem in (assemble(_sphere_grid(2, 700, eps=0.2), 1),
+                    *spectral._mirror_sectors(assemble(_circle_grid(400, 0.5), 0))):
         a = _top_modes(problem, 4)
         b = _top_modes(problem, 4)
         assert _mus(a).tolist() == _mus(b).tolist()
@@ -442,7 +437,7 @@ def test_circle_solve_matches_dense_reference():
     # the four top even and three top odd eigenpairs hold the six top ones of
     # the periodic operator (a cosine density makes each non-zero eigenvalue
     # double), and unfold into its eigenfunctions with l = 0
-    problem = assemble(*_circle_grid(300, 0.5), 0)
+    problem = assemble(_circle_grid(300, 0.5), 0)
     even, odd = spectral._mirror_sectors(problem)
     modes = sorted(_top_modes(even, 4) + _top_modes(odd, 3), key=lambda m: m.lam)[:6]
     reference = eigh(_matrix(problem) * problem.sqrt_rho[:, None] / problem.sqrt_rho[None, :],
@@ -470,7 +465,7 @@ def test_mirror_sectors_hold_the_periodic_spectrum(eps, N, length):
     # it reached 15.6 eps ||T||_inf at N = 288 in 150 random draws)
     model = dl.circle(length, density=dl.cosine_density(eps, length / 2.0))
     grid = dl.Grid.uniform(model, N)
-    problem = assemble(model, grid, 0)
+    problem = assemble(grid, 0)
     even, odd = spectral._mirror_sectors(problem)
     assert (even.diag.size, odd.diag.size) == (N // 2 + 1, (N - 1) // 2)
     full = _symmetrized(problem)
@@ -493,7 +488,7 @@ def test_mirror_sectors_hold_the_periodic_spectrum(eps, N, length):
         16.0 * np.finfo(float).eps * np.linalg.norm(full)
     # lambda_1 is the top eigenvalue below the constant mode, within the
     # bisection tolerance, and its eigenfunction lives on the full circle
-    fe = dl.first_nonzero_eigenvalue(model, grid)
+    fe = dl.first_nonzero_eigenvalue(grid)
     assert fe.l == 0 and fe.problem.periodic and fe.u.size == N
     assert fe.lam == pytest.approx(-eigh(full, eigvals_only=True)[-2], rel=1e-9,
                                    abs=4.0 * np.finfo(float).eps * norm)
@@ -505,7 +500,7 @@ def test_sector_two_lies_below_sector_one(n, eps, N):
     # S_2 = S_1 - (n+1) diag(1/w^2): by Weyl's inequality no l = 2 mode can be lambda_1
     model = dl.sphere(n, density=dl.cosine_density(eps))
     grid = dl.Grid.uniform(model, N)
-    top = [_top_modes(assemble(model, grid, l), 1)[0].lam for l in (1, 2)]
+    top = [_top_modes(assemble(grid, l), 1)[0].lam for l in (1, 2)]
     assert top[1] > top[0]
 
 
@@ -513,7 +508,7 @@ def _half_grid_estimate(model, N, lam, l):
     """The Richardson estimate from a half-resolution eigensolve:
     |lam + mu| / 3 with mu the top non-constant eigenvalue of sector l at
     N // 2 (eigh_tridiagonal on spheres, dense eigh on circles)."""
-    problem = assemble(model, dl.Grid.uniform(model, N // 2), l)
+    problem = assemble(dl.Grid.uniform(model, N // 2), l)
     n = problem.size
     if problem.periodic:
         mus = eigh(_symmetrized(problem), eigvals_only=True)[::-1]
@@ -523,14 +518,14 @@ def _half_grid_estimate(model, N, lam, l):
     return abs(lam + mus[1 if l == 0 else 0]) / 3.0
 
 
-def _solve_both_tops(model, grid):
+def _solve_both_tops(grid):
     """lambda_1's eigenmode as eigh_tridiagonal gives it when it bisects the
     l = 1 top by its index (0-based n-1) and the l = 0 top over the value
     window (mu_1 - tau, -tau], tau = 16 eps (max|d| + 2 max|e|) of l = 0,
     which leaves out the constant mode, and keeps the larger, the lower
     sector on a tie.  Each eigenvector comes from one stein call on the
     sector's bisected eigenvalues."""
-    zonal, upper = (assemble(model, grid, l) for l in (0, 1))
+    zonal, upper = (assemble(grid, l) for l in (0, 1))
     n = upper.size
     vals, vecs = eigh_tridiagonal(upper.diag, upper.off_diag, select="i",
                                   select_range=(n - 1, n - 1))
@@ -557,8 +552,8 @@ def test_first_eigenvalue_matches_eigenpair_solves_bitwise(density, n, sector, N
     # of one eigenpair solve per sector top
     model = dl.sphere(n, density=density)
     grid = dl.Grid.uniform(model, N)
-    l, lam, u = _solve_both_tops(model, grid)
-    fe = dl.first_nonzero_eigenvalue(model, grid)
+    l, lam, u = _solve_both_tops(grid)
+    fe = dl.first_nonzero_eigenvalue(grid)
     assert l == fe.l == sector
     assert fe.lam == lam
     assert fe.u.tobytes() == u.tobytes()
@@ -577,45 +572,43 @@ def _spheres(draw):
                "poly-cos": lambda: dl.CosPolynomial(
                    draw(st.lists(_EPS, min_size=1, max_size=3))),
                "ling": lambda: dl.CosPolynomial([0.0, -1.0, -0.25])}[kind]()
-    model = dl.sphere(draw(st.integers(2, 5)), density=density)
-    return model, dl.Grid.uniform(model, draw(st.integers(8, 300)))
+    return dl.Grid.uniform(dl.sphere(draw(st.integers(2, 5)), density=density),
+                           draw(st.integers(8, 300)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(model_grid=_spheres())
-def test_first_eigenvalue_matches_bisecting_both_tops_bitwise(model_grid):
+@given(grid=_spheres())
+def test_first_eigenvalue_matches_bisecting_both_tops_bitwise(grid):
     # the count certificate skips the l = 0 bisection only where l = 1 would
     # win it: lambda_1, its sector and the eigenvector's bytes are those of
     # bisecting both tops, l = 0's in its window, on the round l = 0 / l = 1
     # twins too
-    model, grid = model_grid
-    fe = dl.first_nonzero_eigenvalue(model, grid)
-    l, lam, u = _solve_both_tops(model, grid)
+    fe = dl.first_nonzero_eigenvalue(grid)
+    l, lam, u = _solve_both_tops(grid)
     assert (fe.lam, fe.l) == (lam, l)
     assert fe.u.tobytes() == u.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
-@given(model_grid=_spheres())
-def test_first_eigenvalue_matches_dense_spectra(model_grid):
+@given(grid=_spheres())
+def test_first_eigenvalue_matches_dense_spectra(grid):
     # oracle: every eigenvalue of the dense l = 0 and l = 1 matrices, less the
     # constant mode.  The bisected value may differ from dense eigh's by the
     # bisection tolerance eps ||T||
-    model, grid = model_grid
-    fe = dl.first_nonzero_eigenvalue(model, grid)
+    fe = dl.first_nonzero_eigenvalue(grid)
     lams, norm = [], 0.0
     for l in (0, 1):
-        problem = assemble(model, grid, l)
+        problem = assemble(grid, l)
         lams.append(-eigh(_symmetrized(problem), eigvals_only=True)[:-1 if l == 0 else None])
         norm = max(norm, np.max(np.abs(problem.diag)) + 2.0 * np.max(np.abs(problem.off_diag)))
     slack = 4.0 * np.finfo(float).eps * norm
     assert fe.lam == pytest.approx(np.min(np.concatenate(lams)), rel=1e-9, abs=slack)
 
 
-def _oracle_assembly(model, grid, l):
+def _oracle_assembly(grid, l):
     """The interval operator of sector l from scratch: rho evaluated at the
     nodes and faces, the angular potential subtracted in place."""
-    h, nodes = grid.spacing, grid.nodes
+    model, h, nodes = grid.model, grid.spacing, grid.nodes
     rho_c = spectral.measure_density(model, nodes)
     coupling = spectral.measure_density(model, nodes[:-1] + 0.5 * h) / (h * h)
     diag = np.zeros(grid.size)
@@ -628,14 +621,13 @@ def _oracle_assembly(model, grid, l):
 
 
 @settings(max_examples=60, deadline=None)
-@given(model_grid=_weighted_models().filter(lambda mg: mg[0].topology != dl.CIRCLE))
-def test_sectors_from_the_zonal_assembly_match_a_fresh_assembly_bitwise(model_grid):
+@given(grid=_weighted_models().filter(lambda grid: grid.model.topology != dl.CIRCLE))
+def test_sectors_from_the_zonal_assembly_match_a_fresh_assembly_bitwise(grid):
     # sectors l >= 1 subtract their potential from the l = 0 diagonal, and the
     # node density comes from the grid: every array keeps its bits
-    model, grid = model_grid
     for l in (0, 1, 2):
-        problem = assemble(model, grid, l)
-        diag, off, sqrt_rho = _oracle_assembly(model, grid, l)
+        problem = assemble(grid, l)
+        diag, off, sqrt_rho = _oracle_assembly(grid, l)
         assert problem.l == l and problem.corner == 0.0
         assert problem.diag.tobytes() == diag.tobytes()
         assert problem.off_diag.tobytes() == off.tobytes()
@@ -651,7 +643,7 @@ def test_sectors_from_the_zonal_assembly_match_a_fresh_assembly_bitwise(model_gr
 def test_error_estimate_matches_half_grid_solve(model, sector, N):
     # the Rayleigh quotient of the interpolated eigenvector stands in for the
     # half-grid eigenvalue, on nested (even N) and non-nested (odd N) grids
-    fe = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, N))
+    fe = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, N))
     assert fe.l == sector
     expected = _half_grid_estimate(model, N, fe.lam, sector)
     assert fe.error_estimate == pytest.approx(expected, rel=2e-3)
@@ -660,14 +652,14 @@ def test_error_estimate_matches_half_grid_solve(model, sector, N):
 def test_lam_and_mode_assemble_nothing_at_half_resolution(monkeypatch):
     # the Richardson partner is built on the first read of error_estimate,
     # once; reading lam and mode alone assembles and grids only at N
-    model, grid = _sphere_grid(3, 400, eps=0.5)
+    grid = _sphere_grid(3, 400, eps=0.5)
     sizes = []
     real_assemble, real_uniform = spectral.assemble, dl.Grid.uniform
     monkeypatch.setattr(spectral, "assemble",
-                        lambda m, g, l: sizes.append(("assemble", g.size)) or real_assemble(m, g, l))
+                        lambda g, l: sizes.append(("assemble", g.size)) or real_assemble(g, l))
     monkeypatch.setattr(dl.Grid, "uniform",
                         lambda m, N: sizes.append(("grid", N)) or real_uniform(m, N))
-    fe = dl.first_nonzero_eigenvalue(model, grid)
+    fe = dl.first_nonzero_eigenvalue(grid)
     assert fe.l == 1 and fe.lam > 0.0 and fe.u.size == 400
     assert sizes == [("assemble", 400)]
     err = fe.error_estimate
@@ -675,10 +667,10 @@ def test_lam_and_mode_assemble_nothing_at_half_resolution(monkeypatch):
     assert fe.error_estimate is err and len(sizes) == 3
 
 
-def _non_first_mode(model, grid):
+def _non_first_mode(grid):
     """The top non-constant l = 0 mode, whose lam exceeds an l = 1 lambda_1."""
-    mode = spectral._bisect(assemble(model, grid, 0), grid.size - 2, grid.size)[1]
-    assert mode.lam > dl.first_nonzero_eigenvalue(model, grid).lam
+    mode = spectral._bisect(assemble(grid, 0), grid.size - 2, grid.size)[1]
+    assert mode.lam > dl.first_nonzero_eigenvalue(grid).lam
     return mode
 
 
@@ -694,9 +686,9 @@ def test_error_estimate_is_the_eager_formula_bitwise(model, N, sector, solve):
     # the estimate formed from mode.problem on first read keeps every bit of
     # the one formed from the model and grid inside the solve, for any mode
     grid = dl.Grid.uniform(model, N)
-    mode = solve(model, grid)
+    mode = solve(grid)
     assert mode.l == sector
-    coarse = assemble(model, dl.Grid.uniform(model, N // 2), mode.l)
+    coarse = assemble(dl.Grid.uniform(model, N // 2), mode.l)
     period = model.L if model.topology == dl.CIRCLE else None
     u = np.interp(coarse.grid.nodes, grid.nodes, mode.u, period=period)
     eager = abs(mode.lam - spectral._rayleigh_quotient(coarse, u)) / 3.0
@@ -710,7 +702,7 @@ def test_error_estimate_is_the_eager_formula_bitwise(model, N, sector, solve):
 ], ids=["sphere-l0", "sphere-l1", "circle"])
 def test_rayleigh_quotient_of_an_eigenvector_is_its_eigenvalue(model, l):
     # the energy form of the quotient reproduces dense eigh's eigenvalues
-    problem = assemble(model, dl.Grid.uniform(model, 200), l)
+    problem = assemble(dl.Grid.uniform(model, 200), l)
     vals, vecs = eigh(_symmetrized(problem))
     for j in range(-6, -1 if l == 0 else 0):  # the constant mode is the top of l = 0
         quotient = spectral._rayleigh_quotient(problem, vecs[:, j] / problem.sqrt_rho)
@@ -752,21 +744,21 @@ def test_first_eigenvalue_solve_count(monkeypatch):
     calls = []
     cosine, round_ = _sphere_grid(3, 400, eps=0.4), _sphere_grid(3, 400)
     circle = _circle_grid(400, 0.5)
-    even = spectral._mirror_sectors(assemble(*circle, 0))[0]
+    even = spectral._mirror_sectors(assemble(circle, 0))[0]
     _counting_lapack(monkeypatch, calls,
-                     [assemble(*mg, 0).diag for mg in (cosine, round_)] + [even.diag])
-    fe = dl.first_nonzero_eigenvalue(*cosine)
+                     [assemble(mg, 0).diag for mg in (cosine, round_)] + [even.diag])
+    fe = dl.first_nonzero_eigenvalue(cosine)
     assert calls == [("stebz", 400, 1, (400, 400)), ("count", 400, 0)]
     u = fe.u
     assert calls[2:] == [("stein", 400, 1, 1)]
     assert fe.u is u and fe.error_estimate > 0.0 and len(calls) == 3
     calls.clear()
-    fe = dl.first_nonzero_eigenvalue(*round_)
+    fe = dl.first_nonzero_eigenvalue(round_)
     assert calls == [("stebz", 400, 1, (400, 400)), ("count", 400, 0), ("window", 400, 0)]
     assert fe.l == 0 and fe.u.size == 400
     assert calls[3:] == [("stein", 400, 0, 1)]
     calls.clear()
-    fe = dl.first_nonzero_eigenvalue(*circle)
+    fe = dl.first_nonzero_eigenvalue(circle)
     # the cosine density makes lambda_1 double, one copy in each sector, so the
     # count finds it above the odd top and the even sector is bisected too
     assert calls == [("stebz", 199, 1, (199, 199)), ("count", 201, 0), ("window", 201, 0)]
@@ -793,7 +785,7 @@ def test_a_mode_forms_u_once_and_drops_its_block_data(monkeypatch):
     # read, and not after; repr forms nothing
     calls = []
     _counting_lapack(monkeypatch, calls, [])
-    fe = dl.first_nonzero_eigenvalue(*_circle_grid(400, 0.5))
+    fe = dl.first_nonzero_eigenvalue(_circle_grid(400, 0.5))
     before = len(calls)
     assert repr(fe) == f"_BisectedMode(lam={fe.lam!r}, l=0)"
     assert set(vars(fe)) == {"lam", "l", "problem", "_blocks"}
@@ -830,13 +822,13 @@ def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, cap
         _force_info(monkeypatch, routine, lambda args: args[2] == 1 and args[7] == 0.0)
     else:
         _force_info(monkeypatch, routine)
-    model, grid = _sphere_grid(3, 400, eps=0.0 if zonal_only else 0.5)
+    grid = _sphere_grid(3, 400, eps=0.0 if zonal_only else 0.5)
     with pytest.raises(SolverError, match=f"l={l}, N=400: {routine} returned info=1") as info:
-        dl.first_nonzero_eigenvalue(model, grid).u
+        dl.first_nonzero_eigenvalue(grid).u
     assert (info.value.report["l"], info.value.report["size"]) == (l, 400)
     if not zonal_only:
         with pytest.raises(SolverError, match=f"{routine} returned info=1"):
-            _top_modes(assemble(model, grid, 2), 4)[0].u
+            _top_modes(assemble(grid, 2), 4)[0].u
 
     config = tmp_path / "sphere.json"
     density = {"name": "zero"} if zonal_only else {"name": "cosine", "eps": [0.5]}
@@ -850,7 +842,7 @@ def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, cap
 def test_spectrum_contains_count_failure_is_a_solver_error(monkeypatch):
     _force_info(monkeypatch, "stebz", _is_count)
     with pytest.raises(SolverError, match="l=0, N=400: stebz returned info=1") as info:
-        dl.spectrum_contains(*_sphere_grid(3, 400, eps=0.5), -3.0, 1e-3)
+        dl.spectrum_contains(_sphere_grid(3, 400, eps=0.5), -3.0, 1e-3)
     assert (info.value.report["l"], info.value.report["size"]) == (0, 400)
 
 
@@ -861,9 +853,9 @@ def test_certificate_count_decides_the_zonal_bisection(count, monkeypatch):
     # holds none, so a forged count of 2 or 5 is a SolverError, as are a
     # count of 0, which not even the constant mode gives, and a nonzero info
     # from the count; each names l = 0 and N
-    model, grid = _sphere_grid(3, 400, eps=0.5)
+    grid = _sphere_grid(3, 400, eps=0.5)
     calls = []
-    _counting_lapack(monkeypatch, calls, [assemble(model, grid, 0).diag])
+    _counting_lapack(monkeypatch, calls, [assemble(grid, 0).diag])
     stebz = spectral._LAPACK["stebz"]
 
     def stebz_counting(*args):
@@ -874,33 +866,34 @@ def test_certificate_count_decides_the_zonal_bisection(count, monkeypatch):
     if count:
         with pytest.raises(SolverError, match=f"l=0, N=400: stebz finds 0 eigenvalues in "
                                               rf"\(.*\], not the {count - 1} that the count"):
-            dl.first_nonzero_eigenvalue(model, grid)
+            dl.first_nonzero_eigenvalue(grid)
         assert calls[1:] == [("count", 400, 0), ("window", 400, 0)]
         return
     with pytest.raises(SolverError, match="l=0, N=400: stebz counts no eigenvalue"):
-        dl.first_nonzero_eigenvalue(model, grid)
+        dl.first_nonzero_eigenvalue(grid)
     # on a circle the count runs on the even mirror sector, of N/2 + 1 rows
     with pytest.raises(SolverError, match="l=0, N=201: stebz counts no eigenvalue"):
-        dl.first_nonzero_eigenvalue(*_circle_grid(400, 0.5))
+        dl.first_nonzero_eigenvalue(_circle_grid(400, 0.5))
     monkeypatch.undo()
     _force_info(monkeypatch, "stebz", _is_count)
     with pytest.raises(SolverError, match="l=0, N=400: stebz returned info=1"):
-        dl.first_nonzero_eigenvalue(model, grid)
+        dl.first_nonzero_eigenvalue(grid)
 
 
 def test_angular_mode_search_matters():
     # on the cosine-density sphere the l = 1 branch lies strictly below the
     # zonal branch, so a zonal-only search would report the wrong eigenvalue
-    model, grid = _sphere_grid(2, 800, eps=0.5)
-    fe = dl.first_nonzero_eigenvalue(model, grid)
-    zonal = _top_modes(assemble(model, grid, 0), 2)[1]
+    grid = _sphere_grid(2, 800, eps=0.5)
+    fe = dl.first_nonzero_eigenvalue(grid)
+    zonal = _top_modes(assemble(grid, 0), 2)[1]
     assert fe.l == 1
     assert fe.lam < zonal.lam
 
 
 def test_manifold_samples_shapes():
-    model, grid = _sphere_grid(3, 400, eps=0.4)
-    fe = dl.first_nonzero_eigenvalue(model, grid)
+    grid = _sphere_grid(3, 400, eps=0.4)
+    model = grid.model
+    fe = dl.first_nonzero_eigenvalue(grid)
     assert fe.l == 1
     K = dl.be_ricci_lower_bound(model).K
     nef = dl.normalize(fe, K=K)
@@ -911,7 +904,7 @@ def test_manifold_samples_shapes():
     assert abs(max(v.max(), -v.min()) - 1.0) < 1e-12
     assert np.array_equal(v, nef.v_rad)
     assert equator == nef.equator_grad_sq.max()
-    zonal = _top_modes(assemble(model, grid, 0), 2)[1]
+    zonal = _top_modes(assemble(grid, 0), 2)[1]
     v, grad_sq, equator = dl.normalize(zonal, K=K).samples()
     assert v.shape == grad_sq.shape == (grid.size,) and equator is None
 
@@ -920,7 +913,7 @@ _BLAS_PROBE = """
 import hashlib
 import driftlab as dl
 model = dl.sphere(3, density=dl.cosine_density(0.7))
-fe = dl.first_nonzero_eigenvalue(model, dl.Grid.uniform(model, 100000))
+fe = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 100000))
 nef = dl.normalize(fe, K=dl.be_ricci_lower_bound(model).K)
 arrays = (fe.u, nef.v_rad, nef.dv_rad)
 print(repr((fe.lam, fe.l, fe.error_estimate, nef.k, nef.a, nef.residual_rel,
@@ -942,20 +935,20 @@ def test_first_eigenpair_does_not_depend_on_the_blas_thread_count():
 
 
 def test_assemble_rejects_bad_modes():
-    model, grid = _sphere_grid(2, 100)
+    grid = _sphere_grid(2, 100)
     with pytest.raises(AssemblyError):
-        assemble(model, grid, -1)
+        assemble(grid, -1)
     with pytest.raises(AssemblyError):
-        assemble(model, grid, 1.5)
+        assemble(grid, 1.5)
     # a circle has no fiber, so no angular mode but l = 0
     with pytest.raises(AssemblyError, match="0 on a circle"):
-        assemble(*_circle_grid(100, 0.5), 1)
+        assemble(_circle_grid(100, 0.5), 1)
 
 
 def test_circle_operator_has_no_angular_sector():
     # a circle has no warp, so its operator refuses a sector l >= 1 as
     # assemble does, instead of reaching for the missing warp profile
-    base = assemble(*_circle_grid(100, 0.5), 0)
+    base = assemble(_circle_grid(100, 0.5), 0)
     assert base.sector(0) is base
     with pytest.raises(AssemblyError, match="no angular sectors"):
         base.sector(1)
