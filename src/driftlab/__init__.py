@@ -19,7 +19,7 @@ from .estimates import (BarrierFamily, LevelSetMaxima,
 from .geometry import (CIRCLE, INTERVAL_SPHERE, CosPolynomial, Grid, RoundWarp,
                        WarpedManifold, be_ricci_lower_bound, circle, cosine_density,
                        diameter, einstein_constant, integrate, interval_sphere, sphere,
-                       unit_fiber_area, zero_density)
+                       unit_fiber_area)
 from .solitons import SolitonCandidate, SolitonLedger, normalize_f, soliton_ledger
 from .spectral import (EigenMode, MembershipVerdict, SpectralProblem, assemble,
                        first_nonzero_eigenvalue, spectrum_contains)

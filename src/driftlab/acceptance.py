@@ -239,7 +239,8 @@ def criterion_soliton_checker() -> CriterionResult:
     res.details.append(
         f"perturbation: rr={led.radial:.6f}, tan={led.tangential:.6f}, trace={led.trace_sup:.6f}")
 
-    shifted = pert.grid.model.phi.shifted(sol.normalize_f(pert))
+    c0, *rest = pert.grid.model.coeffs
+    shifted = (c0 + sol.normalize_f(pert), *rest)
     again = sol.normalize_f(
         sol.SolitonCandidate(Grid.uniform(sphere(2, density=shifted), SWEEP_N), gamma=1.0))
     ok = abs(again) <= 1e-14

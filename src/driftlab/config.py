@@ -274,10 +274,9 @@ def read_config(path: str | Path):
 
 def build_model(config: ExperimentConfig, inst: InstanceSpec) -> geometry.WarpedManifold:
     """Instantiate the manifold for one instance of the sweep."""
-    if config.family == "circle":  # a circle's cosine is one period: cos(2 pi theta / L)
-        return geometry.circle(config.L, geometry.CosPolynomial(inst.coeffs, config.L / 2.0))
-    return geometry.interval_sphere(inst.n, config.L,
-                                    density=geometry.CosPolynomial(inst.coeffs, config.L))
+    if config.family == "circle":
+        return geometry.circle(config.L, density=inst.coeffs)
+    return geometry.interval_sphere(inst.n, config.L, density=inst.coeffs)
 
 
 def soliton_gamma(config: ExperimentConfig, model: geometry.WarpedManifold) -> float:

@@ -5,10 +5,6 @@ class DriftLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PoleRegularityError(DriftLabError):
-    """A soliton potential fails the smooth-closure condition at a pole."""
-
-
 class AssemblyError(DriftLabError):
     """A discrete operator could not be assembled from the given model and grid."""
 

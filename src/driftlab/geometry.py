@@ -8,11 +8,14 @@ Every interval sphere carries the round warp of its length, ``RoundWarp(L)``:
 w = rho sin(r/rho) with rho = L/pi, which vanishes at both ends with unit
 slope, so the two ends close up into smooth poles by construction.  A
 weighted (Bakry-Emery) structure adds a radial density phi, turning the
-volume form into e^{-phi} dV_g; every config builds a ``CosPolynomial(coeffs,
-L)``, phi = p(cos(pi r/L)) with deg p <= 2, which generates its value and
-analytic derivatives from its fields.  The second supported topology is a
-weighted circle of circumference L, where the fiber is trivial and only the
-density matters.
+volume form into e^{-phi} dV_g.  A model stores the density as its
+coefficients (c0, c1, c2) and reads them in its own coordinate c =
+cos(pi r/l) on its own interval [0, l]: l = L on an interval sphere and the
+mirror half l = L/2 on a weighted circle of circumference L, where the fiber
+is trivial and only the density matters.  ``model.phi`` is then
+``CosPolynomial(coeffs, l)``, phi = p(c) with deg p <= 2, which generates its
+value and analytic derivatives.  So a density is L-periodic and even on a
+circle, and has zero slope at both poles of a sphere, by construction.
 
 On the round warp the curvature has a closed form: Ric = (n-1)/rho^2 g in
 every direction, R = n (n-1)/rho^2 and dR/dr = 0.  The Hessian of a radial
@@ -24,17 +27,12 @@ eigenvalue ``be_ricci_lower_bound`` finds in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InapplicableBoundError
-
 INTERVAL_SPHERE = "interval-sphere"
 CIRCLE = "circle"
-
-# A circle density's periodicity and evenness are checked to this absolute tolerance.
-_REGULARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,17 +67,18 @@ def _horner(c, x):
 
 @dataclass(frozen=True)
 class CosPolynomial:
-    """The density phi(r) = p(x), x = cos(k r), k = pi / L, p(x) = c0 + c1 x + c2 x^2.
+    """The density phi(r) = p(x), x = cos(k r), k = pi / length, p(x) = c0 + c1 x + c2 x^2.
 
-    ``coeffs`` holds 1 to 3 coefficients in increasing-degree order: degree 2
-    is what ``be_ricci_lower_bound`` solves in closed form.  Radial smoothness
+    ``WarpedManifold.phi`` builds it on the model's own interval.  ``coeffs``
+    holds 1 to 3 coefficients in increasing-degree order: degree 2 is what
+    ``be_ricci_lower_bound`` solves in closed form.  Radial smoothness
     at the poles is automatic, as d/dr cos(k r) vanishes there.  The chain
     rule gives phi' = -k p'(x) sin(k r) and phi'' = k^2 (p''(x) (1 - x^2) -
     p'(x) x) = k^2 (2 c2 - c1 x - 4 c2 x^2).
     """
 
     coeffs: tuple[float, ...]
-    length: float = math.pi
+    length: float
 
     def __post_init__(self):
         c, length = tuple(float(v) for v in self.coeffs), float(self.length)
@@ -88,10 +87,6 @@ class CosPolynomial:
                              f"and a positive and finite length; got {c}, {length}")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "length", length)
-
-    def shifted(self, offset: float) -> "CosPolynomial":
-        """The density phi + offset: c0 moves, nothing else."""
-        return replace(self, coeffs=(self.coeffs[0] + offset,) + self.coeffs[1:])
 
     def value(self, r):
         c = self.coeffs
@@ -111,13 +106,10 @@ class CosPolynomial:
                        np.cos(k * np.asarray(r, dtype=float)))
 
 
-def zero_density() -> CosPolynomial:
-    return CosPolynomial((0.0,))
-
-
-def cosine_density(amplitude: float, length: float = math.pi) -> CosPolynomial:
-    """phi(r) = amplitude * cos(pi r / L); on the unit sphere this is eps*cos(r)."""
-    return CosPolynomial((0.0, amplitude), length)
+def cosine_density(amplitude: float) -> tuple[float, float]:
+    """The coefficients of phi = amplitude * c: amplitude * cos(r) on the unit
+    sphere, amplitude * cos(2 pi theta / L) on a circle of circumference L."""
+    return (0.0, amplitude)
 
 
 @dataclass(frozen=True)
@@ -126,13 +118,15 @@ class WarpedManifold:
 
     topology "interval-sphere": warped product over [0, L] with fiber S^{n-1}
     and the round warp ``RoundWarp(L)``; topology "circle": weighted circle of
-    circumference L (n = 1, no warp).
+    circumference L (n = 1, no warp).  ``coeffs`` are the density's 1 to 3
+    coefficients in the model's own coordinate (module docstring); bad ones
+    raise ``ValueError`` here.
     """
 
     topology: str
     n: int
     L: float
-    phi: CosPolynomial
+    coeffs: tuple[float, ...]
     name: str = ""
 
     def __post_init__(self):
@@ -146,48 +140,45 @@ class WarpedManifold:
         else:
             if self.n != 1:
                 raise ValueError("circle models are one-dimensional (n = 1)")
-            self._check_periodicity()
+        object.__setattr__(self, "coeffs", self.phi.coeffs)
 
     @property
     def w(self) -> RoundWarp | None:
         """The warp: the round warp of length L on an interval sphere, none on a circle."""
         return RoundWarp(self.L) if self.topology == INTERVAL_SPHERE else None
 
-    def _check_periodicity(self):
-        # periodic, and even (phi(theta) = phi(L - theta)) for the mirror sectors
-        v = np.asarray(self.phi.value(np.linspace(0.0, self.L, 129)), dtype=float)
-        d = np.asarray(self.phi.d1(np.array([0.0, self.L])), dtype=float)
-        tol = _REGULARITY_TOL * (1.0 + max(abs(v[0]), abs(v[-1])))
-        if abs(v[0] - v[-1]) > tol or abs(d[0] - d[1]) > tol:
-            raise ValueError("circle density must be periodic with period L")
-        if not np.max(np.abs(v - v[::-1])) <= tol:
-            raise ValueError("circle density must be even about theta = 0")
+    @property
+    def phi(self) -> CosPolynomial:
+        """The density: p(cos(pi r/L)) on an interval sphere, p(cos(2 pi theta/L)) on a circle."""
+        return CosPolynomial(self.coeffs, self.L if self.topology == INTERVAL_SPHERE
+                             else self.L / 2.0)
 
     @property
     def label(self) -> str:
         return self.name or f"{self.topology}(n={self.n},L={self.L:g})"
 
 
-def interval_sphere(n: int, length: float, density: CosPolynomial | None = None,
+def interval_sphere(n: int, length: float, density: tuple[float, ...] = (0.0,),
                     name: str = "") -> WarpedManifold:
-    """The round warped product over an interval of arc length ``length``."""
+    """The round warped product over an interval of arc length ``length``,
+    with the density of coefficients ``density`` in c = cos(pi r/length)."""
     return WarpedManifold(topology=INTERVAL_SPHERE, n=n, L=float(length),
-                          phi=density or zero_density(), name=name)
+                          coeffs=density, name=name)
 
 
-def sphere(n: int, radius: float = 1.0, density: CosPolynomial | None = None,
+def sphere(n: int, radius: float = 1.0, density: tuple[float, ...] = (0.0,),
            name: str = "") -> WarpedManifold:
-    """Round n-sphere of the given radius, optionally with a radial density."""
+    """Round n-sphere of the given radius, with the density of coefficients
+    ``density`` in c = cos(r/radius)."""
     return interval_sphere(n, math.pi * radius, density, name or f"S^{n}(r={radius:g})")
 
 
-def circle(circumference: float, density: CosPolynomial | None = None,
+def circle(circumference: float, density: tuple[float, ...] = (0.0,),
            name: str = "") -> WarpedManifold:
-    """Weighted circle of the given circumference."""
-    return WarpedManifold(
-        topology=CIRCLE, n=1, L=float(circumference),
-        phi=density or zero_density(), name=name or f"circle(L={circumference:g})",
-    )
+    """Weighted circle of the given circumference L, with the density of
+    coefficients ``density`` in c = cos(2 pi theta/L)."""
+    return WarpedManifold(topology=CIRCLE, n=1, L=float(circumference), coeffs=density,
+                          name=name or f"circle(L={circumference:g})")
 
 
 def einstein_constant(model: WarpedManifold) -> float:
@@ -270,12 +261,10 @@ class RicciLowerBound:
 def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
     """K_eff = min over the model of the smaller Ric_phi eigenvalue, over (n-1).
 
-    The minimum is the model's own, in closed form, on the round
-    cos-polynomial family that every config builds: the round warp
-    w = rho sin(r/rho), L = pi rho, of every interval sphere, and a
-    ``CosPolynomial`` density phi = c0 + c1 c + c2 c^2 in c = cos(r/rho) of
-    length L (of any length if constant).  There Ric = (n-1)/rho^2 in every
-    direction, and phi'' and phi' w'/w give
+    The minimum is the model's own, in closed form: every interval sphere
+    has the round warp w = rho sin(r/rho), L = pi rho, and the density
+    phi = c0 + c1 c + c2 c^2 in its own c = cos(r/rho).  There
+    Ric = (n-1)/rho^2 in every direction, and phi'' and phi' w'/w give
 
         rho^2 Ric_phi,rr  = (n-1) + 2 c2 - c1 c - 4 c2 c^2
         rho^2 Ric_phi,tan = (n-1)        - c1 c - 2 c2 c^2,
@@ -283,20 +272,13 @@ def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
     so each eigenvalue is least at c = +-1 (a pole) or at its vertex inside
     (-1, 1).  ``radius`` = rho acos(c) is where the minimum is attained; a
     tie (Ric_phi constant, as on a unit round sphere) goes to the largest c,
-    the smallest radius.  A density outside the family raises
-    ``InapplicableBoundError``, since no minimum is proved for it.  A
-    non-positive result is flagged: the Lichnerowicz- and Ling-type bounds
-    need K > 0.
+    the smallest radius.  A non-positive result is flagged: the
+    Lichnerowicz- and Ling-type bounds need K > 0.
     """
     if model.topology == CIRCLE:
         raise ValueError("the (n-1) K normalization degenerates on 1-dimensional circles")
-    phi = model.phi
-    if not isinstance(phi, CosPolynomial) or (phi.length != model.L and any(phi.coeffs[1:])):
-        raise InapplicableBoundError(
-            f"K_eff has a closed form only for a cos-polynomial density of the model's "
-            f"length L; {model.label} is not one")
     n1 = model.n - 1
-    c1, c2 = (phi.coeffs + (0.0, 0.0))[1:3]
+    c1, c2 = (model.coeffs + (0.0, 0.0))[1:3]
     candidates = []  # (rho^2 Ric_phi, -c): the least value, then the largest c
     for a, q in ((n1 + 2.0 * c2, -4.0 * c2), (n1, -2.0 * c2)):
         vertex = (c1 / (2.0 * q),) if abs(c1) < 2.0 * q else ()

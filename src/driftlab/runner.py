@@ -77,6 +77,8 @@ def _estimates_check(config: ExperimentConfig, nef: est.NormalizedEigenfunction 
 def _soliton_check(config: ExperimentConfig, grid: Grid) -> SolitonCheck:
     """The soliton residuals of the instance's model, whose density is the potential.
     The ``spectrum`` tolerance is the membership window for -2 gamma."""
+    if grid.model.topology == CIRCLE:
+        return SolitonCheck(INAPPLICABLE, "needs an interval-sphere model (circles have no warp)")
     gamma = soliton_gamma(config, grid.model)
     cand = sol.SolitonCandidate(grid=grid, gamma=gamma)
     led = sol.soliton_ledger(cand, tol=config.tolerances["spectrum"])

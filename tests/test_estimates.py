@@ -246,7 +246,7 @@ def test_normalize_needs_a_finite_b_above_one(b):
 def test_normalize_refuses_a_circle_mode():
     # a circle has no (n-1) K, so alpha = delta = 0 and no estimate applies,
     # whatever K the caller passes
-    model = dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi))
+    model = dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5))
     mode = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 200))
     with pytest.raises(ValueError, match="circles"):
         dl.normalize(mode, K=1.0)
@@ -1006,7 +1006,7 @@ def _reference_compute_Z(nef, bins):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_rows_once_match_the_flat_points_bitwise_on_real_modes(n, N):
     # the cosine sphere's lambda_1 mode is l = 1, the Ling model's zonal
-    for density in (dl.cosine_density(0.5), dl.CosPolynomial([0.0, -1.0, -0.25])):
+    for density in (dl.cosine_density(0.5), (0.0, -1.0, -0.25)):
         model = dl.sphere(n, density=density)
         mode = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, N))
         nef = dl.normalize(mode, K=1.0)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import driftlab as dl
-from driftlab.errors import InapplicableBoundError
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +248,7 @@ def test_pole_regularity_rejected():
     # length, which vanishes at both poles with slopes +1 and -1
     with pytest.raises(TypeError, match="w"):
         dl.WarpedManifold(topology=dl.INTERVAL_SPHERE, n=2, L=math.pi,
-                          w=dl.RoundWarp(2.0), phi=dl.zero_density())
+                          w=dl.RoundWarp(2.0), coeffs=(0.0,))
     for length in (math.pi, 2.5):
         w = dl.interval_sphere(2, length).w
         assert w == dl.RoundWarp(length)
@@ -258,29 +257,21 @@ def test_pole_regularity_rejected():
         assert np.all(w.value(np.linspace(0.0, length, 513)[1:-1]) > 0.0)
 
 
-def test_circle_needs_periodic_density():
-    with pytest.raises(ValueError):
-        dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, 2.0 * math.pi))
-
-
-@pytest.mark.parametrize("shift", [0.5 * math.pi, 1.0], ids=["sine", "shifted-cosine"])
-def test_circle_needs_an_even_density(shift):
-    # phi = 0.5 cos(theta - shift) is periodic but not even about theta = 0,
-    # so the circle's operator has no mirror sectors; unshifted it is accepted.
-    # A cos-polynomial is even by construction, so the density is built by hand
-    class profile:
-        def __init__(self, s):
-            self.s = s
-
-        def value(self, r):
-            return 0.5 * np.cos(np.asarray(r) - self.s)
-
-        def d1(self, r):
-            return -0.5 * np.sin(np.asarray(r) - self.s)
-
-    with pytest.raises(ValueError, match="even about theta = 0"):
-        dl.circle(2.0 * math.pi, density=profile(shift))
-    assert dl.circle(2.0 * math.pi, density=profile(0.0)).phi.value(0.0) == 0.5
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), length=st.floats(0.5, 8.0),
+       coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
+def test_an_interval_sphere_density_is_flat_at_both_poles(n, length, coeffs):
+    # phi = p(cos(pi r/L)) and d/dr cos(pi r/L) vanishes at r = 0 and r = L,
+    # so grad phi is smooth at both poles by construction: phi'(0) is exactly
+    # 0, and phi'(L) is k p'(c) sin(k L) with |p'| <= |c1| + 2 |c2| and
+    # k L within a few rounding units of pi (|sin(k L)| read at most 2.6 eps
+    # over 2e5 random L in [0.5, 8])
+    model = dl.interval_sphere(n, length, density=coeffs)
+    c1, c2 = (list(coeffs) + [0.0, 0.0])[1:3]
+    k = math.pi / length
+    at_zero, at_length = model.phi.d1(np.array([0.0, length]))
+    assert at_zero == 0.0
+    assert abs(at_length) <= 8.0 * np.finfo(float).eps * k * (abs(c1) + 2.0 * abs(c2))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
@@ -289,7 +280,7 @@ def test_grid_rejects_a_density_that_is_not_positive_and_finite(shift):
     # phi = 400 cos r + shift spans [0, 800] or [-800, 0], so e^{-phi}
     # underflows to 0 (or overflows to inf) at the nodes near one pole; the
     # grid's weight check sees the real weights, not placeholders
-    model = dl.sphere(2, density=dl.cosine_density(400.0).shifted(shift))
+    model = dl.sphere(2, density=(shift, 400.0))
     with pytest.raises(ValueError, match="weights must be positive and finite"):
         dl.Grid.uniform(model, 64)
 
@@ -309,7 +300,7 @@ LING = (0.0, -1.0, -0.25)  # configs/ling_cases.json
 
 
 def _ling_model(n):
-    return dl.sphere(n, density=dl.CosPolynomial(LING))
+    return dl.sphere(n, density=LING)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -362,8 +353,10 @@ def test_ricci_lower_bound_finds_a_minimum_between_cell_centres():
 
 
 # the densities of the shipped sweeps: cosine amplitudes and the Ling model
+# and 0.3 cos 2r = -0.3 + 0.6 cos^2 r, whose K_eff is least at both poles
 _ORACLE_DENSITIES = {"cosine(-0.5)": (0.0, -0.5), "cosine(0.1)": (0.0, 0.1),
-                     "cosine(0.5)": (0.0, 0.5), "cosine(0.9)": (0.0, 0.9), "ling": LING}
+                     "cosine(0.5)": (0.0, 0.5), "cosine(0.9)": (0.0, 0.9), "ling": LING,
+                     "0.3cos2r": (-0.3, 0.0, 0.6)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -374,7 +367,7 @@ def test_ricci_lower_bound_matches_an_independent_ricci_oracle(density, n):
     # interior points: every sample lies at or above K_eff, to the closed
     # form's rounding, and the reported radius attains it
     coeffs = _ORACLE_DENSITIES[density]
-    model = dl.sphere(n, density=dl.CosPolynomial(coeffs))
+    model = dl.sphere(n, density=coeffs)
     kb = dl.be_ricci_lower_bound(model)
     c1, c2 = (list(coeffs) + [0.0, 0.0])[1:3]
     rounding = 16.0 * np.finfo(float).eps * (n - 1 + abs(c1) + 6.0 * abs(c2)) / (n - 1)
@@ -412,10 +405,10 @@ def test_ricci_lower_bound_tie_goes_to_the_smallest_radius():
 def test_poly_cos_density_is_capped_at_degree_two():
     # be_ricci_lower_bound's closed form takes each Ric_phi eigenvalue as a
     # quadratic in cos(pi r/L), which a degree above 2 would break
-    dl.CosPolynomial([0.0, -1.0, -0.25])
+    dl.sphere(2, density=[0.0, -1.0, -0.25])
     for coeffs in ([0.0, 0.0, 0.0, 1.0], []):
         with pytest.raises(ValueError, match="1 to 3 finite coefficients"):
-            dl.CosPolynomial(coeffs)
+            dl.sphere(2, density=coeffs)
     from driftlab import config as cfg
     raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
                       / "ling_cases.json").read_text())
@@ -434,7 +427,7 @@ def test_closed_form_ricci_lower_bound_is_the_sampled_minimum(n, length, coeffs)
     # (at a pole, or at a vertex in c), and a centre lies within h/2 of that
     # point, so the least sample over-reads K_eff by at most
     # max |d^2 Ric_phi / dr^2| (h/2)^2 / 2, over (n-1).
-    model = dl.interval_sphere(n, length, density=dl.CosPolynomial(coeffs, length))
+    model = dl.interval_sphere(n, length, density=coeffs)
     kb = dl.be_ricci_lower_bound(model)
     grid = dl.Grid.uniform(model, 20001)
     least = float(np.minimum(*_ricphi_sampled(model, grid.nodes)).min()) / (n - 1)
@@ -449,29 +442,25 @@ def test_closed_form_ricci_lower_bound_is_the_sampled_minimum(n, length, coeffs)
     assert kb.positive == (kb.K > 0.0)
 
 
-def test_ricci_lower_bound_refuses_a_model_outside_the_round_cos_family():
-    # a cosine of length L/3 is cos(3 r) on the unit sphere, not a quadratic
-    # in cos(r), and a cosine of length pi on a sphere of length 2 pi is not
-    # a polynomial in cos(r/2): no closed form covers either
-    cos = dl.cosine_density(0.5)
-    with pytest.raises(InapplicableBoundError, match="closed form"):
-        dl.be_ricci_lower_bound(dl.sphere(2, density=dl.cosine_density(0.5, math.pi / 3.0)))
-    with pytest.raises(InapplicableBoundError, match="closed form"):
-        dl.be_ricci_lower_bound(dl.sphere(3, radius=2.0, density=cos))
-    # at the model's length the same cosine is in the family: min of
-    # (2 - 0.5 c) / 4 at the pole c = 1
-    kb = dl.be_ricci_lower_bound(
-        dl.sphere(3, radius=2.0, density=dl.cosine_density(0.5, 2.0 * math.pi)))
+def test_a_density_is_read_in_the_model_coordinate():
+    # 0.3 cos 2r on the unit S^2 is written in c = cos r as (-0.3, 0, 0.6);
+    # rho^2 Ric_phi is 1 + 1.2 - 2.4 c^2 radially and 1 - 1.2 c^2
+    # tangentially, both -0.2 at the poles
+    model = dl.sphere(2, density=(-0.3, 0.0, 0.6))
+    r = np.linspace(0.0, math.pi, 101)
+    assert np.allclose(model.phi.value(r), 0.3 * np.cos(2.0 * r), rtol=0.0, atol=1e-15)
+    kb = dl.be_ricci_lower_bound(model)
+    assert kb.K == pytest.approx(-0.2, abs=1e-15) and not kb.positive
+    # cosine(0.5) on the radius-2 S^3 is 0.5 cos(r/2): min of (2 - 0.5 c)/4
+    # at the pole c = 1
+    kb = dl.be_ricci_lower_bound(dl.sphere(3, radius=2.0, density=dl.cosine_density(0.5)))
     assert kb.K == 1.5 / 8.0 and kb.radius == 0.0
-    # circles keep their own refusal
-    with pytest.raises(ValueError, match="circles"):
-        dl.be_ricci_lower_bound(dl.circle(2.0 * math.pi))
 
 
 def test_curvature_refuses_circles():
     # a circle has no warp, so neither K_eff nor the soliton ledger's
     # curvature applies to it
-    ring = dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi))
+    ring = dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5))
     assert ring.w is None
     with pytest.raises(ValueError, match="circles"):
         dl.be_ricci_lower_bound(ring)
@@ -481,33 +470,34 @@ def test_curvature_refuses_circles():
 
 @pytest.mark.parametrize("coeffs", [[0.5], [0.5, 0.0, 0.0]], ids=["c0", "c0-0-0"])
 def test_ricci_lower_bound_takes_a_constant_density_of_any_length(coeffs):
-    # a constant density has Hess(phi) = 0, so Ric_phi = Ric and K = 1 on the
-    # unit S^2 whatever length the constant was written with
+    # a constant density has Hess(phi) = 0, so Ric_phi = Ric and K = 1/rho^2
+    # on the round S^2 of every length L = pi rho
     for length in (2.0, math.pi):
-        kb = dl.be_ricci_lower_bound(dl.sphere(2, density=dl.CosPolynomial(coeffs, length)))
-        assert kb.K == 1.0 and kb.radius == 0.0 and kb.positive
+        kb = dl.be_ricci_lower_bound(dl.interval_sphere(2, length, density=coeffs))
+        assert kb.K == 1.0 / (length / math.pi) ** 2 and kb.radius == 0.0 and kb.positive
 
 
 def test_constructors_record_the_round_cos_family():
-    assert dl.zero_density() == dl.CosPolynomial((0.0,))
-    assert dl.cosine_density(0.3, 2.5) == dl.CosPolynomial((0.0, 0.3), 2.5)
-    poly = dl.CosPolynomial([1, -1, 0.5])
-    assert poly.coeffs == (1.0, -1.0, 0.5) and poly.length == math.pi
+    assert dl.cosine_density(0.3) == (0.0, 0.3)
+    poly = dl.sphere(2, density=[1, -1, 0.5])
+    assert poly.coeffs == (1.0, -1.0, 0.5)
+    assert poly.phi == dl.CosPolynomial((1.0, -1.0, 0.5), math.pi)
     assert dl.RoundWarp(2.0 * math.pi).rho == 2.0
-    # interval_sphere and sphere build the round warp of the model's own L
+    # interval_sphere and sphere build the round warp and the density of the
+    # model's own L; a circle reads its density on the mirror half L/2
     for model in (dl.interval_sphere(3, 2.5), dl.sphere(3, radius=0.7)):
         assert model.w == dl.RoundWarp(model.L)
-        assert model.phi == dl.zero_density()
+        assert model.coeffs == (0.0,) and model.phi == dl.CosPolynomial((0.0,), model.L)
+    ring = dl.circle(2.5, density=dl.cosine_density(0.3))
+    assert ring.coeffs == (0.0, 0.3) and ring.phi == dl.CosPolynomial((0.0, 0.3), 1.25)
 
 
 def test_shifted_density_keeps_its_record():
-    # K_eff does not depend on the constant term c0, the only one shift moves
-    dens = dl.CosPolynomial([0.0, -1.0, -0.25])
-    moved = dens.shifted(0.7)
-    assert moved == dl.CosPolynomial((0.7, -1.0, -0.25))
-    assert dl.be_ricci_lower_bound(dl.sphere(3, density=moved)) \
-        == dl.be_ricci_lower_bound(dl.sphere(3, density=dens))
-    assert dl.zero_density().shifted(-1.0) == dl.CosPolynomial((-1.0,))
+    # K_eff does not depend on the constant term c0, the only one a shift moves
+    moved = dl.sphere(3, density=(0.7, -1.0, -0.25))
+    assert moved.coeffs == (0.7, -1.0, -0.25)
+    assert dl.be_ricci_lower_bound(moved) == dl.be_ricci_lower_bound(_ling_model(3))
+    assert dl.sphere(3, density=(-1.0,)).phi.value(np.array([0.5])) == -1.0
 
 
 @pytest.mark.parametrize("coeffs, length", [
@@ -518,10 +508,23 @@ def test_cos_polynomial_rejects_non_finite_input(coeffs, length):
         dl.CosPolynomial(coeffs, length)
 
 
+@pytest.mark.parametrize("coeffs", [(0.0, math.nan), (math.inf,), (0.0, 0.5, -math.inf),
+                                    (0.0, 0.0, 0.0, 1.0)], ids=["nan", "inf", "-inf", "four"])
+@pytest.mark.parametrize("build", [lambda c: dl.sphere(2, density=c),
+                                   lambda c: dl.interval_sphere(3, 2.5, density=c),
+                                   lambda c: dl.circle(2.0 * math.pi, density=c)],
+                         ids=["sphere", "interval-sphere", "circle"])
+def test_models_reject_bad_coefficients_when_built(build, coeffs):
+    with pytest.raises(ValueError, match="1 to 3 finite coefficients"):
+        build(coeffs)
+
+
 def test_family_constructors_reject_a_bad_length():
     # a zero length is refused up front, not by a ZeroDivisionError inside
     with pytest.raises(ValueError, match="positive and finite"):
-        dl.cosine_density(0.5, 0.0)
+        dl.interval_sphere(2, 0.0, density=dl.cosine_density(0.5))
+    with pytest.raises(ValueError, match="positive and finite"):
+        dl.circle(0.0, density=dl.cosine_density(0.5))
     # a RoundWarp takes its length from the model, which refuses a bad one
     for radius in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -559,7 +562,7 @@ def test_cosine_density_has_the_plain_cosine_bits(a, length):
     # is a cos(k r), phi' = (-a k) sin(k r) and phi'' = (-a k^2) cos(k r)
     r = np.linspace(0.0, length, 1001)
     k = math.pi / length
-    dens = dl.cosine_density(a, length)
+    dens = dl.interval_sphere(2, length, density=dl.cosine_density(a)).phi
     assert np.array_equal(dens.value(r), a * np.cos(math.pi / length * r))
     assert np.array_equal(dens.d1(r), -a * k * np.sin(k * r))
     assert np.array_equal(dens.d2(r), -a * k**2 * np.cos(k * r))
@@ -573,7 +576,7 @@ def test_non_unit_round_spheres_keep_the_closed_form(n):
     models = [dl.sphere(n, radius=radius) for radius in (0.7, 1.3, 3.0)]
     models.append(dl.interval_sphere(n, 2.5))
     for bare in models:
-        model = dl.interval_sphere(n, bare.L, density=dl.CosPolynomial(LING, bare.L))
+        model = dl.interval_sphere(n, bare.L, density=LING)
         assert bare.w == model.w == dl.RoundWarp(model.L)
         rho = model.L / math.pi
         kb = dl.be_ricci_lower_bound(model)

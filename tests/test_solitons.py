@@ -13,16 +13,16 @@ import driftlab as dl
 import driftlab.acceptance as acceptance
 import driftlab.runner as runner
 from driftlab.config import parse_config
-from driftlab.errors import PoleRegularityError
 
 
 @lru_cache(maxsize=None)
-def _grid(density=None, n=2, N=1500, radius=1.0):
-    """A grid on the n-sphere whose density is the soliton potential."""
+def _grid(density=(0.0,), n=2, N=1500, radius=1.0):
+    """A grid on the n-sphere whose density, read in c = cos(r/radius), is
+    the soliton potential."""
     return dl.Grid.uniform(dl.sphere(n, radius=radius, density=density), N)
 
 
-def _candidate(density=None, gamma=1.0, **grid):
+def _candidate(density=(0.0,), gamma=1.0, **grid):
     return dl.SolitonCandidate(_grid(density, **grid), gamma=gamma)
 
 
@@ -68,6 +68,22 @@ def test_the_family_density_is_the_soliton_potential():
     assert row["verdict_soliton"] is False
 
 
+def test_the_soliton_check_is_inapplicable_on_a_circle():
+    # a circle has no warp, so the soliton equation's curvature does not
+    # apply: the row says why, as the bounds and estimates checks do, and is
+    # no error
+    config = parse_config({
+        "schema_version": 1,
+        "family": {"name": "circle", "length": 6.0,
+                   "density": {"name": "cosine", "eps": [0.5]}},
+        "grids": [200], "checks": ["soliton"], "soliton": {"gamma": "einstein"}})
+    report = runner.run(config)
+    row, = report.rows
+    assert row["verdict_soliton"] is None and "error" not in row
+    assert "soliton: needs an interval-sphere model" in row["reason"]
+    assert report.exit_code == 0
+
+
 def test_rescaled_sphere_matching_gamma():
     # radius rho sphere is Einstein with gamma = (n-1)/rho^2
     led = dl.soliton_ledger(_candidate(gamma=2.0 / 4.0, n=3, radius=2.0))
@@ -99,18 +115,18 @@ def test_identity_residuals_scale_linearly():
 
 def test_scaling_covariance_of_residuals():
     # g -> c^2 g with gamma -> gamma/c^2 and the same potential profile in the
-    # stretched coordinate scales both residual components by 1/c^2
+    # model's own coordinate cos(r/c) scales both residual components by 1/c^2
     c = 2.0
-    r_unit = dl.soliton_ledger(_candidate(dl.cosine_density(0.1, length=math.pi)))
-    r_scaled = dl.soliton_ledger(_candidate(dl.cosine_density(0.1, length=c * math.pi),
-                                            gamma=1.0 / c**2, radius=c))
+    r_unit = dl.soliton_ledger(_candidate(dl.cosine_density(0.1)))
+    r_scaled = dl.soliton_ledger(_candidate(dl.cosine_density(0.1), gamma=1.0 / c**2,
+                                            radius=c))
     assert r_scaled.radial == pytest.approx(r_unit.radial / c**2, rel=1e-8)
     assert r_scaled.tangential == pytest.approx(r_unit.tangential / c**2, rel=1e-8)
 
 
 def test_normalize_f_trivial_cases():
     assert dl.normalize_f(_candidate()) == pytest.approx(0.0, abs=1e-15)
-    const5 = _candidate(dl.zero_density().shifted(5.0))
+    const5 = _candidate((5.0,))
     assert dl.normalize_f(const5) == pytest.approx(-5.0, abs=1e-12)
 
 
@@ -124,8 +140,8 @@ def test_normalize_f_cosine_against_quadrature_oracle():
 
 
 def test_normalize_f_idempotent():
-    f = dl.cosine_density(0.7)
-    second = dl.normalize_f(_candidate(f.shifted(dl.normalize_f(_candidate(f)))))
+    shift = dl.normalize_f(_candidate(dl.cosine_density(0.7)))
+    second = dl.normalize_f(_candidate((shift, 0.7)))
     assert type(second) is float and abs(second) < 1e-14
 
 
@@ -137,7 +153,7 @@ def test_eigen_relation_vacuous_for_einstein():
     # 2-sphere, so membership holds coincidentally
     assert led.membership.contained
     # a constant potential is zero once normalized, so it is vacuous too
-    led = dl.soliton_ledger(_candidate(dl.zero_density().shifted(5.0)))
+    led = dl.soliton_ledger(_candidate((5.0,)))
     assert led.shift == pytest.approx(-5.0, abs=1e-12)
     assert led.vacuous
     assert led.eigen_residual < 1e-12
@@ -148,7 +164,7 @@ def test_eigen_relation_flags_perturbation():
     # residual is Theta(eps), a linearization sanity check
     residuals = []
     for eps in (1e-2, 1e-3):
-        led = dl.soliton_ledger(_candidate(dl.CosPolynomial([0.0, 0.0, eps])))
+        led = dl.soliton_ledger(_candidate((0.0, 0.0, eps)))
         assert not led.vacuous
         assert led.eigen_residual > 0.1 * eps  # flagged well above rounding
         residuals.append(led.eigen_residual)
@@ -158,9 +174,6 @@ def test_eigen_relation_flags_perturbation():
 def test_candidate_validation():
     with pytest.raises(ValueError):
         _candidate(gamma=0.0)
-    # cos(r/2), a cosine of twice the model's length, has slope -1/2 at r = pi
-    with pytest.raises(PoleRegularityError):
-        _candidate(dl.cosine_density(1.0, 2.0 * math.pi))
     with pytest.raises(ValueError):
         dl.SolitonCandidate(dl.Grid.uniform(dl.circle(2 * math.pi), 100), gamma=1.0)
 

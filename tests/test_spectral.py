@@ -24,29 +24,28 @@ from driftlab.spectral import assemble
 
 @lru_cache(maxsize=None)
 def _sphere_grid(n, N, eps=0.0):
-    return dl.Grid.uniform(dl.sphere(n, density=dl.cosine_density(eps) if eps else None), N)
+    return dl.Grid.uniform(dl.sphere(n, density=dl.cosine_density(eps) if eps else (0.0,)), N)
 
 
 @lru_cache(maxsize=None)
 def _circle_grid(N, eps):
-    length = 2.0 * math.pi
-    return dl.Grid.uniform(dl.circle(length, density=dl.cosine_density(eps, length / 2.0)), N)
+    return dl.Grid.uniform(dl.circle(2.0 * math.pi, density=dl.cosine_density(eps)), N)
 
 
 _EPS = st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)
+_POLY_COS = st.lists(_EPS, min_size=1, max_size=3)
 
 
 @st.composite
 def _weighted_models(draw):
     """A weighted n-sphere (n 2-5; cosine or short poly-cos density) or a
-    weighted circle, on a grid of 8-400 nodes."""
+    weighted circle (cosine or short poly-cos density), on a grid of 8-400
+    nodes."""
     kind = draw(st.sampled_from(("cosine", "poly-cos", "circle")))
+    density = dl.cosine_density(draw(_EPS)) if kind == "cosine" else draw(_POLY_COS)
     if kind == "circle":
-        length = 2.0 * math.pi
-        model = dl.circle(length, density=dl.cosine_density(draw(_EPS), length / 2.0))
+        model = dl.circle(2.0 * math.pi, density=density)
     else:
-        density = dl.cosine_density(draw(_EPS)) if kind == "cosine" else \
-            dl.CosPolynomial(draw(st.lists(_EPS, min_size=1, max_size=3)))
         model = dl.sphere(draw(st.integers(2, 5)), density=density)
     return dl.Grid.uniform(model, draw(st.integers(8, 400)))
 
@@ -452,18 +451,21 @@ def test_circle_solve_matches_dense_reference():
 
 
 @settings(max_examples=60, deadline=None)
-@given(eps=_EPS, N=st.integers(8, 400), length=st.sampled_from((2.0 * math.pi, 3.7)))
-@example(eps=0.5, N=4, length=2.0 * math.pi)  # an odd sector of one row
-@example(eps=-0.3, N=5, length=3.7)
-def test_mirror_sectors_hold_the_periodic_spectrum(eps, N, length):
-    # the unfolded unit vectors of both sectors are an orthonormal basis Q,
+@given(coeffs=_POLY_COS, N=st.integers(8, 400), length=st.sampled_from((2.0 * math.pi, 3.7)))
+@example(coeffs=[0.0, 0.5], N=4, length=2.0 * math.pi)  # an odd sector of one row
+@example(coeffs=[0.0, -0.3], N=5, length=3.7)
+@example(coeffs=[0.2, -0.7, 0.6], N=9, length=3.7)
+def test_mirror_sectors_hold_the_periodic_spectrum(coeffs, N, length):
+    # a circle density p(cos(2 pi theta/L)) is even about theta = 0 by
+    # construction, for every short poly-cos p, so the mirror sectors hold.
+    # The unfolded unit vectors of both sectors are an orthonormal basis Q,
     # even or odd under the mirror i -> N - i, in which the full periodic
     # matrix T is block diagonal with the two sectors as its blocks, up to
     # the rounding that the mirror-symmetric assembly leaves.  So the two
     # sectors' eigenvalues together are T's: dense eigh matches them to
     # within its own backward error, a few eps ||T||_F (with the row-sum norm
     # it reached 15.6 eps ||T||_inf at N = 288 in 150 random draws)
-    model = dl.circle(length, density=dl.cosine_density(eps, length / 2.0))
+    model = dl.circle(length, density=coeffs)
     grid = dl.Grid.uniform(model, N)
     problem = assemble(grid, 0)
     even, odd = spectral._mirror_sectors(problem)
@@ -543,7 +545,7 @@ def _solve_both_tops(grid):
 @pytest.mark.parametrize("N", [400, 2000])
 @pytest.mark.parametrize("density,n,sector", [
     (dl.cosine_density(0.5), 3, 1),
-    (dl.CosPolynomial([0.0, -1.0, -0.25]), 2, 0),  # configs/ling_cases.json, n = 2
+    ((0.0, -1.0, -0.25), 2, 0),  # configs/ling_cases.json, n = 2
 ], ids=["cosine-n3", "ling-poly-cos-n2"])
 def test_first_eigenvalue_matches_eigenpair_solves_bitwise(density, n, sector, N):
     # bisecting l = 1's top, certifying l = 0's by a count (cosine) or
@@ -567,11 +569,10 @@ def _spheres(draw):
     l = 0 and l = 1), with a cosine or short poly-cos one, or with the Ling
     cases' poly-cos density, on 8-300 nodes."""
     kind = draw(st.sampled_from(("round", "cosine", "poly-cos", "ling")))
-    density = {"round": lambda: None,
+    density = {"round": lambda: (0.0,),
                "cosine": lambda: dl.cosine_density(draw(_EPS)),
-               "poly-cos": lambda: dl.CosPolynomial(
-                   draw(st.lists(_EPS, min_size=1, max_size=3))),
-               "ling": lambda: dl.CosPolynomial([0.0, -1.0, -0.25])}[kind]()
+               "poly-cos": lambda: draw(_POLY_COS),
+               "ling": lambda: (0.0, -1.0, -0.25)}[kind]()
     return dl.Grid.uniform(dl.sphere(draw(st.integers(2, 5)), density=density),
                            draw(st.integers(8, 300)))
 
@@ -637,8 +638,8 @@ def test_sectors_from_the_zonal_assembly_match_a_fresh_assembly_bitwise(grid):
 @pytest.mark.parametrize("N", [400, 401, 2000])
 @pytest.mark.parametrize("model,sector", [
     (dl.sphere(3, density=dl.cosine_density(0.5)), 1),
-    (dl.sphere(2, density=dl.CosPolynomial([0.0, -1.0, -0.25])), 0),
-    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi)), 0),
+    (dl.sphere(2, density=(0.0, -1.0, -0.25)), 0),
+    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5)), 0),
 ], ids=["cosine-n3", "ling-poly-cos-n2", "circle"])
 def test_error_estimate_matches_half_grid_solve(model, sector, N):
     # the Rayleigh quotient of the interpolated eigenvector stands in for the
@@ -677,7 +678,7 @@ def _non_first_mode(grid):
 @pytest.mark.parametrize("model,N,sector,solve", [
     (dl.sphere(3, density=dl.cosine_density(0.5)), 400, 1, dl.first_nonzero_eigenvalue),
     (dl.sphere(2), 400, 0, dl.first_nonzero_eigenvalue),
-    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi)), 400, 0,
+    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5)), 400, 0,
      dl.first_nonzero_eigenvalue),
     (dl.sphere(3, density=dl.cosine_density(0.5)), 401, 1, dl.first_nonzero_eigenvalue),
     (dl.sphere(3, density=dl.cosine_density(0.5)), 400, 0, _non_first_mode),
@@ -696,9 +697,9 @@ def test_error_estimate_is_the_eager_formula_bitwise(model, N, sector, solve):
 
 
 @pytest.mark.parametrize("model,l", [
-    (dl.sphere(2, density=dl.CosPolynomial([0.0, -1.0, -0.25])), 0),
+    (dl.sphere(2, density=(0.0, -1.0, -0.25)), 0),
     (dl.sphere(3, density=dl.cosine_density(0.5)), 1),
-    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5, math.pi)), 0),
+    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5)), 0),
 ], ids=["sphere-l0", "sphere-l1", "circle"])
 def test_rayleigh_quotient_of_an_eigenvector_is_its_eigenvalue(model, l):
     # the energy form of the quotient reproduces dense eigh's eigenvalues
