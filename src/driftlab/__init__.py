@@ -18,7 +18,7 @@ from .estimates import (BarrierFamily, LevelSetMaxima,
                         length_integral_check, normalize, xi)
 from .geometry import (CIRCLE, INTERVAL_SPHERE, CosPolynomial, Grid, RoundWarp,
                        WarpedManifold, be_ricci_lower_bound, circle, cosine_density,
-                       diameter, einstein_constant, integrate, interval_sphere, sphere,
+                       diameter, einstein_constant, interval_sphere, sphere,
                        unit_fiber_area)
 from .solitons import SolitonCandidate, SolitonLedger, normalize_f, soliton_ledger
 from .spectral import (EigenMode, MembershipVerdict, SpectralProblem, assemble,

@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import estimates as est
 from . import solitons as sol
-from .geometry import Grid, be_ricci_lower_bound, cosine_density, diameter, sphere
+from .geometry import Grid, cosine_density, diameter, sphere
 from .reports import FAIL, PASS, SUITE_COLUMNS, render_csv
 from .spectral import _bisect, assemble, first_nonzero_eigenvalue
 
@@ -108,16 +108,15 @@ def criteria_cosine_family() -> tuple[CriterionResult, CriterionResult, Criterio
         for eps in EPS_VALUES:
             model = sphere(n, density=cosine_density(eps))
             fe = first_nonzero_eigenvalue(Grid.uniform(model, SWEEP_N))
-            K = be_ricci_lower_bound(model).K
-            nef = est.normalize(fe, K=K, b=1.01)
+            nef = est.normalize(fe, b=1.01)
             gm = est.gradient_estimate_margin(nef)
             instance, head = f"S^{n}:eps={eps:g}", f"n={n} eps={eps:g}:"
-            bound = bounds_mod.lichnerowicz_be(n, K)
+            bound = bounds_mod.lichnerowicz_be(n, nef.K)
             margin = fe.lam - bound
             lich.check(instance, "lichnerowicz_margin", margin, 0.0, 1e-6, margin >= -1e-6)
             lich.details.append(f"{head} lambda1={fe.lam:.6f} >= (n-1)K={bound:.6f} "
                                 f"(margin {margin:+.4f})")
-            bound = bounds_mod.ling_be_bound(n, K, diameter(model))
+            bound = bounds_mod.ling_be_bound(n, nef.K, diameter(model))
             margin = fe.lam - bound
             ling.check(instance, "ling_margin", margin, 0.0, 1e-6, margin >= -1e-6)
             ling.details.append(
@@ -138,11 +137,9 @@ def criterion_barrier_dominance() -> CriterionResult:
     """Z(t) <= 1 + delta xi(t) + 1e-2 for the zonal eigenfunction of the unit S^2."""
     t0 = time.perf_counter()
     res = CriterionResult(5, "barrier dominance for the symmetric zonal mode")
-    model = sphere(2)
-    grid = Grid.uniform(model, SWEEP_N)
+    grid = Grid.uniform(sphere(2), SWEEP_N)
     mode, = _bisect(assemble(grid, 0), SWEEP_N - 1, SWEEP_N - 1)  # first non-zero
-    kb = be_ricci_lower_bound(model)
-    nef = est.normalize(mode, K=kb.K, b=1.01)
+    nef = est.normalize(mode, b=1.01)
     ok_a = abs(nef.a) <= 1e-8
     res.check("S^2:zonal", "asymmetry_a", nef.a, 0.0, 1e-8, ok_a)
     z = est.barrier(0.0, 1.01, 0.25, 1.0)  # 1 + delta*xi with delta = 1/4

@@ -37,7 +37,6 @@ DENSITY_KEYS = {"zero": (), "cosine": ("eps",), "poly-cos": ("coeffs",)}  # beyo
 # to each, where a dict lookup would raise TypeError
 MANIFOLD_FAMILIES = tuple(FAMILY_KEYS)
 DENSITY_FAMILIES = tuple(DENSITY_KEYS)
-PERIODIC_DENSITIES = ("zero", "cosine")  # the densities a circle takes
 CHECK_NAMES = ("spectrum", "bounds", "estimates", "soliton")
 FORMATS = ("csv", "json")
 
@@ -152,13 +151,13 @@ class InstanceSpec:
         return f"{self.family}:n={self.n}:density={self.density_label}:N={self.N}"
 
 
-def _parse_density(obj, where: str, known: tuple) -> DensitySpec:
+def _parse_density(obj, where: str) -> DensitySpec:
     """A density section; a cosine takes a list of amplitudes, or one."""
     obj = {"name": "zero"} if obj is None else obj
     _require_keys(obj, where, ("name",), ("eps", "coeffs"))
     name = obj["name"]
-    if name not in known:
-        raise ConfigError(f"{where} takes the families {known}, not {name!r}")
+    if name not in DENSITY_FAMILIES:
+        raise ConfigError(f"{where} takes the families {DENSITY_FAMILIES}, not {name!r}")
     # each family reads only its own parameter; a stray one would be silently ignored
     _require_keys(obj, f"the {name} family of {where}", ("name",) + DENSITY_KEYS[name], ())
     if name == "cosine":
@@ -200,8 +199,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     else:  # a sphere of radius r is the round warp of length pi r
         L = math.pi * _scalar(fam.get("radius", 1.0), "family.radius", float, _positive,
                               "must be positive")
-    density = _parse_density(fam.get("density"), "family.density",
-                             PERIODIC_DENSITIES if circle else DENSITY_FAMILIES)
+    density = _parse_density(fam.get("density"), "family.density")
 
     checks = _names(data["checks"], "checks", "check", CHECK_NAMES)
     grids = _as_list(data.get("grids", 1000), "grids", int)

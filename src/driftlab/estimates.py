@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import (BarrierDomainError, BarrierHypothesisError,
                      DegenerateEigenfunctionError)
-from .geometry import Grid
+from .geometry import Grid, be_ricci_lower_bound, diameter
 from .spectral import EigenMode, norm_bound
 
 HALF_PI = math.pi / 2.0
@@ -171,7 +171,8 @@ class NormalizedEigenfunction:
 
     max v = 1 and min v = -1 over the manifold; lam > 0 is the eigenvalue, k
     and a the asymmetry constants, b > 1 the gradient-estimate parameter,
-    c = a/b, alpha = (n-1)K/2 and delta = alpha/lam.  For a zonal mode v is
+    K the K_eff of the grid's model, c = a/b, alpha = (n-1)K/2 and
+    delta = alpha/lam.  For a zonal mode v is
     the radial factor ``v_rad``; an l = 1 mode is
     v = R(r) x with R = ``v_rad`` and x = cos(psi) on the fiber, the degree-1
     zonal harmonic for every n.  ``residual_rel`` is the sup-norm of the
@@ -227,7 +228,7 @@ class NormalizedEigenfunction:
         return self.v_rad, self.dv_rad ** 2, equator
 
 
-def normalize(mode: EigenMode, K: float, b: float = 1.01) -> NormalizedEigenfunction:
+def normalize(mode: EigenMode, b: float = 1.01) -> NormalizedEigenfunction:
     """Fix sign and scale of an eigenfunction, returning v with its constants.
 
     The sign is chosen so that max u >= -min u over the manifold, then u is
@@ -235,13 +236,13 @@ def normalize(mode: EigenMode, K: float, b: float = 1.01) -> NormalizedEigenfunc
     v = (u - (1-k)/2) / ((1+k)/2).  An l = 1 mode R(r) cos(psi) takes both
     signs on every fiber, so it has k = 1, a = 0 and v = u / max |u|.  A mode
     of a higher sector is not a first eigenfunction (lambda_1 lies in l <= 1,
-    see ``first_nonzero_eigenvalue``) and raises.  A circle's mode raises
-    ValueError: a circle has no (n-1) K, so alpha = delta = 0 and no
-    estimate applies.  The eigen-relation
-    Delta_phi v = -lam (v + a) is re-checked on the grid through the assembled
-    operator; its sup-norm is stored over the bound on the operator's norm
-    (which grows like N^2), where rounding alone stays far below 1e-10 at
-    every N.
+    see ``first_nonzero_eigenvalue``) and raises.  K is the K_eff of the
+    mode's own model, from ``be_ricci_lower_bound``, whose ValueError a
+    circle's mode raises: a circle has no (n-1) K, so no estimate applies.
+    The eigen-relation Delta_phi v = -lam (v + a) is re-checked on the grid
+    through the assembled operator; its sup-norm is stored over the bound on
+    the operator's norm (which grows like N^2), where rounding alone stays far
+    below 1e-10 at every N.
     """
     if not 1.0 < b < math.inf:
         raise ValueError("the gradient-estimate constant b must exceed 1 and be finite")
@@ -250,12 +251,11 @@ def normalize(mode: EigenMode, K: float, b: float = 1.01) -> NormalizedEigenfunc
         raise DegenerateEigenfunctionError(
             f"eigenvalue lam={lam:.3e} does not define a first non-zero mode")
     problem = mode.problem
-    if problem.periodic:
-        raise ValueError("the (n-1) K normalization degenerates on 1-dimensional circles")
+    grid = problem.grid
+    K = be_ricci_lower_bound(grid.model).K  # raises on a circle
     if mode.l > 1:
         raise DegenerateEigenfunctionError(
             f"an l = {mode.l} mode is not a first eigenfunction (lambda_1 lies in l <= 1)")
-    grid = problem.grid
     u = np.array(mode.u, dtype=float)
     umax, umin = float(u.max()), float(u.min())
     if umax - umin <= 1e-12 * max(1.0, abs(umax)):
@@ -275,7 +275,7 @@ def normalize(mode: EigenMode, K: float, b: float = 1.01) -> NormalizedEigenfunc
 
     residual = float(np.max(np.abs(problem.apply(v_rad) + lam * (v_rad + a))))
     return NormalizedEigenfunction(
-        grid=grid, l=mode.l, lam=lam, k=k, a=a, b=float(b), K=float(K),
+        grid=grid, l=mode.l, lam=lam, k=k, a=a, b=float(b), K=K,
         v_rad=v_rad, dv_rad=_sample_derivative(v_rad, grid.spacing),
         residual_rel=residual / norm_bound(problem),
     )
@@ -545,15 +545,15 @@ class LengthIntegralLedger:
     margin_holder: float
 
 
-def length_integral_check(nef: NormalizedEigenfunction, z: BarrierFamily,
-                          d: float) -> LengthIntegralLedger:
-    """Evaluate the transit-length chain for a normalized eigenfunction."""
-    if not d > 0.0:
-        raise ValueError("the diameter must be positive")
+def length_integral_check(nef: NormalizedEigenfunction,
+                          z: BarrierFamily) -> LengthIntegralLedger:
+    """Evaluate the transit-length chain for a normalized eigenfunction, with
+    d the diameter of its own model."""
     if not np.all(z.combine(*_SWEEP_XI_ETA) > 0.0):
         raise BarrierHypothesisError("barrier is not positive on [-pi/2, pi/2]")
     transit = float(_GL_WEIGHTS @ (1.0 / np.sqrt(z.combine(*_GL_XI_ETA))))
     # int 1 = pi, int eta = 0 and int xi = -pi over [-pi/2, pi/2]
     holder = math.sqrt(math.pi**3 / (math.pi * (1.0 - z.xi_coeff)))
+    d = diameter(nef.grid.model)
     return LengthIntegralLedger(margin_transit=math.sqrt(nef.lam) * d - transit,
                                 margin_holder=transit - holder)

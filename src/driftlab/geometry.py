@@ -127,7 +127,6 @@ class WarpedManifold:
     n: int
     L: float
     coeffs: tuple[float, ...]
-    name: str = ""
 
     def __post_init__(self):
         if self.topology not in (INTERVAL_SPHERE, CIRCLE):
@@ -153,32 +152,23 @@ class WarpedManifold:
         return CosPolynomial(self.coeffs, self.L if self.topology == INTERVAL_SPHERE
                              else self.L / 2.0)
 
-    @property
-    def label(self) -> str:
-        return self.name or f"{self.topology}(n={self.n},L={self.L:g})"
 
-
-def interval_sphere(n: int, length: float, density: tuple[float, ...] = (0.0,),
-                    name: str = "") -> WarpedManifold:
+def interval_sphere(n: int, length: float, density: tuple[float, ...] = (0.0,)) -> WarpedManifold:
     """The round warped product over an interval of arc length ``length``,
     with the density of coefficients ``density`` in c = cos(pi r/length)."""
-    return WarpedManifold(topology=INTERVAL_SPHERE, n=n, L=float(length),
-                          coeffs=density, name=name)
+    return WarpedManifold(topology=INTERVAL_SPHERE, n=n, L=float(length), coeffs=density)
 
 
-def sphere(n: int, radius: float = 1.0, density: tuple[float, ...] = (0.0,),
-           name: str = "") -> WarpedManifold:
+def sphere(n: int, radius: float = 1.0, density: tuple[float, ...] = (0.0,)) -> WarpedManifold:
     """Round n-sphere of the given radius, with the density of coefficients
     ``density`` in c = cos(r/radius)."""
-    return interval_sphere(n, math.pi * radius, density, name or f"S^{n}(r={radius:g})")
+    return interval_sphere(n, math.pi * radius, density)
 
 
-def circle(circumference: float, density: tuple[float, ...] = (0.0,),
-           name: str = "") -> WarpedManifold:
+def circle(circumference: float, density: tuple[float, ...] = (0.0,)) -> WarpedManifold:
     """Weighted circle of the given circumference L, with the density of
     coefficients ``density`` in c = cos(2 pi theta/L)."""
-    return WarpedManifold(topology=CIRCLE, n=1, L=float(circumference), coeffs=density,
-                          name=name or f"circle(L={circumference:g})")
+    return WarpedManifold(topology=CIRCLE, n=1, L=float(circumference), coeffs=density)
 
 
 def einstein_constant(model: WarpedManifold) -> float:
@@ -244,18 +234,12 @@ def measure_density(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
     return np.exp(-np.asarray(model.phi.value(r)))
 
 
-def integrate(grid: Grid, samples: np.ndarray) -> float:
-    """Integral of a radial function against the weighted measure."""
-    return float(np.sum(grid.weights * samples))
-
-
 @dataclass(frozen=True)
 class RicciLowerBound:
     """Largest K with Ric_phi >= (n-1) K g on the model, and where it is attained."""
 
     K: float
     radius: float
-    positive: bool
 
 
 def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
@@ -272,8 +256,7 @@ def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
     so each eigenvalue is least at c = +-1 (a pole) or at its vertex inside
     (-1, 1).  ``radius`` = rho acos(c) is where the minimum is attained; a
     tie (Ric_phi constant, as on a unit round sphere) goes to the largest c,
-    the smallest radius.  A non-positive result is flagged: the
-    Lichnerowicz- and Ling-type bounds need K > 0.
+    the smallest radius.  The Lichnerowicz- and Ling-type bounds need K > 0.
     """
     if model.topology == CIRCLE:
         raise ValueError("the (n-1) K normalization degenerates on 1-dimensional circles")
@@ -286,7 +269,7 @@ def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
     value, neg_c = min(candidates)
     rho = model.L / math.pi
     k_eff = value / (n1 * rho**2)
-    return RicciLowerBound(K=k_eff, radius=rho * math.acos(-neg_c), positive=k_eff > 0.0)
+    return RicciLowerBound(K=k_eff, radius=rho * math.acos(-neg_c))
 
 
 def diameter(model: WarpedManifold) -> float:

@@ -236,17 +236,7 @@ def json_payload(rows: list[dict], summary: dict, environment: dict) -> dict:
 
 
 def render_json(payload: dict) -> str:
-    def _default(value):
-        if isinstance(value, (np.integer,)):
-            return int(value)
-        if isinstance(value, (np.floating,)):
-            return float(value)
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-        raise TypeError(f"not JSON serializable: {type(value)}")
-
-    return json.dumps(payload, sort_keys=True, indent=2, default=_default,
-                      allow_nan=True) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=True) + "\n"
 
 
 def emit_json(payload: dict, path: str | Path) -> Path:

@@ -56,14 +56,14 @@ def _bounds_check(config: ExperimentConfig, rec: InstanceRecord,
 
 
 def _estimates_check(config: ExperimentConfig, nef: est.NormalizedEigenfunction | None,
-                     case: bounds_mod.LingCase | None, d: float, why: str) -> EstimatesCheck:
+                     case: bounds_mod.LingCase | None, why: str) -> EstimatesCheck:
     if why:
         return EstimatesCheck(INAPPLICABLE, why)
     tol = config.tolerances
     gm = est.gradient_estimate_margin(nef)
     barrier = _select_case_barrier(config, nef, case)
     dom = est.barrier_dominance_check(est.compute_Z(nef, config.bins), barrier)
-    ledger = est.length_integral_check(nef, barrier, d)
+    ledger = est.length_integral_check(nef, barrier)
     ok = (gm.margin >= -tol["gradient"] * gm.bound
           and dom.min_margin >= -tol["dominance"]
           and ledger.margin_holder >= -tol["holder"]
@@ -107,8 +107,8 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
         else:
             kb = be_ricci_lower_bound(model)
             shared.update(K_eff=kb.K, K_min_radius=kb.radius)
-            if kb.positive:
-                nef = est.normalize(fe, K=kb.K, b=config.b)
+            if kb.K > 0.0:
+                nef = est.normalize(fe, b=config.b)
                 shared.update(k_ratio=nef.k, a=nef.a, delta=nef.delta,
                               normalize_residual=nef.residual_rel)
                 try:
@@ -123,8 +123,7 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
         bins=config.bins, d=diameter(model), **shared)
     checks = {"spectrum": lambda: _spectrum_check(fe),
               "bounds": lambda: _bounds_check(config, record, case, why),
-              "estimates": lambda: _estimates_check(config, nef, case, record.d,
-                                                    why or no_case),
+              "estimates": lambda: _estimates_check(config, nef, case, why or no_case),
               "soliton": lambda: _soliton_check(config, grid)}
     return InstanceResult(record, {name: checks[name]() for name in config.checks})
 

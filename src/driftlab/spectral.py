@@ -350,7 +350,7 @@ def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
     rho_u2 = (s * u) ** 2
     energy = float(np.sum(problem.off_diag * s[:-1] * s[1:] * np.diff(u) ** 2))
     if problem.periodic:
-        energy += problem.corner * s[-1] * s[0] * (u[0] - u[-1]) ** 2
+        energy += float(problem.corner * s[-1] * s[0] * (u[0] - u[-1]) ** 2)
     if problem.l:
         model = problem.grid.model
         w = np.asarray(model.w.value(problem.grid.nodes), dtype=float)

@@ -18,7 +18,7 @@ import driftlab as dl
 import driftlab.cli as cli
 import driftlab.runner as runner
 from driftlab.bounds import ling_case
-from driftlab.config import build_model, parse_config, read_config, soliton_gamma
+from driftlab.config import CHECK_NAMES, build_model, parse_config, read_config, soliton_gamma
 from driftlab.errors import ConfigError, InapplicableBoundError, SolverError
 from driftlab.reports import (BARRIER_COLUMNS, ERROR, FAIL, INAPPLICABLE, PASS,
                               SWEEP_COLUMNS, Check, InstanceRecord, InstanceResult,
@@ -142,8 +142,6 @@ def test_parse_rejects_non_finite_and_non_integral(overrides, tmp_path, capsys):
     {"checks": ["soliton"], "soliton": {}},
     {"checks": ["soliton"], "soliton": {"gamma": 0.0}},
     {"checks": ["soliton"], "soliton": {"gamma": "Einstein"}},
-    {"family": {"name": "circle", "length": 6.0,
-                "density": {"name": "poly-cos", "coeffs": [0, -1]}}},
     # a null length used to parse, and then fail every instance
     {"family": {"name": "stretched-sphere", "n": [2], "length": None}},
     {"family": {"name": "circle", "length": None}},
@@ -476,7 +474,7 @@ def test_case_barrier_selection():
     model = dl.sphere(2)
     grid = dl.Grid.uniform(model, 600)
     mode = _bisect(assemble(grid, 0), 598, 600)[1]  # first non-zero zonal
-    nef = dl.normalize(mode, K=1.0, b=1.01)
+    nef = dl.normalize(mode, b=1.01)
     config = parse_config(_base_config())
 
     sym = dataclasses.replace(nef, a=0.0)  # case A is exactly a = 0
@@ -505,7 +503,7 @@ def test_case_barrier_selection():
 def test_report_barrier_margins_rebuild_from_the_row(name):
     # the barrier rebuilt from a report row's a, b and delta, through the
     # runner's selection and the row's case, gives the row's transit and
-    # Holder margins bit for bit at the row's lambda1 and d
+    # Holder margins bit for bit at the row's lambda1 and its model's d
     from types import SimpleNamespace
 
     from driftlab.estimates import length_integral_check
@@ -515,12 +513,15 @@ def test_report_barrier_margins_rebuild_from_the_row(name):
     raw["grids"] = [400]
     config = parse_config(raw)
     cases = set()
-    for row in runner.run(config).rows:
+    for inst, row in zip(config.instances(), runner.run(config).rows):
         case = ling_case(row["a"], row["delta"])
         assert case.label == row["case"]
         cases.add(case.label)
-        nef = SimpleNamespace(a=row["a"], b=row["b"], delta=row["delta"], lam=row["lambda1"])
-        ledger = length_integral_check(nef, _select_case_barrier(config, nef, case), row["d"])
+        model = build_model(config, inst)
+        assert dl.diameter(model) == row["d"]
+        nef = SimpleNamespace(a=row["a"], b=row["b"], delta=row["delta"], lam=row["lambda1"],
+                              grid=SimpleNamespace(model=model))
+        ledger = length_integral_check(nef, _select_case_barrier(config, nef, case))
         assert ledger.margin_transit.hex() == row["transit_margin"].hex()
         assert ledger.margin_holder.hex() == row["holder_margin"].hex()
     assert cases == ({"B-1", "B-2-b1", "B-2-b2"} if name == "ling_cases" else {"A"})
@@ -548,6 +549,34 @@ def test_json_round_trip():
                "summary": {"passed": 1}}
     text = render_json(payload)
     assert json.loads(text) == payload
+
+
+def test_report_rows_hold_only_plain_json_scalars():
+    # render_json takes no numpy fallback: every value of a row is a Python
+    # scalar or None, on applicable and inapplicable checks alike
+    sphere = parse_config(_base_config(checks=list(CHECK_NAMES), soliton={"gamma": 1.0}))
+    ring = parse_config(_base_config(
+        family={"name": "circle", "length": 6.0, "density": {"name": "cosine", "eps": [0.5]}},
+        checks=list(CHECK_NAMES), soliton={"gamma": "einstein"}))
+    rows = runner.run(sphere).rows + runner.run(ring).rows
+    assert "reason" not in rows[0] and rows[1]["reason"]  # the circle: three inapplicable
+    for row in rows:
+        for key, value in row.items():
+            assert value is None or type(value) in (bool, int, float, str), (key, type(value))
+    json.loads(render_json({"rows": rows}))
+
+
+def test_a_circle_takes_a_poly_cos_density():
+    # a poly-cos density is L-periodic and even on a circle by construction,
+    # so the config reports the library's lambda1 bit for bit
+    family = {"name": "circle", "length": 6.0,
+              "density": {"name": "poly-cos", "coeffs": [0.1, -0.7, 0.6]}}
+    (row,) = runner.run(parse_config(_base_config(family=family))).rows
+    model = dl.circle(6.0, density=(0.1, -0.7, 0.6))
+    assert row["lambda1"] == dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 200)).lam
+    assert row["verdict_spectrum"] is True
+    shipped = read_config(CONFIGS / "circle_polycos.json")
+    assert shipped["family"] == family and shipped["checks"] == ["spectrum"]
 
 
 def test_barrier_table():

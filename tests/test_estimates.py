@@ -215,13 +215,11 @@ def test_hypotheses_refuse_nan(tmp_path, capsys):
     raw = dl.BarrierFamily(a=0.0, b=1.01, xi_coeff=nan)
     with pytest.raises(BarrierHypothesisError, match="not positive on its domain"):
         est._validate_barrier(raw, 0.25)
-    nef = dl.normalize(_zonal_s2()[2], K=1.0)
+    nef = dl.normalize(_zonal_s2()[2])
     with pytest.raises(BarrierHypothesisError, match=r"not positive on \[-pi/2, pi/2\]"):
-        dl.length_integral_check(nef, raw, math.pi)
-    with pytest.raises(ValueError, match="diameter"):
-        dl.length_integral_check(nef, dl.barrier(0.0, 1.01, 0.25, 1.0), nan)
+        dl.length_integral_check(nef, raw)
     with pytest.raises(ValueError, match="must exceed 1"):
-        dl.normalize(_zonal_s2()[2], K=1.0, b=nan)
+        dl.normalize(_zonal_s2()[2], b=nan)
     assert cli.main(["emit-barriers", "--a", "nan", "--out", str(tmp_path)]) == 1
     assert not (tmp_path / "barriers.csv").exists()
     assert "barrier needs a >= 0" in capsys.readouterr().err
@@ -240,16 +238,35 @@ def test_normalize_needs_a_finite_b_above_one(b):
     # b = inf would give a ~ 1e-13 and finite constants for a gradient
     # estimate that needs a finite b
     with pytest.raises(ValueError, match="exceed 1 and be finite"):
-        dl.normalize(_zonal_s2()[2], K=1.0, b=b)
+        dl.normalize(_zonal_s2()[2], b=b)
+
+
+def test_normalize_reads_k_eff_from_the_model():
+    # K is the model's K_eff, not 1: on the cosine(0.5) S^3 it is 0.75
+    model = dl.sphere(3, density=dl.cosine_density(0.5))
+    nef = dl.normalize(dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 400)))
+    K = dl.be_ricci_lower_bound(model).K
+    assert nef.K == K == 0.75
+    assert nef.delta == 0.5 * 2 * K / nef.lam
+
+
+def test_length_integrals_read_the_model_diameter():
+    # d is the model's diameter: the length L = 2.5 of a stretched S^3
+    model = dl.interval_sphere(3, 2.5)
+    nef = dl.normalize(dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 400)))
+    z = dl.barrier(0.0, 1.01, 0.25, 1.0)
+    ledger = dl.length_integral_check(nef, z)
+    transit = est.gauss_legendre_integral(lambda t: 1.0 / np.sqrt(z.value(t)))
+    assert ledger.margin_transit == math.sqrt(nef.lam) * 2.5 - transit
 
 
 def test_normalize_refuses_a_circle_mode():
-    # a circle has no (n-1) K, so alpha = delta = 0 and no estimate applies,
-    # whatever K the caller passes
+    # a circle has no (n-1) K, so no estimate applies: normalize refuses with
+    # be_ricci_lower_bound's own error
     model = dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5))
     mode = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 200))
     with pytest.raises(ValueError, match="circles"):
-        dl.normalize(mode, K=1.0)
+        dl.normalize(mode)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -287,7 +304,7 @@ def _zonal_s2(N=1200):
 
 def test_normalize_zonal_symmetric():
     _, _, mode = _zonal_s2()
-    nef = dl.normalize(mode, K=1.0)
+    nef = dl.normalize(mode)
     assert abs(nef.k - 1.0) < 1e-9
     assert abs(nef.a) < 1e-9
     assert abs(nef.v_rad.max() - 1.0) < 1e-10
@@ -303,7 +320,7 @@ def test_normalize_direct_formula():
     model, grid, mode = _zonal_s2()
     u = np.linspace(-1.0 / 3.0, 1.0, grid.size)
     synthetic = dl.EigenMode(lam=2.0, l=0, u=u, problem=mode.problem)
-    nef = dl.normalize(synthetic, K=1.0)
+    nef = dl.normalize(synthetic)
     assert abs(nef.k - 1.0 / 3.0) < 1e-12
     assert abs(nef.a - 0.5) < 1e-12
     expected = (u - 1.0 / 3.0) / (2.0 / 3.0)
@@ -316,7 +333,7 @@ def test_normalize_sign_flip():
                            u=-np.linspace(-0.25, 0.75, grid.size),
                            problem=mode.problem)
     # -u has max 0.25, min -0.75: the sign rule flips it back
-    nef = dl.normalize(flipped, K=1.0)
+    nef = dl.normalize(flipped)
     assert nef.v_rad.max() == pytest.approx(1.0, abs=1e-12)
     assert nef.k == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -325,16 +342,16 @@ def test_normalize_rejects_constants():
     model, grid, mode = _zonal_s2()
     const = dl.EigenMode(lam=2.0, l=0, u=np.ones(grid.size), problem=mode.problem)
     with pytest.raises(DegenerateEigenfunctionError):
-        dl.normalize(const, K=1.0)
+        dl.normalize(const)
     with pytest.raises(DegenerateEigenfunctionError):
         dl.normalize(dl.EigenMode(lam=0.0, l=0, u=np.cos(grid.nodes),
-                                  problem=mode.problem), K=1.0)
+                                  problem=mode.problem))
 
 
 def test_gradient_estimate_zonal():
     # v = cos r: the ratio sin^2 r/(b^2 - cos^2 r) peaks at the equator at 1/b^2
     _, _, mode = _zonal_s2()
-    nef = dl.normalize(mode, K=1.0, b=1.01)
+    nef = dl.normalize(mode, b=1.01)
     gm = dl.gradient_estimate_margin(nef)
     assert abs(gm.sup_ratio - 1.0 / 1.01**2) < 1e-3
     assert gm.margin > 1.0
@@ -342,7 +359,7 @@ def test_gradient_estimate_zonal():
 
 def test_gradient_estimate_limit_large_b():
     _, _, mode = _zonal_s2()
-    nef = dl.normalize(mode, K=1.0, b=1e6)
+    nef = dl.normalize(mode, b=1e6)
     gm = dl.gradient_estimate_margin(nef)
     assert gm.sup_ratio < 1e-11
     assert abs(gm.margin - nef.lam) < 1e-6
@@ -350,7 +367,7 @@ def test_gradient_estimate_limit_large_b():
 
 def test_compute_Z_zonal_center_value():
     _, _, mode = _zonal_s2()
-    nef = dl.normalize(mode, K=1.0, b=1.01)
+    nef = dl.normalize(mode, b=1.01)
     levelset = dl.compute_Z(nef, 200)
     center = levelset.values[100]  # bin containing t = 0
     assert abs(center - 1.0 / (2.0 * 1.01**2)) < 1e-3
@@ -362,7 +379,7 @@ def test_compute_Z_zonal_center_value():
 def test_compute_Z_marks_empty_bins():
     # more bins than radial samples forces empty bins, which stay NaN
     _, _, mode = _zonal_s2()
-    nef = dl.normalize(mode, K=1.0, b=1.01)
+    nef = dl.normalize(mode, b=1.01)
     samples = dl.compute_Z(nef, 5000)
     assert (~samples.occupied).sum() > 0
     assert np.isnan(samples.values[~samples.occupied]).all()
@@ -383,7 +400,7 @@ def test_dominance_synthetic_equality_and_failure():
 
 def test_dominance_zonal_quarter_delta():
     _, _, mode = _zonal_s2()
-    nef = dl.normalize(mode, K=1.0, b=1.01)
+    nef = dl.normalize(mode, b=1.01)
     z = dl.barrier(0.0, 1.01, 0.25, 1.0)
     report = dl.barrier_dominance_check(dl.compute_Z(nef, 200), z)
     assert report.min_margin > 0.0
@@ -477,9 +494,9 @@ def test_test_estimate_residual_tags_inapplicable():
 def test_length_integrals_constant_barrier():
     # z = 1: transit integral pi, Holder bound (pi^3/pi)^(1/2) = pi, equality
     _, _, mode = _zonal_s2()
-    nef = dl.normalize(mode, K=1.0, b=1.01)
+    nef = dl.normalize(mode, b=1.01)
     flat = dl.BarrierFamily(a=0.0, b=1.01, xi_coeff=0.0)
-    ledger = dl.length_integral_check(nef, flat, math.pi)
+    ledger = dl.length_integral_check(nef, flat)
     # transit = sqrt(lam) pi - margin_transit, Holder = transit - margin_holder
     assert abs(math.sqrt(nef.lam) * math.pi - ledger.margin_transit - math.pi) < 1e-10
     assert abs(ledger.margin_holder) < 1e-10
@@ -488,9 +505,9 @@ def test_length_integrals_constant_barrier():
 
 def test_length_integrals_quarter_delta():
     _, _, mode = _zonal_s2()
-    nef = dl.normalize(mode, K=1.0, b=1.01)
+    nef = dl.normalize(mode, b=1.01)
     z = dl.barrier(0.0, 1.01, 0.25, 1.0)
-    ledger = dl.length_integral_check(nef, z, math.pi)
+    ledger = dl.length_integral_check(nef, z)
     assert ledger.margin_holder >= 0.0
     assert ledger.margin_transit >= 0.0
     # int z = (1 - delta) pi gives the Holder bound (pi^3 / int z)^{1/2}, and
@@ -516,8 +533,8 @@ _TRANSIT_BARRIERS = [
 def test_transit_integral_matches_quad(family, a, b, delta, weight):
     z = (dl.barrier if family == "standard" else dl.case_b2b2_barrier)(a, b, delta, weight)
     _, _, mode = _zonal_s2()
-    nef = dl.normalize(mode, K=1.0, b=z.b)
-    ledger = dl.length_integral_check(nef, z, math.pi)
+    nef = dl.normalize(mode, b=z.b)
+    ledger = dl.length_integral_check(nef, z)
     oracle = quad(lambda t: 1.0 / math.sqrt(z.value(t)), -HALF_PI, HALF_PI,
                   limit=200, epsabs=1e-12, epsrel=1e-12)[0]
     assert abs(math.sqrt(nef.lam) * math.pi - ledger.margin_transit - oracle) <= 1e-11
@@ -565,13 +582,13 @@ def test_tabulated_barrier_checks_match_per_call_series(a, b, delta, weight, b2b
         return
     z = build()
     assert z == raw
-    nef = dl.normalize(_zonal_s2()[2], K=1.0, b=b)
+    nef = dl.normalize(_zonal_s2()[2], b=b)
     expected = _per_call_ledger(nef, z, math.pi)
     if expected is None:
         with pytest.raises(BarrierHypothesisError, match="not positive on"):
-            dl.length_integral_check(nef, z, math.pi)
+            dl.length_integral_check(nef, z)
         return
-    ledger = dl.length_integral_check(nef, z, math.pi)
+    ledger = dl.length_integral_check(nef, z)
     got = [ledger.margin_transit, ledger.margin_holder]
     assert [v.hex() for v in got] == [v.hex() for v in expected]
 
@@ -583,17 +600,10 @@ def test_barrier_positive_on_its_domain_only():
     z = dl.barrier(3.0, 2.0, 0.1, 1.0)
     assert _per_call_accepts(z)
     assert z.value(-HALF_PI) < 0.0
-    nef = dl.normalize(_zonal_s2()[2], K=1.0, b=2.0)
+    nef = dl.normalize(_zonal_s2()[2], b=2.0)
     assert _per_call_ledger(nef, z, math.pi) is None
     with pytest.raises(BarrierHypothesisError, match=r"not positive on \[-pi/2, pi/2\]"):
-        dl.length_integral_check(nef, z, math.pi)
-
-
-def test_length_integrals_rejects_degenerate_diameter():
-    _, _, mode = _zonal_s2()
-    nef = dl.normalize(mode, K=1.0)
-    with pytest.raises(ValueError):
-        dl.length_integral_check(nef, dl.barrier(0.0, 1.01, 0.25, 1.0), 0.0)
+        dl.length_integral_check(nef, z)
 
 
 @lru_cache(maxsize=None)
@@ -693,7 +703,7 @@ def _flat_samples(nef):
 
 
 def test_normalize_l1_mode_symmetric():
-    nef = dl.normalize(_l1_mode(), K=1.0, b=1.01)
+    nef = dl.normalize(_l1_mode(), b=1.01)
     assert nef.a == 0.0 and nef.k == 1.0
     v, _ = _flat_samples(nef)
     N = nef.v_rad.size
@@ -713,7 +723,7 @@ def test_normalize_l2_mode_asymmetric():
     mode = _l2_mode()
     assert abs(mode.lam - 8.0) < 1e-3  # second spherical-harmonic level of S^3
     with pytest.raises(DegenerateEigenfunctionError, match="not a first eigenfunction"):
-        dl.normalize(mode, K=1.0, b=1.01)
+        dl.normalize(mode, b=1.01)
 
 
 @pytest.mark.parametrize("mode", [_l1_mode, _l1_mode_s2])
@@ -722,7 +732,7 @@ def test_normalize_corner_extremes_match_full_product(mode):
     product = np.outer(mode.u, np.cos(np.linspace(0.0, math.pi, 241)))
     pmax, pmin = product.max(), product.min()
     assert pmax == -pmin  # cos(psi) reaches +-1, so k = 1 and no sign flip
-    nef = dl.normalize(mode, K=1.0)
+    nef = dl.normalize(mode)
     assert nef.k == -pmin / pmax == 1.0
     assert np.array_equal(nef.v_rad, mode.u * (2.0 / ((1.0 + nef.k) * pmax)))
 
@@ -734,7 +744,7 @@ def _zonal_mode(N):
 
 def test_streamed_sampler_matches_full_arrays():
     # zonal: the samples are the radial grid, binned exactly as by brute force
-    nef = dl.normalize(_zonal_mode(1031), K=1.0, b=1.01)
+    nef = dl.normalize(_zonal_mode(1031), b=1.01)
     v, grad_sq = _full_samples(nef)
     samples = nef.samples()
     assert np.array_equal(samples[0], v) and np.array_equal(samples[1], grad_sq)
@@ -747,7 +757,7 @@ def test_streamed_sampler_matches_full_arrays():
     assert np.array_equal(levelset.arg_t, arg_t, equal_nan=True)
     assert np.array_equal(levelset.counts, counts)
     # l = 1: the first latitude column (psi = 0) is the pole samples bitwise
-    nef = dl.normalize(_l1_mode(), K=1.0, b=1.01)
+    nef = dl.normalize(_l1_mode(), b=1.01)
     v, grad_sq = _full_samples(nef)
     N = nef.v_rad.size
     samples = _flat_samples(nef)
@@ -759,7 +769,7 @@ def test_streamed_sampler_matches_full_arrays():
 @pytest.mark.parametrize("n", [2, 3])
 def test_compute_Z_is_the_exact_maximum_over_each_closed_bin(n):
     bins = 50
-    nef = dl.normalize(_l1_mode(200, n=n), K=1.0, b=1.01)
+    nef = dl.normalize(_l1_mode(200, n=n), b=1.01)
     levelset = dl.compute_Z(nef, bins)
     brute = _brute_fiber_Z(nef, bins)
     assert levelset.occupied.all() and np.isfinite(brute).all()
@@ -786,14 +796,14 @@ def test_normalize_residual_is_scaled_by_the_operator_norm():
     # stays at the rounding level of the operator, whose norm grows like N^2
     model = dl.sphere(3, density=dl.cosine_density(0.5))
     mode = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 20000))
-    nef = dl.normalize(mode, K=1.0)
+    nef = dl.normalize(mode)
     residual = mode.problem.apply(nef.v_rad) + nef.lam * (nef.v_rad + nef.a)
     assert np.max(np.abs(residual)) > 1e-6 * nef.lam
     assert nef.residual_rel <= 1e-10
     noise = np.random.default_rng(0).standard_normal(mode.u.size)
     perturbed = dl.EigenMode(lam=mode.lam, l=mode.l, u=mode.u * (1.0 + 1e-6 * noise),
                              problem=mode.problem)
-    assert dl.normalize(perturbed, K=1.0).residual_rel > 1e-10
+    assert dl.normalize(perturbed).residual_rel > 1e-10
 
 
 class _Samples:
@@ -931,7 +941,7 @@ def _list_comprehension_edge_maxima(nef, edges):
 
 
 def test_edge_level_maxima_match_the_list_comprehension_on_a_real_mode():
-    nef = dl.normalize(_l1_mode(20000), K=1.0, b=1.01)
+    nef = dl.normalize(_l1_mode(20000), b=1.01)
     tb = math.asin(1.0 / nef.b)
     edges = np.linspace(-tb, tb, 201)
     edge_val = est._edge_level_maxima(nef, edges)
@@ -1009,7 +1019,7 @@ def test_rows_once_match_the_flat_points_bitwise_on_real_modes(n, N):
     for density in (dl.cosine_density(0.5), (0.0, -1.0, -0.25)):
         model = dl.sphere(n, density=density)
         mode = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, N))
-        nef = dl.normalize(mode, K=1.0)
+        nef = dl.normalize(mode)
         v, grad_sq = _flat_samples(nef)
         sup = float((grad_sq / (nef.b * nef.b - v * v)).max())
         assert dl.gradient_estimate_margin(nef).sup_ratio == sup
@@ -1038,7 +1048,7 @@ def test_touching_point_residual_is_nonpositive_at_the_worst_bin_of_the_sweep():
         model = cfg.build_model(config, inst)
         grid = dl.Grid.uniform(model, inst.N)
         fe = dl.first_nonzero_eigenvalue(grid)
-        nef = dl.normalize(fe, K=dl.be_ricci_lower_bound(model).K, b=config.b)
+        nef = dl.normalize(fe, b=config.b)
         z = runner._select_case_barrier(config, nef, dl.ling_case(nef.a, nef.delta))
         # the worst bin's t: where the least dominance margin is taken
         levelset = dl.compute_Z(nef, config.bins)

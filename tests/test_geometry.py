@@ -1,5 +1,6 @@
 """Curvature, measure, and diameter checks for the warped model geometry."""
 
+import dataclasses
 import json
 import math
 from functools import lru_cache
@@ -149,7 +150,6 @@ def test_ricci_lower_bound_unit_spheres():
         model = dl.sphere(n)
         kb = dl.be_ricci_lower_bound(model)
         assert abs(kb.K - 1.0) < 1e-10
-        assert kb.positive
 
 
 def test_ricci_lower_bound_half_cosine():
@@ -158,7 +158,6 @@ def test_ricci_lower_bound_half_cosine():
     kb = dl.be_ricci_lower_bound(model)
     assert abs(kb.K - 0.5) < 1e-12
     assert kb.radius == 0.0
-    assert kb.positive
 
 
 def test_ricci_lower_bound_vanishing_flagged():
@@ -167,20 +166,19 @@ def test_ricci_lower_bound_vanishing_flagged():
     kb = dl.be_ricci_lower_bound(model)
     assert abs(kb.K) < 1e-14
     assert abs(kb.radius - math.pi) < 1e-12
-    assert not kb.positive
 
 
 def test_weighted_measure_sphere_area():
     model = dl.sphere(2)
     grid = dl.Grid.uniform(model, 4000)
-    total = dl.integrate(grid, np.ones(grid.size))
+    total = float(np.sum(grid.weights * np.ones(grid.size)))
     assert abs(total - 4.0 * math.pi) / (4.0 * math.pi) < 1e-7
 
 
 def test_weighted_measure_odd_symmetry():
     model = dl.sphere(2)
     grid = dl.Grid.uniform(model, 2000)
-    val = dl.integrate(grid, np.cos(grid.nodes))
+    val = float(np.sum(grid.weights * np.cos(grid.nodes)))
     assert abs(val) < 1e-12
 
 
@@ -189,7 +187,7 @@ def test_weighted_measure_cosine_density_oracle():
     #                               = 2 pi (e - 1/e)
     model = dl.sphere(2, density=dl.cosine_density(1.0))
     grid = dl.Grid.uniform(model, 20000)
-    total = dl.integrate(grid, np.ones(grid.size))
+    total = float(np.sum(grid.weights * np.ones(grid.size)))
     closed = 2.0 * math.pi * (math.e - 1.0 / math.e)
     oracle = 2.0 * math.pi * quad(lambda r: math.sin(r) * math.exp(-math.cos(r)),
                                   0.0, math.pi, epsabs=1e-13, epsrel=1e-13)[0]
@@ -205,7 +203,7 @@ def test_measure_consistency_total_volume():
         lambda r: math.sin(r) ** 2 * math.exp(-0.5 * math.cos(r)),
         0.0, math.pi, epsabs=1e-13, epsrel=1e-13)[0]
     grid = dl.Grid.uniform(model, 400)
-    assert abs(dl.integrate(grid, np.ones(grid.size)) - oracle) / oracle < 1e-8
+    assert abs(float(np.sum(grid.weights * np.ones(grid.size))) - oracle) / oracle < 1e-8
 
 
 def test_measure_second_order_on_asymmetric_integrand():
@@ -218,7 +216,7 @@ def test_measure_second_order_on_asymmetric_integrand():
     ns = (100, 200, 400, 800)
     for N in ns:
         grid = dl.Grid.uniform(model, N)
-        errs.append(abs(dl.integrate(grid, np.exp(grid.nodes)) - oracle))
+        errs.append(abs(float(np.sum(grid.weights * np.exp(grid.nodes))) - oracle))
     slope = np.polyfit(np.log([1.0 / N for N in ns]), np.log(errs), 1)[0]
     assert 1.8 < slope < 2.2
 
@@ -335,7 +333,6 @@ def test_ricci_lower_bound_matches_an_mpmath_minimization_on_the_ling_models(n):
     assert abs(kb.K - best) <= 2e-16
     # rho acos(c) at the vertex c = -1/2, rho = 1, is 2 pi/3 correctly rounded
     assert abs(kb.radius - where) <= 1e-15
-    assert kb.positive
 
 
 def test_ricci_lower_bound_finds_a_minimum_between_cell_centres():
@@ -376,7 +373,6 @@ def test_ricci_lower_bound_matches_an_independent_ricci_oracle(density, n):
     assert kb.K <= least + rounding
     attained = min(_ricphi_oracle(n, math.pi, coeffs, kb.radius)) / (n - 1)
     assert abs(attained - kb.K) <= rounding
-    assert kb.positive == (kb.K > 0.0)
 
 
 def test_ricci_lower_bound_does_not_depend_on_the_grid():
@@ -439,7 +435,6 @@ def test_closed_form_ricci_lower_bound_is_the_sampled_minimum(n, length, coeffs)
     second = (abs(c1) + 16.0 * abs(c2)) / ((n - 1) * rho**4)
     assert kb.K <= least + rounding
     assert least - kb.K <= second * grid.spacing**2 / 8.0 + rounding
-    assert kb.positive == (kb.K > 0.0)
 
 
 def test_a_density_is_read_in_the_model_coordinate():
@@ -450,7 +445,7 @@ def test_a_density_is_read_in_the_model_coordinate():
     r = np.linspace(0.0, math.pi, 101)
     assert np.allclose(model.phi.value(r), 0.3 * np.cos(2.0 * r), rtol=0.0, atol=1e-15)
     kb = dl.be_ricci_lower_bound(model)
-    assert kb.K == pytest.approx(-0.2, abs=1e-15) and not kb.positive
+    assert kb.K == pytest.approx(-0.2, abs=1e-15)
     # cosine(0.5) on the radius-2 S^3 is 0.5 cos(r/2): min of (2 - 0.5 c)/4
     # at the pole c = 1
     kb = dl.be_ricci_lower_bound(dl.sphere(3, radius=2.0, density=dl.cosine_density(0.5)))
@@ -474,7 +469,7 @@ def test_ricci_lower_bound_takes_a_constant_density_of_any_length(coeffs):
     # on the round S^2 of every length L = pi rho
     for length in (2.0, math.pi):
         kb = dl.be_ricci_lower_bound(dl.interval_sphere(2, length, density=coeffs))
-        assert kb.K == 1.0 / (length / math.pi) ** 2 and kb.radius == 0.0 and kb.positive
+        assert kb.K == 1.0 / (length / math.pi) ** 2 and kb.radius == 0.0
 
 
 def test_constructors_record_the_round_cos_family():
@@ -490,6 +485,15 @@ def test_constructors_record_the_round_cos_family():
         assert model.coeffs == (0.0,) and model.phi == dl.CosPolynomial((0.0,), model.L)
     ring = dl.circle(2.5, density=dl.cosine_density(0.3))
     assert ring.coeffs == (0.0, 0.3) and ring.phi == dl.CosPolynomial((0.0, 0.3), 1.25)
+
+
+def test_a_model_is_its_geometry():
+    # a model holds topology, n, L and coefficients only: the unit S^2 is the
+    # interval sphere of length pi, however it was built
+    assert dl.sphere(2) == dl.interval_sphere(2, math.pi)
+    assert dl.sphere(3, density=dl.cosine_density(0.5)) == dl.interval_sphere(3, math.pi, (0.0, 0.5))
+    fields = {f.name for f in dataclasses.fields(dl.WarpedManifold)}
+    assert fields == {"topology", "n", "L", "coeffs"}
 
 
 def test_shifted_density_keeps_its_record():

@@ -893,11 +893,9 @@ def test_angular_mode_search_matters():
 
 def test_manifold_samples_shapes():
     grid = _sphere_grid(3, 400, eps=0.4)
-    model = grid.model
     fe = dl.first_nonzero_eigenvalue(grid)
     assert fe.l == 1
-    K = dl.be_ricci_lower_bound(model).K
-    nef = dl.normalize(fe, K=K)
+    nef = dl.normalize(fe)
     v, grad_sq, equator = nef.samples()
     # the fiber poles of every row, which also stand for their antipodes,
     # and the |grad v|^2 of one point on the equator level v = 0
@@ -906,7 +904,7 @@ def test_manifold_samples_shapes():
     assert np.array_equal(v, nef.v_rad)
     assert equator == nef.equator_grad_sq.max()
     zonal = _top_modes(assemble(grid, 0), 2)[1]
-    v, grad_sq, equator = dl.normalize(zonal, K=K).samples()
+    v, grad_sq, equator = dl.normalize(zonal).samples()
     assert v.shape == grad_sq.shape == (grid.size,) and equator is None
 
 
@@ -915,7 +913,7 @@ import hashlib
 import driftlab as dl
 model = dl.sphere(3, density=dl.cosine_density(0.7))
 fe = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 100000))
-nef = dl.normalize(fe, K=dl.be_ricci_lower_bound(model).K)
+nef = dl.normalize(fe)
 arrays = (fe.u, nef.v_rad, nef.dv_rad)
 print(repr((fe.lam, fe.l, fe.error_estimate, nef.k, nef.a, nef.residual_rel,
             hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())))
