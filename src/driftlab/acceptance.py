@@ -9,8 +9,9 @@ solves each of their 15 instances once and fills all three results.
 
 The suite does only the work its rows read: no criterion reads a Richardson
 error estimate, so no half-resolution operator is assembled; criterion 1
-reads only its lambda_1 values, so none of its eigenvectors is formed;
-criterion 5 bisects the one zonal eigenvalue it reads; and criterion 9
+reads only its lambda_1 values, so none of its eigenvectors is formed, and
+on each of its round spheres, where the l = 0 twin wins, Sturm counts pick
+that sector first, so only l = 0 is bisected; criterion 5 bisects the one zonal eigenvalue it reads; and criterion 9
 certifies the 31/50 floor of the case split in exact rationals instead of
 sampling it.
 """

@@ -200,9 +200,9 @@ def format_value(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         v = float(value)
         if math.isnan(v):
             return "nan"

@@ -33,13 +33,16 @@ Only the l = 0 operator is assembled from the density; a sector l >= 1 is
 derived from it by subtracting its angular potential from the diagonal.  A
 circle's periodic matrix splits into two mirror sectors with no corner: the
 even one, with the constant mode, takes the place of l = 0, the odd one that
-of l = 1.  ``first_nonzero_eigenvalue`` bisects the l = 1 top and certifies
-with one Sturm count of l = 0 that no eigenvalue but the constant mode lies
-above it; where the count finds more, it bisects l = 0 in the counted window
-alone.  The winner's eigenvector is formed when it is first read, and the
-Richardson partner, the Rayleigh quotient of the eigenvector on the
-half-resolution operator, when the error estimate is read, so a lambda_1
-costs at most one eigenvector, and none when only ``lam`` is read.
+of l = 1.  ``first_nonzero_eigenvalue`` bounds the l = 1 top from above by
+the Rayleigh quotient of the density-free l = 1 mode, and Sturm counts pick
+the winning sector before it is bisected: one count of l = 0 above that
+bound, which finds the constant mode alone wherever l = 1 wins by a clear
+gap, and, where it finds more, one count of l = 1 above the l = 0 top,
+which is bisected in the counted window.  l = 1 is bisected, by index, only
+where it can win.  The winner's eigenvector is formed when it is first
+read, and the Richardson partner, the Rayleigh quotient of the eigenvector
+on the half-resolution operator, when the error estimate is read, so a
+lambda_1 costs at most one eigenvector, and none when only ``lam`` is read.
 ``spectrum_contains`` counts, sector by sector from l = 0, the eigenvalues
 in the closed window around its target, until a sector has none above it;
 it refuses a target that could need more than ``MAX_SECTORS`` sectors.
@@ -369,23 +372,35 @@ def first_nonzero_eigenvalue(grid: Grid) -> EigenMode:
     l = 0 and l = 1; its mode is unfolded onto the full operator, with l = 0.
 
     lambda_1 is the larger of the two sector tops: the top eigenvalue mu_1
-    of l = 1, and the top of l = 0 below its constant mode.  Only mu_1 is
-    bisected at first, by its index.  One Sturm count of l = 0 over
-    (vl, inf), vl = mu_1 - tau, then certifies the l = 0 top: tau,
+    of l = 1, and the top mu_0 of l = 0 below its constant mode.  Sturm
+    counts pick the winning sector before anything is bisected.  The
+    Rayleigh quotient lambda_RQ of the trial u = sin(pi r/ell), ell =
+    ``model.phi.length``, bounds -mu_1 from above (Rayleigh-Ritz): u is the
+    density-free l = 1 top, w/rho on a sphere's l = 1 sector and the odd
+    sin(2 pi theta/L) on a circle's full operator.  One Sturm count of l = 0
+    over (vl, inf), vl = -lambda_RQ - tau, then certifies the l = 0 top: tau,
     16 eps (max|d| + 2 max|e|), exceeds the bisection tolerance (about
-    eps ||T||) and the count's rounding, so a count of 1 (the constant mode
-    alone) means that l = 1 wins, and the result is bitwise that of
-    bisecting both tops.  A larger count (a round sphere's l = 0 / l = 1
-    twin, the Ling cases, a circle's double eigenvalue) bisects l = 0 over
-    the value window (vl, -tau] alone, which leaves out the constant mode
-    (0 up to rounding); the largest eigenvalue found is the l = 0 top, and
-    the larger top wins, the lower sector on a tie.  The window must hold
-    count - 1 eigenvalues: any other number means that one lies within tau
-    of the constant mode, where the two cannot be told apart, and is a
-    ``SolverError``, as is a count of 0.  This window bisection searches
-    only the eigenvalues above vl, where an index bisection of the l = 0 top
-    would first locate it among the whole spectrum; both keep the
-    tolerance, but their bits may differ.
+    eps ||T||) and the count's rounding, and vl <= mu_1 - tau, so a count
+    of 1 (the constant mode alone) means that l = 1 wins.  Only mu_1 is then
+    bisected, by its index, and the result is bitwise that of bisecting both
+    tops.
+
+    A larger count (a round sphere's l = 0 / l = 1 twin, the Ling cases, a
+    circle's double eigenvalue, a nearly round density) bisects l = 0 over
+    the value window (vl, vu], which leaves out the constant mode (0 up to
+    rounding); the largest eigenvalue found is mu_0.  vu is
+    -lambda_RQ + tau + lambda_RQ (pi/N)^2, the O(h^2) split of the round
+    sphere's twins, capped at -tau, and is kept only when one more count
+    finds the constant mode alone above it; else vu = -tau.  The window
+    must hold count - 1 eigenvalues: any other number means that one lies
+    within tau of the constant mode, where the two cannot be told apart,
+    and is a ``SolverError``, as is a count of 0.  One Sturm count of l = 1
+    over (mu_0, inf) then decides: 0 means that l = 0 wins (a tie goes to
+    the lower sector), and l = 1 is never bisected; any other count bisects
+    mu_1 by its index, and the larger top wins, the lower sector on a tie.
+    The window bisection searches only the eigenvalues in (vl, vu], where an
+    index bisection of mu_0 would first locate it among the whole spectrum;
+    both keep the tolerance, but their bits may differ.
 
     The result is the winning ``EigenMode``.  Its eigenvector ``u`` is
     formed by inverse iteration on the winning eigenvalue alone when it is
@@ -396,22 +411,29 @@ def first_nonzero_eigenvalue(grid: Grid) -> EigenMode:
     """
     base = assemble(grid, 0)
     zonal, upper = _mirror_sectors(base) if base.periodic else (base, base.sector(1))
-    top, = _bisect(upper, upper.diag.size, upper.diag.size)
+    trial = np.sin(math.pi / grid.model.phi.length * grid.nodes)
+    bound = _rayleigh_quotient(base if base.periodic else upper, trial)
     margin = 16.0 * np.finfo(float).eps * norm_bound(zonal)
-    vl = -top.lam - margin
+    vl = -bound - margin
     count = _count(zonal, vl, math.inf)
     if count < 1:
         raise _solver_error(zonal, f"stebz counts no eigenvalue above {vl!r}, "
                                    "not even the constant mode")
     if count > 1:
-        window = _bisect_window(zonal, vl, -margin)
+        vu = min(-bound + margin + bound * (math.pi / grid.size) ** 2, -margin)
+        if vu < -margin and _count(zonal, vu, math.inf) != 1:
+            vu = -margin
+        window = _bisect_window(zonal, vl, vu)
         if len(window) != count - 1:
             raise _solver_error(zonal, f"stebz finds {len(window)} eigenvalues in "
-                                       f"({vl!r}, {-margin!r}], not the {count - 1} that the "
+                                       f"({vl!r}, {vu!r}], not the {count - 1} that the "
                                        "count leaves beside the constant mode: one lies "
                                        "within the margin of it")
-        if window[0].lam <= top.lam:  # a tie goes to the lower sector
-            top = window[0]
+        if not _count(upper, -window[0].lam, math.inf):
+            return window[0]
+    top, = _bisect(upper, upper.diag.size, upper.diag.size)
+    if count > 1 and window[0].lam <= top.lam:  # a tie goes to the lower sector
+        top = window[0]
     return top
 
 

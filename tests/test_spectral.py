@@ -520,13 +520,25 @@ def _half_grid_estimate(model, N, lam, l):
     return abs(lam + mus[1 if l == 0 else 0]) / 3.0
 
 
+def _l1_bound(grid):
+    """The Rayleigh quotient of the density-free l = 1 top sin(pi r/ell),
+    ell = ``model.phi.length``, on the l = 1 sector of a sphere or on a
+    circle's full operator: an upper bound on the l = 1 top's lambda."""
+    problem = assemble(grid, 0 if grid.model.topology == dl.CIRCLE else 1)
+    trial = np.sin(math.pi / grid.model.phi.length * grid.nodes)
+    return spectral._rayleigh_quotient(problem, trial)
+
+
 def _solve_both_tops(grid):
     """lambda_1's eigenmode as eigh_tridiagonal gives it when it bisects the
     l = 1 top by its index (0-based n-1) and the l = 0 top over the value
-    window (mu_1 - tau, -tau], tau = 16 eps (max|d| + 2 max|e|) of l = 0,
-    which leaves out the constant mode, and keeps the larger, the lower
-    sector on a tie.  Each eigenvector comes from one stein call on the
-    sector's bisected eigenvalues."""
+    window (vl, vu], and keeps the larger, the lower sector on a tie.  With
+    tau = 16 eps (max|d| + 2 max|e|) of l = 0 and the l = 1 bound lambda_RQ
+    (``_l1_bound``), vl = -lambda_RQ - tau and vu = -lambda_RQ + tau +
+    lambda_RQ (pi/N)^2, capped at -tau, or -tau where the dense l = 0
+    spectrum holds more than the constant mode above it; the window leaves
+    out the constant mode.  Each eigenvector comes from one stein call on
+    the sector's bisected eigenvalues."""
     zonal, upper = (assemble(grid, l) for l in (0, 1))
     n = upper.size
     vals, vecs = eigh_tridiagonal(upper.diag, upper.off_diag, select="i",
@@ -534,8 +546,13 @@ def _solve_both_tops(grid):
     best = upper, vals[-1], vecs[:, -1]
     tau = 16.0 * np.finfo(float).eps * float(
         np.max(np.abs(zonal.diag)) + 2.0 * np.max(np.abs(zonal.off_diag)))
+    bound = _l1_bound(grid)
+    vu = min(-bound + tau + bound * (math.pi / n) ** 2, -tau)
+    mus = eigh_tridiagonal(zonal.diag, zonal.off_diag, eigvals_only=True)
+    if np.sum(mus > vu) != 1:
+        vu = -tau
     vals, vecs = eigh_tridiagonal(zonal.diag, zonal.off_diag, select="v",
-                                  select_range=(vals[-1] - tau, -tau))
+                                  select_range=(-bound - tau, vu))
     if vals.size and vals[-1] >= best[1]:
         best = zonal, vals[-1], vecs[:, -1]
     problem, mu, y = best
@@ -548,10 +565,11 @@ def _solve_both_tops(grid):
     ((0.0, -1.0, -0.25), 2, 0),  # configs/ling_cases.json, n = 2
 ], ids=["cosine-n3", "ling-poly-cos-n2"])
 def test_first_eigenvalue_matches_eigenpair_solves_bitwise(density, n, sector, N):
-    # bisecting l = 1's top, certifying l = 0's by a count (cosine) or
-    # bisecting it too in its counted window (Ling) and inverse-iterating
-    # only the winning eigenvalue reports the eigenvalue and eigenvector bits
-    # of one eigenpair solve per sector top
+    # certifying l = 0's top by a count and bisecting l = 1's (cosine), or
+    # bisecting l = 0's in its counted window, where an l = 1 count finds
+    # nothing above it (Ling), and inverse-iterating only the winning
+    # eigenvalue reports the eigenvalue and eigenvector bits of one
+    # eigenpair solve per sector top
     model = dl.sphere(n, density=density)
     grid = dl.Grid.uniform(model, N)
     l, lam, u = _solve_both_tops(grid)
@@ -580,10 +598,10 @@ def _spheres(draw):
 @settings(max_examples=80, deadline=None)
 @given(grid=_spheres())
 def test_first_eigenvalue_matches_bisecting_both_tops_bitwise(grid):
-    # the count certificate skips the l = 0 bisection only where l = 1 would
-    # win it: lambda_1, its sector and the eigenvector's bytes are those of
-    # bisecting both tops, l = 0's in its window, on the round l = 0 / l = 1
-    # twins too
+    # the counts skip a sector's bisection only where the other sector
+    # would win it: lambda_1, its sector and the eigenvector's bytes are
+    # those of bisecting both tops, l = 0's in its window, on the round
+    # l = 0 / l = 1 twins too
     fe = dl.first_nonzero_eigenvalue(grid)
     l, lam, u = _solve_both_tops(grid)
     assert (fe.lam, fe.l) == (lam, l)
@@ -604,6 +622,51 @@ def test_first_eigenvalue_matches_dense_spectra(grid):
         norm = max(norm, np.max(np.abs(problem.diag)) + 2.0 * np.max(np.abs(problem.off_diag)))
     slack = 4.0 * np.finfo(float).eps * norm
     assert fe.lam == pytest.approx(np.min(np.concatenate(lams)), rel=1e-9, abs=slack)
+
+
+@st.composite
+def _circles(draw):
+    """A circle (circumference 2 pi, 2.5 or 6) without a density, with a
+    cosine or with a short poly-cos one, on 8-400 nodes."""
+    kind = draw(st.sampled_from(("flat", "cosine", "poly-cos")))
+    density = {"flat": lambda: (0.0,),
+               "cosine": lambda: dl.cosine_density(draw(_EPS)),
+               "poly-cos": lambda: draw(_POLY_COS)}[kind]()
+    model = dl.circle(draw(st.sampled_from((2.0 * math.pi, 2.5, 6.0))), density=density)
+    return dl.Grid.uniform(model, draw(st.integers(8, 400)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=st.one_of(_spheres(), _circles()))
+def test_l1_bound_picks_the_sector_that_bisection_would(grid):
+    # the Rayleigh quotient of the density-free l = 1 top bounds the l = 1
+    # top from above (to rounding); wherever the l = 0 count above it finds
+    # the constant mode alone, or l = 1 wins, lambda_1 and its eigenvector
+    # are those of l = 1's index bisection, bit for bit; and lambda_1 lies
+    # within 4 eps ||T|| of dense eigh on a sphere.  On a circle dense eigh
+    # runs on the full periodic matrix, whose eigenvalues the rounded mirror
+    # split (sqrt(2) e, d +- e) moves by up to about 7 eps ||T||, so there
+    # the slack is 8 eps ||T||
+    base = assemble(grid, 0)
+    zonal, upper = spectral._mirror_sectors(base) if base.periodic else (base, assemble(grid, 1))
+    tau = 16.0 * np.finfo(float).eps * spectral.norm_bound(zonal)
+    bound = _l1_bound(grid)
+    top = _top_modes(upper, 1)[0]
+    assert bound >= top.lam - tau
+    fe = dl.first_nonzero_eigenvalue(grid)
+    # an odd circle mode vanishes at node 0, which the reflection fixes
+    sector = int(fe.u[0] == 0.0) if base.periodic else fe.l
+    count = int(np.sum(eigh_tridiagonal(zonal.diag, zonal.off_diag[:zonal.diag.size - 1],
+                                        eigvals_only=True) > -bound - tau))
+    if count == 1 or sector == 1:
+        assert fe.lam == top.lam
+        assert fe.u.tobytes() == top.u.tobytes()
+    lams, norm = [], 0.0
+    for problem in (base,) if base.periodic else (base, upper):
+        lams.append(-eigh(_symmetrized(problem), eigvals_only=True)[:-1 if problem.l == 0 else None])
+        norm = max(norm, spectral.norm_bound(problem))
+    slack = (8.0 if base.periodic else 4.0) * np.finfo(float).eps * norm
+    assert abs(fe.lam - np.min(np.concatenate(lams))) <= slack
 
 
 def _oracle_assembly(grid, l):
@@ -735,13 +798,15 @@ def _counting_lapack(monkeypatch, calls, zonal_diags):
 
 
 def test_first_eigenvalue_solve_count(monkeypatch):
-    # l = 1's top bisected at N and one Sturm count of the l = 0 operator;
-    # l = 0 is bisected, over the window the count certified, only where the
-    # count finds more than the constant mode above l = 1's top (a round
-    # sphere, where it wins).  Inverse iteration runs on the winning
-    # eigenvalue alone, once, at the first read of u.  A circle runs the same
-    # sequence on its mirror sectors: odd in place of l = 1, even in place
-    # of l = 0.  The error estimate solves nothing at N/2
+    # one Sturm count of l = 0 above the l = 1 bound decides first: where it
+    # finds the constant mode alone (the cosine sphere) only l = 1's top is
+    # bisected, by its index.  Where it finds more (a round sphere), one more
+    # count checks the narrow twin window, l = 0 is bisected in it, and a
+    # Sturm count of l = 1 above the l = 0 top finds nothing, so l = 1 is
+    # never bisected.  Inverse iteration runs on the winning eigenvalue
+    # alone, once, at the first read of u.  A circle runs the same sequence
+    # on its mirror sectors: odd in place of l = 1, even in place of l = 0.
+    # The error estimate solves nothing at N/2
     calls = []
     cosine, round_ = _sphere_grid(3, 400, eps=0.4), _sphere_grid(3, 400)
     circle = _circle_grid(400, 0.5)
@@ -749,36 +814,54 @@ def test_first_eigenvalue_solve_count(monkeypatch):
     _counting_lapack(monkeypatch, calls,
                      [assemble(mg, 0).diag for mg in (cosine, round_)] + [even.diag])
     fe = dl.first_nonzero_eigenvalue(cosine)
-    assert calls == [("stebz", 400, 1, (400, 400)), ("count", 400, 0)]
+    assert calls == [("count", 400, 0), ("stebz", 400, 1, (400, 400))]
     u = fe.u
     assert calls[2:] == [("stein", 400, 1, 1)]
     assert fe.u is u and fe.error_estimate > 0.0 and len(calls) == 3
     calls.clear()
     fe = dl.first_nonzero_eigenvalue(round_)
-    assert calls == [("stebz", 400, 1, (400, 400)), ("count", 400, 0), ("window", 400, 0)]
+    assert calls == [("count", 400, 0), ("count", 400, 0), ("window", 400, 0),
+                     ("count", 400, 1)]
     assert fe.l == 0 and fe.u.size == 400
-    assert calls[3:] == [("stein", 400, 0, 1)]
+    assert calls[4:] == [("stein", 400, 0, 1)]
     calls.clear()
     fe = dl.first_nonzero_eigenvalue(circle)
-    # the cosine density makes lambda_1 double, one copy in each sector, so the
-    # count finds it above the odd top and the even sector is bisected too
-    assert calls == [("stebz", 199, 1, (199, 199)), ("count", 201, 0), ("window", 201, 0)]
+    # the cosine density makes lambda_1 double, one copy in each sector, so
+    # the count finds it above the odd bound and the even sector is bisected;
+    # the odd count finds its copy above the even top, so the odd one is too
+    assert calls == [("count", 201, 0), ("count", 201, 0), ("window", 201, 0),
+                     ("count", 199, 1), ("stebz", 199, 1, (199, 199))]
     assert fe.l == 0 and fe.u.size == 400
-    assert calls[3:] in ([("stein", 201, 0, 1)], [("stein", 199, 1, 1)])
+    assert calls[5:] in ([("stein", 201, 0, 1)], [("stein", 199, 1, 1)])
 
 
 def test_lam_alone_runs_no_inverse_iteration(monkeypatch):
     # acceptance criterion 1 reads only lambda_1 of its 20 round-sphere solves
-    # (twins: each adds a window bisection of l = 0), so it runs no stein; a
-    # verify_paper() pass runs stein only for the 15 cosine-family modes and
-    # the zonal mode of criterion 5, all at N = 2000, in both its passes
+    # (twins: each counts l = 0 twice, bisects it in its window and counts
+    # l = 1 once), so it runs no stein; a verify_paper() pass runs stein only
+    # for the 15 cosine-family modes and the zonal mode of criterion 5, all
+    # at N = 2000, in both its passes
     calls = []
     _counting_lapack(monkeypatch, calls, [])
     acceptance.criterion_spectral_accuracy()
-    assert [c[0] for c in calls] == ["stebz", "count", "window"] * 20
+    assert [c[0] for c in calls] == ["count", "count", "window", "count"] * 20
     calls.clear()
     assert acceptance.verify_paper().passed
     assert [c[:2] for c in calls if c[0] == "stein"] == [("stein", 2000)] * 32
+
+
+def test_criterion_one_bisects_only_l0(monkeypatch):
+    # on each of criterion 1's 20 round spheres the l = 0 twin wins, and the
+    # Sturm counts find that out before l = 1 is bisected: l = 0 is bisected
+    # in its window and l = 1 only counted, never bisected by index
+    grids = [dl.Grid.uniform(dl.sphere(n), N) for n in (2, 3, 4, 5)
+             for N in (acceptance.ACCURACY_N,) + acceptance.CONVERGENCE_NS]
+    calls = []
+    _counting_lapack(monkeypatch, calls, [assemble(grid, 0).diag for grid in grids])
+    acceptance.criterion_spectral_accuracy()
+    assert calls == [call for grid in grids for call in (
+        ("count", grid.size, 0), ("count", grid.size, 0), ("window", grid.size, 0),
+        ("count", grid.size, 1))]
 
 
 def test_a_mode_forms_u_once_and_drops_its_block_data(monkeypatch):
@@ -813,26 +896,33 @@ def _force_info(monkeypatch, routine, when=lambda args: True):
     monkeypatch.setitem(spectral._LAPACK, routine, with_info_1)
 
 
-@pytest.mark.parametrize("routine,l", [("stebz", 0), ("stein", 1), ("stebz", 1)])
-def test_lapack_failure_is_a_solver_error(routine, l, monkeypatch, tmp_path, capsys):
-    # a nonzero info from either LAPACK step names the sector and the size,
-    # also when only the l = 0 window bisection of a round sphere fails, and
-    # a sweep that meets it exits 3.  stein runs at the first read of u
-    zonal_only = (routine, l) == ("stebz", 0)
-    if zonal_only:  # l = 0 is bisected over a value window, with tolerance 0
-        _force_info(monkeypatch, routine, lambda args: args[2] == 1 and args[7] == 0.0)
-    else:
-        _force_info(monkeypatch, routine)
-    grid = _sphere_grid(3, 400, eps=0.0 if zonal_only else 0.5)
+@pytest.mark.parametrize("routine,l,step", [
+    ("stebz", 0, "window"), ("stein", 1, "any"), ("stebz", 1, "index"), ("stebz", 1, "count"),
+], ids=["stebz-0", "stein-1", "stebz-1", "count-1"])
+def test_lapack_failure_is_a_solver_error(routine, l, step, monkeypatch, tmp_path, capsys):
+    # a nonzero info from either LAPACK step names the sector and the size:
+    # stein and the l = 1 index bisection on a cosine sphere, and the l = 0
+    # window bisection and the l = 1 Sturm count, the steps a round sphere
+    # alone takes; a sweep that meets it exits 3.  stein runs at the first
+    # read of u
+    twin = step in ("window", "count")
+    grid = _sphere_grid(3, 400, eps=0.0 if twin else 0.5)
+    zonal = assemble(grid, 0).diag
+    when = {"any": lambda args: True,
+            "index": lambda args: args[2] == 2,
+            "window": lambda args: args[2] == 1 and args[7] == 0.0,
+            "count": lambda args: _is_count(args) and not np.array_equal(args[0], zonal),
+            }[step]
+    _force_info(monkeypatch, routine, when)
     with pytest.raises(SolverError, match=f"l={l}, N=400: {routine} returned info=1") as info:
         dl.first_nonzero_eigenvalue(grid).u
     assert (info.value.report["l"], info.value.report["size"]) == (l, 400)
-    if not zonal_only:
+    if not twin:
         with pytest.raises(SolverError, match=f"{routine} returned info=1"):
             _top_modes(assemble(grid, 2), 4)[0].u
 
     config = tmp_path / "sphere.json"
-    density = {"name": "zero"} if zonal_only else {"name": "cosine", "eps": [0.5]}
+    density = {"name": "zero"} if twin else {"name": "cosine", "eps": [0.5]}
     config.write_text(json.dumps({
         "schema_version": 1, "family": {"name": "sphere", "n": [3], "density": density},
         "grids": [400], "checks": ["spectrum"]}))
@@ -853,7 +943,8 @@ def test_certificate_count_decides_the_zonal_bisection(count, monkeypatch):
     # which must then hold count - 1 eigenvalues: on the cosine sphere it
     # holds none, so a forged count of 2 or 5 is a SolverError, as are a
     # count of 0, which not even the constant mode gives, and a nonzero info
-    # from the count; each names l = 0 and N
+    # from the count; each names l = 0 and N.  The forged count above the
+    # narrow twin window is not 1 either, so the window reaches up to -tau
     grid = _sphere_grid(3, 400, eps=0.5)
     calls = []
     _counting_lapack(monkeypatch, calls, [assemble(grid, 0).diag])
@@ -868,7 +959,7 @@ def test_certificate_count_decides_the_zonal_bisection(count, monkeypatch):
         with pytest.raises(SolverError, match=f"l=0, N=400: stebz finds 0 eigenvalues in "
                                               rf"\(.*\], not the {count - 1} that the count"):
             dl.first_nonzero_eigenvalue(grid)
-        assert calls[1:] == [("count", 400, 0), ("window", 400, 0)]
+        assert calls == [("count", 400, 0), ("count", 400, 0), ("window", 400, 0)]
         return
     with pytest.raises(SolverError, match="l=0, N=400: stebz counts no eigenvalue"):
         dl.first_nonzero_eigenvalue(grid)
