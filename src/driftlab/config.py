@@ -205,6 +205,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     grids = _as_list(data.get("grids", 1000), "grids", int)
     if any(g < 8 for g in grids):
         raise ConfigError("grid sizes must be at least 8")
+    for g in grids:
+        if circle and g % 2:
+            raise ConfigError(f"a circle grid must be even: its mirror half holds N/2 cells, "
+                              f"got N = {g}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     overrides = data.get("tolerances")

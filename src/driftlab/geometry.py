@@ -11,11 +11,12 @@ weighted (Bakry-Emery) structure adds a radial density phi, turning the
 volume form into e^{-phi} dV_g.  A model stores the density as its
 coefficients (c0, c1, c2) and reads them in its own coordinate c =
 cos(pi r/l) on its own interval [0, l]: l = L on an interval sphere and the
-mirror half l = L/2 on a weighted circle of circumference L, where the fiber
-is trivial and only the density matters.  ``model.phi`` is then
-``CosPolynomial(coeffs, l)``, phi = p(c) with deg p <= 2, which generates its
-value and analytic derivatives.  So a density is L-periodic and even on a
-circle, and has zero slope at both poles of a sphere, by construction.
+mirror half l = L/2 on a weighted circle of circumference L, where w = 1
+and the fiber S^0 is the pair of mirror points (``Grid``).  ``model.phi``
+is then ``CosPolynomial(coeffs, l)``, phi = p(c) with deg p <= 2, which
+generates its value and analytic derivatives.  So a density on a circle is
+even about both mirror points theta = 0 and L/2, and one on a sphere has
+zero slope at both poles, by construction.
 
 On the round warp the curvature has a closed form: Ric = (n-1)/rho^2 g in
 every direction, R = n (n-1)/rho^2 and dR/dr = 0.  The Hessian of a radial
@@ -178,21 +179,27 @@ def einstein_constant(model: WarpedManifold) -> float:
 
 
 def unit_fiber_area(n: int) -> float:
-    """Area of the unit fiber: Vol(S^{n-1}) = 2 pi^{n/2} / Gamma(n/2); 1 for circles."""
-    if n == 1:
-        return 1.0
+    """Area of the unit fiber: Vol(S^{n-1}) = 2 pi^{n/2} / Gamma(n/2); for
+    n = 1 the fiber S^0 is the two mirror points of a circle, of count 2."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered grid on ``model``, whose weighted measure it integrates.
+    """Uniform cell-centered grid of N cells of width h = L / N on ``model``,
+    whose weighted measure it integrates.
 
-    Cell centers sit at (i + 1/2) h for the interval topology, so no node ever
-    touches a pole; the circle uses nodes at i h with periodic wrap.  The
-    weights integrate u against  w^{n-1} e^{-phi} dr * Vol(S^{n-1})  (interval)
-    or  e^{-phi} dtheta  (circle) by the composite midpoint rule; ``density``
-    holds rho = w^{n-1} e^{-phi} (or e^{-phi}) at the nodes, which they and
+    Cell centers sit at (i + 1/2) h on the model's own interval [0, l]
+    (``model.phi.length``), whose two ends fall on faces: an interval sphere
+    holds all N cells, on [0, L] between its poles, and a circle its mirror
+    half, the N/2 cells on [0, L/2] between its mirror points theta = 0 and
+    L/2, so N must be even there.  The reflection theta -> -theta fixes both
+    mirror points, so every eigenfunction of a circle is even or odd about
+    them, and its half holds it.  The weights integrate u against
+    w^{n-1} e^{-phi} dr * Vol(S^{n-1}) by the composite midpoint rule; on a
+    circle w = 1 and the fiber S^0 is the pair of mirror points, so the
+    weights 2 e^{-phi} h integrate an even u^2 over the whole circle.
+    ``density`` holds rho = w^{n-1} e^{-phi} at the nodes, which they and
     the operator assembly share.
     """
 
@@ -203,8 +210,8 @@ class Grid:
     density: np.ndarray
 
     def __post_init__(self):
-        if self.nodes.ndim != 1 or self.nodes.size < 4:
-            raise ValueError("grid needs at least 4 nodes")
+        if self.nodes.ndim != 1 or self.count < 4:
+            raise ValueError("grid needs at least 4 cells")
         if np.any(np.diff(self.nodes) <= 0.0):
             raise ValueError("grid nodes must be strictly increasing")
         if not (np.all(self.weights > 0.0) and np.all(np.isfinite(self.weights))):
@@ -214,16 +221,27 @@ class Grid:
     def size(self) -> int:
         return int(self.nodes.size)
 
+    @property
+    def count(self) -> int:
+        """N, the cells around the model: twice ``size`` on a circle's mirror half."""
+        return 2 * self.size if self.model.topology == CIRCLE else self.size
+
     @staticmethod
     def uniform(model: WarpedManifold, count: int) -> "Grid":
+        half = model.topology == CIRCLE
+        if half and count % 2:
+            raise ValueError(f"a circle grid must be even: its mirror half holds N/2 cells, "
+                             f"got N = {count}")
         h = model.L / count
-        if model.topology == INTERVAL_SPHERE:
-            nodes = (np.arange(count) + 0.5) * h
-        else:
-            nodes = np.arange(count) * h
+        nodes = (np.arange(count // 2 if half else count) + 0.5) * h
         rho = measure_density(model, nodes)
         return Grid(model=model, nodes=nodes, spacing=h,
                     weights=unit_fiber_area(model.n) * rho * h, density=rho)
+
+    def halved(self) -> "Grid":
+        """The grid of half the cells, size // 2, on the same model (nested
+        for an even size): the Richardson partner's."""
+        return Grid.uniform(self.model, self.count // self.size * (self.size // 2))
 
 
 def measure_density(model: WarpedManifold, r: np.ndarray) -> np.ndarray:

@@ -8,17 +8,24 @@ reduces it to the radial Sturm-Liouville operator
     u  ->  (1/rho) (rho u')' - l (l + n - 2) / w^2 * u,
     rho = w^{n-1} e^{-phi},
 
-acting on [0, L]; the circle keeps the full periodic operator
-(1/rho)(rho u')' with rho = e^{-phi}.
+acting on the model's own interval [0, l]: [0, L] on an interval sphere,
+and on a circle its mirror half [0, L/2], where w = 1, rho = e^{-phi} and
+the reflection theta -> -theta splits the operator of the whole circle into
+its even sector l = 0 and its odd sector l = 1 (``geometry.Grid``).
 
-Discretization is a cell-centered finite-volume scheme with half-node
+Discretization is a cell-centered finite-volume scheme with face
 coefficients rho_{i+1/2}: flux differences make the matrix exactly symmetric
 with respect to the weighted inner product <u, v> = sum q_i u_i v_i, constants
 lie in the kernel of the l = 0 operator by construction, and the spectrum is
-real and nonpositive up to rounding.  At the poles, rho vanishes, so the
-boundary flux is zero; this encodes the regularity (Neumann-type) condition
-for l = 0, while for l >= 1 the singular potential l(l+n-2)/w^2 enforces the
-Dirichlet decay of the eigenfunctions.
+real and nonpositive up to rounding.  Both ends of the interval are faces,
+and the l = 0 operator couples the cells through the interior faces alone:
+at a sphere's poles rho vanishes, so the boundary flux is zero, which
+encodes the regularity (Neumann-type) condition, and an even function has
+no flux across a circle's mirror points.  Sector l >= 1 subtracts
+``sector_potential`` from that diagonal: on a sphere the singular potential
+l(l+n-2)/w^2, which enforces the Dirichlet decay of the eigenfunctions, and
+in a circle's odd sector the flux 2 rho(face) u / h^2 across each mirror
+face, where an odd function takes the value -u.
 
 Eigenpairs come from the symmetric tridiagonal similarity transform
 S = D A D^{-1}, D = diag(sqrt(rho_i)), solved in two LAPACK steps (scipy's
@@ -29,19 +36,15 @@ on its eigenvalue alone.  A Sturm count, stebz over a value window with an
 infinite tolerance, tells how many eigenvalues lie in the window without
 computing any of them.
 
-Only the l = 0 operator is assembled from the density; a sector l >= 1 is
-derived from it by subtracting its angular potential from the diagonal.  A
-circle's periodic matrix splits into two mirror sectors with no corner: the
-even one, with the constant mode, takes the place of l = 0, the odd one that
-of l = 1.  ``first_nonzero_eigenvalue`` bounds the l = 1 top from above by
-the Rayleigh quotient of the density-free l = 1 mode, and Sturm counts pick
+``first_nonzero_eigenvalue`` bounds the l = 1 top from above by the
+Rayleigh quotient of the density-free l = 1 mode, and Sturm counts pick
 the winning sector before it is bisected: one count of l = 0 above that
 bound, which finds the constant mode alone wherever l = 1 wins by a clear
 gap, and, where it finds more, one count of l = 1 above the l = 0 top,
 which is bisected in the counted window.  l = 1 is bisected, by index, only
 where it can win.  The winner's eigenvector is formed when it is first
 read, and the Richardson partner, the Rayleigh quotient of the eigenvector
-on the half-resolution operator, when the error estimate is read, so a
+on the grid of half the cells, when the error estimate is read, so a
 lambda_1 costs at most one eigenvector, and none when only ``lam`` is read.
 ``spectrum_contains`` counts, sector by sector from l = 0, the eigenvalues
 in the closed window around its target, until a sector has none above it;
@@ -58,29 +61,23 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import AssemblyError, SolverError
-from .geometry import CIRCLE, INTERVAL_SPHERE, Grid, measure_density
+from .geometry import CIRCLE, Grid, measure_density
 
 
 @dataclass(frozen=True)
 class SpectralProblem:
-    """Assembled radial (or periodic) drift-Laplacian operator for one angular mode.
+    """Assembled drift-Laplacian operator of one sector l on the grid's model.
 
-    ``diag``/``off_diag`` store the symmetrized tridiagonal form; ``corner``
-    is the periodic wrap coupling (circles only).  ``sqrt_rho`` maps
-    symmetrized eigenvectors back to eigenfunctions, u = y / sqrt(rho).
-    The operator is that of ``grid.model``.
+    ``diag``/``off_diag`` store the symmetrized tridiagonal form;
+    ``sqrt_rho`` maps symmetrized eigenvectors back to eigenfunctions,
+    u = y / sqrt(rho).  The operator is that of ``grid.model``.
     """
 
     grid: Grid
     l: int
     diag: np.ndarray
     off_diag: np.ndarray
-    corner: float
     sqrt_rho: np.ndarray
-
-    @property
-    def periodic(self) -> bool:
-        return self.grid.model.topology == CIRCLE
 
     @property
     def size(self) -> int:
@@ -92,30 +89,16 @@ class SpectralProblem:
         out = self.diag * y
         out[:-1] += self.off_diag * y[1:]
         out[1:] += self.off_diag * y[:-1]
-        if self.periodic and self.corner != 0.0:
-            out[0] += self.corner * y[-1]
-            out[-1] += self.corner * y[0]
         return out / self.sqrt_rho
 
     def sector(self, l: int) -> "SpectralProblem":
-        """Angular mode l of this interval l = 0 operator: the diagonal less
-        l(l+n-2)/w^2, computed in the potential's own buffer; the off-diagonal
-        and sqrt_rho are shared."""
+        """Sector l of this l = 0 operator: the diagonal less
+        ``sector_potential(grid, l)``, computed in the potential's own
+        buffer; the off-diagonal and sqrt_rho are shared."""
         if not l:
             return self
-        if self.periodic:
-            raise AssemblyError("a circle has no angular sectors l >= 1")
-        model = self.grid.model
-        potential = np.asarray(model.w.value(self.grid.nodes), dtype=float) ** 2
-        np.divide(angular_eigenvalue(model.n, l), potential, out=potential)
-        if not np.all(np.isfinite(potential)):
-            raise AssemblyError(
-                "angular potential overflows at the poles; grid nodes must stay interior")
+        potential = sector_potential(self.grid, l)
         return replace(self, l=l, diag=np.subtract(self.diag, potential, out=potential))
-
-    def unfold(self, z: np.ndarray) -> tuple["SpectralProblem", np.ndarray]:
-        """The operator of this sector's eigenvectors z: an interval sector's own."""
-        return self, z
 
 
 def angular_eigenvalue(n: int, l: int) -> float:
@@ -123,45 +106,48 @@ def angular_eigenvalue(n: int, l: int) -> float:
     return float(l * (l + n - 2))
 
 
+def sector_potential(grid: Grid, l: int) -> np.ndarray:
+    """What sector l >= 1 subtracts from the l = 0 diagonal, in a fresh array.
+
+    On an interval sphere: the angular potential l(l+n-2)/w^2 at the nodes.
+    On a circle, sector 1 is the odd one: an odd u takes the value -u across
+    each mirror face, so the end cells lose the flux 2 rho(face) u / h^2,
+    the potential 2 rho(face) / (h^2 rho) there and 0 elsewhere; a circle
+    has no sector l >= 2."""
+    model = grid.model
+    if model.topology == CIRCLE:
+        if l > 1:
+            raise AssemblyError(f"a circle has only its even and odd sectors l = 0, 1, got {l}")
+        h, ends = grid.spacing, [0, -1]
+        mirror = measure_density(model, grid.nodes[ends] + np.array([-0.5, 0.5]) * h)
+        potential = np.zeros(grid.size)
+        potential[ends] = 2.0 * (mirror / (h * h)) / grid.density[ends]
+        return potential
+    potential = np.asarray(model.w.value(grid.nodes), dtype=float) ** 2
+    np.divide(angular_eigenvalue(model.n, l), potential, out=potential)
+    if not np.all(np.isfinite(potential)):
+        raise AssemblyError(
+            "angular potential overflows at the poles; grid nodes must stay interior")
+    return potential
+
+
 def assemble(grid: Grid, l: int) -> SpectralProblem:
     """Assemble the symmetric tridiagonal operator of the grid's model for
-    angular mode l.
-
-    An interval sector l >= 1 is the l = 0 operator less its angular
-    potential (``SpectralProblem.sector``)."""
-    model = grid.model
-    if l < 0 or int(l) != l or (l and model.topology == CIRCLE):
-        raise AssemblyError(f"angular mode must be a nonnegative integer, 0 on a circle, got {l!r}")
-    l = int(l)
+    sector l: the l = 0 operator, coupled through the interior faces, less
+    ``sector_potential(grid, l)``."""
+    if l < 0 or int(l) != l:
+        raise AssemblyError(f"angular mode must be a nonnegative integer, got {l!r}")
     h = grid.spacing
-    nodes = grid.nodes
     rho_c = grid.density
     if np.any(rho_c <= 0.0) or not np.all(np.isfinite(rho_c)):
         raise AssemblyError("measure density is not positive and finite on the grid")
-
-    if model.topology == INTERVAL_SPHERE:
-        faces = nodes[:-1] + 0.5 * h
-        rho_f = measure_density(model, faces)
-        coupling = rho_f / (h * h)
-        diag = np.zeros(grid.size)
-        diag[:-1] -= coupling / rho_c[:-1]
-        diag[1:] -= coupling / rho_c[1:]
-        off = coupling / np.sqrt(rho_c[:-1] * rho_c[1:])
-        corner = 0.0
-    else:
-        faces = nodes + 0.5 * h
-        rho_f = measure_density(model, faces)
-        coupling = rho_f / (h * h)
-        diag = np.zeros(grid.size)
-        nxt = np.roll(np.arange(grid.size), -1)
-        diag -= coupling / rho_c
-        diag[nxt] -= coupling / rho_c[nxt]
-        off = coupling[:-1] / np.sqrt(rho_c[:-1] * rho_c[1:])
-        corner = float(coupling[-1] / math.sqrt(rho_c[-1] * rho_c[0]))
-
-    problem = SpectralProblem(grid=grid, l=0, diag=diag, off_diag=off,
-                              corner=corner, sqrt_rho=np.sqrt(rho_c))
-    return problem.sector(l)
+    coupling = measure_density(grid.model, grid.nodes[:-1] + 0.5 * h) / (h * h)
+    diag = np.zeros(grid.size)
+    diag[:-1] -= coupling / rho_c[:-1]
+    diag[1:] -= coupling / rho_c[1:]
+    off = coupling / np.sqrt(rho_c[:-1] * rho_c[1:])
+    problem = SpectralProblem(grid=grid, l=0, diag=diag, off_diag=off, sqrt_rho=np.sqrt(rho_c))
+    return problem.sector(int(l))
 
 
 @dataclass(frozen=True)
@@ -178,21 +164,21 @@ class EigenMode:
     @cached_property
     def error_estimate(self) -> float:
         """|lam_N - lam_{N/2}| / 3, where lam_{N/2} is the Rayleigh quotient,
-        on the mode's operator at N // 2, of the eigenvector linearly
-        interpolated onto the coarse nodes (for even N: the cell-pair average
-        on spheres, injection on circles); NaN below 8 nodes.  Its error is
-        quadratic in the O(h^2) interpolation error, so it stands in for a
-        half-resolution eigensolve."""
+        on the mode's operator on the grid of half the cells
+        (``Grid.halved``), of the eigenvector linearly interpolated onto the
+        coarse nodes (for an even number of cells: the cell-pair average);
+        NaN below 8 cells around the model.  Its error is quadratic in the
+        O(h^2) interpolation error, so it stands in for a half-resolution
+        eigensolve."""
         grid = self.problem.grid
-        if grid.size < 8:
+        if grid.count < 8:
             return math.nan
-        coarse = assemble(Grid.uniform(grid.model, grid.size // 2), self.l)
-        period = grid.model.L if self.problem.periodic else None
-        u = np.interp(coarse.grid.nodes, grid.nodes, self.u, period=period)
+        coarse = assemble(grid.halved(), self.l)
+        u = np.interp(coarse.grid.nodes, grid.nodes, self.u)
         return abs(self.lam - _rayleigh_quotient(coarse, u)) / 3.0
 
 
-def norm_bound(problem: SpectralProblem | _MirrorSector) -> float:
+def norm_bound(problem: SpectralProblem) -> float:
     """max|d| + 2 max|e|: a bound on the infinity norm of a symmetric
     tridiagonal sector, which rounding in its eigenvalues scales with."""
     return float(np.max(np.abs(problem.diag)) + 2.0 * np.max(np.abs(problem.off_diag)))
@@ -200,58 +186,22 @@ def norm_bound(problem: SpectralProblem | _MirrorSector) -> float:
 
 def _normalized(problem: SpectralProblem, y: np.ndarray) -> np.ndarray:
     """The eigenfunction u = y / sqrt(rho) of a symmetrized eigenvector y,
-    of unit weighted norm and signed so that its largest |u_i| is positive."""
+    of unit weighted norm and signed so that u[0] > 0.  A first
+    eigenfunction has u[0] != 0 on the cell-centred grid, so the sign never
+    follows a near-tie, such as |u| at the two ends of a round sphere; where
+    u[0] = 0, the first nonzero entry is positive."""
     u = y / problem.sqrt_rho
     u = u / math.sqrt(float(np.sum(problem.grid.weights * u * u)))
-    i = int(np.argmax(np.abs(u)))
-    return -u if u[i] < 0.0 else u
+    return -u if u[np.argmax(u != 0.0)] < 0.0 else u
 
 
-def _solver_error(problem: SpectralProblem | _MirrorSector, cause: str) -> SolverError:
-    n = problem.diag.size
+def _solver_error(problem: SpectralProblem, cause: str) -> SolverError:
+    n = problem.size
     return SolverError(
         f"eigensolver failed for l={problem.l}, N={n}: {cause}",
         report={"l": problem.l, "size": n,
                 "diag_range": (float(problem.diag.min()), float(problem.diag.max())),
                 "off_max": float(np.max(np.abs(problem.off_diag))) if n > 1 else 0.0})
-
-
-@dataclass(frozen=True)
-class _MirrorSector:
-    """The even (l = 0) or odd (l = 1) sector of the circle operator ``full``."""
-
-    full: SpectralProblem
-    l: int
-    diag: np.ndarray
-    off_diag: np.ndarray
-
-    def unfold(self, z: np.ndarray) -> tuple[SpectralProblem, np.ndarray]:
-        rows = np.arange(self.l, self.l + self.diag.size)
-        mirror = -rows % self.full.size
-        z = z / np.where(rows == mirror, 1.0, math.sqrt(2.0))[:, None]
-        y = np.zeros((self.full.size, z.shape[1]))
-        y[mirror] = -z if self.l else z
-        y[rows] = z
-        return self.full, y
-
-
-def _mirror_sectors(problem: SpectralProblem) -> tuple[_MirrorSector, _MirrorSector]:
-    """The even and odd sectors of a circle's symmetrized periodic matrix,
-    which an even density makes commute with the reflection i -> N - i.  It
-    fixes node 0, and N/2 for even N, and swaps the pairs (i, N - i),
-    i = 1..p = (N - 1) // 2, whose entries are (z_i, +-z_i) / sqrt(2): a
-    coupling to a fixed node gains a factor sqrt(2), and for odd N the middle
-    pair's coupling e_p is added to the even sector's last diagonal entry and
-    subtracted from the odd one's.  The sectors' nodes are 0..N // 2 and 1..p."""
-    d, e, n = problem.diag, problem.off_diag, problem.size
-    p = (n - 1) // 2
-    if n % 2:
-        even = np.r_[d[:p], d[p] + e[p]], np.r_[math.sqrt(2.0) * e[0], e[1:p]]
-        odd = np.r_[d[1:p], d[p] - e[p]], e[1:p]
-    else:
-        even = d[:p + 2], np.r_[math.sqrt(2.0) * e[0], e[1:p], math.sqrt(2.0) * e[p]]
-        odd = d[1:p + 1], e[1:max(p, 2)]  # stebz and stein take one e for one row
-    return _MirrorSector(problem, 0, *even), _MirrorSector(problem, 1, *odd)
 
 
 # stebz: m, w, iblock, isplit, info = stebz(d, e, range, vl, vu, il, iu, abstol, order),
@@ -261,44 +211,39 @@ _LAPACK = {"stebz": lapack.dstebz, "stein": lapack.dstein}
 
 
 class _BisectedMode(EigenMode):
-    """An eigenvalue mu = -lam that bisection found in a sector of
+    """An eigenvalue mu = -lam that bisection found in the sector
     ``problem``, whose eigenvector u is formed on its first read, by inverse
     iteration (LAPACK stein) on this eigenvalue alone.  Until then the mode
-    keeps the number of its eigenvalue's block, the last rows of the blocks
-    up to it (the block data stebz returned) and, on a circle, which mirror
-    sector holds it; the sector and the N-long arrays that scipy's stein
-    wrapper takes are rebuilt from ``problem`` at the read, and the block
-    data are dropped once u is formed.  stein draws its start vector from a
-    fixed seed, so u is the same at every read, and that of running stein on
-    the eigenvalue right after bisecting it.  ``repr`` leaves u unformed;
-    ``==``, which compares the fields, forms it."""
+    keeps the number of its eigenvalue's block and the last rows of the
+    blocks up to it (the block data stebz returned); the N-long arrays that
+    scipy's stein wrapper takes are rebuilt at the read, and the block data
+    are dropped once u is formed.  stein draws its start vector from a fixed
+    seed, so u is the same at every read, and that of running stein on the
+    eigenvalue right after bisecting it.  ``repr`` leaves u unformed; ``==``,
+    which compares the fields, forms it."""
 
-    def __init__(self, sector: SpectralProblem | _MirrorSector, mu: float, block: int,
-                 splits: np.ndarray):
-        problem = sector.full if isinstance(sector, _MirrorSector) else sector
+    def __init__(self, problem: SpectralProblem, mu: float, block: int, splits: np.ndarray):
         # u stays out of the instance until its first read, as cached_property needs
         vars(self).update(lam=-float(mu), l=problem.l, problem=problem,
-                          _blocks=(sector.l, int(block), splits))
+                          _blocks=(int(block), splits))
 
     @cached_property
     def u(self) -> np.ndarray:
-        mirror, block, splits = self._blocks
-        sector = _mirror_sectors(self.problem)[mirror] if self.problem.periodic else self.problem
-        iblock, isplit = np.zeros((2, sector.diag.size), dtype=np.int32)
+        (block, splits), problem = self._blocks, self.problem
+        iblock, isplit = np.zeros((2, problem.size), dtype=np.int32)
         iblock[0], isplit[:block] = block, splits
-        z, info = _LAPACK["stein"](sector.diag, sector.off_diag, np.array([-self.lam]),
+        z, info = _LAPACK["stein"](problem.diag, problem.off_diag, np.array([-self.lam]),
                                    iblock, isplit)
         if info:
-            raise _solver_error(sector, f"stein returned info={info}")
+            raise _solver_error(problem, f"stein returned info={info}")
         del vars(self)["_blocks"]
-        problem, y = sector.unfold(z)
-        return _normalized(problem, y[:, 0])
+        return _normalized(problem, z[:, 0])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(lam={self.lam!r}, l={self.l!r})"
 
 
-def _stebz(problem: SpectralProblem | _MirrorSector, range_: int, vl: float, vu: float,
+def _stebz(problem: SpectralProblem, range_: int, vl: float, vu: float,
            il: int, iu: int, tol: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """LAPACK stebz on a sector, in block order: (m, w, iblock, isplit)."""
     m, w, iblock, isplit, info = _LAPACK["stebz"](problem.diag, problem.off_diag, range_,
@@ -308,7 +253,7 @@ def _stebz(problem: SpectralProblem | _MirrorSector, range_: int, vl: float, vu:
     return m, w, iblock, isplit
 
 
-def _modes(problem: SpectralProblem | _MirrorSector, m: int, w: np.ndarray,
+def _modes(problem: SpectralProblem, m: int, w: np.ndarray,
            iblock: np.ndarray, isplit: np.ndarray) -> tuple[_BisectedMode, ...]:
     """The m bisected eigenvalues of a sector as eigenmodes, sorted by |lam|."""
     modes = (_BisectedMode(problem, w[j], iblock[j], isplit[:iblock[j]].copy())
@@ -316,22 +261,20 @@ def _modes(problem: SpectralProblem | _MirrorSector, m: int, w: np.ndarray,
     return tuple(sorted(modes, key=lambda mode: abs(mode.lam)))
 
 
-def _bisect(problem: SpectralProblem | _MirrorSector, il: int,
-            iu: int) -> tuple[_BisectedMode, ...]:
+def _bisect(problem: SpectralProblem, il: int, iu: int) -> tuple[_BisectedMode, ...]:
     """Bisection (LAPACK stebz, tolerance 0) for the eigenvalues of (1-based,
     ascending) index il..iu of a sector, as eigenmodes sorted by |lam|."""
     return _modes(problem, *_stebz(problem, 2, 0.0, 1.0, il, iu, 0.0))
 
 
-def _bisect_window(problem: SpectralProblem | _MirrorSector, vl: float,
-                   vu: float) -> tuple[_BisectedMode, ...]:
+def _bisect_window(problem: SpectralProblem, vl: float, vu: float) -> tuple[_BisectedMode, ...]:
     """Bisection (LAPACK stebz, tolerance 0) for the eigenvalues of a sector
     in the value window (vl, vu], as eigenmodes sorted by |lam|.  The
     eigenvalues outside the window are not searched for."""
     return _modes(problem, *_stebz(problem, 1, vl, vu, 0, 0, 0.0))
 
 
-def _count(problem: SpectralProblem | _MirrorSector, vl: float, vu: float) -> int:
+def _count(problem: SpectralProblem, vl: float, vu: float) -> int:
     """Number of eigenvalues of a sector in (vl, vu]: the Sturm count at vu
     less that at vl, each the negative pivots of the LDL^T factorization
     shifted by that end (Sylvester's law of inertia).  This is LAPACK stebz
@@ -345,19 +288,16 @@ def _count(problem: SpectralProblem | _MirrorSector, vl: float, vu: float) -> in
 def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
     """lambda = -<Au, u> / <u, u> of radial samples u, in energy form:
 
-        (sum_f c_f (u_{i+1} - u_i)^2 + c_l sum_i rho_i u_i^2 / w_i^2) / sum_i rho_i u_i^2,
+        (sum_f c_f (u_{i+1} - u_i)^2 + sum_i V_i rho_i u_i^2) / sum_i rho_i u_i^2,
 
-    c_f = off_i sqrt(rho_i rho_{i+1}), with the wrap-around face on circles.
-    Every term is nonnegative, so nothing cancels against the O(N^2) diagonal."""
+    c_f = off_i sqrt(rho_i rho_{i+1}) over the interior faces and
+    V = ``sector_potential(grid, l)``.  Every term is nonnegative, so
+    nothing cancels against the O(N^2) diagonal."""
     s = problem.sqrt_rho
     rho_u2 = (s * u) ** 2
     energy = float(np.sum(problem.off_diag * s[:-1] * s[1:] * np.diff(u) ** 2))
-    if problem.periodic:
-        energy += float(problem.corner * s[-1] * s[0] * (u[0] - u[-1]) ** 2)
     if problem.l:
-        model = problem.grid.model
-        w = np.asarray(model.w.value(problem.grid.nodes), dtype=float)
-        energy += angular_eigenvalue(model.n, problem.l) * float(np.sum(rho_u2 / w**2))
+        energy += float(np.sum(sector_potential(problem.grid, problem.l) * rho_u2))
     return energy / float(np.sum(rho_u2))
 
 
@@ -368,16 +308,16 @@ def first_nonzero_eigenvalue(grid: Grid) -> EigenMode:
     No sector l >= 2 can hold lambda_1: in symmetrized form
     S_l = S_1 - (c_l - c_1) diag(1/w^2), c_l = l(l+n-2), e.g. S_2 = S_1 - (n+1) diag(1/w^2),
     so by Weyl's inequality every l >= 2 eigenvalue lies strictly below its
-    l = 1 counterpart.  A circle's even and odd mirror sectors stand in for
-    l = 0 and l = 1; its mode is unfolded onto the full operator, with l = 0.
+    l = 1 counterpart.  On a circle l = 0 and l = 1 are the even and odd
+    sectors, and there is no other.
 
     lambda_1 is the larger of the two sector tops: the top eigenvalue mu_1
     of l = 1, and the top mu_0 of l = 0 below its constant mode.  Sturm
     counts pick the winning sector before anything is bisected.  The
     Rayleigh quotient lambda_RQ of the trial u = sin(pi r/ell), ell =
     ``model.phi.length``, bounds -mu_1 from above (Rayleigh-Ritz): u is the
-    density-free l = 1 top, w/rho on a sphere's l = 1 sector and the odd
-    sin(2 pi theta/L) on a circle's full operator.  One Sturm count of l = 0
+    density-free l = 1 top: w/rho on a sphere's l = 1 sector and
+    sin(2 pi theta/L) in a circle's odd sector.  One Sturm count of l = 0
     over (vl, inf), vl = -lambda_RQ - tau, then certifies the l = 0 top: tau,
     16 eps (max|d| + 2 max|e|), exceeds the bisection tolerance (about
     eps ||T||) and the count's rounding, and vl <= mu_1 - tau, so a count
@@ -390,7 +330,8 @@ def first_nonzero_eigenvalue(grid: Grid) -> EigenMode:
     the value window (vl, vu], which leaves out the constant mode (0 up to
     rounding); the largest eigenvalue found is mu_0.  vu is
     -lambda_RQ + tau + lambda_RQ (pi/N)^2, the O(h^2) split of the round
-    sphere's twins, capped at -tau, and is kept only when one more count
+    sphere's twins, with N = ``grid.size`` (pi/N = pi h/ell; N/2 on a
+    circle's mirror half), capped at -tau, and is kept only when one more count
     finds the constant mode alone above it; else vu = -tau.  The window
     must hold count - 1 eigenvalues: any other number means that one lies
     within tau of the constant mode, where the two cannot be told apart,
@@ -407,31 +348,31 @@ def first_nonzero_eigenvalue(grid: Grid) -> EigenMode:
     first read, and the Richardson error estimate of the second-order scheme
     (``EigenMode.error_estimate``) from ``problem`` when that is first read:
     a caller that reads only ``lam`` runs no inverse iteration, and one that
-    reads ``lam`` and ``u`` assembles nothing at N // 2.
+    reads ``lam`` and ``u`` assembles nothing on the grid of half the cells.
     """
     base = assemble(grid, 0)
-    zonal, upper = _mirror_sectors(base) if base.periodic else (base, base.sector(1))
+    upper = base.sector(1)
     trial = np.sin(math.pi / grid.model.phi.length * grid.nodes)
-    bound = _rayleigh_quotient(base if base.periodic else upper, trial)
-    margin = 16.0 * np.finfo(float).eps * norm_bound(zonal)
+    bound = _rayleigh_quotient(upper, trial)
+    margin = 16.0 * np.finfo(float).eps * norm_bound(base)
     vl = -bound - margin
-    count = _count(zonal, vl, math.inf)
+    count = _count(base, vl, math.inf)
     if count < 1:
-        raise _solver_error(zonal, f"stebz counts no eigenvalue above {vl!r}, "
-                                   "not even the constant mode")
+        raise _solver_error(base, f"stebz counts no eigenvalue above {vl!r}, "
+                                  "not even the constant mode")
     if count > 1:
         vu = min(-bound + margin + bound * (math.pi / grid.size) ** 2, -margin)
-        if vu < -margin and _count(zonal, vu, math.inf) != 1:
+        if vu < -margin and _count(base, vu, math.inf) != 1:
             vu = -margin
-        window = _bisect_window(zonal, vl, vu)
+        window = _bisect_window(base, vl, vu)
         if len(window) != count - 1:
-            raise _solver_error(zonal, f"stebz finds {len(window)} eigenvalues in "
-                                       f"({vl!r}, {vu!r}], not the {count - 1} that the "
-                                       "count leaves beside the constant mode: one lies "
-                                       "within the margin of it")
+            raise _solver_error(base, f"stebz finds {len(window)} eigenvalues in "
+                                      f"({vl!r}, {vu!r}], not the {count - 1} that the "
+                                      "count leaves beside the constant mode: one lies "
+                                      "within the margin of it")
         if not _count(upper, -window[0].lam, math.inf):
             return window[0]
-    top, = _bisect(upper, upper.diag.size, upper.diag.size)
+    top, = _bisect(upper, upper.size, upper.size)
     if count > 1 and window[0].lam <= top.lam:  # a tie goes to the lower sector
         top = window[0]
     return top

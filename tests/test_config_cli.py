@@ -676,6 +676,25 @@ def test_cli_grid_override(tmp_path, capsys):
         assert "grids entries must be finite int" in capsys.readouterr().err
 
 
+def test_an_odd_circle_grid_is_a_config_error(tmp_path, capsys):
+    # a circle's grid holds its mirror half, N/2 cells, so an odd N is
+    # refused, in the file and through the --grid override alike; an odd
+    # sphere grid stays valid
+    family = {"name": "circle", "length": 6.0, "density": {"name": "cosine", "eps": [0.5]}}
+    with pytest.raises(ConfigError, match="a circle grid must be even: its mirror half "
+                                          "holds N/2 cells, got N = 81"):
+        parse_config(_base_config(family=family, grids=[64, 81]))
+    assert parse_config(_base_config(family=family, grids=[64, 82])).grids == (64, 82)
+    assert parse_config(_base_config(grids=[81])).grids == (81,)
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(_base_config(family=family, grids=[64])))
+    capsys.readouterr()
+    assert cli.main(["spectrum", "--config", str(path), "--grid", "2001"]) == 2
+    assert "a circle grid must be even" in capsys.readouterr().err
+    assert cli.main(["spectrum", "--config", str(path), "--grid", "66"]) == 0
+    assert "N=66" in capsys.readouterr().out
+
+
 def test_cli_emit_barriers(tmp_path, capsys):
     code = cli.main(["emit-barriers", "--out", str(tmp_path), "--points", "101",
                      "--delta", "0.25"])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import i0
 
 import driftlab as dl
 
@@ -292,6 +293,32 @@ def test_grid_invariants():
     # the grid carries its model, and its weights are Vol(S^{n-1}) rho h
     assert grid.model is model
     assert np.array_equal(grid.weights, dl.unit_fiber_area(2) * grid.density * grid.spacing)
+
+
+def test_circle_grid_is_its_mirror_half():
+    # N cells of width h = L / N around the circle: the grid holds the N/2
+    # on [0, L/2], whose ends, the mirror points theta = 0 and L/2, are
+    # faces, and weighs them 2 e^{-phi} h, the fiber S^0 being the pair of
+    # mirror points; the weights integrate e^{-phi} over the whole circle,
+    # L I_0(eps) for phi = eps cos(2 pi theta/L), to spectral accuracy
+    model = dl.circle(6.0, density=dl.cosine_density(0.5))
+    grid = dl.Grid.uniform(model, 40)
+    assert (grid.size, grid.count, grid.spacing) == (20, 40, 6.0 / 40)
+    assert np.array_equal(grid.nodes, (np.arange(20) + 0.5) * grid.spacing)
+    assert grid.nodes[0] - 0.5 * grid.spacing == 0.0
+    assert grid.nodes[-1] + 0.5 * grid.spacing == pytest.approx(3.0, abs=1e-15)
+    assert dl.unit_fiber_area(1) == 2.0
+    assert np.array_equal(grid.weights, 2.0 * grid.density * grid.spacing)
+    assert float(np.sum(grid.weights)) == pytest.approx(6.0 * i0(0.5), rel=1e-13)
+    # half the cells: 10 of width 2h, nested; an odd mirror half of 21
+    # cells pairs with 10 of width L/20, not nested
+    assert (grid.halved().size, grid.halved().spacing) == (10, 6.0 / 20)
+    assert dl.Grid.uniform(model, 42).halved().count == 20
+    with pytest.raises(ValueError, match="a circle grid must be even"):
+        dl.Grid.uniform(model, 41)
+    with pytest.raises(ValueError, match="at least 4 cells"):
+        dl.Grid.uniform(model, 2)
+    assert dl.Grid.uniform(model, 4).size == 2
 
 
 LING = (0.0, -1.0, -0.25)  # configs/ling_cases.json

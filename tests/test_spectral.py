@@ -40,19 +40,20 @@ _POLY_COS = st.lists(_EPS, min_size=1, max_size=3)
 def _weighted_models(draw):
     """A weighted n-sphere (n 2-5; cosine or short poly-cos density) or a
     weighted circle (cosine or short poly-cos density), on a grid of 8-400
-    nodes."""
+    cells (an even number on a circle)."""
     kind = draw(st.sampled_from(("cosine", "poly-cos", "circle")))
     density = dl.cosine_density(draw(_EPS)) if kind == "cosine" else draw(_POLY_COS)
     if kind == "circle":
         model = dl.circle(2.0 * math.pi, density=density)
     else:
         model = dl.sphere(draw(st.integers(2, 5)), density=density)
-    return dl.Grid.uniform(model, draw(st.integers(8, 400)))
+    N = draw(st.integers(8, 400))
+    return dl.Grid.uniform(model, N + N % 2 if kind == "circle" else N)
 
 
 def _sectors(model):
-    """The sectors l = 0, 1, 2, or the one periodic sector of a circle."""
-    return (0,) if model.topology == dl.CIRCLE else (0, 1, 2)
+    """The sectors l = 0, 1, 2, or a circle's even and odd sectors l = 0, 1."""
+    return (0, 1) if model.topology == dl.CIRCLE else (0, 1, 2)
 
 
 def _mus(modes):
@@ -60,18 +61,10 @@ def _mus(modes):
 
 
 def _top_modes(problem, count):
-    """The ``count`` top eigenpairs of a sphere sector or a circle's mirror
-    sector, sorted by |lam|, through the solver's own bisection and inverse
-    iteration."""
+    """The ``count`` top eigenpairs of a sector, sorted by |lam|, through the
+    solver's own bisection and inverse iteration."""
     n = problem.diag.size
     return spectral._bisect(problem, n - count + 1, n)
-
-
-def _tridiagonal(sector):
-    """A sector's symmetric tridiagonal matrix, dense (a one-row sector
-    carries one unused off-diagonal entry for LAPACK)."""
-    e = sector.off_diag[:sector.diag.size - 1]
-    return np.diag(sector.diag) + np.diag(e, 1) + np.diag(e, -1)
 
 
 def _matrix(problem):
@@ -80,11 +73,33 @@ def _matrix(problem):
 
 
 def _symmetrized(problem):
-    """The symmetrized operator S = D A D^{-1} as a dense matrix, corners included."""
-    s = np.diag(problem.diag) + np.diag(problem.off_diag, 1) + np.diag(problem.off_diag, -1)
-    s[0, -1] += problem.corner
-    s[-1, 0] += problem.corner
-    return s
+    """The symmetrized operator S = D A D^{-1} of a sector as a dense matrix."""
+    return np.diag(problem.diag) + np.diag(problem.off_diag, 1) + np.diag(problem.off_diag, -1)
+
+
+def _whole_circle(model, N):
+    """The symmetrized drift Laplacian of the whole circle on N cells
+    centred at (i + 1/2) h, h = L / N, as a dense N x N matrix: the
+    finite-volume flux differences with rho = e^{-phi} at the centres and
+    faces, cell N - 1 coupled to cell 0 across the face at theta = L = 0.
+    A reference built apart from ``assemble``, which holds only the mirror
+    half."""
+    h = model.L / N
+    i = np.arange(N)
+    nxt = (i + 1) % N
+    rho = np.exp(-model.phi.value((i + 0.5) * h))
+    coupling = np.exp(-model.phi.value((i + 1.0) * h)) / h**2  # face between i and i + 1
+    s = np.zeros((N, N))
+    np.add.at(s, (i, i), -coupling / rho)
+    np.add.at(s, (nxt, nxt), -coupling / rho[nxt])
+    s[i, nxt] = s[nxt, i] = coupling / np.sqrt(rho * rho[nxt])
+    return s, np.sqrt(rho)
+
+
+def _unfolded(mode):
+    """A circle mode's u on the whole circle's cells: its mirror half, then
+    the mirror image, even (l = 0) or odd (l = 1)."""
+    return np.concatenate([mode.u, (-1.0 if mode.l else 1.0) * mode.u[::-1]])
 
 
 def weighted_symmetry_defect(problem, vectors=6):
@@ -122,12 +137,13 @@ def test_s2_merged_spectrum_is_classical():
 
 
 def test_circle_fourier_spectrum():
-    # the periodic operator holds -k^2, twice for k >= 1: cos(k theta) in the
-    # even mirror sector, with the constant mode, and sin(k theta) in the odd one
+    # the flat circle holds -k^2, twice for k >= 1: cos(k theta) in the even
+    # sector, with the constant mode, and sin(k theta) in the odd one; both
+    # hold the mirror half's N/2 cells
     model = dl.circle(2.0 * math.pi)
     grid = dl.Grid.uniform(model, 800)
-    even, odd = spectral._mirror_sectors(assemble(grid, 0))
-    assert (even.diag.size, odd.diag.size) == (401, 399)
+    even, odd = assemble(grid, 0), assemble(grid, 1)
+    assert (even.size, odd.size) == (400, 400)
     even_mus, odd_mus = _mus(_top_modes(even, 3)), _mus(_top_modes(odd, 3))
     assert np.max(np.abs(even_mus - [0.0, -1.0, -4.0])) < 1e-3
     assert np.max(np.abs(odd_mus - [-1.0, -4.0, -9.0])) < 1e-3
@@ -362,7 +378,7 @@ def test_zero_mode_is_constant():
 @settings(max_examples=60, deadline=None)
 @given(grid=_weighted_models())
 def test_constants_in_kernel_row_sums(grid):
-    # the rows of the l = 0 (or periodic) operator sum to zero up to rounding
+    # the rows of the l = 0 operator sum to zero up to rounding
     problem = assemble(grid, 0)
     residual = np.max(np.abs(problem.apply(np.ones(grid.size))))
     assert residual <= 1e-12 * np.max(np.abs(problem.diag))
@@ -401,12 +417,8 @@ def test_operator_symmetry_all_topologies(grid):
 @given(grid=_weighted_models())
 def test_nonpositive_spectrum(grid):
     # each sector's top eigenvalue is at most rounding above zero, relative to
-    # the larger magnitude of the sector's two eigenvalues nearest zero; a
-    # circle's sectors are its two mirror sectors
-    base = assemble(grid, 0)
-    sectors = spectral._mirror_sectors(base) if base.periodic else \
-        [base.sector(l) for l in (0, 1, 2)]
-    for sector in sectors:
+    # the larger magnitude of the sector's two eigenvalues nearest zero
+    for sector in (assemble(grid, l) for l in _sectors(grid.model)):
         mus = _mus(_top_modes(sector, 2))
         assert mus[0] <= 1e-10 * max(1.0, float(np.abs(mus).max()))
 
@@ -424,7 +436,7 @@ def test_convergence_order_s2():
 
 def test_solver_determinism():
     for problem in (assemble(_sphere_grid(2, 700, eps=0.2), 1),
-                    *spectral._mirror_sectors(assemble(_circle_grid(400, 0.5), 0))):
+                    assemble(_circle_grid(400, 0.5), 0), assemble(_circle_grid(400, 0.5), 1)):
         a = _top_modes(problem, 4)
         b = _top_modes(problem, 4)
         assert _mus(a).tolist() == _mus(b).tolist()
@@ -434,64 +446,56 @@ def test_solver_determinism():
 
 def test_circle_solve_matches_dense_reference():
     # the four top even and three top odd eigenpairs hold the six top ones of
-    # the periodic operator (a cosine density makes each non-zero eigenvalue
-    # double), and unfold into its eigenfunctions with l = 0
-    problem = assemble(_circle_grid(300, 0.5), 0)
-    even, odd = spectral._mirror_sectors(problem)
+    # the whole circle's operator (a cosine density makes each non-zero
+    # eigenvalue double), and their mirror images are its eigenfunctions,
+    # of unit norm in its weights rho h
+    grid = _circle_grid(300, 0.5)
+    even, odd = assemble(grid, 0), assemble(grid, 1)
     modes = sorted(_top_modes(even, 4) + _top_modes(odd, 3), key=lambda m: m.lam)[:6]
-    reference = eigh(_matrix(problem) * problem.sqrt_rho[:, None] / problem.sqrt_rho[None, :],
-                     eigvals_only=True)[::-1][:6]
+    full, sqrt_rho = _whole_circle(grid.model, 300)
+    reference = eigh(full, eigvals_only=True)[::-1][:6]
     assert np.max(np.abs(_mus(modes) - reference)) < 1e-10
-    q = problem.grid.weights
     for mode in modes:
-        assert mode.problem is problem and mode.l == 0
-        residual = problem.apply(mode.u) + mode.lam * mode.u
-        assert math.sqrt(float(np.dot(q, residual**2))) < 1e-8
-        assert float(np.dot(q, mode.u**2)) == pytest.approx(1.0, rel=1e-12)
+        assert mode.problem is (odd if mode.l else even)
+        y = sqrt_rho * _unfolded(mode)
+        assert np.linalg.norm(full @ y + mode.lam * y) < 1e-8 * np.linalg.norm(y)
+        assert float(np.dot(grid.weights, mode.u**2)) == pytest.approx(1.0, rel=1e-12)
+        assert float(np.dot(sqrt_rho**2 * grid.spacing, _unfolded(mode)**2)) == \
+            pytest.approx(1.0, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
-@given(coeffs=_POLY_COS, N=st.integers(8, 400), length=st.sampled_from((2.0 * math.pi, 3.7)))
-@example(coeffs=[0.0, 0.5], N=4, length=2.0 * math.pi)  # an odd sector of one row
-@example(coeffs=[0.0, -0.3], N=5, length=3.7)
-@example(coeffs=[0.2, -0.7, 0.6], N=9, length=3.7)
-def test_mirror_sectors_hold_the_periodic_spectrum(coeffs, N, length):
-    # a circle density p(cos(2 pi theta/L)) is even about theta = 0 by
-    # construction, for every short poly-cos p, so the mirror sectors hold.
-    # The unfolded unit vectors of both sectors are an orthonormal basis Q,
-    # even or odd under the mirror i -> N - i, in which the full periodic
-    # matrix T is block diagonal with the two sectors as its blocks, up to
-    # the rounding that the mirror-symmetric assembly leaves.  So the two
-    # sectors' eigenvalues together are T's: dense eigh matches them to
-    # within its own backward error, a few eps ||T||_F (with the row-sum norm
-    # it reached 15.6 eps ||T||_inf at N = 288 in 150 random draws)
+@given(coeffs=_POLY_COS, half=st.integers(4, 200), length=st.sampled_from((2.0 * math.pi, 3.7)))
+@example(coeffs=[0.0, 0.5], half=4, length=2.0 * math.pi)  # the smallest circle grid, N = 8
+@example(coeffs=[0.2, -0.7, 0.6], half=5, length=3.7)
+def test_mirror_sectors_hold_the_periodic_spectrum(coeffs, half, length):
+    # a circle density p(cos(2 pi theta/L)) is even about theta = 0 and L/2
+    # by construction, for every short poly-cos p, so the reflection splits
+    # the whole circle's operator into an even and an odd sector, each on
+    # the mirror half's N/2 cells.  Together their eigenvalues are those of
+    # the dense N x N reference, which dense eigh matches to within its own
+    # backward error, a few eps ||T||_F, plus the rounding of the density's
+    # mirror symmetry; sector by sector, the mirror images of their
+    # eigenvectors are the reference's
     model = dl.circle(length, density=coeffs)
+    N = 2 * half
     grid = dl.Grid.uniform(model, N)
-    problem = assemble(grid, 0)
-    even, odd = spectral._mirror_sectors(problem)
-    assert (even.diag.size, odd.diag.size) == (N // 2 + 1, (N - 1) // 2)
-    full = _symmetrized(problem)
-    norm = float(np.max(np.sum(np.abs(full), axis=1)))
-    mirror = (-np.arange(N)) % N
-    offset, columns, blocks = 0, [], np.zeros((N, N))
-    for parity, sector in enumerate((even, odd)):
-        k = sector.diag.size
-        owner, y = sector.unfold(np.eye(k))
-        assert owner is problem
-        assert np.array_equal(y[mirror], -y if parity else y)
-        blocks[offset:offset + k, offset:offset + k] = _tridiagonal(sector)
-        offset += k
-        columns.append(y)
-    basis = np.hstack(columns)
-    assert np.allclose(basis.T @ basis, np.eye(N), rtol=0.0, atol=1e-15)
-    assert np.max(np.abs(basis.T @ full @ basis - blocks)) <= 4.0 * np.finfo(float).eps * norm
-    mus = np.sort(np.concatenate([eigh(_tridiagonal(s), eigvals_only=True) for s in (even, odd)]))
+    even, odd = assemble(grid, 0), assemble(grid, 1)
+    assert (grid.size, even.size, odd.size) == (half, half, half)
+    full, sqrt_rho = _whole_circle(model, N)
+    mus = np.sort(np.concatenate([eigh(_symmetrized(s), eigvals_only=True) for s in (even, odd)]))
     assert np.max(np.abs(mus - eigh(full, eigvals_only=True))) <= \
         16.0 * np.finfo(float).eps * np.linalg.norm(full)
+    for sector in (even, odd):
+        top = _top_modes(sector, 2)[-1]
+        y = sqrt_rho * _unfolded(top)
+        assert np.linalg.norm(full @ y + top.lam * y) <= \
+            1e-9 * np.linalg.norm(full) * np.linalg.norm(y)
     # lambda_1 is the top eigenvalue below the constant mode, within the
-    # bisection tolerance, and its eigenfunction lives on the full circle
+    # bisection tolerance
     fe = dl.first_nonzero_eigenvalue(grid)
-    assert fe.l == 0 and fe.problem.periodic and fe.u.size == N
+    norm = max(spectral.norm_bound(even), spectral.norm_bound(odd))
+    assert fe.l in (0, 1) and fe.u.size == half
     assert fe.lam == pytest.approx(-eigh(full, eigvals_only=True)[-2], rel=1e-9,
                                    abs=4.0 * np.finfo(float).eps * norm)
 
@@ -508,23 +512,20 @@ def test_sector_two_lies_below_sector_one(n, eps, N):
 
 def _half_grid_estimate(model, N, lam, l):
     """The Richardson estimate from a half-resolution eigensolve:
-    |lam + mu| / 3 with mu the top non-constant eigenvalue of sector l at
-    N // 2 (eigh_tridiagonal on spheres, dense eigh on circles)."""
-    problem = assemble(dl.Grid.uniform(model, N // 2), l)
+    |lam + mu| / 3 with mu the top non-constant eigenvalue of sector l on
+    the grid of half the cells (eigh_tridiagonal)."""
+    problem = assemble(dl.Grid.uniform(model, N).halved(), l)
     n = problem.size
-    if problem.periodic:
-        mus = eigh(_symmetrized(problem), eigvals_only=True)[::-1]
-    else:
-        mus = eigh_tridiagonal(problem.diag, problem.off_diag, eigvals_only=True,
-                               select="i", select_range=(n - 2, n - 1))[::-1]
+    mus = eigh_tridiagonal(problem.diag, problem.off_diag, eigvals_only=True,
+                           select="i", select_range=(n - 2, n - 1))[::-1]
     return abs(lam + mus[1 if l == 0 else 0]) / 3.0
 
 
 def _l1_bound(grid):
     """The Rayleigh quotient of the density-free l = 1 top sin(pi r/ell),
-    ell = ``model.phi.length``, on the l = 1 sector of a sphere or on a
-    circle's full operator: an upper bound on the l = 1 top's lambda."""
-    problem = assemble(grid, 0 if grid.model.topology == dl.CIRCLE else 1)
+    ell = ``model.phi.length``, on the l = 1 sector (a circle's odd one): an
+    upper bound on the l = 1 top's lambda."""
+    problem = assemble(grid, 1)
     trial = np.sin(math.pi / grid.model.phi.length * grid.nodes)
     return spectral._rayleigh_quotient(problem, trial)
 
@@ -627,13 +628,13 @@ def test_first_eigenvalue_matches_dense_spectra(grid):
 @st.composite
 def _circles(draw):
     """A circle (circumference 2 pi, 2.5 or 6) without a density, with a
-    cosine or with a short poly-cos one, on 8-400 nodes."""
+    cosine or with a short poly-cos one, on 8-400 cells, an even number."""
     kind = draw(st.sampled_from(("flat", "cosine", "poly-cos")))
     density = {"flat": lambda: (0.0,),
                "cosine": lambda: dl.cosine_density(draw(_EPS)),
                "poly-cos": lambda: draw(_POLY_COS)}[kind]()
     model = dl.circle(draw(st.sampled_from((2.0 * math.pi, 2.5, 6.0))), density=density)
-    return dl.Grid.uniform(model, draw(st.integers(8, 400)))
+    return dl.Grid.uniform(model, 2 * draw(st.integers(4, 200)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -643,29 +644,24 @@ def test_l1_bound_picks_the_sector_that_bisection_would(grid):
     # top from above (to rounding); wherever the l = 0 count above it finds
     # the constant mode alone, or l = 1 wins, lambda_1 and its eigenvector
     # are those of l = 1's index bisection, bit for bit; and lambda_1 lies
-    # within 4 eps ||T|| of dense eigh on a sphere.  On a circle dense eigh
-    # runs on the full periodic matrix, whose eigenvalues the rounded mirror
-    # split (sqrt(2) e, d +- e) moves by up to about 7 eps ||T||, so there
-    # the slack is 8 eps ||T||
-    base = assemble(grid, 0)
-    zonal, upper = spectral._mirror_sectors(base) if base.periodic else (base, assemble(grid, 1))
-    tau = 16.0 * np.finfo(float).eps * spectral.norm_bound(zonal)
+    # within 4 eps ||T|| of dense eigh of the two sectors (a circle's even
+    # and odd ones)
+    base, upper = assemble(grid, 0), assemble(grid, 1)
+    tau = 16.0 * np.finfo(float).eps * spectral.norm_bound(base)
     bound = _l1_bound(grid)
     top = _top_modes(upper, 1)[0]
     assert bound >= top.lam - tau
     fe = dl.first_nonzero_eigenvalue(grid)
-    # an odd circle mode vanishes at node 0, which the reflection fixes
-    sector = int(fe.u[0] == 0.0) if base.periodic else fe.l
-    count = int(np.sum(eigh_tridiagonal(zonal.diag, zonal.off_diag[:zonal.diag.size - 1],
-                                        eigvals_only=True) > -bound - tau))
-    if count == 1 or sector == 1:
+    count = int(np.sum(eigh_tridiagonal(base.diag, base.off_diag, eigvals_only=True)
+                       > -bound - tau))
+    if count == 1 or fe.l == 1:
         assert fe.lam == top.lam
         assert fe.u.tobytes() == top.u.tobytes()
     lams, norm = [], 0.0
-    for problem in (base,) if base.periodic else (base, upper):
+    for problem in (base, upper):
         lams.append(-eigh(_symmetrized(problem), eigvals_only=True)[:-1 if problem.l == 0 else None])
         norm = max(norm, spectral.norm_bound(problem))
-    slack = (8.0 if base.periodic else 4.0) * np.finfo(float).eps * norm
+    slack = 4.0 * np.finfo(float).eps * norm
     assert abs(fe.lam - np.min(np.concatenate(lams))) <= slack
 
 
@@ -692,24 +688,29 @@ def test_sectors_from_the_zonal_assembly_match_a_fresh_assembly_bitwise(grid):
     for l in (0, 1, 2):
         problem = assemble(grid, l)
         diag, off, sqrt_rho = _oracle_assembly(grid, l)
-        assert problem.l == l and problem.corner == 0.0
+        assert problem.l == l
         assert problem.diag.tobytes() == diag.tobytes()
         assert problem.off_diag.tobytes() == off.tobytes()
         assert problem.sqrt_rho.tobytes() == sqrt_rho.tobytes()
 
 
-@pytest.mark.parametrize("N", [400, 401, 2000])
-@pytest.mark.parametrize("model,sector", [
-    (dl.sphere(3, density=dl.cosine_density(0.5)), 1),
-    (dl.sphere(2, density=(0.0, -1.0, -0.25)), 0),
-    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5)), 0),
-], ids=["cosine-n3", "ling-poly-cos-n2", "circle"])
+@pytest.mark.parametrize("model,sector,N", [
+    pytest.param(model, sector, N, id=f"{name}-{N}")
+    for name, model, sector, sizes in (
+        ("cosine-n3", dl.sphere(3, density=dl.cosine_density(0.5)), 1, (400, 401, 2000)),
+        ("ling-poly-cos-n2", dl.sphere(2, density=(0.0, -1.0, -0.25)), 0, (400, 401, 2000)),
+        ("circle", dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5)), None,
+         (400, 402, 2000)))
+    for N in sizes])
 def test_error_estimate_matches_half_grid_solve(model, sector, N):
     # the Rayleigh quotient of the interpolated eigenvector stands in for the
-    # half-grid eigenvalue, on nested (even N) and non-nested (odd N) grids
+    # half-grid eigenvalue, on nested grids (an even number of cells) and on
+    # non-nested ones: 401 cells on the sphere, and the 201 cells of the
+    # circle's mirror half at N = 402.  The circle's lambda_1 is a double
+    # eigenvalue up to rounding, with one copy in each sector, so either may win
     fe = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, N))
-    assert fe.l == sector
-    expected = _half_grid_estimate(model, N, fe.lam, sector)
+    assert fe.l == sector or sector is None
+    expected = _half_grid_estimate(model, N, fe.lam, fe.l)
     assert fe.error_estimate == pytest.approx(expected, rel=2e-3)
 
 
@@ -753,8 +754,7 @@ def test_error_estimate_is_the_eager_formula_bitwise(model, N, sector, solve):
     mode = solve(grid)
     assert mode.l == sector
     coarse = assemble(dl.Grid.uniform(model, N // 2), mode.l)
-    period = model.L if model.topology == dl.CIRCLE else None
-    u = np.interp(coarse.grid.nodes, grid.nodes, mode.u, period=period)
+    u = np.interp(coarse.grid.nodes, grid.nodes, mode.u)
     eager = abs(mode.lam - spectral._rayleigh_quotient(coarse, u)) / 3.0
     assert mode.error_estimate == eager and math.isfinite(eager)
 
@@ -763,7 +763,8 @@ def test_error_estimate_is_the_eager_formula_bitwise(model, N, sector, solve):
     (dl.sphere(2, density=(0.0, -1.0, -0.25)), 0),
     (dl.sphere(3, density=dl.cosine_density(0.5)), 1),
     (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5)), 0),
-], ids=["sphere-l0", "sphere-l1", "circle"])
+    (dl.circle(2.0 * math.pi, density=dl.cosine_density(0.5)), 1),
+], ids=["sphere-l0", "sphere-l1", "circle", "circle-odd"])
 def test_rayleigh_quotient_of_an_eigenvector_is_its_eigenvalue(model, l):
     # the energy form of the quotient reproduces dense eigh's eigenvalues
     problem = assemble(dl.Grid.uniform(model, 200), l)
@@ -805,14 +806,13 @@ def test_first_eigenvalue_solve_count(monkeypatch):
     # Sturm count of l = 1 above the l = 0 top finds nothing, so l = 1 is
     # never bisected.  Inverse iteration runs on the winning eigenvalue
     # alone, once, at the first read of u.  A circle runs the same sequence
-    # on its mirror sectors: odd in place of l = 1, even in place of l = 0.
-    # The error estimate solves nothing at N/2
+    # on its even (l = 0) and odd (l = 1) sectors, of N/2 rows each.  The
+    # error estimate solves nothing at N/2
     calls = []
     cosine, round_ = _sphere_grid(3, 400, eps=0.4), _sphere_grid(3, 400)
     circle = _circle_grid(400, 0.5)
-    even = spectral._mirror_sectors(assemble(circle, 0))[0]
     _counting_lapack(monkeypatch, calls,
-                     [assemble(mg, 0).diag for mg in (cosine, round_)] + [even.diag])
+                     [assemble(mg, 0).diag for mg in (cosine, round_, circle)])
     fe = dl.first_nonzero_eigenvalue(cosine)
     assert calls == [("count", 400, 0), ("stebz", 400, 1, (400, 400))]
     u = fe.u
@@ -829,10 +829,10 @@ def test_first_eigenvalue_solve_count(monkeypatch):
     # the cosine density makes lambda_1 double, one copy in each sector, so
     # the count finds it above the odd bound and the even sector is bisected;
     # the odd count finds its copy above the even top, so the odd one is too
-    assert calls == [("count", 201, 0), ("count", 201, 0), ("window", 201, 0),
-                     ("count", 199, 1), ("stebz", 199, 1, (199, 199))]
-    assert fe.l == 0 and fe.u.size == 400
-    assert calls[5:] in ([("stein", 201, 0, 1)], [("stein", 199, 1, 1)])
+    assert calls == [("count", 200, 0), ("count", 200, 0), ("window", 200, 0),
+                     ("count", 200, 1), ("stebz", 200, 1, (200, 200))]
+    assert fe.u.size == 200
+    assert calls[5:] == [("stein", 200, fe.l, 1)]
 
 
 def test_lam_alone_runs_no_inverse_iteration(monkeypatch):
@@ -865,13 +865,13 @@ def test_criterion_one_bisects_only_l0(monkeypatch):
 
 
 def test_a_mode_forms_u_once_and_drops_its_block_data(monkeypatch):
-    # a circle's mode keeps its block data, not its mirror sector, until u is
-    # read, and not after; repr forms nothing
+    # a mode keeps its block data until u is read, and not after; repr
+    # forms nothing
     calls = []
     _counting_lapack(monkeypatch, calls, [])
     fe = dl.first_nonzero_eigenvalue(_circle_grid(400, 0.5))
     before = len(calls)
-    assert repr(fe) == f"_BisectedMode(lam={fe.lam!r}, l=0)"
+    assert repr(fe) == f"_BisectedMode(lam={fe.lam!r}, l={fe.l})"
     assert set(vars(fe)) == {"lam", "l", "problem", "_blocks"}
     u = fe.u
     assert set(vars(fe)) == {"lam", "l", "problem", "u"} and fe.u is u
@@ -963,8 +963,8 @@ def test_certificate_count_decides_the_zonal_bisection(count, monkeypatch):
         return
     with pytest.raises(SolverError, match="l=0, N=400: stebz counts no eigenvalue"):
         dl.first_nonzero_eigenvalue(grid)
-    # on a circle the count runs on the even mirror sector, of N/2 + 1 rows
-    with pytest.raises(SolverError, match="l=0, N=201: stebz counts no eigenvalue"):
+    # on a circle the count runs on the even sector, of N/2 rows
+    with pytest.raises(SolverError, match="l=0, N=200: stebz counts no eigenvalue"):
         dl.first_nonzero_eigenvalue(_circle_grid(400, 0.5))
     monkeypatch.undo()
     _force_info(monkeypatch, "stebz", _is_count)
@@ -1030,15 +1030,71 @@ def test_assemble_rejects_bad_modes():
         assemble(grid, -1)
     with pytest.raises(AssemblyError):
         assemble(grid, 1.5)
-    # a circle has no fiber, so no angular mode but l = 0
-    with pytest.raises(AssemblyError, match="0 on a circle"):
-        assemble(_circle_grid(100, 0.5), 1)
+    # a circle has no warp: its sectors are the even l = 0 and the odd l = 1
+    with pytest.raises(AssemblyError, match="only its even and odd sectors l = 0, 1, got 2"):
+        assemble(_circle_grid(100, 0.5), 2)
 
 
 def test_circle_operator_has_no_angular_sector():
-    # a circle has no warp, so its operator refuses a sector l >= 1 as
-    # assemble does, instead of reaching for the missing warp profile
-    base = assemble(_circle_grid(100, 0.5), 0)
+    # a circle has no warp, so no angular potential: its sector l = 1 is the
+    # odd one, the even operator less the flux 2 rho(face) u / h^2 that an
+    # odd u loses across the mirror faces theta = 0 and L/2 of the two end
+    # cells, and it refuses a sector l >= 2 as assemble does, instead of
+    # reaching for the missing warp profile
+    grid = _circle_grid(100, 0.5)
+    base = assemble(grid, 0)
     assert base.sector(0) is base
-    with pytest.raises(AssemblyError, match="no angular sectors"):
-        base.sector(1)
+    odd = base.sector(1)
+    assert odd.l == 1 and odd.diag.tobytes() == assemble(grid, 1).diag.tobytes()
+    assert odd.off_diag is base.off_diag and odd.sqrt_rho is base.sqrt_rho
+    h, rho = grid.spacing, np.exp(-grid.model.phi.value(np.array([0.0, math.pi])))
+    potential = np.zeros(grid.size)
+    potential[[0, -1]] = 2.0 * rho / (h * h * grid.density[[0, -1]])
+    assert np.allclose(base.diag - odd.diag, potential, rtol=1e-13, atol=0.0)
+    with pytest.raises(AssemblyError, match="only its even and odd sectors"):
+        base.sector(2)
+
+
+@pytest.mark.parametrize("N", [64, 401, 2000])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_eigenvector_sign_does_not_follow_the_solve_path(n, N):
+    # the zonal lambda_1 mode of a round sphere is odd about the equator, so
+    # |u| ties at its two ends up to rounding (exactly on S^2 at N = 64), and
+    # a sign taken from the largest |u_i| followed the last bits of the
+    # solve.  u[0] > 0 does not: the window bisection of
+    # first_nonzero_eigenvalue and an index bisection of the same sector
+    # give one eigenfunction with one sign
+    grid = _sphere_grid(n, N)
+    fe = dl.first_nonzero_eigenvalue(grid)
+    problem = assemble(grid, fe.l)
+    index = problem.size - (0 if fe.l else 1)
+    mode, = spectral._bisect(problem, index, index)
+    assert fe.u[0] > 0.0 and mode.u[0] > 0.0
+    assert float(np.dot(grid.weights * fe.u, mode.u)) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_a_vanishing_first_entry_signs_the_first_nonzero_one():
+    problem = assemble(_sphere_grid(2, 8), 0)
+    y = problem.sqrt_rho * np.array([0.0, 0.0, -1.0, 2.0, 0.0, 1.0, 0.0, 0.0])
+    u = spectral._normalized(problem, y)
+    assert u[2] > 0.0 and u[3] < 0.0
+    assert float(np.dot(problem.grid.weights, u * u)) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("N", [8, 10, 12, 14, 16])
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+def test_small_circle_grids_keep_a_finite_error_estimate(N, eps):
+    # a circle of N >= 8 cells has a partner of at least 4 cells: its mirror
+    # half of N/2 cells pairs with one of N/4 (rounded down), which the grid
+    # accepts, as a sphere of 8 cells pairs with one of 4
+    grid = _circle_grid(N, eps)
+    fe = dl.first_nonzero_eigenvalue(grid)
+    assert grid.size == N // 2 and grid.halved().count == 2 * (N // 4)
+    assert math.isfinite(fe.error_estimate) and 0.0 < fe.error_estimate < 0.1
+
+
+def test_an_odd_circle_grid_is_refused():
+    # an odd N would put a cell centre on the mirror point theta = L/2
+    with pytest.raises(ValueError, match="a circle grid must be even: its mirror half "
+                                         "holds N/2 cells, got N = 2001"):
+        dl.Grid.uniform(dl.circle(2.0 * math.pi), 2001)
