@@ -13,7 +13,8 @@ emit-barriers  (t, xi(t), eta(t), z(t)) table for plotting
 Each check on each instance is pass, fail, inapplicable (with its reason) or
 error.  Exit codes: 3 on a solver failure, else 1 if a check failed or erred,
 else 0 (an inapplicable check does not fail the run); 2 on a usage or config
-error.
+error, or an output directory that cannot be written, which is found before
+any instance or suite pass runs.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from pathlib import Path
 
 from .acceptance import suite_rows, verify_paper
 from .config import parse_config, read_config
-from .errors import ConfigError, DriftLabError, SolverError
+from .errors import ConfigError, DriftLabError, OutputError, SolverError
 from .reports import (BARRIER_COLUMNS, SUITE_COLUMNS, SWEEP_COLUMNS, barrier_table,
-                      emit_csv, emit_json, environment_stamp, json_payload)
+                      environment_stamp, json_payload, render_csv, render_json)
 from .runner import run
 
 _CHECK_SUBCOMMANDS = {
@@ -68,15 +69,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(rows, columns, payload, out_dir: Path | None, formats, basename: str):
-    written = []
+def _make_out_dir(out_dir: Path | None) -> None:
+    """Create the output directory before any work that would fill it."""
     if out_dir is None:
-        return written
-    if "csv" in formats:
-        written.append(emit_csv(rows, out_dir / f"{basename}.csv", columns))
-    if "json" in formats:
-        written.append(emit_json(payload, out_dir / f"{basename}.json"))
-    return written
+        return
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+
+
+def _emit(rows, columns, payload, out_dir: Path | None, formats, basename: str) -> list[Path]:
+    """The one report writer: ``<basename>.csv`` and ``.json`` in ``formats``."""
+    paths = [] if out_dir is None else \
+        [out_dir / f"{basename}.{fmt}" for fmt in ("csv", "json") if fmt in formats]
+    for path in paths:
+        try:
+            path.write_text(render_csv(rows, columns) if path.suffix == ".csv"
+                            else render_json(payload))
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc.strerror}") from exc
+    return paths
 
 
 def _run_sweep(args, checks_override) -> int:
@@ -86,10 +99,11 @@ def _run_sweep(args, checks_override) -> int:
         raw["grids"] = args.grid
     raw["checks"] = list(checks_override or raw["checks"])
     config = parse_config(raw)  # the overrides pass the same checks as the file's values
-    report = run(config)
-
     out_dir = args.out if args.out is not None else \
         (Path(config.out_dir) if config.out_dir else None)
+    _make_out_dir(out_dir)
+    report = run(config)
+
     formats = (args.format,) if args.format else config.formats
     payload = json_payload(report.rows, report.summary, report.environment)
     written = _emit(report.rows, SWEEP_COLUMNS, payload, out_dir, formats, "report")
@@ -106,6 +120,7 @@ def _run_sweep(args, checks_override) -> int:
 
 
 def _run_verify(args) -> int:
+    _make_out_dir(args.out)
     outcome = verify_paper()
     for result in outcome.results:
         print(result.line())
@@ -124,7 +139,8 @@ def _run_verify(args) -> int:
 
 def _run_barriers(args) -> int:
     rows = barrier_table(args.a, args.b, args.delta, args.mu, args.points)
-    path = emit_csv(rows, args.out / "barriers.csv", BARRIER_COLUMNS)
+    _make_out_dir(args.out)
+    path, = _emit(rows, BARRIER_COLUMNS, None, args.out, ("csv",), "barriers")
     print(f"wrote {path} ({len(rows)} points)")
     return 0
 
@@ -142,6 +158,9 @@ def main(argv=None) -> int:
         return _run_barriers(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

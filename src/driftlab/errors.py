@@ -39,3 +39,7 @@ class InapplicableBoundError(DriftLabError):
 
 class ConfigError(DriftLabError):
     """An experiment configuration is malformed or references unknown entities."""
+
+
+class OutputError(DriftLabError):
+    """An output directory or report file cannot be written."""

@@ -1,4 +1,4 @@
-"""Machine-readable report emitters: CSV with a fixed column order, versioned JSON.
+"""Machine-readable reports: CSV with a fixed column order, versioned JSON.
 
 Floats are rendered with 17 significant digits (round-trip exact), line
 endings are pinned to "\\n", and no wall-clock data enters the files, so
@@ -19,7 +19,6 @@ import platform
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy
@@ -219,13 +218,6 @@ def render_csv(rows: list[dict], columns: list[str]) -> str:
     return buf.getvalue()
 
 
-def emit_csv(rows: list[dict], path: str | Path, columns: list[str]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_csv(rows, columns))
-    return path
-
-
 def json_payload(rows: list[dict], summary: dict, environment: dict) -> dict:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -237,13 +229,6 @@ def json_payload(rows: list[dict], summary: dict, environment: dict) -> dict:
 
 def render_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=True) + "\n"
-
-
-def emit_json(payload: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_json(payload))
-    return path
 
 
 def environment_stamp(grids) -> dict:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import INTERVAL_SPHERE, Grid, einstein_constant, unit_fiber_area
+from .geometry import INTERVAL_SPHERE, Grid, einstein_constant
 from .spectral import MembershipVerdict, spectrum_contains
 
 
@@ -79,13 +79,9 @@ def normalize_f(cand: SolitonCandidate) -> float:
     shifted potential returns a shift of zero up to rounding.
     """
     grid = cand.grid
-    model, r = grid.model, grid.nodes
-    fv = np.asarray(model.phi.value(r), dtype=float)
-    # plain metric volume element, density handled explicitly
-    vol = unit_fiber_area(model.n) \
-        * np.asarray(model.w.value(r), dtype=float) ** (model.n - 1) * grid.spacing
-    ef = np.exp(-fv)
-    return -float(np.sum(vol * fv * ef)) / float(np.sum(vol * ef))
+    fv = np.asarray(grid.model.phi.value(grid.nodes), dtype=float)
+    # the grid's weights are the quadrature of e^{-f} dV
+    return -float(np.sum(grid.weights * fv)) / float(np.sum(grid.weights))
 
 
 @dataclass(frozen=True)

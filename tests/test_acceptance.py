@@ -2,13 +2,16 @@
 
 Criteria 1-9 run in-process through the acceptance module (which is also what
 the ``verify-paper`` subcommand executes), criteria 2-4 from one pass over
-the cosine-density family; criterion 10 invokes the CLI twice
+the cosine-density family; one ``run_criteria()`` pass supplies the timed
+results and their budget rows; criterion 10 invokes the CLI twice
 in separate processes and compares the emitted CSV reports byte for byte.
 Each test prints one PASS/FAIL line for its criterion.
 """
 
+import math
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,12 +31,18 @@ def _report(result):
 
 
 def _run(fn):
-    return _report(fn())
+    result, = fn()
+    return _report(result)
 
 
-def test_criterion_01_spectral_accuracy():
-    result = _run(acceptance.criterion_spectral_accuracy)
-    assert result.runtime_s < 60.0
+@pytest.fixture(scope="module")
+def suite():
+    """One timed suite pass: the results of criteria 1-9 by criterion id."""
+    return {result.cid: result for result in acceptance.run_criteria()}
+
+
+def test_criterion_01_spectral_accuracy(suite):
+    assert _report(suite[1]).runtime_s < 60.0
 
 
 @pytest.fixture(scope="module")
@@ -41,17 +50,17 @@ def cosine_family():
     return acceptance.criteria_cosine_family()
 
 
-def test_cosine_family_keeps_only_scalars(cosine_family):
+def test_cosine_family_keeps_only_scalars(cosine_family, suite):
     # one pass fills criteria 2-4 row by row: 15 instance rows each, plus
-    # criterion 3's budget row, and every row holds Python scalars or
-    # strings, so no eigenvector, grid or model outlives its instance
+    # criterion 3's budget row in the timed suite, and every row holds
+    # Python scalars or strings, so no eigenvector, grid or model outlives
+    # its instance
     assert [result.cid for result in cosine_family] == [2, 3, 4]
-    instances = [[row["instance"] for row in result.rows if row["instance"] != "suite"]
-                 for result in cosine_family]
+    instances = [[row["instance"] for row in result.rows] for result in cosine_family]
     assert len(instances[0]) == 15 and instances[0] == instances[1] == instances[2]
-    assert [row["quantity"] for row in cosine_family[1].rows
+    assert [row["quantity"] for row in suite[3].rows
             if row["instance"] == "suite"] == ["runtime_within_120s"]
-    assert [len(result.rows) for result in cosine_family] == [15, 16, 15]
+    assert [len(suite[cid].rows) for cid in (2, 3, 4)] == [15, 16, 15]
     for result in cosine_family:
         for row in result.rows:
             for key, value in row.items():
@@ -62,11 +71,30 @@ def test_criterion_02_lichnerowicz_suite(cosine_family):
     _report(cosine_family[0])
 
 
-def test_criterion_03_ling_suite(cosine_family):
-    result = _report(cosine_family[1])
+def test_criterion_03_ling_suite(cosine_family, suite):
+    _report(cosine_family[1])
     # the 120 s budget covers the whole pass, which all three criteria share
+    result = _report(suite[3])
     assert result.runtime_s < 120.0
-    assert {r.runtime_s for r in cosine_family} == {result.runtime_s}
+    assert {suite[cid].runtime_s for cid in (2, 3, 4)} == {result.runtime_s}
+
+
+def test_run_criteria_is_the_suite_clock(suite):
+    # every result carries the time of the call that filled it, criteria
+    # 2-4 one shared pass, and only criteria 1 and 3 carry a budget row
+    assert sorted(suite) == list(range(1, 10))
+    assert all(result.runtime_s > 0.0 for result in suite.values())
+    assert len({suite[cid].runtime_s for cid in (2, 3, 4)}) == 1
+    budgets = [(result.cid, row["quantity"], row["status"]) for result in suite.values()
+               for row in result.rows if row["quantity"].startswith("runtime_within")]
+    assert budgets == [(1, "runtime_within_60s", "pass"), (3, "runtime_within_120s", "pass")]
+
+
+def test_suite_rows_per_criterion(suite):
+    # the report's row count per criterion, summary rows included; criterion
+    # 10 adds its two rows in verify_paper
+    counts = Counter(row["criterion"] for row in acceptance.suite_rows(list(suite.values())))
+    assert counts == {1: 10, 2: 16, 3: 17, 4: 16, 5: 3, 6: 17, 7: 4, 8: 8, 9: 9}
 
 
 def test_criterion_04_gradient_estimate(cosine_family):
@@ -112,7 +140,8 @@ def test_machin_bound_lies_above_pi():
     mpmath = pytest.importorskip("mpmath")
     P = bounds.PI_UPPER
     assert type(P) is Fraction and P == Fraction("3.14159265358979323846264338327950289")
-    row, = (row for row in acceptance.criterion_case_totality().rows if row["instance"] == "pi")
+    result, = acceptance.criterion_case_totality()
+    row, = (row for row in result.rows if row["instance"] == "pi")
     assert Fraction(row["value"]) == P
     with mpmath.workdps(50):
         assert 0 < mpmath.mpf(P.numerator) / P.denominator - mpmath.pi < mpmath.mpf("1e-35")
@@ -132,7 +161,7 @@ def test_criterion_09_fails_on_a_weaker_constant(monkeypatch, module, name, valu
     # float one below 31 P^2/400, resp. 31 P^2/200) would let a case fall
     # under 31/50: the certificate names each failing step
     monkeypatch.setattr(module, name, value)
-    result = acceptance.criterion_case_totality()
+    result, = acceptance.criterion_case_totality()
     assert not result.passed
     assert {(row["instance"], row["quantity"]) for row in result.rows
             if row["status"] == "fail"} == failing
@@ -145,7 +174,7 @@ def test_mutation_smoke(monkeypatch):
     bad = est._SERIES.copy()
     bad[0, 0] = 1e-3  # shifts xi(pi/2) and xi(0) away from their exact values
     monkeypatch.setattr(est, "_SERIES", bad)
-    result = acceptance.criterion_test_functions()
+    result, = acceptance.criterion_test_functions()
     assert not result.passed
     failed = {(row["instance"], row["quantity"]) for row in result.rows
               if row["status"] == "fail"}
@@ -164,6 +193,17 @@ def test_criterion_passes_only_when_every_row_passed():
     assert not result.passed
     assert [row["status"] for row in result.rows] == ["pass", "fail"]
     assert result.rows[1]["quantity"] == "r" and result.rows[1]["criterion"] == 0
+
+
+def test_check_without_ok_compares_value_to_expected_within_tolerance():
+    # the default rule is |value - expected| <= tolerance, inclusive, and a
+    # NaN value fails it
+    result = acceptance.CriterionResult(0, "default rule")
+    result.check("x", "at_tolerance", 1.5, 1.0, 0.5)
+    result.check("x", "below", 0.5, 1.0, 0.5)
+    result.check("x", "beyond", 1.5 + 2**-50, 1.0, 0.5)
+    result.check("x", "nan", math.nan, 1.0, 0.5)
+    assert [row["status"] for row in result.rows] == ["pass", "pass", "fail", "fail"]
 
 
 def test_criterion_10_determinism(tmp_path):

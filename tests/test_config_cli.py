@@ -22,7 +22,7 @@ from driftlab.config import CHECK_NAMES, build_model, parse_config, read_config,
 from driftlab.errors import ConfigError, InapplicableBoundError, SolverError
 from driftlab.reports import (BARRIER_COLUMNS, ERROR, FAIL, INAPPLICABLE, PASS,
                               SWEEP_COLUMNS, Check, InstanceRecord, InstanceResult,
-                              barrier_table, emit_csv, environment_stamp,
+                              barrier_table, environment_stamp,
                               format_value, render_csv, render_json)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -713,8 +713,37 @@ def test_cli_emit_barriers(tmp_path, capsys):
 
 
 def test_emit_csv_writes_file(tmp_path):
-    path = emit_csv([{"t": 0.0, "xi": 1.0}], tmp_path / "x.csv", ["t", "xi"])
-    assert path.read_text() == "t,xi\n0,1\n"
+    path, = cli._emit([{"t": 0.0, "xi": 1.0}], ["t", "xi"], None, tmp_path, ("csv",), "x")
+    assert path == tmp_path / "x.csv" and path.read_text() == "t,xi\n0,1\n"
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["sweep", "--config", str(CONFIGS / "cosine_density_sweep.json")], "run"),
+    (["verify-paper"], "verify_paper"),
+    (["emit-barriers"], None),
+], ids=["sweep", "verify-paper", "emit-barriers"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_an_unwritable_out_is_a_usage_error(argv, work, under, tmp_path, capsys, monkeypatch):
+    # an --out that is a file, or lies under one, stops the run with exit 2
+    # and one line that names the path, before any instance or suite pass
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / "sub" if under else blocker
+    if work is not None:
+        monkeypatch.setattr(cli, work, lambda *args: pytest.fail(f"{work} ran"))
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot create output directory {out}: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "kept"
+
+
+def test_an_unwritable_report_file_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "barriers.csv").mkdir()
+    assert cli.main(["emit-barriers", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot write {tmp_path / 'barriers.csv'}: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_help_paths():

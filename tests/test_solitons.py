@@ -201,7 +201,7 @@ def test_nan_residual_fails_criterion_8_and_the_runner(monkeypatch):
     # into a max() that keeps its first finite argument
     monkeypatch.setattr(dl.CosPolynomial, "d1",
                         lambda self, r: np.full(np.shape(r), math.nan))
-    crit = acceptance.criterion_soliton_checker()
+    crit, = acceptance.criterion_soliton_checker()
     assert not crit.passed
     einstein = [row for row in crit.rows if row["quantity"] == "max_residual"]
     assert len(einstein) == 3
