@@ -14,15 +14,17 @@ cos(pi r/l) on its own interval [0, l]: l = L on an interval sphere and the
 mirror half l = L/2 on a weighted circle of circumference L, where w = 1
 and the fiber S^0 is the pair of mirror points (``Grid``).  ``model.phi``
 is then ``CosPolynomial(coeffs, l)``, phi = p(c) with deg p <= 2, which
-generates its value and analytic derivatives.  So a density on a circle is
+generates its values.  So a density on a circle is
 even about both mirror points theta = 0 and L/2, and one on a sphere has
 zero slope at both poles, by construction.
 
 On the round warp the curvature has a closed form: Ric = (n-1)/rho^2 g in
 every direction, R = n (n-1)/rho^2 and dR/dr = 0.  The Hessian of a radial
-function phi has radial component phi'' and tangential component phi' w'/w,
-and the Bakry-Emery Ricci tensor is Ric_phi = Ric + Hess(phi), whose least
-eigenvalue ``be_ricci_lower_bound`` finds in closed form.
+function phi has radial component phi'' and tangential component phi' w'/w;
+for phi = p(c) both are quadratics in c, whose coefficients ``hess_phi``
+holds, poles included.  The Bakry-Emery Ricci tensor is Ric_phi = Ric +
+Hess(phi), whose least eigenvalue ``be_ricci_lower_bound`` finds from them in
+closed form.
 """
 
 from __future__ import annotations
@@ -46,24 +48,8 @@ class RoundWarp:
     def rho(self) -> float:
         return self.length / math.pi
 
-    def _angle(self, r):
-        return np.asarray(r, dtype=float) / self.rho
-
     def value(self, r):
-        return self.rho * np.sin(self._angle(r))
-
-    def d1(self, r):
-        return np.cos(self._angle(r))
-
-
-def _horner(c, x):
-    """c[0] + c[1] x (+ c[2] x^2) in numpy polyval's operation order, in place."""
-    y = c[-1] * x
-    y += c[-2]
-    if len(c) == 3:
-        y *= x
-        y += c[0]
-    return y
+        return self.rho * np.sin(np.asarray(r, dtype=float) / self.rho)
 
 
 @dataclass(frozen=True)
@@ -72,10 +58,8 @@ class CosPolynomial:
 
     ``WarpedManifold.phi`` builds it on the model's own interval.  ``coeffs``
     holds 1 to 3 coefficients in increasing-degree order: degree 2 is what
-    ``be_ricci_lower_bound`` solves in closed form.  Radial smoothness
-    at the poles is automatic, as d/dr cos(k r) vanishes there.  The chain
-    rule gives phi' = -k p'(x) sin(k r) and phi'' = k^2 (p''(x) (1 - x^2) -
-    p'(x) x) = k^2 (2 c2 - c1 x - 4 c2 x^2).
+    ``hess_phi`` takes in closed form.  Radial smoothness at the poles is
+    automatic, as d/dr cos(k r) vanishes there.
     """
 
     coeffs: tuple[float, ...]
@@ -93,18 +77,14 @@ class CosPolynomial:
         c = self.coeffs
         if len(c) == 1:
             return np.full(np.shape(r), c[0])
-        return _horner(c, np.cos(math.pi / self.length * np.asarray(r, dtype=float)))
-
-    def d1(self, r):
-        k, (c1, c2) = math.pi / self.length, (self.coeffs + (0.0, 0.0))[1:3]
-        kr = k * np.asarray(r, dtype=float)
-        return _horner((-k * c1, -2.0 * k * c2), np.cos(kr)) * np.sin(kr)
-
-    def d2(self, r):
-        k, (c1, c2) = math.pi / self.length, (self.coeffs + (0.0, 0.0))[1:3]
-        k2 = k**2
-        return _horner((2.0 * k2 * c2, -k2 * c1, -4.0 * k2 * c2),
-                       np.cos(k * np.asarray(r, dtype=float)))
+        # c0 + c1 x (+ c2 x^2) in numpy polyval's operation order, in place
+        x = np.cos(math.pi / self.length * np.asarray(r, dtype=float))
+        y = c[-1] * x
+        y += c[-2]
+        if len(c) == 3:
+            y *= x
+            y += c[0]
+        return y
 
 
 def cosine_density(amplitude: float) -> tuple[float, float]:
@@ -252,6 +232,26 @@ def measure_density(model: WarpedManifold, r: np.ndarray) -> np.ndarray:
     return np.exp(-np.asarray(model.phi.value(r)))
 
 
+def hess_phi(model: WarpedManifold) -> tuple[tuple[float, float, float],
+                                             tuple[float, float, float]]:
+    """rho^2 Hess(phi) on an interval sphere, rho = L/pi: the coefficients
+    (a, b, q) of its radial and tangential eigenvalues a + b c + q c^2 in the
+    model's c = cos(r/rho).
+
+    With phi = p(c), p(c) = c0 + c1 c + c2 c^2, the chain rule gives
+    rho^2 phi'' = (1 - c^2) p''(c) - c p'(c), and w'/w = cot(r/rho)/rho gives
+    rho^2 phi' w'/w = -c p'(c):
+
+        radial       2 c2 - c1 c - 4 c2 c^2
+        tangential        - c1 c - 2 c2 c^2.
+
+    Both are polynomials in c, so they hold at the poles c = +-1 as well,
+    where they agree: Hess(phi) is isotropic there, with the value phi''.
+    """
+    c1, c2 = (model.coeffs + (0.0, 0.0))[1:3]
+    return (2.0 * c2, -c1, -4.0 * c2), (0.0, -c1, -2.0 * c2)
+
+
 @dataclass(frozen=True)
 class RicciLowerBound:
     """Largest K with Ric_phi >= (n-1) K g on the model, and where it is attained."""
@@ -266,24 +266,19 @@ def be_ricci_lower_bound(model: WarpedManifold) -> RicciLowerBound:
     The minimum is the model's own, in closed form: every interval sphere
     has the round warp w = rho sin(r/rho), L = pi rho, and the density
     phi = c0 + c1 c + c2 c^2 in its own c = cos(r/rho).  There
-    Ric = (n-1)/rho^2 in every direction, and phi'' and phi' w'/w give
-
-        rho^2 Ric_phi,rr  = (n-1) + 2 c2 - c1 c - 4 c2 c^2
-        rho^2 Ric_phi,tan = (n-1)        - c1 c - 2 c2 c^2,
-
-    so each eigenvalue is least at c = +-1 (a pole) or at its vertex inside
-    (-1, 1).  ``radius`` = rho acos(c) is where the minimum is attained; a
+    Ric = (n-1)/rho^2 in every direction, so each eigenvalue of
+    rho^2 Ric_phi is (n-1) plus a quadratic of ``hess_phi`` in c, least at
+    c = +-1 (a pole) or at its vertex inside (-1, 1).  ``radius`` = rho acos(c) is where the minimum is attained; a
     tie (Ric_phi constant, as on a unit round sphere) goes to the largest c,
     the smallest radius.  The Lichnerowicz- and Ling-type bounds need K > 0.
     """
     if model.topology == CIRCLE:
         raise ValueError("the (n-1) K normalization degenerates on 1-dimensional circles")
     n1 = model.n - 1
-    c1, c2 = (model.coeffs + (0.0, 0.0))[1:3]
     candidates = []  # (rho^2 Ric_phi, -c): the least value, then the largest c
-    for a, q in ((n1 + 2.0 * c2, -4.0 * c2), (n1, -2.0 * c2)):
-        vertex = (c1 / (2.0 * q),) if abs(c1) < 2.0 * q else ()
-        candidates += [(a - c1 * c + q * c * c, -c) for c in (1.0, -1.0) + vertex]
+    for a, b, q in hess_phi(model):
+        vertex = (-b / (2.0 * q),) if abs(b) < 2.0 * q else ()
+        candidates += [((n1 + a) + b * c + q * c * c, -c) for c in (1.0, -1.0) + vertex]
     value, neg_c = min(candidates)
     rho = model.L / math.pi
     k_eff = value / (n1 * rho**2)

@@ -8,10 +8,9 @@ On a rotationally symmetric model with radial potential f this reduces to two
 residual components,
 
     radial:      Ric_rr  - gamma + f''
-    tangential:  Ric_tan - gamma + f' w'/w,
+    tangential:  Ric_tan - gamma + f' w'/w.
 
-whose pole values follow by L'Hopital (Hess f is isotropic at the poles with
-value f'').  Differentiating the soliton equation yields three identities that
+Differentiating the soliton equation yields three identities that
 any exact soliton satisfies:
 
     grad R = 2 Ric(grad f, .)           (contracted Bianchi)
@@ -29,8 +28,10 @@ own c = cos(r/rho); so f' vanishes at both poles and grad f is smooth there
 by construction.  It lives on the round warp of length L, whose curvature is
 closed-form (``geometry.einstein_constant``):
 Ric = (n-1)/rho^2 g with rho = L/pi, in every direction and at the poles,
-R = n Ric and dR/dr = 0.  ``soliton_ledger`` takes these and the derivatives
-of f, evaluated once, and returns one ``SolitonLedger`` with every residual:
+R = n Ric and dR/dr = 0.  With f = p(c), ``geometry.hess_phi`` gives
+rho^2 Hess f as two quadratics in c, and |grad f|^2 = (1 - c^2) p'(c)^2/rho^2.
+``soliton_ledger`` evaluates these at the grid's nodes and at both poles,
+c = +-1, and returns one ``SolitonLedger`` with every residual:
 ``radial`` and ``tangential`` (the equation), ``bianchi_sup``,
 ``constancy_std`` and ``trace_sup`` (the identities), ``eigen_residual`` (the
 eigen-relation), the normalization ``shift``, the spectral ``membership`` of
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import INTERVAL_SPHERE, Grid, einstein_constant
+from .geometry import INTERVAL_SPHERE, Grid, einstein_constant, hess_phi
 from .spectral import MembershipVerdict, spectrum_contains
 
 
@@ -113,50 +114,40 @@ class SolitonLedger:
 
 
 def soliton_ledger(cand: SolitonCandidate, tol: float = 1e-3) -> SolitonLedger:
-    """All residuals of the candidate from the closed-form curvature and one
-    evaluation of f on its grid.
+    """All residuals of the candidate from the closed-form curvature and
+    Hessian, read at the grid's nodes and at both poles.
 
     Ric is ``einstein_constant``, which is also the config's Einstein gamma,
     so an Einstein candidate's residuals are exactly 0.  ``tol`` is the
     spectral membership tolerance for -2 gamma.
     """
     grid, gamma = cand.grid, cand.gamma
-    model, r = grid.model, grid.nodes
-    f, n = model.phi, model.n
+    model, n = grid.model, grid.model.n
+    rho2 = (model.L / math.pi) ** 2
     ric = einstein_constant(model)  # in every direction, at the poles too
-    scalar = n * ric
-    fv = np.asarray(f.value(r), dtype=float)
-    f1 = np.asarray(f.d1(r), dtype=float)
-    f2 = np.asarray(f.d2(r), dtype=float)
-    wv = np.asarray(model.w.value(r), dtype=float)
-    wd1 = np.asarray(model.w.d1(r), dtype=float)
-    lap_f = f2 + (n - 1) * wd1 / wv * f1
+    c0, c1, c2 = model.coeffs + (0.0,) * (3 - len(model.coeffs))
+    c = np.append(np.cos(math.pi / model.L * grid.nodes), (1.0, -1.0))
+    h_rr, h_tan = ((a + b * c + q * c * c) / rho2 for a, b, q in hess_phi(model))
+    fv = c0 + c1 * c + c2 * c * c
+    grad2 = (1.0 - c * c) * (c1 + 2.0 * c2 * c) ** 2 / rho2  # |grad f|^2
+    lap_f = h_rr + (n - 1) * h_tan
 
-    # exact pole limits: Hess f -> f'' g, grad f vanishes and Delta f -> n f''
-    poles = np.array([0.0, model.L])
-    f_poles = np.asarray(f.value(poles), dtype=float)
-    f2_poles = np.asarray(f.d2(poles), dtype=float)
-    pole_vals = ric - gamma + f2_poles
-
-    radial = np.concatenate([ric - gamma + f2, pole_vals])
-    tangential = np.concatenate([ric - gamma + f1 * wd1 / wv, pole_vals])
-    bianchi = 2.0 * ric * f1  # grad R = 0, so only 2 Ric(grad f, .) is left
+    # grad R = 0, so only 2 Ric(grad f, .) is left of the Bianchi identity, and
     # R is constant, so R - 2 gamma f + |grad f|^2 spreads as its other terms do
-    conserved = np.concatenate([f1**2 - 2.0 * gamma * fv, -2.0 * gamma * f_poles])
-    trace = np.concatenate([scalar - n * gamma + lap_f,
-                            scalar - n * gamma + n * f2_poles])
+    bianchi = 2.0 * ric * np.sqrt(grad2)
+    conserved = grad2 - 2.0 * gamma * fv
 
-    # the shift changes neither f' nor Delta f, only the values
+    # the shift changes neither grad f nor Delta f, only the values
     shift = normalize_f(cand)
     f_norm = fv + shift
     membership = spectrum_contains(grid, -2.0 * gamma, tol)
     return SolitonLedger(
-        radial=float(np.max(np.abs(radial))),
-        tangential=float(np.max(np.abs(tangential))),
-        bianchi_sup=float(np.max(np.abs(bianchi))),
+        radial=float(np.max(np.abs((ric - gamma) + h_rr))),
+        tangential=float(np.max(np.abs((ric - gamma) + h_tan))),
+        bianchi_sup=float(np.max(bianchi)),
         constancy_std=float(np.std(conserved)),
-        trace_sup=float(np.max(np.abs(trace))),
-        eigen_residual=float(np.max(np.abs(lap_f - f1**2 + 2.0 * gamma * f_norm))),
+        trace_sup=float(np.max(np.abs(n * ric - n * gamma + lap_f))),
+        eigen_residual=float(np.max(np.abs(lap_f - grad2 + 2.0 * gamma * f_norm))),
         membership=membership,
         vacuous=float(np.max(np.abs(f_norm))) <= 1e-12,
         shift=shift,

@@ -61,12 +61,18 @@ def _ricphi_oracle(n, length, coeffs, r):
 
 
 def _ricphi_sampled(model, r):
-    """(Ric_phi,rr, Ric_phi,tan) at interior points r in floats, from the
-    model's density derivatives and the round warp's identities
-    -w''/w = (1 - w'^2)/w^2 = 1/rho^2, with phi' w'/w = phi' cot(r/rho)/rho."""
+    """(Ric_phi,rr, Ric_phi,tan) at interior points r in floats, by the chain
+    rule on phi = p(cos(r/rho)) written out here, phi' = -p'(c) sin(r/rho)/rho
+    and phi'' = (p''(c) sin^2(r/rho) - p'(c) c)/rho^2, and the round warp's
+    identities -w''/w = (1 - w'^2)/w^2 = 1/rho^2, with phi' w'/w = phi' cot(r/rho)/rho."""
     rho = model.L / math.pi
-    rr = (model.n - 1) / rho**2 + model.phi.d2(r)
-    tan = (model.n - 1) / rho**2 + model.phi.d1(r) / (rho * np.tan(r / rho))
+    c1, c2 = (model.coeffs + (0.0, 0.0))[1:3]
+    cos, sin = np.cos(r / rho), np.sin(r / rho)
+    dp = c1 + 2.0 * c2 * cos
+    phi1 = -dp * sin / rho
+    phi2 = (2.0 * c2 * sin**2 - dp * cos) / rho**2
+    rr = (model.n - 1) / rho**2 + phi2
+    tan = (model.n - 1) / rho**2 + phi1 / (rho * np.tan(r / rho))
     return rr, tan
 
 
@@ -121,13 +127,14 @@ def test_cosine_density_hessian_against_embedded_fd_oracle():
     # Hessian along geodesics can be differenced directly in the embedding:
     # radial geodesics vary the colatitude, tangential ones are great circles
     # through the point in the latitude direction.
-    # The model gives Hess(phi) as (phi'', phi' w'/w) from its density and warp.
+    # hess_phi gives Hess(phi) = (phi'', phi' w'/w) as quadratics in c = cos r
+    # (rho = 1 on the unit sphere).
     eps = 0.4
     model = dl.sphere(2, density=dl.cosine_density(eps))
     grid = dl.Grid.uniform(model, 400)
+    c = np.cos(grid.nodes)
+    hess_rr, hess_tan = (a + b * c + q * c * c for a, b, q in dl.hess_phi(model))
     r = grid.nodes
-    hess_rr = model.phi.d2(r)
-    hess_tan = model.phi.d1(r) * model.w.d1(r) / model.w.value(r)
     h = 1e-4
 
     def phi_of_z(z):
@@ -252,7 +259,10 @@ def test_pole_regularity_rejected():
         w = dl.interval_sphere(2, length).w
         assert w == dl.RoundWarp(length)
         assert w.value(0.0) == 0.0 and abs(w.value(length)) <= 1e-15 * length
-        assert w.d1(0.0) == 1.0 and w.d1(length) == -1.0
+        # one-sided differences: the slope is 1 - O(h^2) into the interval
+        h = 1e-6
+        assert abs((w.value(h) - w.value(0.0)) / h - 1.0) <= 1e-9
+        assert abs((w.value(length) - w.value(length - h)) / h + 1.0) <= 1e-9
         assert np.all(w.value(np.linspace(0.0, length, 513)[1:-1]) > 0.0)
 
 
@@ -261,16 +271,19 @@ def test_pole_regularity_rejected():
        coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
 def test_an_interval_sphere_density_is_flat_at_both_poles(n, length, coeffs):
     # phi = p(cos(pi r/L)) and d/dr cos(pi r/L) vanishes at r = 0 and r = L,
-    # so grad phi is smooth at both poles by construction: phi'(0) is exactly
-    # 0, and phi'(L) is k p'(c) sin(k L) with |p'| <= |c1| + 2 |c2| and
-    # k L within a few rounding units of pi (|sin(k L)| read at most 2.6 eps
-    # over 2e5 random L in [0.5, 8])
+    # so grad phi is smooth at both poles by construction: phi is even about
+    # each pole, and the central difference of its values there reads phi'.
+    # At r = 0 it is exactly 0, as cos is even in floats; at r = L it is
+    # phi'' times k L - pi, a few rounding units, plus the rounding of the
+    # values over 2h
     model = dl.interval_sphere(n, length, density=coeffs)
-    c1, c2 = (list(coeffs) + [0.0, 0.0])[1:3]
-    k = math.pi / length
-    at_zero, at_length = model.phi.d1(np.array([0.0, length]))
+    k, h = math.pi / length, 1e-3
+    scale = sum(abs(c) for c in coeffs) + 1.0
+    at_zero, at_length = ((model.phi.value(np.array([r + h]))[0]
+                           - model.phi.value(np.array([r - h]))[0]) / (2.0 * h)
+                          for r in (0.0, length))
     assert at_zero == 0.0
-    assert abs(at_length) <= 8.0 * np.finfo(float).eps * k * (abs(c1) + 2.0 * abs(c2))
+    assert abs(at_length) <= 8.0 * np.finfo(float).eps * scale * (1.0 / h + 8.0 * k**2 * length)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
@@ -564,39 +577,47 @@ def test_family_constructors_reject_a_bad_length():
 
 @settings(max_examples=80, deadline=None)
 @given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
-       length=st.floats(0.5, 8.0), t=st.floats(0.0, 1.0))
+       length=st.floats(0.5, 8.0), t=st.floats(1e-6, 1.0 - 1e-6))
 def test_cos_polynomial_derivatives_match_mpmath(coeffs, length, t):
-    # value, d1 and d2 against 40-digit numerical derivatives of
-    # p(cos(pi r / L)), to a few rounding units of each one's scale
+    # the value of p(cos(pi r / L)) and hess_phi's two quadratics in c, over
+    # rho^2, against 40-digit numerical derivatives: phi'' and phi' w'/w
+    # inside, and phi'' for both at the poles r = 0 and r = L, where Hess(phi)
+    # is isotropic; to a few rounding units of each one's scale.  The
+    # interior point keeps off the poles, where the quotient phi' w'/w of two
+    # vanishing numerical values loses its 40 digits
     mpmath = pytest.importorskip("mpmath")
-    dens = dl.CosPolynomial(coeffs, length)
-    r = t * length
+    model = dl.interval_sphere(2, length, density=coeffs)
     k = math.pi / length
     scale = sum(abs(c) for c in coeffs) + 1.0
-    with mpmath.workdps(40):
-        def phi(x):
-            c = mpmath.cos(mpmath.pi / mpmath.mpf(length) * x)
-            return sum(mpmath.mpf(cj) * c**j for j, cj in enumerate(coeffs))
+    for r in (0.0, t * length, length):
+        with mpmath.workdps(40):
+            rho, x = mpmath.mpf(length) / mpmath.pi, mpmath.mpf(r)
+            w = lambda y: rho * mpmath.sin(y / rho)  # noqa: E731
 
-        exact = [float(mpmath.diff(phi, mpmath.mpf(r), order)) for order in range(3)]
-    got = [float(dens.value(np.array([r]))[0]), float(dens.d1(np.array([r]))[0]),
-           float(dens.d2(np.array([r]))[0])]
-    for order, (g, e) in enumerate(zip(got, exact)):
-        tol = 8.0 * np.finfo(float).eps * scale * max(k, 1.0) ** order * (1.0 + 4.0 * order)
-        assert abs(g - e) <= tol, (order, g, e)
+            def phi(y):
+                return sum(mpmath.mpf(cj) * mpmath.cos(y / rho) ** j
+                           for j, cj in enumerate(coeffs))
+
+            phi2 = mpmath.diff(phi, x, 2)
+            tangential = phi2 if r in (0.0, length) else \
+                mpmath.diff(phi, x) * mpmath.diff(w, x) / w(x)
+            exact = [float(phi(x)), float(phi2), float(tangential)]
+        c = math.cos(k * r)
+        got = [float(model.phi.value(np.array([r]))[0])]
+        got += [(a + b * c + q * c * c) * k**2 for a, b, q in dl.hess_phi(model)]
+        for order, g, e in zip((0, 2, 2), got, exact):
+            tol = 8.0 * np.finfo(float).eps * scale * max(k, 1.0) ** order * (1.0 + 4.0 * order)
+            assert abs(g - e) <= tol, (r, order, g, e)
 
 
 @pytest.mark.parametrize("a", [0.1, 0.5, -0.9, 400.0])
 @pytest.mark.parametrize("length", [math.pi, 2.5, 0.5 * math.pi, 2.0 * math.pi])
 def test_cosine_density_has_the_plain_cosine_bits(a, length):
     # the operation order that keeps every report byte for byte: the value
-    # is a cos(k r), phi' = (-a k) sin(k r) and phi'' = (-a k^2) cos(k r)
+    # is a cos(k r)
     r = np.linspace(0.0, length, 1001)
-    k = math.pi / length
     dens = dl.interval_sphere(2, length, density=dl.cosine_density(a)).phi
     assert np.array_equal(dens.value(r), a * np.cos(math.pi / length * r))
-    assert np.array_equal(dens.d1(r), -a * k * np.sin(k * r))
-    assert np.array_equal(dens.d2(r), -a * k**2 * np.cos(k * r))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -5,13 +5,13 @@ import dataclasses
 import math
 from functools import lru_cache
 
-import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import driftlab as dl
 import driftlab.acceptance as acceptance
 import driftlab.runner as runner
+import driftlab.solitons as solitons
 from driftlab.config import parse_config
 
 
@@ -171,6 +171,48 @@ def test_eigen_relation_flags_perturbation():
     assert residuals[0] / residuals[1] == pytest.approx(10.0, rel=0.05)
 
 
+@pytest.mark.parametrize("n, length, coeffs, gamma", [
+    (2, math.pi, dl.cosine_density(0.5), 1.0),
+    (3, 2.5, (0.2, -0.7, 0.4), None),  # at its Einstein gamma
+])
+def test_every_residual_matches_an_mpmath_oracle(n, length, coeffs, gamma):
+    # the six residuals against 40-digit mpmath derivatives of f = p(cos(r/rho))
+    # and w = rho sin(r/rho), over the grid's nodes and both poles, where
+    # grad f = 0 and Hess f is isotropic with the value f''; the eigen-relation
+    # takes the ledger's own shift, and constancy is the standard deviation
+    mpmath = pytest.importorskip("mpmath")
+    model = dl.interval_sphere(n, length, density=coeffs)
+    gamma = dl.einstein_constant(model) if gamma is None else gamma
+    grid = dl.Grid.uniform(model, 400)
+    led = dl.soliton_ledger(dl.SolitonCandidate(grid, gamma=gamma))
+    with mpmath.workdps(40):
+        rho, g = mpmath.mpf(length) / mpmath.pi, mpmath.mpf(gamma)
+        ric = (n - 1) / rho**2
+        w = lambda x: rho * mpmath.sin(x / rho)  # noqa: E731
+
+        def f(x):
+            return sum(mpmath.mpf(cj) * mpmath.cos(x / rho) ** j for j, cj in enumerate(coeffs))
+
+        points = []
+        for r in (*grid.nodes, 0.0, length):
+            x, pole = mpmath.mpf(r), r in (0.0, length)
+            f1, f2 = 0 if pole else mpmath.diff(f, x), mpmath.diff(f, x, 2)
+            h_tan = f2 if pole else f1 * mpmath.diff(w, x) / w(x)
+            lap = f2 + (n - 1) * h_tan
+            points.append((ric - g + f2, ric - g + h_tan, 2 * ric * f1, n * ric - n * g + lap,
+                           lap - f1**2 + 2 * g * (f(x) + led.shift),
+                           n * ric - 2 * g * f(x) + f1**2))
+        *sups, conserved = zip(*points)
+        mean = mpmath.fsum(conserved) / len(conserved)
+        std = mpmath.sqrt(mpmath.fsum((v - mean) ** 2 for v in conserved) / len(conserved))
+        radial, tangential, bianchi, trace, eigen = (float(max(map(abs, v))) for v in sups)
+    assert led.shift == dl.normalize_f(dl.SolitonCandidate(grid, gamma=gamma))
+    got = (led.radial, led.tangential, led.bianchi_sup, led.constancy_std, led.trace_sup,
+           led.eigen_residual)
+    assert got == pytest.approx((radial, tangential, bianchi, float(std), trace, eigen),
+                                rel=1e-12)
+
+
 def test_candidate_validation():
     with pytest.raises(ValueError):
         _candidate(gamma=0.0)
@@ -198,9 +240,9 @@ def test_worst_residual_propagates_nan():
 
 def test_nan_residual_fails_criterion_8_and_the_runner(monkeypatch):
     # a NaN residual must fail every check that reads the ledger, not vanish
-    # into a max() that keeps its first finite argument
-    monkeypatch.setattr(dl.CosPolynomial, "d1",
-                        lambda self, r: np.full(np.shape(r), math.nan))
+    # into a max() that keeps its first finite argument; the NaN enters
+    # through the ledger's Hessian alone, so K_eff stays finite
+    monkeypatch.setattr(solitons, "hess_phi", lambda model: ((math.nan,) * 3,) * 2)
     crit, = acceptance.criterion_soliton_checker()
     assert not crit.passed
     einstein = [row for row in crit.rows if row["quantity"] == "max_residual"]
@@ -211,5 +253,5 @@ def test_nan_residual_fails_criterion_8_and_the_runner(monkeypatch):
         "family": {"name": "sphere", "n": [2], "density": {"name": "zero"}},
         "grids": [300], "checks": ["soliton"], "soliton": {"gamma": "einstein"}})
     row = runner.run(config).rows[0]
-    assert math.isnan(row["bianchi_resid"])
+    assert math.isnan(row["soliton_resid_rr"]) and math.isnan(row["trace_resid"])
     assert row["verdict_soliton"] is False
