@@ -21,7 +21,6 @@ from .geometry import (CIRCLE, INTERVAL_SPHERE, CosPolynomial, Grid, RoundWarp,
                        diameter, einstein_constant, hess_phi, interval_sphere, sphere,
                        unit_fiber_area)
 from .solitons import SolitonCandidate, SolitonLedger, normalize_f, soliton_ledger
-from .spectral import (EigenMode, MembershipVerdict, SpectralProblem, assemble,
-                       first_nonzero_eigenvalue, spectrum_contains)
+from .spectral import EigenMode, SpectralProblem, assemble, first_nonzero_eigenvalue
 
 __all__ = [name for name in dir() if not name.startswith("_")]

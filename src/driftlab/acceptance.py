@@ -14,9 +14,10 @@ The suite does only the work its rows read: no criterion reads a Richardson
 error estimate, so no half-resolution operator is assembled; criterion 1
 reads only its lambda_1 values, so none of its eigenvectors is formed, and
 on each of its round spheres, where the l = 0 twin wins, Sturm counts pick
-that sector first, so only l = 0 is bisected; criterion 5 bisects the one zonal eigenvalue it reads; and criterion 9
-certifies the 31/50 floor of the case split in exact rationals instead of
-sampling it.
+that sector first, so only l = 0 is bisected; criterion 5 bisects the one
+zonal eigenvalue it reads; criterion 8 reads its soliton ledgers from the
+models alone, on no grid; and criterion 9 certifies the 31/50 floor of the
+case split in exact rationals instead of sampling it.
 """
 
 from __future__ import annotations
@@ -192,14 +193,13 @@ def criterion_soliton_checker() -> tuple[CriterionResult]:
     """Einstein data passes at 1e-8; the standard perturbation hits its known residuals."""
     res = CriterionResult(8, "soliton checker on Einstein data and perturbations")
     for n in (2, 3, 4):
-        cand = sol.SolitonCandidate(Grid.uniform(sphere(n), SWEEP_N), gamma=float(n - 1))
+        cand = sol.SolitonCandidate(sphere(n), gamma=float(n - 1))
         worst = sol.soliton_ledger(cand).worst
         res.check(f"S^{n}:einstein", "max_residual", worst, 0.0, 1e-8, worst < 1e-8)
         res.details.append(f"S^{n} Einstein: worst residual {worst:.3e}")
 
     # the perturbation is the model's density, f = 0.1 cos r
-    pert = sol.SolitonCandidate(Grid.uniform(sphere(2, density=cosine_density(0.1)), SWEEP_N),
-                                gamma=1.0)
+    pert = sol.SolitonCandidate(sphere(2, density=cosine_density(0.1)), gamma=1.0)
     led = sol.soliton_ledger(pert)
     for name, value, expected in (("residual_rr", led.radial, 0.1),
                                   ("residual_tan", led.tangential, 0.1),
@@ -208,10 +208,9 @@ def criterion_soliton_checker() -> tuple[CriterionResult]:
     res.details.append(
         f"perturbation: rr={led.radial:.6f}, tan={led.tangential:.6f}, trace={led.trace_sup:.6f}")
 
-    c0, *rest = pert.grid.model.coeffs
+    c0, *rest = pert.model.coeffs
     shifted = (c0 + sol.normalize_f(pert), *rest)
-    again = sol.normalize_f(
-        sol.SolitonCandidate(Grid.uniform(sphere(2, density=shifted), SWEEP_N), gamma=1.0))
+    again = sol.normalize_f(sol.SolitonCandidate(sphere(2, density=shifted), gamma=1.0))
     res.check("S^2:f=0.1cos", "shift_idempotency", again, 0.0, 1e-14)
     return (res,)
 

@@ -41,7 +41,6 @@ CHECK_NAMES = ("spectrum", "bounds", "estimates", "soliton")
 FORMATS = ("csv", "json")
 
 DEFAULT_TOLERANCES = {
-    "spectrum": 1e-3,  # the soliton check's membership window; the spectrum check reads none
     "bound_margin": 1e-6,
     "gradient": 1e-2,
     "dominance": 1e-2,

@@ -99,7 +99,6 @@ class SolitonCheck(Check):
     constancy_std: float | None = None
     trace_resid: float | None = None
     eigenid_resid: float | None = None
-    eigenid_member: bool | None = None
     potential_shift: float | None = None
 
 

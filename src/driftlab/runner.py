@@ -18,7 +18,7 @@ from . import estimates as est
 from . import solitons as sol
 from .config import ExperimentConfig, InstanceSpec, build_model, soliton_gamma
 from .errors import InapplicableBoundError, SolverError
-from .geometry import CIRCLE, Grid, be_ricci_lower_bound, diameter
+from .geometry import CIRCLE, Grid, WarpedManifold, be_ricci_lower_bound, diameter
 from .reports import (ERROR, FAIL, INAPPLICABLE, PASS, BoundsCheck, Check,
                       EstimatesCheck, InstanceRecord, InstanceResult, RunReport,
                       SolitonCheck, environment_stamp)
@@ -74,32 +74,31 @@ def _estimates_check(config: ExperimentConfig, nef: est.NormalizedEigenfunction 
         holder_margin=ledger.margin_holder)
 
 
-def _soliton_check(config: ExperimentConfig, grid: Grid) -> SolitonCheck:
-    """The soliton residuals of the instance's model, whose density is the potential.
-    The ``spectrum`` tolerance is the membership window for -2 gamma."""
-    if grid.model.topology == CIRCLE:
+def _soliton_check(config: ExperimentConfig, model: WarpedManifold) -> SolitonCheck:
+    """The soliton residuals of the instance's model, whose density is the
+    potential.  They read the model alone, in closed form, so the row needs no
+    grid and no solve: it is the same at every N but for the N column."""
+    if model.topology == CIRCLE:
         return SolitonCheck(INAPPLICABLE, "needs an interval-sphere model (circles have no warp)")
-    gamma = soliton_gamma(config, grid.model)
-    cand = sol.SolitonCandidate(grid=grid, gamma=gamma)
-    led = sol.soliton_ledger(cand, tol=config.tolerances["spectrum"])
+    gamma = soliton_gamma(config, model)
+    led = sol.soliton_ledger(sol.SolitonCandidate(model=model, gamma=gamma))
     return SolitonCheck(
         PASS if led.worst < config.tolerances["soliton"] else FAIL, soliton_gamma=gamma,
         soliton_resid_rr=led.radial, soliton_resid_tan=led.tangential,
         bianchi_resid=led.bianchi_sup, constancy_std=led.constancy_std,
         trace_resid=led.trace_sup, eigenid_resid=led.eigen_residual,
-        eigenid_member=led.membership.contained, potential_shift=led.shift)
+        potential_shift=led.shift)
 
 
 def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult:
     """All requested checks for one instance, in request order."""
     model = build_model(config, inst)
-    grid = Grid.uniform(model, inst.N)
     shared: dict = {}
     fe = nef = case = None
     why = ""  # why bounds and estimates do not apply
     no_case = ""  # why the estimates have no barrier
     if any(c in config.checks for c in ("spectrum", "bounds", "estimates")):
-        fe = first_nonzero_eigenvalue(grid)
+        fe = first_nonzero_eigenvalue(Grid.uniform(model, inst.N))
         shared.update(lambda1=fe.lam, lambda1_mode=fe.l,
                       lambda1_err_est=fe.error_estimate)
         if model.topology == CIRCLE:
@@ -124,7 +123,7 @@ def run_instance(config: ExperimentConfig, inst: InstanceSpec) -> InstanceResult
     checks = {"spectrum": lambda: _spectrum_check(fe),
               "bounds": lambda: _bounds_check(config, record, case, why),
               "estimates": lambda: _estimates_check(config, nef, case, why or no_case),
-              "soliton": lambda: _soliton_check(config, grid)}
+              "soliton": lambda: _soliton_check(config, model)}
     return InstanceResult(record, {name: checks[name]() for name in config.checks})
 
 

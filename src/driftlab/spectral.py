@@ -46,9 +46,6 @@ where it can win.  The winner's eigenvector is formed when it is first
 read, and the Richardson partner, the Rayleigh quotient of the eigenvector
 on the grid of half the cells, when the error estimate is read, so a
 lambda_1 costs at most one eigenvector, and none when only ``lam`` is read.
-``spectrum_contains`` counts, sector by sector from l = 0, the eigenvalues
-in the closed window around its target, until a sector has none above it;
-it refuses a target that could need more than ``MAX_SECTORS`` sectors.
 """
 
 from __future__ import annotations
@@ -376,63 +373,3 @@ def first_nonzero_eigenvalue(grid: Grid) -> EigenMode:
     if count > 1 and window[0].lam <= top.lam:  # a tie goes to the lower sector
         top = window[0]
     return top
-
-
-MAX_SECTORS = 1000  # the most angular sectors spectrum_contains counts
-
-
-@dataclass(frozen=True)
-class MembershipVerdict:
-    """Whether the low spectrum contains a target value within tolerance."""
-
-    contained: bool
-    count_used: int
-
-
-def spectrum_contains(grid: Grid, target: float, tol: float) -> MembershipVerdict:
-    """True iff some eigenvalue of the grid's model lies within
-    tol * max(1, |target|) of target.
-
-    Interval-sphere models only.  The sectors l = 0, 1, 2, ... each count
-    their eigenvalues in the closed window [target - window, target + window]
-    by one Sturm count, with no eigenvalue computed, so a negative verdict is
-    meaningful.  A count takes the half-open window (vl, vu], so vl is the
-    float just below target - window.  The search stops at the first sector
-    whose count over (vl, inf) is 0: its eigenvalues all lie at or below vl,
-    and by the Weyl argument of ``first_nonzero_eigenvalue`` those of every
-    higher sector lie strictly below them.  ``count_used`` is the number of
-    eigenvalues in the window, summed over the sectors.
-
-    The l = 0 operator is negative semidefinite and sector l subtracts
-    l (l + n - 2) diag(1/w^2) from it, so every eigenvalue of sector l lies
-    at or below -l (l + n - 2) / max w^2 (max over the grid nodes).  A
-    window whose vl lies below that bound for l = ``MAX_SECTORS`` is refused
-    with ValueError, as it could need more sectors than that; otherwise the
-    sectors from ``MAX_SECTORS`` on hold nothing above vl and at most
-    ``MAX_SECTORS`` are counted.  The target must be finite, tol positive and
-    finite and both window ends finite, else ValueError: a NaN would give a
-    vacuous negative verdict, an infinite tol a vacuous positive one.
-    """
-    model = grid.model
-    if model.topology == CIRCLE:
-        raise ValueError("spectrum_contains needs an interval-sphere model")
-    if not math.isfinite(target):
-        raise ValueError(f"target must be finite, got {target!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    window = tol * max(1.0, abs(target))
-    lower, upper = math.nextafter(target - window, -math.inf), target + window
-    if not (math.isfinite(lower) and math.isfinite(upper)):
-        raise ValueError(f"the window ends must be finite, got ({lower!r}, {upper!r}]")
-    w2 = float(np.max(np.asarray(model.w.value(grid.nodes), dtype=float) ** 2))
-    if -angular_eigenvalue(model.n, MAX_SECTORS) / w2 > lower:
-        raise ValueError(f"the window around {target!r} reaches below the top of sector "
-                         f"l = {MAX_SECTORS}; at most {MAX_SECTORS} sectors are counted")
-    base = assemble(grid, 0)
-    count = 0
-    for l in range(MAX_SECTORS):
-        sector = base.sector(l)
-        if not _count(sector, lower, math.inf):
-            break
-        count += _count(sector, lower, upper)
-    return MembershipVerdict(contained=count > 0, count_used=count)

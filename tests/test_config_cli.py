@@ -193,12 +193,20 @@ def test_parse_config_fails_only_with_config_error(path, value):
 
 def test_tolerance_profiles():
     # one default set; per-key overrides still express the retired "strict" profile
-    strict = {"spectrum": 1e-4, "bound_margin": 1e-9, "gradient": 1e-3,
+    strict = {"bound_margin": 1e-9, "gradient": 1e-3,
               "dominance": 1e-3, "holder": 1e-10, "soliton": 1e-10}
     assert parse_config(_base_config(tolerances=strict)).tolerances == strict
     override = parse_config(_base_config(tolerances={"gradient": 0.05}))
     assert override.tolerances["gradient"] == 0.05
     assert override.tolerances["bound_margin"] == 1e-6
+
+
+def test_the_spectrum_tolerance_is_gone():
+    # it was only the soliton check's membership window, which no longer
+    # exists, and the spectrum check reads no tolerance: naming it is an
+    # unknown tolerance
+    with pytest.raises(ConfigError, match="unknown tolerance 'spectrum'"):
+        parse_config(_base_config(tolerances={"spectrum": 0.01}))
 
 
 def test_retired_keys_still_parse_and_select_nothing():

@@ -3,9 +3,10 @@ and potential normalization."""
 
 import dataclasses
 import math
-from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import driftlab as dl
@@ -13,17 +14,24 @@ import driftlab.acceptance as acceptance
 import driftlab.runner as runner
 import driftlab.solitons as solitons
 from driftlab.config import parse_config
+from driftlab.reports import SolitonCheck
 
 
-@lru_cache(maxsize=None)
-def _grid(density=(0.0,), n=2, N=1500, radius=1.0):
-    """A grid on the n-sphere whose density, read in c = cos(r/radius), is
-    the soliton potential."""
-    return dl.Grid.uniform(dl.sphere(n, radius=radius, density=density), N)
+def _candidate(density=(0.0,), gamma=1.0, n=2, radius=1.0):
+    """A candidate on the n-sphere whose density, read in c = cos(r/radius),
+    is the soliton potential."""
+    return dl.SolitonCandidate(dl.sphere(n, radius=radius, density=density), gamma=gamma)
 
 
-def _candidate(density=(0.0,), gamma=1.0, **grid):
-    return dl.SolitonCandidate(_grid(density, **grid), gamma=gamma)
+def _soliton_rows(family, grids, gamma):
+    """The soliton-check rows of one family at the given grid sizes."""
+    config = parse_config({"schema_version": 1, "family": family, "grids": grids,
+                           "checks": ["soliton"], "soliton": {"gamma": gamma}})
+    return runner.run(config).rows
+
+
+_RESIDUAL_COLUMNS = ("soliton_resid_rr", "soliton_resid_tan", "bianchi_resid",
+                     "constancy_std", "trace_resid", "eigenid_resid")
 
 
 def test_einstein_spheres_are_exact_solitons():
@@ -45,13 +53,34 @@ def test_einstein_residuals_are_exactly_zero(family, n):
     fam = {"name": family, "n": [n], "density": {"name": "zero"}}
     if family == "stretched-sphere":
         fam["length"] = 2.5
-    config = parse_config({"schema_version": 1, "family": fam, "grids": [2000],
-                           "checks": ["soliton"], "soliton": {"gamma": "einstein"}})
-    row, = runner.run(config).rows
-    for column in ("soliton_resid_rr", "soliton_resid_tan", "bianchi_resid",
-                   "constancy_std", "trace_resid", "eigenid_resid"):
+    row, = _soliton_rows(fam, [2000], "einstein")
+    for column in _RESIDUAL_COLUMNS:
         assert row[column] == 0.0, column
     assert row["verdict_soliton"] is True
+
+
+def test_a_soliton_row_needs_no_grid():
+    # the ledger reads the model alone: at n = 100 a grid's weights underflow
+    # (w^99), but the Einstein row is still exactly 0 in every residual
+    row, = _soliton_rows({"name": "sphere", "n": [100], "density": {"name": "zero"}},
+                         [2000], "einstein")
+    assert "error" not in row
+    for column in _RESIDUAL_COLUMNS:
+        assert row[column] == 0.0, column
+    assert row["verdict_soliton"] is True
+
+
+def test_soliton_rows_are_the_same_at_every_grid():
+    # no grid enters a soliton row, so N = 2000 and 2001 agree in every
+    # soliton column, bit for bit
+    family = {"name": "sphere", "n": [2], "density": {"name": "cosine", "eps": [0.5]}}
+    even, odd = _soliton_rows(family, [2000, 2001], 1.0)
+    assert (even["N"], odd["N"]) == (2000, 2001)
+    columns = [f.name for f in dataclasses.fields(SolitonCheck)
+               if f.name not in ("status", "reason")] + ["verdict_soliton"]
+    assert [column for column in even if column.startswith("eigenid")] == ["eigenid_resid"]
+    for column in columns:
+        assert column in even and even[column] == odd[column], column
 
 
 def test_the_family_density_is_the_soliton_potential():
@@ -131,12 +160,39 @@ def test_normalize_f_trivial_cases():
 
 
 def test_normalize_f_cosine_against_quadrature_oracle():
-    got = dl.normalize_f(_candidate(dl.cosine_density(1.0), N=20000))
+    got = dl.normalize_f(_candidate(dl.cosine_density(1.0)))
     num = quad(lambda r: math.cos(r) * math.exp(-math.cos(r)) * math.sin(r),
                0.0, math.pi, epsabs=1e-13, epsrel=1e-13)[0]
     den = quad(lambda r: math.exp(-math.cos(r)) * math.sin(r),
                0.0, math.pi, epsabs=1e-13, epsrel=1e-13)[0]
-    assert got == pytest.approx(-num / den, abs=1e-8)
+    assert got == pytest.approx(-num / den, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, coeffs", [(2, (0.0, 0.5)), (3, (0.2, -0.7, 0.4)),
+                                       (8, (0.0, 3.0, -2.0))])
+def test_normalize_f_matches_a_40_digit_integral(n, coeffs):
+    # Gauss-Jacobi in c = cos(r) with the weight (1 - c^2)^((n-2)/2) holds the
+    # shift to rounding on even n too, where the midpoint rule in r was O(h^2)
+    mpmath = pytest.importorskip("mpmath")
+    got = dl.normalize_f(_candidate(coeffs, n=n))
+    with mpmath.workdps(40):
+        p = lambda c: sum(mpmath.mpf(cj) * c**j for j, cj in enumerate(coeffs))  # noqa: E731
+        weight = lambda c: (1 - c * c) ** (mpmath.mpf(n - 2) / 2) * mpmath.exp(-p(c))  # noqa: E731
+        num = mpmath.quad(lambda c: p(c) * weight(c), [-1, 0, 1])
+        den = mpmath.quad(weight, [-1, 0, 1])
+        want = float(-num / den)
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_normalize_f_refuses_a_density_its_largest_rule_cannot_resolve(monkeypatch):
+    # e^{-800 c} lives within about 1/800 of c = -1: 256 nodes settle it, and
+    # a largest rule of 128 nodes refuses it with an error that names the density
+    cand = _candidate((0.0, 800.0))
+    assert dl.normalize_f(cand) == pytest.approx(799.0, abs=1e-10)
+    monkeypatch.setattr(solitons, "SHIFT_NODES", (64, 128))
+    with pytest.raises(ValueError, match=r"\(0\.0, 800\.0\) \(n = 2\) does not settle "
+                                         "within 128 Gauss-Jacobi nodes"):
+        dl.normalize_f(cand)
 
 
 def test_normalize_f_idempotent():
@@ -148,15 +204,21 @@ def test_normalize_f_idempotent():
 def test_eigen_relation_vacuous_for_einstein():
     led = dl.soliton_ledger(_candidate())
     assert led.vacuous
-    assert led.eigen_residual < 1e-12
-    # -2 gamma = -2 happens to be the first non-zero eigenvalue of the round
-    # 2-sphere, so membership holds coincidentally
-    assert led.membership.contained
+    assert led.eigen_residual == 0.0
     # a constant potential is zero once normalized, so it is vacuous too
     led = dl.soliton_ledger(_candidate((5.0,)))
-    assert led.shift == pytest.approx(-5.0, abs=1e-12)
+    assert led.shift == -5.0
     assert led.vacuous
-    assert led.eigen_residual < 1e-12
+    assert led.eigen_residual == 0.0
+    assert not dl.soliton_ledger(_candidate((5.0, 0.0, 1e-300))).vacuous
+
+
+def test_a_sup_at_an_interior_vertex_is_exact():
+    # unit S^3, f = 0.2 c + 0.5 c^2, gamma = 1.5: the radial residual is
+    # 1.5 - 0.2 c - 2 c^2, which peaks at c* = -0.05 inside (-1, 1) with the
+    # value 1.505, between any grid's nodes; the poles give only 0.7 and 0.3
+    led = dl.soliton_ledger(_candidate((0.0, 0.2, 0.5), gamma=1.5, n=3))
+    assert abs(led.radial - 1.505) <= 1e-15
 
 
 def test_eigen_relation_flags_perturbation():
@@ -177,36 +239,48 @@ def test_eigen_relation_flags_perturbation():
 ])
 def test_every_residual_matches_an_mpmath_oracle(n, length, coeffs, gamma):
     # the six residuals against 40-digit mpmath derivatives of f = p(cos(r/rho))
-    # and w = rho sin(r/rho), over the grid's nodes and both poles, where
-    # grad f = 0 and Hess f is isotropic with the value f''; the eigen-relation
-    # takes the ledger's own shift, and constancy is the standard deviation
+    # and w = rho sin(r/rho).  Each sup is over r in [0, L]: at both poles,
+    # where grad f = 0 and Hess f is isotropic with the value f'', and at the
+    # largest sample of a 201-point scan, refined to the critical point
+    # bracketed by its neighbours.  The eigen-relation takes the ledger's own
+    # shift, and constancy is the standard deviation over arc length
     mpmath = pytest.importorskip("mpmath")
     model = dl.interval_sphere(n, length, density=coeffs)
     gamma = dl.einstein_constant(model) if gamma is None else gamma
-    grid = dl.Grid.uniform(model, 400)
-    led = dl.soliton_ledger(dl.SolitonCandidate(grid, gamma=gamma))
+    led = dl.soliton_ledger(dl.SolitonCandidate(model, gamma=gamma))
     with mpmath.workdps(40):
-        rho, g = mpmath.mpf(length) / mpmath.pi, mpmath.mpf(gamma)
+        L, g = mpmath.mpf(length), mpmath.mpf(gamma)
+        rho = L / mpmath.pi
         ric = (n - 1) / rho**2
         w = lambda x: rho * mpmath.sin(x / rho)  # noqa: E731
 
         def f(x):
             return sum(mpmath.mpf(cj) * mpmath.cos(x / rho) ** j for j, cj in enumerate(coeffs))
 
-        points = []
-        for r in (*grid.nodes, 0.0, length):
-            x, pole = mpmath.mpf(r), r in (0.0, length)
+        def residuals(x):
+            pole = x in (0, L)
             f1, f2 = 0 if pole else mpmath.diff(f, x), mpmath.diff(f, x, 2)
             h_tan = f2 if pole else f1 * mpmath.diff(w, x) / w(x)
             lap = f2 + (n - 1) * h_tan
-            points.append((ric - g + f2, ric - g + h_tan, 2 * ric * f1, n * ric - n * g + lap,
-                           lap - f1**2 + 2 * g * (f(x) + led.shift),
-                           n * ric - 2 * g * f(x) + f1**2))
-        *sups, conserved = zip(*points)
-        mean = mpmath.fsum(conserved) / len(conserved)
-        std = mpmath.sqrt(mpmath.fsum((v - mean) ** 2 for v in conserved) / len(conserved))
-        radial, tangential, bianchi, trace, eigen = (float(max(map(abs, v))) for v in sups)
-    assert led.shift == dl.normalize_f(dl.SolitonCandidate(grid, gamma=gamma))
+            return (ric - g + f2, ric - g + h_tan, 2 * ric * f1, n * ric - n * g + lap,
+                    lap - f1**2 + 2 * g * (f(x) + led.shift), n * ric - 2 * g * f(x) + f1**2)
+
+        scan = [L * j / 200 for j in range(201)]
+        table = [residuals(x) for x in scan]
+        sups = []
+        for k in range(5):
+            j = max(range(201), key=lambda i: abs(table[i][k]))
+            best = abs(table[j][k])
+            if 0 < j < 200:
+                slope = lambda x: mpmath.diff(lambda y: residuals(y)[k], x)  # noqa: E731
+                x = mpmath.findroot(slope, (scan[j - 1], scan[j + 1]), solver="anderson")
+                best = max(best, abs(residuals(x)[k]))
+            sups.append(float(best))
+        conserved = lambda x: residuals(x)[5]  # noqa: E731
+        mean = mpmath.quad(conserved, [0, L]) / L
+        std = mpmath.sqrt(mpmath.quad(lambda x: (conserved(x) - mean) ** 2, [0, L]) / L)
+    radial, tangential, bianchi, trace, eigen = sups
+    assert led.shift == dl.normalize_f(dl.SolitonCandidate(model, gamma=gamma))
     got = (led.radial, led.tangential, led.bianchi_sup, led.constancy_std, led.trace_sup,
            led.eigen_residual)
     assert got == pytest.approx((radial, tangential, bianchi, float(std), trace, eigen),
@@ -217,7 +291,67 @@ def test_candidate_validation():
     with pytest.raises(ValueError):
         _candidate(gamma=0.0)
     with pytest.raises(ValueError):
-        dl.SolitonCandidate(dl.Grid.uniform(dl.circle(2 * math.pi), 100), gamma=1.0)
+        dl.SolitonCandidate(dl.circle(2 * math.pi), gamma=1.0)
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.0, 0.5, 1.0, 49.0])
+def test_gauss_jacobi_rule_integrates_its_degree_exactly(a):
+    # the 5-point rule of (1 - c^2)^a, scaled to unit mass, holds every
+    # moment up to degree 9: odd ones vanish, and E[c^2j] is the Beta ratio
+    # prod_{i<j} (2i + 1)/(2i + 2a + 3)
+    nodes, weights = solitons._gauss_jacobi(5, a)
+    assert np.all(np.diff(nodes) > 0.0) and np.all(weights > 0.0)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    for degree in range(10):
+        want = 0.0 if degree % 2 else math.prod(
+            (2 * i + 1) / (2 * i + 2 * a + 3) for i in range(degree // 2))
+        assert float(np.sum(weights * nodes**degree)) == pytest.approx(want, abs=1e-15), degree
+
+
+def test_constancy_std_is_the_arc_length_closed_form():
+    # f = eps c on the unit S^2: R - 2 gamma f + |grad f|^2 spreads as
+    # eps^2 (1 - c^2) - 2 gamma eps c, and with c = cos r, r uniform on
+    # [0, pi], E[c] = E[c^3] = 0, E[c^2] = 1/2 and E[c^4] = 3/8, so the
+    # standard deviation is sqrt(eps^4/8 + 2 gamma^2 eps^2)
+    for eps, gamma in ((0.5, 1.0), (0.1, 2.5)):
+        led = dl.soliton_ledger(_candidate(dl.cosine_density(eps), gamma=gamma))
+        assert led.constancy_std == pytest.approx(
+            math.sqrt(eps**4 / 8.0 + 2.0 * gamma**2 * eps**2), rel=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), length=st.floats(1.0, 4.0),
+       coeffs=st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=3),
+       gamma=st.floats(0.1, 3.0))
+@example(n=2, length=math.pi, coeffs=[0.0, 0.9, 1e-14], gamma=1.0)
+@example(n=2, length=math.pi, coeffs=[0.0, -0.7, 1e-14], gamma=1.0)
+def test_every_sup_bounds_a_dense_sampling(n, length, coeffs, gamma):
+    # each sup is over the whole manifold: no sample of 4001 radii, the poles
+    # among them, exceeds it beyond rounding, and it exceeds their largest by
+    # at most the O(h^2) a sample can miss an extremum by.  The examples'
+    # c2 = 1e-14 puts the companion roots of |grad f|^2's derivative off by
+    # enough to miss its peak at the equator, sampled exactly, unless the
+    # roots are trimmed and polished.  The samples take
+    # the derivatives in r: f' = -sin(r/rho) p'(c)/rho, f'' = (sin(r/rho)^2
+    # p''(c) - c p'(c))/rho^2 and f' w'/w = -c p'(c)/rho^2
+    model = dl.interval_sphere(n, length, density=tuple(coeffs))
+    led = dl.soliton_ledger(dl.SolitonCandidate(model, gamma=gamma))
+    rho = length / math.pi
+    ric = (n - 1) / rho**2
+    x = np.linspace(0.0, length, 4001) / rho
+    c, sin = np.cos(x), np.sin(x)
+    p = np.polynomial.Polynomial(coeffs)
+    p1, p2 = p.deriv()(c), p.deriv(2)(c)
+    f1 = -sin * p1 / rho
+    f2, h_tan = (sin**2 * p2 - c * p1) / rho**2, -c * p1 / rho**2
+    lap = f2 + (n - 1) * h_tan
+    for got, values in ((led.radial, ric - gamma + f2), (led.tangential, ric - gamma + h_tan),
+                        (led.bianchi_sup, 2.0 * ric * f1),
+                        (led.trace_sup, n * ric - n * gamma + lap),
+                        (led.eigen_residual, lap - f1**2 + 2.0 * gamma * (p(c) + led.shift))):
+        sampled = float(np.max(np.abs(values)))
+        assert sampled <= got * (1.0 + 1e-13) + 1e-13
+        assert got <= sampled + 1e-5 * (1.0 + sampled)
 
 
 def test_soundness_residual_implies_identities():

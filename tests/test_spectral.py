@@ -1,6 +1,5 @@
 """Spectral engine checks against classical spectra and structural invariants."""
 
-import itertools
 import json
 import math
 import os
@@ -179,144 +178,68 @@ def test_first_eigenvalue_perturbed_respects_lower_bound():
     assert fe.lam >= (model.n - 1) * kb.K
 
 
-def test_spectrum_contains_examples():
-    grid = _sphere_grid(2, 1000)
-    assert dl.spectrum_contains(grid, -2.0, 1e-3).contained
-    assert not dl.spectrum_contains(grid, -3.0, 1e-3).contained
-    # -2 is the closest level: a window of 1.02 around -3 reaches it
-    assert dl.spectrum_contains(grid, -3.0, 0.34).contained
-    assert dl.spectrum_contains(grid, 0.0, 1e-6).contained
-
-
-def test_spectrum_contains_finds_deep_zonal_eigenvalues():
-    # the 9th zonal eigenvalue is an eigenvalue of the assembled operator,
-    # although the low l = 1 and l = 2 sectors reach below it much earlier
-    grid = _sphere_grid(2, 400, eps=0.5)
-    target = -_top_modes(assemble(grid, 0), 9)[8].lam
-    assert abs(target + 72.00475) < 1e-4
-    verdict = dl.spectrum_contains(grid, target, 1e-6)
-    assert verdict.contained
-    assert verdict.count_used == 1  # no other sector has an eigenvalue in the window
-    with pytest.raises(ValueError):
-        dl.spectrum_contains(_circle_grid(400, 0.5), -1.0, 1e-3)
-
-
-def test_spectrum_contains_searches_every_sector():
-    # the top eigenvalue of l = 3 is an eigenvalue of the operator, although
-    # it lies below the tops of l = 0, 1, 2: the search goes on to the first
-    # sector with no eigenvalue above the window, here l = 4
-    grid = _sphere_grid(3, 2000, eps=0.5)
-    target = -_top_modes(assemble(grid, 3), 1)[0].lam
-    assert abs(target + 15.04998454) < 1e-8
-    verdict = dl.spectrum_contains(grid, target, 1e-9)
-    assert verdict.contained and verdict.count_used == 1
-    assert _eigh_tridiagonal_contains(grid, target, 1e-9)
-
-
-def _eigh_tridiagonal_contains(grid, target, tol):
-    """spectrum_contains's verdict through eigh_tridiagonal: per sector
-    l = 0, 1, 2, ... the eigenvalues above target - window and the one just
-    below, up to the first sector with none above."""
+@settings(max_examples=60, deadline=None)
+@given(grid=_weighted_models(), l=st.integers(0, 4), k=st.integers(1, 6),
+       shift=st.floats(-1e-3, 1e-3), tol=st.sampled_from((1e-9, 1e-6, 1e-4, 1e-2)))
+def test_count_matches_eigh_tridiagonal(grid, l, k, shift, tol):
+    # a Sturm count is the count over (vl, vu] that stebz takes before it
+    # bisects, so it matches eigh_tridiagonal's value selection exactly, for
+    # windows on, near and between eigenvalues of sectors l = 0..4 (a
+    # circle's even and odd sectors), and for windows open above
+    sectors = _sectors(grid.model) if grid.model.topology == dl.CIRCLE else range(5)
+    problem = assemble(grid, sectors[l % len(sectors)])
+    target = -_top_modes(problem, min(k, problem.size))[-1].lam * (1.0 + shift)
     window = tol * max(1.0, abs(target))
-    mus = []
-    for l in itertools.count():
-        problem = assemble(grid, l)
-        d, e = problem.diag, problem.off_diag
-        upper = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                                 select_range=(target - window, math.inf))
-        below = problem.size - 1 - upper.size
-        if below >= 0:
-            mus.extend(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                        select_range=(below, below)))
-        mus.extend(upper)
-        if not upper.size:
-            break
-    return bool(np.min(np.abs(np.array(mus) - target)) <= window)
-
-
-@settings(max_examples=60, deadline=None)
-@given(grid=_weighted_models().filter(lambda grid: grid.model.topology != dl.CIRCLE),
-       l=st.integers(0, 4), k=st.integers(1, 6), shift=st.floats(-1e-3, 1e-3),
-       tol=st.sampled_from((1e-9, 1e-6, 1e-4, 1e-2)))
-def test_spectrum_contains_matches_eigh_tridiagonal_bitwise(grid, l, k, shift, tol):
-    # the Sturm counts give the verdicts of bisecting with eigh_tridiagonal,
-    # for targets on, near and between eigenvalues of sectors l = 0..4
-    target = -_top_modes(assemble(grid, l), k)[-1].lam * (1.0 + shift)
-    verdict = dl.spectrum_contains(grid, target, tol)
-    assert verdict.contained == _eigh_tridiagonal_contains(grid, target, tol)
-
-
-@settings(max_examples=60, deadline=None)
-@given(grid=_weighted_models().filter(lambda grid: grid.model.topology != dl.CIRCLE),
-       l=st.integers(0, 2), k=st.integers(0, 8), tol=st.sampled_from((1e-9, 1e-6, 1e-4, 1e-2)),
-       at=st.sampled_from(("lower end", "upper end", "between")))
-def test_spectrum_contains_matches_dense_spectra(grid, l, k, tol, at):
-    # oracle: every eigenvalue of the dense matrices of sectors l = 0, 1, 2,
-    # ..., up to the first whose top lies below the window widened by the
-    # slack below.  Targets put an eigenvalue of sector l exactly at one end
-    # of the closed window, or midway between two.  A count is exact for a
-    # matrix within a few eps ||T|| of the operator, and so is dense eigh:
-    # where an eigenvalue lies closer than that to an end, the verdict is
-    # free, so the oracle requires a contained verdict only with an
-    # eigenvalue inside the window narrowed by that slack, and a negative one
-    # only with none inside the widened window
-    spectra, slack = [], 0.0
-
-    def add(sector):
+    for sector in _sectors(grid.model):
         problem = assemble(grid, sector)
-        spectra.append(eigh(_symmetrized(problem), eigvals_only=True)[::-1])
-        return max(slack, 8.0 * np.finfo(float).eps * float(
-            np.max(np.abs(problem.diag)) + 2.0 * np.max(np.abs(problem.off_diag))))
+        for vl, vu in ((target - window, target + window), (target - window, math.inf)):
+            want = eigh_tridiagonal(problem.diag, problem.off_diag, eigvals_only=True,
+                                    select="v", select_range=(vl, vu)).size
+            assert spectral._count(problem, vl, vu) == want, (sector, vl, vu)
 
-    for sector in (0, 1, 2):
-        slack = add(sector)
-    mus = spectra[l]
-    mu = mus[min(k, mus.size - 2)]
-    if at == "between":
-        target = 0.5 * (mu + mus[min(k, mus.size - 2) + 1])
-    else:
-        # mu = target - window or target + window, up to rounding; window is
-        # tol |target|, or tol where |target| < 1
-        sign = 1.0 if at == "lower end" else -1.0
-        target = mu / (1.0 + sign * tol)
-        if abs(target) < 1.0:
-            target = mu + sign * tol
-    verdict = dl.spectrum_contains(grid, target, tol)
-    window = tol * max(1.0, abs(target))
-    for sector in itertools.count(3):
-        if spectra[-1][0] < target - window - slack:
-            break
-        slack = add(sector)
-    distance = np.min(np.abs(np.concatenate(spectra) - target))
-    if distance <= window - slack:
-        assert verdict.contained
-    elif distance > window + slack:
-        assert not verdict.contained
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_weighted_models(), l=st.integers(0, 2), k=st.integers(0, 8),
+       tol=st.sampled_from((1e-9, 1e-6, 1e-4, 1e-2)),
+       at=st.sampled_from(("lower end", "upper end", "between")))
+def test_count_matches_dense_spectra(grid, l, k, tol, at):
+    # oracle: every eigenvalue of the sector's dense matrix.  Windows put one
+    # of them exactly at one end, or centre the window midway between two.
+    # A count is exact for a matrix within a few eps ||T|| of the operator,
+    # and so is dense eigh: where an eigenvalue lies closer than that to an
+    # end, the count is free, so it must lie between the number of
+    # eigenvalues inside the window narrowed by that slack and the number
+    # inside the window widened by it
+    sectors = _sectors(grid.model)
+    problem = assemble(grid, sectors[l % len(sectors)])
+    mus = eigh(_symmetrized(problem), eigvals_only=True)[::-1]
+    slack = 8.0 * np.finfo(float).eps * spectral.norm_bound(problem)
+    i = min(k, mus.size - 2)
+    mu = mus[i] if at != "between" else 0.5 * (mus[i] + mus[i + 1])
+    width = tol * max(1.0, abs(mu))
+    vl, vu = {"lower end": (mu, mu + width), "upper end": (mu - width, mu),
+              "between": (mu - width, mu + width)}[at]
+    narrow = int(np.sum((mus > vl + slack) & (mus <= vu - slack)))
+    wide = int(np.sum((mus > vl - slack) & (mus <= vu + slack)))
+    assert narrow <= spectral._count(problem, vl, vu) <= wide
 
 
 @pytest.mark.parametrize("node", [0, 3, 7], ids=["first", "middle", "last"])
-def test_spectrum_contains_counts_both_window_ends(node, monkeypatch):
+def test_count_takes_both_window_ends(node):
     # a diagonal operator: every pivot of a Sturm count is d_i - x, whose sign
-    # rounding keeps, so the counts are exact.  The window is tol |target|
-    # wide for |target| >= 1 and tol wide below: an eigenvalue at either end
-    # of the closed window, [-4.5, -3.5] around -4 or [-0.625, -0.375]
-    # around -0.5 (tol = 0.125), is contained, and one a float outside it is
-    # not, at any node.  One float below the window the entry equals the
-    # count's lower end, so its pivot there is zero.  The potentials of
-    # l = 1, 2 move the entry down by more than the window's width
-    # (1 / w^2 >= 1), so only l = 0 counts it
-    grid = _sphere_grid(2, 8)
-    zonal = assemble(grid, 0)
-    for target, ends in ((-4.0, (-4.5, -3.5)), (-0.5, (-0.625, -0.375))):
-        for end, outside in zip(ends, (-math.inf, 0.0)):
-            for mu, count in ((end, 1), (math.nextafter(end, outside), 0)):
-                diag = np.full(grid.size, -1e6)
-                diag[node] = mu
-                problem = spectral.replace(zonal, diag=diag, off_diag=np.zeros(grid.size - 1))
-                monkeypatch.setattr(spectral, "assemble", lambda *args: problem)
-                verdict = dl.spectrum_contains(grid, target, 0.125)
-                assert (verdict.contained, verdict.count_used) == (count == 1, count), \
-                    (target, mu)
+    # rounding keeps, so the counts are exact.  The window (vl, vu] holds an
+    # eigenvalue at vu and one a float above vl, but not one at vl, whose
+    # pivot there is zero, nor one a float above vu, at any node; (vl, inf)
+    # holds every one above vl
+    zonal = assemble(_sphere_grid(2, 8), 0)
+    for vl, vu in ((-4.5, -3.5), (-0.625, -0.375)):
+        for mu, count in ((vu, 1), (math.nextafter(vu, math.inf), 0),
+                          (vl, 0), (math.nextafter(vl, math.inf), 1)):
+            diag = np.full(8, -1e6)
+            diag[node] = mu
+            problem = spectral.replace(zonal, diag=diag, off_diag=np.zeros(7))
+            assert spectral._count(problem, vl, vu) == count, (vl, vu, mu)
+            assert spectral._count(problem, vl, math.inf) == (mu > vl)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -331,40 +254,6 @@ def test_count_takes_a_zero_pivot_once(sign):
     vl, vu = (1.0, 10.0) if sign > 0 else (-10.0, -1.0)
     assert spectral._count(problem, vl, vu) == 2
     assert spectral._count(problem, vl, math.inf) == (2 if sign > 0 else 3)
-
-
-@pytest.mark.parametrize("target,tol", [
-    (math.nan, 1e-3), (math.inf, 1e-3), (-math.inf, 1e-3),
-    (-2.0, math.nan), (-2.0, math.inf), (-2.0, 0.0), (-2.0, -1e-3),
-])
-def test_spectrum_contains_rejects_a_bad_target_or_tolerance(target, tol):
-    # a NaN target or tolerance would give a vacuous negative verdict, and an
-    # infinite tolerance a vacuous positive one
-    with pytest.raises(ValueError, match="must be"):
-        dl.spectrum_contains(_sphere_grid(2, 100), target, tol)
-
-
-@pytest.mark.parametrize("target,tol", [(-1e300, 1e10), (-1.6e308, 1.0), (1e300, 1e10)])
-def test_spectrum_contains_rejects_a_window_that_overflows(target, tol):
-    # target - window overflows to -inf: every sector would count an
-    # eigenvalue above it, so the sector search would never stop
-    with pytest.raises(ValueError, match="window ends must be finite"):
-        dl.spectrum_contains(_sphere_grid(3, 100), target, tol)
-
-
-def test_spectrum_contains_counts_at_most_max_sectors(monkeypatch):
-    # every eigenvalue of sector l lies at or below -l (l + n - 2) / max w^2
-    # (here -l (l + 1) on the unit S^3): a window reaching below that bound
-    # for l = MAX_SECTORS is refused before any count, one above it is searched
-    grid = _sphere_grid(3, 400)
-    with pytest.raises(ValueError, match="at most 1000 sectors"):
-        dl.spectrum_contains(grid, -2e6, 1e-3)
-    monkeypatch.setattr(spectral, "MAX_SECTORS", 4)
-    top3 = -_top_modes(assemble(grid, 3), 1)[0].lam  # about -15 > -20
-    verdict = dl.spectrum_contains(grid, top3, 1e-9)
-    assert verdict.contained and verdict.count_used == 1
-    with pytest.raises(ValueError, match="at most 4 sectors"):
-        dl.spectrum_contains(grid, -24.0, 1e-3)
 
 
 def test_zero_mode_is_constant():
@@ -928,13 +817,6 @@ def test_lapack_failure_is_a_solver_error(routine, l, step, monkeypatch, tmp_pat
         "grids": [400], "checks": ["spectrum"]}))
     assert cli.main(["sweep", "--config", str(config)]) == 3
     assert f"l={l}, N=400" in capsys.readouterr().out
-
-
-def test_spectrum_contains_count_failure_is_a_solver_error(monkeypatch):
-    _force_info(monkeypatch, "stebz", _is_count)
-    with pytest.raises(SolverError, match="l=0, N=400: stebz returned info=1") as info:
-        dl.spectrum_contains(_sphere_grid(3, 400, eps=0.5), -3.0, 1e-3)
-    assert (info.value.report["l"], info.value.report["size"]) == (0, 400)
 
 
 @pytest.mark.parametrize("count", [0, 2, 5])
