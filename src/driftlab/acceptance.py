@@ -14,10 +14,11 @@ The suite does only the work its rows read: no criterion reads a Richardson
 error estimate, so no half-resolution operator is assembled; criterion 1
 reads only its lambda_1 values, so none of its eigenvectors is formed, and
 on each of its round spheres, where the l = 0 twin wins, Sturm counts pick
-that sector first, so only l = 0 is bisected; criterion 5 bisects the one
-zonal eigenvalue it reads; criterion 8 reads its soliton ledgers from the
-models alone, on no grid; and criterion 9 certifies the 31/50 floor of the
-case split in exact rationals instead of sampling it.
+that sector first, so only l = 0 is bisected; criterion 5 forms the one
+eigenvector it reads, the round S^2's lambda_1 (its l = 0 twin); criterion
+8 reads its soliton ledgers from the models alone, on no grid; and
+criterion 9 certifies the 31/50 floor of the case split in exact
+rationals instead of sampling it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import estimates as est
 from . import solitons as sol
 from .geometry import Grid, cosine_density, diameter, sphere
 from .reports import FAIL, PASS, SUITE_COLUMNS, render_csv
-from .spectral import _bisect, assemble, first_nonzero_eigenvalue
+from .spectral import first_nonzero_eigenvalue
 
 SWEEP_N = 2000
 ACCURACY_N = 4000
@@ -130,8 +131,7 @@ def criteria_cosine_family() -> tuple[CriterionResult, CriterionResult, Criterio
 def criterion_barrier_dominance() -> tuple[CriterionResult]:
     """Z(t) <= 1 + delta xi(t) + 1e-2 for the zonal eigenfunction of the unit S^2."""
     res = CriterionResult(5, "barrier dominance for the symmetric zonal mode")
-    grid = Grid.uniform(sphere(2), SWEEP_N)
-    mode, = _bisect(assemble(grid, 0), SWEEP_N - 1, SWEEP_N - 1)  # first non-zero
+    mode = first_nonzero_eigenvalue(Grid.uniform(sphere(2), SWEEP_N))  # the l = 0 twin
     nef = est.normalize(mode, b=1.01)
     res.check("S^2:zonal", "asymmetry_a", nef.a, 0.0, 1e-8)
     z = est.barrier(0.0, 1.01, 0.25, 1.0)  # 1 + delta*xi with delta = 1/4

@@ -214,9 +214,10 @@ class Grid:
                              f"got N = {count}")
         h = model.L / count
         nodes = (np.arange(count // 2 if half else count) + 0.5) * h
-        rho = measure_density(model, nodes)
-        return Grid(model=model, nodes=nodes, spacing=h,
-                    weights=unit_fiber_area(model.n) * rho * h, density=rho)
+        with np.errstate(over="ignore"):  # an overflow is refused as a weight that is not finite
+            rho = measure_density(model, nodes)
+            weights = unit_fiber_area(model.n) * rho * h
+        return Grid(model=model, nodes=nodes, spacing=h, weights=weights, density=rho)
 
     def halved(self) -> "Grid":
         """The grid of half the cells, size // 2, on the same model (nested

@@ -31,8 +31,9 @@ Eigenpairs come from the symmetric tridiagonal similarity transform
 S = D A D^{-1}, D = diag(sqrt(rho_i)), solved in two LAPACK steps (scipy's
 ``scipy.linalg.lapack`` wrappers, each linear in N): bisection (stebz), by
 index or over a value window, for the eigenvalues, then inverse iteration
-(stein) for an eigenvector, run on the first read of the mode's ``u`` and
-on its eigenvalue alone.  A Sturm count, stebz over a value window with an
+for an eigenvector, on the first read of the mode's ``u``: one LU
+factorization of the sector shifted by the eigenvalue (gttrf) and two
+solves with it (gttrs).  A Sturm count, stebz over a value window with an
 infinite tolerance, tells how many eigenvalues lie in the window without
 computing any of them.
 
@@ -142,7 +143,10 @@ def assemble(grid: Grid, l: int) -> SpectralProblem:
     diag = np.zeros(grid.size)
     diag[:-1] -= coupling / rho_c[:-1]
     diag[1:] -= coupling / rho_c[1:]
-    off = coupling / np.sqrt(rho_c[:-1] * rho_c[1:])
+    with np.errstate(divide="ignore", over="ignore"):  # refused below
+        off = coupling / np.sqrt(rho_c[:-1] * rho_c[1:])
+    if not (0.0 < off.min() and off.max() < math.inf):  # NaN fails the first test
+        raise AssemblyError("off-diagonal coupling / sqrt(rho_i rho_{i+1}) under- or overflows")
     problem = SpectralProblem(grid=grid, l=0, diag=diag, off_diag=off, sqrt_rho=np.sqrt(rho_c))
     return problem.sector(int(l))
 
@@ -203,72 +207,70 @@ def _solver_error(problem: SpectralProblem, cause: str) -> SolverError:
 
 # stebz: m, w, iblock, isplit, info = stebz(d, e, range, vl, vu, il, iu, abstol, order),
 # range 1 the eigenvalues in (vl, vu], range 2 those of 1-based ascending index il..iu;
-# stein: z, info = stein(d, e, w, iblock, isplit)
-_LAPACK = {"stebz": lapack.dstebz, "stein": lapack.dstein}
+# gttrf: dl, d, du, du2, ipiv, info = gttrf(dl, d, du); gttrs: x, info = gttrs(*factors, b)
+_LAPACK = {"stebz": lapack.dstebz, "gttrf": lapack.dgttrf, "gttrs": lapack.dgttrs}
 
 
 class _BisectedMode(EigenMode):
     """An eigenvalue mu = -lam that bisection found in the sector
-    ``problem``, whose eigenvector u is formed on its first read, by inverse
-    iteration (LAPACK stein) on this eigenvalue alone.  Until then the mode
-    keeps the number of its eigenvalue's block and the last rows of the
-    blocks up to it (the block data stebz returned); the N-long arrays that
-    scipy's stein wrapper takes are rebuilt at the read, and the block data
-    are dropped once u is formed.  stein draws its start vector from a fixed
-    seed, so u is the same at every read, and that of running stein on the
-    eigenvalue right after bisecting it.  ``repr`` leaves u unformed; ``==``,
-    which compares the fields, forms it."""
+    ``problem``; its eigenvector u is formed on the first read, from the
+    sector and mu alone, by inverse iteration: one LU factorization of
+    S - mu I (LAPACK gttrf; a pivot that is exactly zero, where mu is exact
+    to the last bit, becomes eps ||S||, ||S|| <= max|d| + 2 max|e|, as in
+    LAPACK's stein), then two solves (gttrs) from the fixed start 1 + i/N,
+    each rescaled by its max |y|.  No step is a BLAS reduction, so u does
+    not depend on the BLAS thread count.  A residual max|S y - mu y| above
+    N eps ||S|| max|y|, the steps' rounding bound, is a ``SolverError``.
+    ``repr`` leaves u unformed; ``==`` forms it."""
 
-    def __init__(self, problem: SpectralProblem, mu: float, block: int, splits: np.ndarray):
+    def __init__(self, problem: SpectralProblem, mu: float):
         # u stays out of the instance until its first read, as cached_property needs
-        vars(self).update(lam=-float(mu), l=problem.l, problem=problem,
-                          _blocks=(int(block), splits))
+        vars(self).update(lam=-float(mu), l=problem.l, problem=problem)
 
     @cached_property
     def u(self) -> np.ndarray:
-        (block, splits), problem = self._blocks, self.problem
-        iblock, isplit = np.zeros((2, problem.size), dtype=np.int32)
-        iblock[0], isplit[:block] = block, splits
-        z, info = _LAPACK["stein"](problem.diag, problem.off_diag, np.array([-self.lam]),
-                                   iblock, isplit)
-        if info:
-            raise _solver_error(problem, f"stein returned info={info}")
-        del vars(self)["_blocks"]
-        return _normalized(problem, z[:, 0])
+        problem, n = self.problem, self.problem.size
+        rounding = np.finfo(float).eps * norm_bound(problem)
+        shifted = problem.diag + self.lam
+        *factors, info = _LAPACK["gttrf"](problem.off_diag, shifted, problem.off_diag)
+        if info:  # the zero pivot U(info, info); with every off-diagonal nonzero, the last one
+            factors[1][info - 1] = rounding
+        y = 1.0 + np.arange(n) / n
+        for _ in range(2):
+            y = _LAPACK["gttrs"](*factors, y)[0]
+            y /= np.max(np.abs(y))
+        residual = shifted * y
+        residual[:-1] += problem.off_diag * y[1:]
+        residual[1:] += problem.off_diag * y[:-1]
+        worst, bound = float(np.max(np.abs(residual))), n * rounding
+        if not worst <= bound:
+            raise _solver_error(problem, f"inverse iteration leaves the residual {worst!r}, "
+                                         f"above its rounding bound {bound!r}")
+        return _normalized(problem, y)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(lam={self.lam!r}, l={self.l!r})"
 
 
 def _stebz(problem: SpectralProblem, range_: int, vl: float, vu: float,
-           il: int, iu: int, tol: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """LAPACK stebz on a sector, in block order: (m, w, iblock, isplit)."""
-    m, w, iblock, isplit, info = _LAPACK["stebz"](problem.diag, problem.off_diag, range_,
-                                                  vl, vu, il, iu, tol, "B")
+           il: int, iu: int, tol: float) -> np.ndarray:
+    """LAPACK stebz on a sector: the eigenvalues found (at tolerance +inf, their number)."""
+    m, w, _, _, info = _LAPACK["stebz"](problem.diag, problem.off_diag, range_,
+                                        vl, vu, il, iu, tol, "B")
     if info:
         raise _solver_error(problem, f"stebz returned info={info}")
-    return m, w, iblock, isplit
+    return w[:m]
 
 
-def _modes(problem: SpectralProblem, m: int, w: np.ndarray,
-           iblock: np.ndarray, isplit: np.ndarray) -> tuple[_BisectedMode, ...]:
-    """The m bisected eigenvalues of a sector as eigenmodes, sorted by |lam|."""
-    modes = (_BisectedMode(problem, w[j], iblock[j], isplit[:iblock[j]].copy())
-             for j in range(m))
-    return tuple(sorted(modes, key=lambda mode: abs(mode.lam)))
+def _modes(problem: SpectralProblem, w: np.ndarray) -> tuple[_BisectedMode, ...]:
+    """The bisected eigenvalues w of a sector as eigenmodes, sorted by |lam|."""
+    return tuple(sorted((_BisectedMode(problem, mu) for mu in w), key=lambda mode: abs(mode.lam)))
 
 
 def _bisect(problem: SpectralProblem, il: int, iu: int) -> tuple[_BisectedMode, ...]:
     """Bisection (LAPACK stebz, tolerance 0) for the eigenvalues of (1-based,
     ascending) index il..iu of a sector, as eigenmodes sorted by |lam|."""
-    return _modes(problem, *_stebz(problem, 2, 0.0, 1.0, il, iu, 0.0))
-
-
-def _bisect_window(problem: SpectralProblem, vl: float, vu: float) -> tuple[_BisectedMode, ...]:
-    """Bisection (LAPACK stebz, tolerance 0) for the eigenvalues of a sector
-    in the value window (vl, vu], as eigenmodes sorted by |lam|.  The
-    eigenvalues outside the window are not searched for."""
-    return _modes(problem, *_stebz(problem, 1, vl, vu, 0, 0, 0.0))
+    return _modes(problem, _stebz(problem, 2, 0.0, 1.0, il, iu, 0.0))
 
 
 def _count(problem: SpectralProblem, vl: float, vu: float) -> int:
@@ -279,7 +281,7 @@ def _count(problem: SpectralProblem, vl: float, vu: float) -> int:
     stebz clips the window to the Gershgorin bounds, so vu may be +inf, and
     replaces a pivot smaller than its pivmin by -pivmin, so a pivot that
     rounds to zero counts once."""
-    return _stebz(problem, 1, vl, vu, 0, 0, math.inf)[0]
+    return _stebz(problem, 1, vl, vu, 0, 0, math.inf).size
 
 
 def _rayleigh_quotient(problem: SpectralProblem, u: np.ndarray) -> float:
@@ -340,12 +342,8 @@ def first_nonzero_eigenvalue(grid: Grid) -> EigenMode:
     index bisection of mu_0 would first locate it among the whole spectrum;
     both keep the tolerance, but their bits may differ.
 
-    The result is the winning ``EigenMode``.  Its eigenvector ``u`` is
-    formed by inverse iteration on the winning eigenvalue alone when it is
-    first read, and the Richardson error estimate of the second-order scheme
-    (``EigenMode.error_estimate``) from ``problem`` when that is first read:
-    a caller that reads only ``lam`` runs no inverse iteration, and one that
-    reads ``lam`` and ``u`` assembles nothing on the grid of half the cells.
+    The result is the winning ``EigenMode``, whose ``u`` and Richardson
+    ``error_estimate`` are formed when first read (module docstring).
     """
     base = assemble(grid, 0)
     upper = base.sector(1)
@@ -361,7 +359,7 @@ def first_nonzero_eigenvalue(grid: Grid) -> EigenMode:
         vu = min(-bound + margin + bound * (math.pi / grid.size) ** 2, -margin)
         if vu < -margin and _count(base, vu, math.inf) != 1:
             vu = -margin
-        window = _bisect_window(base, vl, vu)
+        window = _modes(base, _stebz(base, 1, vl, vu, 0, 0, 0.0))  # searches (vl, vu] alone
         if len(window) != count - 1:
             raise _solver_error(base, f"stebz finds {len(window)} eigenvalues in "
                                       f"({vl!r}, {vu!r}], not the {count - 1} that the "

@@ -792,10 +792,10 @@ def test_compute_Z_is_the_exact_maximum_over_each_closed_bin(n):
 
 
 def test_normalize_residual_is_scaled_by_the_operator_norm():
-    # at N = 2e4 rounding alone puts the residual far above 1e-6 lam, but it
+    # at N = 1e5 rounding alone puts the residual far above 1e-6 lam, but it
     # stays at the rounding level of the operator, whose norm grows like N^2
     model = dl.sphere(3, density=dl.cosine_density(0.5))
-    mode = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 20000))
+    mode = dl.first_nonzero_eigenvalue(dl.Grid.uniform(model, 100000))
     nef = dl.normalize(mode)
     residual = mode.problem.apply(nef.v_rad) + nef.lam * (nef.v_rad + nef.a)
     assert np.max(np.abs(residual)) > 1e-6 * nef.lam
